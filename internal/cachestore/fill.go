@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Fill is an in-progress streaming Put: the writer (a data-mover)
+// Fill is an in-progress streaming insert: the writer (a data-mover)
 // appends bytes as they arrive from the PFS while readers are served the
 // prefix that has already landed. This is the serve-from-fill primitive:
 // a cold read no longer needs its own PFS pass — it attaches to the fill
@@ -40,10 +40,10 @@ type Fill struct {
 	refs     int
 }
 
-// PutWriter starts a streaming insert of size bytes under key. Unlike
-// Put, nothing is reserved in the index until Commit: Contains stays
-// false during the fill (callers attach through their own fill registry,
-// not the index).
+// PutWriter starts a streaming insert of size bytes under key — the one
+// way into the cache. Nothing is reserved in the index until Commit:
+// Contains stays false during the fill (callers attach through their own
+// fill registry, not the index).
 func (s *Store) PutWriter(key string, size int64) (*Fill, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("cachestore: negative fill size %d for %s", size, key)
@@ -215,8 +215,8 @@ func (f *Fill) ReadAt(p []byte, off int64) (int, error) {
 	return n, rerr
 }
 
-// Commit completes the fill: the temp file is inserted into the index
-// (evicting as needed) and renamed into place. A short fill is an error.
+// Commit completes the fill: the temp file is renamed into place and
+// inserted into the index (evicting as needed). A short fill is an error.
 // Either way the writer's reference is dropped and waiting readers are
 // woken. Readers holding references keep reading the same descriptor —
 // rename does not invalidate it, and the descriptor itself stays open
@@ -252,35 +252,37 @@ func (f *Fill) Commit() error {
 	return nil
 }
 
-// insert admits the finished temp file into the index and renames it to
-// its content path, mirroring Put's eviction handling.
+// insert renames the finished temp file to its content path and then
+// admits the key to the index: a key is visible in the index only once
+// its file is openable, so a reader that finds the key resident never
+// meets ENOENT for a file that is about to appear. Commits are serialized
+// by Store.commitMu, which is what lets the rename run outside Store.mu
+// (a rename can queue on the cache directory's lock behind other movers'
+// creates, and every handler's index probe would queue behind it) while
+// no second fill of the same key can slip between the residency check,
+// the rename and the insert.
 func (f *Fill) insert() error {
 	s := f.s
-	s.mu.Lock()
-	if s.ix.Peek(f.key) {
-		// A concurrent Put won the key: keep the resident copy.
-		s.mu.Unlock()
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	if s.Resident(f.key) {
+		// A concurrent fill won the key: keep the resident copy.
 		return os.Remove(f.file.Name())
 	}
-	evicted, err := s.ix.Insert(f.key, f.size)
-	if err != nil {
-		s.mu.Unlock()
+	dst := s.pathFor(f.key)
+	if err := os.Rename(f.file.Name(), dst); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	evicted, err := s.ix.Insert(f.key, f.size)
 	for _, victim := range evicted {
 		_ = os.Remove(s.pathFor(victim)) // eviction is best-effort; the index entry is already gone
 		s.hp.drop(victim)
 	}
-	s.ix.Pin(f.key)
 	s.mu.Unlock()
-
-	err = os.Rename(f.file.Name(), s.pathFor(f.key))
-	s.mu.Lock()
-	s.ix.Unpin(f.key)
 	if err != nil {
-		s.ix.Remove(f.key)
+		_ = os.Remove(dst) // the insert failure is the error to report
 	}
-	s.mu.Unlock()
 	return err
 }
 

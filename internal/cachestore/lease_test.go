@@ -3,7 +3,6 @@ package cachestore
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -14,7 +13,7 @@ import (
 func TestLeaseReadRoundTrip(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	content := []byte("zero-copy lease payload")
-	if err := s.Put("k", int64(len(content)), bytes.NewReader(content)); err != nil {
+	if err := put(s, "k", int64(len(content)), string(content)); err != nil {
 		t.Fatal(err)
 	}
 	l, err := s.Lease("k")
@@ -32,7 +31,7 @@ func TestLeaseReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, content) {
-		t.Fatal("lease read differs from Put content")
+		t.Fatal("lease read differs from the filled content")
 	}
 	l.Release()
 	l.Release() // released lease: no-op, must not double-release the pool
@@ -51,7 +50,7 @@ func TestLeaseMiss(t *testing.T) {
 // bytes — no EBADF, no new key's bytes — until Release closes it.
 func TestLeaseSurvivesEviction(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
-	if err := s.Put("a", 6, strings.NewReader("aaaaaa")); err != nil {
+	if err := put(s, "a", 6, "aaaaaa"); err != nil {
 		t.Fatal(err)
 	}
 	l, err := s.Lease("a")
@@ -60,7 +59,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 	}
 	// A lease does not pin the index entry (the fd, not the key, is what
 	// sendfile needs): inserting b evicts a and unlinks its file.
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err != nil {
+	if err := put(s, "b", 6, "bbbbbb"); err != nil {
 		t.Fatalf("eviction blocked by an fd lease: %v", err)
 	}
 	if s.Resident("a") {
@@ -86,7 +85,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 // open until the final release even when the key dies in between.
 func TestLeaseSharesPooledHandle(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
-	if err := s.Put("a", 6, strings.NewReader("aaaaaa")); err != nil {
+	if err := put(s, "a", 6, "aaaaaa"); err != nil {
 		t.Fatal(err)
 	}
 	l1, err := s.Lease("a")
@@ -100,7 +99,7 @@ func TestLeaseSharesPooledHandle(t *testing.T) {
 	if l1.File() != l2.File() {
 		t.Fatal("two leases on one key opened two descriptors")
 	}
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err != nil { // evicts a
+	if err := put(s, "b", 6, "bbbbbb"); err != nil { // evicts a
 		t.Fatal(err)
 	}
 	l1.Release()
@@ -133,7 +132,7 @@ func TestLeaseEvictionChurnRace(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				k := (seed + i) % keys
 				key := fmt.Sprintf("k%d", k)
-				_ = s.Put(key, 64, bytes.NewReader(content(k))) // may fail under pin races; irrelevant here
+				_ = put(s, key, 64, string(content(k))) // may fail under pin races; irrelevant here
 				l, err := s.Lease(key)
 				if err != nil {
 					continue // evicted between Put and Lease: a legitimate miss

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,28 +14,23 @@ import (
 // key digest, with eviction driven by an Index. Store is safe for
 // concurrent use.
 //
-// Lock order: Store.mu may be held while taking the handle pool's lock
-// (eviction drops pooled handles); the reverse never happens — ReadAt
-// checks the index and releases Store.mu before touching the pool.
+// Lock order: commitMu (held across a fill's whole commit, see
+// Fill.insert), then Store.mu, which may be held while taking the handle
+// pool's lock (eviction drops pooled handles); the reverse never happens
+// — ReadAt checks the index and releases Store.mu before touching the
+// pool.
 type Store struct {
-	mu  sync.Mutex
-	dir string
-	ix  *Index
-	hp  *handlePool
+	commitMu sync.Mutex
+	mu       sync.Mutex
+	dir      string
+	ix       *Index
+	hp       *handlePool
 }
 
 // handlePoolSize bounds how many cache files Store.ReadAt keeps open for
 // reuse. Segment working sets larger than this still work; they just pay
 // the open again.
 const handlePoolSize = 128
-
-// copyBufPool recycles Put's copy buffers. 512 KiB per slot: large enough
-// to amortise syscalls on a GPFS-to-NVMe copy, small enough to pool
-// freely.
-var copyBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 512<<10)
-	return &b
-}}
 
 // NewStore creates (if needed) dir and returns a store with the given
 // capacity and policy.
@@ -72,73 +66,6 @@ func (s *Store) Resident(key string) bool {
 	return s.ix.Peek(key)
 }
 
-// Put copies size bytes from src into the cache under key, evicting as
-// needed. Partially written files are cleaned up on error. Putting an
-// existing key is a no-op (the reader is not consumed).
-func (s *Store) Put(key string, size int64, src io.Reader) error {
-	s.mu.Lock()
-	if s.ix.Peek(key) {
-		s.mu.Unlock()
-		return nil
-	}
-	evicted, err := s.ix.Insert(key, size)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	for _, victim := range evicted {
-		_ = os.Remove(s.pathFor(victim)) // eviction is best-effort; the index entry is already gone
-		s.hp.drop(victim)
-	}
-	// Hold our entry in the index while writing; pin it so a concurrent
-	// insert cannot evict the file mid-write.
-	s.ix.Pin(key)
-	s.mu.Unlock()
-
-	defer func() {
-		s.mu.Lock()
-		s.ix.Unpin(key)
-		s.mu.Unlock()
-	}()
-
-	dst := s.pathFor(key)
-	tmp, err := os.CreateTemp(s.dir, "put-*")
-	if err != nil {
-		s.dropEntry(key)
-		return fmt.Errorf("cachestore: %w", err)
-	}
-	// An explicit pooled buffer: the generic copy path would otherwise
-	// allocate per Put, and the PFS-to-NVMe copy is cross-filesystem, so
-	// there is no kernel splice to preserve. writerOnly hides tmp's
-	// ReadFrom so io.CopyBuffer actually uses the buffer.
-	bp := copyBufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(writerOnly{tmp}, io.LimitReader(src, size), *bp)
-	copyBufPool.Put(bp)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && n != size {
-		err = fmt.Errorf("cachestore: short copy for %s: %d of %d bytes", key, n, size)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), dst)
-	}
-	if err != nil {
-		_ = os.Remove(tmp.Name()) // the copy failure is the error to report
-		s.dropEntry(key)
-		return err
-	}
-	return nil
-}
-
-// dropEntry removes a failed Put's index entry; the deferred Unpin in Put
-// becomes a no-op once the entry is gone.
-func (s *Store) dropEntry(key string) {
-	s.mu.Lock()
-	s.ix.Remove(key)
-	s.mu.Unlock()
-}
-
 // Open returns the cached file for key, pinned against eviction. The
 // caller must invoke release exactly once after closing the file.
 func (s *Store) Open(key string) (f *os.File, release func(), err error) {
@@ -167,10 +94,6 @@ func (s *Store) Open(key string) (f *os.File, release func(), err error) {
 	}
 	return f, release, nil
 }
-
-// writerOnly masks every interface of an io.Writer except Write, forcing
-// io.CopyBuffer onto its explicit-buffer path.
-type writerOnly struct{ io.Writer }
 
 // ReadAt reads from the cached file for key at offset off through a
 // short-lived fd lease: a warm segment read costs one pread instead of

@@ -20,10 +20,37 @@ func newTestStore(t *testing.T, capacity int64, p Policy) *Store {
 	return s
 }
 
+// put inserts content under key the way the data-mover does: a source
+// file (kept beside the store, in the test's temp dir) streamed through
+// PutWriter/CopyFrom/Commit. size is the declared fill size, which a
+// test may set apart from len(content). Safe to call from any goroutine.
+func put(s *Store, key string, size int64, content string) error {
+	src, err := os.CreateTemp(filepath.Dir(s.Dir()), "src-*")
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	if _, err := src.WriteString(content); err != nil {
+		return err
+	}
+	if _, err := src.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	f, err := s.PutWriter(key, size)
+	if err != nil {
+		return err
+	}
+	if _, err := f.CopyFrom(src, 0, size); err != nil {
+		f.Abort(err)
+		return err
+	}
+	return f.Commit()
+}
+
 func TestPutOpenRoundTrip(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	content := []byte("hello hvac cache")
-	if err := s.Put("/pfs/data/a.bin", int64(len(content)), bytes.NewReader(content)); err != nil {
+	if err := put(s, "/pfs/data/a.bin", int64(len(content)), string(content)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Contains("/pfs/data/a.bin") {
@@ -43,8 +70,8 @@ func TestPutOpenRoundTrip(t *testing.T) {
 
 func TestPutDuplicateNoop(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
-	s.Put("k", 3, strings.NewReader("abc"))
-	if err := s.Put("k", 3, strings.NewReader("xyz")); err != nil {
+	put(s, "k", 3, "abc")
+	if err := put(s, "k", 3, "xyz"); err != nil {
 		t.Fatal(err)
 	}
 	f, release, _ := s.Open("k")
@@ -58,7 +85,7 @@ func TestPutDuplicateNoop(t *testing.T) {
 
 func TestShortSourceFails(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
-	err := s.Put("k", 100, strings.NewReader("only a few bytes"))
+	err := put(s, "k", 100, "only a few bytes")
 	if err == nil {
 		t.Fatal("short copy should fail")
 	}
@@ -72,8 +99,8 @@ func TestShortSourceFails(t *testing.T) {
 
 func TestEvictionRemovesFile(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
-	s.Put("a", 6, strings.NewReader("aaaaaa"))
-	s.Put("b", 6, strings.NewReader("bbbbbb")) // evicts a
+	put(s, "a", 6, "aaaaaa")
+	put(s, "b", 6, "bbbbbb") // evicts a
 	if s.Contains("a") {
 		t.Fatal("a should be evicted")
 	}
@@ -91,19 +118,19 @@ func TestEvictionRemovesFile(t *testing.T) {
 
 func TestOpenPinsAgainstEviction(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
-	s.Put("a", 6, strings.NewReader("aaaaaa"))
+	put(s, "a", 6, "aaaaaa")
 	f, release, err := s.Open("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	// a is pinned: inserting b has no victim.
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err == nil {
+	if err := put(s, "b", 6, "bbbbbb"); err == nil {
 		t.Fatal("expected ErrNoVictim while a is pinned")
 	}
 	release()
 	release() // idempotent
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err != nil {
+	if err := put(s, "b", 6, "bbbbbb"); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
 }
@@ -119,7 +146,7 @@ func TestConcurrentPutsAndReads(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("file-%d", (w*50+i)%20)
 				content := strings.Repeat("x", 128)
-				if err := s.Put(key, 128, strings.NewReader(content)); err != nil {
+				if err := put(s, key, 128, content); err != nil {
 					t.Error(err)
 					return
 				}
@@ -147,7 +174,7 @@ func TestConcurrentPutsAndReads(t *testing.T) {
 func TestPurge(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	for i := 0; i < 5; i++ {
-		s.Put(fmt.Sprintf("k%d", i), 4, strings.NewReader("data"))
+		put(s, fmt.Sprintf("k%d", i), 4, "data")
 	}
 	if err := s.Purge(); err != nil {
 		t.Fatal(err)
@@ -164,8 +191,8 @@ func TestPurge(t *testing.T) {
 func TestKeyCollisionSafety(t *testing.T) {
 	// Similar path names must map to distinct cache files.
 	s := newTestStore(t, 1<<20, NewLRU())
-	s.Put("/data/f1", 1, strings.NewReader("1"))
-	s.Put("/data/f2", 1, strings.NewReader("2"))
+	put(s, "/data/f1", 1, "1")
+	put(s, "/data/f2", 1, "2")
 	f1, r1, err := s.Open("/data/f1")
 	if err != nil {
 		t.Fatal(err)

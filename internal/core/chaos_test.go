@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -447,6 +448,26 @@ func TestChaosMatrixZeroCopy(t *testing.T) {
 	}
 }
 
+// traceByCall orders a decision trace by (server, op, index), the key
+// each decision is a pure function of. ReadBatch fetches its servers
+// concurrently, so the order in which different servers' calls reach the
+// injector is not something a seed replays; what every (server, op) link
+// saw, call by call, is.
+func traceByCall(inj *faultnet.Injector) []faultnet.Event {
+	tr := inj.Trace()
+	sort.SliceStable(tr, func(i, j int) bool {
+		a, b := tr[i], tr[j]
+		if a.Server != b.Server {
+			return a.Server < b.Server
+		}
+		if a.Op != b.Op {
+			return a.Op < b.Op
+		}
+		return a.Index < b.Index
+	})
+	return tr
+}
+
 // The same seed must replay the same fault schedule bit-for-bit even
 // across distinct clusters (ephemeral ports differ; the trace is keyed by
 // stable server names).
@@ -477,7 +498,7 @@ func TestChaosScheduleReplaysAcrossClusters(t *testing.T) {
 				t.Fatalf("batch read: %v", err)
 			}
 		}
-		return inj.Trace()
+		return traceByCall(inj)
 	}
 	t1, t2 := run(), run()
 	if !reflect.DeepEqual(t1, t2) {

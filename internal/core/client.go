@@ -1005,7 +1005,9 @@ func batchSpan(start, n int, length func(int) int) int {
 // the paths are grouped by home server and each group fetched through
 // OpReadBatch — one RPC round trip per (server, batch) instead of the
 // <open, read, close> triple per file, which is where small-sample
-// workloads spend their time. The result is indexed like paths.
+// workloads spend their time. The servers are fetched concurrently, so
+// the pass costs the slowest server's round trip, not their sum. The
+// result is indexed like paths.
 //
 // Degradation is per entry: StatusAgain entries (over the response frame
 // budget) are re-read individually, failed entries fall back to the PFS
@@ -1049,19 +1051,55 @@ func (c *Client) ReadBatch(paths []string) ([][]byte, error) {
 		home := c.Home(abs)
 		groups[home] = append(groups[home], i)
 	}
+	// Fan out: one goroutine per further server with entries, the first on
+	// the caller's own, all joined before returning. The groups write
+	// disjoint out slots and each reports into its own errs slot.
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
+	inline := -1
 	for srv, group := range groups {
-		for start := 0; start < len(group); {
-			end := batchSpan(start, len(group), func(i int) int { return len(abspaths[group[i]]) })
-			if end == start {
-				end = start + 1 // unencodable path: the per-file fallback handles it
-			}
-			if err := c.readBatchGroup(srv, group[start:end], abspaths, out); err != nil {
-				return out, err
-			}
-			start = end
+		if len(group) == 0 {
+			continue
+		}
+		if inline < 0 {
+			inline = srv
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[srv] = c.readBatchServer(srv, group, abspaths, out)
+		}()
+	}
+	if inline >= 0 {
+		errs[inline] = c.readBatchServer(inline, groups[inline], abspaths, out)
+	}
+	wg.Wait()
+	// The lowest failing server index names the error, whichever group
+	// happened to fail first.
+	for _, err := range errs {
+		if err != nil {
+			return out, err
 		}
 	}
 	return out, nil
+}
+
+// readBatchServer fetches the batch entries homed on server srv, in as
+// many OpReadBatch chunks as their encoding needs, stopping at the first
+// chunk that fails hard.
+func (c *Client) readBatchServer(srv int, group []int, abspaths []string, out [][]byte) error {
+	for start := 0; start < len(group); {
+		end := batchSpan(start, len(group), func(i int) int { return len(abspaths[group[i]]) })
+		if end == start {
+			end = start + 1 // unencodable path: the per-file fallback handles it
+		}
+		if err := c.readBatchGroup(srv, group[start:end], abspaths, out); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
 // readBatchGroup fetches one server's batch chunk into out. Batch-level

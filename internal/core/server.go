@@ -245,6 +245,10 @@ func (c *serverCounters) snapshot() ServerStats {
 // errServerClosed fails fetch tasks drained during shutdown.
 var errServerClosed = errors.New("hvac server: closed")
 
+// errHandleClosed fails a read whose handle was closed while it was
+// waiting to promote.
+var errHandleClosed = errors.New("hvac server: handle closed")
+
 // fillEntry is the single-flight record of one in-flight background
 // fill. Handlers that hit the same cold key attach to it: ready is
 // closed once the mover has opened the source and created the
@@ -287,9 +291,29 @@ type openHandle struct {
 
 	// Cold handles are served from the in-flight fill; once the fill is
 	// gone they promote — under mu — to the committed cache file (or the
-	// PFS on failure).
-	fe *fillEntry
-	mu sync.Mutex
+	// PFS on failure). mu also guards closed: a promote that loses the
+	// race with retire must not equip a handle nobody will close.
+	fe     *fillEntry
+	mu     sync.Mutex
+	closed bool
+}
+
+// retire closes whatever file the handle holds and drops its cache pin.
+// Marking the handle closed under mu is what keeps a concurrent promote
+// from opening a file (and pinning an index entry) afterwards.
+func (h *openHandle) retire() error {
+	h.mu.Lock()
+	f, release := h.f, h.release
+	h.closed = true
+	h.mu.Unlock()
+	var err error
+	if f != nil {
+		err = f.Close()
+	}
+	if release != nil {
+		release()
+	}
+	return err
 }
 
 // Server is a real-mode HVAC server instance.
@@ -342,6 +366,11 @@ type Server struct {
 	latRead  metrics.Histogram
 	latClose metrics.Histogram
 	latCopy  metrics.Histogram
+
+	// promoteGate, when set by a test before any request, runs at the top
+	// of promote so a test can hold a promoting read while it closes the
+	// handle. Nil in production.
+	promoteGate func()
 }
 
 // StartServer launches an HVAC server. Stop it with Close.
@@ -519,12 +548,7 @@ func (s *Server) Close() {
 		}
 	}
 	for _, h := range s.handles.drain() {
-		if h.f != nil {
-			_ = h.f.Close() // teardown is best-effort: the job is over
-		}
-		if h.release != nil {
-			h.release()
-		}
+		_ = h.retire() // teardown is best-effort: the job is over
 	}
 	s.peerMu.Lock()
 	peerConns := s.peerConns
@@ -851,8 +875,14 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 // handle's fill is no longer consumable (committed and released, failed,
 // or never created).
 func (s *Server) promote(h *openHandle) error {
+	if s.promoteGate != nil {
+		s.promoteGate()
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.closed {
+		return errHandleClosed
+	}
 	if h.f != nil {
 		return nil
 	}
@@ -980,17 +1010,7 @@ func (s *Server) handleClose(req *transport.Request) *transport.Response {
 		return errResp(fmt.Errorf("hvac server: bad handle %d", req.Handle))
 	}
 	s.stats.closes.Add(1)
-	h.mu.Lock()
-	f := h.f
-	h.mu.Unlock()
-	var err error
-	if f != nil {
-		err = f.Close()
-	}
-	if h.release != nil {
-		h.release()
-	}
-	if err != nil {
+	if err := h.retire(); err != nil {
 		return errResp(fmt.Errorf("hvac server: close handle %d: %w", req.Handle, err))
 	}
 	return &transport.Response{Status: transport.StatusOK}
@@ -1135,113 +1155,159 @@ func (s *Server) handleReadAt(req *transport.Request) *transport.Response {
 	return resp
 }
 
+// batchEntry is one batch path's pass-1 verdict.
+type batchEntry struct {
+	status uint8  // StatusOK: serve in pass 2 (or, prefetching, nothing left to do)
+	msg    string // the StatusError body
+	// A served entry reserves size payload bytes in the frame, taken from
+	// the index when the key was resident and from the PFS stat otherwise;
+	// fe is the miss's registration with the data-mover (nil when resident,
+	// or when the demand queue refused it).
+	size     int
+	resident bool
+	fe       *fillEntry
+}
+
 // handleReadBatch serves a scatter-gather whole-file read (or, with
 // BatchFlagPrefetch, schedules background fills): one RPC, per-entry
 // statuses, never more than BatchResponseBudget payload bytes. Entries
 // that would overflow the frame budget are answered StatusAgain and
 // fetched individually by the client; per-entry failures degrade only
 // their own path.
+//
+// Two passes (DESIGN.md §10.3). Pass 1 settles every entry's status and
+// size and registers every miss with the data-mover, so a cold batch's
+// fills run on all movers while the handler is still copying hits. Pass 2
+// assembles the response in one pooled frame of the size pass 1 summed:
+// each payload is read straight into its place behind its entry header,
+// so a warm entry costs one lease and one pread.
 func (s *Server) handleReadBatch(req *transport.Request) *transport.Response {
 	paths, err := transport.DecodeBatchPaths(req.Path)
 	if err != nil {
 		return errResp(err)
 	}
-	if req.Handle&transport.BatchFlagPrefetch != 0 {
-		out := make([]byte, 0, len(paths)*8)
-		for _, p := range paths {
-			if err := s.allowed(p); err != nil {
-				out = transport.AppendBatchEntry(out, transport.StatusError, []byte(err.Error()))
-				continue
-			}
-			if !s.store.Contains(p) {
-				s.scheduleFetch(fetchTask{key: p, path: p}, false)
-			}
-			out = transport.AppendBatchEntry(out, transport.StatusOK, nil)
-		}
-		return &transport.Response{Status: transport.StatusOK, Size: int64(len(paths)), Data: out}
+	prefetch := req.Handle&transport.BatchFlagPrefetch != 0
+	plan := make([]batchEntry, len(paths))
+	total := 0
+	for i, p := range paths {
+		plan[i] = s.planBatchEntry(p, prefetch, transport.BatchResponseBudget-total)
+		total += transport.BatchEntryOverhead + plan[i].size + len(plan[i].msg)
 	}
-	var out []byte
-	for _, p := range paths {
-		room := transport.BatchResponseBudget - len(out)
-		data, hit, err := s.readWhole(p, room)
-		switch {
-		case err == errBatchAgain:
-			out = transport.AppendBatchEntry(out, transport.StatusAgain, nil)
-		case err != nil:
-			out = transport.AppendBatchEntry(out, transport.StatusError, []byte(err.Error()))
-		default:
-			out = transport.AppendBatchEntry(out, transport.StatusOK, data)
-			s.stats.batchEntries.Add(1)
-			s.stats.bytesServed.Add(int64(len(data)))
-			if hit {
-				s.stats.hits.Add(1)
-			} else {
-				s.stats.readThroughs.Add(1)
-			}
-			s.planObserve(p)
+	resp := transport.AcquireResponse()
+	frame := resp.Grab(total)[:0]
+	for i, p := range paths {
+		if e := &plan[i]; e.status != transport.StatusOK || prefetch {
+			frame = transport.AppendBatchEntry(frame, e.status, []byte(e.msg))
+		} else {
+			frame = s.serveBatchEntry(frame, p, e)
 		}
 	}
-	return &transport.Response{Status: transport.StatusOK, Size: int64(len(paths)), Data: out}
+	resp.Status = transport.StatusOK
+	resp.Size = int64(len(paths))
+	resp.Data = frame
+	return resp
 }
 
-// errBatchAgain marks a batch entry that did not fit the response frame
-// budget; the client re-reads it individually.
-var errBatchAgain = errors.New("hvac server: batch entry over frame budget")
+// planBatchEntry is pass 1 for one path: the dataset-dir check both batch
+// modes share, then either the prefetch hint or the read's size, frame
+// budget verdict (room is what the budget has left) and miss
+// registration.
+func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
+	if err := s.allowed(p); err != nil {
+		return batchEntry{status: transport.StatusError, msg: err.Error()}
+	}
+	if prefetch {
+		if !s.store.Contains(p) {
+			s.scheduleFetch(fetchTask{key: p, path: p}, false)
+		}
+		return batchEntry{}
+	}
+	size, resident := s.store.Size(p)
+	if !resident {
+		fi, err := os.Stat(p)
+		if err != nil {
+			return batchEntry{status: transport.StatusError, msg: fmt.Sprintf("hvac server: pfs stat: %v", err)}
+		}
+		size = fi.Size()
+	}
+	if size > int64(room) {
+		return batchEntry{status: transport.StatusAgain}
+	}
+	e := batchEntry{size: int(size), resident: resident}
+	if !resident {
+		e.fe, _ = s.scheduleFetch(fetchTask{key: p, path: p}, true)
+	}
+	return e
+}
 
-// readWhole returns path's full content for a batch entry, serving warm
-// keys from the cache and cold ones from the single-flighted in-flight
-// fill. room bounds the payload this entry may add to the response.
-func (s *Server) readWhole(path string, room int) (data []byte, hit bool, err error) {
-	if err := s.allowed(path); err != nil {
-		return nil, false, err
-	}
-	if size, ok := s.store.Size(path); ok {
-		if size > int64(room) {
-			return nil, false, errBatchAgain
-		}
-		buf := make([]byte, size)
-		if n, rerr := s.store.ReadAt(path, buf, 0); rerr == nil || rerr == io.EOF {
-			return buf[:n], true, nil
-		}
-		// Evicted between Size and ReadAt: continue on the miss path.
-	}
-	fi, err := os.Stat(path)
+// serveBatchEntry is pass 2 for one planned read: it appends the entry to
+// frame with the payload read in place. A read that fails now (the fill
+// and the PFS both gave out) degrades this entry alone to StatusError.
+func (s *Server) serveBatchEntry(frame []byte, p string, e *batchEntry) []byte {
+	start := len(frame)
+	frame, body := transport.ReserveBatchEntry(frame, e.size)
+	n, hit, err := s.readWhole(p, body, e)
 	if err != nil {
-		return nil, false, fmt.Errorf("hvac server: pfs stat: %w", err)
+		return transport.AppendBatchEntry(frame[:start], transport.StatusError, []byte(err.Error()))
 	}
-	if fi.Size() > int64(room) {
-		return nil, false, errBatchAgain
+	if n < len(body) {
+		// The file shrank under its recorded size: re-stamp the entry with
+		// what was read (the bytes are already in place).
+		frame = transport.AppendBatchEntry(frame[:start], transport.StatusOK, body[:n])
 	}
-	buf := make([]byte, fi.Size())
-	if fe, _ := s.scheduleFetch(fetchTask{key: path, path: path}, true); fe != nil {
+	s.stats.batchEntries.Add(1)
+	s.stats.bytesServed.Add(int64(n))
+	if hit {
+		s.stats.hits.Add(1)
+	} else {
+		s.stats.readThroughs.Add(1)
+	}
+	s.planObserve(p)
+	return frame
+}
+
+// readWhole reads path's full content into dst, which pass 1 sized:
+// resident keys through a lease on the cached file, misses from the
+// in-flight fill pass 1 registered, then the committed entry, and only on
+// backpressure or fill failure from the PFS itself. A key the index lost
+// since pass 1 (eviction) drops to the miss ladder for this entry only.
+func (s *Server) readWhole(path string, dst []byte, e *batchEntry) (n int, hit bool, err error) {
+	fe := e.fe
+	if e.resident {
+		if n, rerr := s.store.ReadAt(path, dst, 0); rerr == nil || rerr == io.EOF {
+			return n, true, nil
+		}
+		fe, _ = s.scheduleFetch(fetchTask{key: path, path: path}, true)
+	}
+	if fe != nil {
 		select {
 		case <-fe.ready:
 		case <-s.stop:
-			return nil, false, errServerClosed
+			return 0, false, errServerClosed
 		}
 		if fl := fe.fill; fl != nil && fl.Acquire() {
-			n, rerr := fl.ReadAt(buf, 0)
+			n, rerr := fl.ReadAt(dst, 0)
 			fl.Release()
 			if rerr == nil || rerr == io.EOF {
-				return buf[:n], false, nil
+				return n, false, nil
 			}
 		}
 		// Fill gone: committed already, or failed. Try the cache once.
-		if n, rerr := s.store.ReadAt(path, buf, 0); rerr == nil || rerr == io.EOF {
-			return buf[:n], false, nil
+		if n, rerr := s.store.ReadAt(path, dst, 0); rerr == nil || rerr == io.EOF {
+			return n, false, nil
 		}
 	}
 	// Backpressure or fill failure: handler-side read-through.
 	f, err := s.openPFS(path)
 	if err != nil {
-		return nil, false, fmt.Errorf("hvac server: pfs open: %w", err)
+		return 0, false, fmt.Errorf("hvac server: pfs open: %w", err)
 	}
-	n, rerr := f.ReadAt(buf, 0)
+	n, rerr := f.ReadAt(dst, 0)
 	_ = f.Close() // read-only handle; the ReadAt result is what matters
 	if rerr != nil && rerr != io.EOF {
-		return nil, false, rerr
+		return 0, false, rerr
 	}
-	return buf[:n], false, nil
+	return n, false, nil
 }
 
 func (s *Server) handleStat(req *transport.Request) *transport.Response {

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // OpReadBatch wire format (the FanStore observation: per-file RPC
@@ -36,9 +37,9 @@ const BatchFlagPrefetch int64 = 1
 // 64 KiB), which EncodeBatchPaths enforces.
 const MaxBatchEntries = 512
 
-// batchEntryOverhead is the per-entry framing cost in the response data
+// BatchEntryOverhead is the per-entry framing cost in the response data
 // section: one status byte plus the u32 payload length.
-const batchEntryOverhead = 1 + 4
+const BatchEntryOverhead = 1 + 4
 
 // BatchResponseBudget is the payload budget a server packs one batch
 // response to: MaxFrame less headroom for the frame header, the per-entry
@@ -126,11 +127,24 @@ func (r *BatchResult) OK() bool { return r.Status == StatusOK }
 // AppendBatchEntry appends one encoded result entry to buf and returns
 // the extended slice. Servers build the response data section with it.
 func AppendBatchEntry(buf []byte, status uint8, body []byte) []byte {
-	var hdr [batchEntryOverhead]byte
+	var hdr [BatchEntryOverhead]byte
 	hdr[0] = status
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(body)))
 	buf = append(buf, hdr[:]...)
 	return append(buf, body...)
+}
+
+// ReserveBatchEntry appends a StatusOK entry whose n-byte body the caller
+// fills in place — a pread straight into the frame instead of a staged
+// copy through AppendBatchEntry. It returns the extended slice and the
+// body. A caller whose fill comes back short or failed truncates to the
+// previous length and appends the entry it ended up with.
+func ReserveBatchEntry(buf []byte, n int) (ext, body []byte) {
+	start := len(buf)
+	ext = slices.Grow(buf, BatchEntryOverhead+n)[:start+BatchEntryOverhead+n]
+	ext[start] = StatusOK
+	binary.LittleEndian.PutUint32(ext[start+1:], uint32(n))
+	return ext, ext[start+BatchEntryOverhead:]
 }
 
 // DecodeBatchResults unpacks a batch response's data section into want
@@ -143,12 +157,12 @@ func DecodeBatchResults(data []byte, want int) ([]BatchResult, error) {
 	out := make([]BatchResult, 0, want)
 	off := 0
 	for i := 0; i < want; i++ {
-		if off+batchEntryOverhead > len(data) {
+		if off+BatchEntryOverhead > len(data) {
 			return nil, fmt.Errorf("transport: batch result %d overruns the response", i)
 		}
 		status := data[off]
-		n := int(binary.LittleEndian.Uint32(data[off+1 : off+batchEntryOverhead]))
-		off += batchEntryOverhead
+		n := int(binary.LittleEndian.Uint32(data[off+1 : off+BatchEntryOverhead]))
+		off += BatchEntryOverhead
 		if n < 0 || off+n > len(data) {
 			return nil, fmt.Errorf("transport: batch result %d length %d overruns the response", i, n)
 		}
