@@ -37,7 +37,7 @@ func main() {
 	var (
 		servers   = flag.String("servers", "", "comma-separated hvacd addresses (required)")
 		dataset   = flag.String("dataset", "", "dataset dir whose reads are redirected (required)")
-		poolSize  = flag.Int("pool-size", 0, "idle TCP connections kept per server link; size to the loader worker count (0 = transport default, negative = no pooling)")
+		poolSize  = flag.Int("pool-size", 0, "idle TCP connections kept per server link; size to twice the loader worker count (0 = transport default, negative = no pooling)")
 		readahead = flag.Int("readahead", 0, "sequential-read pipeline depth for cat (0 = default on, negative = off)")
 		segSize   = flag.Int64("segment-size", 0, "segment size in bytes for segment-level caching; must match the servers (0 = whole-file)")
 		replicas  = flag.Int("replicas", 1, "replica homes per file; >1 arms live failover across the replica ladder (must match the servers' -replicas)")

@@ -142,6 +142,28 @@ func chaosMatrix() []chaosCase {
 			}},
 		},
 		{
+			// The bulk pipeline under faults: files of 2.5 chunks, so every
+			// ReadAll keeps two chunk RPCs in flight and ends on a partial
+			// one. Every 7th OpRead on a link fails, the fault kind rotating
+			// through disconnect, truncate, corrupt and hang. A file costs at
+			// most six OpReads (three pipelined, three re-read by the
+			// sequential loop), so no file sees two faults, and a file's
+			// first fault always lands on a pipelined chunk — sequential
+			// reads only follow one. Which chunk it hits depends on how the
+			// two workers interleave; the outcome does not: the pipeline
+			// hands its prefix to the sequential loop, whose re-read is
+			// clean. That is what keeps this row's stats replayable
+			// (TestChaosStatsReplayBitIdentical) although its call indices
+			// are not.
+			name: "bulk-pipeline", servers: 2, files: 12, size: 2*bulkChunk + bulkChunk/2 + 7, epochs: 2,
+			sched: faultnet.Schedule{Seed: 18, HangTimeout: 10 * time.Millisecond, Rules: []faultnet.Rule{
+				{Op: transport.OpRead, Offset: 1, Every: 28, Fault: faultnet.Disconnect},
+				{Op: transport.OpRead, Offset: 8, Every: 28, Fault: faultnet.Truncate},
+				{Op: transport.OpRead, Offset: 15, Every: 28, Fault: faultnet.Corrupt},
+				{Op: transport.OpRead, Offset: 22, Every: 28, Fault: faultnet.Hang},
+			}},
+		},
+		{
 			name: "fault-storm", servers: 3, files: 15, size: 2048, epochs: 3,
 			sched: faultnet.Schedule{Seed: 10, HangTimeout: 10 * time.Millisecond, Rules: []faultnet.Rule{
 				{Prob: 0.05, Fault: faultnet.Refuse},
@@ -268,7 +290,11 @@ func maybeWriteCorpus(t *testing.T, cases []chaosCase) {
 func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, paths []string)) int64 {
 	testutil.CheckLeaks(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, tc.files, tc.size)
+	write := writePFS
+	if tc.size > bulkChunk {
+		write = writePatternPFS // multi-chunk reads: a misplaced chunk must change the bytes
+	}
+	paths := write(t, pfsDir, tc.files, tc.size)
 	want := make(map[string][]byte, len(paths))
 	for _, p := range paths {
 		content, err := os.ReadFile(p)
@@ -575,6 +601,47 @@ func TestChaosMidReadDegradation(t *testing.T) {
 	}
 	if st := cli.Stats(); st.Degrades != 1 {
 		t.Fatalf("degrades = %d, want exactly 1 (the degraded handle)", st.Degrades)
+	}
+}
+
+// The same server loss in the middle of a bulk read: the first chunk RPC
+// to reach the server works, every later OpRead is refused. Whichever
+// chunks the two pipeline workers had claimed, the pipeline keeps only its
+// contiguous prefix, the sequential loop finds the server gone and
+// degrades the handle — once — and the PFS delivers the rest.
+func TestChaosBulkMidPipelineDegradation(t *testing.T) {
+	testutil.CheckLeaks(t)
+	tc := chaosCase{
+		name: "mid-pipeline", servers: 1, files: 1, size: 4*bulkChunk + bulkChunk/2, epochs: 1,
+		sched: faultnet.Schedule{Seed: 19, Rules: []faultnet.Rule{
+			{Op: transport.OpRead, Offset: 1, Fault: faultnet.Refuse},
+		}},
+	}
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePatternPFS(t, pfsDir, tc.files, tc.size)
+	want, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultnet.New(tc.sched)
+	defer inj.Close()
+	_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
+
+	got, err := cli.ReadAll(paths[0])
+	if err != nil {
+		t.Fatalf("bulk read across injected server loss: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("content corrupted across the mid-pipeline degradation")
+	}
+	st := cli.Stats()
+	if st.Redirected != 1 || st.Fallbacks != 0 || st.Degrades != 1 {
+		t.Fatalf("stats = %+v, want one redirected open degraded exactly once", st)
+	}
+	// The one chunk that was served counts only if it was the first of
+	// the file: anything behind a failed chunk is re-read, not delivered.
+	if st.BytesRead != 0 && st.BytesRead != bulkChunk {
+		t.Fatalf("BytesRead = %d, want 0 or one chunk (%d)", st.BytesRead, bulkChunk)
 	}
 }
 

@@ -59,7 +59,8 @@ type ClientConfig struct {
 	RetrySeed uint64
 	// PoolSize caps the idle TCP connections kept per server link; 0
 	// means transport.DefaultPoolSize, negative disables pooling. Size it
-	// to the loader's worker count.
+	// to twice the loader's worker count: a large read keeps two chunk
+	// RPCs in flight on two connections.
 	PoolSize int
 	// Readahead controls the sequential-read pipeline of File.Read on
 	// remote whole-file handles: while the caller consumes one chunk the
@@ -614,6 +615,21 @@ func (f *File) Path() string { return f.path }
 // Remote reports whether the handle is served by an HVAC server.
 func (f *File) Remote() bool { return f.fallback == nil }
 
+// The bulk read plane of a whole-file handle. A read longer than
+// bulkChunk moves as bulkChunk-sized ranged OpReads with bulkDepth of
+// them in flight, each on its own pooled connection, each received
+// straight into its own sub-slice of the caller's buffer. The sizes are
+// measured, not tuned per deployment (DESIGN.md §9.4): a reply that
+// outgrows the socket buffers turns sender and receiver into a park/wake
+// ping-pong at twice the CPU per byte, and 512 KiB is the largest chunk
+// that stays under that cliff on loopback TCP; a second chunk in flight
+// hides the request round trip behind the first one's receive, a third
+// only adds scheduling.
+const (
+	bulkChunk = 512 << 10
+	bulkDepth = 2
+)
+
 // ReadAt implements io.ReaderAt. If the serving HVAC server dies
 // mid-file, the handle degrades to a direct PFS handle and the read
 // continues — a training job survives server loss without noticing.
@@ -627,13 +643,17 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if f.segmented {
 		return f.readAtSegmented(p, off)
 	}
+	// Whatever the pipeline could not deliver — a failed chunk, a short
+	// one, or everything when the read is one chunk or hedged — goes
+	// through the sequential loop below, the only owner of the retry
+	// ladder, replica failover, degradeToPFS and EOF.
 	total := 0
+	if len(p) > bulkChunk && !f.hedged() {
+		total = f.readBulk(p, off)
+	}
 	for total < len(p) {
-		want := int64(len(p) - total)
-		if want > transport.MaxFrame/2 {
-			want = transport.MaxFrame / 2
-		}
-		resp, err := f.fetchChunk(off+int64(total), want)
+		dst := p[total:min(total+bulkChunk, len(p))]
+		resp, err := f.fetchChunk(dst, off+int64(total))
 		if err != nil {
 			if f.c.cfg.DisableFallback {
 				return total, err
@@ -648,18 +668,104 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			}
 			return total, nil
 		}
-		n := copy(p[total:], resp.Data)
+		n := landed(dst, resp)
 		resp.Release()
 		total += n
 		f.c.bump(func(s *ClientStats) { s.BytesRead += int64(n) })
-		if int64(n) < want {
+		if n < len(dst) {
 			return total, io.EOF
 		}
 	}
 	return total, nil
 }
 
-// fetchChunk reads one ranged chunk of a whole-file handle. The first
+// landed reports how many payload bytes of resp are in dst, copying them
+// there unless the decoder already received them in place (Request.Dst).
+func landed(dst []byte, resp *transport.Response) int {
+	data := resp.Data
+	if len(data) > 0 && len(data) <= len(dst) && &data[0] == &dst[0] {
+		return len(data)
+	}
+	return copy(dst, data)
+}
+
+// hedged reports whether a chunk read's replica rungs can overlap: the
+// hedge timer is armed and there is a replica to race. A losing rung may
+// still be receiving after the winner returned, so such reads never land
+// in the caller's buffer and never enter the pipeline.
+func (f *File) hedged() bool {
+	return f.c.cfg.HedgeAfter > 0 && len(f.replicas) > 1
+}
+
+// readBulk runs the chunk pipeline over p and returns the length of the
+// contiguous prefix it delivered. bulkDepth workers — the caller and
+// bulkDepth-1 goroutines joined before returning — claim chunks in
+// order and read each through the handle as it stood at entry, with no
+// failover of their own: the first failed or short chunk stops the
+// claiming, and everything from there on is the caller's sequential loop.
+func (f *File) readBulk(p []byte, off int64) int {
+	f.mu.Lock()
+	conn, handle := f.conn, f.handle
+	f.mu.Unlock()
+	chunks := (len(p) + bulkChunk - 1) / bulkChunk
+	var (
+		mu   sync.Mutex
+		next int      // next chunk to claim
+		bad  = chunks // lowest failed or short chunk
+		badN int      // payload bytes the chunk at bad did deliver
+	)
+	work := func() {
+		for {
+			mu.Lock()
+			i := next
+			if i >= bad {
+				mu.Unlock()
+				return
+			}
+			next++
+			mu.Unlock()
+			dst := p[i*bulkChunk : min((i+1)*bulkChunk, len(p))]
+			n := 0
+			resp, err := conn.Call(&transport.Request{
+				Op: transport.OpRead, Handle: handle, Off: off + int64(i)*bulkChunk, Len: int64(len(dst)), Dst: dst,
+			})
+			if err == nil {
+				if resp.OK() {
+					n = landed(dst, resp)
+				}
+				resp.Release()
+			}
+			if n < len(dst) {
+				mu.Lock()
+				if i < bad {
+					bad, badN = i, n
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < bulkDepth; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	// Chunks are claimed in order and every claimed chunk has finished, so
+	// all of [0, bad) arrived whole.
+	total := min(bad*bulkChunk+badN, len(p))
+	f.c.bump(func(s *ClientStats) { s.BytesRead += int64(total) })
+	return total
+}
+
+// fetchChunk reads the len(dst) bytes at off of a whole-file handle. The
+// payload is received straight into dst (the response's Data aliases it)
+// unless the rungs can overlap, when it comes back in a pooled buffer
+// for the caller to copy out; landed tells the two apart. The first
 // rung reads through the current (conn, handle); with Replicas > 1 the
 // other replicas form failover rungs that open their own handle on path
 // and read the same range — sequentially after a failure, or raced by
@@ -667,12 +773,16 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // the File migrates to its handle (the §III-H failover: later reads go
 // straight to the live replica) and the old handle is retired
 // best-effort in the background.
-func (f *File) fetchChunk(off, want int64) (*transport.Response, error) {
+func (f *File) fetchChunk(dst []byte, off int64) (*transport.Response, error) {
 	f.mu.Lock()
 	conn, handle, cur := f.conn, f.handle, f.srv
 	f.mu.Unlock()
+	want := int64(len(dst))
+	if f.hedged() {
+		dst = nil
+	}
 	attempts := []func() hedgeResult{func() hedgeResult {
-		resp, err := conn.Call(&transport.Request{Op: transport.OpRead, Handle: handle, Off: off, Len: want})
+		resp, err := conn.Call(&transport.Request{Op: transport.OpRead, Handle: handle, Off: off, Len: want, Dst: dst})
 		if err != nil {
 			return hedgeResult{err: err, srv: cur}
 		}
@@ -700,7 +810,7 @@ func (f *File) fetchChunk(off, want int64) (*transport.Response, error) {
 			}
 			h := oresp.Handle
 			oresp.Release()
-			resp, rerr := rconn.Call(&transport.Request{Op: transport.OpRead, Handle: h, Off: off, Len: want})
+			resp, rerr := rconn.Call(&transport.Request{Op: transport.OpRead, Handle: h, Off: off, Len: want, Dst: dst})
 			if rerr == nil && !resp.OK() {
 				rerr = resp.Error()
 				resp.Release()

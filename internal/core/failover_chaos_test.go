@@ -269,6 +269,77 @@ func TestChaosHedgeRaceWithClose(t *testing.T) {
 	}
 }
 
+// The same hedging storm over multi-chunk files. A hedged read's rungs can
+// overlap, so a loser may still be receiving after the winner returned:
+// such reads must come through pooled frames and a copy, never land in the
+// caller's buffer (DESIGN.md §9.4). Each worker overwrites its buffer the
+// moment ReadAt returns — a rung still writing caller memory is then a
+// data race the detector reports — and checks after Client.Close, which
+// joins every loser, that its own bytes are what the buffer still holds.
+func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
+	testutil.CheckLeaks(t)
+	tc := chaosCase{
+		name: "hedge-bulk", servers: 2, files: 4, size: 2*bulkChunk + bulkChunk/2, epochs: 1, replicas: 2,
+		sched: faultnet.Schedule{Seed: 22, Rules: []faultnet.Rule{
+			{Op: transport.OpRead, Prob: 0.4, Fault: faultnet.Delay, Delay: 2 * time.Millisecond},
+		}},
+	}
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePatternPFS(t, pfsDir, tc.files, tc.size)
+	inj := faultnet.New(tc.sched)
+	defer inj.Close()
+	_, cli := startChaosCluster(t, pfsDir, tc, inj, func(c *ClientConfig) {
+		// Far below the injected delays: most slowed chunks fire a hedge.
+		c.HedgeAfter = 200 * time.Microsecond
+	})
+
+	const workers, iters = 4, 3
+	bufs := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for g := range bufs {
+		bufs[g] = make([]byte, tc.size)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				p := paths[(g+i)%len(paths)]
+				want, err := os.ReadFile(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f, err := cli.Open(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n, err := f.ReadAt(bufs[g], 0)
+				if err != nil || n != tc.size || !bytes.Equal(bufs[g], want) {
+					t.Errorf("hedged bulk read of %s = (%d, %v), bytes equal %v", p, n, err, bytes.Equal(bufs[g], want))
+				}
+				for j := range bufs[g] {
+					bufs[g][j] = byte(g) // the buffer is the caller's again
+				}
+				_ = f.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	cli.Close() // joins the loser drains; idempotent with the cleanup's Close
+	for g, buf := range bufs {
+		if !bytes.Equal(buf, bytes.Repeat([]byte{byte(g)}, len(buf))) {
+			t.Fatalf("worker %d: its buffer changed after ReadAt returned", g)
+		}
+	}
+	st := cli.Stats()
+	if st.Hedges == 0 {
+		t.Fatalf("no hedge fired; the case is vacuous: %+v", st)
+	}
+	if st.HedgeWins > st.Hedges {
+		t.Fatalf("hedge wins(%d) exceed hedges(%d)", st.HedgeWins, st.Hedges)
+	}
+}
+
 // TestPromoteLosesRaceWithClose is the deterministic form of the race the
 // test above only sometimes hits: a read on a cold handle whose fill has
 // retired is held at the top of promote while OpClose retires the handle.

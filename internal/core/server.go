@@ -989,8 +989,12 @@ func (s *Server) handleRead(req *transport.Request) *transport.Response {
 			return resp
 		}
 	}
+	// The wire names the reader's buffer, not the file: size the pooled
+	// payload to what the handle can still deliver from Off, so a large
+	// buffer over a small file does not pin a large frame for the call.
+	want := min(req.Len, max(h.size-req.Off, 0))
 	resp := transport.AcquireResponse()
-	buf := resp.Grab(int(req.Len))
+	buf := resp.Grab(int(want))
 	n, err := s.readHandle(h, buf, req.Off)
 	if err != nil && err != io.EOF {
 		resp.Release()

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -197,6 +198,51 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 	}
 	if zw.canSendfile() && st.Fallbacks.Load() != 0 {
 		t.Errorf("sendfile-capable conn took %d fallbacks", st.Fallbacks.Load())
+	}
+}
+
+// TestLandedCallAllocatesNoPayload pins the landing receive's budget: a
+// warm 8 MiB Call whose Request names a destination allocates no
+// payload-sized object anywhere in the process — not a frame, not a
+// staging buffer. What remains per call (the escaping Request, the
+// handler's Response literal) is a few hundred bytes; the bound leaves
+// three orders of magnitude below the payload.
+func TestLandedCallAllocatesNoPayload(t *testing.T) {
+	skipUnderRace(t)
+	const size = 8 << 20
+	payload := make([]byte, size)
+	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
+		return &Response{Status: StatusOK, Size: size, Data: payload}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := Dial(srv.Addr())
+	defer cli.Close()
+	dst := make([]byte, size)
+	call := func() {
+		resp, err := cli.Call(&Request{Op: OpRead, Len: size, Dst: dst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.pooled != nil {
+			t.Fatal("payload was not received in place")
+		}
+		resp.Release()
+	}
+	for i := 0; i < 4; i++ {
+		call() // warm: connection, scratch and Response pools
+	}
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 8<<10 {
+		t.Errorf("a landed 8 MiB call allocates %d bytes, want no payload-sized object (<= 8 KiB)", perCall)
 	}
 }
 

@@ -61,6 +61,7 @@ func FuzzReadResponseDamaged(f *testing.F) {
 		f.Add(c.BitFlip(append([]byte(nil), frame...)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkLandingAgrees(t, data)
 		resp, err := transport.ReadResponse(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -70,6 +71,48 @@ func FuzzReadResponseDamaged(f *testing.F) {
 				len(resp.Data)+len(resp.Err), len(data))
 		}
 	})
+}
+
+// checkLandingAgrees decodes one (possibly damaged) frame twice — into a
+// pooled buffer and into a caller-supplied destination — and requires the
+// two to agree: on accept or reject, and on accept on every decoded
+// field. The destination is the sample payload's size, so a bit flip
+// that grows the data length also exercises the does-not-fit fallback.
+func checkLandingAgrees(t testing.TB, frame []byte) {
+	t.Helper()
+	pooled, perr := transport.ReadResponse(bytes.NewReader(frame))
+	dst := make([]byte, 512)
+	landed, lerr := transport.ReadResponseInto(bytes.NewReader(frame), dst)
+	if (perr == nil) != (lerr == nil) {
+		t.Fatalf("decoders disagree on accept: pooled err %v, landing err %v", perr, lerr)
+	}
+	if perr != nil {
+		if perr.Error() != lerr.Error() {
+			t.Fatalf("decoders reject differently: pooled %q, landing %q", perr, lerr)
+		}
+		return
+	}
+	if pooled.Status != landed.Status || pooled.Handle != landed.Handle || pooled.Size != landed.Size ||
+		!bytes.Equal(pooled.Data, landed.Data) || pooled.Err != landed.Err {
+		t.Fatalf("decoders disagree on an accepted frame:\npooled  %+v\nlanding %+v", pooled, landed)
+	}
+	if n := len(landed.Data); n > 0 && n <= len(dst) && &landed.Data[0] != &dst[0] {
+		t.Fatalf("a %d-byte payload fits the %d-byte destination but was not landed in it", n, len(dst))
+	}
+	pooled.Release()
+	landed.Release()
+}
+
+// The differential check over the Corrupter corpus itself, so it runs on
+// every plain `go test`, not only under -fuzz.
+func TestLandingDecodeAgreesOnDamagedFrames(t *testing.T) {
+	_, frame := sampleFrames(t)
+	checkLandingAgrees(t, frame)
+	for seed := uint64(0); seed < 256; seed++ {
+		c := faultnet.NewCorrupter(seed)
+		checkLandingAgrees(t, c.Truncate(append([]byte(nil), frame...)))
+		checkLandingAgrees(t, c.BitFlip(append([]byte(nil), frame...)))
+	}
 }
 
 // Truncated frames must always fail decode: the length prefix promises

@@ -13,10 +13,12 @@
 // ride in the response's data section.
 //
 // The codec is allocation-free on the warm path: frames are encoded into
-// and decoded from pooled buffers (pool.go), a response's payload is
-// written with a vectored header+payload+tail write (one writev syscall
-// on a TCP connection, zero payload copies), and decoded Responses come
-// from a pool, returned by Response.Release.
+// pooled buffers (pool.go), a response's payload is written with a
+// vectored header+payload+tail write (one writev syscall on a TCP
+// connection, zero payload copies) and decoded straight into its
+// destination — the caller's own buffer when the Request named one
+// (Request.Dst), a pooled buffer of the payload's size otherwise — and
+// decoded Responses come from a pool, returned by Response.Release.
 package transport
 
 import (
@@ -95,6 +97,14 @@ type Request struct {
 	Off    int64
 	Len    int64
 	Path   string
+
+	// Dst is client-side only and never encoded: when set, the response's
+	// payload is received straight into it (Response.Data then aliases
+	// Dst) instead of a pooled buffer. A payload longer than Dst takes the
+	// pooled path and leaves Dst untouched. The caller must not touch Dst
+	// until Call returns, and must not set it on a request whose attempts
+	// can outlive the call (a hedged rung that lost the race).
+	Dst []byte
 }
 
 // Response is a server->client message.
@@ -104,7 +114,9 @@ type Request struct {
 // until Release, which recycles both. Release is optional for
 // correctness (the GC reclaims unreturned responses) but mandatory for
 // the zero-allocation hot path. After Release the Response and its Data
-// must not be touched.
+// must not be touched — except that a payload received into the caller's
+// own Request.Dst stays the caller's: Release recycles only what came
+// from a pool, so those bytes remain valid after it.
 type Response struct {
 	Status uint8
 	Handle int64
@@ -112,7 +124,7 @@ type Response struct {
 	Data   []byte
 	Err    string
 
-	pooled   *[]byte // backing frame/payload buffer owned by this response
+	pooled   *[]byte // backing payload buffer owned by this response; nil when Data is caller memory
 	fromPool bool    // struct came from respPool (AcquireResponse/ReadResponse)
 
 	// fd-backed payload (zerocopy.go): when srcFile is set the payload is
@@ -220,6 +232,7 @@ func ReadRequestInto(r io.Reader, req *Request) error {
 		return fmt.Errorf("transport: corrupt request: path length %d overruns frame", pathLen)
 	}
 	req.Path = string(buf[27 : 27+pathLen])
+	req.Dst = nil
 	putFrameBuf(p)
 	return nil
 }
@@ -277,47 +290,86 @@ func WriteResponse(w io.Writer, resp *Response) error {
 }
 
 // ReadResponse decodes one response from r. The returned Response is
-// pooled and its Data aliases a pooled frame buffer: call Release once
-// the payload has been consumed (or keep the Response and let the GC
-// reclaim it — correct, but off the zero-allocation path).
+// pooled and its Data aliases a pooled buffer of the payload's size: call
+// Release once the payload has been consumed (or keep the Response and
+// let the GC reclaim it — correct, but off the zero-allocation path).
 func ReadResponse(r io.Reader) (*Response, error) {
-	// Pooled length-prefix scratch for the same escape reason as
-	// ReadRequestInto.
-	lp := getFrameBuf(4)
-	_, err := io.ReadFull(r, (*lp)[:4])
-	frame := binary.LittleEndian.Uint32((*lp)[:4])
-	putFrameBuf(lp)
+	return readResponse(r, nil)
+}
+
+// readResponse is the one response decoder: the fixed head into a small
+// pooled scratch, the payload straight into its destination — dst when
+// the payload fits it, else a pooled buffer of exactly dataLen, so a
+// power-of-two payload stays in its own size class — then the tail
+// (error length, error string) into the scratch again. The payload is
+// never staged in a whole-frame buffer, so a landed read costs one
+// userspace copy per byte: socket to dst.
+func readResponse(r io.Reader, dst []byte) (*Response, error) {
+	// Pooled scratch, not a stack array: an array passed through the
+	// io.Reader interface escapes, which would cost one heap allocation
+	// per decode.
+	sp := getFrameBuf(respHeadLen)
+	defer func() { putFrameBuf(sp) }()
+	head := (*sp)[:respHeadLen]
+	// The length prefix is checked as soon as it is in; the rest of the
+	// head usually arrives with it, and every valid frame is at least
+	// respHeadLen bytes long, so reading on never crosses into the next
+	// frame.
+	n, err := io.ReadAtLeast(r, head, 4)
 	if err != nil {
 		return nil, err
 	}
+	frame := binary.LittleEndian.Uint32(head)
 	if frame > MaxFrame || frame < respFixedLen {
 		return nil, ErrFrameTooLarge
 	}
+	if _, err := io.ReadFull(r, head[n:]); err != nil {
+		return nil, err
+	}
+	// Checked in the wire's own width, so dataLen is at most MaxFrame
+	// before it sizes or slices anything.
+	dl := binary.LittleEndian.Uint32(head[21:])
+	if dl > frame-respFixedLen {
+		return nil, fmt.Errorf("transport: corrupt response: data length %d overruns frame", dl)
+	}
+	dataLen := int(dl)
 	resp := AcquireResponse()
-	resp.pooled = getFrameBuf(int(frame))
-	buf := (*resp.pooled)[:frame]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	resp.Status = head[4]
+	resp.Handle = int64(binary.LittleEndian.Uint64(head[5:]))
+	resp.Size = int64(binary.LittleEndian.Uint64(head[13:]))
+	if dataLen > 0 {
+		data := dst
+		if dataLen > len(dst) {
+			resp.pooled = getFrameBuf(dataLen)
+			data = *resp.pooled
+		}
+		data = data[:dataLen:dataLen]
+		if _, err := io.ReadFull(r, data); err != nil {
+			resp.Release()
+			return nil, err
+		}
+		resp.Data = data
+	}
+	// What the frame holds after the payload: the u16 error length, the
+	// error string, and any slack the sender left (at least 2 bytes, by
+	// the data-length check above).
+	tailLen := int(frame) - (respFixedLen - 2) - dataLen
+	if tailLen > cap(*sp) {
+		putFrameBuf(sp)
+		sp = getFrameBuf(tailLen)
+	}
+	tail := (*sp)[:tailLen]
+	if _, err := io.ReadFull(r, tail); err != nil {
 		resp.Release()
 		return nil, err
 	}
-	resp.Status = buf[0]
-	resp.Handle = int64(binary.LittleEndian.Uint64(buf[1:]))
-	resp.Size = int64(binary.LittleEndian.Uint64(buf[9:]))
-	dataLen := int(binary.LittleEndian.Uint32(buf[17:]))
-	if 21+dataLen+2 > len(buf) {
-		resp.Release()
-		return nil, fmt.Errorf("transport: corrupt response: data length %d overruns frame", dataLen)
-	}
-	if dataLen > 0 {
-		resp.Data = buf[21 : 21+dataLen : 21+dataLen]
-	}
-	errLen := int(binary.LittleEndian.Uint16(buf[21+dataLen:]))
-	if 23+dataLen+errLen > len(buf) {
+	errLen := int(binary.LittleEndian.Uint16(tail))
+	if 2+errLen > tailLen {
 		resp.Release()
 		return nil, fmt.Errorf("transport: corrupt response: error length %d overruns frame", errLen)
 	}
 	if errLen > 0 {
-		resp.Err = string(buf[23+dataLen : 23+dataLen+errLen])
+		resp.Err = string(tail[2 : 2+errLen])
 	}
 	return resp, nil
 }

@@ -167,7 +167,8 @@ type ClientOptions struct {
 	// PoolSize caps the idle connections kept for reuse. 0 means
 	// DefaultPoolSize; negative disables pooling (every call dials).
 	// Size it to the caller's concurrency: an i×1 deployment driven by w
-	// loader workers wants at least w idle slots per server link.
+	// loader workers wants at least 2w idle slots per server link — a
+	// large read keeps two chunk RPCs in flight per worker.
 	PoolSize int
 }
 
@@ -302,7 +303,7 @@ func (c *Client) callOnce(req *Request) (*Response, error) {
 		_ = conn.Close() // the write failure is the error that matters
 		return nil, err
 	}
-	resp, err := ReadResponse(conn)
+	resp, err := readResponse(conn, req.Dst)
 	if err != nil {
 		_ = conn.Close() // the read failure is the error that matters
 		return nil, err

@@ -87,7 +87,7 @@ func (s *SimTransport) Call(req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReadResponse(&respBuf)
+	return readResponse(&respBuf, req.Dst)
 }
 
 // Close marks the transport closed; later calls fail with ErrClientClosed.
