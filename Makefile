@@ -34,8 +34,7 @@ chaos:
 	$(GO) test -race -shuffle=on -v ./internal/faultnet ./internal/testutil
 	$(GO) test -race -shuffle=on -v -run 'Retry|Call|TimedOut|Truncated' ./internal/transport
 
-# The short benchmark tier: fixed iteration counts; results land next to
-# the committed pre-PR baselines in BENCH_PR4.json (hot path) and
-# BENCH_PR5.json (cold path + batched small files).
+# The epoch benchmark, as BENCHMARK.json declares it: four workloads end
+# to end, one JSON result line each (bench/README.md).
 bench:
-	./scripts/bench.sh
+	sh bench/run.sh

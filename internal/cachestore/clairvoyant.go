@@ -18,7 +18,7 @@ import (
 //     until the next plan arrives, so their distance is effectively
 //     infinite (oldest-consumed first);
 //  2. keys the plan does not cover, via a segmented-LRU with a ghost
-//     list: unplanned keys start on probation, promote to protected on
+//     list: unplanned keys start on probation, move to protected on
 //     re-access, and a key re-admitted while its ghost is still warm
 //     enters protected directly — the classic scan-resistant fallback
 //     for traffic the oracle cannot see;
@@ -358,43 +358,25 @@ func (c *Clairvoyant) rememberGhostLocked(key string) {
 // Victim implements Policy: dead plan keys first (oldest consumed),
 // then the unplanned segmented-LRU (probation before protected), then
 // the unconsumed plan key with the farthest next access.
-func (c *Clairvoyant) Victim(excluded func(string) bool) string {
+func (c *Clairvoyant) Victim() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, l := range []*list.List{c.dead, c.prob, c.prot} {
-		for el := l.Front(); el != nil; el = el.Next() {
-			k := el.Value.(string)
-			if !excluded(k) {
-				c.lastVictim = k
-				return k
-			}
+		if el := l.Front(); el != nil {
+			c.lastVictim = el.Value.(string)
+			return c.lastVictim
 		}
 	}
-	// Lazy max-heap pop: stale entries (consumed, removed, re-scored)
-	// are dropped; excluded live entries are stashed and re-pushed.
-	var stash []planItem
-	victim := ""
+	// Lazy max-heap: stale roots (consumed, removed, re-scored) are
+	// dropped; the live root stays in the heap until OnRemove retires it,
+	// so the heap stays consistent if the caller does not evict it.
 	for c.future.Len() > 0 {
-		it := heap.Pop(&c.future).(planItem)
-		e, ok := c.entries[it.key]
-		if !ok || e.seg != segFuture || e.pos != it.pos {
-			continue
+		it := c.future[0]
+		if e, ok := c.entries[it.key]; ok && e.seg == segFuture && e.pos == it.pos {
+			c.lastVictim = it.key
+			return it.key
 		}
-		if excluded(it.key) {
-			stash = append(stash, it)
-			continue
-		}
-		victim = it.key
-		// The popped entry is about to be evicted; push it back so the
-		// heap stays consistent if the caller does not remove it.
-		stash = append(stash, it)
-		break
+		heap.Pop(&c.future)
 	}
-	for _, it := range stash {
-		heap.Push(&c.future, it)
-	}
-	if victim != "" {
-		c.lastVictim = victim
-	}
-	return victim
+	return ""
 }

@@ -6,12 +6,10 @@ import (
 	"testing"
 )
 
-func noneExcluded(string) bool { return false }
-
 // evictOne asks for a victim and removes it, as Index.Insert would.
 func evictOne(t *testing.T, c *Clairvoyant) string {
 	t.Helper()
-	v := c.Victim(noneExcluded)
+	v := c.Victim()
 	if v == "" {
 		t.Fatal("Victim returned no candidate")
 	}
@@ -55,25 +53,8 @@ func TestClairvoyantVictimOrder(t *testing.T) {
 	if v := evictOne(t, c); v != "c" {
 		t.Fatalf("victim %q, want c", v)
 	}
-	if v := c.Victim(noneExcluded); v != "" {
+	if v := c.Victim(); v != "" {
 		t.Fatalf("empty policy returned victim %q", v)
-	}
-}
-
-func TestClairvoyantVictimExcluded(t *testing.T) {
-	c := NewClairvoyant()
-	c.SetPlan([]string{"a", "b", "c"})
-	for _, k := range []string{"a", "b", "c"} {
-		c.OnInsert(k)
-	}
-	// All unconsumed: farthest is c, but it is pinned.
-	if v := c.Victim(func(k string) bool { return k == "c" }); v != "b" {
-		t.Fatalf("victim %q, want b with c excluded", v)
-	}
-	// The excluded heap entry must survive for later victims.
-	c.OnRemove("b")
-	if v := c.Victim(noneExcluded); v != "c" {
-		t.Fatalf("victim %q, want c once unpinned", v)
 	}
 }
 

@@ -29,19 +29,20 @@ func newHandlePool(max int) *handlePool {
 	return &handlePool{max: max, m: make(map[string]*pooledFile)}
 }
 
-// acquire returns an open file for key, opening path on a pool miss.
-// The caller must pass the returned *pooledFile to release exactly
-// once. The open runs under the pool lock, which also serialises
-// concurrent misses on the same key (one open, not two). Taking the
-// path (not a closure) keeps the warm lease path allocation-free.
-func (hp *handlePool) acquire(key, path string) (*pooledFile, error) {
+// acquire returns an open file for key, opening its cache file under dir
+// on a pool miss. The caller must pass the returned *pooledFile to
+// release exactly once. The open runs under the pool lock, which also
+// serialises concurrent misses on the same key (one open, not two).
+// Naming the file only on a miss (and taking dir, not a closure) keeps
+// a lease on a pooled handle allocation-free.
+func (hp *handlePool) acquire(key, dir string) (*pooledFile, error) {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
 	if pf, ok := hp.m[key]; ok {
 		pf.refs++
 		return pf, nil
 	}
-	f, err := os.Open(path)
+	f, err := os.Open(cachePath(dir, key))
 	if err != nil {
 		return nil, err
 	}

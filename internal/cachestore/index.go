@@ -1,6 +1,6 @@
 // Package cachestore implements the node-local cache an HVAC server keeps
-// on its fast storage: capacity accounting, pinning of in-use files, and
-// the eviction policies from §III-G. The paper evicts randomly (datasets
+// on its fast storage: capacity accounting and the eviction policies from
+// §III-G. The paper evicts randomly (datasets
 // rarely outgrow the aggregate NVMe of a 1,024-node allocation); LRU, FIFO
 // and CLOCK are included for the ablation benchmarks.
 //
@@ -17,9 +17,9 @@ import (
 // ErrTooLarge is returned when an item can never fit the cache.
 var ErrTooLarge = errors.New("cachestore: item larger than capacity")
 
-// ErrNoVictim is returned when eviction is needed but every entry is
-// pinned by an in-flight read.
-var ErrNoVictim = errors.New("cachestore: all entries pinned, nothing evictable")
+// ErrNoVictim is returned when eviction is needed but the policy offers
+// no victim.
+var ErrNoVictim = errors.New("cachestore: eviction policy offered no victim")
 
 // Policy chooses eviction victims. Implementations are not safe for
 // concurrent use; the Index (or its caller) serialises access.
@@ -31,14 +31,8 @@ type Policy interface {
 	OnAccess(key string)
 	// OnRemove forgets key (evicted or explicitly removed).
 	OnRemove(key string)
-	// Victim proposes a key to evict, skipping keys for which excluded
-	// returns true. It returns "" when nothing qualifies.
-	Victim(excluded func(string) bool) string
-}
-
-type entry struct {
-	size int64
-	pins int
+	// Victim proposes a key to evict. It returns "" when it tracks none.
+	Victim() string
 }
 
 // Index tracks cached keys against a byte capacity.
@@ -46,7 +40,7 @@ type Index struct {
 	capacity int64
 	used     int64
 	policy   Policy
-	entries  map[string]*entry
+	entries  map[string]int64 // key -> size
 
 	hits      int64
 	misses    int64
@@ -58,7 +52,7 @@ func NewIndex(capacity int64, policy Policy) *Index {
 	if policy == nil {
 		policy = NewRandom(0)
 	}
-	return &Index{capacity: capacity, policy: policy, entries: make(map[string]*entry)}
+	return &Index{capacity: capacity, policy: policy, entries: make(map[string]int64)}
 }
 
 // Capacity returns the configured byte capacity.
@@ -93,11 +87,8 @@ func (ix *Index) Peek(key string) bool {
 
 // Size returns the stored size of key.
 func (ix *Index) Size(key string) (int64, bool) {
-	e, ok := ix.entries[key]
-	if !ok {
-		return 0, false
-	}
-	return e.size, true
+	size, ok := ix.entries[key]
+	return size, ok
 }
 
 // Insert admits key with the given size, evicting as needed. It returns
@@ -110,7 +101,7 @@ func (ix *Index) Insert(key string, size int64) (evicted []string, err error) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, ix.capacity)
 	}
 	for ix.used+size > ix.capacity {
-		victim := ix.policy.Victim(func(k string) bool { return ix.entries[k].pins > 0 })
+		victim := ix.policy.Victim()
 		if victim == "" {
 			return evicted, fmt.Errorf("%w (need %d bytes, %d used)", ErrNoVictim, size, ix.used)
 		}
@@ -118,14 +109,14 @@ func (ix *Index) Insert(key string, size int64) (evicted []string, err error) {
 		ix.evictions++
 		evicted = append(evicted, victim)
 	}
-	ix.entries[key] = &entry{size: size}
+	ix.entries[key] = size
 	ix.used += size
 	ix.policy.OnInsert(key)
 	return evicted, nil
 }
 
-// Remove deletes key regardless of pins (server teardown); it reports
-// whether the key was present.
+// Remove deletes key (server teardown); it reports whether the key was
+// present.
 func (ix *Index) Remove(key string) bool {
 	if _, ok := ix.entries[key]; !ok {
 		return false
@@ -135,32 +126,9 @@ func (ix *Index) Remove(key string) bool {
 }
 
 func (ix *Index) removeLocked(key string) {
-	e := ix.entries[key]
-	ix.used -= e.size
+	ix.used -= ix.entries[key]
 	delete(ix.entries, key)
 	ix.policy.OnRemove(key)
-}
-
-// Pin marks key in use so it cannot be evicted. Returns false if absent.
-func (ix *Index) Pin(key string) bool {
-	e, ok := ix.entries[key]
-	if !ok {
-		return false
-	}
-	e.pins++
-	return true
-}
-
-// Unpin releases one pin on key.
-func (ix *Index) Unpin(key string) {
-	e, ok := ix.entries[key]
-	if !ok {
-		return
-	}
-	e.pins--
-	if e.pins < 0 {
-		panic("cachestore: unpin without pin on " + key)
-	}
 }
 
 // Keys returns all cached keys in unspecified order.

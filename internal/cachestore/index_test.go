@@ -69,39 +69,6 @@ func TestTooLarge(t *testing.T) {
 	}
 }
 
-func TestPinsBlockEviction(t *testing.T) {
-	ix := NewIndex(1000, NewFIFO())
-	ix.Insert("a", 500)
-	ix.Insert("b", 500)
-	ix.Pin("a")
-	ev, err := ix.Insert("c", 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev) != 1 || ev[0] != "b" {
-		t.Fatalf("evicted %v, want [b] (a pinned)", ev)
-	}
-	ix.Pin("c")
-	if _, err := ix.Insert("d", 500); !errors.Is(err, ErrNoVictim) {
-		t.Fatalf("err = %v, want ErrNoVictim", err)
-	}
-	ix.Unpin("a")
-	if _, err := ix.Insert("d", 500); err != nil {
-		t.Fatalf("after unpin: %v", err)
-	}
-}
-
-func TestUnpinWithoutPinPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ix := NewIndex(100, NewRandom(1))
-	ix.Insert("a", 10)
-	ix.Unpin("a")
-}
-
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	ix := NewIndex(300, NewLRU())
 	ix.Insert("a", 100)
@@ -185,25 +152,6 @@ func TestCapacityInvariant(t *testing.T) {
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-	}
-}
-
-func TestVictimSweepFindsLoneUnpinned(t *testing.T) {
-	// Random policy must find the single unpinned entry even when random
-	// probes keep hitting pinned ones.
-	ix := NewIndex(100, NewRandom(3))
-	for i := 0; i < 99; i++ {
-		k := fmt.Sprintf("k%d", i)
-		ix.Insert(k, 1)
-		ix.Pin(k)
-	}
-	ix.Insert("free", 1)
-	ev, err := ix.Insert("new", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev) != 1 || ev[0] != "free" {
-		t.Fatalf("evicted %v, want [free]", ev)
 	}
 }
 

@@ -1,7 +1,7 @@
 package cachestore
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"sync"
 )
@@ -26,20 +26,25 @@ type Lease struct {
 // nothing.
 var leasePool = sync.Pool{New: func() any { return new(Lease) }}
 
+// ErrNotCached is Lease's miss. It is a fixed value because the server's
+// read ladder starts every read with a lease, so a cold read pays for this
+// error once per request.
+var ErrNotCached = errors.New("cachestore: key not cached")
+
 // Lease pins an open descriptor for key's cached file and returns it
-// with the file's cached size. The hit/miss accounting matches ReadAt:
-// exactly one counting index access per call. A miss (not cached, or
-// evicted since the caller's probe) returns an error; callers read
-// through from the PFS instead.
+// with the file's cached size — the one way to read a cached file. Each
+// call is exactly one counting index access (a hit with its recency bump,
+// or a miss). A miss (never cached, or evicted since the caller's probe)
+// returns ErrNotCached; callers take their miss path instead.
 func (s *Store) Lease(key string) (*Lease, error) {
 	s.mu.Lock()
 	cached := s.ix.Contains(key)
 	size, _ := s.ix.Size(key)
 	s.mu.Unlock()
 	if !cached {
-		return nil, fmt.Errorf("cachestore: %s not cached", key)
+		return nil, ErrNotCached
 	}
-	pf, err := s.hp.acquire(key, s.pathFor(key))
+	pf, err := s.hp.acquire(key, s.dir)
 	if err != nil {
 		return nil, err
 	}

@@ -132,7 +132,9 @@ func TestLeaseEvictionChurnRace(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				k := (seed + i) % keys
 				key := fmt.Sprintf("k%d", k)
-				_ = put(s, key, 64, string(content(k))) // may fail under pin races; irrelevant here
+				if err := put(s, key, 64, string(content(k))); err != nil {
+					t.Errorf("put %s: %v", key, err)
+				}
 				l, err := s.Lease(key)
 				if err != nil {
 					continue // evicted between Put and Lease: a legitimate miss

@@ -6,8 +6,8 @@ import (
 	"hvac/internal/sim"
 )
 
-// Random is the paper's eviction policy (§III-G): pick an unpinned victim
-// uniformly at random. Deterministic under a fixed seed.
+// Random is the paper's eviction policy (§III-G): pick a victim uniformly
+// at random. Deterministic under a fixed seed.
 type Random struct {
 	rng  *sim.RNG
 	keys []string
@@ -44,27 +44,12 @@ func (r *Random) OnRemove(key string) {
 	delete(r.pos, key)
 }
 
-// Victim implements Policy: random probes, then a linear sweep so a
-// mostly-pinned cache still finds the stray evictable entry.
-func (r *Random) Victim(excluded func(string) bool) string {
-	n := len(r.keys)
-	if n == 0 {
+// Victim implements Policy.
+func (r *Random) Victim() string {
+	if len(r.keys) == 0 {
 		return ""
 	}
-	for try := 0; try < 8; try++ {
-		k := r.keys[r.rng.Intn(n)]
-		if !excluded(k) {
-			return k
-		}
-	}
-	start := r.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		k := r.keys[(start+i)%n]
-		if !excluded(k) {
-			return k
-		}
-	}
-	return ""
+	return r.keys[r.rng.Intn(len(r.keys))]
 }
 
 // listPolicy is the shared shape of LRU and FIFO: a recency/insertion list
@@ -108,12 +93,9 @@ func (l *listPolicy) OnRemove(key string) {
 	}
 }
 
-func (l *listPolicy) Victim(excluded func(string) bool) string {
-	for e := l.ll.Front(); e != nil; e = e.Next() {
-		k := e.Value.(string)
-		if !excluded(k) {
-			return k
-		}
+func (l *listPolicy) Victim() string {
+	if e := l.ll.Front(); e != nil {
+		return e.Value.(string)
 	}
 	return ""
 }
@@ -166,8 +148,8 @@ func (c *Clock) OnRemove(key string) {
 }
 
 // Victim implements Policy: sweep clearing reference bits; two full passes
-// guarantee an unreferenced, unexcluded entry is found if one exists.
-func (c *Clock) Victim(excluded func(string) bool) string {
+// guarantee an unreferenced entry is found if any entry exists.
+func (c *Clock) Victim() string {
 	n := len(c.keys)
 	if n == 0 {
 		return ""
@@ -178,9 +160,6 @@ func (c *Clock) Victim(excluded func(string) bool) string {
 		}
 		k := c.keys[c.hand]
 		c.hand++
-		if excluded(k) {
-			continue
-		}
 		if c.ref[k] {
 			c.ref[k] = false
 			continue

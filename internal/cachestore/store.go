@@ -44,9 +44,12 @@ func NewStore(dir string, capacity int64, policy Policy) (*Store, error) {
 // Dir returns the backing directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) pathFor(key string) string {
+func (s *Store) pathFor(key string) string { return cachePath(s.dir, key) }
+
+// cachePath names key's cache file under dir.
+func cachePath(dir, key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.dir, hex.EncodeToString(sum[:16]))
+	return filepath.Join(dir, hex.EncodeToString(sum[:16]))
 }
 
 // Contains reports whether key is cached (and counts the hit/miss).
@@ -64,35 +67,6 @@ func (s *Store) Resident(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ix.Peek(key)
-}
-
-// Open returns the cached file for key, pinned against eviction. The
-// caller must invoke release exactly once after closing the file.
-func (s *Store) Open(key string) (f *os.File, release func(), err error) {
-	s.mu.Lock()
-	if !s.ix.Contains(key) {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("cachestore: %s not cached", key)
-	}
-	s.ix.Pin(key)
-	s.mu.Unlock()
-
-	f, err = os.Open(s.pathFor(key))
-	if err != nil {
-		s.mu.Lock()
-		s.ix.Unpin(key)
-		s.mu.Unlock()
-		return nil, nil, err
-	}
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			s.mu.Lock()
-			s.ix.Unpin(key)
-			s.mu.Unlock()
-		})
-	}
-	return f, release, nil
 }
 
 // ReadAt reads from the cached file for key at offset off through a

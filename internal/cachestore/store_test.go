@@ -47,7 +47,20 @@ func put(s *Store, key string, size int64, content string) error {
 	return f.Commit()
 }
 
-func TestPutOpenRoundTrip(t *testing.T) {
+// readAll reads key's whole cached file through a lease, the one way to
+// read a cached file. Safe to call from any goroutine.
+func readAll(s *Store, key string) ([]byte, error) {
+	l, err := s.Lease(key)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Release()
+	b := make([]byte, l.Size())
+	_, err = l.ReadAt(b, 0)
+	return b, err
+}
+
+func TestPutLeaseRoundTrip(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	content := []byte("hello hvac cache")
 	if err := put(s, "/pfs/data/a.bin", int64(len(content)), string(content)); err != nil {
@@ -56,13 +69,7 @@ func TestPutOpenRoundTrip(t *testing.T) {
 	if !s.Contains("/pfs/data/a.bin") {
 		t.Fatal("not cached after Put")
 	}
-	f, release, err := s.Open("/pfs/data/a.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(f)
-	f.Close()
-	release()
+	got, err := readAll(s, "/pfs/data/a.bin")
 	if err != nil || !bytes.Equal(got, content) {
 		t.Fatalf("read back %q, %v", got, err)
 	}
@@ -74,11 +81,7 @@ func TestPutDuplicateNoop(t *testing.T) {
 	if err := put(s, "k", 3, "xyz"); err != nil {
 		t.Fatal(err)
 	}
-	f, release, _ := s.Open("k")
-	got, _ := io.ReadAll(f)
-	f.Close()
-	release()
-	if string(got) != "abc" {
+	if got, _ := readAll(s, "k"); string(got) != "abc" {
 		t.Fatalf("duplicate Put overwrote content: %q", got)
 	}
 }
@@ -104,8 +107,8 @@ func TestEvictionRemovesFile(t *testing.T) {
 	if s.Contains("a") {
 		t.Fatal("a should be evicted")
 	}
-	if _, _, err := s.Open("a"); err == nil {
-		t.Fatal("open of evicted key should fail")
+	if _, err := readAll(s, "a"); err == nil {
+		t.Fatal("lease of evicted key should fail")
 	}
 	entries, err := os.ReadDir(s.Dir())
 	if err != nil {
@@ -113,25 +116,6 @@ func TestEvictionRemovesFile(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("%d files on disk, want 1 (evicted file removed)", len(entries))
-	}
-}
-
-func TestOpenPinsAgainstEviction(t *testing.T) {
-	s := newTestStore(t, 10, NewFIFO())
-	put(s, "a", 6, "aaaaaa")
-	f, release, err := s.Open("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	// a is pinned: inserting b has no victim.
-	if err := put(s, "b", 6, "bbbbbb"); err == nil {
-		t.Fatal("expected ErrNoVictim while a is pinned")
-	}
-	release()
-	release() // idempotent
-	if err := put(s, "b", 6, "bbbbbb"); err != nil {
-		t.Fatalf("after release: %v", err)
 	}
 }
 
@@ -150,14 +134,11 @@ func TestConcurrentPutsAndReads(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				f, release, err := s.Open(key)
+				b, err := readAll(s, key)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				b, _ := io.ReadAll(f)
-				f.Close()
-				release()
 				if len(b) != 128 {
 					t.Errorf("read %d bytes", len(b))
 					return
@@ -193,13 +174,10 @@ func TestKeyCollisionSafety(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	put(s, "/data/f1", 1, "1")
 	put(s, "/data/f2", 1, "2")
-	f1, r1, err := s.Open("/data/f1")
+	b1, err := readAll(s, "/data/f1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := io.ReadAll(f1)
-	f1.Close()
-	r1()
 	if string(b1) != "1" {
 		t.Fatalf("f1 content = %q", b1)
 	}

@@ -340,58 +340,6 @@ func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
 	}
 }
 
-// TestPromoteLosesRaceWithClose is the deterministic form of the race the
-// test above only sometimes hits: a read on a cold handle whose fill has
-// retired is held at the top of promote while OpClose retires the handle.
-// The promote must then refuse — before the fix it opened the cached file
-// and pinned its index entry on a handle nobody would close again, which
-// shows here as the entry being unevictable.
-func TestPromoteLosesRaceWithClose(t *testing.T) {
-	const size = 4096
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, 2, size)
-	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
-		c.CacheCapacity = size + size/2 // room for one file
-	}, nil)
-	srv := servers[0]
-
-	open := srv.handle(&transport.Request{Op: transport.OpOpen, Path: paths[0]})
-	if !open.OK() {
-		t.Fatal(open.Error())
-	}
-	srv.WaitIdle() // the fill committed and closed: the next read must promote
-
-	entered, gate := make(chan struct{}), make(chan struct{})
-	srv.promoteGate = func() {
-		close(entered)
-		<-gate
-	}
-	read := make(chan *transport.Response, 1)
-	go func() {
-		read <- srv.handle(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: size})
-	}()
-	<-entered
-	srv.promoteGate = nil // only the held read is gated
-	if resp := srv.handle(&transport.Request{Op: transport.OpClose, Handle: open.Handle}); !resp.OK() {
-		t.Fatal(resp.Error())
-	}
-	close(gate)
-	if resp := <-read; resp.OK() {
-		resp.Release()
-		t.Fatal("read promoted a handle that was already closed")
-	}
-
-	// Filling the second file must be able to evict the first.
-	if resp := srv.handle(&transport.Request{Op: transport.OpPrefetch, Path: paths[1]}); !resp.OK() {
-		t.Fatal(resp.Error())
-	}
-	srv.WaitIdle()
-	if !srv.store.Resident(paths[1]) || srv.store.Resident(paths[0]) {
-		t.Fatalf("closed handle left %s pinned: resident first=%v second=%v",
-			paths[0], srv.store.Resident(paths[0]), srv.store.Resident(paths[1]))
-	}
-}
-
 // Every committed schedule must be stats-deterministic, not just
 // trace-deterministic: two full runs of the same workload over the same
 // PFS tree under the same schedule produce bit-identical client stats.

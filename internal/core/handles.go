@@ -54,18 +54,3 @@ func (t *handleTable) take(fd int64) (*openHandle, bool) {
 	sh.mu.Unlock()
 	return h, ok
 }
-
-// drain empties the table and returns every handle, for teardown.
-func (t *handleTable) drain() []*openHandle {
-	var out []*openHandle
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, h := range sh.m {
-			out = append(out, h)
-		}
-		sh.m = nil
-		sh.mu.Unlock()
-	}
-	return out
-}

@@ -315,6 +315,9 @@ func TestRealSingleCopyUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Misses is bumped by the mover after the fill has committed, and the
+	// readers are served the moment it commits: let the mover retire.
+	servers[0].WaitIdle()
 	st := servers[0].Stats()
 	if st.Misses != 1 {
 		t.Fatalf("misses = %d, want exactly 1 (single copy)", st.Misses)

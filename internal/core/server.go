@@ -25,9 +25,14 @@
 // when warm (DESIGN.md §9): stats are typed atomics, the handle table is
 // sharded (handles.go), payload buffers are pooled (transport.Response
 // ownership), and the only mutex left — Server.mu — guards just the
-// data-mover single-flight map, off the warm read path entirely. The
-// cold path's state machine (miss → fill registration → serve-from-fill
-// → cache hit) is documented in DESIGN.md §10.
+// data-mover single-flight map, off the warm read path entirely.
+//
+// Every read op — OpRead on a handle, OpReadAt on a segment, each
+// OpReadBatch entry — is a framing wrapper over one resolver (resolve):
+// lease on the resident entry → in-flight fill → just-committed entry →
+// PFS. The server holds no descriptor on a cached file between requests;
+// a handle is a path, a size and the fill its open registered. The state
+// machine is documented in DESIGN.md §10.
 package core
 
 import (
@@ -58,8 +63,8 @@ const (
 
 // defaultMovers is the data-mover pool size when ServerConfig.Movers is
 // unset. One mover (the paper's single dedicated thread) serializes
-// every cold fill behind one PFS copy at a time, which BENCH_PR5's
-// ColdEpoch64 showed dominating first-epoch latency; a small pool keeps
+// every cold fill behind one PFS copy at a time, which dominated
+// first-epoch latency (DESIGN.md §10); a small pool keeps
 // concurrent demand misses overlapped without approaching the PFS
 // connection limits a real deployment budgets per node.
 const defaultMovers = 4
@@ -148,8 +153,9 @@ type ServerConfig struct {
 // analyzer, which proves per CFG path what the chaos tier asserts at
 // the end of a run: every serve event bumps one source side (left)
 // and one serve-kind side (right) together. Whole-file handle reads
-// are outside the identity (their sourcing was accounted at open);
-// the handler that bumps them carries //hvac:pair-split.
+// are outside the identity (their sourcing was accounted at open, so
+// handleRead drops the resolver's verdict); the handler that bumps them
+// carries //hvac:pair-split.
 type ServerStats struct {
 	//hvac:pair served right
 	Opens int64
@@ -245,10 +251,6 @@ func (c *serverCounters) snapshot() ServerStats {
 // errServerClosed fails fetch tasks drained during shutdown.
 var errServerClosed = errors.New("hvac server: closed")
 
-// errHandleClosed fails a read whose handle was closed while it was
-// waiting to promote.
-var errHandleClosed = errors.New("hvac server: handle closed")
-
 // fillEntry is the single-flight record of one in-flight background
 // fill. Handlers that hit the same cold key attach to it: ready is
 // closed once the mover has opened the source and created the
@@ -283,37 +285,16 @@ type fetchTask struct {
 	entry   *fillEntry
 }
 
+// openHandle is what the wire protocol's handle names: the file, the size
+// the open reported, and — for a handle opened cold — the fill that open
+// registered, so its reads attach without a second trip through Server.mu.
+// It holds no descriptor and no claim on the cache entry: every read
+// resolves the path afresh, which is why closing (or leaking) a handle
+// has nothing to tear down.
 type openHandle struct {
-	f       *os.File
-	release func() // nil for direct (read-through) PFS handles
-	size    int64
-	path    string
-
-	// Cold handles are served from the in-flight fill; once the fill is
-	// gone they promote — under mu — to the committed cache file (or the
-	// PFS on failure). mu also guards closed: a promote that loses the
-	// race with retire must not equip a handle nobody will close.
-	fe     *fillEntry
-	mu     sync.Mutex
-	closed bool
-}
-
-// retire closes whatever file the handle holds and drops its cache pin.
-// Marking the handle closed under mu is what keeps a concurrent promote
-// from opening a file (and pinning an index entry) afterwards.
-func (h *openHandle) retire() error {
-	h.mu.Lock()
-	f, release := h.f, h.release
-	h.closed = true
-	h.mu.Unlock()
-	var err error
-	if f != nil {
-		err = f.Close()
-	}
-	if release != nil {
-		release()
-	}
-	return err
+	path string
+	size int64
+	fe   *fillEntry
 }
 
 // Server is a real-mode HVAC server instance.
@@ -346,7 +327,9 @@ type Server struct {
 	belady      *cachestore.Clairvoyant
 
 	// mu guards only the data-mover single-flight state below — nothing
-	// on the warm read path takes it.
+	// on the warm read path takes it, and nothing is called into with it
+	// held: residency is not re-probed under it (no s.mu → Store.mu
+	// order to keep); runFetch's probe closes that window instead.
 	mu       sync.Mutex
 	idle     *sync.Cond // signalled when inflight drains to empty
 	inflight map[string]*fillEntry
@@ -366,11 +349,6 @@ type Server struct {
 	latRead  metrics.Histogram
 	latClose metrics.Histogram
 	latCopy  metrics.Histogram
-
-	// promoteGate, when set by a test before any request, runs at the top
-	// of promote so a test can hold a promoting read while it closes the
-	// handle. Nil in production.
-	promoteGate func()
 }
 
 // StartServer launches an HVAC server. Stop it with Close.
@@ -547,9 +525,6 @@ func (s *Server) Close() {
 			drained = true
 		}
 	}
-	for _, h := range s.handles.drain() {
-		_ = h.retire() // teardown is best-effort: the job is over
-	}
 	s.peerMu.Lock()
 	peerConns := s.peerConns
 	s.peerConns = nil
@@ -592,14 +567,25 @@ func (s *Server) mover() {
 // warms the key's replicas before the task retires, so once WaitIdle
 // returns on this server every warm hint it owed is already registered
 // on the peers (prefetch fills never re-warm — warming cannot cascade).
+//
+// A key that is already resident is not fetched again — the other half of
+// single-flight: callers probe residency before scheduleFetch takes s.mu,
+// so a fill that commits and leaves inflight in between lets a second
+// task for its key through. When that task runs the first has fully
+// retired (one task per key in flight, commit before retire), so the
+// probe here is exact; the task retires empty-handed and its attachers
+// read the committed entry.
 func (s *Server) runFetch(task fetchTask) {
-	start := time.Now()
-	err := s.fillIn(task)
-	s.latCopy.Observe(time.Since(start))
-	if err == nil {
-		s.stats.misses.Add(1) // a completed first-read fill
-		if task.demand {
-			s.warmReplicas(task)
+	var err error
+	if !s.store.Resident(task.key) {
+		start := time.Now()
+		err = s.fillIn(task)
+		s.latCopy.Observe(time.Since(start))
+		if err == nil {
+			s.stats.misses.Add(1) // a completed first-read fill
+			if task.demand {
+				s.warmReplicas(task)
+			}
 		}
 	}
 	s.finishFetch(task, err)
@@ -823,151 +809,128 @@ func (s *Server) allowed(path string) error {
 	return nil
 }
 
-// handleOpen serves a forwarded open: from the cache when resident;
-// otherwise the miss is registered with the data-mover and the handle is
-// served from the in-flight fill (serve-from-fill) — one PFS metadata
-// stat now, one PFS data pass total, done by the mover. Only when the
-// fetch cannot be queued (backpressure, shutdown) does the handler fall
-// back to its own PFS read-through.
+// handleOpen serves a forwarded open. It moves no bytes and opens no
+// file: size and residency come from the index (a peek — the hit and
+// recency bump belong to the read's lease), and a miss costs one PFS
+// metadata stat and registers the file with the data-mover, so the fill
+// is under way before the read arrives. The sourcing verdict of the
+// whole open+read+close is counted here; a full demand queue leaves the
+// handle without a fill and its reads resolve like any other miss.
 func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 	if err := s.allowed(req.Path); err != nil {
 		return errResp(err)
 	}
-	if s.store.Contains(req.Path) {
-		f, release, err := s.store.Open(req.Path)
-		if err == nil {
-			fi, serr := f.Stat()
-			if serr != nil {
-				_ = f.Close() // the stat failure is the error to report
-				release()
-				return errResp(serr)
-			}
-			fd := s.nextFD.Add(1)
-			s.handles.put(fd, &openHandle{f: f, release: release, size: fi.Size(), path: req.Path})
-			s.stats.opens.Add(1)
-			s.stats.hits.Add(1)
-			s.planObserve(req.Path)
-			return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: fi.Size()}
+	h := &openHandle{path: req.Path}
+	var resident bool
+	if h.size, resident = s.store.Size(req.Path); !resident {
+		fi, err := os.Stat(req.Path)
+		if err != nil {
+			return errResp(fmt.Errorf("hvac server: pfs stat: %w", err))
 		}
-		// Evicted between Contains and Open: fall through to the miss path.
-	}
-	fi, err := os.Stat(req.Path)
-	if err != nil {
-		return errResp(fmt.Errorf("hvac server: pfs stat: %w", err))
-	}
-	h := &openHandle{size: fi.Size(), path: req.Path}
-	if fe, _ := s.scheduleFetch(fetchTask{key: req.Path, path: req.Path}, true); fe != nil {
-		h.fe = fe
-	} else if err := s.promote(h); err != nil {
-		// Backpressure fallback needs its own PFS handle right away.
-		return errResp(err)
+		h.size = fi.Size()
+		h.fe, _ = s.scheduleFetch(fetchTask{key: req.Path, path: req.Path}, true)
 	}
 	fd := s.nextFD.Add(1)
 	s.handles.put(fd, h)
 	s.stats.opens.Add(1)
-	s.stats.readThroughs.Add(1)
+	if resident {
+		s.stats.hits.Add(1)
+	} else {
+		s.stats.readThroughs.Add(1)
+	}
 	s.planObserve(req.Path)
-	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: fi.Size()}
+	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: h.size}
 }
 
-// promote equips a cold handle with a concrete file: the committed cache
-// entry when the fill landed, the PFS file otherwise. Called when the
-// handle's fill is no longer consumable (committed and released, failed,
-// or never created).
-func (s *Server) promote(h *openHandle) error {
-	if s.promoteGate != nil {
-		s.promoteGate()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return errHandleClosed
-	}
-	if h.f != nil {
-		return nil
-	}
-	if f, release, err := s.store.Open(h.path); err == nil {
-		h.f, h.release = f, release
-		return nil
-	}
-	f, err := s.openPFS(h.path)
-	if err != nil {
-		return fmt.Errorf("hvac server: pfs open: %w", err)
-	}
-	h.f = f
-	return nil
-}
-
-// leaseResponse builds a zero-copy response serving up to maxLen bytes
-// of key's cached file starting at off: the payload is the fd lease
-// itself (released by the transport after the write), so warm bytes can
-// leave via sendfile without a userspace copy. Returns nil when the key
-// cannot be leased — the caller serves through its pooled path instead.
-// The byte count mirrors ReadAt-at-EOF semantics: reads past the end
-// serve the available prefix (possibly empty) as a short, OK response.
-func (s *Server) leaseResponse(key string, off, maxLen int64) (*transport.Response, int64) {
-	lz, err := s.store.Lease(key)
-	if err != nil {
-		return nil, 0
-	}
-	n := lz.Size() - off
-	if n < 0 {
-		n = 0
-	}
-	if n > maxLen {
-		n = maxLen
-	}
-	resp := transport.AcquireResponse()
-	resp.Status = transport.StatusOK
-	resp.Size = n
-	if n == 0 {
-		lz.Release()
-		return resp, 0
-	}
-	resp.SetPayloadFile(lz.File(), off, n, lz, &s.zc)
-	return resp, n
-}
-
-// readHandle serves a ranged read on an open handle: directly from the
-// handle's file when it has one, else from the in-flight fill it is
-// attached to, promoting to the committed cache entry (or the PFS) when
-// the fill is gone.
-func (s *Server) readHandle(h *openHandle, buf []byte, off int64) (int, error) {
-	if h.fe == nil {
-		return h.f.ReadAt(buf, off)
-	}
-	h.mu.Lock()
-	f := h.f
-	h.mu.Unlock()
-	if f != nil {
-		return f.ReadAt(buf, off)
-	}
-	select {
-	case <-h.fe.ready:
-	case <-s.stop:
-		return 0, errServerClosed
-	}
-	if fl := h.fe.fill; fl != nil && fl.Acquire() {
-		n, err := fl.ReadAt(buf, off)
-		fl.Release()
-		if err == nil || err == io.EOF {
-			return n, err
+// resolve is the server's one read ladder (§III-D; DESIGN.md §10.1):
+// every read op is a framing wrapper over it. It serves up to want bytes
+// at off within the cached object task names — task.key, which a fill
+// copies from task.len bytes (0: to EOF) of task.path at task.off — from
+// the first rung that has them:
+//
+//  1. a lease on the resident entry, the one way to read a cached file
+//     and the index's one hit/recency bump per read;
+//  2. the in-flight fill: fe when the caller registered the miss already
+//     (a handle opened cold, a batch's pass 1), else the demand fetch
+//     registered here, which attaches to a fill already running;
+//  3. the entry that fill just committed — small fills retire before
+//     their reader attaches, and a handle outlives the fill it opened;
+//  4. the PFS itself, only when the demand queue refused the fetch or
+//     the fill failed.
+//
+// The payload lands in dst when the caller has a place for it (a batch
+// entry inside its frame). With dst nil it goes on resp: rung 1 under
+// ZeroCopy hands over the lease itself, for sendfile, and the transport
+// releases it after the write; every other serve fills a pooled buffer
+// grabbed from resp only once a rung needs one, sized to what the entry
+// can still deliver. A range past the end is a short, possibly empty,
+// read.
+//
+// hit is the sourcing verdict the caller counts on its side of the
+// served identity: rung 1, unless the caller had already registered the
+// miss — that request pulled the bytes off the PFS whichever rung ends
+// up handing them over.
+func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *transport.Response, dst []byte) (n int, hit bool, err error) {
+	lz, lerr := s.store.Lease(task.key)
+	if lerr == nil {
+		want = min(want, max(lz.Size()-off, 0))
+		if dst == nil && s.cfg.ZeroCopy && want > 0 {
+			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
+			return int(want), fe == nil, nil
 		}
-		// The fill aborted mid-stream: promote and re-read below.
 	}
-	if err := s.promote(h); err != nil {
-		return 0, err
+	if dst == nil {
+		dst = resp.Grab(int(want))
+		defer func() { resp.Data = dst[:n] }()
 	}
-	h.mu.Lock()
-	f = h.f
-	h.mu.Unlock()
-	return f.ReadAt(buf, off)
+	dst = dst[:want]
+	if lerr == nil {
+		n, err = lz.ReadAt(dst, off)
+		lz.Release()
+		if err == nil || err == io.EOF {
+			return n, fe == nil, nil
+		}
+		// The cached copy went bad under its lease: the miss ladder
+		// serves the same bytes.
+	}
+	if fe == nil {
+		fe, _ = s.scheduleFetch(task, true)
+	}
+	if fe != nil {
+		select {
+		case <-fe.ready:
+		case <-s.stop:
+			return 0, false, errServerClosed
+		}
+		if fl := fe.fill; fl != nil && fl.Acquire() {
+			n, err = fl.ReadAt(dst, off)
+			fl.Release()
+			if err == nil || err == io.EOF {
+				return n, false, nil
+			}
+			// The fill aborted mid-stream.
+		}
+	}
+	if n, err = s.store.ReadAt(task.key, dst, off); err == nil || err == io.EOF {
+		return n, false, nil
+	}
+	f, err := s.openPFS(task.path)
+	if err != nil {
+		return 0, false, fmt.Errorf("hvac server: pfs open: %w", err)
+	}
+	n, err = f.ReadAt(dst, task.off+off)
+	_ = f.Close() // read-only handle; the ReadAt result is what matters
+	if err != nil && err != io.EOF {
+		return 0, false, err
+	}
+	return n, false, nil
 }
 
 // handleRead serves a ranged read on an open handle. The warm path is
-// allocation-free: the payload buffer is pooled (owned by the response,
-// recycled by the transport loop after the vectored write), the handle
-// lookup takes a sharded read lock, and the counters are atomics.
+// allocation-free: the handle lookup takes a sharded read lock, the
+// payload is a lease (or a pooled buffer owned by the response, recycled
+// by the transport loop after the vectored write), and the counters are
+// atomics.
 //
 //hvac:pair-split served whole-file handle reads are outside the identity: their Hits/ReadThroughs sourcing was counted at open
 func (s *Server) handleRead(req *transport.Request) *transport.Response {
@@ -978,25 +941,13 @@ func (s *Server) handleRead(req *transport.Request) *transport.Response {
 	if err := checkReadLen(req.Len); err != nil {
 		return errResp(err)
 	}
-	// Zero-copy warm serve: a cache-backed handle (h.release pins the
-	// index entry, so the key cannot have been evicted) is served via a
-	// fresh fd lease and sendfile instead of a pooled pread. Cold
-	// (serve-from-fill) handles keep the watermark path below.
-	if s.cfg.ZeroCopy && h.fe == nil && h.release != nil {
-		if resp, n := s.leaseResponse(h.path, req.Off, req.Len); resp != nil {
-			s.stats.reads.Add(1)
-			s.stats.bytesServed.Add(n)
-			return resp
-		}
-	}
-	// The wire names the reader's buffer, not the file: size the pooled
-	// payload to what the handle can still deliver from Off, so a large
-	// buffer over a small file does not pin a large frame for the call.
+	// The wire names the reader's buffer, not the file: ask for what the
+	// handle can still deliver from Off, so a large buffer over a small
+	// cold file does not pin a large frame for the call.
 	want := min(req.Len, max(h.size-req.Off, 0))
 	resp := transport.AcquireResponse()
-	buf := resp.Grab(int(want))
-	n, err := s.readHandle(h, buf, req.Off)
-	if err != nil && err != io.EOF {
+	n, _, err := s.resolve(fetchTask{key: h.path, path: h.path}, h.fe, req.Off, want, resp, nil)
+	if err != nil {
 		resp.Release()
 		return errResp(err)
 	}
@@ -1004,19 +955,14 @@ func (s *Server) handleRead(req *transport.Request) *transport.Response {
 	s.stats.bytesServed.Add(int64(n))
 	resp.Status = transport.StatusOK
 	resp.Size = int64(n)
-	resp.Data = buf[:n]
 	return resp
 }
 
 func (s *Server) handleClose(req *transport.Request) *transport.Response {
-	h, ok := s.handles.take(req.Handle)
-	if !ok {
+	if _, ok := s.handles.take(req.Handle); !ok {
 		return errResp(fmt.Errorf("hvac server: bad handle %d", req.Handle))
 	}
 	s.stats.closes.Add(1)
-	if err := h.retire(); err != nil {
-		return errResp(fmt.Errorf("hvac server: close handle %d: %w", req.Handle, err))
-	}
 	return &transport.Response{Status: transport.StatusOK}
 }
 
@@ -1050,11 +996,9 @@ func (s *Server) handlePrefetch(req *transport.Request) *transport.Response {
 }
 
 // handleReadAt serves a stateless segment read: the requested byte range
-// must lie within one segment; the segment is served from the cache when
-// resident — through the store's shared-handle cache, so a warm segment
-// read costs one pread, not an open/read/close triple. A miss registers
-// the segment with the data-mover and is served from the in-flight fill;
-// only queue backpressure degrades it to handler-side read-through.
+// must lie within one segment, which is the cached object the resolver
+// serves it from (a warm segment read costs one lease, not an
+// open/read/close triple).
 func (s *Server) handleReadAt(req *transport.Request) *transport.Response {
 	segSize := s.cfg.SegmentSize
 	if segSize <= 0 {
@@ -1070,92 +1014,23 @@ func (s *Server) handleReadAt(req *transport.Request) *transport.Response {
 	if (req.Off+req.Len-1)/segSize != segIdx && req.Len > 0 {
 		return errResp(fmt.Errorf("hvac server: range [%d,%d) crosses a segment boundary", req.Off, req.Off+req.Len))
 	}
-	key := segKey(req.Path, segIdx)
-	s.planObserve(key)
-	// Zero-copy warm serve: lease the resident segment and let sendfile
-	// move it. A failed lease (not cached, or evicted) falls through to
-	// the pooled path, whose own Contains re-probe routes to the miss
-	// handling.
-	if s.cfg.ZeroCopy {
-		if resp, n := s.leaseResponse(key, req.Off-segIdx*segSize, req.Len); resp != nil {
-			s.stats.reads.Add(1)
-			s.stats.hits.Add(1)
-			s.stats.bytesServed.Add(n)
-			return resp
-		}
-	}
+	seg := fetchTask{key: segKey(req.Path, segIdx), path: req.Path, off: segIdx * segSize, len: segSize}
+	s.planObserve(seg.key)
 	resp := transport.AcquireResponse()
-	buf := resp.Grab(int(req.Len))
-
-	if s.store.Contains(key) {
-		n, rerr := s.store.ReadAt(key, buf, req.Off-segIdx*segSize)
-		if rerr == nil || rerr == io.EOF {
-			s.stats.reads.Add(1)
-			s.stats.hits.Add(1)
-			s.stats.bytesServed.Add(int64(n))
-			resp.Status = transport.StatusOK
-			resp.Size = int64(n)
-			resp.Data = buf[:n]
-			return resp
-		}
-		// Evicted (or the cached copy went bad) between Contains and
-		// ReadAt: fall through to the miss path, which serves the same
-		// bytes from the PFS.
-	}
-	// Serve-from-fill: register the segment and read the range out of the
-	// fill as it lands — the mover's pass is the only PFS read.
-	if fe, _ := s.scheduleFetch(fetchTask{key: key, path: req.Path, off: segIdx * segSize, len: segSize}, true); fe != nil {
-		select {
-		case <-fe.ready:
-		case <-s.stop:
-			resp.Release()
-			return errResp(errServerClosed)
-		}
-		if fl := fe.fill; fl != nil && fl.Acquire() {
-			n, rerr := fl.ReadAt(buf, req.Off-segIdx*segSize)
-			fl.Release()
-			if rerr == nil || rerr == io.EOF {
-				s.stats.reads.Add(1)
-				s.stats.readThroughs.Add(1)
-				s.stats.bytesServed.Add(int64(n))
-				resp.Status = transport.StatusOK
-				resp.Size = int64(n)
-				resp.Data = buf[:n]
-				return resp
-			}
-		}
-		// The fill was already retired (small segments commit before the
-		// handler attaches) or failed after committing nothing: a committed
-		// entry serves the same bytes. Still a read-through — this request
-		// is what pulled the segment off the PFS.
-		if n, rerr := s.store.ReadAt(key, buf, req.Off-segIdx*segSize); rerr == nil || rerr == io.EOF {
-			s.stats.reads.Add(1)
-			s.stats.readThroughs.Add(1)
-			s.stats.bytesServed.Add(int64(n))
-			resp.Status = transport.StatusOK
-			resp.Size = int64(n)
-			resp.Data = buf[:n]
-			return resp
-		}
-	}
-	// Read-through from the PFS: backpressure or fill failure.
-	f, err := s.openPFS(req.Path)
+	n, hit, err := s.resolve(seg, nil, req.Off-seg.off, req.Len, resp, nil)
 	if err != nil {
 		resp.Release()
-		return errResp(fmt.Errorf("hvac server: pfs open: %w", err))
-	}
-	n, rerr := f.ReadAt(buf, req.Off)
-	_ = f.Close() // read-only handle; the ReadAt result is what matters
-	if rerr != nil && rerr != io.EOF {
-		resp.Release()
-		return errResp(rerr)
+		return errResp(err)
 	}
 	s.stats.reads.Add(1)
-	s.stats.readThroughs.Add(1)
+	if hit {
+		s.stats.hits.Add(1)
+	} else {
+		s.stats.readThroughs.Add(1)
+	}
 	s.stats.bytesServed.Add(int64(n))
 	resp.Status = transport.StatusOK
 	resp.Size = int64(n)
-	resp.Data = buf[:n]
 	return resp
 }
 
@@ -1167,9 +1042,8 @@ type batchEntry struct {
 	// the index when the key was resident and from the PFS stat otherwise;
 	// fe is the miss's registration with the data-mover (nil when resident,
 	// or when the demand queue refused it).
-	size     int
-	resident bool
-	fe       *fillEntry
+	size int
+	fe   *fillEntry
 }
 
 // handleReadBatch serves a scatter-gather whole-file read (or, with
@@ -1237,7 +1111,7 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 	if size > int64(room) {
 		return batchEntry{status: transport.StatusAgain}
 	}
-	e := batchEntry{size: int(size), resident: resident}
+	e := batchEntry{size: int(size)}
 	if !resident {
 		e.fe, _ = s.scheduleFetch(fetchTask{key: p, path: p}, true)
 	}
@@ -1245,12 +1119,14 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 }
 
 // serveBatchEntry is pass 2 for one planned read: it appends the entry to
-// frame with the payload read in place. A read that fails now (the fill
-// and the PFS both gave out) degrades this entry alone to StatusError.
+// frame with the payload resolved in place (a key the index lost since
+// pass 1 takes the miss ladder, for this entry only). A read that fails
+// now (the fill and the PFS both gave out) degrades this entry alone to
+// StatusError.
 func (s *Server) serveBatchEntry(frame []byte, p string, e *batchEntry) []byte {
 	start := len(frame)
 	frame, body := transport.ReserveBatchEntry(frame, e.size)
-	n, hit, err := s.readWhole(p, body, e)
+	n, hit, err := s.resolve(fetchTask{key: p, path: p}, e.fe, 0, int64(e.size), nil, body)
 	if err != nil {
 		return transport.AppendBatchEntry(frame[:start], transport.StatusError, []byte(err.Error()))
 	}
@@ -1268,50 +1144,6 @@ func (s *Server) serveBatchEntry(frame []byte, p string, e *batchEntry) []byte {
 	}
 	s.planObserve(p)
 	return frame
-}
-
-// readWhole reads path's full content into dst, which pass 1 sized:
-// resident keys through a lease on the cached file, misses from the
-// in-flight fill pass 1 registered, then the committed entry, and only on
-// backpressure or fill failure from the PFS itself. A key the index lost
-// since pass 1 (eviction) drops to the miss ladder for this entry only.
-func (s *Server) readWhole(path string, dst []byte, e *batchEntry) (n int, hit bool, err error) {
-	fe := e.fe
-	if e.resident {
-		if n, rerr := s.store.ReadAt(path, dst, 0); rerr == nil || rerr == io.EOF {
-			return n, true, nil
-		}
-		fe, _ = s.scheduleFetch(fetchTask{key: path, path: path}, true)
-	}
-	if fe != nil {
-		select {
-		case <-fe.ready:
-		case <-s.stop:
-			return 0, false, errServerClosed
-		}
-		if fl := fe.fill; fl != nil && fl.Acquire() {
-			n, rerr := fl.ReadAt(dst, 0)
-			fl.Release()
-			if rerr == nil || rerr == io.EOF {
-				return n, false, nil
-			}
-		}
-		// Fill gone: committed already, or failed. Try the cache once.
-		if n, rerr := s.store.ReadAt(path, dst, 0); rerr == nil || rerr == io.EOF {
-			return n, false, nil
-		}
-	}
-	// Backpressure or fill failure: handler-side read-through.
-	f, err := s.openPFS(path)
-	if err != nil {
-		return 0, false, fmt.Errorf("hvac server: pfs open: %w", err)
-	}
-	n, rerr := f.ReadAt(dst, 0)
-	_ = f.Close() // read-only handle; the ReadAt result is what matters
-	if rerr != nil && rerr != io.EOF {
-		return 0, false, rerr
-	}
-	return n, false, nil
 }
 
 func (s *Server) handleStat(req *transport.Request) *transport.Response {

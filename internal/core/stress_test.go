@@ -12,7 +12,7 @@ import (
 // with parallel clients reading an overlapping file set while the cache is
 // too small to hold the dataset, so the evictor churns the whole time. Run
 // under -race this exercises the handle table, the data-mover dedup map,
-// the cachestore pin/evict protocol, and the stats mutex concurrently.
+// the cachestore lease/evict protocol, and the stats counters concurrently.
 //
 // Afterwards the ServerStats must satisfy the exact accounting identity:
 // every open was served either from cache or read through from the PFS
@@ -93,8 +93,12 @@ func TestStressParallelClientsWithEviction(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("Evictions = 0, want churn: the cache holds 1/3 of the dataset")
 	}
-	if st.Misses > st.ReadThroughs {
-		t.Errorf("Misses (%d) exceed ReadThroughs (%d): the mover completed more copies than read-throughs scheduled", st.Misses, st.ReadThroughs)
+	// Every fill was demanded: by an open that missed (a ReadThrough), or —
+	// an open handle does not pin its entry — by a read whose key was
+	// evicted after its open hit, which takes one eviction of that key per
+	// refill.
+	if st.Misses > st.ReadThroughs+st.Evictions {
+		t.Errorf("Misses (%d) exceed ReadThroughs (%d) + Evictions (%d): the mover completed copies nobody demanded", st.Misses, st.ReadThroughs, st.Evictions)
 	}
 	if used, cap := srv.CachedBytes(), int64(files*fileSize/3); used > cap {
 		t.Errorf("cache over capacity after stress: used %d > %d", used, cap)

@@ -28,8 +28,8 @@ echo '--- go run ./cmd/hvaclint -stats ./...'
 go run ./cmd/hvaclint -stats ./...
 
 # The data path runs at three core counts: its schedule-dependent bugs
-# (the handle close/promote race, the cachestore residency window) hid on
-# single-vCPU boxes. The rest of ./... stays at the default so the gate's
+# (a handle closed under a read, the cachestore residency window, the
+# single-flight residency window) hid on single-vCPU boxes. The rest of ./... stays at the default so the gate's
 # wall-clock does not triple.
 echo '--- go test -race: data path at -cpu 1,2,4, the rest at the default'
 go test -race -cpu 1,2,4 ./internal/core ./internal/cachestore ./internal/transport
