@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"hvac"
+	"hvac/internal/cachestore"
 )
 
 func main() {
@@ -100,8 +101,8 @@ func main() {
 	if *movers <= 0 {
 		moverDesc = "default"
 	}
-	fmt.Printf("hvacd: serving %s on %s (cache %s, %s movers, %s eviction)\n",
-		*pfsDir, srv.Addr(), *cacheDir, moverDesc, *evict)
+	fmt.Printf("hvacd: serving %s on %s (cache %s, %s movers, %s eviction, %d cache descriptors from RLIMIT_NOFILE)\n",
+		*pfsDir, srv.Addr(), *cacheDir, moverDesc, *evict, cachestore.DescriptorBudget())
 
 	stop := make(chan struct{})
 	if *stats > 0 {

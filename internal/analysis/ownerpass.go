@@ -10,7 +10,6 @@ package analysis
 //   - calls returning *Response  → (*Response).Release
 //   - (*Store).PutWriter         → (*Fill).Commit or (*Fill).Abort
 //   - (*Fill).Acquire            → (*Fill).Release
-//   - (*handlePool).acquire      → (*handlePool).release
 //   - (*Store).Lease             → (*Lease).Release
 //
 // The analyzer tracks a token per acquisition site through a forward
@@ -54,7 +53,7 @@ import (
 // and file handles.
 var OwnerPass = &Analyzer{
 	Name:      "ownerpass",
-	Doc:       "pooled buffers, responses, fills, handles and fd leases must be released on every path",
+	Doc:       "pooled buffers, responses, fills and fd leases must be released on every path",
 	RunModule: runOwnerPass,
 }
 
@@ -66,7 +65,6 @@ const (
 	resResponse                // *transport.Response → Release
 	resFill                    // (*Store).PutWriter → Commit or Abort
 	resFillRef                 // (*Fill).Acquire → Release
-	resHandle                  // (*handlePool).acquire → release
 	resFillAny                 // a *Fill parameter: any of Commit/Abort/Release retires it
 	resLease                   // (*Store).Lease → (*Lease).Release
 )
@@ -81,8 +79,6 @@ func (k resKind) noun() string {
 		return "in-progress fill"
 	case resFillRef:
 		return "fill reference"
-	case resHandle:
-		return "pooled file handle"
 	case resLease:
 		return "fd lease"
 	}
@@ -99,8 +95,6 @@ func (k resKind) releaseVerb() string {
 		return "Commit or Abort"
 	case resFillRef:
 		return "Release"
-	case resHandle:
-		return "handlePool.release"
 	case resLease:
 		return "Release"
 	}
@@ -319,23 +313,11 @@ func (op *ownerPass) collectDecls() {
 }
 
 // seedBuiltinSummaries installs the release functions whose ownership
-// the analyzer knows a priori: transport.PutBuffer consumes its
-// buffer, (*handlePool).release consumes its pooled file.
+// the analyzer knows a priori: transport.PutBuffer consumes its buffer.
 func (op *ownerPass) seedBuiltinSummaries() {
 	if tp := op.pass.FindPackage(transportPath); tp != nil {
 		if fn, ok := tp.Scope().Lookup("PutBuffer").(*types.Func); ok {
 			op.summaries[fn] = &fnSummary{owns: map[int]bool{0: true}, some: map[int]bool{0: true}}
-		}
-	}
-	if cp := op.pass.FindPackage(cachestorePath); cp != nil {
-		if tn, ok := cp.Scope().Lookup("handlePool").(*types.TypeName); ok {
-			if named, ok := tn.Type().(*types.Named); ok {
-				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Name() == "release" {
-						op.summaries[m] = &fnSummary{owns: map[int]bool{0: true}, some: map[int]bool{0: true}}
-					}
-				}
-			}
 		}
 	}
 }
@@ -425,8 +407,6 @@ func paramResKind(t types.Type) (resKind, bool) {
 		return resResponse, true
 	case path == cachestorePath && name == "Fill":
 		return resFillAny, true
-	case path == cachestorePath && name == "pooledFile":
-		return resHandle, true
 	case path == cachestorePath && name == "Lease":
 		return resLease, true
 	}
@@ -1207,8 +1187,8 @@ type acqSite struct {
 }
 
 // acquisitions classifies a call's resource outputs: any result typed
-// *transport.Response, *cachestore.Fill or *cachestore.pooledFile,
-// []byte from transport.GetBuffer, and the receiver of Fill.Acquire.
+// *transport.Response, *cachestore.Fill or *cachestore.Lease, []byte
+// from transport.GetBuffer, and the receiver of Fill.Acquire.
 func (fa *fnAnalysis) acquisitions(call *ast.CallExpr) []acqSite {
 	// Skip conversions (`T(x)`) — they have no callee signature.
 	if tv, ok := fa.info.Types[call.Fun]; ok && tv.IsType() {
@@ -1252,8 +1232,6 @@ func (fa *fnAnalysis) acquisitions(call *ast.CallExpr) []acqSite {
 			out = append(out, acqSite{index: i, kind: resResponse, what: what})
 		case path == cachestorePath && name == "Fill":
 			out = append(out, acqSite{index: i, kind: resFill, what: what})
-		case path == cachestorePath && name == "pooledFile":
-			out = append(out, acqSite{index: i, kind: resHandle, what: what})
 		case path == cachestorePath && name == "Lease":
 			out = append(out, acqSite{index: i, kind: resLease, what: what})
 		}

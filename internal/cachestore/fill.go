@@ -1,7 +1,6 @@
 package cachestore
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -28,9 +27,14 @@ type Fill struct {
 	// file is both the write handle (the filler appends) and the shared
 	// read handle (attached readers pread) — WriteAt/ReadAt carry their
 	// own offsets, so one descriptor serves both sides and the second
-	// open a split pair would cost is saved on every fill. It closes at
-	// the last Release, after Commit/Abort AND every reader are done.
+	// open a split pair would cost is saved on every fill. After the
+	// last Release — Commit/Abort AND every reader done — it closes,
+	// unless Commit handed it to the cache entry (kept, below).
 	file *os.File
+	// kept is the committed entry that adopted file as its descriptor;
+	// the fill's references then ride on one reference to its slot. Set
+	// by the committer before it drops its own reference.
+	kept *entry
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -85,17 +89,10 @@ func (f *Fill) Write(p []byte) (int, error) {
 // reader can wait before freshly landed bytes become visible to it.
 const fillChunk = 1 << 20
 
-// errSpliceFallback is the splicer's "this pair cannot splice" signal:
-// returned only before any byte has moved, so CopyFrom can degrade to
-// the userspace loop without losing data.
-var errSpliceFallback = errors.New("cachestore: splice unsupported for this source")
-
-// CopyFrom streams size bytes from src at off into the fill without
-// bouncing bytes through userspace where the kernel allows: regular
-// sources go through os.File.ReadFrom (copy_file_range), and pipe or
-// socket sources are spliced through a transit pipe into the temp file
-// (splice_linux.go). Filesystems or platforms without an in-kernel path
-// fall back to a normal read/write loop. Chunking keeps serve-from-fill
+// CopyFrom streams size bytes from src at off into the fill through
+// os.File.ReadFrom, which moves a regular source — the PFS file, the one
+// production source — inside the kernel (copy_file_range) and falls back
+// to a read/write loop for anything else. Chunking keeps serve-from-fill
 // live: readers wake after every fillChunk, not after the whole file.
 //
 // Only the creator may call it, and never mixed with Write: CopyFrom
@@ -107,10 +104,6 @@ func (f *Fill) CopyFrom(src *os.File, off, size int64) (int64, error) {
 			return 0, err
 		}
 	}
-	sp := newSplicer(src, f.file)
-	if sp != nil {
-		defer sp.close()
-	}
 	var total int64
 	for total < size {
 		n := min(size-total, fillChunk)
@@ -120,21 +113,7 @@ func (f *Fill) CopyFrom(src *os.File, off, size int64) (int64, error) {
 		if at+n > f.size {
 			return total, fmt.Errorf("cachestore: fill %s overflows declared size %d", f.key, f.size)
 		}
-		var w int64
-		var err error
-		if sp != nil {
-			w, err = sp.move(at, n)
-			if err == errSpliceFallback {
-				// Nothing moved yet for this fill: close the transit pipe
-				// and serve the rest through userspace.
-				sp.close()
-				sp = nil
-				err = nil
-			}
-		}
-		if sp == nil && err == nil && w == 0 && n > 0 {
-			w, err = f.file.ReadFrom(&io.LimitedReader{R: src, N: n})
-		}
+		w, err := f.file.ReadFrom(&io.LimitedReader{R: src, N: n})
 		// Watermark ordering: the f.written store and the Broadcast sit in
 		// one critical section, for every chunk including the final
 		// partial one, so a ReadAt blocked in cond.Wait can never consume
@@ -158,9 +137,9 @@ func (f *Fill) CopyFrom(src *os.File, off, size int64) (int64, error) {
 }
 
 // Acquire takes a read reference. It fails once the fill has finished
-// and every earlier holder released — the backing handle is closed then,
-// and the caller should read the committed cache entry (or the PFS)
-// instead.
+// and every earlier holder released — the fill has let go of the backing
+// handle then, and the caller should read the committed cache entry (or
+// the PFS) instead.
 func (f *Fill) Acquire() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -172,16 +151,21 @@ func (f *Fill) Acquire() bool {
 }
 
 // Release drops a reference taken by Acquire (or the creator's implicit
-// one, dropped by Commit/Abort). The last release after finishing closes
-// the shared read handle.
+// one, dropped by Commit/Abort). The last release after finishing lets go
+// of the shared handle: back to the entry that adopted it, else closed.
 func (f *Fill) Release() {
 	f.mu.Lock()
 	f.refs--
 	done := f.refs == 0
 	f.mu.Unlock()
-	if done {
-		_ = f.file.Close() // best-effort: everything is written and renamed (or removed) by now
+	if !done {
+		return
 	}
+	if f.kept != nil {
+		f.s.unref(f.kept)
+		return
+	}
+	_ = f.file.Close() // best-effort: everything is written and renamed (or removed) by now
 }
 
 // ReadAt serves p from the fill at off, blocking until the requested
@@ -216,11 +200,12 @@ func (f *Fill) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Commit completes the fill: the temp file is renamed into place and
-// inserted into the index (evicting as needed). A short fill is an error.
-// Either way the writer's reference is dropped and waiting readers are
-// woken. Readers holding references keep reading the same descriptor —
-// rename does not invalidate it, and the descriptor itself stays open
-// until the last Release.
+// inserted into the index (evicting as needed), and the new entry keeps
+// the fill's descriptor for its leases. A short fill is an error. Either
+// way the writer's reference is dropped and waiting readers are woken.
+// Readers holding references keep reading the same descriptor — rename
+// does not invalidate it, and it stays open at least until the last
+// Release.
 func (f *Fill) Commit() error {
 	f.mu.Lock()
 	if f.finished {
@@ -274,12 +259,13 @@ func (f *Fill) insert() error {
 		return err
 	}
 	s.mu.Lock()
-	evicted, err := s.ix.Insert(f.key, f.size)
-	for _, victim := range evicted {
-		_ = os.Remove(s.pathFor(victim)) // eviction is best-effort; the index entry is already gone
-		s.hp.drop(victim)
+	e, evicted, err := s.ix.insert(f.key, f.size)
+	if e != nil && e.adopt(f.file) {
+		f.kept = e
 	}
+	retire(evicted)
 	s.mu.Unlock()
+	_ = s.discard(evicted) // eviction is best-effort; the index entries are already gone
 	if err != nil {
 		_ = os.Remove(dst) // the insert failure is the error to report
 	}

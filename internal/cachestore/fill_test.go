@@ -13,9 +13,9 @@ import (
 // broadcast and observe the bytes. Were written advanced outside the
 // broadcast's critical section the reader could consume the wakeup
 // before the watermark covered its range and sleep forever — the
-// timeout below is the failure mode. The source is a pipe, so on Linux
-// this also drives the spliced-ingest path (socket/pipe → transit pipe
-// → temp file) end to end, and the committed bytes are checked verbatim.
+// timeout below is the failure mode. The source is a pipe — not a
+// regular file, so ReadFrom's read/write loop carries it — and the
+// committed bytes are checked verbatim.
 func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 	s := newTestStore(t, 8<<20, NewLRU())
 	const size = fillChunk + 4096 // final chunk is partial
@@ -73,7 +73,7 @@ func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 	}
 	f.Release()
 
-	// The committed entry must hold the (possibly spliced) bytes verbatim.
+	// The committed entry must hold the bytes verbatim.
 	got := make([]byte, size)
 	if _, err := s.ReadAt("k", got, 0); err != nil {
 		t.Fatal(err)
@@ -83,9 +83,8 @@ func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 	}
 }
 
-// TestCopyFromRegularFileSource pins the non-splice ingest lane: a
-// regular-file source bypasses the transit pipe (newSplicer declines
-// anything that is not a pipe or socket) and lands through ReadFrom,
+// TestCopyFromRegularFileSource pins the production ingest lane: a
+// regular-file source at a non-zero offset lands through ReadFrom,
 // byte-identically and with correct chunked watermarks.
 func TestCopyFromRegularFileSource(t *testing.T) {
 	s := newTestStore(t, 8<<20, NewLRU())
@@ -107,10 +106,6 @@ func TestCopyFromRegularFileSource(t *testing.T) {
 	f, err := s.PutWriter("k", size)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sp := newSplicer(src, f.file); sp != nil {
-		sp.close()
-		t.Fatal("splicer accepted a regular file source")
 	}
 	n, err := f.CopyFrom(src, 4, size) // offset past the "skip" prefix
 	if err != nil || n != size {

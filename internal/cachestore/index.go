@@ -12,6 +12,7 @@ package cachestore
 import (
 	"errors"
 	"fmt"
+	"os"
 )
 
 // ErrTooLarge is returned when an item can never fit the cache.
@@ -35,12 +36,26 @@ type Policy interface {
 	Victim() string
 }
 
+// entry is one resident key's bookkeeping. An evicted entry leaves the
+// index but lives on for as long as a Lease points at it.
+type entry struct {
+	key  string
+	size int64
+
+	// The entry's descriptor slot, Store's alone (descriptors.go) and
+	// guarded by Store.mu; the Index never reads it, and the simulators
+	// that share the Index leave it zero.
+	f    *os.File // the cache file, open; nil when the entry has no slot
+	refs int      // leases (and the fill that committed it) using f
+	dead bool     // evicted or purged: the last reference closes f
+}
+
 // Index tracks cached keys against a byte capacity.
 type Index struct {
 	capacity int64
 	used     int64
 	policy   Policy
-	entries  map[string]int64 // key -> size
+	entries  map[string]*entry
 
 	hits      int64
 	misses    int64
@@ -52,7 +67,7 @@ func NewIndex(capacity int64, policy Policy) *Index {
 	if policy == nil {
 		policy = NewRandom(0)
 	}
-	return &Index{capacity: capacity, policy: policy, entries: make(map[string]int64)}
+	return &Index{capacity: capacity, policy: policy, entries: make(map[string]*entry)}
 }
 
 // Capacity returns the configured byte capacity.
@@ -69,14 +84,18 @@ func (ix *Index) Policy() Policy { return ix.policy }
 
 // Contains reports whether key is cached, updating hit/miss counters and
 // recency state.
-func (ix *Index) Contains(key string) bool {
-	if _, ok := ix.entries[key]; ok {
-		ix.hits++
-		ix.policy.OnAccess(key)
-		return true
+func (ix *Index) Contains(key string) bool { return ix.lookup(key) != nil }
+
+// lookup is Contains handing back the entry it found (nil on a miss).
+func (ix *Index) lookup(key string) *entry {
+	e := ix.entries[key]
+	if e == nil {
+		ix.misses++
+		return nil
 	}
-	ix.misses++
-	return false
+	ix.hits++
+	ix.policy.OnAccess(key)
+	return e
 }
 
 // Peek reports whether key is cached without touching counters or recency.
@@ -87,48 +106,61 @@ func (ix *Index) Peek(key string) bool {
 
 // Size returns the stored size of key.
 func (ix *Index) Size(key string) (int64, bool) {
-	size, ok := ix.entries[key]
-	return size, ok
+	e := ix.entries[key]
+	if e == nil {
+		return 0, false
+	}
+	return e.size, true
 }
 
 // Insert admits key with the given size, evicting as needed. It returns
 // the keys evicted to make room. Inserting an existing key is a no-op.
 func (ix *Index) Insert(key string, size int64) (evicted []string, err error) {
-	if _, ok := ix.entries[key]; ok {
-		return nil, nil
+	_, victims, err := ix.insert(key, size)
+	for _, v := range victims {
+		evicted = append(evicted, v.key)
+	}
+	return evicted, err
+}
+
+// insert is Insert in entries: the one admitted (nil when key was already
+// resident, or on error) and the ones evicted for it.
+func (ix *Index) insert(key string, size int64) (e *entry, evicted []*entry, err error) {
+	if ix.entries[key] != nil {
+		return nil, nil, nil
 	}
 	if size > ix.capacity {
-		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, ix.capacity)
+		return nil, nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, ix.capacity)
 	}
 	for ix.used+size > ix.capacity {
 		victim := ix.policy.Victim()
 		if victim == "" {
-			return evicted, fmt.Errorf("%w (need %d bytes, %d used)", ErrNoVictim, size, ix.used)
+			return nil, evicted, fmt.Errorf("%w (need %d bytes, %d used)", ErrNoVictim, size, ix.used)
 		}
-		ix.removeLocked(victim)
+		evicted = append(evicted, ix.remove(victim))
 		ix.evictions++
-		evicted = append(evicted, victim)
 	}
-	ix.entries[key] = size
+	e = &entry{key: key, size: size}
+	ix.entries[key] = e
 	ix.used += size
 	ix.policy.OnInsert(key)
-	return evicted, nil
+	return e, evicted, nil
 }
 
 // Remove deletes key (server teardown); it reports whether the key was
 // present.
-func (ix *Index) Remove(key string) bool {
-	if _, ok := ix.entries[key]; !ok {
-		return false
-	}
-	ix.removeLocked(key)
-	return true
-}
+func (ix *Index) Remove(key string) bool { return ix.remove(key) != nil }
 
-func (ix *Index) removeLocked(key string) {
-	ix.used -= ix.entries[key]
+// remove is Remove handing back the entry it dropped (nil when absent).
+func (ix *Index) remove(key string) *entry {
+	e := ix.entries[key]
+	if e == nil {
+		return nil
+	}
+	ix.used -= e.size
 	delete(ix.entries, key)
 	ix.policy.OnRemove(key)
+	return e
 }
 
 // Keys returns all cached keys in unspecified order.

@@ -7,18 +7,19 @@ import (
 )
 
 // Lease is a ref-counted fd lease on a cached file: the zero-copy serve
-// path hands (fd, off, len) to sendfile while the lease pins the pooled
-// handle, so eviction racing the send cannot close the descriptor out
-// from under the kernel. Leases are unlink-safe the same way pooled
-// handles are — the store evicting (unlinking) the file only marks the
-// handle dead, and the inode survives until the last lease releases it.
+// path hands (fd, off, len) to sendfile while the lease pins the entry's
+// descriptor, so eviction racing the send cannot close it out from under
+// the kernel. Leases are unlink-safe — the store evicting (unlinking) the
+// file only marks the entry's slot dead, and the inode survives until the
+// last lease releases it (descriptors.go).
 //
 // Ownership: every Lease must be Released exactly once (the ownerpass
 // analyzer enforces this statically). The *os.File from File is only
 // valid until Release.
 type Lease struct {
-	hp   *handlePool
-	pf   *pooledFile
+	s    *Store
+	e    *entry   // the entry whose slot f is borrowed from; nil when f is the lease's own
+	f    *os.File // nil once released
 	size int64
 }
 
@@ -34,45 +35,63 @@ var ErrNotCached = errors.New("cachestore: key not cached")
 // Lease pins an open descriptor for key's cached file and returns it
 // with the file's cached size — the one way to read a cached file. Each
 // call is exactly one counting index access (a hit with its recency bump,
-// or a miss). A miss (never cached, or evicted since the caller's probe)
-// returns ErrNotCached; callers take their miss path instead.
+// or a miss), and on an entry that holds its descriptor nothing else: one
+// critical section, no path, no syscall. A miss (never cached, or evicted
+// since the caller's probe) returns ErrNotCached; callers take their miss
+// path instead, as they do for any other error — an entry committed over
+// the descriptor budget is opened here, and that open can fail.
 func (s *Store) Lease(key string) (*Lease, error) {
 	s.mu.Lock()
-	cached := s.ix.Contains(key)
-	size, _ := s.ix.Size(key)
-	s.mu.Unlock()
-	if !cached {
+	e := s.ix.lookup(key)
+	if e == nil {
+		s.mu.Unlock()
 		return nil, ErrNotCached
 	}
-	pf, err := s.hp.acquire(key, s.dir)
-	if err != nil {
-		return nil, err
+	f, size := e.f, e.size
+	if f != nil {
+		e.refs++
+	}
+	s.mu.Unlock()
+	if f == nil {
+		// Outside the store lock: an eviction in this window is ENOENT
+		// (a miss), and a refill of the key has put the same bytes there.
+		var err error
+		if f, err = os.Open(s.pathFor(key)); err != nil {
+			return nil, err
+		}
+		s.ownOpens.Add(1)
+		e = nil
 	}
 	l := leasePool.Get().(*Lease)
-	l.hp, l.pf, l.size = s.hp, pf, size
+	l.s, l.e, l.f, l.size = s, e, f, size
 	return l, nil
 }
 
 // File exposes the leased descriptor; valid only until Release.
-func (l *Lease) File() *os.File { return l.pf.f }
+func (l *Lease) File() *os.File { return l.f }
 
 // Size reports the cached file's size as indexed at lease time.
 func (l *Lease) Size() int64 { return l.size }
 
 // ReadAt preads from the leased descriptor.
 func (l *Lease) ReadAt(p []byte, off int64) (int, error) {
-	return l.pf.f.ReadAt(p, off)
+	return l.f.ReadAt(p, off)
 }
 
-// Release returns the lease: the pooled handle loses one reference (the
-// last release of a dead handle closes it) and the Lease struct is
-// recycled. Releasing an already-released lease is a no-op.
+// Release returns the lease: the entry's slot loses one reference (the
+// last one off a dead slot closes it), or the lease's own descriptor
+// closes, and the Lease struct is recycled. Releasing an already-released
+// lease is a no-op.
 func (l *Lease) Release() {
-	hp, pf := l.hp, l.pf
-	if hp == nil {
+	s, e, f := l.s, l.e, l.f
+	if f == nil {
 		return
 	}
 	*l = Lease{}
 	leasePool.Put(l)
-	hp.release(pf)
+	if e != nil {
+		s.unref(e)
+		return
+	}
+	_ = f.Close() // read-only, and the read's own result already went back
 }

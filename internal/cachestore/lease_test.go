@@ -9,7 +9,7 @@ import (
 
 // TestLeaseReadRoundTrip covers the basic lease contract: Lease on a
 // cached key yields the indexed size and a readable descriptor, and
-// Release is idempotent on the caller side (the guard, not the pool).
+// Release is idempotent on the caller side (the guard, not the slot).
 func TestLeaseReadRoundTrip(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	content := []byte("zero-copy lease payload")
@@ -34,7 +34,7 @@ func TestLeaseReadRoundTrip(t *testing.T) {
 		t.Fatal("lease read differs from the filled content")
 	}
 	l.Release()
-	l.Release() // released lease: no-op, must not double-release the pool
+	l.Release() // released lease: no-op, must not drop a second reference
 }
 
 func TestLeaseMiss(t *testing.T) {
@@ -45,7 +45,7 @@ func TestLeaseMiss(t *testing.T) {
 }
 
 // TestLeaseSurvivesEviction is the zero-copy safety property: eviction
-// racing an active lease unlinks the file and marks the pooled handle
+// racing an active lease unlinks the file and marks the entry's slot
 // dead, but the descriptor the lease pinned keeps reading the original
 // bytes — no EBADF, no new key's bytes — until Release closes it.
 func TestLeaseSurvivesEviction(t *testing.T) {
@@ -72,7 +72,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 	if string(got) != "aaaaaa" {
 		t.Fatalf("lease read %q after eviction, want the original bytes", got)
 	}
-	l.Release() // last release of the dead handle closes the orphaned inode
+	l.Release() // last release of the dead slot closes the orphaned inode
 
 	// A fresh lease on the evicted key must miss, not resurrect the fd.
 	if _, err := s.Lease("a"); err == nil {
@@ -80,10 +80,10 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestLeaseSharesPooledHandle checks that concurrent leases on one key
-// share a descriptor (the pool's whole point) and that the handle stays
-// open until the final release even when the key dies in between.
-func TestLeaseSharesPooledHandle(t *testing.T) {
+// TestLeaseSharesEntryDescriptor checks that concurrent leases on one key
+// share the entry's descriptor and that it stays open until the final
+// release even when the key dies in between.
+func TestLeaseSharesEntryDescriptor(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
 	if err := put(s, "a", 6, "aaaaaa"); err != nil {
 		t.Fatal(err)

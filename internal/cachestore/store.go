@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Store is the real-mode on-disk cache: files copied from the PFS live in
@@ -15,22 +16,19 @@ import (
 // concurrent use.
 //
 // Lock order: commitMu (held across a fill's whole commit, see
-// Fill.insert), then Store.mu, which may be held while taking the handle
-// pool's lock (eviction drops pooled handles); the reverse never happens
-// — ReadAt checks the index and releases Store.mu before touching the
-// pool.
+// Fill.insert, and across Purge), then Store.mu, which guards the index
+// and every entry's descriptor slot. No file is opened, closed or
+// unlinked under Store.mu.
 type Store struct {
 	commitMu sync.Mutex
 	mu       sync.Mutex
 	dir      string
 	ix       *Index
-	hp       *handlePool
-}
 
-// handlePoolSize bounds how many cache files Store.ReadAt keeps open for
-// reuse. Segment working sets larger than this still work; they just pay
-// the open again.
-const handlePoolSize = 128
+	// ownOpens counts leases that opened a descriptor of their own
+	// because the entry had no slot (descriptors.go).
+	ownOpens atomic.Int64
+}
 
 // NewStore creates (if needed) dir and returns a store with the given
 // capacity and policy.
@@ -38,7 +36,7 @@ func NewStore(dir string, capacity int64, policy Policy) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: %w", err)
 	}
-	return &Store{dir: dir, ix: NewIndex(capacity, policy), hp: newHandlePool(handlePoolSize)}, nil
+	return &Store{dir: dir, ix: NewIndex(capacity, policy)}, nil
 }
 
 // Dir returns the backing directory.
@@ -70,10 +68,9 @@ func (s *Store) Resident(key string) bool {
 }
 
 // ReadAt reads from the cached file for key at offset off through a
-// short-lived fd lease: a warm segment read costs one pread instead of
-// an open/pread/close triple. A miss (not cached, or evicted since the
-// caller's Contains check) returns an error; callers read through from
-// the PFS instead.
+// short-lived fd lease. A miss (not cached, or evicted since the caller's
+// Contains check) returns an error; callers read through from the PFS
+// instead.
 func (s *Store) ReadAt(key string, p []byte, off int64) (int, error) {
 	l, err := s.Lease(key)
 	if err != nil {
@@ -113,17 +110,34 @@ func (s *Store) Stats() (hits, misses, evictions int64) {
 }
 
 // Purge removes every cached file — the job-end teardown (§III-D: the
-// cache's life cycle is coupled to the job's).
+// cache's life cycle is coupled to the job's). Descriptors that leases
+// still hold close with those leases.
 func (s *Store) Purge() error {
+	s.commitMu.Lock() // no fill may rename a file in while its key is being dropped
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hp.closeAll()
-	var first error
+	gone := make([]*entry, 0, s.ix.Len())
 	for _, k := range s.ix.Keys() {
-		if err := os.Remove(s.pathFor(k)); err != nil && first == nil {
+		gone = append(gone, s.ix.remove(k))
+	}
+	retire(gone)
+	s.mu.Unlock()
+	return s.discard(gone)
+}
+
+// discard finishes what retire began, outside Store.mu: it unlinks the
+// files of entries that left the index and drops the references retire
+// took, reporting the first unlink error. commitMu must be held — it is
+// what keeps a refill of the same key from renaming its file into place
+// between the index removal and this unlink.
+func (s *Store) discard(gone []*entry) (first error) {
+	for _, e := range gone {
+		if err := os.Remove(s.pathFor(e.key)); err != nil && first == nil {
 			first = err
 		}
-		s.ix.Remove(k)
+		if e.f != nil {
+			s.unref(e)
+		}
 	}
 	return first
 }

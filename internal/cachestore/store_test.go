@@ -17,6 +17,9 @@ func newTestStore(t *testing.T, capacity int64, p Policy) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Close the entries' descriptors with the test, so the process-wide
+	// budget reads the same at every test's start.
+	t.Cleanup(func() { _ = s.Purge() })
 	return s
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
 
@@ -428,22 +429,6 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 	}
 }
 
-// cacheFDs lists what this process's descriptors under dir point at
-// (Linux: /proc/self/fd; elsewhere nothing, and the check is vacuous).
-func cacheFDs(dir string) []string {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range ents {
-		if target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name())); err == nil && strings.HasPrefix(target, dir) {
-			out = append(out, target)
-		}
-	}
-	return out
-}
-
 // TestReadRacingCloseLeavesNothingBehind closes a handle while a read on
 // it is parked on the handle's fill. A handle owns no descriptor and no
 // claim on its cache entry, so the close has nothing to tear down and the
@@ -492,7 +477,8 @@ func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
 
 	r.srv.WaitIdle()
 	r.evict() // fails the test if the closed handle's entry cannot go
-	for _, target := range cacheFDs(r.srv.store.Dir()) {
+	fds, _ := testutil.OpenFDs(r.srv.store.Dir())
+	for _, target := range fds {
 		if strings.HasSuffix(target, "(deleted)") {
 			t.Fatalf("descriptor still open on the evicted entry's unlinked file: %s", target)
 		}

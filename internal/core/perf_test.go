@@ -79,9 +79,11 @@ func TestWaitIdle(t *testing.T) {
 }
 
 // TestHandleReadWarmAllocBudget pins the server's warm cached-read cost:
-// with the pools primed, serving a 64 KiB read allocates at most one
-// object per call (measurement noise headroom — the steady state is
-// zero: pooled Response, pooled payload, sharded lookup, atomic stats).
+// with the pools primed, serving a read allocates at most one object per
+// call (measurement noise headroom — the steady state is zero: pooled
+// Response, pooled payload or pooled lease, sharded lookup, atomic
+// stats), on both sides of zeroCopyMin — the 32 KiB read is a pread into
+// the response's buffer, the 64 KiB one hands its lease over.
 func TestHandleReadWarmAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race (sync.Pool drops Puts)")
@@ -92,7 +94,7 @@ func TestHandleReadWarmAllocBudget(t *testing.T) {
 	if err := os.WriteFile(p, make([]byte, 1<<20), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	servers, _ := startCluster(t, pfsDir, 1, nil, nil)
+	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
 	srv := servers[0]
 
 	open := srv.handle(&transport.Request{Op: transport.OpOpen, Path: p})
@@ -100,18 +102,25 @@ func TestHandleReadWarmAllocBudget(t *testing.T) {
 		t.Fatal(open.Error())
 	}
 	srv.WaitIdle()
-	req := &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: 64 << 10}
-	for i := 0; i < 8; i++ {
-		srv.handle(req).Release()
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		resp := srv.handle(req)
-		if !resp.OK() {
-			t.Fatal(resp.Error())
+	for _, size := range []int64{32 << 10, 64 << 10} {
+		req := &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: size}
+		for i := 0; i < 8; i++ {
+			srv.handle(req).Release()
 		}
-		resp.Release()
-	}); n > 1 {
-		t.Errorf("warm handleRead allocates %.1f/op, want <= 1", n)
+		var leased bool
+		if n := testing.AllocsPerRun(200, func() {
+			resp := srv.handle(req)
+			if !resp.OK() {
+				t.Fatal(resp.Error())
+			}
+			leased = resp.FilePayload()
+			resp.Release()
+		}); n > 1 {
+			t.Errorf("warm %d KiB handleRead allocates %.1f/op, want <= 1", size>>10, n)
+		}
+		if leased != (size >= zeroCopyMin) {
+			t.Errorf("warm %d KiB handleRead: lease handed over = %v, zeroCopyMin is %d", size>>10, leased, zeroCopyMin)
+		}
 	}
 }
 

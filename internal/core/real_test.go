@@ -35,9 +35,12 @@ func writePFS(t *testing.T, dir string, files int, size int) []string {
 }
 
 // startCluster launches n real HVAC servers over pfsDir and a client.
+// Once the test has closed them, no goroutine and no descriptor — socket,
+// PFS file or cache entry's — may be left over.
 func startCluster(t *testing.T, pfsDir string, n int, cfgMut func(*ServerConfig), cliMut func(*ClientConfig)) ([]*Server, *Client) {
 	t.Helper()
 	testutil.CheckLeaks(t)
+	testutil.CheckFDs(t)
 	servers := make([]*Server, n)
 	addrs := make([]string, n)
 	for i := range servers {

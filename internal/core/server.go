@@ -842,6 +842,14 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: h.size}
 }
 
+// zeroCopyMin is the shortest read a lease is handed to sendfile for. A
+// file payload leaves as three sends — header, sendfile, tail — where a
+// buffered one is a pread and a single writev, and the copy sendfile
+// saves only pays for the two extra sends from about 64 KiB up: the
+// loopback sweep in DESIGN.md §13.1 has the buffered path 3.7 µs ahead at
+// 32 KiB, the two tied at 64 KiB and sendfile 2.7 µs ahead at 128 KiB.
+const zeroCopyMin = 64 << 10
+
 // resolve is the server's one read ladder (§III-D; DESIGN.md §10.1):
 // every read op is a framing wrapper over it. It serves up to want bytes
 // at off within the cached object task names — task.key, which a fill
@@ -860,11 +868,12 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 //
 // The payload lands in dst when the caller has a place for it (a batch
 // entry inside its frame). With dst nil it goes on resp: rung 1 under
-// ZeroCopy hands over the lease itself, for sendfile, and the transport
-// releases it after the write; every other serve fills a pooled buffer
-// grabbed from resp only once a rung needs one, sized to what the entry
-// can still deliver. A range past the end is a short, possibly empty,
-// read.
+// ZeroCopy hands over the lease itself for a read of zeroCopyMin bytes or
+// more, for sendfile, and the transport releases it after the write;
+// every other serve fills a pooled buffer grabbed from resp only once a
+// rung needs one, sized to what the entry can still deliver, and leaves
+// in the response's one vectored write. A range past the end is a short,
+// possibly empty, read.
 //
 // hit is the sourcing verdict the caller counts on its side of the
 // served identity: rung 1, unless the caller had already registered the
@@ -874,7 +883,7 @@ func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *t
 	lz, lerr := s.store.Lease(task.key)
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
-		if dst == nil && s.cfg.ZeroCopy && want > 0 {
+		if dst == nil && s.cfg.ZeroCopy && want >= zeroCopyMin {
 			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
 			return int(want), fe == nil, nil
 		}

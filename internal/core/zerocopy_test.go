@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hvac/internal/cachestore"
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
@@ -49,7 +50,7 @@ func writeSizedPFS(t *testing.T, dir string, sizes []int) []string {
 // the armed warm epoch must produce actual sendfile sends; disarmed, no
 // serve may even be eligible.
 func TestZeroCopyByteIdentityOnOff(t *testing.T) {
-	sizes := []int{1, 511, 4096, 64 << 10, (1 << 20) + 7}
+	sizes := []int{1, 511, 4096, zeroCopyMin - 1, zeroCopyMin, zeroCopyMin + 1, (1 << 20) + 7}
 	for _, zc := range []bool{false, true} {
 		name := "off"
 		if zc {
@@ -177,5 +178,121 @@ func TestZeroCopyMidSendConnectionDeath(t *testing.T) {
 				ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestZeroCopySizeRule pins which plane a warm read leaves by, counted
+// at the server so it reads the same on any machine: under zeroCopyMin
+// bytes the payload is copied into the response and no serve is even
+// eligible for sendfile, from zeroCopyMin up the lease is handed over
+// and — on Linux over TCP — sent, never fallen back from. The rule looks
+// at the read's length alone: a short read of a large file is buffered,
+// a whole small file is too.
+func TestZeroCopySizeRule(t *testing.T) {
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writeSizedPFS(t, pfsDir, []int{32 << 10, zeroCopyMin - 1, zeroCopyMin, zeroCopyMin + 1, 1 << 20})
+	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
+	srv := servers[0]
+	for _, p := range paths { // warm the cache; these reads are not the ones counted
+		if _, err := cli.ReadAll(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.WaitIdle()
+	conn := transport.Dial(srv.Addr())
+	defer conn.Close()
+
+	reads := []struct {
+		path string
+		len  int64
+	}{
+		{paths[0], 32 << 10},
+		{paths[1], zeroCopyMin - 1},
+		{paths[2], zeroCopyMin},
+		{paths[3], zeroCopyMin + 1},
+		{paths[4], 32 << 10},    // a short read of a large file
+		{paths[4], zeroCopyMin}, // and one at the threshold
+		{paths[0], zeroCopyMin}, // a long buffer over a short file: 32 KiB to deliver
+	}
+	for _, rd := range reads {
+		content, err := os.ReadFile(rd.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := content[:min(rd.len, int64(len(content)))]
+		open, err := conn.Call(&transport.Request{Op: transport.OpOpen, Path: rd.path})
+		if err != nil || !open.OK() {
+			t.Fatalf("open %s: %v %v", rd.path, err, open.Error())
+		}
+		before := srv.Stats()
+		resp, err := conn.Call(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: rd.len})
+		if err != nil || !resp.OK() {
+			t.Fatalf("read %d of %s: %v %v", rd.len, rd.path, err, resp.Error())
+		}
+		if !bytes.Equal(resp.Data, want) {
+			t.Fatalf("read %d of %s: %d bytes that differ from the PFS copy", rd.len, rd.path, len(resp.Data))
+		}
+		resp.Release()
+		after := srv.Stats()
+		var wantEligible int64
+		if len(want) >= zeroCopyMin {
+			wantEligible = 1
+		}
+		if got := after.ZeroCopyEligible - before.ZeroCopyEligible; got != wantEligible {
+			t.Errorf("read %d of %s (%d bytes to deliver): %d sendfile-eligible serves, want %d", rd.len, rd.path, len(want), got, wantEligible)
+		}
+		if got := after.ZeroCopyFallbacks - before.ZeroCopyFallbacks; got != 0 {
+			t.Errorf("read %d of %s: %d zero-copy fallbacks", rd.len, rd.path, got)
+		}
+		if got := after.ZeroCopySends - before.ZeroCopySends; runtime.GOOS == "linux" && got != wantEligible {
+			t.Errorf("read %d of %s: %d sendfile sends, want %d", rd.len, rd.path, got, wantEligible)
+		}
+		cl, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: open.Handle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Release()
+		open.Release()
+	}
+}
+
+// TestLeaseBudgetEveryReadServed reads more files than the process's
+// descriptor budget may hold open — where the budget is small enough for
+// a test to outnumber it, which scripts/check.sh arranges with a lowered
+// `ulimit -n` — on both sides of zeroCopyMin: entries past the budget are
+// served through descriptors their leases open and close, byte for byte
+// like the rest, and (startCluster's check) every descriptor is gone once
+// the server has closed.
+func TestLeaseBudgetEveryReadServed(t *testing.T) {
+	files := int(min(cachestore.DescriptorBudget()+64, 512))
+	t.Logf("%d files against a descriptor budget of %d", files, cachestore.DescriptorBudget())
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	small := writePFS(t, filepath.Join(pfsDir, "small"), files/2, 4096)
+	large := writePFS(t, filepath.Join(pfsDir, "large"), files/2, zeroCopyMin)
+	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
+	for epoch := 0; epoch < 3; epoch++ {
+		for i := range small {
+			for _, p := range []string{small[i], large[i]} {
+				got, err := cli.ReadAll(p)
+				if err != nil {
+					t.Fatalf("epoch %d: %s: %v", epoch, p, err)
+				}
+				want := 4096
+				if p == large[i] {
+					want = zeroCopyMin
+				}
+				if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, want)) {
+					t.Fatalf("epoch %d: %s differs from the PFS copy", epoch, p)
+				}
+			}
+		}
+		servers[0].WaitIdle()
+	}
+	ss := servers[0].Stats()
+	if ss.Misses != int64(len(small)+len(large)) {
+		t.Fatalf("%d PFS passes for %d files", ss.Misses, len(small)+len(large))
+	}
+	if ss.ZeroCopyFallbacks != 0 || ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
+		t.Fatalf("zero-copy accounting: %+v", ss)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -79,6 +80,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// reqReadBuf sizes a connection's request buffer: every request but a
+// large batch or plan (a path list) fits, with its length prefix.
+const reqReadBuf = 4 << 10
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -90,13 +95,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	// One Request per connection: ReadRequestInto overwrites every field,
 	// so the loop allocates only the decoded path string per call.
 	var req Request
+	// Requests are read through a small buffer, so the length prefix and
+	// the body ReadRequestInto asks for separately cost one read(2), not
+	// two; a batch request longer than the buffer is read straight into
+	// its frame. Responses are not buffered.
+	br := bufio.NewReaderSize(conn, reqReadBuf)
 	// File-payload responses go through a lazily built per-conn zcWriter
 	// (sendfile on Linux). Slice-payload responses must keep writing to
 	// the raw conn: net.Buffers' writev fast path type-asserts the conn
 	// itself, and any wrapper would demote it to three separate writes.
 	var zw *zcWriter
 	for {
-		if err := ReadRequestInto(conn, &req); err != nil {
+		if err := ReadRequestInto(br, &req); err != nil {
 			return // EOF or broken peer
 		}
 		resp := s.handler(&req)

@@ -35,6 +35,13 @@ echo '--- go test -race: data path at -cpu 1,2,4, the rest at the default'
 go test -race -cpu 1,2,4 ./internal/core ./internal/cachestore ./internal/transport
 go test -race $(go list ./... | grep -v -E '/internal/(core|cachestore|transport)$')
 
+# Entries keep their cache files open up to half of RLIMIT_NOFILE; past
+# that a lease opens its own descriptor. A runner's limit is far above
+# what the tests cache, so run the descriptor tests once more under a
+# limit they outnumber.
+echo "--- descriptor budget tests under ulimit -n 256"
+(ulimit -n 256 && go test -count=1 -run 'Budget|Lease' ./internal/cachestore ./internal/core)
+
 echo '--- chaos tier (go test -race -shuffle=on)'
 go test -race -shuffle=on -run Chaos ./internal/core
 go test -race -shuffle=on ./internal/faultnet
