@@ -4,6 +4,7 @@ package ownerfix
 
 import (
 	"errors"
+	"os"
 
 	"hvac/internal/cachestore"
 	"hvac/internal/transport"
@@ -90,12 +91,12 @@ func escapeGoroutine(n int) {
 
 // fillLeak abandons the in-progress fill on the write-error path:
 // neither Commit nor Abort runs, so the entry stays filling forever.
-func fillLeak(s *cachestore.Store, key string, data []byte) error {
-	fl, err := s.PutWriter(key, int64(len(data))) // want "in-progress fill .* may leak"
+func fillLeak(s *cachestore.Store, key string, src *os.File, size int64) error {
+	fl, err := s.PutWriter(key, size) // want "in-progress fill .* may leak"
 	if err != nil {
 		return err
 	}
-	if _, err := fl.Write(data); err != nil {
+	if _, err := fl.CopyFrom(src, 0, size); err != nil {
 		return err
 	}
 	return fl.Commit()

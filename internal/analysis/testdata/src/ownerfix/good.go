@@ -1,6 +1,8 @@
 package ownerfix
 
 import (
+	"os"
+
 	"hvac/internal/cachestore"
 	"hvac/internal/transport"
 )
@@ -101,12 +103,12 @@ func goRelease(n int) {
 
 // fillCommit drives the fill protocol correctly: Abort on the error
 // path, Commit on success.
-func fillCommit(s *cachestore.Store, key string, data []byte) error {
-	fl, err := s.PutWriter(key, int64(len(data)))
+func fillCommit(s *cachestore.Store, key string, src *os.File, size int64) error {
+	fl, err := s.PutWriter(key, size)
 	if err != nil {
 		return err
 	}
-	if _, err := fl.Write(data); err != nil {
+	if _, err := fl.CopyFrom(src, 0, size); err != nil {
 		fl.Abort(err)
 		return err
 	}

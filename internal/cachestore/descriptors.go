@@ -11,7 +11,9 @@ import (
 // nothing. Eviction and Purge mark the slot dead and whoever drops the
 // last reference closes it; reading on through a dead slot is safe — the
 // unlinked file's inode lives until the descriptor closes, and a cache
-// key always names the same bytes.
+// key always names the same bytes. That is also why only a slot nobody
+// references is handed, file and all, to the fill that evicted it
+// (Fill.open): the fill overwrites the inode a reader would still be on.
 //
 // fdBudget bounds how many descriptors entries hold at once. It is
 // process-wide because RLIMIT_NOFILE is: a process may run several Stores

@@ -100,17 +100,12 @@ func TestWarmLeaseOpensNothing(t *testing.T) {
 	fills := make(map[string]*os.File)
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
-		f, err := s.PutWriter(key, 64)
-		if err != nil {
+		if err := put(s, key, 64, keyBytes(i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Write([]byte(keyBytes(i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		fills[key] = f.file
+		s.mu.Lock()
+		fills[key] = s.ix.entries[key].f // what Fill.insert handed the entry
+		s.mu.Unlock()
 	}
 	buf := make([]byte, 64)
 	for i := 0; i < 1000; i++ {
@@ -129,6 +124,53 @@ func TestWarmLeaseOpensNothing(t *testing.T) {
 	}
 	if n := s.ownOpens.Load(); n != 0 {
 		t.Fatalf("%d opens across 1000 warm leases, want 0", n)
+	}
+}
+
+// TestEvictionHandsOverOnlyAnUnreferencedDescriptor pins which victims a
+// fill may recycle: the file of an entry nobody references becomes the
+// new entry's file, descriptor and inode; one under lease, or one that
+// ever went out through Lease.File — sendfile leaves the file's own pages
+// queued in the socket, where an overwrite would change bytes already
+// "sent" — is unlinked as before and the fill writes a fresh file.
+func TestEvictionHandsOverOnlyAnUnreferencedDescriptor(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		touch   func(l *Lease) // what happens to the victim's lease before its eviction
+		recycle bool
+	}{
+		{"idle", func(l *Lease) { l.Release() }, true},
+		{"read and released", func(l *Lease) { _, _ = l.ReadAt(make([]byte, 8), 0); l.Release() }, true},
+		{"leased", func(l *Lease) { t.Cleanup(l.Release) }, false},
+		{"sent and released", func(l *Lease) { _ = l.File(); l.Release() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestStore(t, 64, NewFIFO()) // room for one
+			if err := put(s, "old", 64, keyBytes(0)); err != nil {
+				t.Fatal(err)
+			}
+			l, err := s.Lease("old")
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := l.f
+			tc.touch(l)
+			if err := put(s, "new", 48, keyBytes(1)[:48]); err != nil { // smaller: a recycled file is cut
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			handed := s.ix.entries["new"].f == old
+			s.mu.Unlock()
+			if fi, err := os.Stat(s.pathFor("new")); handed != tc.recycle || err != nil || fi.Size() != 48 {
+				t.Fatalf("new entry on the old entry's descriptor: %v, want %v; its file: %v, %v", handed, tc.recycle, fi, err)
+			}
+			if got, err := readAll(s, "new"); err != nil || string(got) != keyBytes(1)[:48] {
+				t.Fatalf("new entry reads %q, %v", got, err)
+			}
+			if _, _, ev := s.Stats(); ev != 1 || s.Resident("old") {
+				t.Fatalf("%d evictions, old resident: %v; want the one eviction either way", ev, s.Resident("old"))
+			}
+		})
 	}
 }
 

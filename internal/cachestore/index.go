@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync/atomic"
 )
 
 // ErrTooLarge is returned when an item can never fit the cache.
@@ -45,15 +46,17 @@ type entry struct {
 	// The entry's descriptor slot, Store's alone (descriptors.go) and
 	// guarded by Store.mu; the Index never reads it, and the simulators
 	// that share the Index leave it zero.
-	f    *os.File // the cache file, open; nil when the entry has no slot
-	refs int      // leases (and the fill that committed it) using f
-	dead bool     // evicted or purged: the last reference closes f
+	f    *os.File    // the cache file, open; nil when the entry has no slot
+	refs int         // leases (and the fill that committed it) using f
+	dead bool        // evicted or purged: the last reference closes f
+	sent atomic.Bool // f went to sendfile: a socket may still hold its pages (Lease.File)
 }
 
 // Index tracks cached keys against a byte capacity.
 type Index struct {
 	capacity int64
 	used     int64
+	reserved int64 // set aside for fills in progress (reserve); Store's alone
 	policy   Policy
 	entries  map[string]*entry
 
@@ -129,22 +132,42 @@ func (ix *Index) insert(key string, size int64) (e *entry, evicted []*entry, err
 	if ix.entries[key] != nil {
 		return nil, nil, nil
 	}
-	if size > ix.capacity {
-		return nil, nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, ix.capacity)
-	}
-	for ix.used+size > ix.capacity {
-		victim := ix.policy.Victim()
-		if victim == "" {
-			return nil, evicted, fmt.Errorf("%w (need %d bytes, %d used)", ErrNoVictim, size, ix.used)
-		}
-		evicted = append(evicted, ix.remove(victim))
-		ix.evictions++
+	if evicted, err = ix.evictFor(size); err != nil {
+		return nil, evicted, err
 	}
 	e = &entry{key: key, size: size}
 	ix.entries[key] = e
 	ix.used += size
 	ix.policy.OnInsert(key)
 	return e, evicted, nil
+}
+
+// reserve sets size bytes of the capacity aside for a fill in progress,
+// evicting until residents and reservations together leave that room, so
+// that two fills cannot both count the bytes one eviction freed. The fill
+// gives the reservation back as it inserts. An error reserves nothing.
+func (ix *Index) reserve(size int64) (evicted []*entry, err error) {
+	if evicted, err = ix.evictFor(ix.reserved + size); err == nil {
+		ix.reserved += size
+	}
+	return evicted, err
+}
+
+// evictFor evicts until need more bytes fit beside the residents, and
+// returns the entries evicted — also beside an error.
+func (ix *Index) evictFor(need int64) (evicted []*entry, err error) {
+	if need > ix.capacity {
+		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, need, ix.capacity)
+	}
+	for ix.used+need > ix.capacity {
+		victim := ix.policy.Victim()
+		if victim == "" {
+			return evicted, fmt.Errorf("%w (need %d bytes, %d used)", ErrNoVictim, need, ix.used)
+		}
+		evicted = append(evicted, ix.remove(victim))
+		ix.evictions++
+	}
+	return evicted, nil
 }
 
 // Remove deletes key (server teardown); it reports whether the key was

@@ -67,8 +67,15 @@ func (s *Store) Lease(key string) (*Lease, error) {
 	return l, nil
 }
 
-// File exposes the leased descriptor; valid only until Release.
-func (l *Lease) File() *os.File { return l.f }
+// File exposes the leased descriptor, for sendfile; valid only until
+// Release. The entry's pages may outlive the lease in a socket, so it is
+// marked: no fill will overwrite them in place (Fill.open).
+func (l *Lease) File() *os.File {
+	if l.e != nil && !l.e.sent.Load() { // load first: a hot entry's line stays shared
+		l.e.sent.Store(true)
+	}
+	return l.f
+}
 
 // Size reports the cached file's size as indexed at lease time.
 func (l *Lease) Size() int64 { return l.size }

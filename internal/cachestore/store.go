@@ -16,7 +16,8 @@ import (
 // concurrent use.
 //
 // Lock order: commitMu (held across a fill's whole commit, see
-// Fill.insert, and across Purge), then Store.mu, which guards the index
+// Fill.insert, across the eviction that opens one, see Fill.open, and
+// across Purge), then Store.mu, which guards the index, its reservations
 // and every entry's descriptor slot. No file is opened, closed or
 // unlinked under Store.mu.
 type Store struct {
@@ -28,6 +29,9 @@ type Store struct {
 	// ownOpens counts leases that opened a descriptor of their own
 	// because the entry had no slot (descriptors.go).
 	ownOpens atomic.Int64
+	// recycled numbers the files fills took over from evicted entries, for
+	// the names they carry until their commit (Fill.open).
+	recycled atomic.Int64
 }
 
 // NewStore creates (if needed) dir and returns a store with the given

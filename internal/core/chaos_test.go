@@ -513,7 +513,7 @@ func TestChaosScheduleReplaysAcrossClusters(t *testing.T) {
 	run := func() []faultnet.Event {
 		inj := faultnet.New(tc.sched)
 		defer inj.Close()
-		_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
+		servers, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
 		for e := 0; e < tc.epochs; e++ {
 			for _, p := range paths {
 				if _, err := cli.ReadAll(p); err != nil {
@@ -524,6 +524,7 @@ func TestChaosScheduleReplaysAcrossClusters(t *testing.T) {
 				t.Fatalf("batch read: %v", err)
 			}
 		}
+		settle(servers)
 		return traceByCall(inj)
 	}
 	t1, t2 := run(), run()
@@ -760,7 +761,7 @@ func TestChaosReplayWithPlanner(t *testing.T) {
 	run := func() []faultnet.Event {
 		inj := faultnet.New(tc.sched)
 		defer inj.Close()
-		_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
+		servers, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
 		for e := 0; e < tc.epochs; e++ {
 			_, _ = cli.InstallPlan(int64(e), paths, 4) // refusals are part of the schedule
 			for _, p := range paths {
@@ -769,6 +770,7 @@ func TestChaosReplayWithPlanner(t *testing.T) {
 				}
 			}
 		}
+		settle(servers)
 		return inj.Trace()
 	}
 	t1, t2 := run(), run()

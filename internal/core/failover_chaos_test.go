@@ -353,7 +353,7 @@ func TestChaosStatsReplayBitIdentical(t *testing.T) {
 			run := func() ClientStats {
 				inj := faultnet.New(tc.sched)
 				defer inj.Close()
-				_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
+				servers, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
 				for e := 0; e < tc.epochs; e++ {
 					for _, p := range paths {
 						if _, err := cli.ReadAll(p); err != nil {
@@ -364,6 +364,7 @@ func TestChaosStatsReplayBitIdentical(t *testing.T) {
 						t.Fatalf("epoch %d: batch: %v", e, err)
 					}
 				}
+				settle(servers)
 				return cli.Stats()
 			}
 			s1, s2 := run(), run()

@@ -72,6 +72,16 @@ func startCluster(t *testing.T, pfsDir string, n int, cfgMut func(*ServerConfig)
 	return servers, c
 }
 
+// settle waits until every server's fills have retired. A fill writes
+// behind the read it served, so a test that goes on to start a second
+// cluster — whose CheckFDs counts this process's descriptors as it starts
+// — settles the first one before it does.
+func settle(servers []*Server) {
+	for _, s := range servers {
+		s.WaitIdle()
+	}
+}
+
 func TestRealReadThroughCache(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "pfs", "dataset")
 	paths := writePFS(t, pfsDir, 10, 1024)

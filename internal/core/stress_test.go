@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -106,6 +107,114 @@ func TestStressParallelClientsWithEviction(t *testing.T) {
 	cs := cli.Stats()
 	if cs.Fallbacks != 0 || cs.Passthrough != 0 {
 		t.Errorf("client stats = %+v, want zero fallbacks and passthroughs", cs)
+	}
+}
+
+// TestStressChurnRecyclesAroundSendfile churns a zero-copy server through
+// OpRead with the cache at a third of a 64 KiB + 96 KiB dataset: every
+// hit is a lease in sendfile's hands, every miss a staged fill that takes
+// its file from the entry it evicts — one the size it needs or not — and
+// an entry that is leased, or whose pages a socket may still hold, must be
+// evicted the old way instead. Every byte delivered is the PFS copy's,
+// both served identities hold, and startCluster's leak checks find no
+// goroutine or descriptor left. PFS passes are counted twice: under four
+// clients a key can be evicted between its open and its read (an open
+// handle pins nothing), which costs that read a pass of its own, so there
+// the passes only bound the fills; a lone client has nobody to evict under
+// it, and there every pass is a completed fill's — one per cold file.
+func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
+	const perSize, rounds = 24, 3
+	sizes := make([]int, 0, 2*perSize)
+	total := 0
+	for i := 0; i < perSize; i++ {
+		// Distinct sizes name distinct files (writeSizedPFS); a few bytes
+		// apart, so a recycled file is almost never the size it is needed at.
+		sizes = append(sizes, 64<<10+i, 96<<10+i)
+		total += 64<<10 + 96<<10 + 2*i
+	}
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writeSizedPFS(t, pfsDir, sizes)
+	want := make([][]byte, len(paths))
+	for i, p := range paths {
+		var err error
+		if want[i], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var pfsOpens *sync.Map
+	servers, cli := startCluster(t, pfsDir, 1,
+		func(cfg *ServerConfig) {
+			cfg.ZeroCopy = true
+			cfg.CacheCapacity = int64(total / 3)
+			cfg.Movers = 4
+			pfsOpens = countingOpens(cfg)
+		},
+		func(cfg *ClientConfig) { cfg.DisableFallback = true })
+	srv := servers[0]
+
+	var reads, delivered atomic.Int64
+	churn := func(clients int) (passes int64, st ServerStats) {
+		var wg sync.WaitGroup
+		for g := 0; g < clients; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					for k := range paths {
+						i := (k*(2*g+1) + 7*r) % len(paths) // every client its own order
+						got, err := cli.ReadAll(paths[i])
+						if err != nil {
+							t.Errorf("client %d round %d: ReadAll(%s): %v", g, r, paths[i], err)
+							return
+						}
+						if !bytes.Equal(got, want[i]) {
+							t.Errorf("client %d round %d: %s differs from the PFS copy (%d bytes, want %d)", g, r, paths[i], len(got), len(want[i]))
+							return
+						}
+						reads.Add(1)
+						delivered.Add(int64(len(got)))
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		srv.WaitIdle()
+		for _, p := range paths {
+			passes += opensOf(pfsOpens, p)
+		}
+		return passes, srv.Stats()
+	}
+
+	passes, st := churn(4)
+	if t.Failed() {
+		return
+	}
+	// A few reads in a hundred lose their key that way (more under the race
+	// detector); readers sent to the PFS because fills fail would be all of them.
+	if passes < st.Misses || passes > st.Misses+st.Misses/4 || st.Misses < int64(len(paths)) {
+		t.Errorf("four clients: %d PFS passes for %d completed fills of %d files", passes, st.Misses, len(paths))
+	}
+	if st.Hits == 0 || st.ZeroCopyEligible == 0 || st.Evictions < st.Misses-int64(len(paths)) {
+		t.Errorf("four clients: hits %d (through a lease: %d), evictions %d for %d fills: want a churn of leased hits and evicting fills",
+			st.Hits, st.ZeroCopyEligible, st.Evictions, st.Misses)
+	}
+	alonePasses, st1 := churn(1)
+	if fills := st1.Misses - st.Misses; alonePasses-passes != fills || fills == 0 {
+		t.Errorf("one client: %d PFS passes for %d completed fills: want one pass per cold file", alonePasses-passes, fills)
+	}
+	st = st1
+	if st.Opens != reads.Load() || st.Hits+st.ReadThroughs != st.Opens || st.Closes != st.Opens {
+		t.Errorf("opens %d (want %d) = hits %d + read-throughs %d, closes %d", st.Opens, reads.Load(), st.Hits, st.ReadThroughs, st.Closes)
+	}
+	if st.BytesServed != delivered.Load() {
+		t.Errorf("BytesServed = %d, clients received %d", st.BytesServed, delivered.Load())
+	}
+	if st.ZeroCopySends+st.ZeroCopyFallbacks != st.ZeroCopyEligible {
+		t.Errorf("sends(%d)+fallbacks(%d) != eligible(%d)", st.ZeroCopySends, st.ZeroCopyFallbacks, st.ZeroCopyEligible)
+	}
+	if used := srv.CachedBytes(); used > int64(total/3) || st.DemandRejects != 0 {
+		t.Errorf("cache at %d of %d bytes, %d demand rejects", used, total/3, st.DemandRejects)
 	}
 }
 

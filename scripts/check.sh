@@ -36,11 +36,13 @@ go test -race -cpu 1,2,4 ./internal/core ./internal/cachestore ./internal/transp
 go test -race $(go list ./... | grep -v -E '/internal/(core|cachestore|transport)$')
 
 # Entries keep their cache files open up to half of RLIMIT_NOFILE; past
-# that a lease opens its own descriptor. A runner's limit is far above
-# what the tests cache, so run the descriptor tests once more under a
-# limit they outnumber.
-echo "--- descriptor budget tests under ulimit -n 256"
-(ulimit -n 256 && go test -count=1 -run 'Budget|Lease' ./internal/cachestore ./internal/core)
+# that a lease opens its own descriptor, and an eviction has no descriptor
+# to hand to the fill that caused it. A runner's limit is far above what
+# the tests cache, so run the descriptor tests — budget, leases, the
+# recycling churn and the store model — once more under a limit they
+# outnumber.
+echo "--- descriptor budget, recycle and model tests under ulimit -n 256"
+(ulimit -n 256 && go test -count=1 -run 'Budget|Lease|Recycle|HandsOver|StoreModel' ./internal/cachestore ./internal/core)
 
 echo '--- chaos tier (go test -race -shuffle=on)'
 go test -race -shuffle=on -run Chaos ./internal/core
