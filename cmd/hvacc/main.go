@@ -1,8 +1,8 @@
 // Command hvacc is the real-mode HVAC client CLI: it reads dataset files
 // through a running hvacd deployment the way a training job's loader
 // would, and reports throughput and client-side counters. It doubles as
-// the quickest way to eyeball the effect of the client tunables — the
-// per-server connection pool size and the sequential-read pipeline.
+// the quickest way to eyeball the effect of the client tunables, such as
+// the per-server connection pool size.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `hvacc: commands
   read <path>...   read every file through HVAC and report throughput
   batch <path>...  read the files in scatter-gather batches (one RPC per server per batch)
-  cat <path>       stream one file to stdout (sequential reads, exercises readahead)`)
+  cat <path>       stream one file to stdout (sequential multi-chunk reads)`)
 	flag.PrintDefaults()
 }
 
@@ -38,7 +38,6 @@ func main() {
 		servers   = flag.String("servers", "", "comma-separated hvacd addresses (required)")
 		dataset   = flag.String("dataset", "", "dataset dir whose reads are redirected (required)")
 		poolSize  = flag.Int("pool-size", 0, "idle TCP connections kept per server link; size to twice the loader worker count (0 = transport default, negative = no pooling)")
-		readahead = flag.Int("readahead", 0, "sequential-read pipeline depth for cat (0 = default on, negative = off)")
 		segSize   = flag.Int64("segment-size", 0, "segment size in bytes for segment-level caching; must match the servers (0 = whole-file)")
 		replicas  = flag.Int("replicas", 1, "replica homes per file; >1 arms live failover across the replica ladder (must match the servers' -replicas)")
 		hedge     = flag.Duration("hedge-after", 0, "fire the same read at the next replica when the current one has not answered within this duration (0 = off; needs -replicas > 1)")
@@ -68,7 +67,6 @@ func main() {
 		CallTimeout:   *callTO,
 		RetryAttempts: *retries,
 		PoolSize:      *poolSize,
-		Readahead:     *readahead,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hvacc: %v\n", err)
@@ -171,7 +169,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hvacc: %v\n", err)
 			os.Exit(1)
 		}
-		_, err = io.Copy(os.Stdout, f)
+		// Each Read is one ReadAt, and only a read over the client's 512 KiB
+		// chunk is pipelined: copy through a buffer of eight. The wrapper
+		// hides *os.File's ReaderFrom, which would discard the buffer and
+		// read 32 KiB — one synchronous RPC — at a time.
+		_, err = io.CopyBuffer(struct{ io.Writer }{os.Stdout}, f, make([]byte, 4<<20))
 		cerr := f.Close()
 		if err == nil {
 			err = cerr
@@ -192,6 +194,6 @@ func main() {
 func printStats(cli *hvac.Client) {
 	st := cli.Stats()
 	fmt.Fprintf(os.Stderr,
-		"client: redirected=%d passthrough=%d fallbacks=%d degrades=%d failovers=%d hedges=%d hedge-wins=%d retries=%d readaheads=%d readahead-hits=%d batch=%d batch-fallbacks=%d bytes=%d\n",
-		st.Redirected, st.Passthrough, st.Fallbacks, st.Degrades, st.Failovers, st.Hedges, st.HedgeWins, st.Retries, st.Readaheads, st.ReadaheadHits, st.BatchReads, st.BatchFallbacks, st.BytesRead)
+		"client: redirected=%d passthrough=%d fallbacks=%d degrades=%d failovers=%d hedges=%d hedge-wins=%d retries=%d batch=%d batch-fallbacks=%d bytes=%d\n",
+		st.Redirected, st.Passthrough, st.Fallbacks, st.Degrades, st.Failovers, st.Hedges, st.HedgeWins, st.Retries, st.BatchReads, st.BatchFallbacks, st.BytesRead)
 }

@@ -105,6 +105,76 @@ func TestBulkReadMatchesPFS(t *testing.T) {
 	}
 }
 
+// Segment-striped files go through the same loop, which first cuts the
+// range at the segment's end and the file's: the same identity against
+// the PFS copy, with fallback off, and on each server exactly the reads
+// those cuts make — a segment below bulkChunk is one read, one above it is
+// cut again at bulkChunk.
+func TestSegmentedReadAtMatchesPFS(t *testing.T) {
+	for _, seg := range []int{bulkChunk / 8, bulkChunk + bulkChunk/2} {
+		fileSize := 3*seg + seg/3 // three whole segments and a short tail
+		cases := []struct {
+			name     string
+			size     int
+			off, len int
+		}{
+			{"inside one segment", fileSize, seg + 7, seg / 2},
+			{"one whole segment", fileSize, seg, seg},
+			{"straddles two", fileSize, seg - 100, 300},
+			{"straddles three", fileSize, seg - 5, seg + 10},
+			{"ends in the short tail", fileSize, 2*seg + 9, seg + seg/3 - 9},
+			{"runs over the short tail", fileSize, 3*seg - 1, seg},
+			{"whole file", fileSize, 0, fileSize},
+			{"starts at eof", fileSize, fileSize, 100},
+			{"starts past eof", fileSize, fileSize + seg, 100},
+			{"zero-length file", 0, 0, 100},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("seg%dKiB/%s", seg>>10, tc.name), func(t *testing.T) {
+				pfsDir := filepath.Join(t.TempDir(), "dataset")
+				path := writePatternPFS(t, pfsDir, 1, tc.size)[0]
+				servers, cli := startCluster(t, pfsDir, 2,
+					func(c *ServerConfig) { c.SegmentSize = int64(seg) },
+					func(c *ClientConfig) { c.SegmentSize = int64(seg); c.DisableFallback = true })
+				pf, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pf.Close()
+				want := make([]byte, tc.len)
+				wantN, wantErr := pf.ReadAt(want, int64(tc.off))
+				wantReads := make([]int64, len(servers))
+				for pos, end := tc.off, tc.off+wantN; pos < end; {
+					wantReads[cli.view.Place(segKey(path, int64(pos/seg)))]++
+					pos += min(bulkChunk, end-pos, (pos/seg+1)*seg-pos)
+				}
+
+				f, err := cli.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				got := make([]byte, tc.len)
+				n, err := f.ReadAt(got, int64(tc.off))
+				if n != wantN || err != wantErr {
+					t.Fatalf("ReadAt(len %d, off %d) = (%d, %v), the PFS copy gives (%d, %v)", tc.len, tc.off, n, err, wantN, wantErr)
+				}
+				if !bytes.Equal(got[:n], want[:n]) {
+					t.Fatalf("ReadAt(len %d, off %d) differs from the PFS copy", tc.len, tc.off)
+				}
+				for i, srv := range servers {
+					if reads := srv.Stats().Reads; reads != wantReads[i] {
+						t.Errorf("server %d answered %d reads, the cuts make %d", i, reads, wantReads[i])
+					}
+				}
+				if st := cli.Stats(); st.BytesRead != int64(n) || st.Degrades != 0 || st.Fallbacks != 0 {
+					t.Fatalf("a healthy segmented read of %d bytes left %+v", n, st)
+				}
+			})
+		}
+	}
+}
+
 // ReadAll is the loader's entry point: the same identity through it, on a
 // size that is not a multiple of the chunk.
 func TestBulkReadAllMatchesPFS(t *testing.T) {

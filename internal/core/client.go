@@ -62,14 +62,6 @@ type ClientConfig struct {
 	// to twice the loader's worker count: a large read keeps two chunk
 	// RPCs in flight on two connections.
 	PoolSize int
-	// Readahead controls the sequential-read pipeline of File.Read on
-	// remote whole-file handles: while the caller consumes one chunk the
-	// client has already issued the RPC for the next (the Clairvoyant
-	// Prefetching observation — pipelined fetches hide per-sample
-	// latency). 0 enables the default one-chunk pipeline; negative
-	// disables readahead. Failed readahead RPCs are discarded and the
-	// read retries synchronously, so fallback behaviour is unchanged.
-	Readahead int
 	// DialTransport overrides how a server link is established — the seam
 	// the fault-injection harness decorates. Nil means TCP via
 	// transport.DialWith with the timeout/retry settings above.
@@ -93,8 +85,6 @@ type ClientStats struct {
 	Hedges         int64 // hedge attempts fired after HedgeAfter elapsed unanswered
 	HedgeWins      int64 // operations completed by a hedged attempt (HedgeWins <= Hedges)
 	Retries        int64 // transport-level retry attempts spent across all server links
-	Readaheads     int64 // sequential-read chunks requested ahead of the caller
-	ReadaheadHits  int64 // reads served from a completed readahead chunk
 	BatchReads     int64 // files served through a scatter-gather OpReadBatch entry
 	BatchFallbacks int64 // batch entries that degraded to per-file or PFS reads
 	BytesRead      int64
@@ -205,13 +195,6 @@ func (c *Client) Home(path string) int {
 	return c.view.Place(path)
 }
 
-// raResult carries one completed readahead RPC from the pipeline
-// goroutine to the consuming Read.
-type raResult struct {
-	resp *transport.Response
-	err  error
-}
-
 // File is a read-only remote file handle served by an HVAC server (whole
 // file or segment-striped), or a fallback PFS handle. It implements
 // io.Reader, io.ReaderAt and io.Closer.
@@ -233,15 +216,6 @@ type File struct {
 	// — to the replica that answered.
 	replicas []int
 	srv      int
-
-	// Sequential-read pipeline (File.Read only): at most one chunk RPC in
-	// flight, owned by whoever flips raPending under mu. The WaitGroup
-	// joins the pipeline goroutine on Close.
-	raCh      chan raResult
-	raWG      sync.WaitGroup
-	raOff     int64
-	raWant    int
-	raPending bool
 }
 
 // Open opens path through HVAC: redirected to its home server when under
@@ -261,27 +235,21 @@ func (c *Client) Open(path string) (*File, error) {
 		return &File{c: c, fallback: f, path: abs}, nil
 	}
 
-	if c.cfg.SegmentSize > 0 {
-		return c.openSegmented(abs)
+	// A whole-file open walks the file's replica ladder and leaves a handle
+	// on the server that answers. A segment-striped open needs only the
+	// size — its reads are stateless and hit each segment's own homes — so
+	// it is a stat walked down segment 0's ladder.
+	segmented := c.cfg.SegmentSize > 0
+	req, key := &transport.Request{Op: transport.OpOpen, Path: abs}, abs
+	if segmented {
+		req.Op, key = transport.OpStat, segKey(abs, 0)
 	}
-	replicas := c.view.Replicas(abs, c.cfg.Replicas)
+	replicas := c.view.Replicas(key, c.cfg.Replicas)
 	attempts := make([]func() hedgeResult, len(replicas))
 	for i, srv := range replicas {
-		i, srv, conn := i, srv, c.conns[srv]
-		attempts[i] = func() hedgeResult {
-			resp, err := conn.Call(&transport.Request{Op: transport.OpOpen, Path: abs})
-			if err != nil {
-				return hedgeResult{err: err, ladder: i, srv: srv}
-			}
-			if !resp.OK() {
-				// The server answered with an application error (e.g. file
-				// absent on the PFS): no point trying replicas.
-				err = resp.Error()
-				resp.Release()
-				return hedgeResult{err: err, ladder: i, srv: srv, appErr: true}
-			}
-			return hedgeResult{resp: resp, ladder: i, srv: srv, conn: conn, handle: resp.Handle, opened: true}
-		}
+		// final: an application error (e.g. file absent on the PFS) is one
+		// every replica would give.
+		attempts[i] = c.rung(i, srv, req, true)
 	}
 	r := c.ladderCall(attempts)
 	if r.resp != nil {
@@ -293,6 +261,9 @@ func (c *Client) Open(path string) (*File, error) {
 				s.Failovers++
 			}
 		})
+		if segmented {
+			return &File{c: c, size: size, path: abs, segmented: true}, nil
+		}
 		return &File{c: c, conn: r.conn, handle: r.handle, size: size, path: abs, replicas: replicas, srv: r.srv}, nil
 	}
 	if c.cfg.DisableFallback {
@@ -329,6 +300,26 @@ type hedgeResult struct {
 	opened bool
 	appErr bool
 	hedged bool // set by the engine: won by a timer-launched attempt
+}
+
+// rung builds one attempt of a replica ladder: req sent to server srv, a
+// non-OK response released and surfaced as err. final says such an answer
+// is one every replica would give, so it stops the ladder (appErr). The
+// rungs of a ladder may share req: Call only reads it.
+func (c *Client) rung(i, srv int, req *transport.Request, final bool) func() hedgeResult {
+	conn := c.conns[srv]
+	return func() hedgeResult {
+		resp, err := conn.Call(req)
+		if err != nil {
+			return hedgeResult{err: err, ladder: i, srv: srv}
+		}
+		if !resp.OK() {
+			err = resp.Error()
+			resp.Release()
+			return hedgeResult{err: err, ladder: i, srv: srv, appErr: final}
+		}
+		return hedgeResult{resp: resp, ladder: i, srv: srv, conn: conn, handle: resp.Handle, opened: req.Op == transport.OpOpen}
+	}
 }
 
 // spawnHedge runs fn on a goroutine joined by Client.Close. Once Close
@@ -467,138 +458,6 @@ func (c *Client) closeHandleAsync(conn transport.Transport, handle int64) {
 	})
 }
 
-// segmentReplicas returns the replica ladder (server indices, primary
-// first) serving segment seg of path under the current view.
-func (c *Client) segmentReplicas(path string, seg int64) []int {
-	return c.view.Replicas(segKey(path, seg), c.cfg.Replicas)
-}
-
-// openSegmented opens path in segment-striped mode: the size comes from
-// a stat walked down segment 0's replica ladder (the same failover loop
-// whole-file opens get — a dead segment-0 home no longer forces the PFS
-// while its replicas are healthy); reads hit each segment's own homes.
-func (c *Client) openSegmented(abs string) (*File, error) {
-	replicas := c.segmentReplicas(abs, 0)
-	attempts := make([]func() hedgeResult, len(replicas))
-	for i, srv := range replicas {
-		i, srv, conn := i, srv, c.conns[srv]
-		attempts[i] = func() hedgeResult {
-			resp, err := conn.Call(&transport.Request{Op: transport.OpStat, Path: abs})
-			if err != nil {
-				return hedgeResult{err: err, ladder: i, srv: srv}
-			}
-			if !resp.OK() {
-				err = resp.Error()
-				resp.Release()
-				return hedgeResult{err: err, ladder: i, srv: srv, appErr: true}
-			}
-			return hedgeResult{resp: resp, ladder: i, srv: srv}
-		}
-	}
-	r := c.ladderCall(attempts)
-	if r.resp != nil {
-		size := r.resp.Size
-		r.resp.Release()
-		c.bump(func(s *ClientStats) {
-			s.Redirected++
-			if r.ladder > 0 {
-				s.Failovers++
-			}
-		})
-		return &File{c: c, path: abs, size: size, segmented: true}, nil
-	}
-	err := r.err
-	if c.cfg.DisableFallback {
-		return nil, fmt.Errorf("hvac client: open %s: %w", abs, err)
-	}
-	f, ferr := os.Open(abs) //hvac:pfs-fallback designated open fallback: every segment-0 replica failed (§III-H)
-	if ferr != nil {
-		return nil, fmt.Errorf("hvac client: open %s: server failed (%v) and PFS fallback failed: %w", abs, err, ferr)
-	}
-	c.bump(func(s *ClientStats) { s.Fallbacks++ })
-	return &File{c: c, fallback: f, path: abs}, nil
-}
-
-// fetchSegment reads one in-segment range down the segment's replica
-// ladder: sequential failover normally, raced when hedging is armed.
-// Stateless (OpReadAt carries the path), so no handle migrates.
-func (f *File) fetchSegment(seg, pos, want int64) (*transport.Response, error) {
-	replicas := f.c.segmentReplicas(f.path, seg)
-	attempts := make([]func() hedgeResult, len(replicas))
-	for i, srv := range replicas {
-		i, srv, conn := i, srv, f.c.conns[srv]
-		attempts[i] = func() hedgeResult {
-			resp, err := conn.Call(&transport.Request{
-				Op: transport.OpReadAt, Path: f.path, Off: pos, Len: want,
-			})
-			if err != nil {
-				return hedgeResult{err: err, ladder: i, srv: srv}
-			}
-			if !resp.OK() {
-				// Any failure is worth the next replica: unlike opens, a
-				// segment read has no unserveable-path error a replica
-				// could not also answer differently.
-				err = resp.Error()
-				resp.Release()
-				return hedgeResult{err: err, ladder: i, srv: srv}
-			}
-			return hedgeResult{resp: resp, ladder: i, srv: srv}
-		}
-	}
-	r := f.c.ladderCall(attempts)
-	if r.resp != nil {
-		return r.resp, nil
-	}
-	return nil, r.err
-}
-
-// readAtSegmented splits the range over the per-segment home servers.
-func (f *File) readAtSegmented(p []byte, off int64) (int, error) {
-	segSize := f.c.cfg.SegmentSize
-	total := 0
-	for total < len(p) {
-		pos := off + int64(total)
-		if pos >= f.size {
-			return total, io.EOF
-		}
-		seg := pos / segSize
-		segEnd := (seg + 1) * segSize
-		want := int64(len(p) - total)
-		if pos+want > segEnd {
-			want = segEnd - pos
-		}
-		if pos+want > f.size {
-			want = f.size - pos
-		}
-		if want > transport.MaxFrame/2 {
-			want = transport.MaxFrame / 2
-		}
-		resp, err := f.fetchSegment(seg, pos, want)
-		if err != nil {
-			if f.c.cfg.DisableFallback {
-				return total, err
-			}
-			n, ferr := f.degradeToPFS(p[total:], pos)
-			total += n
-			if ferr == io.EOF {
-				return total, io.EOF
-			}
-			if ferr != nil {
-				return total, fmt.Errorf("hvac client: read %s: server failed (%v) and PFS fallback failed: %w", f.path, err, ferr)
-			}
-			return total, nil
-		}
-		n := copy(p[total:], resp.Data)
-		resp.Release()
-		total += n
-		f.c.bump(func(s *ClientStats) { s.BytesRead += int64(n) })
-		if int64(n) < want {
-			return total, io.EOF
-		}
-	}
-	return total, nil
-}
-
 // Size returns the file size (0 for passthrough handles until read).
 func (f *File) Size() int64 {
 	if f.fallback != nil {
@@ -624,7 +483,8 @@ func (f *File) Remote() bool { return f.fallback == nil }
 // ping-pong at twice the CPU per byte, and 512 KiB is the largest chunk
 // that stays under that cliff on loopback TCP; a second chunk in flight
 // hides the request round trip behind the first one's receive, a third
-// only adds scheduling.
+// only adds scheduling. bulkChunk is also the longest range any one read
+// RPC carries, segment reads included: one cut size, one justification.
 const (
 	bulkChunk = 512 << 10
 	bulkDepth = 2
@@ -640,25 +500,34 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if fb != nil {
 		return fb.ReadAt(p, off)
 	}
-	if f.segmented {
-		return f.readAtSegmented(p, off)
-	}
 	// Whatever the pipeline could not deliver — a failed chunk, a short
-	// one, or everything when the read is one chunk or hedged — goes
-	// through the sequential loop below, the only owner of the retry
-	// ladder, replica failover, degradeToPFS and EOF.
+	// one, or everything when the read is one chunk, hedged or segmented —
+	// goes through the sequential loop below, the only owner of the retry
+	// ladder, replica failover, degradeToPFS and EOF for both kinds of
+	// handle.
 	total := 0
-	if len(p) > bulkChunk && !f.hedged() {
+	if len(p) > bulkChunk && !f.segmented && !f.hedged() {
 		total = f.readBulk(p, off)
 	}
 	for total < len(p) {
+		pos := off + int64(total)
 		dst := p[total:min(total+bulkChunk, len(p))]
-		resp, err := f.fetchChunk(dst, off+int64(total))
+		if f.segmented {
+			// A segment is homed on its own and its server refuses a range
+			// that leaves it: cut at the segment's end and the file's.
+			if pos >= f.size {
+				return total, io.EOF
+			}
+			segSize := f.c.cfg.SegmentSize
+			end := min((pos/segSize+1)*segSize, f.size)
+			dst = dst[:min(int64(len(dst)), end-pos)]
+		}
+		resp, err := f.fetch(dst, pos)
 		if err != nil {
 			if f.c.cfg.DisableFallback {
 				return total, err
 			}
-			n, ferr := f.degradeToPFS(p[total:], off+int64(total))
+			n, ferr := f.degradeToPFS(p[total:], pos)
 			total += n
 			if ferr == io.EOF {
 				return total, io.EOF
@@ -689,12 +558,12 @@ func landed(dst []byte, resp *transport.Response) int {
 	return copy(dst, data)
 }
 
-// hedged reports whether a chunk read's replica rungs can overlap: the
-// hedge timer is armed and there is a replica to race. A losing rung may
-// still be receiving after the winner returned, so such reads never land
-// in the caller's buffer and never enter the pipeline.
+// hedged reports whether a read's replica rungs can overlap: the hedge
+// timer is armed and there is a replica to race, whole file or segment. A
+// losing rung may still be receiving after the winner returned, so such
+// reads never land in the caller's buffer and never enter the pipeline.
 func (f *File) hedged() bool {
-	return f.c.cfg.HedgeAfter > 0 && len(f.replicas) > 1
+	return f.c.cfg.HedgeAfter > 0 && f.c.cfg.Replicas > 1
 }
 
 // readBulk runs the chunk pipeline over p and returns the length of the
@@ -762,71 +631,74 @@ func (f *File) readBulk(p []byte, off int64) int {
 	return total
 }
 
-// fetchChunk reads the len(dst) bytes at off of a whole-file handle. The
-// payload is received straight into dst (the response's Data aliases it)
-// unless the rungs can overlap, when it comes back in a pooled buffer
-// for the caller to copy out; landed tells the two apart. The first
-// rung reads through the current (conn, handle); with Replicas > 1 the
-// other replicas form failover rungs that open their own handle on path
-// and read the same range — sequentially after a failure, or raced by
-// the hedge timer when HedgeAfter is armed. When a replica rung wins,
-// the File migrates to its handle (the §III-H failover: later reads go
-// straight to the live replica) and the old handle is retired
-// best-effort in the background.
-func (f *File) fetchChunk(dst []byte, off int64) (*transport.Response, error) {
-	f.mu.Lock()
-	conn, handle, cur := f.conn, f.handle, f.srv
-	f.mu.Unlock()
-	want := int64(len(dst))
-	if f.hedged() {
-		dst = nil
+// fetch reads the len(dst) bytes at off down a replica ladder —
+// sequential failover normally, raced by the hedge timer when HedgeAfter
+// is armed. The payload is received straight into dst (the response's
+// Data aliases it) unless the rungs can overlap, when it comes back in a
+// pooled buffer for the caller to copy out; landed tells the two apart.
+//
+// A segment read is stateless (OpReadAt carries the path): every rung is
+// the same request to the next home of the segment holding off. A
+// whole-file read's first rung goes through the current handle; with
+// Replicas > 1 the other replicas form failover rungs that open their own
+// handle on path and read the same range. When one of those wins, the
+// File migrates to its handle (the §III-H failover: later reads go
+// straight to the live replica) and the old handle is retired best-effort
+// in the background.
+func (f *File) fetch(dst []byte, off int64) (*transport.Response, error) {
+	c := f.c
+	req := &transport.Request{Off: off, Len: int64(len(dst))}
+	if !f.hedged() {
+		req.Dst = dst
 	}
-	attempts := []func() hedgeResult{func() hedgeResult {
-		resp, err := conn.Call(&transport.Request{Op: transport.OpRead, Handle: handle, Off: off, Len: want, Dst: dst})
-		if err != nil {
-			return hedgeResult{err: err, srv: cur}
+	var attempts []func() hedgeResult
+	if f.segmented {
+		req.Op, req.Path = transport.OpReadAt, f.path
+		replicas := c.view.Replicas(segKey(f.path, off/c.cfg.SegmentSize), c.cfg.Replicas)
+		attempts = make([]func() hedgeResult, len(replicas))
+		for i, srv := range replicas {
+			// Not final: unlike an open, a segment read has no
+			// unserveable-path error a replica could not answer differently.
+			attempts[i] = c.rung(i, srv, req, false)
 		}
-		if !resp.OK() {
-			err = resp.Error()
-			resp.Release()
-			return hedgeResult{err: err, srv: cur}
-		}
-		return hedgeResult{resp: resp, srv: cur, conn: conn, handle: handle}
-	}}
-	for _, srv := range f.replicas {
-		if srv == cur {
-			continue
-		}
-		i, srv, rconn := len(attempts), srv, f.c.conns[srv]
-		attempts = append(attempts, func() hedgeResult {
-			oresp, err := rconn.Call(&transport.Request{Op: transport.OpOpen, Path: f.path})
-			if err != nil {
-				return hedgeResult{err: err, ladder: i, srv: srv}
+	} else {
+		f.mu.Lock()
+		handle, cur := f.handle, f.srv
+		f.mu.Unlock()
+		req.Op, req.Handle = transport.OpRead, handle
+		attempts = []func() hedgeResult{c.rung(0, cur, req, false)}
+		for _, srv := range f.replicas {
+			if srv == cur {
+				continue
 			}
-			if !oresp.OK() {
-				err = oresp.Error()
-				oresp.Release()
-				return hedgeResult{err: err, ladder: i, srv: srv}
-			}
-			h := oresp.Handle
-			oresp.Release()
-			resp, rerr := rconn.Call(&transport.Request{Op: transport.OpRead, Handle: h, Off: off, Len: want, Dst: dst})
-			if rerr == nil && !resp.OK() {
-				rerr = resp.Error()
-				resp.Release()
-			}
-			if rerr != nil {
-				// The replica opened but could not read: retire its handle
-				// before reporting the rung failed.
-				if cresp, cerr := rconn.Call(&transport.Request{Op: transport.OpClose, Handle: h}); cerr == nil {
-					cresp.Release()
+			i, rconn := len(attempts), c.conns[srv]
+			attempts = append(attempts, func() hedgeResult {
+				o := c.rung(i, srv, &transport.Request{Op: transport.OpOpen, Path: f.path}, false)()
+				if o.resp == nil {
+					return o
 				}
-				return hedgeResult{err: rerr, ladder: i, srv: srv}
-			}
-			return hedgeResult{resp: resp, ladder: i, srv: srv, conn: rconn, handle: h, opened: true}
-		})
+				h := o.handle
+				o.resp.Release()
+				read := *req
+				read.Handle = h
+				resp, err := rconn.Call(&read)
+				if err == nil && !resp.OK() {
+					err = resp.Error()
+					resp.Release()
+				}
+				if err != nil {
+					// The replica opened but could not read: retire its handle
+					// before reporting the rung failed.
+					if cresp, cerr := rconn.Call(&transport.Request{Op: transport.OpClose, Handle: h}); cerr == nil {
+						cresp.Release()
+					}
+					return hedgeResult{err: err, ladder: i, srv: srv}
+				}
+				return hedgeResult{resp: resp, ladder: i, srv: srv, conn: rconn, handle: h, opened: true}
+			})
+		}
 	}
-	r := f.c.ladderCall(attempts)
+	r := c.ladderCall(attempts)
 	if r.resp == nil {
 		return nil, r.err
 	}
@@ -877,102 +749,18 @@ func (f *File) degradeToPFS(p []byte, off int64) (int, error) {
 	return fb.ReadAt(p, off)
 }
 
-// Read implements io.Reader with a sequential-read pipeline: when the
-// previous Read left a chunk RPC in flight for exactly this offset, the
-// result is consumed directly (ReadaheadHits); otherwise the read runs
-// synchronously through ReadAt, with all of its fallback behaviour. A
-// failed readahead chunk is discarded and re-read synchronously, so fault
-// handling and byte results are identical with the pipeline on or off.
+// Read implements io.Reader: ReadAt at the handle's offset, with all of
+// its fallback behaviour. A sequential reader gets its overlap from the
+// bulk pipeline, by reading with a buffer over bulkChunk.
 func (f *File) Read(p []byte) (int, error) {
 	f.mu.Lock()
 	off := f.off
-	pending := f.raPending
-	match := pending && f.raOff == off
-	if pending {
-		f.raPending = false // claim the in-flight chunk, matching or stale
-	}
-	want := f.raWant
 	f.mu.Unlock()
-
-	n, err, served := 0, error(nil), false
-	if pending {
-		//hvac:blockguard the claimed readahead worker sends exactly once into the 1-buffered raCh, bounded by the call timeout
-		r := <-f.raCh
-		if match {
-			n, err, served = f.consumeReadahead(p, r, want)
-		} else if r.resp != nil {
-			r.resp.Release() // stale chunk: the caller seeked elsewhere
-		}
-	}
-	if !served {
-		n, err = f.ReadAt(p, off)
-	}
+	n, err := f.ReadAt(p, off)
 	f.mu.Lock()
 	f.off = off + int64(n)
 	f.mu.Unlock()
-	if err == nil {
-		f.maybeReadahead(off+int64(n), len(p))
-	}
 	return n, err
-}
-
-// consumeReadahead serves a Read from a completed pipeline chunk. A
-// transport or server failure yields served == false and no error: the
-// caller re-reads synchronously, which applies the normal
-// replica/PFS-fallback path.
-func (f *File) consumeReadahead(p []byte, r raResult, want int) (int, error, bool) {
-	if r.err != nil || r.resp == nil || !r.resp.OK() {
-		if r.resp != nil {
-			r.resp.Release()
-		}
-		return 0, nil, false
-	}
-	data := r.resp.Data
-	n := copy(p, data)
-	short := len(data) < want // the chunk hit EOF
-	r.resp.Release()
-	f.c.bump(func(s *ClientStats) {
-		s.ReadaheadHits++
-		s.BytesRead += int64(n)
-	})
-	if short && n == len(data) {
-		return n, io.EOF, true
-	}
-	return n, nil, true
-}
-
-// maybeReadahead launches the next chunk's RPC at off so it overlaps the
-// caller's consumption of the chunk just returned. At most one RPC is in
-// flight per File; the goroutine is joined on Close via raWG.
-func (f *File) maybeReadahead(off int64, want int) {
-	if f.c.cfg.Readahead < 0 || f.segmented || want <= 0 {
-		return
-	}
-	if int64(want) > transport.MaxFrame/2 {
-		want = transport.MaxFrame / 2
-	}
-	f.mu.Lock()
-	if f.closed || f.fallback != nil || f.raPending || off >= f.size {
-		f.mu.Unlock()
-		return
-	}
-	if f.raCh == nil {
-		f.raCh = make(chan raResult, 1)
-	}
-	f.raPending = true
-	f.raOff = off
-	f.raWant = want
-	conn, handle := f.conn, f.handle
-	f.raWG.Add(1)
-	f.mu.Unlock()
-	f.c.bump(func(s *ClientStats) { s.Readaheads++ })
-	go func() {
-		defer f.raWG.Done()
-		resp, err := conn.Call(&transport.Request{
-			Op: transport.OpRead, Handle: handle, Off: off, Len: int64(want),
-		})
-		f.raCh <- raResult{resp: resp, err: err} // buffered: never blocks
-	}()
 }
 
 // Close implements io.Closer, releasing the server-side handle.
@@ -983,8 +771,6 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
-	pending := f.raPending
-	f.raPending = false
 	// Snapshot the serving state under mu: a concurrent read may be
 	// degrading to the PFS or adopting a replica handle right now, and
 	// whatever lands after this instant cleans up after itself (both
@@ -992,15 +778,6 @@ func (f *File) Close() error {
 	fb, segmented := f.fallback, f.segmented
 	conn, handle := f.conn, f.handle
 	f.mu.Unlock()
-	if pending {
-		// Drain the in-flight chunk so its pooled buffer is recycled; the
-		// RPC is bounded by the call timeout.
-		//hvac:blockguard the claimed readahead worker sends exactly once into the 1-buffered raCh, bounded by the call timeout
-		if r := <-f.raCh; r.resp != nil {
-			r.resp.Release()
-		}
-	}
-	f.raWG.Wait()
 	if fb != nil {
 		return fb.Close()
 	}
@@ -1023,10 +800,11 @@ func (f *File) Close() error {
 // prefetch was accepted; unreachable servers are skipped (their files
 // will be cached on first read instead).
 // The hints ride one OpReadBatch (with BatchFlagPrefetch) per home
-// server instead of one RPC per file; a failed batch call degrades to
-// the per-file OpPrefetch hints. With Replicas > 1 every replica home
-// gets the hint, not just the primary, so a failover read after a
-// server loss lands on a warm cache (§III-H replica warming).
+// server instead of one RPC per file, and a batch that fails is not
+// re-sent file by file: its server has just spent a call's whole retry
+// budget failing. With Replicas > 1 every replica home gets the hint, not
+// just the primary, so a failover read after a server loss lands on a
+// warm cache (§III-H replica warming).
 func (c *Client) Prefetch(paths []string) int {
 	// Group by home server into ordered slices (not a map keyed by server:
 	// the sim mirror shares this shape and must iterate deterministically).
@@ -1045,9 +823,7 @@ func (c *Client) Prefetch(paths []string) int {
 		for start := 0; start < len(group); {
 			end := batchSpan(start, len(group), func(i int) int { return len(group[i]) })
 			if end == start {
-				// This path alone cannot be encoded; the per-file hint
-				// will refuse it too, but keeps the loop moving.
-				end = start + 1
+				end = start + 1 // this path alone cannot be encoded, and is not hinted
 			}
 			accepted += c.prefetchGroup(srv, group[start:end])
 			start = end
@@ -1056,40 +832,30 @@ func (c *Client) Prefetch(paths []string) int {
 	return accepted
 }
 
-// prefetchGroup sends one batched prefetch hint to server srv, counting
-// accepted entries. Any batch-level failure retries the group as
-// per-file OpPrefetch hints.
+// prefetchGroup sends one batched prefetch hint to server srv and counts
+// the entries it accepted; a failed call accepts none.
 func (c *Client) prefetchGroup(srv int, paths []string) int {
-	if blob, err := transport.EncodeBatchPaths(paths); err == nil {
-		resp, cerr := c.conns[srv].Call(&transport.Request{
-			Op: transport.OpReadBatch, Handle: transport.BatchFlagPrefetch, Path: blob,
-		})
-		if cerr == nil {
-			if resp.OK() {
-				if results, derr := transport.DecodeBatchResults(resp.Data, len(paths)); derr == nil {
-					accepted := 0
-					for i := range results {
-						if results[i].Status == transport.StatusOK {
-							accepted++
-						}
-					}
-					resp.Release()
-					return accepted
-				}
-			}
-			resp.Release()
-		}
+	blob, err := transport.EncodeBatchPaths(paths)
+	if err != nil {
+		return 0
+	}
+	resp, err := c.conns[srv].Call(&transport.Request{
+		Op: transport.OpReadBatch, Handle: transport.BatchFlagPrefetch, Path: blob,
+	})
+	if err != nil {
+		return 0
 	}
 	accepted := 0
-	for _, p := range paths {
-		resp, err := c.conns[srv].Call(&transport.Request{Op: transport.OpPrefetch, Path: p})
-		if err == nil {
-			if resp.OK() {
-				accepted++
+	if resp.OK() {
+		if results, derr := transport.DecodeBatchResults(resp.Data, len(paths)); derr == nil {
+			for i := range results {
+				if results[i].Status == transport.StatusOK {
+					accepted++
+				}
 			}
-			resp.Release()
 		}
 	}
+	resp.Release()
 	return accepted
 }
 

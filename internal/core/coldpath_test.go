@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hvac/internal/faultnet"
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
@@ -428,6 +429,47 @@ func TestBatchedPrefetchPopulatesCaches(t *testing.T) {
 	}
 	if calls != int64(len(servers)) {
 		t.Fatalf("batched prefetch cost %d RPCs, want %d (one per server)", calls, len(servers))
+	}
+}
+
+// Regression: a batched hint that failed was re-sent as one OpPrefetch per
+// path — each with its own retry budget — at the server that had just
+// failed. A dead home now costs Prefetch one call per batch and accepts
+// nothing; the other server's hints land as before.
+func TestPrefetchDoesNotStormAFailedServer(t *testing.T) {
+	pfsDir := filepath.Join(t.TempDir(), "pfs", "dataset")
+	paths := writePFS(t, pfsDir, 24, 2<<10)
+	// Every call on server 0's link is refused; each refusal is one
+	// injected fault, so Injected counts the calls that link saw.
+	inj := faultnet.New(faultnet.Schedule{Rules: []faultnet.Rule{{Server: "srv0", Fault: faultnet.Refuse}}})
+	defer inj.Close()
+	servers, cli := startCluster(t, pfsDir, 2, nil, func(c *ClientConfig) {
+		dead := c.Servers[0]
+		c.DialTransport = func(addr string) transport.Transport {
+			link := transport.DialWith(addr, transport.ClientOptions{})
+			if addr == dead {
+				return inj.Wrap("srv0", link)
+			}
+			return link
+		}
+	})
+	live := 0
+	for _, p := range paths {
+		live += cli.Home(p)
+	}
+	if live == 0 || live == len(paths) {
+		t.Fatalf("%d of %d files homed on the live server; the case is vacuous", live, len(paths))
+	}
+
+	if accepted := cli.Prefetch(paths); accepted != live {
+		t.Fatalf("Prefetch accepted %d, want the live server's %d", accepted, live)
+	}
+	if calls := inj.Injected(); calls != 1 {
+		t.Fatalf("the refusing server was called %d times for one batch of hints, want 1", calls)
+	}
+	servers[1].WaitIdle()
+	if cached := servers[1].CachedFiles(); cached != live {
+		t.Fatalf("live server cached %d files, want %d", cached, live)
 	}
 }
 

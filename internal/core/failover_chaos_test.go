@@ -277,13 +277,29 @@ func TestChaosHedgeRaceWithClose(t *testing.T) {
 // data race the detector reports — and checks after Client.Close, which
 // joins every loser, that its own bytes are what the buffer still holds.
 func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
-	testutil.CheckLeaks(t)
-	tc := chaosCase{
+	hedgedReadLeavesCallerMemoryAlone(t, chaosCase{
 		name: "hedge-bulk", servers: 2, files: 4, size: 2*bulkChunk + bulkChunk/2, epochs: 1, replicas: 2,
 		sched: faultnet.Schedule{Seed: 22, Rules: []faultnet.Rule{
 			{Op: transport.OpRead, Prob: 0.4, Fault: faultnet.Delay, Delay: 2 * time.Millisecond},
 		}},
-	}
+	})
+}
+
+// The segment twin: a segmented File has no replica list of its own, yet
+// its reads race each segment's replicas all the same, so they too must
+// stay out of the caller's buffer.
+func TestChaosHedgedSegmentReadLeavesCallerMemoryAlone(t *testing.T) {
+	hedgedReadLeavesCallerMemoryAlone(t, chaosCase{
+		name: "hedge-segments", servers: 2, files: 4, size: 2*bulkChunk + bulkChunk/2, epochs: 1, replicas: 2,
+		segSize: bulkChunk / 2,
+		sched: faultnet.Schedule{Seed: 23, Rules: []faultnet.Rule{
+			{Op: transport.OpReadAt, Prob: 0.4, Fault: faultnet.Delay, Delay: 2 * time.Millisecond},
+		}},
+	})
+}
+
+func hedgedReadLeavesCallerMemoryAlone(t *testing.T, tc chaosCase) {
+	testutil.CheckLeaks(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePatternPFS(t, pfsDir, tc.files, tc.size)
 	inj := faultnet.New(tc.sched)
@@ -375,7 +391,7 @@ func TestChaosStatsReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// Regression: openSegmented used to consult only the first segment's
+// Regression: a segmented Open used to consult only the first segment's
 // primary home — a refused primary failed the whole open even though a
 // live replica held (or could fill) every segment. With the failover
 // loop, a fully refused primary costs failovers, never fallbacks.
@@ -388,7 +404,7 @@ func TestChaosSegmentedOpenFailsOver(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, tc.files, tc.size)
 	// Refuse the primary home of file 0's first segment — exactly the
-	// server the pre-fix openSegmented was hard-wired to.
+	// server the pre-fix Open was hard-wired to.
 	seg0 := basenamePlacement{}.Replicas(segKey(paths[0], 0), tc.servers, tc.replicas)[0]
 	tc.sched = faultnet.Schedule{Seed: 22, Rules: []faultnet.Rule{
 		{Server: fmt.Sprintf("srv%d", seg0), Fault: faultnet.Refuse},

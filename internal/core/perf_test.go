@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,10 +13,9 @@ import (
 	"hvac/internal/transport"
 )
 
-// Tests for the ISSUE 4 hot-path work: wire-length validation, the
-// condition-variable WaitIdle, the warm handleRead allocation budget, the
-// sharded handle table under concurrency, and the client readahead
-// pipeline.
+// Tests for the hot path: wire-length validation, the condition-variable
+// WaitIdle, the warm handleRead allocation budget, the sharded handle
+// table under concurrency, and File.Read as a sequential reader.
 
 func TestCheckReadLen(t *testing.T) {
 	cases := []struct {
@@ -186,82 +186,95 @@ func TestConcurrentHandleReads(t *testing.T) {
 	}
 }
 
-// TestReadaheadSequential checks byte identity of the pipelined
-// sequential-read path against the file content and confirms the
-// pipeline actually engaged.
-func TestReadaheadSequential(t *testing.T) {
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	p := filepath.Join(pfsDir, "seq.bin")
-	os.MkdirAll(pfsDir, 0o755)
-	content := make([]byte, 300_000)
-	for i := range content {
-		content[i] = byte(i * 13)
-	}
-	if err := os.WriteFile(p, content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, cli := startCluster(t, pfsDir, 2, nil, nil)
+// TestFileReadMatchesContent streams a file through File.Read — ReadAt at
+// the handle's offset — with a buffer under bulkChunk, one synchronous
+// chunk per Read, and with one over it, where every Read must ride the
+// bulk pipeline: the probe holds the first OpRead until a second is in
+// flight, which a reader fetching one chunk at a time never sends.
+func TestFileReadMatchesContent(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		size, buf int
+		pipelined bool
+	}{
+		{"4KiB buffer", 300_000, 4096, false},
+		{"buffer over bulkChunk", 4*bulkChunk + bulkChunk/2, 2 * bulkChunk, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pfsDir := filepath.Join(t.TempDir(), "dataset")
+			p := writePatternPFS(t, pfsDir, 1, tc.size)[0]
+			content, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := &overlapProbe{second: make(chan struct{})}
+			_, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) {
+				if tc.pipelined {
+					c.DialTransport = func(addr string) transport.Transport {
+						probe.Transport = transport.DialWith(addr, transport.ClientOptions{})
+						return probe
+					}
+				}
+			})
 
-	f, err := cli.Open(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	buf := make([]byte, 4096)
-	for {
-		n, err := f.Read(buf)
-		got.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), content) {
-		t.Fatalf("pipelined sequential read returned %d bytes, mismatch with content (%d bytes)", got.Len(), len(content))
-	}
-	st := cli.Stats()
-	if st.Readaheads == 0 {
-		t.Error("sequential read issued no readaheads")
-	}
-	if st.ReadaheadHits == 0 {
-		t.Error("sequential read consumed no readahead chunks")
+			f, err := cli.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			buf := make([]byte, tc.buf)
+			for {
+				n, err := f.Read(buf)
+				got.Write(buf[:n])
+				if err != nil {
+					break
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), content) {
+				t.Fatalf("sequential Read returned %d bytes, mismatch with content (%d bytes)", got.Len(), len(content))
+			}
+			if st := cli.Stats(); st.BytesRead != int64(tc.size) || st.Degrades != 0 {
+				t.Fatalf("a healthy sequential read of %d bytes left %+v", tc.size, st)
+			}
+			if tc.pipelined && probe.alone.Load() {
+				t.Fatal("Read with a buffer over bulkChunk never had two chunk reads in flight")
+			}
+		})
 	}
 }
 
-// TestReadaheadDisabled: Readahead < 0 turns the pipeline off entirely.
-func TestReadaheadDisabled(t *testing.T) {
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, 1, 50_000)
-	_, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) { c.Readahead = -1 })
-
-	f, err := cli.Open(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	buf := make([]byte, 4096)
-	for {
-		n, err := f.Read(buf)
-		got.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	f.Close()
-	if got.Len() != 50_000 {
-		t.Fatalf("read %d bytes, want 50000", got.Len())
-	}
-	if st := cli.Stats(); st.Readaheads != 0 || st.ReadaheadHits != 0 {
-		t.Fatalf("readahead ran while disabled: %+v", st)
-	}
+// overlapProbe holds the first OpRead on its link until a second one
+// arrives, and records when none did.
+type overlapProbe struct {
+	transport.Transport
+	reads  atomic.Int32
+	second chan struct{}
+	alone  atomic.Bool
 }
 
-// TestReadaheadDegradeOnServerDeath kills the serving server mid-stream:
-// the in-flight readahead chunk fails, the read falls back to the PFS,
-// and the bytes keep coming out identical.
-func TestReadaheadDegradeOnServerDeath(t *testing.T) {
+func (p *overlapProbe) Call(req *transport.Request) (*transport.Response, error) {
+	if req.Op == transport.OpRead {
+		switch p.reads.Add(1) {
+		case 1:
+			select {
+			case <-p.second:
+			case <-time.After(10 * time.Second):
+				p.alone.Store(true)
+			}
+		case 2:
+			close(p.second)
+		}
+	}
+	return p.Transport.Call(req)
+}
+
+// TestFileReadDegradesOnServerDeath kills the serving server mid-stream:
+// the next Read's chunk fails, the handle degrades to the PFS, and the
+// bytes keep coming out identical.
+func TestFileReadDegradesOnServerDeath(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	p := filepath.Join(pfsDir, "die.bin")
 	os.MkdirAll(pfsDir, 0o755)
@@ -285,7 +298,7 @@ func TestReadaheadDegradeOnServerDeath(t *testing.T) {
 	buf := make([]byte, 8192)
 	for i := 0; ; i++ {
 		if i == 3 {
-			servers[0].Close() // the readahead for the next chunk is in flight or about to fail
+			servers[0].Close() // the handle dies with three chunks delivered
 		}
 		n, err := f.Read(buf)
 		got.Write(buf[:n])
@@ -300,6 +313,6 @@ func TestReadaheadDegradeOnServerDeath(t *testing.T) {
 		t.Fatalf("read %d bytes after mid-stream server death, content mismatch", got.Len())
 	}
 	if st := cli.Stats(); st.Degrades == 0 {
-		t.Error("server death during pipelined read did not degrade the handle to the PFS")
+		t.Error("server death during a sequential read did not degrade the handle to the PFS")
 	}
 }
