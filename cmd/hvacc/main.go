@@ -38,7 +38,6 @@ func main() {
 		servers   = flag.String("servers", "", "comma-separated hvacd addresses (required)")
 		dataset   = flag.String("dataset", "", "dataset dir whose reads are redirected (required)")
 		poolSize  = flag.Int("pool-size", 0, "idle TCP connections kept per server link; size to twice the loader worker count (0 = transport default, negative = no pooling)")
-		segSize   = flag.Int64("segment-size", 0, "segment size in bytes for segment-level caching; must match the servers (0 = whole-file)")
 		replicas  = flag.Int("replicas", 1, "replica homes per file; >1 arms live failover across the replica ladder (must match the servers' -replicas)")
 		hedge     = flag.Duration("hedge-after", 0, "fire the same read at the next replica when the current one has not answered within this duration (0 = off; needs -replicas > 1)")
 		epochs    = flag.Int("epochs", 1, "number of passes over the file list (epoch 2+ should run at cache speed)")
@@ -61,7 +60,6 @@ func main() {
 	cli, err := hvac.NewClient(hvac.ClientConfig{
 		Servers:       strings.Split(*servers, ","),
 		DatasetDir:    *dataset,
-		SegmentSize:   *segSize,
 		Replicas:      *replicas,
 		HedgeAfter:    *hedge,
 		CallTimeout:   *callTO,

@@ -33,10 +33,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "node-local cache directory (required)")
 		capacity = flag.Int64("capacity", 1600e9, "cache capacity in bytes (default: Summit's 1.6 TB NVMe)")
 		movers   = flag.Int("movers", 0, "data-mover workers (0 = default pool, currently 4)")
-		demandQ  = flag.Int("demand-queue", 0, "demand fetch queue depth; full queue degrades the request to read-through (0 = default)")
-		prefQ    = flag.Int("prefetch-queue", 0, "prefetch hint queue depth; full queue drops hints (0 = default)")
-		evict    = flag.String("evict", "random", "eviction policy: random|lru|fifo|clock|clairvoyant")
-		planHzn  = flag.Int("plan-horizon", 0, "plan entries the clairvoyant pump keeps prefetched ahead of the read frontier once a client installs a plan (0 = default)")
+		evict    = flag.String("evict", "random", "eviction policy: random|lru|fifo|clairvoyant")
 		peers    = flag.String("peers", "", "comma-separated addresses of every server in the job (self included, same order everywhere); enables replica warming")
 		self     = flag.Int("self", 0, "this server's index in -peers")
 		replicas = flag.Int("replicas", 1, "replica homes per file; demand fills warm the other homes when -peers is set (must match the clients' -replicas)")
@@ -60,8 +57,6 @@ func main() {
 		policy = hvac.LRUEviction()
 	case "fifo":
 		policy = hvac.FIFOEviction()
-	case "clock":
-		policy = hvac.ClockEviction()
 	case "clairvoyant":
 		policy = hvac.ClairvoyantEviction()
 	default:
@@ -76,9 +71,6 @@ func main() {
 		CacheCapacity: *capacity,
 		Policy:        policy,
 		Movers:        *movers,
-		PlanHorizon:   *planHzn,
-		DemandQueue:   *demandQ,
-		PrefetchQueue: *prefQ,
 		WriteTimeout:  *writeTO,
 		ZeroCopy:      *zeroCopy,
 		Replicas:      *replicas,

@@ -78,7 +78,9 @@ func StartServer(cfg ServerConfig) (*Server, error) { return core.StartServer(cf
 // allocation.
 func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
 
-// Placement is the hash that homes a file on a server (§III-E).
+// Placement is the hash that homes a file on a server (§III-E). Real mode
+// always places with ModHashPlacement; a simulated deployment takes one
+// in SimHVACOptions.Placement.
 type Placement = place.Policy
 
 // ModHashPlacement returns the paper's placement: a path hash modulo the
@@ -87,9 +89,6 @@ func ModHashPlacement() Placement { return place.ModHash{} }
 
 // RendezvousPlacement returns highest-random-weight placement (ablation).
 func RendezvousPlacement() Placement { return place.Rendezvous{} }
-
-// RingPlacement returns consistent-hash-ring placement (ablation).
-func RingPlacement() Placement { return &place.Ring{} }
 
 // EvictionPolicy decides cache victims (§III-G).
 type EvictionPolicy = cachestore.Policy
@@ -102,9 +101,6 @@ func LRUEviction() EvictionPolicy { return cachestore.NewLRU() }
 
 // FIFOEviction returns insertion-order eviction.
 func FIFOEviction() EvictionPolicy { return cachestore.NewFIFO() }
-
-// ClockEviction returns second-chance (CLOCK) eviction.
-func ClockEviction() EvictionPolicy { return cachestore.NewClock() }
 
 // ClairvoyantEviction returns next-access-distance (Belady) eviction
 // scored from installed epoch plans (Client.InstallPlan / OpPlan), with

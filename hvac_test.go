@@ -11,8 +11,8 @@ import (
 	"hvac/internal/vfs"
 )
 
-// TestPublicAPIRealMode drives the facade end to end: servers, client,
-// placement and eviction constructors.
+// TestPublicAPIRealMode drives the facade end to end: servers, client
+// and eviction constructors.
 func TestPublicAPIRealMode(t *testing.T) {
 	work := t.TempDir()
 	pfsDir := filepath.Join(work, "pfs")
@@ -40,7 +40,6 @@ func TestPublicAPIRealMode(t *testing.T) {
 	cli, err := hvac.NewClient(hvac.ClientConfig{
 		Servers:    addrs,
 		DatasetDir: pfsDir,
-		Placement:  hvac.RendezvousPlacement(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestPublicAPISimulation(t *testing.T) {
 		ns.Add(fmt.Sprintf("/gpfs/d/%03d", i), 64<<10)
 	}
 	cluster := hvac.NewSimulatedCluster(eng, 4, ns)
-	job := cluster.StartHVAC(hvac.SimHVACOptions{InstancesPerNode: 2})
+	job := cluster.StartHVAC(hvac.SimHVACOptions{InstancesPerNode: 2, Placement: hvac.RendezvousPlacement()})
 	client := job.Client(0)
 	reads := 0
 	eng.Spawn("reader", func(p *hvac.SimProc) {

@@ -27,4 +27,3 @@ func benchPolicy(b *testing.B, mk func() Policy) {
 func BenchmarkIndexRandom(b *testing.B) { benchPolicy(b, func() Policy { return NewRandom(1) }) }
 func BenchmarkIndexLRU(b *testing.B)    { benchPolicy(b, NewLRU) }
 func BenchmarkIndexFIFO(b *testing.B)   { benchPolicy(b, NewFIFO) }
-func BenchmarkIndexClock(b *testing.B)  { benchPolicy(b, func() Policy { return NewClock() }) }

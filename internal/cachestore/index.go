@@ -1,8 +1,8 @@
 // Package cachestore implements the node-local cache an HVAC server keeps
 // on its fast storage: capacity accounting and the eviction policies from
 // §III-G. The paper evicts randomly (datasets
-// rarely outgrow the aggregate NVMe of a 1,024-node allocation); LRU, FIFO
-// and CLOCK are included for the ablation benchmarks.
+// rarely outgrow the aggregate NVMe of a 1,024-node allocation); LRU and
+// FIFO are included for the ablation benchmarks.
 //
 // The Index is content-agnostic — it tracks keys, sizes and eviction state
 // — so the same logic drives both the real on-disk store (Store) and the
@@ -81,9 +81,6 @@ func (ix *Index) Used() int64 { return ix.used }
 
 // Len returns the number of cached entries.
 func (ix *Index) Len() int { return len(ix.entries) }
-
-// Policy returns the eviction policy.
-func (ix *Index) Policy() Policy { return ix.policy }
 
 // Contains reports whether key is cached, updating hit/miss counters and
 // recency state.

@@ -81,18 +81,6 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	}
 }
 
-func TestClockSecondChance(t *testing.T) {
-	ix := NewIndex(300, NewClock())
-	ix.Insert("a", 100)
-	ix.Insert("b", 100)
-	ix.Insert("c", 100)
-	ix.Contains("a") // sets a's ref bit
-	ev, _ := ix.Insert("d", 100)
-	if len(ev) != 1 || ev[0] != "b" {
-		t.Fatalf("evicted %v, want [b] (a had its ref bit set)", ev)
-	}
-}
-
 func TestRandomDeterministicUnderSeed(t *testing.T) {
 	run := func() []string {
 		ix := NewIndex(10, NewRandom(42))
@@ -124,7 +112,6 @@ func TestCapacityInvariant(t *testing.T) {
 		"random": func() Policy { return NewRandom(7) },
 		"lru":    NewLRU,
 		"fifo":   NewFIFO,
-		"clock":  func() Policy { return NewClock() },
 	}
 	for name, mk := range policies {
 		f := func(sizes []uint16) bool {

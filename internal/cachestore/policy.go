@@ -99,72 +99,3 @@ func (l *listPolicy) Victim() string {
 	}
 	return ""
 }
-
-// Clock is the second-chance approximation of LRU.
-type Clock struct {
-	keys []string
-	ref  map[string]bool
-	pos  map[string]int
-	hand int
-}
-
-// NewClock returns a CLOCK policy.
-func NewClock() *Clock {
-	return &Clock{ref: make(map[string]bool), pos: make(map[string]int)}
-}
-
-// Name implements Policy.
-func (c *Clock) Name() string { return "clock" }
-
-// OnInsert implements Policy.
-func (c *Clock) OnInsert(key string) {
-	c.pos[key] = len(c.keys)
-	c.keys = append(c.keys, key)
-	c.ref[key] = false
-}
-
-// OnAccess implements Policy: set the reference bit.
-func (c *Clock) OnAccess(key string) {
-	if _, ok := c.pos[key]; ok {
-		c.ref[key] = true
-	}
-}
-
-// OnRemove implements Policy.
-func (c *Clock) OnRemove(key string) {
-	i, ok := c.pos[key]
-	if !ok {
-		return
-	}
-	last := len(c.keys) - 1
-	c.keys[i] = c.keys[last]
-	c.pos[c.keys[i]] = i
-	c.keys = c.keys[:last]
-	delete(c.pos, key)
-	delete(c.ref, key)
-	if c.hand > last {
-		c.hand = 0
-	}
-}
-
-// Victim implements Policy: sweep clearing reference bits; two full passes
-// guarantee an unreferenced entry is found if any entry exists.
-func (c *Clock) Victim() string {
-	n := len(c.keys)
-	if n == 0 {
-		return ""
-	}
-	for i := 0; i < 2*n; i++ {
-		if c.hand >= len(c.keys) {
-			c.hand = 0
-		}
-		k := c.keys[c.hand]
-		c.hand++
-		if c.ref[k] {
-			c.ref[k] = false
-			continue
-		}
-		return k
-	}
-	return ""
-}

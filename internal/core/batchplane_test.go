@@ -287,7 +287,7 @@ func TestReadBatchFanOutOneServerRefused(t *testing.T) {
 		}}
 		inj := faultnet.New(hard.sched)
 		defer inj.Close()
-		_, cli := startChaosCluster(t, pfsDir, hard, inj, func(c *ClientConfig) { c.DisableFallback = true })
+		_, cli := startChaosCluster(t, pfsDir, hard, inj, func(c *ClientConfig) { c.disableFallback = true })
 		for i := 0; i < 8; i++ {
 			_, err := cli.ReadBatch(paths)
 			if err == nil {

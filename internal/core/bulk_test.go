@@ -135,7 +135,7 @@ func TestSegmentedReadAtMatchesPFS(t *testing.T) {
 				path := writePatternPFS(t, pfsDir, 1, tc.size)[0]
 				servers, cli := startCluster(t, pfsDir, 2,
 					func(c *ServerConfig) { c.SegmentSize = int64(seg) },
-					func(c *ClientConfig) { c.SegmentSize = int64(seg); c.DisableFallback = true })
+					func(c *ClientConfig) { c.SegmentSize = int64(seg); c.disableFallback = true })
 				pf, err := os.Open(path)
 				if err != nil {
 					t.Fatal(err)

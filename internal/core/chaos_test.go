@@ -192,6 +192,15 @@ func (p basenamePlacement) Replicas(path string, n, r int) []int {
 	return p.inner.Replicas(filepath.Base(path), n, r)
 }
 
+// pinPlacement swaps a freshly built client's view for one over
+// basenamePlacement. Placement is not configurable (real mode hashes with
+// ModHash), so the tests that need a temp-dir-independent assignment
+// replace the view itself, before the client has placed anything;
+// wirePeers does the same to the servers' peer views.
+func pinPlacement(cli *Client) {
+	cli.view = place.NewView(basenamePlacement{}, cli.view.Size())
+}
+
 // chaosCallTimeout and chaosRetryPolicy are the fast client transport
 // settings every chaos cluster (and the failover benchmark) runs with,
 // so fault-heavy runs stay quick and deterministic.
@@ -211,7 +220,7 @@ func chaosRetryPolicy(seed uint64) transport.RetryPolicy {
 // retry/timeout settings so fault-heavy runs stay quick.
 func startChaosCluster(t *testing.T, pfsDir string, tc chaosCase, inj *faultnet.Injector, cliMut func(*ClientConfig)) ([]*Server, *Client) {
 	t.Helper()
-	return startCluster(t, pfsDir, tc.servers,
+	servers, cli := startCluster(t, pfsDir, tc.servers,
 		func(c *ServerConfig) {
 			c.SegmentSize = tc.segSize
 			c.CacheCapacity = tc.capacity
@@ -219,17 +228,14 @@ func startChaosCluster(t *testing.T, pfsDir string, tc chaosCase, inj *faultnet.
 			if tc.policy != nil {
 				c.Policy = tc.policy() // fresh instance per server: policies are stateful
 			}
-			// Agree with the client on placement and replica count so
-			// tests that wire the peer set (wirePeers) warm the same
-			// homes the client will fail over to. Without SetPeers these
-			// fields are inert.
+			// Agree with the client on the replica count so tests that
+			// wire the peer set (wirePeers) warm the same homes the
+			// client will fail over to. Without SetPeers it is inert.
 			c.Replicas = tc.replicas
-			c.Placement = basenamePlacement{}
 		},
 		func(c *ClientConfig) {
 			c.Replicas = tc.replicas
 			c.SegmentSize = tc.segSize
-			c.Placement = basenamePlacement{}
 			addrs := append([]string(nil), c.Servers...)
 			opts := transport.ClientOptions{
 				CallTimeout: chaosCallTimeout,
@@ -248,6 +254,8 @@ func startChaosCluster(t *testing.T, pfsDir string, tc chaosCase, inj *faultnet.
 				cliMut(c)
 			}
 		})
+	pinPlacement(cli)
+	return servers, cli
 }
 
 // maybeWriteCorpus dumps the committed schedule corpus as JSON, one file
@@ -547,7 +555,7 @@ func TestChaosDisableFallbackNamesFailingServer(t *testing.T) {
 	paths := writePFS(t, pfsDir, tc.files, tc.size)
 	inj := faultnet.New(tc.sched)
 	defer inj.Close()
-	_, cli := startChaosCluster(t, pfsDir, tc, inj, func(c *ClientConfig) { c.DisableFallback = true })
+	_, cli := startChaosCluster(t, pfsDir, tc, inj, func(c *ClientConfig) { c.disableFallback = true })
 
 	_, err := cli.Open(paths[0])
 	if err == nil {

@@ -23,8 +23,6 @@ type ClientConfig struct {
 	// the HVAC_DATASET_DIR contract (§III-C). Paths outside it pass
 	// through to the local file system untouched.
 	DatasetDir string
-	// Placement is the redirection hash; nil means the paper's ModHash.
-	Placement place.Policy
 	// Replicas > 1 enables the §III-H failover design: if the home server
 	// is unreachable the client tries the next replica before falling
 	// back to the PFS.
@@ -37,9 +35,6 @@ type ClientConfig struct {
 	// failover then stays strictly sequential. Only effective with
 	// Replicas > 1.
 	HedgeAfter time.Duration
-	// DisableFallback makes server failures hard errors instead of
-	// falling back to direct PFS reads; used in tests.
-	DisableFallback bool
 	// SegmentSize > 0 enables segment-level caching (§III-E): each
 	// SegmentSize-byte segment of a file is homed and cached
 	// independently, balancing load under highly skewed file sizes. The
@@ -52,11 +47,6 @@ type ClientConfig struct {
 	// RetryAttempts is the per-call attempt budget on each server link
 	// (first try included); values below 1 mean the transport default.
 	RetryAttempts int
-	// RetryBaseDelay is the backoff before the first retry (doubles per
-	// retry, seeded jitter); 0 means the transport default.
-	RetryBaseDelay time.Duration
-	// RetrySeed seeds the backoff jitter; equal seeds sleep identically.
-	RetrySeed uint64
 	// PoolSize caps the idle TCP connections kept per server link; 0
 	// means transport.DefaultPoolSize, negative disables pooling. Size it
 	// to twice the loader's worker count: a large read keeps two chunk
@@ -66,6 +56,11 @@ type ClientConfig struct {
 	// the fault-injection harness decorates. Nil means TCP via
 	// transport.DialWith with the timeout/retry settings above.
 	DialTransport func(addr string) transport.Transport
+
+	// disableFallback makes server failures hard errors instead of
+	// falling back to direct PFS reads. Only this package's tests set it,
+	// so a failure they inject cannot hide behind a successful PFS read.
+	disableFallback bool
 }
 
 // ClientStats counts client-side activity.
@@ -120,9 +115,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	cfg.DatasetDir = abs
-	if cfg.Placement == nil {
-		cfg.Placement = place.ModHash{}
-	}
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
 	}
@@ -130,16 +122,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if dial == nil {
 		opts := transport.ClientOptions{
 			CallTimeout: cfg.CallTimeout,
-			Retry: transport.RetryPolicy{
-				MaxAttempts: cfg.RetryAttempts,
-				BaseDelay:   cfg.RetryBaseDelay,
-				Seed:        cfg.RetrySeed,
-			},
-			PoolSize: cfg.PoolSize,
+			Retry:       transport.RetryPolicy{MaxAttempts: cfg.RetryAttempts},
+			PoolSize:    cfg.PoolSize,
 		}
 		dial = func(addr string) transport.Transport { return transport.DialWith(addr, opts) }
 	}
-	c := &Client{cfg: cfg, view: place.NewView(cfg.Placement, len(cfg.Servers))}
+	c := &Client{cfg: cfg, view: place.NewView(place.ModHash{}, len(cfg.Servers))}
 	for _, addr := range cfg.Servers {
 		c.conns = append(c.conns, dial(addr))
 	}
@@ -149,7 +137,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // View returns the client's membership view: the versioned server set
 // placement hashes over. Leave/Join on it reroute subsequent opens away
 // from (or back to) a member without restarting the job; an unchanged
-// view places exactly like the configured policy.
+// view places exactly like the paper's ModHash.
 func (c *Client) View() *place.View { return c.view }
 
 // Stats returns a snapshot of client counters. Retries is gathered live
@@ -266,7 +254,7 @@ func (c *Client) Open(path string) (*File, error) {
 		}
 		return &File{c: c, conn: r.conn, handle: r.handle, size: size, path: abs, replicas: replicas, srv: r.srv}, nil
 	}
-	if c.cfg.DisableFallback {
+	if c.cfg.disableFallback {
 		return nil, fmt.Errorf("hvac client: open %s: %w", abs, r.err)
 	}
 	f, err := os.Open(abs) //hvac:pfs-fallback designated open fallback: every replica failed (§III-H)
@@ -524,7 +512,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		}
 		resp, err := f.fetch(dst, pos)
 		if err != nil {
-			if f.c.cfg.DisableFallback {
+			if f.c.cfg.disableFallback {
 				return total, err
 			}
 			n, ferr := f.degradeToPFS(p[total:], pos)
@@ -796,9 +784,10 @@ func (f *File) Close() error {
 // Prefetch asks the home servers to pre-populate their caches with the
 // given dataset files, without reading them — the paper's future-work
 // prefetching (§IV-C: "pre-populate the HVAC cache and reduce the
-// performance overhead of epoch-1"). It returns the number of files whose
-// prefetch was accepted; unreachable servers are skipped (their files
-// will be cached on first read instead).
+// performance overhead of epoch-1"). It returns the number of hints the
+// servers accepted — one per file per replica home, so Replicas per file
+// when every home is reachable; unreachable servers are skipped (their
+// files will be cached on first read instead).
 // The hints ride one OpReadBatch (with BatchFlagPrefetch) per home
 // server instead of one RPC per file, and a batch that fails is not
 // re-sent file by file: its server has just spent a call's whole retry
@@ -887,7 +876,7 @@ func batchSpan(start, n int, length func(int) int) int {
 //
 // Degradation is per entry: StatusAgain entries (over the response frame
 // budget) are re-read individually, failed entries fall back to the PFS
-// (unless DisableFallback, which turns the first failure into an error),
+// (unless disableFallback, which turns the first failure into an error),
 // and a failed batch call degrades its whole group to per-file reads.
 // Segment-striped deployments home each segment independently, so
 // whole-file batching does not compose there; ReadBatch then reads per
@@ -1043,7 +1032,7 @@ func (c *Client) readBatchGroup(srv int, idxs []int, abspaths []string, out [][]
 			c.bump(func(s *ClientStats) { s.BatchFallbacks++ })
 			continue
 		}
-		if c.cfg.DisableFallback {
+		if c.cfg.disableFallback {
 			return r.err
 		}
 		data, ferr := os.ReadFile(abspaths[r.ix]) //hvac:pfs-fallback designated batch-entry fallback: the home server failed this entry, the rest of the batch proceeds (§III-H)

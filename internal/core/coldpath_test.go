@@ -272,7 +272,7 @@ func TestReadBatchDisableFallback(t *testing.T) {
 	}
 	_, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) {
 		c.DatasetDir = root
-		c.DisableFallback = true
+		c.disableFallback = true
 	})
 	if _, err := cli.ReadBatch(append([]string{outside}, paths...)); err == nil {
 		t.Fatal("ReadBatch with DisableFallback succeeded on a failing entry")
@@ -482,7 +482,7 @@ func TestPrefetchDropsUnderBackpressure(t *testing.T) {
 	paths := writePFS(t, pfsDir, 8, 256)
 	gate := make(chan struct{})
 	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
-		c.PrefetchQueue = 2
+		c.prefetchQueue = 2
 		c.Movers = 1
 		c.OpenPFS = func(path string) (*os.File, error) {
 			<-gate // wedge every fill until the test opens the gate

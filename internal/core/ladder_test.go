@@ -48,7 +48,7 @@ func newLadderRig(t *testing.T, segmented, zeroCopy bool) *ladderRig {
 	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
 		c.CacheCapacity = ladderSize + ladderSize/2
 		c.Movers = 1
-		c.DemandQueue = 1
+		c.demandQueue = 1
 		c.SegmentSize = r.seg
 		c.ZeroCopy = zeroCopy
 		c.OpenPFS = func(path string) (*os.File, error) {

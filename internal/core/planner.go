@@ -35,10 +35,10 @@ type AccessOracle interface {
 }
 
 // defaultPlanHorizon is how many plan entries the pump keeps ahead of
-// the read frontier when neither the install RPC nor the server config
-// names a horizon. Far enough ahead to hide a PFS copy behind many
-// sample reads, small enough that evicting for prefetched bytes the
-// loader will not touch for a while stays rare.
+// the read frontier when the install RPC names no horizon. Far enough
+// ahead to hide a PFS copy behind many sample reads, small enough that
+// evicting for prefetched bytes the loader will not touch for a while
+// stays rare.
 const defaultPlanHorizon = 256
 
 // planner is one server's installed epoch plan and pump cursor.
@@ -59,8 +59,8 @@ type planner struct {
 // same generation in Handle and append exactly at the current plan
 // length, so a lost or reordered chunk is refused instead of silently
 // corrupting the access order. Len names the prefetch horizon (0 keeps
-// the server's configured default). The response Size reports the
-// installed plan length.
+// the one in force: defaultPlanHorizon, or an earlier install's). The
+// response Size reports the installed plan length.
 func (s *Server) handlePlan(req *transport.Request) *transport.Response {
 	keys, err := transport.DecodeBatchPaths(req.Path)
 	if err != nil {

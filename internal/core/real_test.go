@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"hvac/internal/cachestore"
-	"hvac/internal/place"
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
@@ -195,7 +194,7 @@ func TestRealServerRefusesOutsideDataset(t *testing.T) {
 	os.WriteFile(secret, []byte("secret"), 0o600)
 	_, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) {
 		c.DatasetDir = filepath.Dir(secret) // client would redirect it
-		c.DisableFallback = true
+		c.disableFallback = true
 	})
 	if _, err := cli.Open(secret); err == nil || !strings.Contains(err.Error(), "outside served dataset dir") {
 		t.Fatalf("server accepted path outside its dataset dir: %v", err)
@@ -231,7 +230,7 @@ func TestRealReplicaFailover(t *testing.T) {
 	paths := writePFS(t, pfsDir, 30, 128)
 	servers, cli := startCluster(t, pfsDir, 3, nil, func(c *ClientConfig) {
 		c.Replicas = 2
-		c.DisableFallback = true // failover must come from replicas alone
+		c.disableFallback = true // failover must come from replicas alone
 	})
 	servers[1].Close()
 	for _, p := range paths {
@@ -674,7 +673,7 @@ func TestClientValidation(t *testing.T) {
 	if _, err := NewClient(ClientConfig{Servers: []string{"a:1"}}); err == nil {
 		t.Fatal("empty dataset dir accepted")
 	}
-	c, err := NewClient(ClientConfig{Servers: []string{"a:1"}, DatasetDir: "/x", Placement: place.Rendezvous{}})
+	c, err := NewClient(ClientConfig{Servers: []string{"a:1"}, DatasetDir: "/x"})
 	if err != nil {
 		t.Fatal(err)
 	}

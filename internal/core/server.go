@@ -88,11 +88,6 @@ type ServerConfig struct {
 	// a pool keeps concurrent cold fills from serializing behind a single
 	// PFS copy.
 	Movers int
-	// PlanHorizon is how many plan entries the clairvoyant pump keeps
-	// ahead of the observed read frontier once a plan is installed
-	// (OpPlan); 0 means defaultPlanHorizon. An install RPC carrying its
-	// own horizon overrides this.
-	PlanHorizon int
 	// SegmentSize > 0 enables segment-level caching (§III-E): files are
 	// cached and served in SegmentSize-byte segments, each homed
 	// independently, which balances load for datasets with highly skewed
@@ -108,33 +103,24 @@ type ServerConfig struct {
 	// writer or platform transparently falls back to the pooled
 	// pread+writev path). See DESIGN.md §13.
 	ZeroCopy bool
-	// DemandQueue and PrefetchQueue cap the two mover queues (0 means the
-	// package defaults). Demand overflows degrade the request to
-	// handler-side read-through; prefetch overflows drop the hint.
-	DemandQueue   int
-	PrefetchQueue int
 	// OpenPFS overrides how the server opens source files on the PFS;
 	// nil means os.Open. Tests use it to count PFS passes (the
 	// one-read-per-cold-file property), deployments can route it at an
 	// alternative PFS mount.
 	OpenPFS func(path string) (*os.File, error)
-	// Peers, SelfID, Replicas and Placement arm replica warming
-	// (§III-H): after a demand fill completes, the server forwards the
-	// key to its other replica homes as prefetch hints, so a failover
-	// read hits a warm cache instead of triggering a cold PFS storm.
-	// Peers lists every server address of the allocation in client
-	// order, SelfID is this server's index in it, Replicas is the
-	// placement replication factor, and Placement must match the
-	// clients' policy (nil means ModHash). Leave any of them zero to
-	// disable warming; tests with ephemeral ports can wire the same
-	// state after startup via SetPeers.
-	Peers     []string
-	SelfID    int
-	Replicas  int
-	Placement place.Policy
-	// DialPeer overrides how peer links are dialed (the warm-path test
-	// seam); nil means TCP via transport.Dial.
-	DialPeer func(addr string) transport.Transport
+	// Replicas is the placement replication factor replica warming
+	// (§III-H) uses: once SetPeers has named the allocation's servers, a
+	// completed demand fill forwards its key to the key's other Replicas-1
+	// homes as prefetch hints, so a failover read hits a warm cache
+	// instead of triggering a cold PFS storm. It must match the clients'
+	// value; below 2, or before SetPeers, nothing is warmed.
+	Replicas int
+
+	// demandQueue and prefetchQueue cap the two mover queues; 0 means
+	// defaultDemandQueue / defaultPrefetchQueue. Only this package's tests
+	// set them, to reach the backpressure rungs with a handful of requests.
+	demandQueue   int
+	prefetchQueue int
 }
 
 // ServerStats counts server-side activity. The counters satisfy an
@@ -318,8 +304,8 @@ type Server struct {
 
 	// Clairvoyant planning state (planner.go). planArmed short-circuits
 	// planObserve on the warm read path until a plan is installed;
-	// planHorizon is the pump window (install RPCs may override the
-	// configured value); belady is cfg.Policy when it is the Clairvoyant
+	// planHorizon is the pump window (defaultPlanHorizon until an install
+	// RPC names its own); belady is cfg.Policy when it is the Clairvoyant
 	// eviction policy, so installed plans also score eviction.
 	plan        planner
 	planArmed   atomic.Bool
@@ -343,7 +329,6 @@ type Server struct {
 	self      int
 	pview     *place.View
 	peerConns []transport.Transport
-	dialPeer  func(addr string) transport.Transport
 
 	latOpen  metrics.Histogram
 	latRead  metrics.Histogram
@@ -362,11 +347,11 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 1 << 40
 	}
-	if cfg.DemandQueue <= 0 {
-		cfg.DemandQueue = defaultDemandQueue
+	if cfg.demandQueue <= 0 {
+		cfg.demandQueue = defaultDemandQueue
 	}
-	if cfg.PrefetchQueue <= 0 {
-		cfg.PrefetchQueue = defaultPrefetchQueue
+	if cfg.prefetchQueue <= 0 {
+		cfg.prefetchQueue = defaultPrefetchQueue
 	}
 	abs, err := filepath.Abs(cfg.PFSDir)
 	if err != nil {
@@ -381,26 +366,19 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		store:     store,
 		openPFS:   cfg.OpenPFS,
-		demandQ:   make(chan fetchTask, cfg.DemandQueue),
-		prefetchQ: make(chan fetchTask, cfg.PrefetchQueue),
+		demandQ:   make(chan fetchTask, cfg.demandQueue),
+		prefetchQ: make(chan fetchTask, cfg.prefetchQueue),
 		stop:      make(chan struct{}),
 		inflight:  make(map[string]*fillEntry),
 	}
 	if s.openPFS == nil {
 		s.openPFS = os.Open
 	}
-	if cfg.PlanHorizon > 0 {
-		s.planHorizon.Store(int64(cfg.PlanHorizon))
-	} else {
-		s.planHorizon.Store(defaultPlanHorizon)
-	}
+	s.planHorizon.Store(defaultPlanHorizon)
 	if cl, ok := cfg.Policy.(*cachestore.Clairvoyant); ok {
 		s.belady = cl
 	}
 	s.idle = sync.NewCond(&s.mu)
-	if len(cfg.Peers) > 0 {
-		s.SetPeers(cfg.Peers, cfg.SelfID)
-	}
 	for i := 0; i < cfg.Movers; i++ {
 		s.moverWG.Add(1)
 		go s.mover()
@@ -420,9 +398,10 @@ func (s *Server) Addr() string { return s.rpc.Addr() }
 
 // SetPeers wires (or rewires) the replica-warming peer set: peers is
 // every server address of the allocation in client order, self is this
-// server's index in it. Tests call it after startup, once the cluster's
-// ephemeral ports are known; StartServer calls it for configs that name
-// their peers up front. Existing peer links are retired.
+// server's index in it. It is called after startup, once every server's
+// address is known (hvacd's -peers/-self; tests with ephemeral ports).
+// The peers are placed with ModHash, as the clients place them. Existing
+// peer links are retired.
 func (s *Server) SetPeers(peers []string, self int) {
 	var stale []transport.Transport
 	s.peerMu.Lock()
@@ -435,11 +414,7 @@ func (s *Server) SetPeers(peers []string, self int) {
 	s.self = self
 	s.peerConns = make([]transport.Transport, len(peers))
 	if len(peers) > 0 {
-		pol := s.cfg.Placement
-		if pol == nil {
-			pol = place.ModHash{}
-		}
-		s.pview = place.NewView(pol, len(peers))
+		s.pview = place.NewView(place.ModHash{}, len(peers))
 	} else {
 		s.pview = nil
 	}
@@ -447,15 +422,6 @@ func (s *Server) SetPeers(peers []string, self int) {
 	for _, conn := range stale {
 		conn.Close()
 	}
-}
-
-// View returns the server's membership view over its peer set, or nil
-// when replica warming is not wired. Leave/Join on it steer warm hints
-// away from (or back to) a member.
-func (s *Server) View() *place.View {
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	return s.pview
 }
 
 // peerConn returns the lazily dialed link to peer i, nil for self.
@@ -466,11 +432,7 @@ func (s *Server) peerConn(i int) transport.Transport {
 		return nil
 	}
 	if s.peerConns[i] == nil {
-		dial := s.cfg.DialPeer
-		if dial == nil {
-			dial = func(addr string) transport.Transport { return transport.Dial(addr) }
-		}
-		s.peerConns[i] = dial(s.peers[i])
+		s.peerConns[i] = transport.Dial(s.peers[i])
 	}
 	return s.peerConns[i]
 }

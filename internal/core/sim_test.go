@@ -554,82 +554,3 @@ func TestSimInstanceScalingReducesTime(t *testing.T) {
 		t.Fatalf("4 instances (%v) not faster than 1 (%v)", t4, t1)
 	}
 }
-
-// TestSimBatchRead mirrors the real-mode scatter-gather read: one RPC
-// per home server per batch, cache behaviour identical to per-file reads
-// (cold entries read through and copy in the background; warm entries
-// hit), and per-group PFS fallback when a server dies.
-func TestSimBatchRead(t *testing.T) {
-	const (
-		files    = 24
-		fileSize = int64(64 << 10)
-	)
-	r := newSimRig(3, 1, files, fileSize, 1<<30)
-	client := r.clients[0]
-
-	var cold int64
-	r.eng.Spawn("cold-batch", func(p *sim.Proc) {
-		n, err := client.ReadBatch(p, r.paths())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cold = n
-	})
-	if err := r.eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if cold != files*fileSize {
-		t.Fatalf("cold batch read %d bytes, want %d", cold, files*fileSize)
-	}
-	cached := 0
-	for _, s := range r.servers {
-		cached += s.CachedFiles()
-	}
-	if cached != files {
-		t.Fatalf("cached = %d after cold batch, want %d", cached, files)
-	}
-	opens, _, _ := r.gpfs.Stats()
-	if opens != files {
-		t.Fatalf("GPFS opens = %d after cold batch, want %d", opens, files)
-	}
-
-	r.eng.Spawn("warm-batch", func(p *sim.Proc) {
-		if n, err := client.ReadBatch(p, r.paths()); err != nil || n != files*fileSize {
-			t.Errorf("warm batch = %d, %v", n, err)
-		}
-	})
-	if err := r.eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	var hits, entries int64
-	for _, s := range r.servers {
-		hits += s.Stats().Hits
-		entries += s.Stats().BatchEntries
-	}
-	if hits != files {
-		t.Fatalf("warm batch hits = %d, want %d", hits, files)
-	}
-	if entries != 2*files {
-		t.Fatalf("BatchEntries = %d, want %d", entries, 2*files)
-	}
-	if opens, _, _ := r.gpfs.Stats(); opens != files {
-		t.Fatalf("warm batch touched GPFS: opens = %d, want %d", opens, files)
-	}
-
-	// Kill one server: its group falls back to the PFS per file, the
-	// other groups still batch; total bytes unchanged.
-	r.servers[0].Fail()
-	before := client.Stats().Fallbacks
-	r.eng.Spawn("degraded-batch", func(p *sim.Proc) {
-		if n, err := client.ReadBatch(p, r.paths()); err != nil || n != files*fileSize {
-			t.Errorf("degraded batch = %d, %v", n, err)
-		}
-	})
-	if err := r.eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := client.Stats().Fallbacks - before; got <= 0 {
-		t.Fatalf("Fallbacks = %d after server failure, want > 0", got)
-	}
-}

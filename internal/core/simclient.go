@@ -32,7 +32,6 @@ type SimClient struct {
 	node     simnet.NodeID
 	fabric   *simnet.Fabric
 	servers  []*SimServer
-	view     *place.View
 	placeFn  func(path string) int
 	replicas func(path string) []int
 	gpfsC    *pfs.Client // PFS fallback path
@@ -60,16 +59,15 @@ func NewSimClient(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
 	if replicaCount < 1 {
 		replicaCount = 1
 	}
-	view := place.NewView(policy, len(servers))
+	n := len(servers)
 	c := &SimClient{
 		eng:     eng,
 		node:    node,
 		fabric:  fabric,
 		servers: servers,
-		view:    view,
-		placeFn: func(path string) int { return view.Place(path) },
+		placeFn: func(path string) int { return policy.Place(path, n) },
 		replicas: func(path string) []int {
-			return view.Replicas(path, replicaCount)
+			return policy.Replicas(path, n, replicaCount)
 		},
 		costs:   costs,
 		handles: vfs.NewHandleTable(),
@@ -135,16 +133,8 @@ func (c *SimClient) SetPlacement(fn func(path string) int) {
 	c.replicas = func(path string) []int { return []int{fn(path)} }
 }
 
-// View returns the client's versioned membership view. Leave/Join steer
-// placement away from departed servers with minimal key movement — the
-// sim mirror of Client.View in real mode. Overridden by SetPlacement.
-func (c *SimClient) View() *place.View { return c.view }
-
 // Stats returns a snapshot of the client counters.
 func (c *SimClient) Stats() SimClientStats { return c.stats }
-
-// Node returns the client's compute node.
-func (c *SimClient) Node() simnet.NodeID { return c.node }
 
 var _ vfs.FS = (*SimClient)(nil)
 
@@ -155,18 +145,6 @@ func (c *SimClient) rpc(p *sim.Proc, srv *SimServer) {
 	if c.fabric != nil {
 		c.fabric.RPC(p, c.node, srv.node, c.costs.RPCBytes, c.costs.RPCBytes)
 	}
-}
-
-// groupByServer splits paths by home server into ordered slices indexed
-// by server position — not a map keyed by server, whose iteration order
-// would make the simulation nondeterministic.
-func (c *SimClient) groupByServer(paths []string) [][]string {
-	groups := make([][]string, len(c.servers))
-	for _, path := range paths {
-		home := c.placeFn(path)
-		groups[home] = append(groups[home], path)
-	}
-	return groups
 }
 
 // Prefetch asks each of a file's R homes to pre-populate its cache
@@ -189,72 +167,6 @@ func (c *SimClient) Prefetch(p *sim.Proc, paths []string) {
 		c.rpc(p, srv)
 		_ = srv.prefetchBatch(p, group)
 	}
-}
-
-// InstallPlan distributes an epoch access plan: order lists every path
-// in global access order; each of a path's R homes receives the ordered
-// sub-list it serves, one plan-install RPC per server — the sim mirror
-// of Client.InstallPlan. Failed servers keep their previous plan.
-func (c *SimClient) InstallPlan(p *sim.Proc, order []string, horizon int) {
-	groups := make([][]string, len(c.servers))
-	for _, path := range order {
-		for _, si := range c.replicas(path) {
-			groups[si] = append(groups[si], path)
-		}
-	}
-	for si, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		srv := c.servers[si]
-		if srv.Failed() {
-			continue
-		}
-		c.rpc(p, srv)
-		srv.InstallPlan(group, horizon)
-	}
-}
-
-// ReadBatch reads every path's full content through one scatter-gather
-// RPC per home server — the batched small-file path mirrored from the
-// real client. Entries on failed servers fall back to the PFS per file
-// (when a fallback is configured). Returns the total bytes read.
-func (c *SimClient) ReadBatch(p *sim.Proc, paths []string) (int64, error) {
-	p.Sleep(c.costs.ClientOverhead)
-	var total int64
-	for si, group := range c.groupByServer(paths) {
-		if len(group) == 0 {
-			continue
-		}
-		srv := c.servers[si]
-		c.rpc(p, srv)
-		n, err := srv.readBatch(p, group, c.node)
-		total += n
-		if err == nil {
-			c.stats.BytesRead += n
-			continue
-		}
-		if c.gpfsC == nil {
-			return total, fmt.Errorf("hvac sim client: batch read: %w", err)
-		}
-		// Per-file PFS fallback for the group the server failed.
-		for _, path := range group {
-			h, size, gerr := c.gpfsC.Open(p, path)
-			if gerr != nil {
-				return total, gerr
-			}
-			if _, gerr = c.gpfsC.ReadAt(p, h, 0, size); gerr != nil {
-				return total, gerr
-			}
-			if gerr = c.gpfsC.Close(p, h); gerr != nil {
-				return total, gerr
-			}
-			c.stats.Fallbacks++
-			c.stats.BytesRead += size
-			total += size
-		}
-	}
-	return total, nil
 }
 
 // Open implements vfs.FS: forward to the home server, fail over to

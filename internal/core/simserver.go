@@ -51,10 +51,7 @@ func DefaultSimCosts() SimCosts {
 type SimServerStats struct {
 	Opens, Reads, Closes int64
 	Hits, Misses         int64
-	BatchEntries         int64 // files served through scatter-gather batch reads
 	ReplicaWarms         int64 // copies pulled in because a peer's demand fill warmed us
-	PlanInstalled        int64 // plan entries accepted (mirror of the real server's OpPlan)
-	PlanPrefetches       int64 // background copies the plan pump scheduled
 	BytesServed          int64
 	BytesFetched         int64
 	Evictions            int64
@@ -77,22 +74,12 @@ type SimServer struct {
 	// Replica-warming wiring (SetCluster); nil/0 disables warming.
 	cluster      []*SimServer
 	self         int
-	view         *place.View
+	policy       place.Policy
 	replicaCount int
 
 	inflight map[string]bool
 	failed   bool
 	stats    SimServerStats
-
-	// Clairvoyant plan state — the deterministic single-threaded mirror of
-	// the real server's planner: same key list, same frontier/horizon pump
-	// semantics, minus the locks and queue backpressure (sim copies always
-	// spawn, bounded by the horizon).
-	planKeys     []string
-	planPos      map[string]int
-	planNext     int
-	planFrontier int
-	planHorizon  int
 }
 
 // NewSimServer builds a server instance. capacity is this instance's share
@@ -116,7 +103,7 @@ func NewSimServer(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
 
 // SetCluster wires this instance into the replicated cluster so its
 // demand fills warm the key's other homes — the sim mirror of
-// ServerConfig.Peers in real mode. Call once after constructing every
+// Server.SetPeers in real mode. Call once after constructing every
 // instance; replicas < 2 disables warming.
 func (s *SimServer) SetCluster(servers []*SimServer, self int, policy place.Policy, replicas int) {
 	if policy == nil {
@@ -124,12 +111,9 @@ func (s *SimServer) SetCluster(servers []*SimServer, self int, policy place.Poli
 	}
 	s.cluster = servers
 	s.self = self
-	s.view = place.NewView(policy, len(servers))
+	s.policy = policy
 	s.replicaCount = replicas
 }
-
-// View returns the membership view set by SetCluster (nil before).
-func (s *SimServer) View() *place.View { return s.view }
 
 // Node returns the compute node hosting this instance.
 func (s *SimServer) Node() simnet.NodeID { return s.node }
@@ -146,12 +130,6 @@ func (s *SimServer) CachedBytes() int64 { return s.index.Used() }
 // Fail marks the server crashed: every subsequent request errors, which
 // exercises the client failover / PFS-fallback paths.
 func (s *SimServer) Fail() { s.failed = true }
-
-// Recover brings a failed server back (empty-cached).
-func (s *SimServer) Recover() { s.failed = false }
-
-// Failed reports crash state.
-func (s *SimServer) Failed() bool { return s.failed }
 
 // errServerFailed mimics an RPC timeout against a dead peer.
 var errServerFailed = fmt.Errorf("hvac sim server: unreachable")
@@ -175,7 +153,6 @@ func (s *SimServer) open(p *sim.Proc, path string) (size int64, cached bool, err
 		s.index.Contains(path) // recency + hit accounting
 		s.stats.Hits++
 		release()
-		s.planObserve(path)
 		return size, true, nil
 	}
 	release()
@@ -185,7 +162,6 @@ func (s *SimServer) open(p *sim.Proc, path string) (size int64, cached bool, err
 	if err != nil {
 		return 0, false, err
 	}
-	s.planObserve(path)
 	return size, false, nil
 }
 
@@ -262,10 +238,10 @@ func (s *SimServer) scheduleCopy(path string, size int64, fromPFS bool) {
 
 // warmPeers schedules replica-warming copies of key on its other homes.
 func (s *SimServer) warmPeers(key string, size int64) {
-	if s.view == nil || s.replicaCount < 2 {
+	if s.policy == nil || s.replicaCount < 2 {
 		return
 	}
-	for _, si := range s.view.Replicas(key, s.replicaCount) {
+	for _, si := range s.policy.Replicas(key, len(s.cluster), s.replicaCount) {
 		if si == s.self {
 			continue
 		}
@@ -304,51 +280,9 @@ func (s *SimServer) warm(key string, size int64) {
 	})
 }
 
-// readBatch services a scatter-gather batch read: every path's full
-// content in one RPC round trip (the request/response fabric cost is the
-// caller's, charged once per batch — that is the point of the op). The
-// per-entry mover handling, cache/PFS transfers and background copies
-// are identical to the per-file path, so batching changes RPC count, not
-// cache behaviour. Returns the total payload bytes for the bulk send.
-func (s *SimServer) readBatch(p *sim.Proc, paths []string, clientNode simnet.NodeID) (int64, error) {
-	if s.failed {
-		return 0, errServerFailed
-	}
-	var total int64
-	for _, path := range paths {
-		s.mover.Use(p, s.costs.ReadHandling)
-		var size int64
-		if s.index.Peek(path) {
-			size, _ = s.index.Size(path)
-			s.index.Contains(path)
-			s.stats.Hits++
-			s.dev.Read(p, size)
-		} else {
-			got, err := s.gpfs.OpenMeta(p, path)
-			if err != nil {
-				return total, err
-			}
-			size = got
-			s.gpfs.ReadBytes(p, size)
-			s.gpfs.CloseMeta(p)
-			if !s.inflight[path] {
-				s.inflight[path] = true
-				s.scheduleCopy(path, size, false)
-			}
-		}
-		s.stats.BatchEntries++
-		s.stats.BytesServed += size
-		total += size
-		s.planObserve(path)
-	}
-	if s.fabric != nil && total > 0 {
-		s.fabric.Send(p, s.node, clientNode, total)
-	}
-	return total, nil
-}
-
-// prefetchBatch accepts one batched pre-population hint: the per-path
-// scheduling of prefetch without the per-path RPC.
+// prefetchBatch accepts one batched pre-population hint: the data-mover
+// copies each path from the PFS in the background (§IV-C future work,
+// implemented), one RPC for the whole list.
 func (s *SimServer) prefetchBatch(p *sim.Proc, paths []string) error {
 	if s.failed {
 		return errServerFailed
@@ -361,21 +295,6 @@ func (s *SimServer) prefetchBatch(p *sim.Proc, paths []string) error {
 		s.inflight[path] = true
 		s.scheduleCopy(path, 0, true)
 	}
-	return nil
-}
-
-// prefetch accepts a pre-population request: the data-mover copies the
-// file from the PFS in the background (§IV-C future work, implemented).
-func (s *SimServer) prefetch(p *sim.Proc, path string) error {
-	if s.failed {
-		return errServerFailed
-	}
-	s.mover.Use(p, s.costs.OpenHandling)
-	if s.index.Peek(path) || s.inflight[path] {
-		return nil
-	}
-	s.inflight[path] = true
-	s.scheduleCopy(path, 0, true)
 	return nil
 }
 
@@ -434,68 +353,8 @@ func (s *SimServer) readSegment(p *sim.Proc, key string, n, segBytes int64, clie
 	}
 	s.stats.Reads++
 	s.stats.BytesServed += n
-	s.planObserve(key)
 	return nil
 }
-
-// InstallPlan installs this server's epoch access plan: keys in the
-// order the epoch will demand them, horizon entries kept ahead of the
-// observed read frontier (0 means defaultPlanHorizon). The sim mirror
-// of the real server's OpPlan handler: the plan drives the pump below
-// and, when the index runs Clairvoyant eviction, Belady scoring too.
-func (s *SimServer) InstallPlan(keys []string, horizon int) {
-	if horizon <= 0 {
-		horizon = defaultPlanHorizon
-	}
-	s.planKeys = append(s.planKeys[:0], keys...)
-	s.planPos = make(map[string]int, len(keys))
-	for i, k := range keys {
-		s.planPos[k] = i
-	}
-	s.planNext = 0
-	s.planFrontier = -1
-	s.planHorizon = horizon
-	s.stats.PlanInstalled += int64(len(keys))
-	if cl, ok := s.index.Policy().(*cachestore.Clairvoyant); ok {
-		cl.SetPlan(keys)
-	}
-	s.pumpPlan()
-}
-
-// planObserve advances the read frontier when a demand read lands on a
-// planned key — mirror of the real server's planObserve, without locks
-// (the sim engine is single-threaded).
-func (s *SimServer) planObserve(key string) {
-	p, ok := s.planPos[key]
-	if !ok || p <= s.planFrontier {
-		return
-	}
-	s.planFrontier = p
-	if cl, ok := s.index.Policy().(*cachestore.Clairvoyant); ok {
-		cl.Advance(p + 1)
-	}
-	s.pumpPlan()
-}
-
-// pumpPlan schedules planned background copies up to horizon entries
-// ahead of the frontier. Resident and in-flight keys are skipped; there
-// is no queue backpressure in the sim, so the horizon alone bounds the
-// outstanding copies.
-func (s *SimServer) pumpPlan() {
-	for s.planNext < len(s.planKeys) && s.planNext <= s.planFrontier+s.planHorizon {
-		key := s.planKeys[s.planNext]
-		s.planNext++
-		if s.index.Peek(key) || s.inflight[key] {
-			continue
-		}
-		s.inflight[key] = true
-		s.stats.PlanPrefetches++
-		s.scheduleCopy(key, 0, true)
-	}
-}
-
-// InFlightCopies reports pending background copies (drains to zero).
-func (s *SimServer) InFlightCopies() int { return len(s.inflight) }
 
 // MoverUtilization reports the data-mover thread's mean utilization — the
 // instance-scaling diagnostic behind Fig. 9b.

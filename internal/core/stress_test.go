@@ -39,7 +39,7 @@ func TestStressParallelClientsWithEviction(t *testing.T) {
 		func(cfg *ClientConfig) {
 			// A server failure must surface as a hard error, not a silent
 			// PFS fallback that would skew the accounting below.
-			cfg.DisableFallback = true
+			cfg.disableFallback = true
 		})
 	srv := servers[0]
 
@@ -150,7 +150,7 @@ func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
 			cfg.Movers = 4
 			pfsOpens = countingOpens(cfg)
 		},
-		func(cfg *ClientConfig) { cfg.DisableFallback = true })
+		func(cfg *ClientConfig) { cfg.disableFallback = true })
 	srv := servers[0]
 
 	var reads, delivered atomic.Int64
@@ -240,7 +240,7 @@ func TestStressSegmentedParallelClients(t *testing.T) {
 		},
 		func(cfg *ClientConfig) {
 			cfg.SegmentSize = segSize
-			cfg.DisableFallback = true
+			cfg.disableFallback = true
 		})
 	srv := servers[0]
 

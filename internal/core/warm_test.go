@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hvac/internal/place"
 	"hvac/internal/testutil"
 )
 
@@ -15,9 +16,10 @@ import (
 // cache is already hot and the epoch never goes back to the PFS.
 
 // wirePeers connects every server of a started cluster into one
-// replica-warming peer group. The servers must share the client's
-// placement policy and replica count (set via the ServerConfig) so both
-// sides agree on each key's homes.
+// replica-warming peer group, placed by basenamePlacement like the
+// pinPlacement clients they serve. The servers must share the client's
+// replica count (set via the ServerConfig) so both sides agree on each
+// key's homes.
 func wirePeers(t *testing.T, servers []*Server) {
 	t.Helper()
 	addrs := make([]string, len(servers))
@@ -26,6 +28,9 @@ func wirePeers(t *testing.T, servers []*Server) {
 	}
 	for i, s := range servers {
 		s.SetPeers(addrs, i)
+		s.peerMu.Lock()
+		s.pview = place.NewView(basenamePlacement{}, len(addrs))
+		s.peerMu.Unlock()
 	}
 }
 
@@ -52,21 +57,20 @@ func servedTotals(servers []*Server) (hits, readThroughs int64) {
 	return hits, readThroughs
 }
 
-// warmCluster is startCluster plus replica-count/placement agreement on
-// both sides and the peer wiring.
+// warmCluster is startCluster plus replica-count and placement agreement
+// on both sides and the peer wiring.
 func warmCluster(t *testing.T, pfsDir string, n, replicas int, segSize int64) ([]*Server, *Client) {
 	t.Helper()
 	servers, cli := startCluster(t, pfsDir, n,
 		func(c *ServerConfig) {
 			c.Replicas = replicas
-			c.Placement = basenamePlacement{}
 			c.SegmentSize = segSize
 		},
 		func(c *ClientConfig) {
 			c.Replicas = replicas
-			c.Placement = basenamePlacement{}
 			c.SegmentSize = segSize
 		})
+	pinPlacement(cli)
 	wirePeers(t, servers)
 	return servers, cli
 }

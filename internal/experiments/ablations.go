@@ -15,7 +15,7 @@ import (
 
 // ablationEvictionTables runs ResNet50 training with per-instance cache
 // capacity covering only a fraction of the dataset shard, comparing the
-// paper's random eviction with LRU, FIFO and CLOCK.
+// paper's random eviction with LRU and FIFO.
 func ablationEvictionTables(opt Options) []*metrics.Table {
 	a := apps()[0]
 	nodes := 16
@@ -30,9 +30,8 @@ func ablationEvictionTables(opt Options) []*metrics.Table {
 		"random": func(seed uint64) cachestore.Policy { return cachestore.NewRandom(seed) },
 		"lru":    func(uint64) cachestore.Policy { return cachestore.NewLRU() },
 		"fifo":   func(uint64) cachestore.Policy { return cachestore.NewFIFO() },
-		"clock":  func(uint64) cachestore.Policy { return cachestore.NewClock() },
 	}
-	order := []string{"random", "lru", "fifo", "clock"}
+	order := []string{"random", "lru", "fifo"}
 
 	t := metrics.NewTable(
 		fmt.Sprintf("Ablation: eviction policy under pressure (capacity = 50%% of per-server share, %s, %d nodes, %d epochs)",

@@ -57,14 +57,14 @@ func Fig15(opt Options) []*metrics.Table {
 }
 
 // AblationPlacement compares the paper's modulo hash against rendezvous
-// and consistent-ring placement on balance and on reshuffle cost when the
-// allocation grows by one node.
+// placement on balance and on reshuffle cost when the allocation grows by
+// one node.
 func AblationPlacement(opt Options) []*metrics.Table {
 	files := 120_000
 	if opt.Full {
 		files = 1_200_000
 	}
-	policies := []place.Policy{place.ModHash{}, place.Rendezvous{}, &place.Ring{}}
+	policies := []place.Policy{place.ModHash{}, place.Rendezvous{}}
 	balance := metrics.NewTable(
 		fmt.Sprintf("Ablation: placement balance (%d files)", files),
 		"policy", "cv@64", "cv@256", "cv@1024")

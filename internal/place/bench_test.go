@@ -31,16 +31,6 @@ func BenchmarkRendezvousPlace(b *testing.B) {
 	}
 }
 
-func BenchmarkRingPlace(b *testing.B) {
-	paths := benchPaths(1024)
-	pol := &Ring{}
-	pol.Place(paths[0], 1024) // build the ring outside the loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pol.Place(paths[i%1024], 1024)
-	}
-}
-
 func BenchmarkModHashReplicas(b *testing.B) {
 	paths := benchPaths(1024)
 	pol := ModHash{}

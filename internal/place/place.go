@@ -6,9 +6,10 @@
 //
 // The paper uses a single hash of (path, allocation) onto the server list;
 // that is ModHash here, the default. Rendezvous (highest-random-weight)
-// and a consistent-hash ring are provided for the ablation benchmarks, and
-// every policy can return R distinct replicas to support the paper's
-// future-work replication/failover design (§III-H).
+// is the one consistent hash, kept for the placement ablation and the
+// minimal-movement property of View; both policies can return R distinct
+// replicas to support the paper's future-work replication/failover design
+// (§III-H).
 package place
 
 import (
@@ -17,6 +18,9 @@ import (
 )
 
 // Policy deterministically maps a file path onto one of n servers.
+// Implementations are stateless values: Place and Replicas compute from
+// their arguments alone and write nothing, so one Policy may be shared by
+// any number of goroutines — View calls it under its read lock.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -130,97 +134,6 @@ func (rv Rendezvous) Replicas(path string, n, r int) []int {
 	out := make([]int, r)
 	for i := 0; i < r; i++ {
 		out[i] = all[i].s
-	}
-	return out
-}
-
-// Ring is consistent hashing with virtual nodes. Rings are memoised per
-// allocation size; a Ring value must not be copied after first use.
-type Ring struct {
-	// VNodes is the number of virtual nodes per server (default 64).
-	VNodes int
-	rings  map[int]ringTable
-}
-
-type ringTable struct {
-	points  []uint64
-	servers []int
-}
-
-// Name implements Policy.
-func (*Ring) Name() string { return "ring" }
-
-func (rg *Ring) table(n int) ringTable {
-	if rg.rings == nil {
-		rg.rings = make(map[int]ringTable)
-	}
-	if t, ok := rg.rings[n]; ok {
-		return t
-	}
-	v := rg.VNodes
-	if v <= 0 {
-		v = 64
-	}
-	t := ringTable{
-		points:  make([]uint64, 0, n*v),
-		servers: make([]int, 0, n*v),
-	}
-	type pt struct {
-		p uint64
-		s int
-	}
-	pts := make([]pt, 0, n*v)
-	for s := 0; s < n; s++ {
-		for k := 0; k < v; k++ {
-			pts = append(pts, pt{mix64(uint64(s)<<32 | uint64(k)), s})
-		}
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].p < pts[j].p })
-	for _, e := range pts {
-		t.points = append(t.points, e.p)
-		t.servers = append(t.servers, e.s)
-	}
-	rg.rings[n] = t
-	return t
-}
-
-// Place implements Policy.
-func (rg *Ring) Place(path string, n int) int {
-	if n <= 0 {
-		panic("place: no servers")
-	}
-	t := rg.table(n)
-	h := hash64(path)
-	i := sort.Search(len(t.points), func(i int) bool { return t.points[i] >= h })
-	if i == len(t.points) {
-		i = 0
-	}
-	return t.servers[i]
-}
-
-// Replicas implements Policy: walk the ring collecting distinct servers.
-func (rg *Ring) Replicas(path string, n, r int) []int {
-	if r > n {
-		r = n
-	}
-	if r < 1 {
-		r = 1
-	}
-	t := rg.table(n)
-	h := hash64(path)
-	i := sort.Search(len(t.points), func(i int) bool { return t.points[i] >= h })
-	out := make([]int, 0, r)
-	seen := make(map[int]bool, r)
-	for len(out) < r {
-		if i == len(t.points) {
-			i = 0
-		}
-		s := t.servers[i]
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-		i++
 	}
 	return out
 }

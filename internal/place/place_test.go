@@ -8,7 +8,7 @@ import (
 )
 
 func policies() []Policy {
-	return []Policy{ModHash{}, Rendezvous{}, &Ring{}}
+	return []Policy{ModHash{}, Rendezvous{}}
 }
 
 func TestDeterministicAndInRange(t *testing.T) {
@@ -75,10 +75,6 @@ func TestBalance(t *testing.T) {
 			cv := math.Sqrt(ss/float64(n)) / mean
 			// Binomial sampling gives cv ~= sqrt(n/files); allow 4x slack.
 			limit := 4 * math.Sqrt(float64(n)/float64(files))
-			if pol.Name() == "ring" {
-				// The ring adds arc-length variance ~ 1/sqrt(vnodes).
-				limit += 0.25
-			}
 			if cv > limit {
 				t.Errorf("%s n=%d: cv=%.4f exceeds %.4f", pol.Name(), n, cv, limit)
 			}
@@ -123,10 +119,6 @@ func TestReshuffleOnGrowth(t *testing.T) {
 	if mh < 0.5 {
 		t.Fatalf("modhash moved only %.2f on growth; expected a near-total reshuffle", mh)
 	}
-	rg := moved(&Ring{}, 16)
-	if rg > 0.2 {
-		t.Fatalf("ring moved %.2f of files on growth, want ~1/17", rg)
-	}
 }
 
 func TestSingleServer(t *testing.T) {
@@ -150,22 +142,5 @@ func TestPlaceZeroServersPanics(t *testing.T) {
 			}()
 			pol.Place("/x", 0)
 		}()
-	}
-}
-
-func TestRingMemoization(t *testing.T) {
-	rg := &Ring{VNodes: 16}
-	first := rg.Place("/a", 32)
-	for i := 0; i < 100; i++ {
-		if rg.Place("/a", 32) != first {
-			t.Fatal("memoised ring changed placement")
-		}
-	}
-	if len(rg.rings) != 1 {
-		t.Fatalf("expected 1 memoised ring, got %d", len(rg.rings))
-	}
-	rg.Place("/a", 64)
-	if len(rg.rings) != 2 {
-		t.Fatalf("expected 2 memoised rings, got %d", len(rg.rings))
 	}
 }

@@ -7,7 +7,7 @@ import "sync"
 // have left (crashed, been drained) and not yet rejoined. Placement is
 // computed by filtering the base policy's full preference order down to
 // the active members, so a view change moves only the keys that were
-// homed on the departed server (for Rendezvous and Ring — the minimal
+// homed on the departed server (for Rendezvous — the minimal
 // key range), and an unchanged view places exactly like the bare policy.
 //
 // The view is safe for concurrent use. Version() increments on every

@@ -1,14 +1,25 @@
 #!/bin/sh
-# check.sh — the full verification gate: build, vet, format, hvaclint,
-# then the test suite under the race detector (the data-path packages at
-# three core counts). CI runs exactly this; run it locally before sending
-# a change.
+# check.sh — the full verification gate: build, each CLI's -h, vet,
+# format, hvaclint, then the test suite under the race detector (the
+# data-path packages at three core counts). CI runs exactly this; run it
+# locally before sending a change.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 echo '--- go build ./...'
 go build ./...
+
+# The CLIs have no tests, and a flag set that panics at registration (a
+# duplicate name, a bad default) is otherwise found at deploy time: -h
+# registers every flag, prints the usage and must exit 0.
+echo '--- cmd/*: -h'
+for d in cmd/*/; do
+	go run "./$d" -h >/dev/null 2>&1 || {
+		echo "check: go run ./$d -h failed" >&2
+		exit 1
+	}
+done
 
 echo '--- go vet ./...'
 go vet ./...
