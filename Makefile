@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-stats check chaos bench
+.PHONY: build test race lint check chaos bench
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,6 @@ race:
 # The full gate (make check) still runs build/vet/gofmt/tests around it.
 lint:
 	$(GO) run ./cmd/hvaclint -stats $(if $(RULES),-rules $(RULES)) ./...
-
-# Per-analyzer wall time without the findings stream: -stats writes to
-# stderr, stdout is dropped. Keeps suite growth accountable — a new
-# analyzer that doubles lint time shows up here, named.
-lint-stats:
-	@$(GO) run ./cmd/hvaclint -stats $(if $(RULES),-rules $(RULES)) ./... > /dev/null || true
 
 # The full gate: what CI runs, and what a change must pass before review.
 check:

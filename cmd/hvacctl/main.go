@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -103,8 +104,14 @@ func main() {
 			}
 		case "stat":
 			for _, p := range args {
-				c := transport.DialWith(addrs[cli.Home(p)], opts)
-				resp, err := c.Call(&transport.Request{Op: transport.OpStat, Path: p})
+				// The server serves absolute paths under its dataset dir.
+				abs, err := filepath.Abs(p)
+				if err != nil {
+					fmt.Printf("%s: ERROR %v\n", p, err)
+					continue
+				}
+				c := transport.DialWith(addrs[cli.Home(abs)], opts)
+				resp, err := c.Call(&transport.Request{Op: transport.OpStat, Path: abs})
 				c.Close()
 				if err != nil || !resp.OK() {
 					if err == nil {

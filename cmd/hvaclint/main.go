@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	hvaclint [-list] [-rules a,b,...] [-format text|json|sarif] [-stats] [packages]
+//	hvaclint [-list] [-rules a,b,...] [-format text|json] [-stats] [packages]
 //
 // With no arguments or the pattern "./...", every package of the module
 // is analysed — as one set, so the interprocedural analyzers (lockorder,
-// goroleak, atomicmix, untrustedlen, ownerpass) see the whole call
+// goroleak, untrustedlen, ownerpass, blockguard) see the whole call
 // graph. Other arguments name package directories relative to the
 // working directory. -rules restricts the run to a comma-separated
 // subset of the suite (names as printed by -list). Findings print as
@@ -20,12 +20,11 @@
 //	 "message": ..., "suppressed": ...}
 //
 // including suppressed findings (suppressed entries never affect the
-// exit status; CI uses them for annotations). -format sarif emits a
-// minimal SARIF 2.1.0 log for code-scanning upload. -stats appends a
+// exit status; CI uses them for annotations). -stats appends a
 // per-analyzer finding count and wall time, so gate failures name the
 // rule and a slow suite names the analyzer; it always writes to
-// stderr, so machine-readable stdout (json, sarif) stays parseable
-// with -stats on. Findings can be suppressed per line with
+// stderr, so -format json stdout stays parseable with -stats on.
+// Findings can be suppressed per line with
 // //hvaclint:ignore <rule> <reason>.
 package main
 
@@ -63,10 +62,6 @@ func main() {
 		}
 		return
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "hvaclint: unknown -format %q (want text, json or sarif)\n", *format)
-		os.Exit(2)
-	}
 	findings, err := run(flag.Args(), analyzers, *format, *stats, os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hvaclint:", err)
@@ -97,6 +92,9 @@ type jsonFinding struct {
 // unsuppressed findings; the caller owns the exit code, which keeps
 // run testable.
 func run(args []string, analyzers []*analysis.Analyzer, format string, stats bool, stdout, stderr io.Writer) (int, error) {
+	if format != "text" && format != "json" {
+		return 0, fmt.Errorf("unknown -format %q (want text or json)", format)
+	}
 	root, err := moduleRoot()
 	if err != nil {
 		return 0, err
@@ -154,12 +152,6 @@ func run(args []string, analyzers []*analysis.Analyzer, format string, stats boo
 		if err := enc.Encode(out); err != nil {
 			return 0, err
 		}
-	case "sarif":
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sarifLog(analyzers, diags)); err != nil {
-			return 0, err
-		}
 	default:
 		for _, d := range diags {
 			if d.Suppressed {
@@ -169,7 +161,7 @@ func run(args []string, analyzers []*analysis.Analyzer, format string, stats boo
 		}
 	}
 	// Stats go to stderr unconditionally: stdout stays a clean findings
-	// stream (text) or a parseable document (json, sarif).
+	// stream (text) or a parseable document (json).
 	if stats {
 		fmt.Fprintf(stderr, "hvaclint: analyzer findings:\n")
 		for i, a := range analyzers {
@@ -188,54 +180,6 @@ func run(args []string, analyzers []*analysis.Analyzer, format string, stats boo
 		fmt.Fprintf(stdout, "hvaclint: %d finding(s)\n", findings)
 	}
 	return findings, nil
-}
-
-// sarifLog renders the diagnostics as a minimal SARIF 2.1.0 document:
-// one run, one driver, rule metadata from the suite, one result per
-// finding. Suppressed findings carry an inSource suppression object,
-// which code-scanning UIs hide by default.
-func sarifLog(analyzers []*analysis.Analyzer, diags []analysis.Diagnostic) map[string]any {
-	rules := make([]map[string]any, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, map[string]any{
-			"id":               a.Name,
-			"shortDescription": map[string]any{"text": a.Doc},
-		})
-	}
-	results := make([]map[string]any, 0, len(diags))
-	for _, d := range diags {
-		res := map[string]any{
-			"ruleId":  d.Rule,
-			"level":   "warning",
-			"message": map[string]any{"text": d.Message},
-			"locations": []map[string]any{{
-				"physicalLocation": map[string]any{
-					"artifactLocation": map[string]any{"uri": filepath.ToSlash(d.Pos.Filename)},
-					"region": map[string]any{
-						"startLine":   d.Pos.Line,
-						"startColumn": d.Pos.Column,
-					},
-				},
-			}},
-		}
-		if d.Suppressed {
-			res["suppressions"] = []map[string]any{{"kind": "inSource"}}
-		}
-		results = append(results, res)
-	}
-	return map[string]any{
-		"version": "2.1.0",
-		"$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-		"runs": []map[string]any{{
-			"tool": map[string]any{
-				"driver": map[string]any{
-					"name":  "hvaclint",
-					"rules": rules,
-				},
-			},
-			"results": results,
-		}},
-	}
 }
 
 // moduleRoot walks up from the working directory to the go.mod.

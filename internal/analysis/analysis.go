@@ -154,12 +154,9 @@ func Analyzers() []*Analyzer {
 		ErrDrop,
 		LockOrder,
 		GoroLeak,
-		AtomicMix,
 		UntrustedLen,
 		OwnerPass,
-		ChanLife,
 		BlockGuard,
-		StatPair,
 	}
 }
 

@@ -12,23 +12,30 @@ import (
 // wantRe extracts // want "..." expectations from fixture sources.
 var wantRe = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
-// fixtureTest loads testdata/src/<dir> under importPath, runs exactly
-// one analyzer (plus the driver's suppression layer), and compares the
-// diagnostics against the fixtures' // want "regexp" comments: every
-// want must be matched by a diagnostic on its line, and every diagnostic
-// must be covered by a want.
-func fixtureTest(t *testing.T, a *Analyzer, dir, importPath string) {
+// loadFixture loads testdata/src/<dir> under its fixturePkgs import path
+// with a fresh loader.
+func loadFixture(t *testing.T, dir string) *Package {
 	t.Helper()
 	l, err := NewLoader("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixDir := filepath.Join("testdata", "src", dir)
-	pkg, err := l.LoadDir(fixDir, importPath)
+	pkg, err := l.LoadDir(filepath.Join("testdata", "src", dir), fixturePkgs[dir])
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkg, []*Analyzer{a})
+	return pkg
+}
+
+// fixtureTest loads testdata/src/<dir>, runs exactly one analyzer (plus
+// the driver's suppression layer), and compares the diagnostics against
+// the fixtures' // want "regexp" comments: every want must be matched by
+// a diagnostic on its line, and every diagnostic must be covered by a
+// want.
+func fixtureTest(t *testing.T, a *Analyzer, dir string) {
+	t.Helper()
+	fixDir := filepath.Join("testdata", "src", dir)
+	diags := Run(loadFixture(t, dir), []*Analyzer{a})
 
 	type want struct {
 		re      *regexp.Regexp

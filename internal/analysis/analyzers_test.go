@@ -2,60 +2,39 @@ package analysis
 
 import "testing"
 
-// The fixture packages are loaded under the import paths of the real
-// packages they stand in for, so each analyzer's scoping rules apply
-// exactly as they do in production.
-
-func TestSimDeterminismFixtures(t *testing.T) {
-	fixtureTest(t, SimDeterminism, "simdet", "hvac/internal/sim")
+// fixturePkgs maps each fixture package under testdata/src to the import
+// path it is loaded under: that of the real package it stands in for, so
+// each analyzer's scoping rules apply exactly as they do in production.
+var fixturePkgs = map[string]string{
+	"simdet":       "hvac/internal/sim",
+	"pfsfix":       "hvac/internal/core",
+	"lockfix":      "hvac/internal/lockfix",
+	"errfix":       "hvac/internal/errfix",
+	"lockorderfix": "hvac/internal/lockorderfix",
+	"gorofix":      "hvac/internal/gorofix",
+	"ownerfix":     "hvac/internal/ownerfix",
+	// blockguard scopes its checks to the transport package plus the core
+	// server/client files.
+	"blockfix": "hvac/internal/transport",
+	// untrustedlen seeds its taint from length fields declared in a
+	// package with the transport's import path.
+	"lenfix": "hvac/internal/transport",
 }
 
-func TestPFSBypassFixtures(t *testing.T) {
-	fixtureTest(t, PFSBypass, "pfsfix", "hvac/internal/core")
-}
+func TestSimDeterminismFixtures(t *testing.T) { fixtureTest(t, SimDeterminism, "simdet") }
 
-func TestLockSafeFixtures(t *testing.T) {
-	fixtureTest(t, LockSafe, "lockfix", "hvac/internal/lockfix")
-}
+func TestPFSBypassFixtures(t *testing.T) { fixtureTest(t, PFSBypass, "pfsfix") }
 
-func TestErrDropFixtures(t *testing.T) {
-	fixtureTest(t, ErrDrop, "errfix", "hvac/internal/errfix")
-}
+func TestLockSafeFixtures(t *testing.T) { fixtureTest(t, LockSafe, "lockfix") }
 
-func TestLockOrderFixtures(t *testing.T) {
-	fixtureTest(t, LockOrder, "lockorderfix", "hvac/internal/lockorderfix")
-}
+func TestErrDropFixtures(t *testing.T) { fixtureTest(t, ErrDrop, "errfix") }
 
-func TestGoroLeakFixtures(t *testing.T) {
-	fixtureTest(t, GoroLeak, "gorofix", "hvac/internal/gorofix")
-}
+func TestLockOrderFixtures(t *testing.T) { fixtureTest(t, LockOrder, "lockorderfix") }
 
-func TestAtomicMixFixtures(t *testing.T) {
-	fixtureTest(t, AtomicMix, "atomfix", "hvac/internal/atomfix")
-}
+func TestGoroLeakFixtures(t *testing.T) { fixtureTest(t, GoroLeak, "gorofix") }
 
-func TestOwnerPassFixtures(t *testing.T) {
-	fixtureTest(t, OwnerPass, "ownerfix", "hvac/internal/ownerfix")
-}
+func TestOwnerPassFixtures(t *testing.T) { fixtureTest(t, OwnerPass, "ownerfix") }
 
-func TestChanLifeFixtures(t *testing.T) {
-	fixtureTest(t, ChanLife, "chanfix", "hvac/internal/chanfix")
-}
+func TestBlockGuardFixtures(t *testing.T) { fixtureTest(t, BlockGuard, "blockfix") }
 
-// The blockfix fixture stands in for internal/transport: blockguard
-// scopes its checks to the transport package plus the core
-// server/client files.
-func TestBlockGuardFixtures(t *testing.T) {
-	fixtureTest(t, BlockGuard, "blockfix", "hvac/internal/transport")
-}
-
-func TestStatPairFixtures(t *testing.T) {
-	fixtureTest(t, StatPair, "statfix", "hvac/internal/statfix")
-}
-
-// The lenfix fixture stands in for internal/transport itself: the
-// untrustedlen analyzer seeds its taint from length fields declared in a
-// package with that import path.
-func TestUntrustedLenFixtures(t *testing.T) {
-	fixtureTest(t, UntrustedLen, "lenfix", "hvac/internal/transport")
-}
+func TestUntrustedLenFixtures(t *testing.T) { fixtureTest(t, UntrustedLen, "lenfix") }

@@ -272,7 +272,7 @@ func (bg *blockGuard) checkNode(n *callgraph.Node) {
 			return false
 		}
 		if fl == nil {
-			fl = valueflow.Flow(bg.pass.Fset, n, g)
+			fl = valueflow.Flow(n, g)
 		}
 		origins := fl.Origins(e)
 		if len(origins) == 0 {

@@ -11,14 +11,12 @@
 //
 // Nodes cover both declared functions/methods and function literals;
 // literals are named after their enclosing function ("pkg.F$1", "$2", ...
-// in source order) so diagnostics and fingerprints are stable. All node
-// and edge slices are in deterministic (source) order: building the graph
-// twice over the same packages yields the same Fingerprint.
+// in source order) so diagnostics are stable. All node and edge slices
+// are in deterministic (source) order: building the graph twice over the
+// same packages yields the same graph.
 package callgraph
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -59,7 +57,6 @@ type Node struct {
 	Pos token.Pos
 
 	out []*Edge
-	in  []*Edge
 }
 
 // An Edge is one call site resolved to one callee.
@@ -104,9 +101,6 @@ func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 // Out returns the node's call edges in source order.
 func (n *Node) Out() []*Edge { return n.out }
 
-// In returns the edges calling this node.
-func (n *Node) In() []*Edge { return n.in }
-
 // Transitive visits every node reachable from start over call edges
 // (start included), in deterministic order. Dynamic (CHA-resolved)
 // edges are followed only when dyn is true.
@@ -127,31 +121,6 @@ func (g *Graph) Transitive(start *Node, dyn bool, visit func(*Node)) {
 		}
 	}
 	walk(start)
-}
-
-// Fingerprint returns a stable hash of the graph's shape: node names
-// plus caller→callee edges with their call-site positions. Two builds
-// over the same source yield the same fingerprint; the driver tests use
-// this to pin graph construction down as deterministic.
-func (g *Graph) Fingerprint() string {
-	h := sha256.New()
-	for _, n := range g.nodes {
-		fmt.Fprintf(h, "node %s\n", n.Name)
-		for _, e := range n.out {
-			callee := "<external>"
-			if e.Callee != nil {
-				callee = e.Callee.Name
-			}
-			target := "<lit>"
-			if e.Target != nil {
-				target = e.Target.FullName()
-			}
-			pos := g.fset.Position(e.Site.Pos())
-			fmt.Fprintf(h, "edge %s -> %s (%s dyn=%v) @%d:%d\n",
-				n.Name, callee, target, e.Dynamic, pos.Line, pos.Column)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Build constructs the call graph over pkgs. The packages must share
@@ -264,9 +233,6 @@ func (g *Graph) addEdges(n *Node, idx *chaIndex) {
 
 func (g *Graph) link(e *Edge) {
 	e.Caller.out = append(e.Caller.out, e)
-	if e.Callee != nil {
-		e.Callee.in = append(e.Callee.in, e)
-	}
 }
 
 // chaIndex holds the named (non-interface) types of the analyzed

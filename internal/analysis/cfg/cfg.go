@@ -11,9 +11,6 @@
 package cfg
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -532,33 +529,4 @@ func (g *Graph) String() string {
 			blk.Index, kind, cond, len(blk.Nodes), strings.Join(succs, " "))
 	}
 	return sb.String()
-}
-
-// Fingerprint hashes the graph's structure — block order, node
-// positions, conditions, terminators and edges — so tests can assert
-// that two builds of the same body are identical.
-func (g *Graph) Fingerprint() string {
-	h := sha256.New()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:]) // hash.Hash never errors
-	}
-	for _, blk := range g.Blocks {
-		word(uint64(blk.Index))
-		word(uint64(blk.Kind))
-		for _, n := range blk.Nodes {
-			word(uint64(n.Pos()))
-		}
-		if blk.Cond != nil {
-			word(uint64(blk.Cond.Pos()))
-		}
-		if blk.Term != nil {
-			word(uint64(blk.Term.Pos()))
-		}
-		for _, s := range blk.Succs {
-			word(uint64(s.Index))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -225,10 +225,8 @@ func TestDeterministic(t *testing.T) {
 		return
 	}
 }`
-	a := build(t, body).Fingerprint()
-	bOnce := build(t, body)
-	if got := bOnce.Fingerprint(); got != a {
-		t.Fatalf("fingerprint not deterministic: %s vs %s", a, got)
+	if a, b := build(t, body).String(), build(t, body).String(); a != b {
+		t.Fatalf("rebuild differs:\n%s\n---\n%s", a, b)
 	}
 }
 

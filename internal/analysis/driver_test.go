@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -86,17 +87,14 @@ func stamp(sink io.Writer) {
 	sink.Write([]byte(time.Now().String()))
 }
 `
-	const atomSrc = `package core
+	// The core source pairs an interprocedural rule with a per-package one.
+	const coreSrc = `package core
 
-import "sync/atomic"
+import "io"
 
-type counter struct{ n int64 }
-
-func bump(c *counter) { atomic.AddInt64(&c.n, 1) }
-
-func pump(c *counter) {
+func pump(sink io.Writer) {
 	%s
-	go func() { for { c.n++ } }()
+	go func() { for { sink.Write(nil) } }()
 }
 `
 	cases := []struct {
@@ -108,15 +106,15 @@ func pump(c *counter) {
 		{"none-sim", simSrc, "_ = 0", []string{"errdrop", "simdeterminism"}},
 		{"sim-suppressed", simSrc, "//hvaclint:ignore simdeterminism test wants the co-located errdrop to survive", []string{"errdrop"}},
 		{"errdrop-suppressed", simSrc, "//hvaclint:ignore errdrop test wants the co-located simdeterminism to survive", []string{"simdeterminism"}},
-		{"none-atomic", atomSrc, "_ = 0", []string{"atomicmix", "goroleak"}},
-		{"goroleak-suppressed", atomSrc, "//hvaclint:ignore goroleak test wants the co-located atomicmix to survive", []string{"atomicmix"}},
-		{"atomicmix-suppressed", atomSrc, "//hvaclint:ignore atomicmix test wants the co-located goroleak to survive", []string{"goroleak"}},
+		{"none-core", coreSrc, "_ = 0", []string{"errdrop", "goroleak"}},
+		{"goroleak-suppressed", coreSrc, "//hvaclint:ignore goroleak test wants the co-located errdrop to survive", []string{"errdrop"}},
+		{"core-errdrop-suppressed", coreSrc, "//hvaclint:ignore errdrop test wants the co-located goroleak to survive", []string{"goroleak"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			importPath, filename := "hvac/internal/sim", "simscoped.go"
 			if strings.HasPrefix(tc.src, "package core") {
-				importPath, filename = "hvac/internal/core", "counters.go"
+				importPath, filename = "hvac/internal/core", "pump.go"
 			}
 			src := strings.Replace(tc.src, "%s", tc.suppress, 1)
 			diags := loadSource(t, importPath, filename, src)
@@ -132,14 +130,35 @@ func pump(c *counter) {
 	}
 }
 
+// TestSuiteDeterministic runs the whole suite twice over every fixture
+// package, each time from an independent loader, and requires identical
+// diagnostics: analyzer output and CI gating must not depend on map
+// iteration order in the loader, the call graph, the CFGs or the value
+// flow.
+func TestSuiteDeterministic(t *testing.T) {
+	run := func(dir string) string {
+		var b strings.Builder
+		for _, d := range RunPackages([]*Package{loadFixture(t, dir)}, Analyzers()) {
+			fmt.Fprintf(&b, "%s suppressed=%v\n", d, d.Suppressed)
+		}
+		return b.String()
+	}
+	for dir := range fixturePkgs {
+		if a, b := run(dir), run(dir); a != b {
+			t.Errorf("%s: diagnostics differ across runs:\n%s\n---\n%s", dir, a, b)
+		}
+	}
+}
+
 // TestCallGraphDeterministic builds the module call graph twice from two
-// independent loaders and requires identical fingerprints: analyzer
+// independent loaders and requires identical renderings — node names
+// plus caller→callee edges with their call-site positions: analyzer
 // output and CI gating must not depend on map iteration order.
 func TestCallGraphDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module twice")
 	}
-	fingerprint := func() string {
+	render := func() string {
 		l, err := NewLoader("../..")
 		if err != nil {
 			t.Fatal(err)
@@ -148,11 +167,29 @@ func TestCallGraphDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return BuildGraph(pkgs).Fingerprint()
+		g := BuildGraph(pkgs)
+		var b strings.Builder
+		for _, n := range g.Nodes() {
+			fmt.Fprintf(&b, "node %s\n", n.Name)
+			for _, e := range n.Out() {
+				callee := "<external>"
+				if e.Callee != nil {
+					callee = e.Callee.Name
+				}
+				target := "<lit>"
+				if e.Target != nil {
+					target = e.Target.FullName()
+				}
+				pos := g.Fset().Position(e.Site.Pos())
+				fmt.Fprintf(&b, "edge %s -> %s (%s dyn=%v) @%d:%d\n",
+					n.Name, callee, target, e.Dynamic, pos.Line, pos.Column)
+			}
+		}
+		return b.String()
 	}
-	a, b := fingerprint(), fingerprint()
+	a, b := render(), render()
 	if a != b {
-		t.Fatalf("call-graph fingerprint differs across builds:\n  %s\n  %s", a, b)
+		t.Fatalf("call graph differs across builds:\n%s\n---\n%s", a, b)
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// LockSafe checks mutex discipline across the whole module: locks copied
-// by value through signatures, Lock calls that can reach a return (or
-// fall off the function) without a matching Unlock, and defer'd unlocks
-// inside loops (which run at function exit, not loop exit, serialising
-// every later iteration).
+// LockSafe checks mutex discipline across the whole module: Lock calls
+// that can reach a return (or fall off the function) without a matching
+// Unlock, and defer'd unlocks inside loops (which run at function exit,
+// not loop exit, serialising every later iteration). Locks copied by
+// value are go vet's copylocks check, which runs in the same gate.
 //
 // The path analysis is deliberately approximate in the low-false-positive
 // direction: branch bodies are analysed with a copy of the lock state and
@@ -19,7 +19,7 @@ import (
 // split across branches are accepted.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "mutex copied by value; Lock without Unlock on an exit path; deferred unlock inside a loop",
+	Doc:  "Lock without Unlock on an exit path; deferred unlock inside a loop",
 	Run:  runLockSafe,
 }
 
@@ -31,92 +31,15 @@ func runLockSafe(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				checkSignatureCopies(p, n.Recv, n.Type)
 				if n.Body != nil {
 					checkLockPaths(p, n.Body)
 				}
 			case *ast.FuncLit:
-				checkSignatureCopies(p, nil, n.Type)
 				checkLockPaths(p, n.Body)
 			}
 			return true
 		})
 	}
-}
-
-// --- lock copied by value -------------------------------------------------
-
-// checkSignatureCopies flags receivers, parameters and results that pass
-// a sync lock (or a struct containing one) by value.
-func checkSignatureCopies(p *Pass, recv *ast.FieldList, ft *ast.FuncType) {
-	for _, fl := range []*ast.FieldList{recv, ft.Params, ft.Results} {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			t := p.Info.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if path := lockPath(t, nil); path != nil {
-				p.Reportf(field.Pos(), "%s passes lock by value: %s contains %s",
-					fieldKind(fl, recv, ft), t.String(), path.String())
-			}
-		}
-	}
-}
-
-func fieldKind(fl, recv *ast.FieldList, ft *ast.FuncType) string {
-	switch fl {
-	case recv:
-		return "receiver"
-	case ft.Results:
-		return "result"
-	default:
-		return "parameter"
-	}
-}
-
-// lockPath returns the type of the first lock found inside t by value
-// (t itself, or a struct field chain), or nil. seen guards recursion.
-func lockPath(t types.Type, seen []types.Type) types.Type {
-	for _, s := range seen {
-		if types.Identical(s, t) {
-			return nil
-		}
-	}
-	seen = append(seen, t)
-	if isSyncLock(t) {
-		return t
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if found := lockPath(st.Field(i).Type(), seen); found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
-// isSyncLock reports whether t is one of the sync types that must not be
-// copied after first use.
-func isSyncLock(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex", "WaitGroup", "Cond", "Once", "Pool", "Map":
-		return true
-	}
-	return false
 }
 
 // --- Lock/Unlock pairing --------------------------------------------------

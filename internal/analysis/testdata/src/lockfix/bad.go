@@ -7,21 +7,6 @@ type counter struct {
 	n  int
 }
 
-// byValueParam copies the embedded mutex into the callee.
-func byValueParam(c counter) int { // want "parameter passes lock by value"
-	return c.n
-}
-
-// byValueRecv copies the embedded mutex on every call.
-func (c counter) byValueRecv() int { // want "receiver passes lock by value"
-	return c.n
-}
-
-// byValueResult returns a fresh copy of a held lock.
-func byValueResult(c *counter) sync.Mutex { // want "result passes lock by value"
-	return c.mu
-}
-
 // earlyReturn leaks the lock on the conditional path.
 func earlyReturn(c *counter, cond bool) int {
 	c.mu.Lock()

@@ -37,7 +37,7 @@ func perItem(gs []*gauge) int {
 	return total
 }
 
-// byPointer passes the lock by reference: fine.
+// byPointer locks through a pointer parameter and defers the unlock.
 func byPointer(mu *sync.Mutex) {
 	mu.Lock()
 	defer mu.Unlock()

@@ -1,14 +1,10 @@
 package valueflow
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"hvac/internal/analysis/callgraph"
 	"hvac/internal/analysis/cfg"
@@ -55,7 +51,6 @@ type FnFlow struct {
 	// Uses lists every use site in source order.
 	Uses []*Use
 
-	fset  *token.FileSet
 	byVar map[*types.Var][]*Def
 }
 
@@ -63,8 +58,8 @@ type FnFlow struct {
 // reaching-definitions fixpoint: a definition kills the variable's
 // previous definitions in its block, facts merge by union, and every
 // identifier read records the definitions live at that point.
-func Flow(fset *token.FileSet, n *callgraph.Node, g *cfg.Graph) *FnFlow {
-	fl := &FnFlow{Node: n, Graph: g, fset: fset, byVar: map[*types.Var][]*Def{}}
+func Flow(n *callgraph.Node, g *cfg.Graph) *FnFlow {
+	fl := &FnFlow{Node: n, Graph: g, byVar: map[*types.Var][]*Def{}}
 	info := n.Pkg.Info
 
 	// Entry definitions: parameters, receivers and named results.
@@ -329,13 +324,6 @@ func (fl *FnFlow) useIdent(info *types.Info, x ast.Node, cur map[*types.Var]map[
 	fl.Uses = append(fl.Uses, u)
 }
 
-// DefsOf returns every definition site of v, in source order.
-func (fl *FnFlow) DefsOf(v *types.Var) []*Def {
-	defs := append([]*Def(nil), fl.byVar[v]...)
-	sort.Slice(defs, func(i, j int) bool { return defs[i].Pos < defs[j].Pos })
-	return defs
-}
-
 // Origins resolves an expression to the set of root variables it may
 // alias: struct fields, parameters, and locals whose definitions the
 // chains cannot see through. A local assigned from a field in one
@@ -388,68 +376,4 @@ func (fl *FnFlow) origins(e ast.Expr, seen map[*types.Var]bool) []*types.Var {
 		return roots
 	}
 	return nil
-}
-
-// Fingerprint hashes the def-use chains — every definition, every use,
-// and each use's reaching definitions by position — so driver tests
-// can pin that two builds of the same function flow identically.
-func (fl *FnFlow) Fingerprint() string {
-	var b strings.Builder
-	for _, d := range fl.Defs {
-		fmt.Fprintf(&b, "def %s %s\n", d.Var.Name(), posString(fl.fset, d.Pos))
-	}
-	for _, u := range fl.Uses {
-		fmt.Fprintf(&b, "use %s %s <-", u.Var.Name(), posString(fl.fset, u.Pos))
-		for _, d := range u.Defs {
-			fmt.Fprintf(&b, " %s", posString(fl.fset, d.Pos))
-		}
-		b.WriteByte('\n')
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
-}
-
-// ModuleFingerprint builds the def-use flow of every function in the
-// graph and hashes the per-function fingerprints in node order: one
-// stable hash for the whole module's value flow.
-func ModuleFingerprint(g *callgraph.Graph) string {
-	var b strings.Builder
-	for _, n := range g.Nodes() {
-		if n.Body == nil {
-			continue
-		}
-		fl := Flow(g.Fset(), n, cfg.New(n.Body))
-		fmt.Fprintf(&b, "%s %s\n", n.Name, fl.Fingerprint())
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
-}
-
-// Fingerprint hashes the taint fixpoint's result — tainted fields,
-// tainted returns, and per-node tainted locals, all by position — for
-// determinism tests.
-func (t *Taint) Fingerprint() string {
-	fset := t.Graph.Fset()
-	var lines []string
-	for v := range t.fields {
-		lines = append(lines, "field "+v.Name()+" "+posString(fset, v.Pos()))
-	}
-	for n, ok := range t.returns {
-		if ok {
-			lines = append(lines, "return "+n.Name)
-		}
-	}
-	for n, m := range t.locals {
-		for v := range m {
-			lines = append(lines, "local "+n.Name+" "+v.Name()+" "+posString(fset, v.Pos()))
-		}
-	}
-	sort.Strings(lines)
-	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
-	return hex.EncodeToString(sum[:])
-}
-
-func posString(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d:%d", p.Filename, p.Line, p.Column)
 }

@@ -10,14 +10,14 @@
 //     flows. untrustedlen's wire-length tracking runs on it.
 //   - Flow: per-function def-use chains (reaching definitions over
 //     the CFG) plus alias-root resolution, so an analyzer can ask
-//     "which fields can this local name?" — chanlife resolves channel
-//     sends through local aliases with it.
+//     "which fields can this local name?" — blockguard resolves conn
+//     parameters through local aliases with it.
 //   - Fixpoint: the generic grow-only summary iteration ownerpass
 //     runs its interprocedural ownership contracts on.
 //
 // Everything is deterministic: iteration follows Graph.Nodes() order
-// and block index order, and Fingerprint hashes are stable across
-// runs over the same source, which the driver tests pin.
+// and block index order, so two runs over the same source report the
+// same findings in the same order (TestSuiteDeterministic).
 package valueflow
 
 // Fixpoint drives a grow-only summary iteration: round is called until

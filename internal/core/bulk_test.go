@@ -246,7 +246,7 @@ func TestHandleReadSizesPoolFromHandle(t *testing.T) {
 		resp.Release()
 	}
 	if resp := srv.handle(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: transport.MaxFrame/2 + 1}); resp.OK() {
-		t.Fatal("a read above half a frame was served: checkReadLen must still come first")
+		t.Fatal("a read above half a frame was served: checkRange must still come first")
 	}
 	if resp := srv.handle(&transport.Request{Op: transport.OpClose, Handle: open.Handle}); !resp.OK() {
 		t.Fatal(resp.Error())

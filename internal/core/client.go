@@ -63,17 +63,13 @@ type ClientConfig struct {
 	disableFallback bool
 }
 
-// ClientStats counts client-side activity.
-// The //hvac:pair lines declare open-outcome exclusivity to the
-// statpair analyzer: one Open counts exactly one of Redirected,
-// Passthrough, or Fallbacks — the identity the chaos tier checks as
-// Opens == Redirected + Passthrough + Fallbacks.
+// ClientStats counts client-side activity. One Open counts exactly one of
+// Redirected, Passthrough, or Fallbacks — the identity runChaosCase
+// checks after every chaos schedule as Redirected + Fallbacks == opens +
+// BatchFallbacks (a degraded batch entry is re-read through its own Open).
 type ClientStats struct {
-	//hvac:pair open-outcome oneof
-	Redirected int64 // opens served via HVAC
-	//hvac:pair open-outcome oneof
-	Passthrough int64 // opens outside the dataset dir
-	//hvac:pair open-outcome oneof
+	Redirected     int64 // opens served via HVAC
+	Passthrough    int64 // opens outside the dataset dir
 	Fallbacks      int64 // opens that fell back to the PFS after server failure
 	Degrades       int64 // redirected handles demoted to PFS mid-read (§III-H)
 	Failovers      int64 // opens (or mid-read handle migrations) served by a non-primary replica
@@ -178,8 +174,11 @@ func (c *Client) Intercepts(path string) bool {
 }
 
 // Home returns the index of the server that homes path under the
-// current membership view.
+// current membership view. It places the absolute path, as Open does.
 func (c *Client) Home(path string) int {
+	if abs, err := filepath.Abs(path); err == nil {
+		path = abs
+	}
 	return c.view.Place(path)
 }
 
@@ -482,6 +481,11 @@ const (
 // mid-file, the handle degrades to a direct PFS handle and the read
 // continues — a training job survives server loss without noticing.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		// os.File refuses it too; sent on, the server would refuse it and
+		// the refusal would degrade a healthy handle to the PFS.
+		return 0, &os.PathError{Op: "readat", Path: f.path, Err: errors.New("negative offset")}
+	}
 	f.mu.Lock()
 	fb := f.fallback
 	f.mu.Unlock()
@@ -795,8 +799,7 @@ func (f *File) Close() error {
 // just the primary, so a failover read after a server loss lands on a
 // warm cache (§III-H replica warming).
 func (c *Client) Prefetch(paths []string) int {
-	// Group by home server into ordered slices (not a map keyed by server:
-	// the sim mirror shares this shape and must iterate deterministically).
+	// Group by home server, one slice per server in path order.
 	groups := make([][]string, len(c.conns))
 	for _, path := range paths {
 		abs, err := filepath.Abs(path)
@@ -913,7 +916,7 @@ func (c *Client) ReadBatch(paths []string) ([][]byte, error) {
 			c.bump(func(s *ClientStats) { s.Passthrough++ })
 			continue
 		}
-		home := c.Home(abs)
+		home := c.view.Place(abs)
 		groups[home] = append(groups[home], i)
 	}
 	// Fan out: one goroutine per further server with entries, the first on

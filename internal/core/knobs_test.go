@@ -9,7 +9,7 @@ import (
 )
 
 // TestKnobLedger keeps the configuration surface judged: every exported
-// field of ServerConfig and ClientConfig and every hvacd/hvacc flag has a
+// field of ServerConfig and ClientConfig and every hvacd/hvacc/hvacctl flag has a
 // row in DESIGN.md §14, every row names a knob that still exists, and
 // every verdict is "keep" (with its reason) or "open" (naming what will
 // judge it). A new field or flag fails here until it has faced the rule
@@ -36,7 +36,7 @@ func TestKnobLedger(t *testing.T) {
 		}
 	}
 	flagDecl := regexp.MustCompile(`flag\.\w+\("([\w-]+)"`)
-	for _, cmd := range []string{"hvacd", "hvacc"} {
+	for _, cmd := range []string{"hvacd", "hvacc", "hvacctl"} {
 		for _, m := range flagDecl.FindAllStringSubmatch(read("../../cmd/"+cmd+"/main.go"), -1) {
 			want[cmd+" -"+m[1]] = true
 		}

@@ -429,6 +429,79 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 	}
 }
 
+// TestNegativeOffsetRefused: a read at a negative offset is refused where
+// it is first seen. File.ReadAt answers it locally, so the handle stays
+// remote and nothing degrades; the server refuses a raw OpRead or
+// OpReadAt before the resolver, so a warm key hands sendfile nothing and a
+// cold one costs no PFS open.
+func TestNegativeOffsetRefused(t *testing.T) {
+	const size = 2 * zeroCopyMin // a warm read of zeroCopyMin leaves by sendfile
+	for _, segmented := range []bool{false, true} {
+		t.Run(fmt.Sprintf("segmented=%v", segmented), func(t *testing.T) {
+			pfsDir := filepath.Join(t.TempDir(), "dataset")
+			p := writePFS(t, pfsDir, 1, size)[0]
+			var opens *sync.Map
+			seg := int64(0)
+			if segmented {
+				seg = size
+			}
+			servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+				c.ZeroCopy = true
+				c.SegmentSize = seg
+				opens = countingOpens(c)
+			}, func(c *ClientConfig) { c.SegmentSize = seg })
+			srv := servers[0]
+
+			f, err := cli.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			buf := make([]byte, size)
+			if _, err := f.ReadAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			settle(servers)
+			pfsOpens, eligible := opensOf(opens, p), srv.Stats().ZeroCopyEligible
+
+			if n, err := f.ReadAt(buf, -1); err == nil || n != 0 {
+				t.Fatalf("ReadAt(p, -1) = %d, %v; want 0 and an error", n, err)
+			}
+			if st := cli.Stats(); st.Degrades != 0 || !f.Remote() {
+				t.Fatalf("a refused offset degraded the handle: degrades=%d remote=%v", st.Degrades, f.Remote())
+			}
+
+			conn := transport.Dial(srv.Addr())
+			defer conn.Close()
+			op, req := "OpReadAt", &transport.Request{Op: transport.OpReadAt, Path: p, Off: -1, Len: zeroCopyMin}
+			if !segmented {
+				open, err := conn.Call(&transport.Request{Op: transport.OpOpen, Path: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				op, req = "OpRead", &transport.Request{Op: transport.OpRead, Handle: open.Handle, Off: -1, Len: zeroCopyMin}
+				open.Release()
+			}
+			resp, err := conn.Call(req)
+			if err != nil {
+				t.Fatalf("%s at offset -1: %v, want a StatusError response", op, err)
+			}
+			status := resp.Status
+			resp.Release()
+			if status != transport.StatusError {
+				t.Fatalf("%s at offset -1: status %d, want StatusError", op, status)
+			}
+			settle(servers)
+			if got := opensOf(opens, p); got != pfsOpens {
+				t.Fatalf("the refused read cost %d PFS opens", got-pfsOpens)
+			}
+			if got := srv.Stats().ZeroCopyEligible; got != eligible {
+				t.Fatalf("the refused read reached sendfile: eligible %d -> %d", eligible, got)
+			}
+		})
+	}
+}
+
 // TestReadRacingCloseLeavesNothingBehind closes a handle while a read on
 // it is parked on the handle's fill. A handle owns no descriptor and no
 // claim on its cache entry, so the close has nothing to tear down and the

@@ -13,27 +13,33 @@ import (
 	"hvac/internal/transport"
 )
 
-// Tests for the hot path: wire-length validation, the condition-variable
+// Tests for the hot path: wire-range validation, the condition-variable
 // WaitIdle, the warm handleRead allocation budget, the sharded handle
 // table under concurrency, and File.Read as a sequential reader.
 
+// TestCheckReadLen pins checkRange, the one bound on a wire-supplied read
+// range: its length and its offset.
 func TestCheckReadLen(t *testing.T) {
 	cases := []struct {
-		n  int64
-		ok bool
+		off, n int64
+		ok     bool
 	}{
-		{0, true},
-		{1, true},
-		{transport.MaxFrame / 2, true},
-		{-1, false},
-		{transport.MaxFrame/2 + 1, false},
-		{transport.MaxFrame, false},
-		{1 << 62, false},
+		{0, 0, true},
+		{0, 1, true},
+		{0, transport.MaxFrame / 2, true},
+		{1 << 40, 1, true},
+		{0, -1, false},
+		{0, transport.MaxFrame/2 + 1, false},
+		{0, transport.MaxFrame, false},
+		{0, 1 << 62, false},
+		{-1, 0, false},
+		{-1, 1, false},
+		{-1 << 62, 1, false},
 	}
 	for _, c := range cases {
-		err := checkReadLen(c.n)
+		err := checkRange(c.off, c.n)
 		if (err == nil) != c.ok {
-			t.Errorf("checkReadLen(%d) = %v, want ok=%v", c.n, err, c.ok)
+			t.Errorf("checkRange(%d, %d) = %v, want ok=%v", c.off, c.n, err, c.ok)
 		}
 	}
 }

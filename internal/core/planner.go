@@ -263,8 +263,7 @@ func ServerPlan(o AccessOracle, view *place.View, srv, r int, pathAt func(int) s
 // plan (prefetch degrades, reads are unaffected) and contributes the
 // first error.
 func (c *Client) InstallPlan(gen int64, order []string, horizon int) (int, error) {
-	// Ordered slices, not a map keyed by server: the sim mirror shares
-	// this shape and must iterate deterministically.
+	// One slice per server, in access order: a plan's order is its content.
 	groups := make([][]string, len(c.conns))
 	for _, path := range order {
 		abs, err := filepath.Abs(path)

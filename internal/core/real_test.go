@@ -164,6 +164,25 @@ func TestRealPlacementIsStable(t *testing.T) {
 	}
 }
 
+// TestHomeResolvesPathsAsOpenDoes: Home places the absolute, clean path
+// that Open, Prefetch and ReadBatch place, so another spelling of a file
+// names the server that holds it.
+func TestHomeResolvesPathsAsOpenDoes(t *testing.T) {
+	dir := t.TempDir()
+	cli, err := NewClient(ClientConfig{Servers: []string{"s0:1", "s1:1", "s2:1", "s3:1"}, DatasetDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	for i := 0; i < 32; i++ {
+		name := fmt.Sprintf("f%04d.bin", i)
+		clean, other := filepath.Join(dir, name), dir+"/./"+name
+		if got, want := cli.Home(other), cli.Home(clean); got != want {
+			t.Fatalf("Home(%s) = %d, Home(%s) = %d", other, got, clean, want)
+		}
+	}
+}
+
 func TestRealPassthroughOutsideDataset(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	writePFS(t, pfsDir, 1, 64)

@@ -135,25 +135,19 @@ type ServerConfig struct {
 // data-mover single-flights concurrent first reads and may still be
 // streaming when the request is answered from the fill).
 //
-// The //hvac:pair lines declare that identity to the statpair
-// analyzer, which proves per CFG path what the chaos tier asserts at
-// the end of a run: every serve event bumps one source side (left)
-// and one serve-kind side (right) together. Whole-file handle reads
-// are outside the identity (their sourcing was accounted at open, so
-// handleRead drops the resolver's verdict); the handler that bumps them
-// carries //hvac:pair-split.
+// Every serve event bumps one sourcing counter and one serve-kind counter
+// together. Whole-file handle reads are outside the identity: their
+// sourcing was accounted at open, so handleRead drops the resolver's
+// verdict. TestReadLadderThroughEveryWrapper asserts the identity for
+// every read op in every state the resolver distinguishes, and
+// runChaosCase after every chaos schedule.
 type ServerStats struct {
-	//hvac:pair served right
-	Opens int64
-	//hvac:pair served right
-	Reads  int64
-	Closes int64
-	//hvac:pair served left
-	Hits   int64
-	Misses int64
-	//hvac:pair served left
+	Opens        int64
+	Reads        int64
+	Closes       int64
+	Hits         int64
+	Misses       int64
 	ReadThroughs int64
-	//hvac:pair served right
 	BatchEntries int64
 	BytesServed  int64
 	BytesFetched int64
@@ -183,8 +177,8 @@ type ServerStats struct {
 	PlanKeys     int64
 	PlanFrontier int64
 	// Zero-copy serve accounting (transport.ZeroCopyStats snapshots).
-	// Identity, asserted by the chaos tier with ZeroCopy armed and
-	// declared per CFG path on the live counters in the transport:
+	// Identity, asserted by TestReadLadderThroughEveryWrapper and by
+	// runChaosCase with ZeroCopy armed:
 	//
 	//	ZeroCopySends + ZeroCopyFallbacks == ZeroCopyEligible
 	//
@@ -199,8 +193,8 @@ type ServerStats struct {
 }
 
 // serverCounters is the live form of ServerStats: typed atomics, so the
-// read path bumps them without any lock (and without tripping the
-// atomicmix analyzer — plain access to these fields is unrepresentable).
+// read path bumps them without any lock (and plain access to these
+// fields is unrepresentable).
 type serverCounters struct {
 	opens, reads, closes atomic.Int64
 	hits, misses         atomic.Int64
@@ -696,14 +690,15 @@ func errResp(err error) *transport.Response {
 	return &transport.Response{Status: transport.StatusError, Err: err.Error()}
 }
 
-// checkReadLen bounds a wire-supplied read length before it sizes a
-// buffer: negative lengths are nonsense and anything above half a frame
-// cannot be answered (the response frame must also carry the header and
-// tail). Both handleRead and handleReadAt validate through this one
-// helper.
-func checkReadLen(n int64) error {
-	if n < 0 || n > transport.MaxFrame/2 {
-		return fmt.Errorf("hvac server: read length %d out of range", n)
+// checkRange bounds a wire-supplied read range before it sizes a buffer
+// or reaches the resolver: a negative offset or length is nonsense (an
+// offset below zero would grow the handle's clamp and reach pread and
+// sendfile as is) and anything above half a frame cannot be answered
+// (the response frame must also carry the header and tail). Both
+// handleRead and handleReadAt validate through this one helper.
+func checkRange(off, n int64) error {
+	if off < 0 || n < 0 || n > transport.MaxFrame/2 {
+		return fmt.Errorf("hvac server: read of %d bytes at offset %d out of range", n, off)
 	}
 	return nil
 }
@@ -902,14 +897,12 @@ func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *t
 // payload is a lease (or a pooled buffer owned by the response, recycled
 // by the transport loop after the vectored write), and the counters are
 // atomics.
-//
-//hvac:pair-split served whole-file handle reads are outside the identity: their Hits/ReadThroughs sourcing was counted at open
 func (s *Server) handleRead(req *transport.Request) *transport.Response {
 	h, ok := s.handles.get(req.Handle)
 	if !ok {
 		return errResp(fmt.Errorf("hvac server: bad handle %d", req.Handle))
 	}
-	if err := checkReadLen(req.Len); err != nil {
+	if err := checkRange(req.Off, req.Len); err != nil {
 		return errResp(err)
 	}
 	// The wire names the reader's buffer, not the file: ask for what the
@@ -978,7 +971,7 @@ func (s *Server) handleReadAt(req *transport.Request) *transport.Response {
 	if err := s.allowed(req.Path); err != nil {
 		return errResp(err)
 	}
-	if err := checkReadLen(req.Len); err != nil {
+	if err := checkRange(req.Off, req.Len); err != nil {
 		return errResp(err)
 	}
 	segIdx := req.Off / segSize

@@ -30,18 +30,15 @@ type PayloadReleaser interface{ Release() }
 // a response carrying a file payload reaching WriteResponse — resolves
 // as exactly one of Sends (the payload left through sendfile alone) or
 // Fallbacks (any userspace bytes were involved: non-sendfile writer,
-// mid-transfer error resume, or header failure). The //hvac:pair lines
-// declare that identity to the statpair analyzer; the chaos tier
-// asserts it end-to-end with ZeroCopy armed.
+// mid-transfer error resume, or header failure). core's
+// TestReadLadderThroughEveryWrapper and runChaosCase assert that identity
+// end-to-end with ZeroCopy armed.
 type ZeroCopyStats struct {
-	//hvac:pair zerocopy left
-	Eligible atomic.Int64
-	//hvac:pair zerocopy right
-	Sends atomic.Int64
-	//hvac:pair zerocopy right
+	Eligible  atomic.Int64
+	Sends     atomic.Int64
 	Fallbacks atomic.Int64
 	// Bytes counts payload bytes moved by sendfile itself (partial
-	// transfers included); outside the pair identity.
+	// transfers included); outside the identity.
 	Bytes atomic.Int64
 }
 
@@ -128,7 +125,7 @@ func (w *zcWriter) Write(p []byte) (int, error) { return w.conn.Write(p) }
 // frame on the wire is identical to WriteResponse's pooled path; only
 // who copies the payload differs. Counter discipline: every path bumps
 // Eligible exactly once and exactly one of Sends or Fallbacks — the
-// statpair-checked identity the chaos tier asserts.
+// identity the ladder and chaos tests assert.
 func writeFileResponse(w io.Writer, resp *Response) error {
 	if len(resp.Err) > 1<<16-1 {
 		return fmt.Errorf("transport: error string too long")
