@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint check chaos bench
+.PHONY: build test race lint check chaos bench figures
 
 build:
 	$(GO) build ./...
@@ -33,3 +33,14 @@ chaos:
 # to end, one JSON result line each (bench/README.md).
 bench:
 	sh bench/run.sh
+
+# The figure gate: regenerate every table and figure of the paper's
+# evaluation (seed 42) and diff it against the committed
+# results_scaled.txt. Seeded sim runs replay bit for bit, so any
+# difference is a change in what the code reproduces; a change that means
+# to move a digit regenerates the file in the same commit. About 15 min on
+# a 2-core box, so CI runs it as its own job beside check.sh.
+figures:
+	$(GO) run ./cmd/hvacbench -experiment all -seed 42 -quiet > figures.out
+	diff -u results_scaled.txt figures.out > figures.diff || { cat figures.diff; exit 1; }
+	rm -f figures.out figures.diff

@@ -5,20 +5,14 @@
 //	Khan et al., "HVAC: Removing I/O Bottleneck for Large-Scale Deep
 //	Learning Applications", IEEE CLUSTER 2022 (ORNL).
 //
-// The package exposes two halves:
-//
-//   - A real client/server cache you can run on any machine or cluster:
-//     StartServer launches an HVAC server that caches files from a
-//     PFS-visible directory onto fast local storage; NewClient gives
-//     applications a transparent read path that hashes each file to its
-//     home server (no metadata service), with PFS fallback on failure.
-//     This is the paper's system with the LD_PRELOAD interposition
-//     replaced by a Go interception API (see DESIGN.md).
-//
-//   - A simulated Summit substrate (NewSimulatedCluster and the
-//     Experiments registry) that regenerates every table and figure of
-//     the paper's evaluation: GPFS vs XFS-on-NVMe vs HVAC(i×1) at up to
-//     4,096 nodes.
+// The package is the real client/server cache you can run on any machine
+// or cluster: StartServer launches an HVAC server that caches files from a
+// PFS-visible directory onto fast local storage; NewClient gives
+// applications a transparent read path that hashes each file to its home
+// server (no metadata service), with PFS fallback on failure. This is the
+// paper's system with the LD_PRELOAD interposition replaced by a Go
+// interception API (see DESIGN.md). The simulated Summit that regenerates
+// the paper's evaluation is internal; cmd/hvacbench runs it.
 //
 // Quick start (real mode):
 //
@@ -39,13 +33,8 @@ package hvac
 import (
 	"hvac/internal/cachestore"
 	"hvac/internal/core"
-	"hvac/internal/experiments"
-	"hvac/internal/place"
-	"hvac/internal/sim"
-	"hvac/internal/summit"
 	"hvac/internal/train"
 	"hvac/internal/transport"
-	"hvac/internal/vfs"
 )
 
 // Real-mode client/server API (the paper's §III system).
@@ -77,18 +66,6 @@ func StartServer(cfg ServerConfig) (*Server, error) { return core.StartServer(cf
 // NewClient builds the client-side interception layer over a job's server
 // allocation.
 func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
-
-// Placement is the hash that homes a file on a server (§III-E). Real mode
-// always places with ModHashPlacement; a simulated deployment takes one
-// in SimHVACOptions.Placement.
-type Placement = place.Policy
-
-// ModHashPlacement returns the paper's placement: a path hash modulo the
-// allocation.
-func ModHashPlacement() Placement { return place.ModHash{} }
-
-// RendezvousPlacement returns highest-random-weight placement (ablation).
-func RendezvousPlacement() Placement { return place.Rendezvous{} }
 
 // EvictionPolicy decides cache victims (§III-G).
 type EvictionPolicy = cachestore.Policy
@@ -124,45 +101,3 @@ func NewAccessOracle(seed uint64, epoch, n int) AccessOracle {
 func PlanOrder(o AccessOracle, pathAt func(int) string) []string {
 	return core.PlanOrder(o, pathAt)
 }
-
-// Simulation API: the Summit substrate used by the evaluation.
-type (
-	// SimEngine is the discrete-event engine simulated clusters run on.
-	SimEngine = sim.Engine
-	// SimProc is a simulated process; blocking calls consume virtual time.
-	SimProc = sim.Proc
-	// SimCluster is a simulated Summit allocation (Table I nodes,
-	// Alpine GPFS, EDR fabric).
-	SimCluster = summit.Cluster
-	// SimHVACOptions configures a simulated HVAC deployment.
-	SimHVACOptions = summit.HVACOptions
-	// SimHVACJob is a running simulated HVAC deployment.
-	SimHVACJob = summit.HVACJob
-	// Namespace is a simulated file population (path -> size).
-	Namespace = vfs.Namespace
-)
-
-// NewSimEngine returns a fresh deterministic simulation engine.
-func NewSimEngine() *SimEngine { return sim.NewEngine() }
-
-// NewNamespace returns an empty simulated file namespace.
-func NewNamespace() *Namespace { return vfs.NewNamespace() }
-
-// NewSimulatedCluster allocates a simulated Summit cluster of the given
-// node count whose GPFS holds ns.
-func NewSimulatedCluster(eng *SimEngine, nodes int, ns *Namespace) *SimCluster {
-	return summit.NewCluster(eng, nodes, ns)
-}
-
-// Experiment reproduces one table or figure of the paper.
-type Experiment = experiments.Experiment
-
-// ExperimentOptions controls experiment scale and seeding.
-type ExperimentOptions = experiments.Options
-
-// Experiments returns the full registry of reproducible artefacts
-// (Table I, Figs. 3-4 and 8-15, plus ablations).
-func Experiments() []Experiment { return experiments.All() }
-
-// ExperimentByID finds one experiment by registry id (e.g. "fig8").
-func ExperimentByID(id string) (Experiment, bool) { return experiments.ByID(id) }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hvac"
-	"hvac/internal/vfs"
 )
 
 // TestPublicAPIRealMode drives the facade end to end: servers, client
@@ -56,50 +55,5 @@ func TestPublicAPIRealMode(t *testing.T) {
 	}
 	if st := cli.Stats(); st.Redirected != 12 {
 		t.Fatalf("redirected = %d", st.Redirected)
-	}
-}
-
-// TestPublicAPISimulation drives the facade's simulation surface.
-func TestPublicAPISimulation(t *testing.T) {
-	eng := hvac.NewSimEngine()
-	ns := hvac.NewNamespace()
-	for i := 0; i < 16; i++ {
-		ns.Add(fmt.Sprintf("/gpfs/d/%03d", i), 64<<10)
-	}
-	cluster := hvac.NewSimulatedCluster(eng, 4, ns)
-	job := cluster.StartHVAC(hvac.SimHVACOptions{InstancesPerNode: 2, Placement: hvac.RendezvousPlacement()})
-	client := job.Client(0)
-	reads := 0
-	eng.Spawn("reader", func(p *hvac.SimProc) {
-		for i := 0; i < 16; i++ {
-			if _, err := vfs.ReadFile(p, client, fmt.Sprintf("/gpfs/d/%03d", i)); err != nil {
-				t.Errorf("sim read: %v", err)
-				return
-			}
-			reads++
-		}
-	})
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if reads != 16 {
-		t.Fatalf("reads = %d", reads)
-	}
-	if job.TotalStats().Misses != 16 {
-		t.Fatalf("misses = %d", job.TotalStats().Misses)
-	}
-}
-
-func TestExperimentRegistryViaFacade(t *testing.T) {
-	if len(hvac.Experiments()) < 12 {
-		t.Fatalf("registry too small: %d", len(hvac.Experiments()))
-	}
-	e, ok := hvac.ExperimentByID("tab1")
-	if !ok {
-		t.Fatal("tab1 missing")
-	}
-	tables := e.Run(hvac.ExperimentOptions{})
-	if len(tables) != 1 {
-		t.Fatal("tab1 produced no table")
 	}
 }

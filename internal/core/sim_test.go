@@ -47,7 +47,7 @@ func newSimRig(nodes, instancesPerNode, files int, fileSize int64, capacityPerIn
 	}
 	for n := 0; n < nodes; n++ {
 		r.clients = append(r.clients, NewSimClient(eng, simnet.NodeID(n), fabric,
-			r.servers, nil, 1, g, costs))
+			r.servers, 1, g, costs))
 	}
 	return r
 }
@@ -243,7 +243,7 @@ func TestSimReplicaFailover(t *testing.T) {
 		dev := device.New(eng, fmt.Sprintf("nvme%d", n), device.SummitNVMe())
 		servers = append(servers, NewSimServer(eng, simnet.NodeID(n), fabric, g, dev, 1<<30, nil, costs))
 	}
-	client := NewSimClient(eng, 0, fabric, servers, nil, 2, nil, costs) // replicas=2, NO fallback
+	client := NewSimClient(eng, 0, fabric, servers, 2, nil, costs) // replicas=2, NO fallback
 	servers[1].Fail()
 	eng.Spawn("job", func(p *sim.Proc) {
 		for _, path := range ns.Paths() {
@@ -418,7 +418,6 @@ func TestSimSegmentedReads(t *testing.T) {
 // Segment-level caching spreads a single huge file's load over every
 // server; file-level homing pins it to one (§III-E's motivation).
 func TestSimSegmentSpreadsHotFile(t *testing.T) {
-	r := newSimRig(4, 1, 1, 64<<20, 1<<30)
 	fileLevel := func(seg bool) int {
 		rr := newSimRig(4, 1, 1, 64<<20, 1<<30)
 		cl := rr.clients[0]
@@ -439,7 +438,6 @@ func TestSimSegmentSpreadsHotFile(t *testing.T) {
 		}
 		return used
 	}
-	_ = r
 	if u := fileLevel(false); u != 1 {
 		t.Fatalf("file-level homing used %d servers, want 1", u)
 	}

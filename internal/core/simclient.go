@@ -19,7 +19,6 @@ type SimClientStats struct {
 	RemoteOpens int64
 	Fallbacks   int64 // served from GPFS after server failure
 	Failovers   int64 // served by a non-primary replica
-	BytesRead   int64
 }
 
 // SimClient is the interception layer on one simulated compute node: the
@@ -48,14 +47,10 @@ type SimClient struct {
 }
 
 // NewSimClient builds a client on node addressing the given global server
-// list. policy nil means the paper's ModHash; fallback may be nil to make
-// server failures fatal.
+// list, placing with the paper's ModHash; g may be nil to make server
+// failures fatal instead of falling back to the PFS.
 func NewSimClient(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
-	servers []*SimServer, policy place.Policy, replicaCount int,
-	g *pfs.GPFS, costs SimCosts) *SimClient {
-	if policy == nil {
-		policy = place.ModHash{}
-	}
+	servers []*SimServer, replicaCount int, g *pfs.GPFS, costs SimCosts) *SimClient {
 	if replicaCount < 1 {
 		replicaCount = 1
 	}
@@ -65,9 +60,9 @@ func NewSimClient(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
 		node:    node,
 		fabric:  fabric,
 		servers: servers,
-		placeFn: func(path string) int { return policy.Place(path, n) },
+		placeFn: func(path string) int { return place.ModHash{}.Place(path, n) },
 		replicas: func(path string) []int {
-			return policy.Replicas(path, n, replicaCount)
+			return place.ModHash{}.Replicas(path, n, replicaCount)
 		},
 		costs:   costs,
 		handles: vfs.NewHandleTable(),
@@ -165,7 +160,7 @@ func (c *SimClient) Prefetch(p *sim.Proc, paths []string) {
 		}
 		srv := c.servers[si]
 		c.rpc(p, srv)
-		_ = srv.prefetchBatch(p, group)
+		srv.prefetchBatch(group)
 	}
 }
 
@@ -260,7 +255,6 @@ func (c *SimClient) ReadAt(p *sim.Proc, h vfs.Handle, off, n int64) (int64, erro
 	if err := srv.read(p, path, off, n, size, c.hCached[h], c.node); err != nil {
 		return 0, err
 	}
-	c.stats.BytesRead += n
 	c.record(p, trace.Read, c.tierOf(h), readStart, n, path)
 	return n, nil
 }
@@ -287,7 +281,6 @@ func (c *SimClient) readAtSegmented(p *sim.Proc, path string, size, off, n int64
 			return total, err
 		}
 		total += want
-		c.stats.BytesRead += want
 	}
 	return total, nil
 }
@@ -302,7 +295,6 @@ func (c *SimClient) Close(p *sim.Proc, h vfs.Handle) error {
 		delete(c.hSeg, h)
 		_ = c.handles.Close(h) // cannot fail: Get(h) above validated the handle
 		p.Sleep(c.costs.ClientOverhead)
-		_ = path
 		return nil // stateless: no server-side handle
 	}
 	if fh, ok := c.hFall[h]; ok {

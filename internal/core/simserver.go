@@ -47,14 +47,11 @@ func DefaultSimCosts() SimCosts {
 	}
 }
 
-// SimServerStats counts simulated server activity.
+// SimServerStats counts the simulated server activity a figure prints
+// (ablation-eviction's hit rate and evictions) or a test asserts.
 type SimServerStats struct {
-	Opens, Reads, Closes int64
-	Hits, Misses         int64
-	ReplicaWarms         int64 // copies pulled in because a peer's demand fill warmed us
-	BytesServed          int64
-	BytesFetched         int64
-	Evictions            int64
+	Hits, Misses int64
+	Evictions    int64
 }
 
 // SimServer is one HVAC server instance in the simulated cluster. Multiple
@@ -74,7 +71,6 @@ type SimServer struct {
 	// Replica-warming wiring (SetCluster); nil/0 disables warming.
 	cluster      []*SimServer
 	self         int
-	policy       place.Policy
 	replicaCount int
 
 	inflight map[string]bool
@@ -105,13 +101,9 @@ func NewSimServer(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
 // demand fills warm the key's other homes — the sim mirror of
 // Server.SetPeers in real mode. Call once after constructing every
 // instance; replicas < 2 disables warming.
-func (s *SimServer) SetCluster(servers []*SimServer, self int, policy place.Policy, replicas int) {
-	if policy == nil {
-		policy = place.ModHash{}
-	}
+func (s *SimServer) SetCluster(servers []*SimServer, self int, replicas int) {
 	s.cluster = servers
 	s.self = self
-	s.policy = policy
 	s.replicaCount = replicas
 }
 
@@ -147,7 +139,6 @@ func (s *SimServer) open(p *sim.Proc, path string) (size int64, cached bool, err
 	}
 	release := s.mover.Acquire(p)
 	p.Sleep(s.costs.OpenHandling)
-	s.stats.Opens++
 	if s.index.Peek(path) {
 		size, _ = s.index.Size(path)
 		s.index.Contains(path) // recency + hit accounting
@@ -189,8 +180,6 @@ func (s *SimServer) read(p *sim.Proc, path string, off, n, fileSize int64, cache
 	if s.fabric != nil {
 		s.fabric.Send(p, s.node, clientNode, n)
 	}
-	s.stats.Reads++
-	s.stats.BytesServed += n
 	return nil
 }
 
@@ -226,7 +215,6 @@ func (s *SimServer) scheduleCopy(path string, size int64, fromPFS bool) {
 		}
 		s.stats.Evictions += int64(len(evicted))
 		s.stats.Misses++
-		s.stats.BytesFetched += size
 		if !fromPFS {
 			// A demand fill warms the key's other homes so a failover
 			// target already holds the bytes (mirror of warmReplicas in
@@ -238,10 +226,10 @@ func (s *SimServer) scheduleCopy(path string, size int64, fromPFS bool) {
 
 // warmPeers schedules replica-warming copies of key on its other homes.
 func (s *SimServer) warmPeers(key string, size int64) {
-	if s.policy == nil || s.replicaCount < 2 {
+	if s.replicaCount < 2 {
 		return
 	}
-	for _, si := range s.policy.Replicas(key, len(s.cluster), s.replicaCount) {
+	for _, si := range (place.ModHash{}).Replicas(key, len(s.cluster), s.replicaCount) {
 		if si == s.self {
 			continue
 		}
@@ -275,27 +263,28 @@ func (s *SimServer) warm(key string, size int64) {
 			return
 		}
 		s.stats.Evictions += int64(len(evicted))
-		s.stats.ReplicaWarms++
-		s.stats.BytesFetched += size
 	})
 }
 
 // prefetchBatch accepts one batched pre-population hint: the data-mover
 // copies each path from the PFS in the background (§IV-C future work,
-// implemented), one RPC for the whole list.
-func (s *SimServer) prefetchBatch(p *sim.Proc, paths []string) error {
+// implemented), one RPC for the whole list. Like Server.planBatchEntry,
+// the hint is answered without the mover: a residency check and an
+// enqueue per path. Holding the mover per path would queue each client's
+// hint behind every copy already scheduled there, and since every client
+// walks the servers in the same order, the allocation would convoy on one
+// mover at a time.
+func (s *SimServer) prefetchBatch(paths []string) {
 	if s.failed {
-		return errServerFailed
+		return
 	}
 	for _, path := range paths {
-		s.mover.Use(p, s.costs.OpenHandling)
 		if s.index.Peek(path) || s.inflight[path] {
 			continue
 		}
 		s.inflight[path] = true
 		s.scheduleCopy(path, 0, true)
 	}
-	return nil
 }
 
 // close services the out-of-band teardown RPC (§III-D ⑧); read-through
@@ -308,7 +297,6 @@ func (s *SimServer) close(p *sim.Proc, path string, cached bool) error {
 	if !cached {
 		s.gpfs.CloseMeta(p)
 	}
-	s.stats.Closes++
 	return nil
 }
 
@@ -325,7 +313,6 @@ func (s *SimServer) stat(p *sim.Proc, path string) (int64, error) {
 		return 0, err
 	}
 	s.gpfs.CloseMeta(p)
-	s.stats.Opens++
 	return size, nil
 }
 
@@ -351,8 +338,6 @@ func (s *SimServer) readSegment(p *sim.Proc, key string, n, segBytes int64, clie
 	if s.fabric != nil {
 		s.fabric.Send(p, s.node, clientNode, n)
 	}
-	s.stats.Reads++
-	s.stats.BytesServed += n
 	return nil
 }
 

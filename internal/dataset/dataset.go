@@ -78,19 +78,6 @@ func DeepCAMClimate() Spec {
 	}
 }
 
-// OpenImages is the ~9M-image dataset the introduction cites as a
-// metadata stressor.
-func OpenImages() Spec {
-	return Spec{
-		Name:         "openimages",
-		TrainFiles:   9_000_000,
-		ValFiles:     125_436,
-		MeanFileSize: 300 << 10,
-		SizeSigma:    0.6,
-		PathPrefix:   "/gpfs/alpine/openimages",
-	}
-}
-
 // Scale returns a proportionally shrunken copy (at least one file), used
 // by the scaled benchmark runs; the scale factor is recorded in the name.
 func (s Spec) Scale(factor float64) Spec {
@@ -173,15 +160,6 @@ func (s Spec) Namespace() *vfs.Namespace {
 	ns := vfs.NewNamespace()
 	s.Build(ns, false)
 	return ns
-}
-
-// TrainPaths returns the training file paths in index order.
-func (s Spec) TrainPaths() []string {
-	out := make([]string, s.TrainFiles)
-	for i := range out {
-		out[i] = s.TrainPath(i)
-	}
-	return out
 }
 
 // Materialize writes real files with the spec's size distribution under

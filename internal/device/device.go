@@ -1,6 +1,6 @@
 // Package device models block storage devices for the simulated Summit
 // substrate: the 1.6 TB Samsung NVMe SSD on every compute node (Table I of
-// the paper), plus slower profiles used in tests and ablations.
+// the paper).
 //
 // A device is a sim.Resource with bounded internal parallelism (queue
 // depth); an I/O occupies one slot for issueLatency + bytes/bandwidth.
@@ -9,7 +9,6 @@
 package device
 
 import (
-	"fmt"
 	"time"
 
 	"hvac/internal/sim"
@@ -46,33 +45,6 @@ func SummitNVMe() Profile {
 	}
 }
 
-// RAMDisk is an approximately-instant device used in ablations and tests.
-func RAMDisk(capacity int64) Profile {
-	return Profile{
-		Name:           "ram",
-		ReadBandwidth:  80e9,
-		WriteBandwidth: 80e9,
-		ReadLatency:    2 * time.Microsecond,
-		WriteLatency:   2 * time.Microsecond,
-		Parallelism:    16,
-		Capacity:       capacity,
-	}
-}
-
-// SlowDisk is a spinning-disk profile used in failure-injection and
-// contrast tests.
-func SlowDisk() Profile {
-	return Profile{
-		Name:           "hdd",
-		ReadBandwidth:  180e6,
-		WriteBandwidth: 160e6,
-		ReadLatency:    4 * time.Millisecond,
-		WriteLatency:   4 * time.Millisecond,
-		Parallelism:    1,
-		Capacity:       4000e9,
-	}
-}
-
 // Device is a simulated block device. An I/O passes two stages: an issue
 // stage with Parallelism-way concurrency charging the per-op latency
 // (overlapping command processing across the queue depth), then a single
@@ -85,9 +57,6 @@ type Device struct {
 	readBus  *sim.Resource
 	writeLat *sim.Resource
 	writeBus *sim.Resource
-	used     int64
-	reads    int64
-	writes   int64
 }
 
 // New constructs a device on the engine with the given profile.
@@ -104,15 +73,11 @@ func New(eng *sim.Engine, id string, prof Profile) *Device {
 	}
 }
 
-// Profile returns the device's performance envelope.
-func (d *Device) Profile() Profile { return d.prof }
-
 // Read occupies the device for a read of n bytes, in virtual time.
 func (d *Device) Read(p *sim.Proc, n int64) time.Duration {
 	start := p.Now()
 	d.readLat.Use(p, d.prof.ReadLatency)
 	d.readBus.UseBytes(p, n)
-	d.reads++
 	return p.Now().Sub(start)
 }
 
@@ -121,40 +86,5 @@ func (d *Device) Write(p *sim.Proc, n int64) time.Duration {
 	start := p.Now()
 	d.writeLat.Use(p, d.prof.WriteLatency)
 	d.writeBus.UseBytes(p, n)
-	d.writes++
 	return p.Now().Sub(start)
 }
-
-// Capacity returns the device capacity in bytes.
-func (d *Device) Capacity() int64 { return d.prof.Capacity }
-
-// Used returns the bytes currently allocated via Alloc.
-func (d *Device) Used() int64 { return d.used }
-
-// Free returns the unallocated capacity.
-func (d *Device) Free() int64 { return d.prof.Capacity - d.used }
-
-// Alloc reserves n bytes of capacity, failing if the device is full.
-func (d *Device) Alloc(n int64) error {
-	if d.used+n > d.prof.Capacity {
-		return fmt.Errorf("device %s: allocation of %d bytes exceeds capacity (%d of %d used)",
-			d.prof.Name, n, d.used, d.prof.Capacity)
-	}
-	d.used += n
-	return nil
-}
-
-// Release returns n bytes of capacity. It panics if more is released than
-// allocated, which would indicate an accounting bug.
-func (d *Device) Release(n int64) {
-	d.used -= n
-	if d.used < 0 {
-		panic("device: released more than allocated")
-	}
-}
-
-// ReadsCompleted reports completed read operations.
-func (d *Device) ReadsCompleted() int64 { return d.reads }
-
-// WritesCompleted reports completed write operations.
-func (d *Device) WritesCompleted() int64 { return d.writes }

@@ -73,38 +73,6 @@ func TestParallelismOverlapsLatency(t *testing.T) {
 	}
 }
 
-func TestCapacityAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	d := New(eng, "d0", Profile{Name: "t", ReadBandwidth: 1, WriteBandwidth: 1, Capacity: 100, Parallelism: 1})
-	if err := d.Alloc(60); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Alloc(50); err == nil {
-		t.Fatal("over-allocation should fail")
-	}
-	if d.Free() != 40 {
-		t.Fatalf("free = %d, want 40", d.Free())
-	}
-	d.Release(60)
-	if d.Used() != 0 {
-		t.Fatalf("used = %d, want 0", d.Used())
-	}
-	if err := d.Alloc(100); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReleaseTooMuchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	eng := sim.NewEngine()
-	d := New(eng, "d0", Profile{Name: "t", ReadBandwidth: 1, WriteBandwidth: 1, Capacity: 100, Parallelism: 1})
-	d.Release(1)
-}
-
 func TestSummitNVMeAggregate(t *testing.T) {
 	// The paper (§II-C): 4,096 node-local NVMe aggregate ~22.5 TB/s vs
 	// GPFS 2.5 TB/s. Check our per-device read bandwidth reproduces that.
@@ -115,34 +83,5 @@ func TestSummitNVMeAggregate(t *testing.T) {
 	}
 	if p.Capacity != 1600e9 {
 		t.Fatalf("capacity = %d, want 1.6 TB (Table I)", p.Capacity)
-	}
-}
-
-func TestProfilesDistinct(t *testing.T) {
-	n, r, h := SummitNVMe(), RAMDisk(1e9), SlowDisk()
-	if !(r.ReadBandwidth > n.ReadBandwidth && n.ReadBandwidth > h.ReadBandwidth) {
-		t.Fatal("bandwidth ordering ram > nvme > hdd violated")
-	}
-	if !(r.ReadLatency < n.ReadLatency && n.ReadLatency < h.ReadLatency) {
-		t.Fatal("latency ordering ram < nvme < hdd violated")
-	}
-}
-
-func TestOpCounters(t *testing.T) {
-	eng := sim.NewEngine()
-	d := New(eng, "d0", RAMDisk(1e12))
-	eng.Spawn("w", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			d.Write(p, 1000)
-		}
-		for i := 0; i < 3; i++ {
-			d.Read(p, 1000)
-		}
-	})
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if d.WritesCompleted() != 5 || d.ReadsCompleted() != 3 {
-		t.Fatalf("ops = %d writes / %d reads, want 5/3", d.WritesCompleted(), d.ReadsCompleted())
 	}
 }

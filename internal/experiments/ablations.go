@@ -13,10 +13,11 @@ import (
 	"hvac/internal/vfs"
 )
 
-// ablationEvictionTables runs ResNet50 training with per-instance cache
-// capacity covering only a fraction of the dataset shard, comparing the
-// paper's random eviction with LRU and FIFO.
-func ablationEvictionTables(opt Options) []*metrics.Table {
+// AblationEviction runs ResNet50 training with per-instance cache capacity
+// covering only a fraction of the dataset shard, comparing the paper's
+// random eviction with LRU and FIFO: warm epochs keep missing, and the
+// policy decides how often.
+func AblationEviction(opt Options) []*metrics.Table {
 	a := apps()[0]
 	nodes := 16
 	epochs := 4
@@ -70,10 +71,10 @@ func ablationEvictionTables(opt Options) []*metrics.Table {
 	return []*metrics.Table{t}
 }
 
-// ablationInstancesTables sweeps instances per node beyond the paper's
-// 1/2/4 and reports data-mover utilisation, the mechanism behind the
-// Fig. 9b ladder.
-func ablationInstancesTables(opt Options) []*metrics.Table {
+// AblationInstances sweeps instances per node beyond the paper's 1/2/4
+// and reports data-mover utilisation, the mechanism behind the Fig. 9b
+// ladder.
+func AblationInstances(opt Options) []*metrics.Table {
 	a := apps()[0]
 	nodes := 128
 	if opt.Full {
@@ -240,9 +241,10 @@ func AblationSegments(opt Options) []*metrics.Table {
 	return []*metrics.Table{balance, timing}
 }
 
-// ablationReplicationTables compares replication factors with a batch of
-// failed servers in the allocation (§III-H future work, implemented).
-func ablationReplicationTables(opt Options) []*metrics.Table {
+// AblationReplication exercises the §III-H failover design with a batch
+// of failed servers in the allocation: replicas keep reads on NVMe;
+// without them, reads fall back to GPFS.
+func AblationReplication(opt Options) []*metrics.Table {
 	a := apps()[0]
 	nodes := 64
 	data := a.data(opt)

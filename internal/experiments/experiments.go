@@ -73,7 +73,6 @@ func All() []Experiment {
 		{ID: "ablation-replication", Title: "Ablation: replication factor and failover", Run: AblationReplication},
 		{ID: "ablation-prefetch", Title: "Ablation: cache pre-population vs cold first epoch (§IV-C future work)", Run: AblationPrefetch},
 		{ID: "ablation-segments", Title: "Ablation: segment-level caching under skewed file sizes (§III-E)", Run: AblationSegments},
-		{ID: "baselines", Title: "Related work (§II-D): LPCC and BeeOND baselines vs HVAC", Run: Baselines},
 	}
 }
 
@@ -170,13 +169,6 @@ func runTraining(opt Options, sys System, cfg train.Config) *train.Result {
 
 // minutes formats a duration column in minutes as the paper's Fig. 8 does.
 func minutes(d float64) float64 { return d / 60 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // cdfSummary condenses a per-server count distribution the way Fig. 15's
 // CDF reads: coefficient of variation plus min/max relative to the mean.

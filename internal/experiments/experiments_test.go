@@ -14,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 		"tab1", "fig3", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "bandwidth",
 		"ablation-placement", "ablation-eviction", "ablation-instances", "ablation-replication",
-		"ablation-prefetch", "ablation-segments", "baselines",
+		"ablation-prefetch", "ablation-segments",
 	}
 	all := All()
 	if len(all) != len(want) {
@@ -86,17 +86,9 @@ func TestAggregateBandwidthTable(t *testing.T) {
 	}
 }
 
+// The Fig. 15 table's claims are TestResultsShape/fig15's; this pins the
+// placement balance beneath it at a second file count.
 func TestFig15Balance(t *testing.T) {
-	tabs := Fig15(Options{Seed: 1})
-	out := tabs[0].String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) < 8 {
-		t.Fatalf("fig15 too short:\n%s", out)
-	}
-	// CV must shrink from the first to the last node count? No — CV in
-	// counts grows with servers for fixed files; the paper's metric is
-	// deviation from the ideal CDF, which our cv column captures per
-	// row. Assert all rows are reasonably balanced instead.
 	counts := placementCounts(place.ModHash{}, 100000, 512)
 	cv, lo, hi := cdfSummary(counts)
 	if cv > 0.1 {

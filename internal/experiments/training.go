@@ -383,23 +383,3 @@ func timeToAccuracy(res *train.Result, target float64, epochs int) float64 {
 	}
 	return res.TrainTime.Seconds()
 }
-
-// AblationEviction compares eviction policies under cache pressure: the
-// per-instance capacity holds only part of the dataset, so warm epochs
-// keep missing; the policy decides how often.
-func AblationEviction(opt Options) []*metrics.Table {
-	return ablationEvictionTables(opt)
-}
-
-// AblationInstances sweeps the paper's i in HVAC(i×1) further than the
-// evaluation does (1..8) and reports mover utilisation alongside time.
-func AblationInstances(opt Options) []*metrics.Table {
-	return ablationInstancesTables(opt)
-}
-
-// AblationReplication exercises the §III-H failover design: with dead
-// servers in the allocation, replicas keep reads on NVMe; without them,
-// reads fall back to GPFS.
-func AblationReplication(opt Options) []*metrics.Table {
-	return ablationReplicationTables(opt)
-}

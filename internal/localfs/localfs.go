@@ -60,12 +60,6 @@ var _ vfs.FS = (*FS)(nil)
 // Name implements vfs.FS.
 func (f *FS) Name() string { return "xfs-nvme" }
 
-// Device returns the backing device.
-func (f *FS) Device() *device.Device { return f.dev }
-
-// Namespace returns the staged file set.
-func (f *FS) Namespace() *vfs.Namespace { return f.ns }
-
 // Open implements vfs.FS with purely local cost.
 func (f *FS) Open(p *sim.Proc, path string) (vfs.Handle, int64, error) {
 	p.Sleep(f.cfg.OpenCost)

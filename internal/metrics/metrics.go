@@ -1,8 +1,7 @@
-// Package metrics provides the statistics and table formatting shared by
-// the experiment harness, the benchmarks and cmd/hvacbench: sample summaries
-// with 95% confidence intervals (the paper reports all results as the mean
-// of three repetitions with a 95% CI), CDFs for the load-distribution study
-// (Fig. 15), and fixed-width table rendering.
+// Package metrics provides the statistics and table formatting of the
+// experiment harness (cmd/hvacbench) and the server's latency histograms:
+// sample summaries (mean, spread, CV, quantiles), CDFs, and fixed-width
+// table rendering.
 package metrics
 
 import (
@@ -22,9 +21,6 @@ func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Values returns a copy of the observations.
-func (s *Sample) Values() []float64 { return append([]float64(nil), s.xs...) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -79,17 +75,6 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the mean,
-// using the normal approximation (t ≈ 1.96); for the three-repetition runs
-// in the paper this is the conventional reporting.
-func (s *Sample) CI95() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * s.Stddev() / math.Sqrt(float64(n))
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.

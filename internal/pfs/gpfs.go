@@ -143,9 +143,6 @@ func (g *GPFS) RegisterClients(n int) {
 	}
 }
 
-// ActiveClients reports the registered client count.
-func (g *GPFS) ActiveClients() int { return g.activeClients }
-
 func (g *GPFS) metaFactor() float64 {
 	return 1 + g.cfg.TokenContention*float64(g.activeClients)
 }
@@ -181,12 +178,6 @@ func (g *GPFS) ReadBytes(p *sim.Proc, n int64) {
 
 // Stats reports op counters: opens, read ops, bytes read.
 func (g *GPFS) Stats() (opens, reads, bytes int64) { return g.opens, g.reads, g.bytesRead }
-
-// MDSUtilization reports mean utilization of the metadata pool.
-func (g *GPFS) MDSUtilization() float64 { return g.mds.Utilization() }
-
-// DataUtilization reports mean utilization of the data bus.
-func (g *GPFS) DataUtilization() float64 { return g.dataBus.Utilization() }
 
 // Client returns a per-node vfs.FS view of the file system. Reads
 // additionally traverse the node's NIC on fabric f (nil to skip NIC

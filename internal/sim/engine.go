@@ -73,10 +73,8 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 
-	yield   chan struct{} // a running Proc signals here when it parks or exits
-	parked  int           // procs blocked on something other than the event heap
-	spawned int
-	exited  int
+	yield  chan struct{} // a running Proc signals here when it parks or exits
+	parked int           // procs blocked on something other than the event heap
 }
 
 // NewEngine returns a fresh engine at virtual time zero.
@@ -108,9 +106,6 @@ type Proc struct {
 	name   string
 }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Name returns the name given at Spawn, for diagnostics.
 func (p *Proc) Name() string { return p.name }
 
@@ -120,20 +115,13 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Spawn starts fn as a simulated process at the current virtual time.
 func (e *Engine) Spawn(name string, fn func(*Proc)) {
 	p := &Proc{eng: e, resume: make(chan struct{}), name: name}
-	e.spawned++
 	e.seq++
 	e.events.pushEv(event{at: e.now, seq: e.seq, kind: evResume, proc: p})
 	go func() {
 		<-p.resume // wait for the engine to run our start event
 		fn(p)
-		e.exited++
 		e.yield <- struct{}{}
 	}()
-}
-
-// SpawnAfter starts fn as a simulated process after a delay.
-func (e *Engine) SpawnAfter(d Duration, name string, fn func(*Proc)) {
-	e.After(d, func() { e.Spawn(name, fn) })
 }
 
 // scheduleResume arranges for p to continue at time at.
@@ -161,21 +149,6 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.eng.scheduleResume(p, p.eng.now.Add(d))
 	p.park()
-}
-
-// Block parks the process indefinitely; it continues only when another
-// activity calls Unblock. The parked process counts toward deadlock
-// detection in Run.
-func (p *Proc) Block() {
-	p.eng.parked++
-	p.park()
-}
-
-// Unblock schedules p, previously suspended via Block, to continue at the
-// current virtual time.
-func (p *Proc) Unblock() {
-	p.eng.parked--
-	p.eng.scheduleResume(p, p.eng.now)
 }
 
 // ErrDeadlock is returned by Run when processes remain blocked but no events
@@ -216,9 +189,6 @@ func (e *Engine) Run(until Time) error {
 
 // RunAll executes events until none remain.
 func (e *Engine) RunAll() error { return e.Run(Time(1<<62 - 1)) }
-
-// Live reports the number of spawned processes that have not yet exited.
-func (e *Engine) Live() int { return e.spawned - e.exited }
 
 // Events reports the total number of events ever scheduled. Because every
 // event carries the sequence number at which it was scheduled, two runs of

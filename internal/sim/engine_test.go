@@ -66,9 +66,6 @@ func TestProcSleep(t *testing.T) {
 	if wake != Time(3*time.Second) {
 		t.Fatalf("woke at %v, want 3s", time.Duration(wake))
 	}
-	if e.Live() != 0 {
-		t.Fatalf("%d procs still live", e.Live())
-	}
 }
 
 func TestProcsInterleaveDeterministically(t *testing.T) {
@@ -100,42 +97,6 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestSignal(t *testing.T) {
-	e := NewEngine()
-	var s Signal
-	var done []Time
-	for i := 0; i < 3; i++ {
-		e.Spawn("w", func(p *Proc) {
-			s.Wait(p)
-			done = append(done, p.Now())
-		})
-	}
-	e.SpawnAfter(5*time.Second, "firer", func(p *Proc) { s.Fire() })
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 3 {
-		t.Fatalf("%d waiters completed, want 3", len(done))
-	}
-	for _, d := range done {
-		if d != Time(5*time.Second) {
-			t.Fatalf("waiter continued at %v, want 5s", time.Duration(d))
-		}
-	}
-	// Wait after Fire returns immediately.
-	e2 := NewEngine()
-	var s2 Signal
-	s2.Fire()
-	ran := false
-	e2.Spawn("late", func(p *Proc) { s2.Wait(p); ran = true })
-	if err := e2.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("late waiter never ran")
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	e := NewEngine()
 	var wg WaitGroup
@@ -162,8 +123,8 @@ func TestWaitGroup(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	var s Signal // never fired
-	e.Spawn("stuck", func(p *Proc) { s.Wait(p) })
+	var q Queue[int] // never fed
+	e.Spawn("stuck", func(p *Proc) { q.Get(p) })
 	err := e.RunAll()
 	if err == nil {
 		t.Fatal("expected deadlock error")

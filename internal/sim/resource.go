@@ -14,14 +14,9 @@ type Resource struct {
 	rate    float64 // bytes per second for UseBytes; 0 if duration-only
 	perOp   Duration
 
-	inUse int
-	queue []*Proc
-
-	// Stats accumulated over the run.
-	completed int64
-	busyNS    int64 // total server-occupancy time, summed over servers
-	waitNS    int64 // total queueing delay
-	lastStart Time
+	inUse  int
+	queue  []*Proc
+	busyNS int64 // total server-occupancy time, summed over servers
 }
 
 // NewResource returns a duration-based resource with the given number of
@@ -41,12 +36,6 @@ func NewRateResource(eng *Engine, name string, servers int, rate float64, perOp 
 	r.perOp = perOp
 	return r
 }
-
-// Name returns the diagnostic name of the resource.
-func (r *Resource) Name() string { return r.name }
-
-// Servers returns the configured server count.
-func (r *Resource) Servers() int { return r.servers }
 
 // acquire blocks p until a server is free and claims it.
 func (r *Resource) acquire(p *Proc) {
@@ -78,9 +67,7 @@ func (r *Resource) release() {
 // the composite-usage form of Use: the caller may perform other simulated
 // activities (device I/O, nested resource usage) while holding the server.
 func (r *Resource) Acquire(p *Proc) (release func()) {
-	start := p.eng.now
 	r.acquire(p)
-	r.waitNS += int64(p.eng.now.Sub(start))
 	held := p.eng.now
 	released := false
 	return func() {
@@ -90,7 +77,6 @@ func (r *Resource) Acquire(p *Proc) (release func()) {
 		released = true
 		r.busyNS += int64(p.eng.now.Sub(held))
 		r.release()
-		r.completed++
 	}
 }
 
@@ -100,11 +86,9 @@ func (r *Resource) Acquire(p *Proc) (release func()) {
 func (r *Resource) Use(p *Proc, service Duration) Duration {
 	start := p.eng.now
 	r.acquire(p)
-	r.waitNS += int64(p.eng.now.Sub(start))
 	r.busyNS += int64(service)
 	p.Sleep(service)
 	r.release()
-	r.completed++
 	return p.eng.now.Sub(start)
 }
 
@@ -117,27 +101,6 @@ func (r *Resource) UseBytes(p *Proc, bytes int64) Duration {
 	service := r.perOp + Duration(float64(bytes)/r.rate*1e9)
 	return r.Use(p, service)
 }
-
-// ServiceTimeBytes reports the uncontended service time UseBytes would hold
-// a server for, without acquiring anything.
-func (r *Resource) ServiceTimeBytes(bytes int64) Duration {
-	return r.perOp + Duration(float64(bytes)/r.rate*1e9)
-}
-
-// QueueLen reports the number of processes currently waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// InUse reports the number of currently occupied servers.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Completed reports the number of completed acquisitions.
-func (r *Resource) Completed() int64 { return r.completed }
-
-// BusyTime reports total server occupancy accumulated across all servers.
-func (r *Resource) BusyTime() Duration { return Duration(r.busyNS) }
-
-// WaitTime reports total queueing delay accumulated across all users.
-func (r *Resource) WaitTime() Duration { return Duration(r.waitNS) }
 
 // Utilization reports mean per-server utilization over [0, now].
 func (r *Resource) Utilization() float64 {

@@ -12,9 +12,6 @@ type RNG struct {
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// Fork derives an independent child stream; the parent advances once.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64() ^ 0x9e3779b97f4a7c15) }
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -30,14 +27,6 @@ func (r *RNG) Intn(n int) int {
 		panic("sim: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
 }
 
 // Float64 returns a uniform float64 in [0, 1).

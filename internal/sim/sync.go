@@ -1,41 +1,5 @@
 package sim
 
-// Signal is a one-shot broadcast event in virtual time: processes Wait on it
-// and all continue once Fire is called. Fire-before-Wait is allowed; Wait
-// then returns immediately. A Signal must not be reused after Fire.
-type Signal struct {
-	fired   bool
-	waiters []*Proc
-}
-
-// Wait suspends p until the signal fires. Returns immediately if it already
-// has.
-func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.eng.parked++
-	p.park()
-}
-
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
-
-// Fire releases all current and future waiters at the current virtual time.
-// Firing twice is a no-op.
-func (s *Signal) Fire() {
-	if s.fired {
-		return
-	}
-	s.fired = true
-	for _, w := range s.waiters {
-		w.eng.parked--
-		w.eng.scheduleResume(w, w.eng.now)
-	}
-	s.waiters = nil
-}
-
 // WaitGroup counts outstanding simulated activities, like sync.WaitGroup but
 // in virtual time.
 type WaitGroup struct {
@@ -159,6 +123,3 @@ func (q *Queue[T]) Close() {
 	}
 	q.waiters = nil
 }
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }

@@ -45,17 +45,6 @@ func SummitEDR() Config {
 	}
 }
 
-// SlowEthernet is a 10 GbE profile used in contrast tests.
-func SlowEthernet() Config {
-	return Config{
-		LinkBandwidth:  1.25e9,
-		BaseLatency:    30 * time.Microsecond,
-		RecvCopyRate:   5e9,
-		MsgOverhead:    5 * time.Microsecond,
-		NICParallelism: 1,
-	}
-}
-
 // NodeID identifies a node on the fabric.
 type NodeID int
 
@@ -71,7 +60,6 @@ type Fabric struct {
 	nics []nic
 
 	bytesMoved int64
-	messages   int64
 }
 
 // New builds a fabric with n nodes.
@@ -90,12 +78,6 @@ func New(eng *sim.Engine, cfg Config, n int) *Fabric {
 	return f
 }
 
-// Nodes reports the number of nodes on the fabric.
-func (f *Fabric) Nodes() int { return len(f.nics) }
-
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 func (f *Fabric) check(n NodeID) {
 	if int(n) < 0 || int(n) >= len(f.nics) {
 		panic(fmt.Sprintf("simnet: node %d out of range [0,%d)", n, len(f.nics)))
@@ -111,7 +93,6 @@ func (f *Fabric) Send(p *sim.Proc, from, to NodeID, bytes int64) time.Duration {
 	f.check(to)
 	start := p.Now()
 	f.bytesMoved += bytes
-	f.messages++
 	if from != to {
 		f.nics[from].egress.UseBytes(p, bytes)
 		p.Sleep(f.cfg.BaseLatency)
@@ -128,7 +109,6 @@ func (f *Fabric) RPC(p *sim.Proc, from, to NodeID, reqBytes, respBytes int64) ti
 	f.check(from)
 	f.check(to)
 	start := p.Now()
-	f.messages += 2
 	if from != to {
 		f.nics[from].egress.UseBytes(p, reqBytes)
 		p.Sleep(f.cfg.BaseLatency)
@@ -145,12 +125,3 @@ func (f *Fabric) RPC(p *sim.Proc, from, to NodeID, reqBytes, respBytes int64) ti
 
 // BytesMoved reports total payload bytes sent over the fabric.
 func (f *Fabric) BytesMoved() int64 { return f.bytesMoved }
-
-// Messages reports total messages (bulk sends count one, RPCs two).
-func (f *Fabric) Messages() int64 { return f.messages }
-
-// EgressUtilization reports the mean egress utilization of a node's NIC.
-func (f *Fabric) EgressUtilization(n NodeID) float64 {
-	f.check(n)
-	return f.nics[n].egress.Utilization()
-}

@@ -12,7 +12,6 @@ import (
 	"hvac/internal/device"
 	"hvac/internal/localfs"
 	"hvac/internal/pfs"
-	"hvac/internal/place"
 	"hvac/internal/sim"
 	"hvac/internal/simnet"
 	"hvac/internal/vfs"
@@ -121,8 +120,6 @@ func (c *Cluster) XFSFS() func(node, proc int) vfs.FS {
 type HVACOptions struct {
 	// InstancesPerNode is the paper's i in HVAC(i×1).
 	InstancesPerNode int
-	// Placement is the redirection hash (nil: the paper's ModHash).
-	Placement place.Policy
 	// Replicas enables §III-H failover when > 1.
 	Replicas int
 	// EvictionSeed seeds the per-instance random eviction policies.
@@ -132,10 +129,6 @@ type HVACOptions struct {
 	// CapacityPerInstance overrides each instance's cache share
 	// (default: NVMe capacity / instances).
 	CapacityPerInstance int64
-	// Costs overrides the calibrated software costs.
-	Costs *core.SimCosts
-	// NoFallback disables the GPFS fallback path on the clients.
-	NoFallback bool
 	// SegmentSize > 0 enables segment-level caching (§III-E) on the
 	// job's clients.
 	SegmentSize int64
@@ -160,9 +153,6 @@ func (c *Cluster) StartHVAC(opts HVACOptions) *HVACJob {
 		opts.Eviction = func(seed uint64) cachestore.Policy { return cachestore.NewRandom(seed) }
 	}
 	costs := core.DefaultSimCosts()
-	if opts.Costs != nil {
-		costs = *opts.Costs
-	}
 	capacity := opts.CapacityPerInstance
 	if capacity <= 0 {
 		capacity = c.Spec.NVMe.Capacity / int64(opts.InstancesPerNode)
@@ -178,7 +168,7 @@ func (c *Cluster) StartHVAC(opts HVACOptions) *HVACJob {
 	}
 	if opts.Replicas > 1 {
 		for i, srv := range job.Servers {
-			srv.SetCluster(job.Servers, i, opts.Placement, opts.Replicas)
+			srv.SetCluster(job.Servers, i, opts.Replicas)
 		}
 	}
 	return job
@@ -189,20 +179,12 @@ func (j *HVACJob) Client(node int) *core.SimClient {
 	if cl, ok := j.clients[node]; ok {
 		return cl
 	}
-	costs := core.DefaultSimCosts()
-	if j.opts.Costs != nil {
-		costs = *j.opts.Costs
-	}
-	g := j.cluster.GPFS
-	if j.opts.NoFallback {
-		g = nil
-	}
 	replicas := j.opts.Replicas
 	if replicas < 1 {
 		replicas = 1
 	}
 	cl := core.NewSimClient(j.cluster.Eng, simnet.NodeID(node), j.cluster.Fabric,
-		j.Servers, j.opts.Placement, replicas, g, costs)
+		j.Servers, replicas, j.cluster.GPFS, core.DefaultSimCosts())
 	if j.opts.SegmentSize > 0 {
 		cl.SetSegmentSize(j.opts.SegmentSize)
 	}
@@ -241,27 +223,13 @@ func (j *HVACJob) Prewarm() (sim.Duration, error) {
 	return c.Eng.Now().Sub(start), nil
 }
 
-// FileDistribution returns the per-server cached-file counts (Fig. 15).
-func (j *HVACJob) FileDistribution() []int {
-	out := make([]int, len(j.Servers))
-	for i, s := range j.Servers {
-		out[i] = s.CachedFiles()
-	}
-	return out
-}
-
 // TotalStats aggregates server counters across the job.
 func (j *HVACJob) TotalStats() core.SimServerStats {
 	var t core.SimServerStats
 	for _, s := range j.Servers {
 		st := s.Stats()
-		t.Opens += st.Opens
-		t.Reads += st.Reads
-		t.Closes += st.Closes
 		t.Hits += st.Hits
 		t.Misses += st.Misses
-		t.BytesServed += st.BytesServed
-		t.BytesFetched += st.BytesFetched
 		t.Evictions += st.Evictions
 	}
 	return t

@@ -87,11 +87,6 @@ func DeepCAM() Model {
 	}
 }
 
-// Models returns the four evaluated applications in paper order.
-func Models() []Model {
-	return []Model{ResNet50(), TResNetM(), CosmoFlow(), DeepCAM()}
-}
-
 // GradientBytes is the gradient payload exchanged per iteration (fp16
 // compression, as Horovod deployments on Summit use).
 func (m Model) GradientBytes() int64 { return int64(m.ParamsMillion * 1e6 * 2) }

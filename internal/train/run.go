@@ -87,8 +87,6 @@ type Result struct {
 	ComputeTime time.Duration
 	// FilesRead counts file transactions across all ranks.
 	FilesRead int64
-	// BytesRead counts payload across all ranks.
-	BytesRead int64
 	// ReadErrors counts failed file reads (failure-injection runs).
 	ReadErrors int64
 	// OrderTrace is rank 0's recorded read order per epoch.
@@ -97,14 +95,6 @@ type Result struct {
 	Accuracy []AccPoint
 	// World is the total rank count.
 	World int
-}
-
-// SamplesPerSecond reports end-to-end training throughput.
-func (r *Result) SamplesPerSecond() float64 {
-	if r.TrainTime <= 0 {
-		return 0
-	}
-	return float64(r.FilesRead) / r.TrainTime.Seconds()
 }
 
 type loadJob struct {
@@ -143,12 +133,10 @@ func Run(eng *sim.Engine, cfg Config, fsFor func(node, proc int) vfs.FS) (*Resul
 						if !ok {
 							return
 						}
-						got, err := vfs.ReadFile(p, fs, job.path)
-						if err != nil {
+						if _, err := vfs.ReadFile(p, fs, job.path); err != nil {
 							res.ReadErrors++
 						} else {
 							res.FilesRead++
-							res.BytesRead += got
 						}
 						job.wg.Done()
 					}
