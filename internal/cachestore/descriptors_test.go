@@ -129,10 +129,12 @@ func TestWarmLeaseOpensNothing(t *testing.T) {
 
 // TestEvictionHandsOverOnlyAnUnreferencedDescriptor pins which victims a
 // fill may recycle: the file of an entry nobody references becomes the
-// new entry's file, descriptor and inode; one under lease, or one that
-// ever went out through Lease.File — sendfile leaves the file's own pages
-// queued in the socket, where an overwrite would change bytes already
-// "sent" — is unlinked as before and the fill writes a fresh file.
+// new entry's file, name, descriptor and inode; one under lease is
+// unlinked as before and the fill writes a fresh file. A lease whose file
+// went out through Lease.File is no exception either way: sendfile leaves
+// the file's own pages queued in the socket, so the transport holds that
+// lease until the peer has read them, and once it lets go the file is
+// anyone's to overwrite.
 func TestEvictionHandsOverOnlyAnUnreferencedDescriptor(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -142,7 +144,8 @@ func TestEvictionHandsOverOnlyAnUnreferencedDescriptor(t *testing.T) {
 		{"idle", func(l *Lease) { l.Release() }, true},
 		{"read and released", func(l *Lease) { _, _ = l.ReadAt(make([]byte, 8), 0); l.Release() }, true},
 		{"leased", func(l *Lease) { t.Cleanup(l.Release) }, false},
-		{"sent and released", func(l *Lease) { _ = l.File(); l.Release() }, false},
+		{"sent and released", func(l *Lease) { _ = l.File(); l.Release() }, true},
+		{"sent, lease still held", func(l *Lease) { _ = l.File(); t.Cleanup(l.Release) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestStore(t, 64, NewFIFO()) // room for one
@@ -160,9 +163,13 @@ func TestEvictionHandsOverOnlyAnUnreferencedDescriptor(t *testing.T) {
 			}
 			s.mu.Lock()
 			handed := s.ix.entries["new"].f == old
+			path := s.ix.entries["new"].path
 			s.mu.Unlock()
-			if fi, err := os.Stat(s.pathFor("new")); handed != tc.recycle || err != nil || fi.Size() != 48 {
+			if fi, err := os.Stat(path); handed != tc.recycle || err != nil || fi.Size() != 48 {
 				t.Fatalf("new entry on the old entry's descriptor: %v, want %v; its file: %v, %v", handed, tc.recycle, fi, err)
+			}
+			if (path == old.Name()) != tc.recycle {
+				t.Fatalf("new entry's file %s, the old one's %s: a recycled file keeps its name, a fresh one has its own", path, old.Name())
 			}
 			if got, err := readAll(s, "new"); err != nil || string(got) != keyBytes(1)[:48] {
 				t.Fatalf("new entry reads %q, %v", got, err)

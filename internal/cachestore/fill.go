@@ -5,8 +5,6 @@ import (
 	"io"
 	"math/bits"
 	"os"
-	"path/filepath"
-	"strconv"
 	"sync"
 )
 
@@ -39,10 +37,10 @@ type Fill struct {
 	// unless Commit handed it to the cache entry (kept, below). Nil until
 	// open; readers look at it only once the watermark says bytes are in it.
 	file *os.File
-	// path is where file is linked until Commit renames it into place —
-	// not file.Name(), which a recycled file keeps from its first life —
-	// and empty when there is nothing (left) to unlink. reserved is what
-	// open set aside in the index; it goes back when the fill finishes.
+	// path names file while the fill alone owns it, and is empty once the
+	// committed entry has taken it (or before open): what finish unlinks.
+	// reserved is what open set aside in the index; it goes back when the
+	// fill finishes.
 	path     string
 	reserved int64
 	// kept is the committed entry that adopted file as its descriptor;
@@ -85,15 +83,15 @@ func (f *Fill) Size() int64 { return f.size }
 // index is full this is where the eviction happens, with the fill's size
 // reserved so that a concurrent fill cannot count the same freed bytes;
 // and the first victim whose descriptor nobody else references hands it
-// over — the fill overwrites that file's pages in place instead of paying
-// an unlink, a close and a create for the same blocks. A victim that is
-// leased, has no slot, or ever went to sendfile (a socket may still hold
-// its pages) is evicted as ever and the fill creates a temp file. A reservation the policy cannot satisfy (every byte belongs to
-// fills in flight) is not an error: the fill goes on unreserved and
-// Commit makes the room, or reports the failure.
+// over, name and all — the fill overwrites that file's pages in place
+// instead of paying an unlink, a close and a create for the same blocks.
+// A victim that is leased (a sendfile serve holds its lease until the peer
+// has read the pages) or has no slot is evicted as ever and the fill
+// creates a file. A reservation the policy cannot satisfy (every byte
+// belongs to fills in flight) is not an error: the fill goes on
+// unreserved and Commit makes the room, or reports the failure.
 func (f *Fill) open() error {
 	s := f.s
-	s.commitMu.Lock() // held across the victims' unlinks and rename, as discard requires
 	s.mu.Lock()
 	evicted, err := s.ix.reserve(f.size)
 	if err == nil {
@@ -101,9 +99,9 @@ func (f *Fill) open() error {
 	}
 	var victim *entry
 	for i, e := range evicted {
-		if e.f != nil && e.refs == 0 && !e.sent.Load() {
+		if e.f != nil && e.refs == 0 {
 			victim, evicted = e, append(evicted[:i], evicted[i+1:]...)
-			f.file, e.f = e.f, nil
+			f.file, f.path, e.f = e.f, e.path, nil
 			fdBudget.held.Add(-1) // a fill's descriptor is not an entry's
 			break
 		}
@@ -112,27 +110,19 @@ func (f *Fill) open() error {
 	s.mu.Unlock()
 	_ = s.discard(evicted) // eviction is best-effort; the index entries are already gone
 	if victim == nil {
-		s.commitMu.Unlock()
-		tmp, err := os.CreateTemp(s.dir, "fill-*") // opened O_RDWR: readers share it
+		file, err := s.newFile()
 		if err != nil {
-			return fmt.Errorf("cachestore: %w", err)
+			return err
 		}
-		f.file, f.path = tmp, tmp.Name()
+		f.file, f.path = file, file.Name()
 		return nil
 	}
-	// Off the victim's path before commitMu is free for that key's refill.
-	old := s.pathFor(victim.key)
-	f.path = filepath.Join(s.dir, "fill-r"+strconv.FormatInt(s.recycled.Add(1), 10))
-	if err = os.Rename(old, f.path); err != nil {
-		_ = os.Remove(old) // the rename failure is the error to report
+	if victim.size != f.size {
+		if err := f.file.Truncate(f.size); err != nil {
+			return err
+		}
 	}
-	s.commitMu.Unlock()
-	if err == nil && victim.size != f.size {
-		err = f.file.Truncate(f.size)
-	}
-	if err == nil {
-		_, err = f.file.Seek(0, io.SeekStart) // CopyFrom streams through the descriptor's own offset
-	}
+	_, err = f.file.Seek(0, io.SeekStart) // CopyFrom streams through the descriptor's own offset
 	return err
 }
 
@@ -281,7 +271,7 @@ func (f *Fill) Release() {
 		return
 	}
 	if f.file != nil { // nil: the fill ended before it had bytes to land
-		_ = f.file.Close() // best-effort: everything is written and renamed (or removed) by now
+		_ = f.file.Close() // best-effort: everything is written (or the file removed) by now
 	}
 }
 
@@ -320,12 +310,11 @@ func (f *Fill) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// Commit completes the fill: the file is renamed into place and inserted
-// into the index, and the new entry keeps the fill's descriptor for its
-// leases. A short fill is an error. Either way the writer's reference is
-// dropped and waiting readers are woken. Readers holding references keep
-// reading the same descriptor — rename does not invalidate it, and it
-// stays open at least until the last Release.
+// Commit completes the fill: the key is inserted into the index, and the
+// new entry takes the fill's file, name and descriptor for its leases. A
+// short fill is an error. Either way the writer's reference is dropped
+// and waiting readers are woken. Readers holding references keep reading
+// the same descriptor — it stays open at least until the last Release.
 func (f *Fill) Commit() error {
 	if f.finished {
 		return fmt.Errorf("cachestore: fill %s already finished", f.key)
@@ -340,45 +329,27 @@ func (f *Fill) Commit() error {
 	return err
 }
 
-// insert renames the finished file from the fill's path to its content
-// path and then admits the key to the index: a key is visible in the
-// index only once its file is openable, so a reader that finds the key
-// resident never meets ENOENT for a file that is about to appear. Commits
-// are serialized by Store.commitMu, which is what lets the rename run
-// outside Store.mu (a rename can queue on the cache directory's lock
-// behind other movers' creates, and every handler's index probe would
-// queue behind it) while no second fill of the same key can slip between
-// the residency check, the rename and the insert. The reservation goes
-// back in the insert's critical section, so a fill that reserved evicts
-// nothing here; one that could not makes its room now.
+// insert admits the key to the index with the fill's file, which has been
+// openable under its name since open: the residency check and the insert
+// are one critical section, so a second fill of the key that lost the race
+// finds the winner and finish unlinks the loser's file. The reservation
+// goes back in the same section, so a fill that reserved evicts nothing
+// here; one that could not makes its room now.
 func (f *Fill) insert() error {
 	s := f.s
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	path := f.path
-	f.path = "" // renamed or removed below, either way no longer the fill's to unlink
-	if s.Resident(f.key) {
-		// A concurrent fill won the key: keep the resident copy.
-		return os.Remove(path)
-	}
-	dst := s.pathFor(f.key)
-	if err := os.Rename(path, dst); err != nil {
-		f.path = path
-		return err
-	}
 	s.mu.Lock()
 	s.ix.reserved -= f.reserved
 	f.reserved = 0
-	e, evicted, err := s.ix.insert(f.key, f.size)
-	if e != nil && e.adopt(f.file) {
-		f.kept = e
+	e, evicted, err := s.ix.insert(f.key, f.size) // nil e: resident already, or err
+	if e != nil {
+		e.path, f.path = f.path, ""
+		if e.adopt(f.file) {
+			f.kept = e
+		}
 	}
 	retire(evicted)
 	s.mu.Unlock()
 	_ = s.discard(evicted) // eviction is best-effort; the index entries are already gone
-	if err != nil {
-		_ = os.Remove(dst) // the insert failure is the error to report
-	}
 	return err
 }
 

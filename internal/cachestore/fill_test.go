@@ -49,7 +49,7 @@ func TestStagedFillServesMemoryThenFile(t *testing.T) {
 	}
 	defer f.Release()
 
-	s.commitMu.Lock()
+	s.mu.Lock()
 	copied := make(chan error, 1)
 	go func() {
 		_, err := f.CopyFrom(src, 0, int64(len(data)))
@@ -65,7 +65,7 @@ func TestStagedFillServesMemoryThenFile(t *testing.T) {
 	if !staged || file != nil {
 		t.Fatalf("served before the flush, yet staged=%v file=%v", staged, file)
 	}
-	s.commitMu.Unlock()
+	s.mu.Unlock()
 	if err := <-copied; err != nil {
 		t.Fatal(err)
 	}

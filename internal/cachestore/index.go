@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync/atomic"
 )
 
 // ErrTooLarge is returned when an item can never fit the cache.
@@ -43,13 +42,13 @@ type entry struct {
 	key  string
 	size int64
 
-	// The entry's descriptor slot, Store's alone (descriptors.go) and
-	// guarded by Store.mu; the Index never reads it, and the simulators
-	// that share the Index leave it zero.
-	f    *os.File    // the cache file, open; nil when the entry has no slot
-	refs int         // leases (and the fill that committed it) using f
-	dead bool        // evicted or purged: the last reference closes f
-	sent atomic.Bool // f went to sendfile: a socket may still hold its pages (Lease.File)
+	// The entry's file and descriptor slot, Store's alone (descriptors.go)
+	// and guarded by Store.mu; the Index never reads them, and the
+	// simulators that share the Index leave them zero.
+	path string   // the cache file's name, the entry's alone (Store)
+	f    *os.File // the cache file, open; nil when the entry has no slot
+	refs int      // leases (and the fill that committed it) using f
+	dead bool     // evicted or purged: the last reference closes f
 }
 
 // Index tracks cached keys against a byte capacity.

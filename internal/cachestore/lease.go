@@ -47,16 +47,16 @@ func (s *Store) Lease(key string) (*Lease, error) {
 		s.mu.Unlock()
 		return nil, ErrNotCached
 	}
-	f, size := e.f, e.size
+	f, size, path := e.f, e.size, e.path
 	if f != nil {
 		e.refs++
 	}
 	s.mu.Unlock()
 	if f == nil {
 		// Outside the store lock: an eviction in this window is ENOENT
-		// (a miss), and a refill of the key has put the same bytes there.
+		// (a miss) — the store never gives the name to another file.
 		var err error
-		if f, err = os.Open(s.pathFor(key)); err != nil {
+		if f, err = os.Open(path); err != nil {
 			return nil, err
 		}
 		s.ownOpens.Add(1)
@@ -68,14 +68,10 @@ func (s *Store) Lease(key string) (*Lease, error) {
 }
 
 // File exposes the leased descriptor, for sendfile; valid only until
-// Release. The entry's pages may outlive the lease in a socket, so it is
-// marked: no fill will overwrite them in place (Fill.open).
-func (l *Lease) File() *os.File {
-	if l.e != nil && !l.e.sent.Load() { // load first: a hot entry's line stays shared
-		l.e.sent.Store(true)
-	}
-	return l.f
-}
+// Release. Once the lease is released and the entry evicted, a fill may
+// overwrite the file in place (Fill.open), so a caller that queued its
+// pages on a socket holds the lease until the peer has read them.
+func (l *Lease) File() *os.File { return l.f }
 
 // Size reports the cached file's size as indexed at lease time.
 func (l *Lease) Size() int64 { return l.size }

@@ -1,57 +1,64 @@
 package cachestore
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
 // Store is the real-mode on-disk cache: files copied from the PFS live in
-// a flat directory on the node-local device, named by content-independent
-// key digest, with eviction driven by an Index. Store is safe for
-// concurrent use.
+// a directory of the store's own on the node-local device, with eviction
+// driven by an Index. The store names its files: each is created under a
+// name no other file of the store has had, and keeps it for its whole
+// life — a fill that recycles an evicted entry's file takes the name with
+// it — so no fill ever renames, and an unlinked name is never seen again.
+// Store is safe for concurrent use.
 //
-// Lock order: commitMu (held across a fill's whole commit, see
-// Fill.insert, across the eviction that opens one, see Fill.open, and
-// across Purge), then Store.mu, which guards the index, its reservations
-// and every entry's descriptor slot. No file is opened, closed or
-// unlinked under Store.mu.
+// Lock order: Store.mu alone. It guards the index, its reservations and
+// every entry's descriptor slot. No file is opened, closed or unlinked
+// under it.
 type Store struct {
-	commitMu sync.Mutex
-	mu       sync.Mutex
-	dir      string
-	ix       *Index
+	mu  sync.Mutex
+	dir string
+	ix  *Index
 
 	// ownOpens counts leases that opened a descriptor of their own
 	// because the entry had no slot (descriptors.go).
 	ownOpens atomic.Int64
-	// recycled numbers the files fills took over from evicted entries, for
-	// the names they carry until their commit (Fill.open).
-	recycled atomic.Int64
+	// files numbers the files the store creates (newFile).
+	files atomic.Int64
 }
 
 // NewStore creates (if needed) dir and returns a store with the given
-// capacity and policy.
+// capacity and policy. The store keeps its files in a fresh directory
+// inside dir, so neither a crashed run's leftovers nor a second store on
+// the same dir can collide with a name it creates.
 func NewStore(dir string, capacity int64, policy Policy) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: %w", err)
 	}
-	return &Store{dir: dir, ix: NewIndex(capacity, policy)}, nil
+	own, err := os.MkdirTemp(dir, "store-")
+	if err != nil {
+		return nil, fmt.Errorf("cachestore: %w", err)
+	}
+	return &Store{dir: own, ix: NewIndex(capacity, policy)}, nil
 }
 
-// Dir returns the backing directory.
+// Dir returns the store's own directory, the one its files live in.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) pathFor(key string) string { return cachePath(s.dir, key) }
-
-// cachePath names key's cache file under dir.
-func cachePath(dir, key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(dir, hex.EncodeToString(sum[:16]))
+// newFile creates a cache file under a name the store has never used,
+// opened O_RDWR: a fill writes through it and its readers share it.
+func (s *Store) newFile() (*os.File, error) {
+	path := filepath.Join(s.dir, "c"+strconv.FormatInt(s.files.Add(1), 10))
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+	if err != nil {
+		return nil, fmt.Errorf("cachestore: %w", err)
+	}
+	return f, nil
 }
 
 // Contains reports whether key is cached (and counts the hit/miss).
@@ -117,8 +124,6 @@ func (s *Store) Stats() (hits, misses, evictions int64) {
 // cache's life cycle is coupled to the job's). Descriptors that leases
 // still hold close with those leases.
 func (s *Store) Purge() error {
-	s.commitMu.Lock() // no fill may rename a file in while its key is being dropped
-	defer s.commitMu.Unlock()
 	s.mu.Lock()
 	gone := make([]*entry, 0, s.ix.Len())
 	for _, k := range s.ix.Keys() {
@@ -131,12 +136,11 @@ func (s *Store) Purge() error {
 
 // discard finishes what retire began, outside Store.mu: it unlinks the
 // files of entries that left the index and drops the references retire
-// took, reporting the first unlink error. commitMu must be held — it is
-// what keeps a refill of the same key from renaming its file into place
-// between the index removal and this unlink.
+// took, reporting the first unlink error. No lock is needed for the
+// unlink: the name is the entry's alone, and the store never reuses it.
 func (s *Store) discard(gone []*entry) (first error) {
 	for _, e := range gone {
-		if err := os.Remove(s.pathFor(e.key)); err != nil && first == nil {
+		if err := os.Remove(e.path); err != nil && first == nil {
 			first = err
 		}
 		if e.f != nil {

@@ -172,6 +172,65 @@ func TestPurge(t *testing.T) {
 	}
 }
 
+// TestNewStoreOnDirtyDir starts stores on a cache dir that is not empty:
+// first on what a crashed run left behind — loose files under the names
+// earlier versions used and a previous store's own directory, with the
+// names this one creates — and then beside a second live store. No fill
+// may fail, every read returns its own store's bytes (through a lease
+// that opens the file by name, since no entry gets a descriptor slot),
+// and neither store touches a file it did not create.
+func TestNewStoreOnDirtyDir(t *testing.T) {
+	limitBudget(t, 0)
+	dir := filepath.Join(t.TempDir(), "cache")
+	leftovers := []string{"fill-1", "fill-r1", "9f86d081884c7d659a2feaa0c55ad015", "c1", "c2", "store-old/c1", "store-old/c2"}
+	for _, name := range leftovers {
+		p := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stores [2]*Store
+	for i := range stores {
+		s, err := NewStore(dir, 1<<20, NewLRU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Purge() })
+		stores[i] = s
+		for k := 0; k < 4; k++ {
+			if err := put(s, fmt.Sprintf("k%d", k), 64, keyBytes(10*i+k)); err != nil {
+				t.Fatalf("store %d, fill of k%d on a dirty dir: %v", i, k, err)
+			}
+		}
+	}
+	if stores[0].Dir() == stores[1].Dir() {
+		t.Fatalf("two stores share the directory %s", stores[0].Dir())
+	}
+	check := func(when string, live ...int) {
+		t.Helper()
+		for _, i := range live {
+			for k := 0; k < 4; k++ {
+				if got, err := readAll(stores[i], fmt.Sprintf("k%d", k)); err != nil || string(got) != keyBytes(10*i+k) {
+					t.Fatalf("%s: store %d's k%d reads %q, %v", when, i, k, got, err)
+				}
+			}
+		}
+		for _, name := range leftovers {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != "stale" {
+				t.Fatalf("%s: the leftover %s reads %q, %v", when, name, got, err)
+			}
+		}
+	}
+	check("both stores live", 0, 1)
+	if err := stores[0].Purge(); err != nil {
+		t.Fatal(err)
+	}
+	check("the first store purged", 1)
+}
+
 func TestKeyCollisionSafety(t *testing.T) {
 	// Similar path names must map to distinct cache files.
 	s := newTestStore(t, 1<<20, NewLRU())

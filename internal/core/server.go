@@ -464,11 +464,11 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 
-	s.rpc.Close()
 	// Stop the movers, then fail whatever they left queued. No new tasks
 	// can arrive: scheduleFetch checks closed under mu before its
 	// non-blocking send, so there is no send racing this drain (the old
-	// close-the-channel teardown had exactly that panic window).
+	// close-the-channel teardown had exactly that panic window). Handlers
+	// parked on a fill return on stop.
 	close(s.stop)
 	s.moverWG.Wait()
 	for drained := false; !drained; {
@@ -481,6 +481,10 @@ func (s *Server) Close() {
 			drained = true
 		}
 	}
+	// Only now sever the connections: each releases the lease of the last
+	// frame it sent, which the kernel may still be sending, and with no
+	// mover left no fill can overwrite that file in place.
+	s.rpc.Close()
 	s.peerMu.Lock()
 	peerConns := s.peerConns
 	s.peerConns = nil
@@ -490,8 +494,9 @@ func (s *Server) Close() {
 			conn.Close()
 		}
 	}
-	_ = s.store.Purge()          // best-effort: leftover cache files are re-usable garbage
-	_ = os.Remove(s.store.Dir()) // fails harmlessly if the purge left files behind
+	_ = s.store.Purge()           // best-effort: leftover cache files are re-usable garbage
+	_ = os.Remove(s.store.Dir())  // fails harmlessly if the purge left files behind
+	_ = os.Remove(s.cfg.CacheDir) // likewise, and while another store still lives in it
 }
 
 // mover is one data-mover worker: it drains the two-level queue — demand
@@ -826,7 +831,8 @@ const zeroCopyMin = 64 << 10
 // The payload lands in dst when the caller has a place for it (a batch
 // entry inside its frame). With dst nil it goes on resp: rung 1 under
 // ZeroCopy hands over the lease itself for a read of zeroCopyMin bytes or
-// more, for sendfile, and the transport releases it after the write;
+// more, for sendfile, and the transport releases it once the peer has read
+// the frame (transport.PayloadReleaser);
 // every other serve fills a pooled buffer grabbed from resp only once a
 // rung needs one, sized to what the entry can still deliver, and leaves
 // in the response's one vectored write. A range past the end is a short,

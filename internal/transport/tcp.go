@@ -105,8 +105,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	// the raw conn: net.Buffers' writev fast path type-asserts the conn
 	// itself, and any wrapper would demote it to three separate writes.
 	var zw *zcWriter
+	// held is the releaser of the last payload sendfile queued on this
+	// connection: its pages are the socket's until the peer has read them,
+	// which it has once it sends its next request (PayloadReleaser).
+	var held PayloadReleaser
 	for {
-		if err := ReadRequestInto(br, &req); err != nil {
+		err := ReadRequestInto(br, &req)
+		if held != nil {
+			held.Release()
+			held = nil
+		}
+		if err != nil {
 			return // EOF or broken peer
 		}
 		resp := s.handler(&req)
@@ -125,13 +134,19 @@ func (s *Server) serveConn(conn net.Conn) {
 				zw = newZCWriter(conn)
 			}
 			dst = zw
+			if zw.canSendfile() {
+				held, resp.srcRel = resp.srcRel, nil
+			}
 		}
-		err := WriteResponse(dst, resp)
+		err = WriteResponse(dst, resp)
 		// The response is on the wire (or the link is dead): recycle its
 		// pooled payload either way. Handlers hand ownership to the server
 		// with their return.
 		resp.Release()
 		if err != nil {
+			if held != nil {
+				held.Release() // the frame is incomplete: nobody will read its pages
+			}
 			return
 		}
 	}

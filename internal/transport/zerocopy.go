@@ -20,10 +20,18 @@ import (
 // non-Linux build, SimTransport, a short sendfile) falls back to
 // userspace copies of exactly the bytes the frame promised.
 
-// PayloadReleaser is the release half of an fd-backed payload: the
-// transport calls Release exactly once when the owning Response is
-// released, after the payload has been written (or abandoned on a dead
-// connection). cachestore.Lease satisfies it.
+// PayloadReleaser is the release half of an fd-backed payload, and the
+// transport calls Release exactly once. sendfile(2) queues the file's own
+// pages on the socket and returns, so a payload that went out through it
+// is released only once the server has read the peer's next request on
+// that connection — the peer has read the whole frame before it sends
+// one — or when the connection ends: on peer EOF the peer has stopped
+// reading, and after a failed write the frame is incomplete, so no bytes
+// the file's pages may still become are ever taken for the payload. Any
+// other payload was copied out by the time the write returned and is
+// released with its Response. Server.Close severs connections whose last
+// frame may still be in flight, so a caller stops whatever would
+// overwrite the files before it. cachestore.Lease satisfies it.
 type PayloadReleaser interface{ Release() }
 
 // ZeroCopyStats counts fd-backed payload serves. Every eligible serve —

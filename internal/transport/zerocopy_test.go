@@ -173,6 +173,80 @@ func TestFileResponseTruncatedSource(t *testing.T) {
 	}
 }
 
+// TestFilePayloadReleasedOnNextRequest pins when the server lets go of a
+// file payload's releaser. One that went out through sendfile is held
+// while the socket may still hold the file's pages: not after the write,
+// but once the peer's next request on that connection has been read, or
+// once the connection ends with no further request. A payload copied out
+// by a writer that cannot sendfile is released with its response.
+func TestFilePayloadReleasedOnNextRequest(t *testing.T) {
+	data := bytes.Repeat([]byte{0x5A}, 64<<10)
+	f := payloadFile(t, data)
+	rels := make(chan *countReleaser, 1) // one file payload in flight at a time
+	handler := func(req *Request) *Response {
+		resp := AcquireResponse()
+		resp.Status = StatusOK
+		if req.Op == OpRead {
+			rel := &countReleaser{}
+			rels <- rel
+			resp.SetPayloadFile(f, 0, int64(len(data)), rel, nil)
+		}
+		return resp
+	}
+
+	sim := NewSim("sim", handler)
+	resp, err := sim.Call(&Request{Op: OpRead})
+	if err != nil || !bytes.Equal(resp.Data, data) {
+		t.Fatalf("read through the in-memory transport: %v", err)
+	}
+	resp.Release()
+	if n := (<-rels).n.Load(); n != 1 {
+		t.Fatalf("a payload copied out by a non-sendfile writer: releaser ran %d times after the call, want 1", n)
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("no sendfile here: every file payload is copied and released with its response")
+	}
+
+	srv, err := Serve("127.0.0.1:0", handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	call := func(op Op) {
+		t.Helper()
+		if err := WriteRequest(conn, &Request{Op: op}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ReadResponse(conn)
+		if err != nil || op == OpRead && !bytes.Equal(resp.Data, data) {
+			t.Fatalf("op %d over TCP: %v", op, err)
+		}
+		resp.Release()
+	}
+
+	call(OpRead)
+	sent := <-rels
+	if n := sent.n.Load(); n != 0 {
+		t.Fatalf("releaser ran %d times once the frame was written, want 0: the socket may still hold its pages", n)
+	}
+	call(OpPing)
+	if n := sent.n.Load(); n != 1 {
+		t.Fatalf("releaser ran %d times once the peer asked again, want 1", n)
+	}
+	call(OpRead)
+	last := <-rels
+	_ = conn.Close() // the connection ends with no further request
+	srv.Close()      // waits for the connection's goroutine
+	if n, m := sent.n.Load(), last.n.Load(); n != 1 || m != 1 {
+		t.Fatalf("after the connection ended the releasers ran %d and %d times, want 1 and 1", n, m)
+	}
+}
+
 // TestFileResponseReleaseWithoutWrite covers the dead-connection case:
 // serveConn releases the response even when the write failed, and the
 // lease's release must run exactly once.

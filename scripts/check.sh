@@ -53,10 +53,17 @@ go test ./internal/analysis/... ./cmd/hvaclint
 # that a lease opens its own descriptor, and an eviction has no descriptor
 # to hand to the fill that caused it. A runner's limit is far above what
 # the tests cache, so run the descriptor tests — budget, leases, the
-# recycling churn and the store model — once more under a limit they
-# outnumber.
+# recycling churn, the store model, a dirty cache dir and the sendfile
+# lease hold — once more under a limit they outnumber.
 echo "--- descriptor budget, recycle and model tests under ulimit -n 256"
-(ulimit -n 256 && go test -count=1 -run 'Budget|Lease|Recycle|HandsOver|StoreModel' ./internal/cachestore ./internal/core)
+(ulimit -n 256 && go test -count=1 -run 'Budget|Lease|Recycle|HandsOver|StoreModel|DirtyDir|NextRequest' ./internal/cachestore ./internal/core ./internal/transport)
+
+# A recycled cache file is overwritten in place, so a file whose pages a
+# socket may still be sending must stay leased until the peer asks again.
+# The churn below is the one dynamic check of that rule, and a single run
+# can miss the interleaving that breaks it.
+echo '--- sendfile recycle churn, 20 runs'
+go test -count=20 -run TestStressChurnRecyclesAroundSendfile ./internal/core
 
 echo '--- chaos tier (go test -race -shuffle=on)'
 go test -race -shuffle=on -run Chaos ./internal/core
