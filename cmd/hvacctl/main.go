@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,32 +24,41 @@ import (
 	"hvac/internal/transport"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `hvacctl: commands
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind its arguments and output streams, so a
+// test can drive it in process; it returns the exit code.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hvacctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		servers  = fs.String("servers", "", "comma-separated hvacd addresses (required)")
+		dataset  = fs.String("dataset", "", "dataset dir for prefetch/home (default: inferred from first path)")
+		callTO   = fs.Duration("call-timeout", 5*time.Second, "per-RPC deadline; a hung server fails the call instead of hanging hvacctl (0 = transport default, negative = disabled)")
+		retries  = fs.Int("retries", 0, "per-RPC attempt budget, first try included (0 = transport default)")
+		poolSize = fs.Int("pool-size", 0, "idle TCP connections kept per server link (0 = transport default, negative = no pooling)")
+	)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, `hvacctl: commands
   ping                 probe every server
   stat <path>          report a file's size via its home server
   home <path>...       print each path's home server
   prefetch <path>...   pre-populate the caches with the given files`)
-	flag.PrintDefaults()
-}
-
-func main() {
-	var (
-		servers  = flag.String("servers", "", "comma-separated hvacd addresses (required)")
-		dataset  = flag.String("dataset", "", "dataset dir for prefetch/home (default: inferred from first path)")
-		callTO   = flag.Duration("call-timeout", 5*time.Second, "per-RPC deadline; a hung server fails the call instead of hanging hvacctl (0 = transport default, negative = disabled)")
-		retries  = flag.Int("retries", 0, "per-RPC attempt budget, first try included (0 = transport default)")
-		poolSize = flag.Int("pool-size", 0, "idle TCP connections kept per server link (0 = transport default, negative = no pooling)")
-	)
-	flag.Usage = usage
-	flag.Parse()
-	if *servers == "" || flag.NArg() == 0 {
-		usage()
-		os.Exit(2)
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *servers == "" || fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
 	addrs := strings.Split(*servers, ",")
-	cmd := flag.Arg(0)
-	args := flag.Args()[1:]
+	cmd := fs.Arg(0)
+	args := fs.Args()[1:]
 	opts := transport.ClientOptions{
 		CallTimeout: *callTO,
 		Retry:       transport.RetryPolicy{MaxAttempts: *retries},
@@ -62,20 +73,20 @@ func main() {
 			err := cli.Ping()
 			cli.Close()
 			if err != nil {
-				fmt.Printf("%-24s DOWN (%v)\n", addr, err)
+				fmt.Fprintf(stdout, "%-24s DOWN (%v)\n", addr, err)
 				bad++
 			} else {
-				fmt.Printf("%-24s ok\n", addr)
+				fmt.Fprintf(stdout, "%-24s ok\n", addr)
 			}
 		}
 		if bad > 0 {
-			os.Exit(1)
+			return 1
 		}
 
 	case "stat", "home", "prefetch":
 		if len(args) == 0 {
-			usage()
-			os.Exit(2)
+			fs.Usage()
+			return 2
 		}
 		dir := *dataset
 		if dir == "" {
@@ -93,21 +104,21 @@ func main() {
 			PoolSize:      *poolSize,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvacctl: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "hvacctl: %v\n", err)
+			return 1
 		}
 		defer cli.Close()
 		switch cmd {
 		case "home":
 			for _, p := range args {
-				fmt.Printf("%s -> server %d (%s)\n", p, cli.Home(p), addrs[cli.Home(p)])
+				fmt.Fprintf(stdout, "%s -> server %d (%s)\n", p, cli.Home(p), addrs[cli.Home(p)])
 			}
 		case "stat":
 			for _, p := range args {
 				// The server serves absolute paths under its dataset dir.
 				abs, err := filepath.Abs(p)
 				if err != nil {
-					fmt.Printf("%s: ERROR %v\n", p, err)
+					fmt.Fprintf(stdout, "%s: ERROR %v\n", p, err)
 					continue
 				}
 				c := transport.DialWith(addrs[cli.Home(abs)], opts)
@@ -118,23 +129,24 @@ func main() {
 						err = resp.Error()
 						resp.Release()
 					}
-					fmt.Printf("%s: ERROR %v\n", p, err)
+					fmt.Fprintf(stdout, "%s: ERROR %v\n", p, err)
 					continue
 				}
-				fmt.Printf("%s: %d bytes\n", p, resp.Size)
+				fmt.Fprintf(stdout, "%s: %d bytes\n", p, resp.Size)
 				resp.Release()
 			}
 		case "prefetch":
 			accepted := cli.Prefetch(args)
-			fmt.Printf("prefetch accepted for %d of %d files\n", accepted, len(args))
+			fmt.Fprintf(stdout, "prefetch accepted for %d of %d files\n", accepted, len(args))
 			if accepted < len(args) {
-				os.Exit(1)
+				return 1
 			}
 		}
 
 	default:
-		fmt.Fprintf(os.Stderr, "hvacctl: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hvacctl: unknown command %q\n", cmd)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }

@@ -9,12 +9,12 @@ import (
 	"hvac/internal/analysis"
 )
 
-// TestSuiteHasNineAnalyzers pins the suite size: adding or removing
+// TestSuiteHasEightAnalyzers pins the suite size: adding or removing
 // an analyzer must be a conscious change here, in -list, and in the
 // docs (DESIGN.md §8's census).
-func TestSuiteHasNineAnalyzers(t *testing.T) {
-	if got := len(analysis.Analyzers()); got != 9 {
-		t.Fatalf("suite has %d analyzers, want 9", got)
+func TestSuiteHasEightAnalyzers(t *testing.T) {
+	if got := len(analysis.Analyzers()); got != 8 {
+		t.Fatalf("suite has %d analyzers, want 8", got)
 	}
 }
 
@@ -26,7 +26,7 @@ func TestRulesSubsetsNameNewAnalyzers(t *testing.T) {
 		{"blockguard"},
 		{"lockorder"},
 		{"goroleak", "blockguard", "lockorder"},
-		{"untrustedlen", "ownerpass", "goroleak"},
+		{"untrustedlen", "errdrop", "goroleak"},
 	} {
 		got, err := analysis.ByName(names)
 		if err != nil {
@@ -36,7 +36,7 @@ func TestRulesSubsetsNameNewAnalyzers(t *testing.T) {
 			t.Fatalf("ByName(%v) resolved %d analyzers", names, len(got))
 		}
 	}
-	for _, gone := range []string{"blockgard", "atomicmix", "chanlife", "statpair"} {
+	for _, gone := range []string{"blockgard", "atomicmix", "chanlife", "statpair", "ownerpass"} {
 		if _, err := analysis.ByName([]string{gone}); err == nil {
 			t.Fatalf("ByName accepted the unknown rule name %q", gone)
 		}

@@ -155,7 +155,6 @@ func Analyzers() []*Analyzer {
 		LockOrder,
 		GoroLeak,
 		UntrustedLen,
-		OwnerPass,
 		BlockGuard,
 	}
 }

@@ -12,7 +12,6 @@ var fixturePkgs = map[string]string{
 	"errfix":       "hvac/internal/errfix",
 	"lockorderfix": "hvac/internal/lockorderfix",
 	"gorofix":      "hvac/internal/gorofix",
-	"ownerfix":     "hvac/internal/ownerfix",
 	// blockguard scopes its checks to the transport package plus the core
 	// server/client files.
 	"blockfix": "hvac/internal/transport",
@@ -32,8 +31,6 @@ func TestErrDropFixtures(t *testing.T) { fixtureTest(t, ErrDrop, "errfix") }
 func TestLockOrderFixtures(t *testing.T) { fixtureTest(t, LockOrder, "lockorderfix") }
 
 func TestGoroLeakFixtures(t *testing.T) { fixtureTest(t, GoroLeak, "gorofix") }
-
-func TestOwnerPassFixtures(t *testing.T) { fixtureTest(t, OwnerPass, "ownerfix") }
 
 func TestBlockGuardFixtures(t *testing.T) { fixtureTest(t, BlockGuard, "blockfix") }
 

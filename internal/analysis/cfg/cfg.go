@@ -1,6 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, using only the standard library. It is the engine
-// under hvaclint's path-sensitive analyzers (ownerpass): a Graph of
+// under hvaclint's path-sensitive analyzers (blockguard, and the
+// def-use chains of internal/analysis/valueflow): a Graph of
 // basic blocks with explicit branch, loop, switch, select, panic and
 // return edges, over which dataflow fixpoints (dataflow.go) run.
 //
@@ -71,10 +72,6 @@ type Graph struct {
 	// Exit is the synthetic exit block (always present, possibly
 	// unreachable in a function that cannot return, e.g. `for {}`).
 	Exit *Block
-	// Defers lists every defer statement of the body in source order.
-	// Deferred calls conceptually run on every edge into Exit;
-	// analyses that care apply them when checking exit facts.
-	Defers []*ast.DeferStmt
 }
 
 // New builds the control-flow graph of body. A nil body (external or
@@ -254,10 +251,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.add(s)
 		b.jump(b.g.Exit, s)
 
-	case *ast.DeferStmt:
-		b.add(s)
-		b.g.Defers = append(b.g.Defers, s)
-
 	case *ast.ExprStmt:
 		b.add(s)
 		if call, ok := isPanicCall(s.X); ok {
@@ -268,7 +261,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		// nothing
 
 	default:
-		// AssignStmt, DeclStmt, GoStmt, SendStmt, IncDecStmt, ...
+		// AssignStmt, DeclStmt, DeferStmt, GoStmt, SendStmt, IncDecStmt, ...
 		b.add(s)
 	}
 }

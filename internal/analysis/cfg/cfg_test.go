@@ -182,13 +182,6 @@ func TestPanicTerminates(t *testing.T) {
 	}
 }
 
-func TestDefersRecorded(t *testing.T) {
-	g := build(t, `{ defer f(); if true { defer f() } }`)
-	if len(g.Defers) != 2 {
-		t.Fatalf("want 2 defers, got %d", len(g.Defers))
-	}
-}
-
 func TestUnreachableCodePruned(t *testing.T) {
 	g := build(t, `{ return; _ = 1 }`) //nolint: dead code on purpose
 	for _, b := range g.Blocks {

@@ -5,8 +5,8 @@ package cfg
 // in deterministic index order until the in-facts stabilize.
 //
 // F is the fact type (typically a pointer to a state struct). The
-// engine never aliases facts across blocks: Transfer and Refine
-// receive a private copy (via Clone) they may mutate and return.
+// engine never aliases facts across blocks: Transfer receives a private
+// copy (via Clone) it may mutate and return.
 type Forward[F any] struct {
 	// Graph is the function's control-flow graph.
 	Graph *Graph
@@ -15,10 +15,6 @@ type Forward[F any] struct {
 	// Transfer applies the block's nodes to in, returning the out fact.
 	// It may mutate and return in.
 	Transfer func(b *Block, in F) F
-	// Refine, if non-nil, adapts the out fact along the edge to
-	// b.Succs[i] — the hook for branch-condition refinement (e.g.
-	// "err == nil on the true edge"). It may mutate and return out.
-	Refine func(b *Block, i int, out F) F
 	// Join merges two facts at a control-flow merge. It may mutate and
 	// return a.
 	Join func(a, b F) F
@@ -35,8 +31,8 @@ type Forward[F any] struct {
 const maxRounds = 64
 
 // Fixpoint computes the stable in-fact of every block, keyed by block
-// index. The entry block's in-fact is Entry; facts flow along edges,
-// refined by Refine and merged by Join.
+// index. The entry block's in-fact is Entry; facts flow along edges and
+// are merged by Join.
 func (fw *Forward[F]) Fixpoint() []F {
 	n := len(fw.Graph.Blocks)
 	ins := make([]F, n)
@@ -51,11 +47,8 @@ func (fw *Forward[F]) Fixpoint() []F {
 				continue // not yet reached
 			}
 			out := fw.Transfer(blk, fw.Clone(ins[blk.Index]))
-			for i, succ := range blk.Succs {
+			for _, succ := range blk.Succs {
 				edge := fw.Clone(out)
-				if fw.Refine != nil {
-					edge = fw.Refine(blk, i, edge)
-				}
 				j := succ.Index
 				if !has[j] {
 					ins[j] = edge

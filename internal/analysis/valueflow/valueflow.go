@@ -12,8 +12,7 @@
 //     the CFG) plus alias-root resolution, so an analyzer can ask
 //     "which fields can this local name?" — blockguard resolves conn
 //     parameters through local aliases with it.
-//   - Fixpoint: the generic grow-only summary iteration ownerpass
-//     runs its interprocedural ownership contracts on.
+//   - Fixpoint: the generic grow-only summary iteration Taint runs on.
 //
 // Everything is deterministic: iteration follows Graph.Nodes() order
 // and block index order, so two runs over the same source report the

@@ -58,12 +58,16 @@ func retire(gone []*entry) {
 }
 
 // unref drops one reference on e's slot; the last one off a dead slot
-// closes the descriptor and returns it to the budget.
+// closes the descriptor and returns it to the budget. Dropping a
+// reference nobody holds panics.
 func (s *Store) unref(e *entry) {
 	s.mu.Lock()
 	e.refs--
-	last := e.dead && e.refs == 0
+	refs, last := e.refs, e.dead && e.refs == 0
 	s.mu.Unlock()
+	if refs < 0 {
+		panic("cachestore: entry slot released more often than referenced")
+	}
 	if last {
 		_ = e.f.Close() // read side only, and nobody is left to tell
 		fdBudget.held.Add(-1)

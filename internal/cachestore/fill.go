@@ -258,12 +258,16 @@ func (f *Fill) Acquire() bool {
 // Release drops a reference taken by Acquire (or the creator's implicit
 // one, dropped by Commit/Abort). The last release after finishing lets go
 // of the shared handle: back to the entry that adopted it, else closed.
+// A release with no reference left to drop panics.
 func (f *Fill) Release() {
 	f.mu.Lock()
 	f.refs--
-	done := f.refs == 0
+	refs := f.refs
 	f.mu.Unlock()
-	if !done {
+	if refs < 0 {
+		panic("cachestore: Fill released more often than acquired")
+	}
+	if refs > 0 {
 		return
 	}
 	if f.kept != nil {

@@ -13,9 +13,9 @@ import (
 // file only marks the entry's slot dead, and the inode survives until the
 // last lease releases it (descriptors.go).
 //
-// Ownership: every Lease must be Released exactly once (the ownerpass
-// analyzer enforces this statically). The *os.File from File is only
-// valid until Release.
+// Ownership: every Lease must be Released exactly once. A leaked lease
+// keeps its descriptor open past Purge; a second Release panics. The
+// *os.File from File is only valid until Release.
 type Lease struct {
 	s    *Store
 	e    *entry   // the entry whose slot f is borrowed from; nil when f is the lease's own
@@ -83,12 +83,13 @@ func (l *Lease) ReadAt(p []byte, off int64) (int, error) {
 
 // Release returns the lease: the entry's slot loses one reference (the
 // last one off a dead slot closes it), or the lease's own descriptor
-// closes, and the Lease struct is recycled. Releasing an already-released
-// lease is a no-op.
+// closes, and the Lease struct is recycled. Every Lease leaves
+// Store.Lease with a descriptor, so a nil one means the lease was
+// released already: that second Release panics.
 func (l *Lease) Release() {
 	s, e, f := l.s, l.e, l.f
 	if f == nil {
-		return
+		panic("cachestore: Lease released twice")
 	}
 	*l = Lease{}
 	leasePool.Put(l)

@@ -8,8 +8,7 @@ import (
 )
 
 // TestLeaseReadRoundTrip covers the basic lease contract: Lease on a
-// cached key yields the indexed size and a readable descriptor, and
-// Release is idempotent on the caller side (the guard, not the slot).
+// cached key yields the indexed size and a readable descriptor.
 func TestLeaseReadRoundTrip(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	content := []byte("zero-copy lease payload")
@@ -34,7 +33,57 @@ func TestLeaseReadRoundTrip(t *testing.T) {
 		t.Fatal("lease read differs from the filled content")
 	}
 	l.Release()
-	l.Release() // released lease: no-op, must not drop a second reference
+}
+
+// TestDoubleReleasePanics: a lease, a fill reference and an entry slot's
+// reference are each released exactly once. The single release works; the
+// one after it panics instead of dropping a reference another holder
+// reads through — the Lease struct may already be back out of its pool.
+func TestDoubleReleasePanics(t *testing.T) {
+	s := newTestStore(t, 1<<20, NewLRU())
+	if err := put(s, "k", 3, "abc"); err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.Lease("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Release()
+	mustPanic(t, "a second Lease.Release", l.Release)
+	if got, err := readAll(s, "k"); err != nil || string(got) != "abc" {
+		t.Fatalf("after the refused release the entry reads %q, %v", got, err)
+	}
+
+	f, err := s.PutWriter("f", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.CopyFrom(srcFile(t, s, []byte("def")), 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !f.Acquire() {
+		t.Fatal("Acquire on a fill in progress failed")
+	}
+	f.Release()
+	if err := f.Commit(); err != nil { // drops the creator's reference, the last
+		t.Fatal(err)
+	}
+	mustPanic(t, "a Fill.Release past its last reference", f.Release)
+	if got, err := readAll(s, "f"); err != nil || string(got) != "def" {
+		t.Fatalf("the committed fill reads %q, %v", got, err)
+	}
+
+	mustPanic(t, "an unref of a slot nobody references", func() { s.unref(&entry{}) })
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
 }
 
 func TestLeaseMiss(t *testing.T) {

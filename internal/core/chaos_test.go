@@ -15,7 +15,6 @@ import (
 	"hvac/internal/cachestore"
 	"hvac/internal/faultnet"
 	"hvac/internal/place"
-	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
 
@@ -296,7 +295,7 @@ func maybeWriteCorpus(t *testing.T, cases []chaosCase) {
 // It returns the cell's summed ZeroCopyEligible so armed matrices can
 // assert the run actually exercised the sendfile plane.
 func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, paths []string)) int64 {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	write := writePFS
 	if tc.size > bulkChunk {
@@ -506,7 +505,7 @@ func traceByCall(inj *faultnet.Injector) []faultnet.Event {
 // across distinct clusters (ephemeral ports differ; the trace is keyed by
 // stable server names).
 func TestChaosScheduleReplaysAcrossClusters(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "replay", servers: 2, files: 10, size: 512, epochs: 2,
 		sched: faultnet.Schedule{Seed: 77, Rules: []faultnet.Rule{
@@ -532,7 +531,7 @@ func TestChaosScheduleReplaysAcrossClusters(t *testing.T) {
 				t.Fatalf("batch read: %v", err)
 			}
 		}
-		settle(servers)
+		stopCluster(servers, cli)
 		return traceByCall(inj)
 	}
 	t1, t2 := run(), run()
@@ -544,7 +543,7 @@ func TestChaosScheduleReplaysAcrossClusters(t *testing.T) {
 // Invariant 4: with fallback disabled, a fault surfaces as a hard error
 // whose chain names the failing server.
 func TestChaosDisableFallbackNamesFailingServer(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "hard-fail", servers: 1, files: 2, size: 128, epochs: 1,
 		sched: faultnet.Schedule{Seed: 11, Rules: []faultnet.Rule{
@@ -573,7 +572,7 @@ func TestChaosDisableFallbackNamesFailingServer(t *testing.T) {
 // Mid-file server loss under a schedule (rather than a hand-rolled
 // Close): the handle degrades to the PFS and the bytes stay identical.
 func TestChaosMidReadDegradation(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "mid-read", servers: 1, files: 1, size: 64 << 10, epochs: 1,
 		sched: faultnet.Schedule{Seed: 12, Rules: []faultnet.Rule{
@@ -619,7 +618,7 @@ func TestChaosMidReadDegradation(t *testing.T) {
 // contiguous prefix, the sequential loop finds the server gone and
 // degrades the handle — once — and the PFS delivers the rest.
 func TestChaosBulkMidPipelineDegradation(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "mid-pipeline", servers: 1, files: 1, size: 4*bulkChunk + bulkChunk/2, epochs: 1,
 		sched: faultnet.Schedule{Seed: 19, Rules: []faultnet.Rule{
@@ -661,7 +660,7 @@ func TestChaosBulkMidPipelineDegradation(t *testing.T) {
 // The chaos matrix cannot reach this path (its faults fail whole calls),
 // so it gets its own scheduled case.
 func TestChaosBatchPerEntryFallback(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "batch-entry", servers: 2, files: 8, size: 1024, epochs: 2,
 		sched: faultnet.Schedule{Seed: 15, Rules: []faultnet.Rule{
@@ -718,7 +717,7 @@ func TestChaosBatchPerEntryFallback(t *testing.T) {
 // Retry accounting: injected refusals burn transport retries, and the
 // budget surfaces through ClientStats.
 func TestChaosRetryBudgetSurfaced(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "retries", servers: 1, files: 4, size: 256, epochs: 1,
 		sched: faultnet.Schedule{Seed: 13},
@@ -754,7 +753,7 @@ func TestChaosRetryBudgetSurfaced(t *testing.T) {
 // stream: OpPlan installs shift the per-(server, op) fault indices, so
 // they must land identically across runs for the schedule to replay.
 func TestChaosReplayWithPlanner(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "replay-planner", servers: 2, files: 10, size: 512, epochs: 2,
 		policy: func() cachestore.Policy { return cachestore.NewClairvoyant() },
@@ -778,7 +777,7 @@ func TestChaosReplayWithPlanner(t *testing.T) {
 				}
 			}
 		}
-		settle(servers)
+		stopCluster(servers, cli)
 		return inj.Trace()
 	}
 	t1, t2 := run(), run()

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"hvac/internal/faultnet"
-	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
 
@@ -129,7 +128,7 @@ func TestColdConcurrentSingleOpen(t *testing.T) {
 // the non-blocking send under the same mutex that Close uses to flip
 // closed, so no send can race the drain.
 func TestScheduleFetchCloseRace(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "pfs", "dataset")
 	paths := writePFS(t, pfsDir, 64, 512)
 

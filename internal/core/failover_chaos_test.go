@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hvac/internal/faultnet"
-	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
 
@@ -49,7 +48,7 @@ func victimHome(paths []string, servers int) (victim, count int) {
 // open handle and sends the victim's remaining files back to the PFS.
 func TestChaosKillServerMidEpoch(t *testing.T) {
 	run := func(t *testing.T, replicas int) (ClientStats, *faultnet.Injector) {
-		testutil.CheckLeaks(t)
+		checkResources(t)
 		tc := chaosCase{
 			name: "kill-mid-epoch", servers: 4, files: 24, size: 2048,
 			epochs: 2, replicas: replicas,
@@ -156,7 +155,7 @@ func TestChaosKillServerMidEpoch(t *testing.T) {
 // HedgeAfter armed, the replica answers while the primary is still
 // stuck, and the win is visible in HedgeWins.
 func TestChaosHedgedReadBeatsHungPrimary(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	const (
 		hangFor    = 400 * time.Millisecond
 		hedgeAfter = 25 * time.Millisecond
@@ -216,7 +215,7 @@ func TestChaosHedgedReadBeatsHungPrimary(t *testing.T) {
 // HedgeWins<=Hedges identity, CheckLeaks at teardown, and the race
 // detector itself; individual read errors are tolerated.
 func TestChaosHedgeRaceWithClose(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "hedge-race", servers: 2, files: 8, size: 4096, epochs: 1, replicas: 2,
 		sched: faultnet.Schedule{Seed: 21, Rules: []faultnet.Rule{
@@ -299,7 +298,7 @@ func TestChaosHedgedSegmentReadLeavesCallerMemoryAlone(t *testing.T) {
 }
 
 func hedgedReadLeavesCallerMemoryAlone(t *testing.T, tc chaosCase) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePatternPFS(t, pfsDir, tc.files, tc.size)
 	inj := faultnet.New(tc.sched)
@@ -363,7 +362,7 @@ func hedgedReadLeavesCallerMemoryAlone(t *testing.T, tc chaosCase) {
 func TestChaosStatsReplayBitIdentical(t *testing.T) {
 	for _, tc := range chaosMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
-			testutil.CheckLeaks(t)
+			checkResources(t)
 			pfsDir := filepath.Join(t.TempDir(), "dataset")
 			paths := writePFS(t, pfsDir, tc.files, tc.size)
 			run := func() ClientStats {
@@ -380,7 +379,7 @@ func TestChaosStatsReplayBitIdentical(t *testing.T) {
 						t.Fatalf("epoch %d: batch: %v", e, err)
 					}
 				}
-				settle(servers)
+				stopCluster(servers, cli)
 				return cli.Stats()
 			}
 			s1, s2 := run(), run()
@@ -396,7 +395,7 @@ func TestChaosStatsReplayBitIdentical(t *testing.T) {
 // live replica held (or could fill) every segment. With the failover
 // loop, a fully refused primary costs failovers, never fallbacks.
 func TestChaosSegmentedOpenFailsOver(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	tc := chaosCase{
 		name: "seg-open-failover", servers: 3, files: 2, size: 40_000,
 		epochs: 2, replicas: 2, segSize: 8 << 10,

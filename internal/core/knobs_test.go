@@ -35,10 +35,13 @@ func TestKnobLedger(t *testing.T) {
 			}
 		}
 	}
-	flagDecl := regexp.MustCompile(`flag\.\w+\("([\w-]+)"`)
+	// A flag is declared on the flag package or on a command's FlagSet, fs.
+	flagDecl := regexp.MustCompile(`\b(?:flag|fs)\.(\w+)\("([\w-]+)"`)
 	for _, cmd := range []string{"hvacd", "hvacc", "hvacctl"} {
 		for _, m := range flagDecl.FindAllStringSubmatch(read("../../cmd/"+cmd+"/main.go"), -1) {
-			want[cmd+" -"+m[1]] = true
+			if m[1] != "NewFlagSet" {
+				want[cmd+" -"+m[2]] = true
+			}
 		}
 	}
 

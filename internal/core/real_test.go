@@ -33,13 +33,23 @@ func writePFS(t *testing.T, dir string, files int, size int) []string {
 	return paths
 }
 
-// startCluster launches n real HVAC servers over pfsDir and a client.
-// Once the test has closed them, no goroutine and no descriptor — socket,
-// PFS file or cache entry's — may be left over.
+// checkResources requires that once the test has closed what it started,
+// no goroutine, no descriptor — socket, PFS file, or a cache entry's
+// held by a leaked lease or fill reference — and no pooled response is
+// left over. Register it before anything the test starts. The goroutine
+// check runs first, so the counts are read once nothing can move them.
+func checkResources(t *testing.T) {
+	t.Helper()
+	testutil.CheckBalance(t, "pooled responses outstanding", transport.OutstandingResponses)
+	testutil.CheckFDs(t)
+	testutil.CheckLeaks(t)
+}
+
+// startCluster launches n real HVAC servers over pfsDir and a client,
+// under checkResources.
 func startCluster(t *testing.T, pfsDir string, n int, cfgMut func(*ServerConfig), cliMut func(*ClientConfig)) ([]*Server, *Client) {
 	t.Helper()
-	testutil.CheckLeaks(t)
-	testutil.CheckFDs(t)
+	checkResources(t)
 	servers := make([]*Server, n)
 	addrs := make([]string, n)
 	for i := range servers {
@@ -71,13 +81,35 @@ func startCluster(t *testing.T, pfsDir string, n int, cfgMut func(*ServerConfig)
 	return servers, c
 }
 
-// settle waits until every server's fills have retired. A fill writes
-// behind the read it served, so a test that goes on to start a second
-// cluster — whose CheckFDs counts this process's descriptors as it starts
-// — settles the first one before it does.
+// call round-trips req on link, failing the test on a link error, and
+// releases the response when the test ends.
+func call(t *testing.T, link transport.Transport, req *transport.Request) *transport.Response {
+	t.Helper()
+	resp, err := link.Call(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(resp.Release)
+	return resp
+}
+
+// settle waits until every server's fills have retired: a fill writes
+// behind the read it served.
 func settle(servers []*Server) {
 	for _, s := range servers {
 		s.WaitIdle()
+	}
+}
+
+// stopCluster closes a cluster ahead of its cleanup. A test that goes on
+// to start a second one stops the first before it does, so that the
+// second's checkResources counts nothing of the first still in flight: a
+// fill writing behind its read, a client's hedge drain, a server response
+// not yet released after its write.
+func stopCluster(servers []*Server, cli *Client) {
+	cli.Close()
+	for _, s := range servers {
+		s.Close()
 	}
 }
 
@@ -622,35 +654,35 @@ func TestRealServerProtocolEdges(t *testing.T) {
 	defer conn.Close()
 
 	// Unknown op.
-	resp, err := conn.Call(&transport.Request{Op: transport.Op(99)})
-	if err != nil || resp.OK() {
-		t.Fatalf("unknown op accepted: %v %v", resp, err)
+	resp := call(t, conn, &transport.Request{Op: transport.Op(99)})
+	if resp.OK() {
+		t.Fatalf("unknown op accepted: %v", resp)
 	}
 	// Bad handle read/close.
-	resp, _ = conn.Call(&transport.Request{Op: transport.OpRead, Handle: 12345, Len: 10})
+	resp = call(t, conn, &transport.Request{Op: transport.OpRead, Handle: 12345, Len: 10})
 	if resp.OK() {
 		t.Fatal("read on bad handle accepted")
 	}
-	resp, _ = conn.Call(&transport.Request{Op: transport.OpClose, Handle: 12345})
+	resp = call(t, conn, &transport.Request{Op: transport.OpClose, Handle: 12345})
 	if resp.OK() {
 		t.Fatal("close on bad handle accepted")
 	}
 	// Oversized read length.
-	open, _ := conn.Call(&transport.Request{Op: transport.OpOpen, Path: paths[0]})
+	open := call(t, conn, &transport.Request{Op: transport.OpOpen, Path: paths[0]})
 	if !open.OK() {
 		t.Fatalf("open failed: %s", open.Err)
 	}
-	resp, _ = conn.Call(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: transport.MaxFrame})
+	resp = call(t, conn, &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: transport.MaxFrame})
 	if resp.OK() {
 		t.Fatal("oversized read accepted")
 	}
 	// Negative length.
-	resp, _ = conn.Call(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: -1})
+	resp = call(t, conn, &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: -1})
 	if resp.OK() {
 		t.Fatal("negative read accepted")
 	}
 	// Segment read crossing a boundary is refused.
-	resp, _ = conn.Call(&transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: 1000, Len: 100})
+	resp = call(t, conn, &transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: 1000, Len: 100})
 	if resp.OK() {
 		t.Fatal("cross-boundary segment read accepted")
 	}
@@ -658,12 +690,12 @@ func TestRealServerProtocolEdges(t *testing.T) {
 		t.Fatalf("err = %q", resp.Err)
 	}
 	// Stat on a missing file.
-	resp, _ = conn.Call(&transport.Request{Op: transport.OpStat, Path: filepath.Join(pfsDir, "gone")})
+	resp = call(t, conn, &transport.Request{Op: transport.OpStat, Path: filepath.Join(pfsDir, "gone")})
 	if resp.OK() {
 		t.Fatal("stat of missing file accepted")
 	}
 	// Stat on an existing file reports its size.
-	resp, _ = conn.Call(&transport.Request{Op: transport.OpStat, Path: paths[0]})
+	resp = call(t, conn, &transport.Request{Op: transport.OpStat, Path: paths[0]})
 	if !resp.OK() || resp.Size != 4096 {
 		t.Fatalf("stat = %+v", resp)
 	}
@@ -676,12 +708,30 @@ func TestRealSegmentReadRequiresConfig(t *testing.T) {
 	servers, _ := startCluster(t, pfsDir, 1, nil, nil)
 	conn := transport.Dial(servers[0].Addr())
 	defer conn.Close()
-	resp, err := conn.Call(&transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: 0, Len: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK() {
+	if resp := call(t, conn, &transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: 0, Len: 100}); resp.OK() {
 		t.Fatal("segment read accepted without SegmentSize")
+	}
+}
+
+// A read every rung of which fails — the PFS refuses every open, so the
+// fill fails and so does the read-through — is a StatusError response,
+// and the pooled response handleRead took for the payload goes back
+// exactly once.
+func TestRealReadWithNoRungLeftIsAnError(t *testing.T) {
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePFS(t, pfsDir, 1, 4096)
+	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+		c.OpenPFS = func(string) (*os.File, error) { return nil, os.ErrPermission }
+	}, nil)
+	conn := transport.Dial(servers[0].Addr())
+	defer conn.Close()
+	open := call(t, conn, &transport.Request{Op: transport.OpOpen, Path: paths[0]})
+	if !open.OK() {
+		t.Fatalf("open: %s", open.Err)
+	}
+	resp := call(t, conn, &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: 4096})
+	if resp.OK() || !strings.Contains(resp.Err, "pfs open") {
+		t.Fatalf("read with the PFS refusing every open: status %d, %q", resp.Status, resp.Err)
 	}
 }
 

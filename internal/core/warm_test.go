@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hvac/internal/place"
-	"hvac/internal/testutil"
 )
 
 // Replica warming (§III-H): a demand fill on a key's primary forwards
@@ -80,7 +79,7 @@ func warmCluster(t *testing.T, pfsDir string, n, replicas int, segSize int64) ([
 // entirely from the warmed caches — zero new read-throughs, zero PFS
 // fallbacks, bytes identical.
 func TestReplicaWarmingServesFailoverEpochFromCache(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, 12, 2048)
 	servers, cli := warmCluster(t, pfsDir, 3, 2, 0)
@@ -132,7 +131,7 @@ func TestReplicaWarmingServesFailoverEpochFromCache(t *testing.T) {
 // hint, so each peer fills exactly the segments it homes; after srv0
 // leaves the view the segmented epoch stays cache-served.
 func TestReplicaWarmingSegmentHints(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	const segSize = 4 << 10
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, 2, 20_000) // 5 segments per file
@@ -178,7 +177,7 @@ func TestReplicaWarmingSegmentHints(t *testing.T) {
 // Client-driven prefetch populates all R homes, not just the primary:
 // after the hints drain, a membership change leaves no cold reads.
 func TestPrefetchWarmsAllReplicaHomes(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, 10, 1024)
 	servers, cli := warmCluster(t, pfsDir, 3, 2, 0)
@@ -206,7 +205,7 @@ func TestPrefetchWarmsAllReplicaHomes(t *testing.T) {
 // Without peer wiring (the default), demand fills never leave the
 // server: warming is strictly opt-in.
 func TestNoWarmingWithoutPeers(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, 6, 512)
 	servers, cli := startCluster(t, pfsDir, 2,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hvac/internal/cachestore"
-	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
 
@@ -113,7 +112,7 @@ func TestZeroCopyByteIdentityOnOff(t *testing.T) {
 // on that connection only, the stats identity still resolves, and the
 // server keeps serving byte-identical reads to healthy clients.
 func TestZeroCopyMidSendConnectionDeath(t *testing.T) {
-	testutil.CheckLeaks(t)
+	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writeSizedPFS(t, pfsDir, []int{1 << 20})
 	want, err := os.ReadFile(paths[0])

@@ -9,8 +9,25 @@ import (
 	"testing"
 	"time"
 
+	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
+
+// checkResponses fails the test if a pooled Response a link handed out
+// while it ran — delivered, or one a fault swallowed — is still unreleased
+// at its end.
+func checkResponses(t *testing.T) {
+	t.Helper()
+	testutil.CheckBalance(t, "pooled responses outstanding", transport.OutstandingResponses)
+}
+
+// release drops a delivered response, for calls whose result the test
+// does not read.
+func release(resp *transport.Response, err error) {
+	if err == nil {
+		resp.Release()
+	}
+}
 
 // okHandler answers every op with a fixed payload.
 func okHandler(req *transport.Request) *transport.Response {
@@ -28,7 +45,7 @@ func drive(sched Schedule, servers int, calls int) []Event {
 	ops := []transport.Op{transport.OpOpen, transport.OpRead, transport.OpClose}
 	for c := 0; c < calls; c++ {
 		t := ts[c%servers]
-		_, _ = t.Call(&transport.Request{Op: ops[c%len(ops)], Path: "/pfs/f", Len: 4})
+		release(t.Call(&transport.Request{Op: ops[c%len(ops)], Path: "/pfs/f", Len: 4}))
 	}
 	return in.Trace()
 }
@@ -36,6 +53,7 @@ func drive(sched Schedule, servers int, calls int) []Event {
 // The tentpole contract: a schedule replays bit-for-bit for a fixed seed,
 // including the probabilistic rules, and changes when the seed changes.
 func TestScheduleReplaysBitForBit(t *testing.T) {
+	checkResponses(t)
 	sched := Schedule{
 		Seed:        42,
 		HangTimeout: time.Millisecond,
@@ -67,6 +85,7 @@ func TestScheduleReplaysBitForBit(t *testing.T) {
 }
 
 func TestRuleScoping(t *testing.T) {
+	checkResponses(t)
 	in := New(Schedule{Rules: []Rule{
 		{Server: "srv1", Op: transport.OpOpen, Fault: Refuse},
 	}})
@@ -74,13 +93,17 @@ func TestRuleScoping(t *testing.T) {
 	s0 := in.Wrap("srv0", transport.NewSim("srv0", okHandler))
 	s1 := in.Wrap("srv1", transport.NewSim("srv1", okHandler))
 
-	if _, err := s0.Call(&transport.Request{Op: transport.OpOpen}); err != nil {
+	resp, err := s0.Call(&transport.Request{Op: transport.OpOpen})
+	if err != nil {
 		t.Fatalf("rule leaked to srv0: %v", err)
 	}
-	if _, err := s1.Call(&transport.Request{Op: transport.OpRead}); err != nil {
+	resp.Release()
+	resp, err = s1.Call(&transport.Request{Op: transport.OpRead})
+	if err != nil {
 		t.Fatalf("rule leaked to OpRead: %v", err)
 	}
-	_, err := s1.Call(&transport.Request{Op: transport.OpOpen})
+	resp.Release()
+	_, err = s1.Call(&transport.Request{Op: transport.OpOpen})
 	if !errors.Is(err, ErrRefused) {
 		t.Fatalf("scoped rule did not fire: %v", err)
 	}
@@ -90,6 +113,7 @@ func TestRuleScoping(t *testing.T) {
 }
 
 func TestEveryOffsetIndexing(t *testing.T) {
+	checkResponses(t)
 	in := New(Schedule{Rules: []Rule{
 		{Offset: 2, Every: 3, Fault: Refuse},
 	}})
@@ -97,9 +121,12 @@ func TestEveryOffsetIndexing(t *testing.T) {
 	tr := in.Wrap("srv0", transport.NewSim("srv0", okHandler))
 	var failed []int
 	for i := 0; i < 9; i++ {
-		if _, err := tr.Call(&transport.Request{Op: transport.OpOpen}); err != nil {
+		resp, err := tr.Call(&transport.Request{Op: transport.OpOpen})
+		if err != nil {
 			failed = append(failed, i)
+			continue
 		}
+		resp.Release()
 	}
 	if want := []int{2, 5, 8}; !reflect.DeepEqual(failed, want) {
 		t.Fatalf("Offset+Every fired on calls %v, want %v", failed, want)
@@ -118,6 +145,7 @@ func TestEachFaultSurface(t *testing.T) {
 		{Corrupt, nil},
 	} {
 		t.Run(tc.fault.String(), func(t *testing.T) {
+			checkResponses(t)
 			calls := 0
 			inner := transport.NewSim("srv0", func(req *transport.Request) *transport.Response {
 				calls++
@@ -151,6 +179,7 @@ func TestEachFaultSurface(t *testing.T) {
 }
 
 func TestDelayDeliversLate(t *testing.T) {
+	checkResponses(t)
 	in := New(Schedule{Rules: []Rule{{Fault: Delay, Delay: 20 * time.Millisecond}}})
 	defer in.Close()
 	tr := in.Wrap("srv0", transport.NewSim("srv0", okHandler))
@@ -159,6 +188,7 @@ func TestDelayDeliversLate(t *testing.T) {
 	if err != nil || !resp.OK() {
 		t.Fatalf("delayed call failed: %v", err)
 	}
+	resp.Release()
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("delay fault returned after %v, want >= 20ms", elapsed)
 	}
@@ -212,10 +242,34 @@ func TestCorrupterDamagesFramesDeterministically(t *testing.T) {
 	}
 }
 
+// TestCorruptFrameThatDecodesIsRefused drives the Corrupt branch whose
+// damaged frame still decodes (a flip in the handle, size or payload): the
+// call fails with ErrUndetectedCorruption rather than delivering it, and
+// the phantom response the decode produced goes back to the pool.
+func TestCorruptFrameThatDecodesIsRefused(t *testing.T) {
+	checkResponses(t)
+	refused := 0
+	for seed := uint64(0); seed < 32; seed++ {
+		in := New(Schedule{Seed: seed, Rules: []Rule{{Fault: Corrupt}}})
+		_, err := in.Wrap("srv0", transport.NewSim("srv0", okHandler)).Call(&transport.Request{Op: transport.OpRead, Len: 4})
+		in.Close()
+		if err == nil {
+			t.Fatalf("seed %d: a corrupted frame was delivered", seed)
+		}
+		if errors.Is(err, ErrUndetectedCorruption) {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no seed damaged a frame that still decodes; the case is vacuous")
+	}
+}
+
 // TestKillMarksServerDead: a Kill rule at a call index fails that call
 // and every later call to the same server — any op — while other
 // servers stay untouched, and the trace still replays bit-for-bit.
 func TestKillMarksServerDead(t *testing.T) {
+	checkResponses(t)
 	sched := Schedule{Rules: []Rule{
 		{Server: "srv0", Op: transport.OpOpen, Offset: 2, Fault: Kill},
 	}}
@@ -225,9 +279,11 @@ func TestKillMarksServerDead(t *testing.T) {
 	s1 := in.Wrap("srv1", transport.NewSim("srv1", okHandler))
 
 	for i := 0; i < 2; i++ {
-		if _, err := s0.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"}); err != nil {
+		resp, err := s0.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"})
+		if err != nil {
 			t.Fatalf("open %d before the kill index failed: %v", i, err)
 		}
+		resp.Release()
 	}
 	if _, err := s0.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"}); !errors.Is(err, ErrKilled) {
 		t.Fatalf("open at the kill index: got %v, want ErrKilled", err)
@@ -238,9 +294,11 @@ func TestKillMarksServerDead(t *testing.T) {
 			t.Fatalf("op %d after kill: got %v, want ErrKilled", op, err)
 		}
 	}
-	if _, err := s1.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"}); err != nil {
+	resp, err := s1.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"})
+	if err != nil {
 		t.Fatalf("kill leaked to srv1: %v", err)
 	}
+	resp.Release()
 	if dead := in.DeadServers(); len(dead) != 1 || dead[0] != "srv0" {
 		t.Fatalf("DeadServers() = %v, want [srv0]", dead)
 	}
@@ -252,12 +310,12 @@ func TestKillMarksServerDead(t *testing.T) {
 	r0 := in2.Wrap("srv0", transport.NewSim("srv0", okHandler))
 	r1 := in2.Wrap("srv1", transport.NewSim("srv1", okHandler))
 	for i := 0; i < 3; i++ {
-		_, _ = r0.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"})
+		release(r0.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"}))
 	}
 	for _, op := range []transport.Op{transport.OpRead, transport.OpPing, transport.OpClose, transport.OpOpen} {
-		_, _ = r0.Call(&transport.Request{Op: op})
+		release(r0.Call(&transport.Request{Op: op}))
 	}
-	_, _ = r1.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"})
+	release(r1.Call(&transport.Request{Op: transport.OpOpen, Path: "/pfs/f"}))
 	if !reflect.DeepEqual(in.Trace(), in2.Trace()) {
 		t.Fatal("kill schedule did not replay bit-for-bit")
 	}
@@ -266,6 +324,7 @@ func TestKillMarksServerDead(t *testing.T) {
 // TestPermanentlySlowServer: a Delay rule with no Every/Prob selector is
 // a permanently slow server — every call from Offset on is held.
 func TestPermanentlySlowServer(t *testing.T) {
+	checkResponses(t)
 	in := New(Schedule{Rules: []Rule{
 		{Server: "srv0", Offset: 1, Fault: Delay, Delay: 10 * time.Millisecond},
 	}})
@@ -273,9 +332,11 @@ func TestPermanentlySlowServer(t *testing.T) {
 	tr := in.Wrap("srv0", transport.NewSim("srv0", okHandler))
 
 	start := time.Now()
-	if _, err := tr.Call(&transport.Request{Op: transport.OpRead, Len: 4}); err != nil {
+	resp, err := tr.Call(&transport.Request{Op: transport.OpRead, Len: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Release()
 	if elapsed := time.Since(start); elapsed > 5*time.Millisecond {
 		t.Fatalf("call before Offset was delayed %v", elapsed)
 	}
@@ -285,6 +346,7 @@ func TestPermanentlySlowServer(t *testing.T) {
 		if err != nil || !resp.OK() {
 			t.Fatalf("slow call %d failed: %v", i, err)
 		}
+		resp.Release()
 		if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
 			t.Fatalf("slow call %d returned after %v, want >= 10ms", i, elapsed)
 		}

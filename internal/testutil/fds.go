@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // OpenFDs lists what this process's open descriptors point at, keeping
@@ -26,30 +25,22 @@ func OpenFDs(prefix string) (targets []string, ok bool) {
 	return targets, true
 }
 
-// CheckFDs is CheckLeaks for descriptors: it counts the process's open
-// descriptors and registers a cleanup that fails the test if the count has
-// not come back once everything the test itself cleaned up has shut down.
-// Register it before any cleanup that stops servers or clients. Teardown
-// is asynchronous (a severed connection closes on its goroutine's way
-// out), so the check polls like Leaked does.
+// CheckFDs is CheckBalance over the process's open descriptors; when the
+// count has not come back it also logs what they point at.
 func CheckFDs(t testing.TB) {
 	t.Helper()
-	before, ok := OpenFDs("")
+	open, ok := OpenFDs("")
 	if !ok {
 		return
 	}
-	t.Cleanup(func() {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			after, _ := OpenFDs("")
-			if len(after) == len(before) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("testutil: %d descriptors open, %d when the test began; now open:\n%s", len(after), len(before), strings.Join(after, "\n"))
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
+	before := len(open)
+	t.Cleanup(func() { // runs after CheckBalance's, on its last listing
+		if len(open) != before {
+			t.Logf("testutil: now open:\n%s", strings.Join(open, "\n"))
 		}
+	})
+	CheckBalance(t, "descriptors open", func() int64 {
+		open, _ = OpenFDs("")
+		return int64(len(open))
 	})
 }

@@ -28,6 +28,27 @@ func CheckLeaks(t testing.TB) {
 	})
 }
 
+// CheckBalance is CheckLeaks for any count of held resources: it reads
+// count now and registers a cleanup that fails the test if the count has
+// not come back once everything the test itself cleaned up has shut down.
+// Register it before any cleanup that stops servers or clients. Teardown
+// is asynchronous (a severed connection closes on its goroutine's way
+// out), so the check polls like Leaked does.
+func CheckBalance(t testing.TB, what string, count func() int64) {
+	t.Helper()
+	before := count()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for now := count(); now != before; now = count() {
+			if time.Now().After(deadline) {
+				t.Errorf("testutil: %d %s, %d when the test began", now, what, before)
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}
+
 // Leaked waits up to timeout for every goroutine not in the before
 // snapshot (and not harness-internal) to exit, returning the stacks of
 // the survivors. Teardown is asynchronous — a severed peer only notices

@@ -209,6 +209,7 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 // three orders of magnitude below the payload.
 func TestLandedCallAllocatesNoPayload(t *testing.T) {
 	skipUnderRace(t)
+	checkResponses(t)
 	const size = 8 << 20
 	payload := make([]byte, size)
 	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
@@ -332,6 +333,36 @@ func TestGrabReleaseOwnership(t *testing.T) {
 	if lit.Data != nil {
 		t.Fatal("Release left literal Data set")
 	}
+}
+
+// TestDoubleReleasePanics: a pooled Response is counted out by
+// AcquireResponse and back in by its one Release. A second Release panics
+// instead of recycling a struct another caller may already have taken
+// back out of the pool; a literal Response may be released any number of
+// times.
+func TestDoubleReleasePanics(t *testing.T) {
+	before := OutstandingResponses()
+	resp := AcquireResponse()
+	resp.Data = resp.Grab(64)
+	if n := OutstandingResponses(); n != before+1 {
+		t.Fatalf("%d responses outstanding after one acquire, want %d", n, before+1)
+	}
+	resp.Release()
+	if n := OutstandingResponses(); n != before {
+		t.Fatalf("%d responses outstanding after its release, want %d", n, before)
+	}
+	lit := &Response{Status: StatusOK}
+	lit.Release()
+	lit.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release of a pooled Response did not panic")
+		}
+		if n := OutstandingResponses(); n != before {
+			t.Fatalf("%d responses outstanding after the refused release, want %d", n, before)
+		}
+	}()
+	resp.Release()
 }
 
 func TestGetPutBuffer(t *testing.T) {

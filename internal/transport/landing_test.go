@@ -113,6 +113,7 @@ func TestLandingDecodeCutMidPayload(t *testing.T) {
 // died on is closed rather than pooled: the next call must dial afresh
 // instead of reading the tail of a dead frame.
 func TestCallCutMidPayloadNotPooled(t *testing.T) {
+	checkResponses(t)
 	testutil.CheckLeaks(t)
 	const size = 256 << 10
 	frame := encodeResponse(t, &Response{Status: StatusOK, Size: size, Data: patterned(size)})
@@ -154,6 +155,7 @@ func TestCallCutMidPayloadNotPooled(t *testing.T) {
 // Landing through both Transport implementations: the same Call, with and
 // without a destination, returns the same bytes; with one, they are in it.
 func TestCallLandsInDst(t *testing.T) {
+	checkResponses(t)
 	testutil.CheckLeaks(t)
 	const size = 1 << 20
 	payload := patterned(size)

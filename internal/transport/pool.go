@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Frame-buffer pooling. Every frame the codec encodes or decodes, and
@@ -16,7 +17,8 @@ import (
 //
 //   - Buffers handed out by Response.Grab belong to that Response and are
 //     returned by Response.Release — the single place a pooled frame goes
-//     back.
+//     back. A pooled Response is released exactly once: a second Release
+//     panics, and OutstandingResponses counts the ones not yet released.
 //   - The codec's own scratch buffers (request frames, response
 //     head/tail) never escape the encode/decode call.
 //   - GetBuffer/PutBuffer are the loose ends for callers outside the
@@ -101,15 +103,24 @@ type respVec struct {
 
 var respVecPool = sync.Pool{New: func() any { return new(respVec) }}
 
-// respPool recycles Response structs between AcquireResponse and Release.
-var respPool = sync.Pool{New: func() any { return new(Response) }}
+// respPool recycles Response structs between AcquireResponse and Release;
+// outstanding counts the ones handed out and not yet released.
+var (
+	respPool    = sync.Pool{New: func() any { return new(Response) }}
+	outstanding atomic.Int64
+)
 
-// AcquireResponse returns a zeroed pooled Response. Pair it with Release:
-// after Release the Response and any buffer obtained from its Grab must
-// not be used. Responses built as plain literals remain valid targets for
-// Release (it only recycles what came from a pool).
+// AcquireResponse returns a zeroed pooled Response. Pair it with exactly
+// one Release: after Release the Response and any buffer obtained from
+// its Grab must not be used. Responses built as plain literals remain
+// valid targets for Release (it only recycles what came from a pool).
 func AcquireResponse() *Response {
 	r := respPool.Get().(*Response)
-	r.fromPool = true
+	r.fromPool, r.released = true, false
+	outstanding.Add(1)
 	return r
 }
+
+// OutstandingResponses reports how many pooled Responses this process
+// has handed out (AcquireResponse, ReadResponse, Call) and not released.
+func OutstandingResponses() int64 { return outstanding.Load() }

@@ -111,12 +111,13 @@ type Request struct {
 //
 // Ownership: a Response obtained from AcquireResponse or ReadResponse —
 // and any payload buffer obtained from its Grab — belongs to the caller
-// until Release, which recycles both. Release is optional for
-// correctness (the GC reclaims unreturned responses) but mandatory for
-// the zero-allocation hot path. After Release the Response and its Data
-// must not be touched — except that a payload received into the caller's
-// own Request.Dst stays the caller's: Release recycles only what came
-// from a pool, so those bytes remain valid after it.
+// until Release, which recycles both, exactly once. A forgotten Release
+// costs the zero-allocation hot path (the GC reclaims the response) and
+// shows in OutstandingResponses, which tests hold to its baseline; a
+// second one panics. After Release the Response and its Data must not be
+// touched — except that a payload received into the caller's own
+// Request.Dst stays the caller's: Release recycles only what came from a
+// pool, so those bytes remain valid after it.
 type Response struct {
 	Status uint8
 	Handle int64
@@ -126,6 +127,7 @@ type Response struct {
 
 	pooled   *[]byte // backing payload buffer owned by this response; nil when Data is caller memory
 	fromPool bool    // struct came from respPool (AcquireResponse/ReadResponse)
+	released bool    // a pooled struct back in respPool: Release panics
 
 	// fd-backed payload (zerocopy.go): when srcFile is set the payload is
 	// srcLen bytes of srcFile at srcOff, Data stays nil, and srcRel is
@@ -161,9 +163,14 @@ func (r *Response) Grab(n int) []byte {
 
 // Release recycles the response's pooled payload buffer and, when the
 // Response itself came from AcquireResponse/ReadResponse, the struct too.
-// Calling Release on a literal Response is safe. The Response and any
-// buffer from its Grab must not be used afterwards.
+// Calling Release on a literal Response is safe, and so is calling it
+// again. Releasing a pooled Response twice panics, as a sync.WaitGroup
+// going negative does: the struct may already be another caller's. The
+// Response and any buffer from its Grab must not be used afterwards.
 func (r *Response) Release() {
+	if r.released {
+		panic("transport: pooled Response released twice")
+	}
 	if r.pooled != nil {
 		putFrameBuf(r.pooled)
 		r.pooled = nil
@@ -172,7 +179,8 @@ func (r *Response) Release() {
 		r.releaseSrc()
 	}
 	if r.fromPool {
-		*r = Response{}
+		*r = Response{released: true}
+		outstanding.Add(-1)
 		respPool.Put(r)
 		return
 	}

@@ -44,6 +44,7 @@ func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
 // MaxAttempts tries and sleeps exactly the policy's backoff schedule —
 // the total stall of a failed call is deterministic for a fixed seed.
 func TestCallHonoursAttemptBudget(t *testing.T) {
+	checkResponses(t)
 	f := func(seed uint64, rawAttempts uint8) bool {
 		policy := RetryPolicy{
 			MaxAttempts: int(rawAttempts%5) + 1,
@@ -82,6 +83,7 @@ func TestCallHonoursAttemptBudget(t *testing.T) {
 // must fail the call within the per-call deadline instead of blocking the
 // training loop forever.
 func TestCallTimeoutOnHungHandler(t *testing.T) {
+	checkResponses(t)
 	testutil.CheckLeaks(t)
 	release := make(chan struct{})
 	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
@@ -118,6 +120,7 @@ func TestCallTimeoutOnHungHandler(t *testing.T) {
 // A timed-out connection must not be reused: the stale response would be
 // delivered to the next call.
 func TestTimedOutConnNotPooled(t *testing.T) {
+	checkResponses(t)
 	testutil.CheckLeaks(t)
 	release := make(chan struct{})
 	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
@@ -145,6 +148,7 @@ func TestTimedOutConnNotPooled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
+	defer resp.Release()
 	if resp.Handle != 2 {
 		t.Fatalf("stale response delivered: handle %d, want 2", resp.Handle)
 	}

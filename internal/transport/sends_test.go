@@ -42,6 +42,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // the path every read under core's zeroCopyMin takes; and header write,
 // sendfile, tail write for a file payload.
 func TestServeConnSendsPerExchange(t *testing.T) {
+	checkResponses(t)
 	data := make([]byte, 128<<10)
 	for i := range data {
 		data[i] = byte(i*131 + 5)

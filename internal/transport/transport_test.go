@@ -8,7 +8,17 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"hvac/internal/testutil"
 )
+
+// checkResponses fails the test if a pooled Response handed out while it
+// ran is still unreleased once its cleanups have run. Register it before
+// the test starts a server or dials a link.
+func checkResponses(t *testing.T) {
+	t.Helper()
+	testutil.CheckBalance(t, "pooled responses outstanding", OutstandingResponses)
+}
 
 func TestRequestRoundTrip(t *testing.T) {
 	f := func(op uint8, handle, off, length int64, path string) bool {
@@ -51,6 +61,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer got.Release()
 		return got.Status == resp.Status && got.Handle == resp.Handle &&
 			got.Size == resp.Size && bytes.Equal(got.Data, resp.Data) && got.Err == resp.Err
 	}
@@ -106,6 +117,7 @@ func echoHandler(req *Request) *Response {
 }
 
 func TestClientServerRPC(t *testing.T) {
+	checkResponses(t)
 	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +136,7 @@ func TestClientServerRPC(t *testing.T) {
 	if resp.Handle != 7 || resp.Size != int64(len("/data/file")) {
 		t.Fatalf("open resp = %+v", resp)
 	}
+	resp.Release()
 	resp, err = cli.Call(&Request{Op: OpRead, Off: 3, Len: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +144,7 @@ func TestClientServerRPC(t *testing.T) {
 	if !bytes.Equal(resp.Data, []byte{3, 4, 5, 6, 7}) {
 		t.Fatalf("read data = %v", resp.Data)
 	}
+	resp.Release()
 	resp, err = cli.Call(&Request{Op: OpClose})
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +152,11 @@ func TestClientServerRPC(t *testing.T) {
 	if resp.OK() {
 		t.Fatal("expected error status for unsupported op")
 	}
+	resp.Release()
 }
 
 func TestConcurrentClients(t *testing.T) {
+	checkResponses(t)
 	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +176,9 @@ func TestConcurrentClients(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if len(resp.Data) != 16 || resp.Data[0] != byte(i) {
+				ok := len(resp.Data) == 16 && resp.Data[0] == byte(i)
+				resp.Release()
+				if !ok {
 					t.Errorf("bad payload at %d", i)
 					return
 				}
@@ -171,6 +189,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestCallAfterServerClose(t *testing.T) {
+	checkResponses(t)
 	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +206,7 @@ func TestCallAfterServerClose(t *testing.T) {
 }
 
 func TestClientReconnectsAfterIdleConnDrop(t *testing.T) {
+	checkResponses(t)
 	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +231,7 @@ func TestClientReconnectsAfterIdleConnDrop(t *testing.T) {
 }
 
 func TestClientClosed(t *testing.T) {
+	checkResponses(t)
 	cli := Dial("127.0.0.1:1")
 	cli.Close()
 	if _, err := cli.Call(&Request{Op: OpPing}); err != ErrClientClosed {

@@ -58,8 +58,6 @@ var orphanZC ZeroCopyStats
 // of f starting at off, released through rel when the Response is
 // released. It replaces any slice payload (Data must stay nil). st
 // receives the zero-copy accounting; nil means an internal sink.
-//
-//hvac:owns rel
 func (r *Response) SetPayloadFile(f *os.File, off, n int64, rel PayloadReleaser, st *ZeroCopyStats) {
 	r.srcFile = f
 	r.srcOff = off

@@ -180,6 +180,7 @@ func TestFileResponseTruncatedSource(t *testing.T) {
 // once the connection ends with no further request. A payload copied out
 // by a writer that cannot sendfile is released with its response.
 func TestFilePayloadReleasedOnNextRequest(t *testing.T) {
+	checkResponses(t)
 	data := bytes.Repeat([]byte{0x5A}, 64<<10)
 	f := payloadFile(t, data)
 	rels := make(chan *countReleaser, 1) // one file payload in flight at a time

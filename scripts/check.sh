@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo '--- go build ./...'
 go build ./...
 
-# The CLIs have no tests, and a flag set that panics at registration (a
+# Not every CLI has a test, and a flag set that panics at registration (a
 # duplicate name, a bad default) is otherwise found at deploy time: -h
 # registers every flag, prints the usage and must exit 0.
 echo '--- cmd/*: -h'
