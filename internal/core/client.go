@@ -30,10 +30,10 @@ type ClientConfig struct {
 	// HedgeAfter > 0 arms hedged reads (§III-H tail-latency failover):
 	// when a remote call has not answered within HedgeAfter, the same
 	// operation is issued to the next replica and the first success wins
-	// (losers are drained in the background and their pooled responses
-	// and server-side handles retired). 0 disables hedging; replica
-	// failover then stays strictly sequential. Only effective with
-	// Replicas > 1.
+	// (losers are drained in the background: their pooled responses are
+	// released and a handle one opened gets a deferred close on its own
+	// link). 0 disables hedging; replica failover then stays strictly
+	// sequential. Only effective with Replicas > 1.
 	HedgeAfter time.Duration
 	// SegmentSize > 0 enables segment-level caching (§III-E): each
 	// SegmentSize-byte segment of a file is homed and cached
@@ -89,8 +89,8 @@ type Client struct {
 	view  *place.View
 
 	// hedgeWG joins every background goroutine the hedging machinery
-	// spawns (loser drains, async handle closes); Close waits for them
-	// so no pooled Response outlives the client.
+	// spawns (hedge attempts and loser drains); Close waits for them so
+	// no pooled Response outlives the client.
 	hedgeWG sync.WaitGroup
 
 	mu      sync.Mutex
@@ -151,7 +151,8 @@ func (c *Client) Stats() ClientStats {
 }
 
 // Close joins the hedging machinery's background goroutines (bounded by
-// the per-call deadline) and releases all server connections.
+// the per-call deadline) and releases all server connections, which
+// first sends the handle closes still deferred onto them.
 func (c *Client) Close() {
 	c.mu.Lock()
 	c.closing = true
@@ -329,15 +330,13 @@ func (c *Client) spawnHedge(fn func()) {
 }
 
 // discardHedge retires a losing attempt: its pooled response returns to
-// the pool and any server-side handle it opened is closed best-effort.
+// the pool and any server-side handle it opened is retired.
 func (c *Client) discardHedge(r hedgeResult) {
 	if r.resp != nil {
 		r.resp.Release()
 	}
 	if r.opened {
-		if resp, err := r.conn.Call(&transport.Request{Op: transport.OpClose, Handle: r.handle}); err == nil {
-			resp.Release()
-		}
+		retire(r.conn, r.handle)
 	}
 }
 
@@ -434,15 +433,14 @@ func (c *Client) runHedged(attempts []func() hedgeResult) hedgeResult {
 	}
 }
 
-// closeHandleAsync retires a server-side handle off the caller's
-// critical path (the server may be the one that just failed, so the
-// close may burn a full call timeout).
-func (c *Client) closeHandleAsync(conn transport.Transport, handle int64) {
-	c.spawnHedge(func() {
-		if resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle}); err == nil {
-			resp.Release()
-		}
-	})
+// retire closes a server-side handle nobody reads through any more,
+// best-effort. The close is deferred: it leaves with the link's next
+// request, so retiring costs no round trip and no goroutine, even when
+// the server is the one that just failed.
+func retire(conn transport.Transport, handle int64) {
+	if resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle, Defer: true}); err == nil {
+		resp.Release()
+	}
 }
 
 // Size returns the file size (0 for passthrough handles until read).
@@ -635,8 +633,7 @@ func (f *File) readBulk(p []byte, off int64) int {
 // Replicas > 1 the other replicas form failover rungs that open their own
 // handle on path and read the same range. When one of those wins, the
 // File migrates to its handle (the §III-H failover: later reads go
-// straight to the live replica) and the old handle is retired best-effort
-// in the background.
+// straight to the live replica) and the old handle is retired.
 func (f *File) fetch(dst []byte, off int64) (*transport.Response, error) {
 	c := f.c
 	req := &transport.Request{Off: off, Len: int64(len(dst))}
@@ -681,9 +678,7 @@ func (f *File) fetch(dst []byte, off int64) (*transport.Response, error) {
 				if err != nil {
 					// The replica opened but could not read: retire its handle
 					// before reporting the rung failed.
-					if cresp, cerr := rconn.Call(&transport.Request{Op: transport.OpClose, Handle: h}); cerr == nil {
-						cresp.Release()
-					}
+					retire(rconn, h)
 					return hedgeResult{err: err, ladder: i, srv: srv}
 				}
 				return hedgeResult{resp: resp, ladder: i, srv: srv, conn: rconn, handle: h, opened: true}
@@ -701,20 +696,20 @@ func (f *File) fetch(dst []byte, off int64) (*transport.Response, error) {
 }
 
 // adopt migrates the File to a replica's handle after a mid-read
-// failover; the superseded handle is closed in the background. A File
-// that already closed retires the new handle instead of keeping it.
+// failover and retires the superseded handle. A File that already closed
+// retires the new handle instead of keeping it.
 func (f *File) adopt(conn transport.Transport, handle int64, srv int) {
 	f.mu.Lock()
 	if f.closed || f.fallback != nil {
 		f.mu.Unlock()
-		f.c.closeHandleAsync(conn, handle)
+		retire(conn, handle)
 		return
 	}
 	oldConn, oldHandle := f.conn, f.handle
 	f.conn, f.handle, f.srv = conn, handle, srv
 	f.mu.Unlock()
 	f.c.bump(func(s *ClientStats) { s.Failovers++ })
-	f.c.closeHandleAsync(oldConn, oldHandle)
+	retire(oldConn, oldHandle)
 }
 
 // degradeToPFS converts the handle to a direct PFS handle after a server
@@ -755,7 +750,9 @@ func (f *File) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Close implements io.Closer, releasing the server-side handle.
+// Close implements io.Closer, releasing the server-side handle. The
+// close is deferred (transport.Request.Defer): it costs no round trip of
+// its own, and leaves with the link's next request.
 func (f *File) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -776,7 +773,7 @@ func (f *File) Close() error {
 	if segmented {
 		return nil // stateless: no server-side handle to tear down
 	}
-	resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle})
+	resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle, Defer: true})
 	if err != nil {
 		return err
 	}

@@ -748,3 +748,75 @@ func TestClientValidation(t *testing.T) {
 	}
 	c.Close()
 }
+
+// openHandles counts the entries of s's open-handle table.
+func openHandles(s *Server) int {
+	n := 0
+	for i := range s.handles.shards {
+		sh := &s.handles.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// TestDeferredClosesReachServerByClientClose: a File's close is deferred
+// onto its link and leaves with the link's next request, so once the
+// readers stop, the last closes are still waiting on the pooled
+// connections. Client.Close sends them: afterwards every server has
+// closed every handle it opened and its handle table is empty; the
+// response balance and the descriptor count come back (startCluster's
+// checkResources).
+func TestDeferredClosesReachServerByClientClose(t *testing.T) {
+	const workers, rounds = 4, 3
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePFS(t, pfsDir, 24, 4<<10)
+	servers, cli := startCluster(t, pfsDir, 2, nil, func(cfg *ClientConfig) { cfg.disableFallback = true })
+
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, p := range paths {
+					if (i+g)%2 == 0 {
+						if _, err := cli.ReadAll(p); err != nil {
+							t.Error(err)
+							return
+						}
+						continue
+					}
+					f, err := cli.Open(p) // an open closed without a read
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := f.Close(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	var opens, closes int64
+	for _, s := range servers {
+		st := s.Stats()
+		opens, closes = opens+st.Opens, closes+st.Closes
+	}
+	if opens != workers*rounds*int64(len(paths)) || closes >= opens {
+		t.Fatalf("%d opens, %d closes before Client.Close: want %d opens and the last closes still deferred", opens, closes, workers*rounds*len(paths))
+	}
+	cli.Close()
+	for i, s := range servers {
+		if st := s.Stats(); st.Closes != st.Opens || openHandles(s) != 0 {
+			t.Errorf("server %d after Client.Close: %d opens, %d closes, %d handles open", i, st.Opens, st.Closes, openHandles(s))
+		}
+	}
+}

@@ -201,6 +201,49 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 	}
 }
 
+// TestCallAllocFree pins a warm Call over TCP at zero allocations in the
+// whole process, server included, and a deferred Call with it: the
+// deferred frame is encoded into its connection's own queue, rides the
+// next call's write, and its reply is read through the connection's
+// reader into a pooled Response and dropped.
+func TestCallAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	checkResponses(t)
+	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
+		resp := AcquireResponse()
+		resp.Handle = req.Handle
+		return resp
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := Dial(srv.Addr())
+	defer cli.Close()
+	ping := &Request{Op: OpPing, Handle: 1}
+	closeReq := &Request{Op: OpClose, Handle: 2, Defer: true}
+	call := func(req *Request) {
+		resp, err := cli.Call(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Release()
+	}
+	for i := 0; i < 4; i++ {
+		call(closeReq) // warm: connection, its queue and reader, the pools
+		call(ping)
+	}
+	if n := testing.AllocsPerRun(200, func() { call(ping) }); n > 0 {
+		t.Errorf("a warm Call allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		call(closeReq)
+		call(ping)
+	}); n > 0 {
+		t.Errorf("a deferred Call and the call that carries it allocate %.1f/op, want 0", n)
+	}
+}
+
 // TestLandedCallAllocatesNoPayload pins the landing receive's budget: a
 // warm 8 MiB Call whose Request names a destination allocates no
 // payload-sized object anywhere in the process — not a frame, not a

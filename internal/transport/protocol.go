@@ -19,6 +19,22 @@
 // destination — the caller's own buffer when the Request named one
 // (Request.Dst), a pooled buffer of the payload's size otherwise — and
 // decoded Responses come from a pool, returned by Response.Release.
+//
+// Deferred requests and coalesced replies. A request marked Request.Defer
+// (the client's OpClose) costs its caller no round trip and changes
+// nothing on the wire: the TCP client encodes its frame onto an idle
+// pooled connection and answers the Call at once with an OK response. The
+// frame leaves in the same write as that connection's next request, and
+// that request's Call reads the deferred replies, discards them, then
+// reads its own; a small per-connection read buffer picks them all up in
+// one read. A failed attempt hands the frames on to its retry, and
+// Client.Close sends what is still queued, so only a link that dies loses
+// them. SimTransport runs a deferred request at once. The server, for its
+// part, may hold a reply that carries no payload, but only while the
+// peer's next request frame is already whole in its read buffer; the held
+// replies then go out in the same write as the next reply. So a close
+// rides between two requests that were going to cross the wire anyway: no
+// message of its own in either direction.
 package transport
 
 import (
@@ -105,7 +121,17 @@ type Request struct {
 	// until Call returns, and must not set it on a request whose attempts
 	// can outlive the call (a hedged rung that lost the race).
 	Dst []byte
+
+	// Defer is client-side only and never encoded: the caller needs no
+	// answer but success (an OpClose), so Call may answer OK before the
+	// request is sent, and a link that dies first loses it (see the
+	// package doc). A deferred request may not set Dst.
+	Defer bool
 }
+
+// errDeferDst refuses a deferred request that names a destination: its
+// reply is read by a later call, long after the caller has moved on.
+var errDeferDst = errors.New("transport: a deferred request cannot carry Dst")
 
 // Response is a server->client message.
 //
@@ -189,22 +215,32 @@ func (r *Response) Release() {
 
 // WriteRequest encodes req onto w using a pooled scratch frame.
 func WriteRequest(w io.Writer, req *Request) error {
+	return writeRequest(w, nil, req)
+}
+
+// writeRequest is WriteRequest behind pre, already-encoded request frames
+// that leave in the same write, ahead of req.
+func writeRequest(w io.Writer, pre []byte, req *Request) error {
 	if len(req.Path) > 1<<16-1 {
 		return fmt.Errorf("transport: path too long (%d bytes)", len(req.Path))
 	}
-	frame := reqFixedLen + len(req.Path)
-	p := getFrameBuf(4 + frame)
-	buf := (*p)[:4+frame]
-	binary.LittleEndian.PutUint32(buf[0:], uint32(frame))
-	buf[4] = byte(req.Op)
-	binary.LittleEndian.PutUint64(buf[5:], uint64(req.Handle))
-	binary.LittleEndian.PutUint64(buf[13:], uint64(req.Off))
-	binary.LittleEndian.PutUint64(buf[21:], uint64(req.Len))
-	binary.LittleEndian.PutUint16(buf[29:], uint16(len(req.Path)))
-	copy(buf[31:], req.Path)
+	p := getFrameBuf(len(pre) + 4 + reqFixedLen + len(req.Path))
+	buf := appendRequest(append((*p)[:0], pre...), req)
 	_, err := w.Write(buf)
 	putFrameBuf(p)
 	return err
+}
+
+// appendRequest appends req's frame to b. The caller has checked that
+// the path fits its u16 length field.
+func appendRequest(b []byte, req *Request) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(reqFixedLen+len(req.Path)))
+	b = append(b, byte(req.Op))
+	b = binary.LittleEndian.AppendUint64(b, uint64(req.Handle))
+	b = binary.LittleEndian.AppendUint64(b, uint64(req.Off))
+	b = binary.LittleEndian.AppendUint64(b, uint64(req.Len))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(req.Path)))
+	return append(b, req.Path...)
 }
 
 // ReadRequestInto decodes one request from r into *req, overwriting every
@@ -259,27 +295,29 @@ func ReadRequest(r io.Reader) (*Request, error) {
 // out as a vectored write (net.Buffers), which a TCP connection turns
 // into a single writev with no payload copy.
 func WriteResponse(w io.Writer, resp *Response) error {
+	return writeResponse(w, resp, nil)
+}
+
+// writeResponse is WriteResponse behind pre, encoded replies the server
+// held back, which leave in the same write, ahead of resp: pre is copied
+// in front of the head, so the write is still one plain write or one
+// writev.
+func writeResponse(w io.Writer, resp *Response, pre []byte) error {
 	if resp.srcFile != nil {
 		// fd-backed payload: same frame on the wire, but the payload can
 		// leave via sendfile when w supports it (zerocopy.go).
-		return writeFileResponse(w, resp)
+		return writeFileResponse(w, resp, pre)
 	}
 	if len(resp.Err) > 1<<16-1 {
 		return fmt.Errorf("transport: error string too long")
 	}
-	frame := respFixedLen + len(resp.Data) + len(resp.Err)
-	if frame > MaxFrame {
+	if respFixedLen+len(resp.Data)+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	p := getFrameBuf(respHeadLen + 2 + len(resp.Err))
-	ht := (*p)[:respHeadLen+2+len(resp.Err)]
-	binary.LittleEndian.PutUint32(ht[0:], uint32(frame))
-	ht[4] = resp.Status
-	binary.LittleEndian.PutUint64(ht[5:], uint64(resp.Handle))
-	binary.LittleEndian.PutUint64(ht[13:], uint64(resp.Size))
-	binary.LittleEndian.PutUint32(ht[21:], uint32(len(resp.Data)))
-	binary.LittleEndian.PutUint16(ht[respHeadLen:], uint16(len(resp.Err)))
-	copy(ht[respHeadLen+2:], resp.Err)
+	p := getFrameBuf(len(pre) + respHeadLen + 2 + len(resp.Err))
+	ht := appendRespHead(append((*p)[:0], pre...), resp, len(resp.Data))
+	split := len(ht)
+	ht = appendRespTail(ht, resp.Err)
 
 	var err error
 	if len(resp.Data) == 0 {
@@ -287,7 +325,7 @@ func WriteResponse(w io.Writer, resp *Response) error {
 		_, err = w.Write(ht)
 	} else {
 		v := respVecPool.Get().(*respVec)
-		v.arr = [3][]byte{ht[:respHeadLen], resp.Data, ht[respHeadLen:]}
+		v.arr = [3][]byte{ht[:split], resp.Data, ht[split:]}
 		v.bufs = v.arr[:]
 		_, err = v.bufs.WriteTo(w)
 		v.arr = [3][]byte{} // drop payload references before pooling
@@ -295,6 +333,24 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	}
 	putFrameBuf(p)
 	return err
+}
+
+// appendRespHead appends the head of resp's frame, length field through
+// dataLen, for a payload of dataLen bytes; the payload and then
+// appendRespTail's bytes follow it.
+func appendRespHead(b []byte, resp *Response, dataLen int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(respFixedLen+dataLen+len(resp.Err)))
+	b = append(b, resp.Status)
+	b = binary.LittleEndian.AppendUint64(b, uint64(resp.Handle))
+	b = binary.LittleEndian.AppendUint64(b, uint64(resp.Size))
+	return binary.LittleEndian.AppendUint32(b, uint32(dataLen))
+}
+
+// appendRespTail appends a response frame's tail: the error string and
+// its u16 length. The caller has checked that msg fits.
+func appendRespTail(b []byte, msg string) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(msg)))
+	return append(b, msg...)
 }
 
 // ReadResponse decodes one response from r. The returned Response is

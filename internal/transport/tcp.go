@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -84,6 +85,21 @@ func (s *Server) acceptLoop() {
 // large batch or plan (a path list) fits, with its length prefix.
 const reqReadBuf = 4 << 10
 
+// holdCap bounds the replies serveConn holds back for the next write:
+// at least the replies to a client's deferCap of deferred closes.
+const holdCap = 4 << 10
+
+// frameBuffered reports whether br already holds the whole next request
+// frame, so that reading it costs no system call and cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	lp, _ := br.Peek(4) // buffered: cannot fail
+	return uint64(n-4) >= uint64(binary.LittleEndian.Uint32(lp))
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -98,7 +114,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Requests are read through a small buffer, so the length prefix and
 	// the body ReadRequestInto asks for separately cost one read(2), not
 	// two; a batch request longer than the buffer is read straight into
-	// its frame. Responses are not buffered.
+	// its frame. Responses are not buffered, beyond the held replies below.
 	br := bufio.NewReaderSize(conn, reqReadBuf)
 	// File-payload responses go through a lazily built per-conn zcWriter
 	// (sendfile on Linux). Slice-payload responses must keep writing to
@@ -109,6 +125,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	// connection: its pages are the socket's until the peer has read them,
 	// which it has once it sends its next request (PayloadReleaser).
 	var held PayloadReleaser
+	// pend holds encoded replies without a payload, kept back while the
+	// peer's next request was already whole in br: they leave in the same
+	// write as the next reply, so a client's deferred close and the
+	// request it rode with cost one write here, not two. Only a reply
+	// whose successor is already in hand waits, so nothing waits on the
+	// peer.
+	var pend []byte
 	for {
 		err := ReadRequestInto(br, &req)
 		if held != nil {
@@ -121,6 +144,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		resp := s.handler(&req)
 		if resp == nil {
 			resp = &Response{Status: StatusError, Err: "nil response from handler"}
+		}
+		if !resp.FilePayload() && len(resp.Data) == 0 && len(pend)+respHeadLen+2+len(resp.Err) <= holdCap && frameBuffered(br) {
+			pend = appendRespTail(appendRespHead(pend, resp, 0), resp.Err)
+			resp.Release()
+			continue
 		}
 		if s.writeTimeout > 0 {
 			if err := conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)); err != nil {
@@ -138,7 +166,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				held, resp.srcRel = resp.srcRel, nil
 			}
 		}
-		err = WriteResponse(dst, resp)
+		err = writeResponse(dst, resp, pend)
+		pend = pend[:0]
 		// The response is on the wire (or the link is dead): recycle its
 		// pooled payload either way. Handlers hand ownership to the server
 		// with their return.
@@ -211,8 +240,44 @@ type Client struct {
 	calls   atomic.Int64
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*pconn
 	closed bool
+}
+
+// respReadBuf sizes a pooled connection's response buffer: one read picks
+// up the replies to a call's deferred requests together with the head of
+// its own, and a payload longer than the buffer is read straight into its
+// destination.
+const respReadBuf = 4 << 10
+
+// deferCap bounds the deferred request bytes one connection carries; a
+// deferred call past it is an ordinary round trip.
+const deferCap = 4 << 10
+
+// deferred is a run of encoded request frames whose replies nobody waits
+// for: they leave ahead of a connection's next request.
+type deferred struct {
+	frames []byte
+	n      int // frames in frames: replies to read and discard
+}
+
+// moveTo appends q's frames to dst and empties q.
+func (q *deferred) moveTo(dst *deferred) {
+	if q.n == 0 {
+		return
+	}
+	dst.frames = append(dst.frames, q.frames...)
+	dst.n += q.n
+	q.frames, q.n = q.frames[:0], 0
+}
+
+// pconn is one pooled connection: the socket — nil until a call takes a
+// connection that a deferred request created — its buffered reader, and
+// the requests deferred onto it.
+type pconn struct {
+	conn net.Conn
+	br   *bufio.Reader
+	q    deferred
 }
 
 // Dial returns a client for addr with default options. No connection is
@@ -257,30 +322,103 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // the per-file-RPC accounting the batch-read benchmarks compare.
 func (c *Client) Calls() int64 { return c.calls.Load() }
 
-func (c *Client) getConn() (net.Conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-	return net.DialTimeout("tcp", c.addr, c.dialTimeout)
-}
-
-func (c *Client) putConn(conn net.Conn) {
+// getConn takes the most recently pooled connection, or a new undialled
+// one when the pool is empty.
+func (c *Client) getConn() (*pconn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || len(c.idle) >= c.poolSize {
-		_ = conn.Close() // pool full or closed: surplus socket is discarded
+	if c.closed {
+		return nil, ErrClientClosed
+	}
+	n := len(c.idle)
+	if n == 0 {
+		return &pconn{}, nil
+	}
+	pc := c.idle[n-1]
+	c.idle = c.idle[:n-1]
+	return pc, nil
+}
+
+// putConn pools pc after a clean exchange, or drops it when the pool is
+// full or the client closed.
+func (c *Client) putConn(pc *pconn) {
+	c.mu.Lock()
+	if !c.closed && len(c.idle) < c.poolSize {
+		c.idle = append(c.idle, pc)
+		c.mu.Unlock()
 		return
 	}
-	c.idle = append(c.idle, conn)
+	c.mu.Unlock()
+	c.drop(pc)
+}
+
+// dial connects pc.
+func (c *Client) dial(pc *pconn) error {
+	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	if err != nil {
+		return err
+	}
+	pc.conn = conn
+	//hvac:blockguard the reader is only read in exchange and drop, each after setting the call deadline on conn
+	pc.br = bufio.NewReaderSize(conn, respReadBuf)
+	return nil
+}
+
+// drop closes pc once its deferred requests are on their way: they are
+// written and their replies read under the call deadline, best-effort.
+func (c *Client) drop(pc *pconn) {
+	if pc.q.n > 0 && (pc.conn != nil || c.dial(pc) == nil) {
+		if c.callTimeout > 0 {
+			_ = pc.conn.SetDeadline(time.Now().Add(c.callTimeout)) // a failed deadline fails the write below
+		}
+		if _, err := pc.conn.Write(pc.q.frames); err == nil {
+			_ = discardReplies(pc.br, pc.q.n) // nobody reads a deferred reply
+		}
+	}
+	if pc.conn != nil {
+		_ = pc.conn.Close() // the connection is surplus: its close error reaches nobody
+	}
+}
+
+// discardReplies reads and releases n responses from r.
+func discardReplies(r *bufio.Reader, n int) error {
+	for i := 0; i < n; i++ {
+		resp, err := readResponse(r, nil)
+		if err != nil {
+			return err
+		}
+		resp.Release()
+	}
+	return nil
+}
+
+// enqueue defers req onto the most recently pooled connection, or onto a
+// new, undialled one when none is idle. It reports false when req must be
+// an ordinary round trip instead: the client is closed, pooling is off,
+// or the connection's deferred bytes would pass deferCap.
+func (c *Client) enqueue(req *Request) bool {
+	size := 4 + reqFixedLen + len(req.Path)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || size > deferCap {
+		return false
+	}
+	var pc *pconn
+	switch n := len(c.idle); {
+	case n > 0:
+		pc = c.idle[n-1]
+	case c.poolSize > 0:
+		pc = &pconn{}
+		c.idle = append(c.idle, pc)
+	default:
+		return false
+	}
+	if len(pc.q.frames)+size > deferCap {
+		return false
+	}
+	pc.q.frames = appendRequest(pc.q.frames, req)
+	pc.q.n++
+	return true
 }
 
 // Call sends req and waits for the response. Each attempt runs under the
@@ -289,16 +427,28 @@ func (c *Client) putConn(conn net.Conn) {
 // reset, deadline, corrupt frame) are retried on a fresh connection under
 // the retry policy's exponential backoff; once the attempt budget is
 // spent the last error is returned to the caller, which for an HVAC
-// client triggers PFS fallback.
+// client triggers PFS fallback. A failed attempt hands the requests that
+// were deferred onto its connection to the next one.
+//
+// A deferred request (Request.Defer) is queued without any I/O and
+// answered at once with a pooled OK response, unless it must go as an
+// ordinary round trip (see enqueue).
 func (c *Client) Call(req *Request) (*Response, error) {
+	if req.Defer && req.Dst != nil {
+		return nil, errDeferDst
+	}
 	c.calls.Add(1)
+	if req.Defer && c.enqueue(req) {
+		return AcquireResponse(), nil
+	}
+	var carry deferred
 	var lastErr error
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			c.sleep(c.retry.Backoff(attempt))
 		}
-		resp, err := c.callOnce(req)
+		resp, err := c.callOnce(req, &carry)
 		if err == nil {
 			return resp, nil
 		}
@@ -310,37 +460,56 @@ func (c *Client) Call(req *Request) (*Response, error) {
 	return nil, fmt.Errorf("transport: call %s failed after %d attempts: %w", c.addr, c.retry.MaxAttempts, lastErr)
 }
 
-// callOnce runs one request/response exchange on one connection. Any
-// failure closes the connection (it may hold a half-written frame); only
-// a cleanly completed exchange returns the socket to the pool.
-func (c *Client) callOnce(req *Request) (*Response, error) {
-	conn, err := c.getConn()
+// callOnce runs one request/response exchange on one connection, with
+// the connection's deferred requests (and carry, those of earlier failed
+// attempts) ahead of it in the same write. Any failure closes the
+// connection (it may hold a half-written frame) and leaves in carry every
+// deferred request whose reply was not read; only a cleanly completed
+// exchange returns the socket to the pool.
+func (c *Client) callOnce(req *Request, carry *deferred) (*Response, error) {
+	pc, err := c.getConn()
 	if err != nil {
 		return nil, err
 	}
-	if c.callTimeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(c.callTimeout)); err != nil {
-			_ = conn.Close() // setting the deadline failed; the socket is suspect
+	carry.moveTo(&pc.q)
+	if pc.conn == nil {
+		if err := c.dial(pc); err != nil {
+			pc.q.moveTo(carry)
 			return nil, err
 		}
 	}
-	if err := WriteRequest(conn, req); err != nil {
-		_ = conn.Close() // the write failure is the error that matters
-		return nil, err
-	}
-	resp, err := readResponse(conn, req.Dst)
+	resp, err := c.exchange(pc, req)
 	if err != nil {
-		_ = conn.Close() // the read failure is the error that matters
+		pc.q.moveTo(carry)
+		_ = pc.conn.Close() // the exchange's failure is the error that matters
 		return nil, err
 	}
 	if c.callTimeout > 0 {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			_ = conn.Close() // cannot clear the deadline: do not pool the socket
+		if err := pc.conn.SetDeadline(time.Time{}); err != nil {
+			_ = pc.conn.Close() // cannot clear the deadline: do not pool the socket
 			return resp, nil
 		}
 	}
-	c.putConn(conn)
+	c.putConn(pc)
 	return resp, nil
+}
+
+// exchange writes pc's deferred requests and req in one write, reads and
+// discards the deferred replies, then reads req's.
+func (c *Client) exchange(pc *pconn, req *Request) (*Response, error) {
+	if c.callTimeout > 0 {
+		if err := pc.conn.SetDeadline(time.Now().Add(c.callTimeout)); err != nil {
+			return nil, err
+		}
+	}
+	if err := writeRequest(pc.conn, pc.q.frames, req); err != nil {
+		return nil, err
+	}
+	if err := discardReplies(pc.br, pc.q.n); err != nil {
+		return nil, err
+	}
+	pc.q.frames, pc.q.n = pc.q.frames[:0], 0
+	return readResponse(pc.br, req.Dst)
 }
 
 // Ping round-trips an OpPing, reporting reachability.
@@ -354,13 +523,16 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Close releases pooled connections. In-flight calls may fail.
+// Close releases pooled connections, sending the requests deferred onto
+// them first, each connection under the call deadline. In-flight calls
+// may fail; one that completes after Close drops its connection the same
+// way.
 func (c *Client) Close() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	for _, conn := range c.idle {
-		_ = conn.Close() // idle pool teardown is best-effort
+	idle := c.idle
+	c.closed, c.idle = true, nil
+	c.mu.Unlock()
+	for _, pc := range idle {
+		c.drop(pc)
 	}
-	c.idle = nil
 }

@@ -14,7 +14,8 @@ type Transport interface {
 	// Call sends one request and waits for its response. A non-nil error
 	// means the link failed (connection refused, deadline exceeded,
 	// corrupt frame, ...); application-level failures travel inside the
-	// Response with StatusError.
+	// Response with StatusError. A deferred request (Request.Defer) may
+	// be answered before it has been sent.
 	Call(*Request) (*Response, error)
 	// Addr names the peer, for placement and error reporting.
 	Addr() string
@@ -57,8 +58,11 @@ func (s *SimTransport) Calls() int64 {
 }
 
 // Call encodes req, decodes it for the handler, and round-trips the
-// response the same way.
+// response the same way. A deferred request runs at once, like any other.
 func (s *SimTransport) Call(req *Request) (*Response, error) {
+	if req.Defer && req.Dst != nil {
+		return nil, errDeferDst
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -131,25 +130,20 @@ func (w *zcWriter) Write(p []byte) (int, error) { return w.conn.Write(p) }
 // frame on the wire is identical to WriteResponse's pooled path; only
 // who copies the payload differs. Counter discipline: every path bumps
 // Eligible exactly once and exactly one of Sends or Fallbacks — the
-// identity the ladder and chaos tests assert.
-func writeFileResponse(w io.Writer, resp *Response) error {
+// identity the ladder and chaos tests assert. pre (held replies, see
+// writeResponse) goes out with the header.
+func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 	if len(resp.Err) > 1<<16-1 {
 		return fmt.Errorf("transport: error string too long")
 	}
-	frame := respFixedLen + int(resp.srcLen) + len(resp.Err)
-	if resp.srcLen < 0 || frame > MaxFrame {
+	if resp.srcLen < 0 || respFixedLen+int(resp.srcLen)+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	p := getFrameBuf(respHeadLen + 2 + len(resp.Err))
+	p := getFrameBuf(len(pre) + respHeadLen + 2 + len(resp.Err))
 	defer putFrameBuf(p)
-	ht := (*p)[:respHeadLen+2+len(resp.Err)]
-	binary.LittleEndian.PutUint32(ht[0:], uint32(frame))
-	ht[4] = resp.Status
-	binary.LittleEndian.PutUint64(ht[5:], uint64(resp.Handle))
-	binary.LittleEndian.PutUint64(ht[13:], uint64(resp.Size))
-	binary.LittleEndian.PutUint32(ht[21:], uint32(resp.srcLen))
-	binary.LittleEndian.PutUint16(ht[respHeadLen:], uint16(len(resp.Err)))
-	copy(ht[respHeadLen+2:], resp.Err)
+	ht := appendRespHead(append((*p)[:0], pre...), resp, int(resp.srcLen))
+	split := len(ht)
+	ht = appendRespTail(ht, resp.Err)
 
 	st := resp.srcStats
 	if st == nil {
@@ -160,7 +154,7 @@ func writeFileResponse(w io.Writer, resp *Response) error {
 	if fs, ok := w.(fileSender); ok && fs.canSendfile() {
 		// Header first: it must precede the payload on the wire, and a
 		// failure here means nothing of the frame went out.
-		if _, err := w.Write(ht[:respHeadLen]); err != nil {
+		if _, err := w.Write(ht[:split]); err != nil {
 			st.Fallbacks.Add(1)
 			return err
 		}
@@ -168,7 +162,7 @@ func writeFileResponse(w io.Writer, resp *Response) error {
 		st.Bytes.Add(sent)
 		if err == nil && sent == resp.srcLen {
 			st.Sends.Add(1)
-			_, werr := w.Write(ht[respHeadLen:])
+			_, werr := w.Write(ht[split:])
 			return werr
 		}
 		// Mid-transfer trouble (EPIPE, a shrunk source, a deadline):
@@ -181,7 +175,7 @@ func writeFileResponse(w io.Writer, resp *Response) error {
 		if rerr := preadResume(w, resp, sent); rerr != nil {
 			return rerr
 		}
-		_, werr := w.Write(ht[respHeadLen:])
+		_, werr := w.Write(ht[split:])
 		return werr
 	}
 
@@ -196,7 +190,7 @@ func writeFileResponse(w io.Writer, resp *Response) error {
 		return err
 	}
 	v := respVecPool.Get().(*respVec)
-	v.arr = [3][]byte{ht[:respHeadLen], payload, ht[respHeadLen:]}
+	v.arr = [3][]byte{ht[:split], payload, ht[split:]}
 	v.bufs = v.arr[:]
 	_, err := v.bufs.WriteTo(w)
 	v.arr = [3][]byte{} // drop payload references before pooling

@@ -61,9 +61,13 @@ echo "--- descriptor budget, recycle and model tests under ulimit -n 256"
 # A recycled cache file is overwritten in place, so a file whose pages a
 # socket may still be sending must stay leased until the peer asks again.
 # The churn below is the one dynamic check of that rule, and a single run
-# can miss the interleaving that breaks it.
-echo '--- sendfile recycle churn, 20 runs'
-go test -count=20 -run TestStressChurnRecyclesAroundSendfile ./internal/core
+# can miss the interleaving that breaks it. A close is deferred to the
+# link's next request, which holds those leases longer, and whether the
+# server finds that next request already buffered, and answers the pair in
+# one write, is a matter of timing: the two deferral tests run as often.
+echo '--- sendfile recycle churn and deferred closes, 20 runs'
+go test -count=20 -run 'TestStressChurnRecyclesAroundSendfile|TestDeferredClosesReachServerByClientClose' ./internal/core
+go test -count=20 -run TestDeferredCallRidesWithNextCall ./internal/transport
 
 echo '--- chaos tier (go test -race -shuffle=on)'
 go test -race -shuffle=on -run Chaos ./internal/core
