@@ -7,7 +7,7 @@
 //
 // With no arguments or the pattern "./...", every package of the module
 // is analysed — as one set, so the interprocedural analyzers (lockorder,
-// goroleak, untrustedlen, blockguard) see the whole call graph. Other
+// goroleak) see the whole call graph. Other
 // arguments name package directories relative to the working
 // directory. -rules restricts the run to a comma-separated
 // subset of the suite (names as printed by -list). Findings print as

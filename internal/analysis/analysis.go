@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -89,41 +88,6 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// FindPackage resolves an import path to its type-checked package,
-// searching the analyzed set first and the import graph second, so
-// interprocedural analyzers can anchor on types (e.g. transport.Request)
-// even when analyzing a subset of the module.
-func (p *ModulePass) FindPackage(path string) *types.Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.ImportPath == path {
-			return pkg.Types
-		}
-	}
-	seen := map[*types.Package]bool{}
-	var find func(t *types.Package) *types.Package
-	find = func(t *types.Package) *types.Package {
-		if t == nil || seen[t] {
-			return nil
-		}
-		seen[t] = true
-		if t.Path() == path {
-			return t
-		}
-		for _, imp := range t.Imports() {
-			if found := find(imp); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	for _, pkg := range p.Pkgs {
-		if found := find(pkg.Types); found != nil {
-			return found
-		}
-	}
-	return nil
-}
-
 // A Pass carries one package through one analyzer.
 type Pass struct {
 	*Package
@@ -154,8 +118,6 @@ func Analyzers() []*Analyzer {
 		ErrDrop,
 		LockOrder,
 		GoroLeak,
-		UntrustedLen,
-		BlockGuard,
 	}
 }
 

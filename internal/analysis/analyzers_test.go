@@ -12,12 +12,6 @@ var fixturePkgs = map[string]string{
 	"errfix":       "hvac/internal/errfix",
 	"lockorderfix": "hvac/internal/lockorderfix",
 	"gorofix":      "hvac/internal/gorofix",
-	// blockguard scopes its checks to the transport package plus the core
-	// server/client files.
-	"blockfix": "hvac/internal/transport",
-	// untrustedlen seeds its taint from length fields declared in a
-	// package with the transport's import path.
-	"lenfix": "hvac/internal/transport",
 }
 
 func TestSimDeterminismFixtures(t *testing.T) { fixtureTest(t, SimDeterminism, "simdet") }
@@ -31,7 +25,3 @@ func TestErrDropFixtures(t *testing.T) { fixtureTest(t, ErrDrop, "errfix") }
 func TestLockOrderFixtures(t *testing.T) { fixtureTest(t, LockOrder, "lockorderfix") }
 
 func TestGoroLeakFixtures(t *testing.T) { fixtureTest(t, GoroLeak, "gorofix") }
-
-func TestBlockGuardFixtures(t *testing.T) { fixtureTest(t, BlockGuard, "blockfix") }
-
-func TestUntrustedLenFixtures(t *testing.T) { fixtureTest(t, UntrustedLen, "lenfix") }

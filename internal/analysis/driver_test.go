@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -133,8 +136,7 @@ func pump(sink io.Writer) {
 // TestSuiteDeterministic runs the whole suite twice over every fixture
 // package, each time from an independent loader, and requires identical
 // diagnostics: analyzer output and CI gating must not depend on map
-// iteration order in the loader, the call graph, the CFGs or the value
-// flow.
+// iteration order in the loader or the call graph.
 func TestSuiteDeterministic(t *testing.T) {
 	run := func(dir string) string {
 		var b strings.Builder
@@ -260,5 +262,58 @@ func slurp(p string) ([]byte, error) { return os.ReadFile(p) }
 	diags := loadSource(t, "hvac/loader", "anyfile.go", src)
 	if len(diags) != 1 || diags[0].Rule != "pfsbypass" {
 		t.Fatalf("want pfsbypass to cover every hvac/loader file, got %v", diags)
+	}
+}
+
+// TestEveryAnnotationHasAReader requires every //hvac:<name> comment in the
+// module, fixtures included, to name an annotation that a rule of the
+// suite reads. An annotation reads as a contract the linter holds the
+// code to, so one that outlives its rule is a claim nothing checks: a rule
+// that goes takes its annotations with it, and a rule that adds one adds
+// it to read here.
+func TestEveryAnnotationHasAReader(t *testing.T) {
+	const prefix = "//hvac:"
+	read := map[string]bool{
+		strings.TrimPrefix(fallbackMarker, prefix): true, // pfsbypass
+	}
+	const root = "../.."
+	fset := token.NewFileSet()
+	seen := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, prefix)
+				if !ok {
+					continue
+				}
+				seen++
+				if name, _, _ := strings.Cut(rest, " "); !read[name] {
+					t.Errorf("%s: %s%s is read by no rule of the suite", fset.Position(c.Pos()), prefix, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen == 0 {
+		t.Fatal("no annotation found anywhere: the walk missed the module")
 	}
 }

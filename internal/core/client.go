@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -348,7 +349,9 @@ func (c *Client) drainHedges(ch chan hedgeResult, outstanding int) {
 	}
 	c.spawnHedge(func() {
 		for i := 0; i < outstanding; i++ {
-			//hvac:blockguard every outstanding rung's worker sends exactly once into the ladder-sized buffer, bounded by the call timeout
+			// Every outstanding rung's worker sends exactly once into the
+			// ladder-sized buffer, bounded by the call timeout
+			// (TestChaosHedgedReadBeatsHungPrimary hangs otherwise).
 			c.discardHedge(<-ch)
 		}
 	})
@@ -1086,28 +1089,21 @@ func (c *Client) ReadAll(path string) ([]byte, error) {
 	return buf[:n], nil
 }
 
-// readAllChunked reads f in MaxFrame-sized chunks, growing the result as
-// bytes actually arrive, so a corrupt or hostile size field never commits
-// a huge up-front allocation. The chunk itself is pooled — a 64 MiB make
-// per oversized file would be exactly the allocation churn this path is
-// meant to avoid.
+// readAllChunked reads f to its end into a slice that grows only as bytes
+// arrive — by 64 KiB at first, then geometrically, each time reading into
+// the new tail — so a corrupt or hostile size field never commits a large
+// allocation up front.
 func readAllChunked(f *File) ([]byte, error) {
 	var buf []byte
-	chunk := transport.GetBuffer(transport.MaxFrame)
-	defer transport.PutBuffer(chunk)
-	var off int64
 	for {
-		n, err := f.ReadAt(chunk, off)
-		buf = append(buf, chunk[:n]...)
-		off += int64(n)
-		if err == io.EOF {
+		buf = slices.Grow(buf, 64<<10)
+		n, err := f.ReadAt(buf[len(buf):cap(buf)], int64(len(buf)))
+		buf = buf[:len(buf)+n]
+		if err == io.EOF || err == nil && n == 0 {
 			return buf, nil
 		}
 		if err != nil {
 			return buf, err
-		}
-		if n == 0 {
-			return buf, nil
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
@@ -558,5 +559,47 @@ func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
 	}
 	if ss := r.srv.Stats(); ss.Opens != 1 || ss.Closes != 1 || ss.Hits+ss.ReadThroughs != 1 {
 		t.Fatalf("accounting: %+v, want one open, one close, one serve", ss)
+	}
+}
+
+// TestServerCloseReleasesParkedReaders closes the server while a read is
+// parked on a fill whose PFS open does not return. The close ends the
+// read's wait: the read fails within 2 s, while the fill is still held, for
+// each op that can park on a fill — a whole-file read on a handle opened
+// cold, a segment read and a batch entry.
+func TestServerCloseReleasesParkedReaders(t *testing.T) {
+	for _, op := range ladderOps() {
+		if op.warm {
+			continue
+		}
+		t.Run(op.name, func(t *testing.T) {
+			r := newLadderRig(t, op.segmented, false)
+			r.hold(r.paths[0])
+			if err := op.open(r); err != nil {
+				t.Fatal(err)
+			}
+			join := r.attach(func() ([]byte, error) { return op.read(r) })
+			<-r.entered // the fill the read waits on is parked in the mover
+			closed := make(chan struct{})
+			go func() {
+				r.srv.Close()
+				close(closed)
+			}()
+			failed := make(chan error, 1)
+			go func() {
+				_, err := join()
+				failed <- err
+			}()
+			select {
+			case err := <-failed:
+				if err == nil {
+					t.Fatal("the parked read returned bytes from a closing server while its fill was held")
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the parked read outlived Server.Close by 2 s: it waits on the fill alone")
+			}
+			r.release()
+			<-closed
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,59 @@ func stopCluster(servers []*Server, cli *Client) {
 	cli.Close()
 	for _, s := range servers {
 		s.Close()
+	}
+}
+
+// hostileSize is a server link whose OK open replies claim size bytes,
+// whatever the file holds: a corrupt or lying peer.
+type hostileSize struct {
+	transport.Transport
+	size int64
+}
+
+func (h hostileSize) Call(req *transport.Request) (*transport.Response, error) {
+	resp, err := h.Transport.Call(req)
+	if err == nil && req.Op == transport.OpOpen && resp.OK() {
+		resp.Size = h.size
+	}
+	return resp, err
+}
+
+// TestReadAllIgnoresHostileSize: ReadAll takes the size an open reply
+// carries as a hint, never as an allocation. Told that a file holds 2^40
+// bytes, or -1, it returns the file's bytes, cluster side included
+// allocating a small multiple of what they need (under 1 MiB for a 32 KiB
+// file), never a frame's worth.
+func TestReadAllIgnoresHostileSize(t *testing.T) {
+	for _, fileSize := range []int{32 << 10, 1<<20 + 7} {
+		for _, claimed := range []int64{1 << 40, -1} {
+			t.Run(fmt.Sprintf("size=%d/claimed=%d", fileSize, claimed), func(t *testing.T) {
+				pfsDir := filepath.Join(t.TempDir(), "dataset")
+				p := writePatternPFS(t, pfsDir, 1, fileSize)[0]
+				want, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) {
+					c.DialTransport = func(addr string) transport.Transport {
+						return hostileSize{transport.Dial(addr), claimed}
+					}
+				})
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				got, err := cli.ReadAll(p)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("read %d bytes that differ from the PFS copy's %d", len(got), len(want))
+				}
+				if alloc, limit := after.TotalAlloc-before.TotalAlloc, max(1<<20, 8*uint64(fileSize)); alloc >= limit {
+					t.Fatalf("ReadAll of a %d-byte file allocated %d bytes, want under %d", fileSize, alloc, limit)
+				}
+			})
+		}
 	}
 }
 

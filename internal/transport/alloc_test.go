@@ -407,19 +407,3 @@ func TestDoubleReleasePanics(t *testing.T) {
 	}()
 	resp.Release()
 }
-
-func TestGetPutBuffer(t *testing.T) {
-	for _, n := range []int{0, 1, 512, 1000, 1 << 20} {
-		b := GetBuffer(n)
-		if len(b) != n {
-			t.Fatalf("GetBuffer(%d) length = %d", n, len(b))
-		}
-		PutBuffer(b)
-	}
-	// Oversized requests (beyond MaxFrame) still work, just unpooled.
-	big := GetBuffer(MaxFrame + 1)
-	if len(big) != MaxFrame+1 {
-		t.Fatalf("oversized GetBuffer length = %d", len(big))
-	}
-	PutBuffer(big)
-}

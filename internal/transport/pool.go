@@ -21,9 +21,6 @@ import (
 //     panics, and OutstandingResponses counts the ones not yet released.
 //   - The codec's own scratch buffers (request frames, response
 //     head/tail) never escape the encode/decode call.
-//   - GetBuffer/PutBuffer are the loose ends for callers outside the
-//     Response life cycle (chunked reads, copy loops). Forgetting PutBuffer
-//     is safe — the GC reclaims the buffer and the pool just misses.
 
 // Size classes are powers of two from 512 B (minBufClass) to MaxFrame
 // (64 MiB, maxBufClass); requests above MaxFrame fall back to plain make.
@@ -70,25 +67,6 @@ func putFrameBuf(p *[]byte) {
 		*p = (*p)[:n]
 		framePools[c].Put(p)
 	}
-}
-
-// GetBuffer returns a pooled byte slice of length n (capacity may be
-// larger). Return it with PutBuffer when done; dropping it instead is
-// safe but wastes the pool hit.
-func GetBuffer(n int) []byte {
-	p := getFrameBuf(n)
-	return (*p)[:n]
-}
-
-// PutBuffer recycles a slice obtained from GetBuffer (or any slice whose
-// capacity is an exact pool size class). The caller must not touch b
-// afterwards.
-func PutBuffer(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:cap(b)]
-	putFrameBuf(&b)
 }
 
 // respVec is the pooled vectored-write state for WriteResponse: the

@@ -76,7 +76,9 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		//hvac:blockguard idle conns may sit in ReadRequestInto indefinitely by design; Close severs every tracked conn, unblocking the read
+		// An idle conn may sit in ReadRequestInto indefinitely by design:
+		// Close severs every tracked conn, which unblocks the read
+		// (TestCallAfterServerClose hangs in Close otherwise).
 		go s.serveConn(conn)
 	}
 }
@@ -359,7 +361,8 @@ func (c *Client) dial(pc *pconn) error {
 		return err
 	}
 	pc.conn = conn
-	//hvac:blockguard the reader is only read in exchange and drop, each after setting the call deadline on conn
+	// The reader is only read in exchange and drop, each after setting the
+	// call deadline on conn (TestCallTimeoutOnHungHandler hangs otherwise).
 	pc.br = bufio.NewReaderSize(conn, respReadBuf)
 	return nil
 }

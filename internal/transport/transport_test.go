@@ -188,6 +188,9 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCallAfterServerClose closes a server while the client's pooled
+// connection sits idle in the server's request read: Close must sever it
+// to return, and the next call then fails.
 func TestCallAfterServerClose(t *testing.T) {
 	checkResponses(t)
 	srv, err := Serve("127.0.0.1:0", echoHandler)

@@ -123,7 +123,10 @@ func newZCWriter(conn net.Conn) *zcWriter {
 	return w
 }
 
-//hvac:blockguard serveConn sets the per-response write deadline on the underlying conn before routing a response here; a negative WriteTimeout disables it by design
+// Write blocks no longer than the per-response write deadline serveConn
+// sets on the conn before routing a response here; a negative WriteTimeout
+// disables it by design (TestStalledReaderHitsWriteDeadline fails
+// otherwise).
 func (w *zcWriter) Write(p []byte) (int, error) { return w.conn.Write(p) }
 
 // writeFileResponse emits a response whose payload is an fd range. The

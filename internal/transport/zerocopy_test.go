@@ -2,12 +2,17 @@ package transport
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"hvac/internal/testutil"
 )
 
 // payloadFile writes data to a temp file and opens it for reading.
@@ -245,6 +250,63 @@ func TestFilePayloadReleasedOnNextRequest(t *testing.T) {
 	srv.Close()      // waits for the connection's goroutine
 	if n, m := sent.n.Load(), last.n.Load(); n != 1 || m != 1 {
 		t.Fatalf("after the connection ended the releasers ran %d and %d times, want 1 and 1", n, m)
+	}
+}
+
+// TestStalledReaderHitsWriteDeadline: a peer that asks for a file payload
+// and never reads it holds its connection's goroutine only until the write
+// deadline. The server then closes the connection and releases the
+// payload, and no pooled response or descriptor is left behind.
+func TestStalledReaderHitsWriteDeadline(t *testing.T) {
+	checkResponses(t)
+	testutil.CheckFDs(t)
+	// Far more than the socket buffers hold once the reader's is pinned
+	// small below, so the write has to block.
+	const size = 16 << 20
+	f := payloadFile(t, make([]byte, size))
+	rels := make(chan *countReleaser, 1)
+	srv, err := ServeWith("127.0.0.1:0", func(*Request) *Response {
+		rel := &countReleaser{}
+		rels <- rel
+		resp := AcquireResponse()
+		resp.Status = StatusOK
+		resp.SetPayloadFile(f, 0, size, rel, nil)
+		return resp
+	}, ServerOptions{WriteTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRequest(conn, &Request{Op: OpRead}); err != nil {
+		t.Fatal(err)
+	}
+	rel := <-rels
+	for start := time.Now(); rel.n.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the server is still writing to a stalled reader 5 s into a 100 ms write deadline")
+		}
+	}
+	// The connection is closed: draining it ends before the frame does.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := io.Copy(io.Discard, conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the server kept the stalled reader's connection open")
+	}
+	if n >= size {
+		t.Fatalf("the stalled reader got all %d payload bytes: the write never had to wait", n)
+	}
+	if got := rel.n.Load(); got != 1 {
+		t.Fatalf("payload releaser ran %d times, want 1", got)
 	}
 }
 
