@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"hvac"
+	"hvac/internal/slab"
 )
 
 func usage() {
@@ -103,6 +104,9 @@ func main() {
 							continue
 						}
 						bytes.Add(int64(len(data)))
+						// Done with the bytes: the next ReadAll refills this
+						// buffer, as it does under the training loader.
+						slab.Put(data)
 					}
 				}()
 			}

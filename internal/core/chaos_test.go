@@ -15,6 +15,7 @@ import (
 	"hvac/internal/cachestore"
 	"hvac/internal/faultnet"
 	"hvac/internal/place"
+	"hvac/internal/slab"
 	"hvac/internal/transport"
 )
 
@@ -650,6 +651,74 @@ func TestChaosBulkMidPipelineDegradation(t *testing.T) {
 	// the file: anything behind a failed chunk is re-read, not delivered.
 	if st.BytesRead != 0 && st.BytesRead != bulkChunk {
 		t.Fatalf("BytesRead = %d, want 0 or one chunk (%d)", st.BytesRead, bulkChunk)
+	}
+}
+
+// TestChaosRecycledBuffersStayIntact reads under faults the way the loader
+// does: each sample is compared with its PFS copy and handed straight back
+// to the slab, so the next ReadAll refills the same memory. The recycling
+// rests on one rule: nothing writes into a caller's buffer after ReadAt
+// returns (DESIGN.md §9.1). A pipelined chunk left running, or a losing
+// hedge rung landing in place, breaks it by writing into a later sample: a
+// mismatch here, or a race with the comparison under -race. The bulk row
+// faults the pipeline. In the hedged row every read is slow enough to fire
+// a hedge: srv0 answers first, while srv1 hangs or answers long after, so
+// its losing reads complete while a later sample fills the same buffer.
+func TestChaosRecycledBuffersStayIntact(t *testing.T) {
+	var bulk chaosCase
+	for _, tc := range chaosMatrix() {
+		if tc.name == "bulk-pipeline" {
+			bulk = tc
+		}
+	}
+	bulk.epochs = 3
+	hedged := chaosCase{
+		name: "hedge-over-hang", servers: 2, files: bulk.files, size: bulk.size, epochs: 3, replicas: 2,
+		sched: faultnet.Schedule{Seed: 24, HangTimeout: 10 * time.Millisecond, Rules: []faultnet.Rule{
+			{Server: "srv1", Op: transport.OpRead, Every: 3, Fault: faultnet.Hang},
+			{Server: "srv1", Op: transport.OpRead, Fault: faultnet.Delay, Delay: 15 * time.Millisecond},
+			{Server: "srv0", Op: transport.OpRead, Fault: faultnet.Delay, Delay: 500 * time.Microsecond},
+		}},
+	}
+	for _, tc := range []chaosCase{bulk, hedged} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkResources(t)
+			pfsDir := filepath.Join(t.TempDir(), "dataset")
+			paths := writePatternPFS(t, pfsDir, tc.files, tc.size)
+			want := make(map[string][]byte, len(paths))
+			for _, p := range paths {
+				content, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[p] = content
+			}
+			inj := faultnet.New(tc.sched)
+			defer inj.Close()
+			_, cli := startChaosCluster(t, pfsDir, tc, inj, func(c *ClientConfig) {
+				if tc.replicas > 1 {
+					c.HedgeAfter = 200 * time.Microsecond
+				}
+			})
+			for e := 0; e < tc.epochs; e++ {
+				for _, p := range paths {
+					got, err := cli.ReadAll(p)
+					if err != nil {
+						t.Fatalf("epoch %d: read %s under faults: %v", e, p, err)
+					}
+					if !bytes.Equal(got, want[p]) {
+						t.Fatalf("epoch %d: %s differs from the PFS copy in a recycled buffer", e, p)
+					}
+					slab.Put(got)
+				}
+			}
+			if inj.Injected() == 0 {
+				t.Fatalf("schedule %q injected no faults; the case is vacuous", tc.name)
+			}
+			if st := cli.Stats(); tc.replicas > 1 && st.Hedges == 0 {
+				t.Fatalf("no hedge fired; the case is vacuous: %+v", st)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hvac/internal/place"
+	"hvac/internal/slab"
 	"hvac/internal/transport"
 )
 
@@ -994,7 +995,8 @@ func (c *Client) readBatchGroup(srv int, idxs []int, abspaths []string, out [][]
 		resp.Release()
 		return c.readBatchDegraded(idxs, abspaths, out)
 	}
-	// Copy the OK payloads out of the pooled frame, remember the rest;
+	// Copy the OK payloads out of the pooled frame, into recyclable
+	// buffers as ReadAll's are; remember the rest;
 	// their fallbacks run after Release so the frame is not pinned across
 	// further RPCs.
 	type retry struct {
@@ -1007,7 +1009,7 @@ func (c *Client) readBatchGroup(srv int, idxs []int, abspaths []string, out [][]
 		ix := idxs[i]
 		switch results[i].Status {
 		case transport.StatusOK:
-			out[ix] = append([]byte(nil), results[i].Data...)
+			out[ix] = slab.Clone(results[i].Data)
 			served++
 			bytes += len(results[i].Data)
 		case transport.StatusAgain:
@@ -1067,7 +1069,9 @@ func (c *Client) readBatchDegraded(idxs []int, abspaths []string, out [][]byte) 
 }
 
 // ReadAll reads the whole file through the <open, read, close> transaction
-// the DL loaders issue (§III-F).
+// DL loaders make (§III-F). The buffer comes from internal/slab: a
+// caller done with the bytes may hand it to slab.Put for the next ReadAll
+// to refill, and one that keeps or drops it needs to do nothing.
 func (c *Client) ReadAll(path string) ([]byte, error) {
 	f, err := c.Open(path)
 	if err != nil {
@@ -1081,7 +1085,7 @@ func (c *Client) ReadAll(path string) ([]byte, error) {
 	if size < 0 || size > transport.MaxFrame {
 		return readAllChunked(f)
 	}
-	buf := make([]byte, size)
+	buf := slab.Get(int(size))
 	n, err := f.ReadAt(buf, 0)
 	if err != nil && err != io.EOF {
 		return buf[:n], err

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hvac/internal/slab"
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
@@ -127,6 +129,42 @@ func TestHandleReadWarmAllocBudget(t *testing.T) {
 		if leased != (size >= zeroCopyMin) {
 			t.Errorf("warm %d KiB handleRead: lease handed over = %v, zeroCopyMin is %d", size>>10, leased, zeroCopyMin)
 		}
+	}
+}
+
+// TestReadAllRecyclesLargeBuffers pins the slab round trip a loader makes:
+// a large sample's buffer handed back with slab.Put is what the next
+// ReadAll of that size refills, so a warm cycle allocates only per-call
+// bookkeeping. A fresh make would cost the file's 4 MiB every cycle.
+func TestReadAllRecyclesLargeBuffers(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets do not hold under -race (the transport's sync.Pools drop Puts)")
+	}
+	const size = 4 << 20
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePFS(t, pfsDir, 1, size)
+	servers, cli := startCluster(t, pfsDir, 1, nil, nil)
+	cycle := func() {
+		b, err := cli.ReadAll(paths[0])
+		if err != nil || len(b) != size {
+			t.Fatalf("ReadAll = %d bytes, %v; want %d", len(b), err, size)
+		}
+		slab.Put(b)
+	}
+	cycle()
+	settle(servers) // the file is cached: later reads are warm
+	cycle()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("a warm %d MiB ReadAll + slab.Put cycle allocates %d bytes, want under 64 KiB", size>>20, per)
+	} else {
+		t.Logf("%d bytes allocated per cycle", per)
 	}
 }
 

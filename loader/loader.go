@@ -15,6 +15,13 @@
 // Because the shuffle depends only on (seed, epoch), two runs over
 // different storage backends consume identical byte streams — the
 // property behind the paper's Fig. 14 accuracy equivalence.
+//
+// The loader owns the epoch, so it is the code that knows when a sample's
+// bytes are dead: once a batch's callback has returned, each of its
+// buffers goes back to internal/slab, and the next hvac.Client.ReadAll
+// refills it instead of allocating and zeroing a fresh one. So Batch.Data
+// is valid only until the callback returns, as bufio.Scanner.Bytes is
+// until the next Scan; a callback that keeps a sample copies it.
 package loader
 
 import (
@@ -22,11 +29,14 @@ import (
 	"sync"
 
 	"hvac/internal/sim"
+	"hvac/internal/slab"
 	"hvac/internal/train"
 )
 
 // Source reads one sample file in full. hvac.Client.ReadAll and
-// os.ReadFile both satisfy it.
+// os.ReadFile both satisfy it. A slice it returns from ReadAll is handed
+// to the loader, which recycles it after the batch: a Source that keeps
+// such a slice for a later call returns a copy instead.
 type Source func(path string) ([]byte, error)
 
 // BatchSource reads a whole batch of sample files in one scatter-gather
@@ -64,7 +74,8 @@ type Batch struct {
 	Epoch, Index int
 	// Paths are the sample files, in consumption order.
 	Paths []string
-	// Data holds the corresponding file contents.
+	// Data holds the corresponding file contents. It is valid until the
+	// callback returns: the loader then recycles the buffers.
 	Data [][]byte
 }
 
@@ -122,7 +133,8 @@ func (l *Loader) BatchesPerEpoch() int {
 
 // Epoch fetches epoch e batch by batch, invoking fn for each. Fetching
 // within a batch is concurrent (Config.Workers); batches are delivered in
-// order. The first fetch or callback error aborts the epoch.
+// order. The first fetch or callback error aborts the epoch. Each batch's
+// buffers are recycled when fn returns, whatever it returned.
 func (l *Loader) Epoch(e int, fn func(Batch) error) error {
 	order := l.EpochOrder(e)
 	bs := l.cfg.BatchSize
@@ -144,7 +156,9 @@ func (l *Loader) Epoch(e int, fn func(Batch) error) error {
 		if err := l.fetch(batch.Paths, batch.Data); err != nil {
 			return fmt.Errorf("loader: epoch %d batch %d: %w", e, idx, err)
 		}
-		if err := fn(batch); err != nil {
+		err := fn(batch)
+		recycle(batch.Data)
+		if err != nil {
 			return err
 		}
 		idx++
@@ -164,6 +178,7 @@ func (l *Loader) fetch(paths []string, data [][]byte) error {
 		}
 		// Discard the partial result and degrade to the per-file path,
 		// which carries the Source's own fallback behaviour.
+		recycle(out)
 	}
 	workers := l.cfg.Workers
 	if workers > len(paths) {
@@ -204,11 +219,18 @@ func (l *Loader) fetch(paths []string, data [][]byte) error {
 	wg.Wait()
 	if err != nil {
 		// The workers that did not hit the error may have finished their
-		// samples: zero the batch so the caller never observes torn data
-		// next to a non-nil error.
-		for i := range data {
-			data[i] = nil
-		}
+		// samples: recycle and zero the batch so the caller never observes
+		// torn data next to a non-nil error.
+		recycle(data)
 	}
 	return err
+}
+
+// recycle gives every buffer of data back to the slab, which ignores the
+// ones it did not hand out, and clears the slots.
+func recycle(data [][]byte) {
+	for i := range data {
+		slab.Put(data[i])
+		data[i] = nil
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"hvac"
+	"hvac/internal/slab"
 )
 
 func memSource(t *testing.T, n int) (Source, []string) {
@@ -266,6 +267,54 @@ func TestTornBatchZeroed(t *testing.T) {
 	for i, d := range data {
 		if d != nil {
 			t.Fatalf("slot %d holds %d bytes after failed fetch; torn batch leaked", i, len(d))
+		}
+	}
+}
+
+// TestSourceMemoryNeverRecycled checks that the loader's recycling takes
+// back only what internal/slab handed out. The Source serves half its
+// samples from its own map, in class-sized 128 KiB slices the loader
+// hands to slab.Put with the rest, and the other half in fresh slab
+// buffers, as Client.ReadAll does, whose Gets would reuse any map slice
+// the slab wrongly took in. After three epochs every map value must still
+// hold the bytes it started with.
+func TestSourceMemoryNeverRecycled(t *testing.T) {
+	const n, size = 16, 128 << 10
+	files := map[string][]byte{} // the Source's own memory: even samples
+	want := map[string][]byte{}
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/data/%04d.rec", i)
+		want[paths[i]] = bytes.Repeat([]byte{byte(i)}, size)
+		if i%2 == 0 {
+			files[paths[i]] = bytes.Clone(want[paths[i]])
+		}
+	}
+	src := func(p string) ([]byte, error) {
+		if b, ok := files[p]; ok {
+			return b, nil
+		}
+		return slab.Clone(want[p]), nil
+	}
+	l, err := New(src, Config{Paths: paths, BatchSize: 4, Workers: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 3; e++ {
+		if err := l.Epoch(e, func(b Batch) error {
+			for i, p := range b.Paths {
+				if !bytes.Equal(b.Data[i], want[p]) {
+					return fmt.Errorf("%s: delivered bytes differ from the source's", p)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+	}
+	for p, b := range files {
+		if !bytes.Equal(b, want[p]) {
+			t.Fatalf("%s: the Source's own memory was recycled and overwritten", p)
 		}
 	}
 }
