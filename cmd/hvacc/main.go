@@ -149,6 +149,7 @@ func main() {
 				}
 				for _, data := range out {
 					bytes += int64(len(data))
+					slab.Put(data)
 				}
 			}
 			fmt.Printf("epoch %d: %d files in %v\n", e+1, len(paths), time.Since(epochStart).Round(time.Millisecond))

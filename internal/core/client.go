@@ -86,9 +86,12 @@ type ClientStats struct {
 // Client is a real-mode HVAC client: the Go equivalent of the LD_PRELOAD
 // interposition library (see DESIGN.md for the substitution argument).
 type Client struct {
-	cfg   ClientConfig
-	conns []transport.Transport
-	view  *place.View
+	cfg ClientConfig
+	// datasetPrefix is cfg.DatasetDir with a trailing separator: what
+	// Intercepts matches every path against.
+	datasetPrefix string
+	conns         []transport.Transport
+	view          *place.View
 
 	// hedgeWG joins every background goroutine the hedging machinery
 	// spawns (hedge attempts and loser drains); Close waits for them so
@@ -125,7 +128,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		}
 		dial = func(addr string) transport.Transport { return transport.DialWith(addr, opts) }
 	}
-	c := &Client{cfg: cfg, view: place.NewView(place.ModHash{}, len(cfg.Servers))}
+	c := &Client{
+		cfg:           cfg,
+		datasetPrefix: cfg.DatasetDir + string(filepath.Separator),
+		view:          place.NewView(place.ModHash{}, len(cfg.Servers)),
+	}
 	for _, addr := range cfg.Servers {
 		c.conns = append(c.conns, dial(addr))
 	}
@@ -172,8 +179,7 @@ func (c *Client) Intercepts(path string) bool {
 	if err != nil {
 		return false
 	}
-	return abs == c.cfg.DatasetDir ||
-		strings.HasPrefix(abs, c.cfg.DatasetDir+string(filepath.Separator))
+	return abs == c.cfg.DatasetDir || strings.HasPrefix(abs, c.datasetPrefix)
 }
 
 // Home returns the index of the server that homes path under the

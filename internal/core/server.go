@@ -279,10 +279,13 @@ type openHandle struct {
 
 // Server is a real-mode HVAC server instance.
 type Server struct {
-	cfg     ServerConfig
-	store   *cachestore.Store
-	rpc     *transport.Server
-	openPFS func(path string) (*os.File, error)
+	cfg ServerConfig
+	// pfsPrefix is cfg.PFSDir with a trailing separator: what allowed
+	// matches every request path against.
+	pfsPrefix string
+	store     *cachestore.Store
+	rpc       *transport.Server
+	openPFS   func(path string) (*os.File, error)
 
 	demandQ   chan fetchTask
 	prefetchQ chan fetchTask
@@ -358,6 +361,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
+		pfsPrefix: cfg.PFSDir + string(filepath.Separator),
 		store:     store,
 		openPFS:   cfg.OpenPFS,
 		demandQ:   make(chan fetchTask, cfg.demandQueue),
@@ -765,7 +769,7 @@ func (s *Server) CopyLatency() *metrics.Histogram { return &s.latCopy }
 
 func (s *Server) allowed(path string) error {
 	clean := filepath.Clean(path)
-	if clean != s.cfg.PFSDir && !strings.HasPrefix(clean, s.cfg.PFSDir+string(filepath.Separator)) {
+	if clean != s.cfg.PFSDir && !strings.HasPrefix(clean, s.pfsPrefix) {
 		return fmt.Errorf("hvac server: %s outside served dataset dir %s", path, s.cfg.PFSDir)
 	}
 	return nil

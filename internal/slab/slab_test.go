@@ -20,11 +20,13 @@ func TestClassesReachMaxFrame(t *testing.T) {
 }
 
 // TestGetSizes pins len and cap at each class edge: a plain make at or
-// below 32 KiB and above the largest class, a power-of-two class between.
+// below 4 KiB and above the largest class, a power-of-two class between.
 func TestGetSizes(t *testing.T) {
 	cases := []struct{ n, cap int }{
 		{0, 0},
 		{1, 1},
+		{4 << 10, 4 << 10},
+		{4<<10 + 1, 8 << 10},
 		{32 << 10, 32 << 10},
 		{32<<10 + 1, 64 << 10},
 		{64 << 10, 64 << 10},
@@ -57,8 +59,9 @@ func TestForeignPutIgnored(t *testing.T) {
 	}
 	var own [128 << 10]byte
 	fresh := make([]byte, 64<<10)
+	small := make([]byte, 32<<10)
 	ours := slab.Get(1 << 20)
-	foreign := [][]byte{read, own[:], own[: 64<<10 : 64<<10], fresh, ours[64<<10 : 128<<10 : 128<<10]}
+	foreign := [][]byte{read, own[:], own[: 64<<10 : 64<<10], own[: 8<<10 : 8<<10], fresh, small, ours[64<<10 : 128<<10 : 128<<10]}
 	for _, b := range foreign {
 		slab.Put(b)
 	}
@@ -66,7 +69,7 @@ func TestForeignPutIgnored(t *testing.T) {
 		t.Fatalf("%d buffers tracked after foreign Puts, want 1 (the one Get handed out)", n)
 	}
 	for i := 0; i < 16; i++ {
-		for _, n := range []int{64 << 10, 128 << 10} {
+		for _, n := range []int{8 << 10, 32 << 10, 64 << 10, 128 << 10} {
 			got := slab.Get(n)
 			for _, b := range foreign {
 				if &got[0] == &b[:1][0] {

@@ -138,6 +138,7 @@ func TestReadRequestIntoAllocsOnlyPath(t *testing.T) {
 // the process-wide counter AllocsPerRun reads stays flat.
 func TestZeroCopySendAllocFree(t *testing.T) {
 	skipUnderRace(t)
+	checkResponses(t)
 	const size = 1 << 20
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -171,7 +172,9 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 
 	// Drain on the warm pooled decode path so the peer goroutine does not
 	// add allocations of its own to the process-wide counter.
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		for {
 			resp, rerr := ReadResponse(cconn)
 			if rerr != nil {
@@ -179,6 +182,13 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 			}
 			resp.Release()
 		}
+	}()
+	// Join the drainer before returning: one still inside ReadResponse
+	// holds a pooled Response, which the next test would be charged with.
+	defer func() {
+		_ = cconn.Close()
+		_ = sconn.Close()
+		<-drained
 	}()
 
 	var st ZeroCopyStats

@@ -40,13 +40,15 @@ go run ./cmd/hvaclint -stats ./...
 
 # The data path runs at three core counts: its schedule-dependent bugs
 # (a handle closed under a read, the cachestore residency window, the
-# single-flight residency window) hid on single-vCPU boxes. The rest of ./... stays at the default so the gate's
+# single-flight residency window) hid on single-vCPU boxes. Every sample
+# buffer crosses the slab's one mutex, so the slab and the loader that
+# puts buffers back run there too. The rest of ./... stays at the default so the gate's
 # wall-clock does not triple. The analyzers and their driver start no
 # goroutine, so the race detector has nothing to find there and only
 # multiplies their run time several-fold: they run without it.
 echo '--- go test -race: data path at -cpu 1,2,4, the rest at the default; analyzers without -race'
-go test -race -cpu 1,2,4 ./internal/core ./internal/cachestore ./internal/transport
-go test -race $(go list ./... | grep -v -E '/internal/(core|cachestore|transport)$|/internal/analysis(/|$)|/cmd/hvaclint$')
+go test -race -cpu 1,2,4 ./internal/core ./internal/cachestore ./internal/transport ./internal/slab ./loader
+go test -race $(go list ./... | grep -v -E '/internal/(core|cachestore|transport|slab)$|^hvac/loader$|/internal/analysis(/|$)|/cmd/hvaclint$')
 go test ./internal/analysis/... ./cmd/hvaclint
 
 # Entries keep their cache files open up to half of RLIMIT_NOFILE; past
