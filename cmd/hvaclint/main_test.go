@@ -11,7 +11,7 @@ import (
 
 // TestSuiteHasSixAnalyzers pins the suite size: adding or removing
 // an analyzer must be a conscious change here, in -list, and in the
-// docs (DESIGN.md §8's census).
+// docs (DESIGN.md §B's census).
 func TestSuiteHasSixAnalyzers(t *testing.T) {
 	if got := len(analysis.Analyzers()); got != 6 {
 		t.Fatalf("suite has %d analyzers, want 6", got)

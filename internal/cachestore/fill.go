@@ -24,7 +24,7 @@ import (
 //
 // The fill takes its cache file when it first has bytes to land (open),
 // and an object of at most one fillChunk is answered from a staging buffer
-// before that (CopyFrom; DESIGN.md §10.4).
+// before that (CopyFrom; DESIGN.md §6.1).
 type Fill struct {
 	s    *Store
 	key  string

@@ -16,7 +16,7 @@ import (
 	"hvac/internal/transport"
 )
 
-// Tests for the batch read plane (DESIGN.md §10.3): the two-pass frame
+// Tests for the batch read plane (DESIGN.md §5.3): the two-pass frame
 // assembly in handleReadBatch and the client's concurrent fan-out.
 
 // batchRequest encodes paths as an OpReadBatch request.

@@ -11,7 +11,7 @@ import (
 	"hvac/internal/transport"
 )
 
-// The bulk read plane (DESIGN.md §9.4): reads longer than bulkChunk move
+// The bulk read plane (DESIGN.md §3.1): reads longer than bulkChunk move
 // as a two-deep pipeline of chunk RPCs landing in the caller's buffer.
 // These tests pin what the pipeline may never change — the bytes, the
 // io.ReaderAt contract at EOF, and the byte accounting — on both kinds

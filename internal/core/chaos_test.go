@@ -47,7 +47,7 @@ type chaosCase struct {
 	segSize  int64
 	capacity int64                    // cache capacity per server (0 = unconstrained)
 	policy   func() cachestore.Policy // per-server eviction policy (nil = default)
-	zeroCopy bool                     // arm the sendfile warm-serve plane (DESIGN.md §13)
+	zeroCopy bool                     // arm the sendfile warm-serve plane (DESIGN.md §4.3)
 	sched    faultnet.Schedule
 }
 
@@ -658,7 +658,7 @@ func TestChaosBulkMidPipelineDegradation(t *testing.T) {
 // does: each sample is compared with its PFS copy and handed straight back
 // to the slab, so the next ReadAll refills the same memory. The recycling
 // rests on one rule: nothing writes into a caller's buffer after ReadAt
-// returns (DESIGN.md §9.1). A pipelined chunk left running, or a losing
+// returns (DESIGN.md §3.4). A pipelined chunk left running, or a losing
 // hedge rung landing in place, breaks it by writing into a later sample: a
 // mismatch here, or a race with the comparison under -race. The bulk row
 // faults the pipeline. In the hedged row every read is slow enough to fire

@@ -473,7 +473,7 @@ func (f *File) Remote() bool { return f.fallback == nil }
 // bulkChunk moves as bulkChunk-sized ranged OpReads with bulkDepth of
 // them in flight, each on its own pooled connection, each received
 // straight into its own sub-slice of the caller's buffer. The sizes are
-// measured, not tuned per deployment (DESIGN.md §9.4): a reply that
+// measured, not tuned per deployment (DESIGN.md §3.1): a reply that
 // outgrows the socket buffers turns sender and receiver into a park/wake
 // ping-pong at twice the CPU per byte, and 512 KiB is the largest chunk
 // that stays under that cliff on loopback TCP; a second chunk in flight

@@ -271,7 +271,7 @@ func TestChaosHedgeRaceWithClose(t *testing.T) {
 // The same hedging storm over multi-chunk files. A hedged read's rungs can
 // overlap, so a loser may still be receiving after the winner returned:
 // such reads must come through pooled frames and a copy, never land in the
-// caller's buffer (DESIGN.md §9.4). Each worker overwrites its buffer the
+// caller's buffer (DESIGN.md §3.1). Each worker overwrites its buffer the
 // moment ReadAt returns — a rung still writing caller memory is then a
 // data race the detector reports — and checks after Client.Close, which
 // joins every loser, that its own bytes are what the buffer still holds.

@@ -9,8 +9,8 @@ import (
 )
 
 // TestKnobLedger keeps the configuration surface judged: every exported
-// field of ServerConfig and ClientConfig and every hvacd/hvacc/hvacctl flag has a
-// row in DESIGN.md §14, every row names a knob that still exists, and
+// field of ServerConfig and ClientConfig and every hvacd/hvacc flag has a
+// row in DESIGN.md §A, every row names a knob that still exists, and
 // every verdict is "keep" (with its reason) or "open" (naming what will
 // judge it). A new field or flag fails here until it has faced the rule
 // the ledger states.
@@ -37,7 +37,7 @@ func TestKnobLedger(t *testing.T) {
 	}
 	// A flag is declared on the flag package or on a command's FlagSet, fs.
 	flagDecl := regexp.MustCompile(`\b(?:flag|fs)\.(\w+)\("([\w-]+)"`)
-	for _, cmd := range []string{"hvacd", "hvacc", "hvacctl"} {
+	for _, cmd := range []string{"hvacd", "hvacc"} {
 		for _, m := range flagDecl.FindAllStringSubmatch(read("../../cmd/"+cmd+"/main.go"), -1) {
 			if m[1] != "NewFlagSet" {
 				want[cmd+" -"+m[2]] = true
@@ -46,9 +46,9 @@ func TestKnobLedger(t *testing.T) {
 	}
 
 	design := read("../../DESIGN.md")
-	start := strings.Index(design, "\n## 14. Knob ledger")
+	start := strings.Index(design, "\n## A. Knob ledger")
 	if start < 0 {
-		t.Fatal("DESIGN.md has no \"## 14. Knob ledger\" section")
+		t.Fatal("DESIGN.md has no \"## A. Knob ledger\" section")
 	}
 	ledger := design[start+1:]
 	if end := strings.Index(ledger, "\n## "); end >= 0 {
@@ -60,19 +60,19 @@ func TestKnobLedger(t *testing.T) {
 	for _, m := range row.FindAllStringSubmatch(ledger, -1) {
 		knob, verdict := m[1], m[2]
 		if !want[knob] {
-			t.Errorf("DESIGN.md §14 has a row for %q, which is not a field or flag any more", knob)
+			t.Errorf("DESIGN.md §A has a row for %q, which is not a field or flag any more", knob)
 		}
 		if seen[knob] {
-			t.Errorf("DESIGN.md §14 has two rows for %q", knob)
+			t.Errorf("DESIGN.md §A has two rows for %q", knob)
 		}
 		seen[knob] = true
 		if !strings.HasPrefix(verdict, "keep") && !strings.HasPrefix(verdict, "open") {
-			t.Errorf("DESIGN.md §14: verdict of %q is %q; want \"keep…\" or \"open…\"", knob, verdict)
+			t.Errorf("DESIGN.md §A: verdict of %q is %q; want \"keep…\" or \"open…\"", knob, verdict)
 		}
 	}
 	for knob := range want {
 		if !seen[knob] {
-			t.Errorf("%s has no row in DESIGN.md §14: judge it by the ledger's rule, then record the verdict", knob)
+			t.Errorf("%s has no row in DESIGN.md §A: judge it by the ledger's rule, then record the verdict", knob)
 		}
 	}
 }

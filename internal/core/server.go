@@ -22,7 +22,7 @@
 // shared.
 //
 // The request path is engineered to be allocation- and contention-free
-// when warm (DESIGN.md §9): stats are typed atomics, the handle table is
+// when warm (DESIGN.md §5): stats are typed atomics, the handle table is
 // sharded (handles.go), payload buffers are pooled (transport.Response
 // ownership), and the only mutex left — Server.mu — guards just the
 // data-mover single-flight map, off the warm read path entirely.
@@ -32,7 +32,7 @@
 // lease on the resident entry → in-flight fill → just-committed entry →
 // PFS. The server holds no descriptor on a cached file between requests;
 // a handle is a path, a size and the fill its open registered. The state
-// machine is documented in DESIGN.md §10.
+// machine is documented in DESIGN.md §5.1.
 package core
 
 import (
@@ -64,7 +64,7 @@ const (
 // defaultMovers is the data-mover pool size when ServerConfig.Movers is
 // unset. One mover (the paper's single dedicated thread) serializes
 // every cold fill behind one PFS copy at a time, which dominated
-// first-epoch latency (DESIGN.md §10); a small pool keeps
+// first-epoch latency (DESIGN.md §5.2); a small pool keeps
 // concurrent demand misses overlapped without approaching the PFS
 // connection limits a real deployment budgets per node.
 const defaultMovers = 4
@@ -101,7 +101,7 @@ type ServerConfig struct {
 	// on the cached file, letting the transport push the payload with
 	// sendfile(2) so the bytes never cross userspace (Linux; every other
 	// writer or platform transparently falls back to the pooled
-	// pread+writev path). See DESIGN.md §13.
+	// pread+writev path). See DESIGN.md §4.3.
 	ZeroCopy bool
 	// OpenPFS overrides how the server opens source files on the PFS;
 	// nil means os.Open. Tests use it to count PFS passes (the
@@ -812,11 +812,11 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 // file payload leaves as three sends — header, sendfile, tail — where a
 // buffered one is a pread and a single writev, and the copy sendfile
 // saves only pays for the two extra sends from about 64 KiB up: the
-// loopback sweep in DESIGN.md §13.1 has the buffered path 3.7 µs ahead at
+// loopback sweep in DESIGN.md §4.3 has the buffered path 3.7 µs ahead at
 // 32 KiB, the two tied at 64 KiB and sendfile 2.7 µs ahead at 128 KiB.
 const zeroCopyMin = 64 << 10
 
-// resolve is the server's one read ladder (§III-D; DESIGN.md §10.1):
+// resolve is the server's one read ladder (§III-D; DESIGN.md §5.1):
 // every read op is a framing wrapper over it. It serves up to want bytes
 // at off within the cached object task names — task.key, which a fill
 // copies from task.len bytes (0: to EOF) of task.path at task.off — from
@@ -1027,7 +1027,7 @@ type batchEntry struct {
 // fetched individually by the client; per-entry failures degrade only
 // their own path.
 //
-// Two passes (DESIGN.md §10.3). Pass 1 settles every entry's status and
+// Two passes (DESIGN.md §5.3). Pass 1 settles every entry's status and
 // size and registers every miss with the data-mover, so a cold batch's
 // fills run on all movers while the handler is still copying hits. Pass 2
 // assembles the response in one pooled frame of the size pass 1 summed:

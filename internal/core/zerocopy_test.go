@@ -14,7 +14,7 @@ import (
 	"hvac/internal/transport"
 )
 
-// The zero-copy serve plane (DESIGN.md §13) end to end: real TCP
+// The zero-copy serve plane (DESIGN.md §4.3) end to end: real TCP
 // clusters with ServerConfig.ZeroCopy toggled, proving the sendfile
 // path is invisible to clients (byte identity), survives connections
 // dying mid-payload, and keeps the Sends+Fallbacks == Eligible

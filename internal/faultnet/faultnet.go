@@ -9,7 +9,7 @@
 // Every decision is a pure function of (schedule seed, server name, RPC
 // op, per-(server,op) call index), so a chaos run replays bit-for-bit for
 // a fixed seed — the same contract the simulation kernel makes
-// (DESIGN.md §6). The injector records a decision trace that tests diff
+// (DESIGN.md §1.3). The injector records a decision trace that tests diff
 // across runs to assert exactly that.
 package faultnet
 

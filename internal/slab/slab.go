@@ -6,7 +6,7 @@
 // Every sample above one page is recycled, small ones too: a 32 KiB make
 // per sample is cheap to allocate but not to collect, and on a 2-core box
 // the GC's mark work took 18 % of the CPU of an epoch of them (DESIGN.md
-// §9.1).
+// §3.4).
 package slab
 
 import (

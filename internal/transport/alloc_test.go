@@ -13,7 +13,7 @@ import (
 	"hvac/internal/testutil"
 )
 
-// The codec's zero-allocation contract (ISSUE 4 / DESIGN.md §9): once the
+// The codec's zero-allocation contract (DESIGN.md §4.1): once the
 // pools are warm, encoding a response, decoding one (with Release), and
 // encoding a request allocate nothing; decoding a request allocates only
 // the path string. These budgets are regression gates — a change that

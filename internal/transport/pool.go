@@ -13,7 +13,7 @@ import (
 // latency, not allocator and GC time) the per-call allocation count drops
 // to zero once the pools are primed.
 //
-// Ownership rules (see DESIGN.md §9):
+// Ownership rules (see DESIGN.md §4.1):
 //
 //   - Buffers handed out by Response.Grab belong to that Response and are
 //     returned by Response.Release — the single place a pooled frame goes

@@ -9,7 +9,7 @@ import (
 	"syscall"
 )
 
-// Zero-copy payload plane (DESIGN.md §13). A response's payload can be
+// Zero-copy payload plane (DESIGN.md §4.3). A response's payload can be
 // an fd-backed range (SetPayloadFile) instead of an in-memory slice: the
 // server's connection loop then hands the range to sendfile(2), so warm
 // cache bytes travel cache-fd → socket entirely inside the kernel. The
