@@ -22,7 +22,7 @@ check:
 	./scripts/check.sh
 
 # The chaos tier: seeded fault schedules over real TCP clusters, under the
-# race detector with shuffled test order (DESIGN.md §7). A local target:
+# race detector with shuffled test order (DESIGN.md §9.2). A local target:
 # CI gets the matrix from check.sh, which runs it shuffled as its last step.
 chaos:
 	$(GO) test -race -shuffle=on -v -run Chaos ./internal/core

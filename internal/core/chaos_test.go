@@ -29,8 +29,8 @@ import (
 //  2. the accounting identity holds — client side, every open lands in
 //     exactly one of Redirected (which includes Failovers) or Fallbacks,
 //     and every batch entry in exactly one of BatchReads or
-//     BatchFallbacks; server side, every served open/segment-read/batch
-//     entry is exactly one of Hit or ReadThrough;
+//     BatchFallbacks; server side, every served open and batch entry is
+//     exactly one of Hit or ReadThrough;
 //  3. teardown leaks no goroutines;
 //  4. with DisableFallback, the error chain names the failing server.
 //
@@ -44,7 +44,6 @@ type chaosCase struct {
 	size     int
 	epochs   int
 	replicas int
-	segSize  int64
 	capacity int64                    // cache capacity per server (0 = unconstrained)
 	policy   func() cachestore.Policy // per-server eviction policy (nil = default)
 	zeroCopy bool                     // arm the sendfile warm-serve plane (DESIGN.md §4.3)
@@ -101,12 +100,6 @@ func chaosMatrix() []chaosCase {
 			name: "replica-failover", servers: 3, files: 18, size: 1024, epochs: 2, replicas: 2,
 			sched: faultnet.Schedule{Seed: 8, Rules: []faultnet.Rule{
 				{Server: "srv1", Fault: faultnet.Refuse},
-			}},
-		},
-		{
-			name: "segmented-under-corruption", servers: 3, files: 4, size: 40_000, epochs: 2, segSize: 8 << 10,
-			sched: faultnet.Schedule{Seed: 9, Rules: []faultnet.Rule{
-				{Op: transport.OpReadAt, Prob: 0.15, Fault: faultnet.Truncate},
 			}},
 		},
 		{
@@ -222,7 +215,6 @@ func startChaosCluster(t *testing.T, pfsDir string, tc chaosCase, inj *faultnet.
 	t.Helper()
 	servers, cli := startCluster(t, pfsDir, tc.servers,
 		func(c *ServerConfig) {
-			c.SegmentSize = tc.segSize
 			c.CacheCapacity = tc.capacity
 			c.ZeroCopy = tc.zeroCopy
 			if tc.policy != nil {
@@ -235,7 +227,6 @@ func startChaosCluster(t *testing.T, pfsDir string, tc chaosCase, inj *faultnet.
 		},
 		func(c *ClientConfig) {
 			c.Replicas = tc.replicas
-			c.SegmentSize = tc.segSize
 			addrs := append([]string(nil), c.Servers...)
 			opts := transport.ClientOptions{
 				CallTimeout: chaosCallTimeout,
@@ -278,9 +269,8 @@ func maybeWriteCorpus(t *testing.T, cases []chaosCase) {
 			Size     int
 			Epochs   int
 			Replicas int
-			SegSize  int64
 			Schedule faultnet.Schedule
-		}{tc.name, tc.servers, tc.files, tc.size, tc.epochs, tc.replicas, tc.segSize, tc.sched}, "", "  ")
+		}{tc.name, tc.servers, tc.files, tc.size, tc.epochs, tc.replicas, tc.sched}, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,14 +334,7 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 				t.Fatalf("epoch %d: batch entry %s corrupted under faults (%d bytes, want %d)", e, p, len(batch[i]), len(want[p]))
 			}
 		}
-		if tc.segSize > 0 {
-			// Segmented deployments home each segment independently,
-			// so ReadBatch degrades to per-file reads: those land in
-			// the open accounting, not the batch counters.
-			opens += len(paths)
-		} else {
-			batchEntries += len(paths)
-		}
+		batchEntries += len(paths)
 	}
 	if inj.Injected() == 0 {
 		t.Fatalf("schedule %q injected no faults; the case is vacuous", tc.name)
@@ -386,9 +369,9 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 		t.Fatalf("chaos reads leaked outside the dataset dir: %+v", st)
 	}
 
-	// Invariant 2, server side: everything served — opens, batch
-	// entries, and segment reads in segmented mode — is exactly one
-	// of Hit or ReadThrough; and every zero-copy-eligible serve (a
+	// Invariant 2, server side: everything served — opens and batch
+	// entries — is exactly one of Hit or ReadThrough; and every
+	// zero-copy-eligible serve (a
 	// response that left carrying an fd payload) resolved as exactly
 	// one of a sendfile send or a userspace fallback. The zero-copy
 	// identity is asserted unconditionally: with ZeroCopy off it holds
@@ -397,9 +380,6 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 	for i, s := range servers {
 		ss := s.Stats()
 		served := ss.Opens + ss.BatchEntries
-		if tc.segSize > 0 {
-			served = ss.Opens + ss.Reads + ss.BatchEntries
-		}
 		if ss.Hits+ss.ReadThroughs != served {
 			t.Fatalf("srv%d: hits(%d)+readthroughs(%d) != served(%d); stats %+v",
 				i, ss.Hits, ss.ReadThroughs, served, ss)
@@ -449,14 +429,7 @@ func TestChaosMatrixClairvoyantPlanner(t *testing.T) {
 	for _, tc := range chaosMatrix() {
 		tc.policy = func() cachestore.Policy { return cachestore.NewClairvoyant() }
 		t.Run(tc.name, func(t *testing.T) {
-			pre := installChaosPlan(8)
-			if tc.segSize > 0 {
-				// Segmented reads consult segment keys a whole-file plan
-				// cannot observe: those cells run Clairvoyant with no plan
-				// installed, exercising the unplanned SLRU fallback.
-				pre = nil
-			}
-			runChaosCase(t, tc, pre)
+			runChaosCase(t, tc, installChaosPlan(8))
 		})
 	}
 }

@@ -37,11 +37,6 @@ type ClientConfig struct {
 	// link). 0 disables hedging; replica failover then stays strictly
 	// sequential. Only effective with Replicas > 1.
 	HedgeAfter time.Duration
-	// SegmentSize > 0 enables segment-level caching (§III-E): each
-	// SegmentSize-byte segment of a file is homed and cached
-	// independently, balancing load under highly skewed file sizes. The
-	// servers must be started with the same value.
-	SegmentSize int64
 	// CallTimeout bounds each RPC attempt so a hung server cannot stall
 	// the training loop; 0 means transport.DefaultCallTimeout, negative
 	// disables the deadline.
@@ -191,22 +186,20 @@ func (c *Client) Home(path string) int {
 	return c.view.Place(path)
 }
 
-// File is a read-only remote file handle served by an HVAC server (whole
-// file or segment-striped), or a fallback PFS handle. It implements
-// io.Reader, io.ReaderAt and io.Closer.
+// File is a read-only remote file handle served by an HVAC server, or a
+// fallback PFS handle. It implements io.Reader, io.ReaderAt and io.Closer.
 type File struct {
-	c         *Client
-	conn      transport.Transport
-	handle    int64
-	size      int64
-	path      string
-	off       int64
-	fallback  *os.File
-	segmented bool
-	closed    bool
-	mu        sync.Mutex
+	c        *Client
+	conn     transport.Transport
+	handle   int64
+	size     int64
+	path     string
+	off      int64
+	fallback *os.File
+	closed   bool
+	mu       sync.Mutex
 
-	// replicas is the whole-file replica ladder (server indices, primary
+	// replicas is the file's replica ladder (server indices, primary
 	// first) fixed at open time; srv is the member currently serving the
 	// handle. A mid-read failover migrates (conn, handle, srv) — under mu
 	// — to the replica that answered.
@@ -231,16 +224,10 @@ func (c *Client) Open(path string) (*File, error) {
 		return &File{c: c, fallback: f, path: abs}, nil
 	}
 
-	// A whole-file open walks the file's replica ladder and leaves a handle
-	// on the server that answers. A segment-striped open needs only the
-	// size — its reads are stateless and hit each segment's own homes — so
-	// it is a stat walked down segment 0's ladder.
-	segmented := c.cfg.SegmentSize > 0
-	req, key := &transport.Request{Op: transport.OpOpen, Path: abs}, abs
-	if segmented {
-		req.Op, key = transport.OpStat, segKey(abs, 0)
-	}
-	replicas := c.view.Replicas(key, c.cfg.Replicas)
+	// The open walks the file's replica ladder and leaves a handle on the
+	// server that answers.
+	req := &transport.Request{Op: transport.OpOpen, Path: abs}
+	replicas := c.view.Replicas(abs, c.cfg.Replicas)
 	attempts := make([]func() hedgeResult, len(replicas))
 	for i, srv := range replicas {
 		// final: an application error (e.g. file absent on the PFS) is one
@@ -257,9 +244,6 @@ func (c *Client) Open(path string) (*File, error) {
 				s.Failovers++
 			}
 		})
-		if segmented {
-			return &File{c: c, size: size, path: abs, segmented: true}, nil
-		}
 		return &File{c: c, conn: r.conn, handle: r.handle, size: size, path: abs, replicas: replicas, srv: r.srv}, nil
 	}
 	if c.cfg.disableFallback {
@@ -284,8 +268,8 @@ func (c *Client) bump(f func(*ClientStats)) {
 // attempt and surfaces as err (appErr marks server-side application
 // errors, which stop the ladder — the server is alive, the request is
 // just unserveable). On success resp is owned by the receiver; opened
-// marks a live server-side whole-file handle (conn, handle) the
-// receiver must adopt or retire.
+// marks a live server-side handle (conn, handle) the receiver must adopt
+// or retire.
 type hedgeResult struct {
 	resp   *transport.Response
 	err    error
@@ -469,7 +453,7 @@ func (f *File) Path() string { return f.path }
 // Remote reports whether the handle is served by an HVAC server.
 func (f *File) Remote() bool { return f.fallback == nil }
 
-// The bulk read plane of a whole-file handle. A read longer than
+// The bulk read plane of a remote handle. A read longer than
 // bulkChunk moves as bulkChunk-sized ranged OpReads with bulkDepth of
 // them in flight, each on its own pooled connection, each received
 // straight into its own sub-slice of the caller's buffer. The sizes are
@@ -479,7 +463,7 @@ func (f *File) Remote() bool { return f.fallback == nil }
 // that stays under that cliff on loopback TCP; a second chunk in flight
 // hides the request round trip behind the first one's receive, a third
 // only adds scheduling. bulkChunk is also the longest range any one read
-// RPC carries, segment reads included: one cut size, one justification.
+// RPC carries: one cut size, one justification.
 const (
 	bulkChunk = 512 << 10
 	bulkDepth = 2
@@ -501,27 +485,16 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return fb.ReadAt(p, off)
 	}
 	// Whatever the pipeline could not deliver — a failed chunk, a short
-	// one, or everything when the read is one chunk, hedged or segmented —
-	// goes through the sequential loop below, the only owner of the retry
-	// ladder, replica failover, degradeToPFS and EOF for both kinds of
-	// handle.
+	// one, or everything when the read is one chunk or hedged — goes
+	// through the sequential loop below, the only owner of the retry
+	// ladder, replica failover, degradeToPFS and EOF.
 	total := 0
-	if len(p) > bulkChunk && !f.segmented && !f.hedged() {
+	if len(p) > bulkChunk && !f.hedged() {
 		total = f.readBulk(p, off)
 	}
 	for total < len(p) {
 		pos := off + int64(total)
 		dst := p[total:min(total+bulkChunk, len(p))]
-		if f.segmented {
-			// A segment is homed on its own and its server refuses a range
-			// that leaves it: cut at the segment's end and the file's.
-			if pos >= f.size {
-				return total, io.EOF
-			}
-			segSize := f.c.cfg.SegmentSize
-			end := min((pos/segSize+1)*segSize, f.size)
-			dst = dst[:min(int64(len(dst)), end-pos)]
-		}
 		resp, err := f.fetch(dst, pos)
 		if err != nil {
 			if f.c.cfg.disableFallback {
@@ -559,9 +532,9 @@ func landed(dst []byte, resp *transport.Response) int {
 }
 
 // hedged reports whether a read's replica rungs can overlap: the hedge
-// timer is armed and there is a replica to race, whole file or segment. A
-// losing rung may still be receiving after the winner returned, so such
-// reads never land in the caller's buffer and never enter the pipeline.
+// timer is armed and there is a replica to race. A losing rung may still
+// be receiving after the winner returned, so such reads never land in the
+// caller's buffer and never enter the pipeline.
 func (f *File) hedged() bool {
 	return f.c.cfg.HedgeAfter > 0 && f.c.cfg.Replicas > 1
 }
@@ -637,63 +610,48 @@ func (f *File) readBulk(p []byte, off int64) int {
 // Data aliases it) unless the rungs can overlap, when it comes back in a
 // pooled buffer for the caller to copy out; landed tells the two apart.
 //
-// A segment read is stateless (OpReadAt carries the path): every rung is
-// the same request to the next home of the segment holding off. A
-// whole-file read's first rung goes through the current handle; with
-// Replicas > 1 the other replicas form failover rungs that open their own
-// handle on path and read the same range. When one of those wins, the
-// File migrates to its handle (the §III-H failover: later reads go
-// straight to the live replica) and the old handle is retired.
+// The first rung goes through the current handle; with Replicas > 1 the
+// other replicas form failover rungs that open their own handle on path
+// and read the same range. When one of those wins, the File migrates to
+// its handle (the §III-H failover: later reads go straight to the live
+// replica) and the old handle is retired.
 func (f *File) fetch(dst []byte, off int64) (*transport.Response, error) {
 	c := f.c
-	req := &transport.Request{Off: off, Len: int64(len(dst))}
+	f.mu.Lock()
+	handle, cur := f.handle, f.srv
+	f.mu.Unlock()
+	req := &transport.Request{Op: transport.OpRead, Handle: handle, Off: off, Len: int64(len(dst))}
 	if !f.hedged() {
 		req.Dst = dst
 	}
-	var attempts []func() hedgeResult
-	if f.segmented {
-		req.Op, req.Path = transport.OpReadAt, f.path
-		replicas := c.view.Replicas(segKey(f.path, off/c.cfg.SegmentSize), c.cfg.Replicas)
-		attempts = make([]func() hedgeResult, len(replicas))
-		for i, srv := range replicas {
-			// Not final: unlike an open, a segment read has no
-			// unserveable-path error a replica could not answer differently.
-			attempts[i] = c.rung(i, srv, req, false)
+	attempts := []func() hedgeResult{c.rung(0, cur, req, false)}
+	for _, srv := range f.replicas {
+		if srv == cur {
+			continue
 		}
-	} else {
-		f.mu.Lock()
-		handle, cur := f.handle, f.srv
-		f.mu.Unlock()
-		req.Op, req.Handle = transport.OpRead, handle
-		attempts = []func() hedgeResult{c.rung(0, cur, req, false)}
-		for _, srv := range f.replicas {
-			if srv == cur {
-				continue
+		i, rconn := len(attempts), c.conns[srv]
+		attempts = append(attempts, func() hedgeResult {
+			o := c.rung(i, srv, &transport.Request{Op: transport.OpOpen, Path: f.path}, false)()
+			if o.resp == nil {
+				return o
 			}
-			i, rconn := len(attempts), c.conns[srv]
-			attempts = append(attempts, func() hedgeResult {
-				o := c.rung(i, srv, &transport.Request{Op: transport.OpOpen, Path: f.path}, false)()
-				if o.resp == nil {
-					return o
-				}
-				h := o.handle
-				o.resp.Release()
-				read := *req
-				read.Handle = h
-				resp, err := rconn.Call(&read)
-				if err == nil && !resp.OK() {
-					err = resp.Error()
-					resp.Release()
-				}
-				if err != nil {
-					// The replica opened but could not read: retire its handle
-					// before reporting the rung failed.
-					retire(rconn, h)
-					return hedgeResult{err: err, ladder: i, srv: srv}
-				}
-				return hedgeResult{resp: resp, ladder: i, srv: srv, conn: rconn, handle: h, opened: true}
-			})
-		}
+			h := o.handle
+			o.resp.Release()
+			read := *req
+			read.Handle = h
+			resp, err := rconn.Call(&read)
+			if err == nil && !resp.OK() {
+				err = resp.Error()
+				resp.Release()
+			}
+			if err != nil {
+				// The replica opened but could not read: retire its handle
+				// before reporting the rung failed.
+				retire(rconn, h)
+				return hedgeResult{err: err, ladder: i, srv: srv}
+			}
+			return hedgeResult{resp: resp, ladder: i, srv: srv, conn: rconn, handle: h, opened: true}
+		})
 	}
 	r := c.ladderCall(attempts)
 	if r.resp == nil {
@@ -774,14 +732,10 @@ func (f *File) Close() error {
 	// degrading to the PFS or adopting a replica handle right now, and
 	// whatever lands after this instant cleans up after itself (both
 	// check f.closed).
-	fb, segmented := f.fallback, f.segmented
-	conn, handle := f.conn, f.handle
+	fb, conn, handle := f.fallback, f.conn, f.handle
 	f.mu.Unlock()
 	if fb != nil {
 		return fb.Close()
-	}
-	if segmented {
-		return nil // stateless: no server-side handle to tear down
 	}
 	resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle, Defer: true})
 	if err != nil {
@@ -824,21 +778,25 @@ func (c *Client) Prefetch(paths []string) int {
 			if end == start {
 				end = start + 1 // this path alone cannot be encoded, and is not hinted
 			}
-			accepted += c.prefetchGroup(srv, group[start:end])
+			accepted += prefetchHint(c.conns[srv], group[start:end])
 			start = end
 		}
 	}
 	return accepted
 }
 
-// prefetchGroup sends one batched prefetch hint to server srv and counts
-// the entries it accepted; a failed call accepts none.
-func (c *Client) prefetchGroup(srv int, paths []string) int {
+// prefetchHint sends one batched prefetch hint (OpReadBatch with
+// BatchFlagPrefetch) over conn and counts the entries the server accepted:
+// those answered StatusOK, not the call, since a server answers a hint for
+// a path outside its dataset dir with a per-entry error inside an OK
+// response. A failed call accepts none. Client.Prefetch sends one per
+// server group and Server.warmReplicas one per peer home.
+func prefetchHint(conn transport.Transport, paths []string) int {
 	blob, err := transport.EncodeBatchPaths(paths)
 	if err != nil {
 		return 0
 	}
-	resp, err := c.conns[srv].Call(&transport.Request{
+	resp, err := conn.Call(&transport.Request{
 		Op: transport.OpReadBatch, Handle: transport.BatchFlagPrefetch, Path: blob,
 	})
 	if err != nil {
@@ -888,22 +846,9 @@ func batchSpan(start, n int, length func(int) int) int {
 // budget) are re-read individually, failed entries fall back to the PFS
 // (unless disableFallback, which turns the first failure into an error),
 // and a failed batch call degrades its whole group to per-file reads.
-// Segment-striped deployments home each segment independently, so
-// whole-file batching does not compose there; ReadBatch then reads per
-// file.
 func (c *Client) ReadBatch(paths []string) ([][]byte, error) {
 	out := make([][]byte, len(paths))
 	if len(paths) == 0 {
-		return out, nil
-	}
-	if c.cfg.SegmentSize > 0 {
-		for i, p := range paths {
-			data, err := c.ReadAll(p)
-			if err != nil {
-				return out, err
-			}
-			out[i] = data
-		}
 		return out, nil
 	}
 	abspaths := make([]string, len(paths))

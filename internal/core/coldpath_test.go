@@ -431,9 +431,9 @@ func TestBatchedPrefetchPopulatesCaches(t *testing.T) {
 	}
 }
 
-// Regression: a batched hint that failed was re-sent as one OpPrefetch per
-// path — each with its own retry budget — at the server that had just
-// failed. A dead home now costs Prefetch one call per batch and accepts
+// Regression: a batched hint that failed was re-sent as one single-path
+// hint per path — each with its own retry budget — at the server that had
+// just failed. A dead home now costs Prefetch one call per batch and accepts
 // nothing; the other server's hints land as before.
 func TestPrefetchDoesNotStormAFailedServer(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "pfs", "dataset")

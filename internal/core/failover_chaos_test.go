@@ -276,28 +276,12 @@ func TestChaosHedgeRaceWithClose(t *testing.T) {
 // data race the detector reports — and checks after Client.Close, which
 // joins every loser, that its own bytes are what the buffer still holds.
 func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
-	hedgedReadLeavesCallerMemoryAlone(t, chaosCase{
+	tc := chaosCase{
 		name: "hedge-bulk", servers: 2, files: 4, size: 2*bulkChunk + bulkChunk/2, epochs: 1, replicas: 2,
 		sched: faultnet.Schedule{Seed: 22, Rules: []faultnet.Rule{
 			{Op: transport.OpRead, Prob: 0.4, Fault: faultnet.Delay, Delay: 2 * time.Millisecond},
 		}},
-	})
-}
-
-// The segment twin: a segmented File has no replica list of its own, yet
-// its reads race each segment's replicas all the same, so they too must
-// stay out of the caller's buffer.
-func TestChaosHedgedSegmentReadLeavesCallerMemoryAlone(t *testing.T) {
-	hedgedReadLeavesCallerMemoryAlone(t, chaosCase{
-		name: "hedge-segments", servers: 2, files: 4, size: 2*bulkChunk + bulkChunk/2, epochs: 1, replicas: 2,
-		segSize: bulkChunk / 2,
-		sched: faultnet.Schedule{Seed: 23, Rules: []faultnet.Rule{
-			{Op: transport.OpReadAt, Prob: 0.4, Fault: faultnet.Delay, Delay: 2 * time.Millisecond},
-		}},
-	})
-}
-
-func hedgedReadLeavesCallerMemoryAlone(t *testing.T, tc chaosCase) {
+	}
 	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePatternPFS(t, pfsDir, tc.files, tc.size)
@@ -387,54 +371,5 @@ func TestChaosStatsReplayBitIdentical(t *testing.T) {
 				t.Fatalf("same schedule, different stats across runs:\nrun1: %+v\nrun2: %+v", s1, s2)
 			}
 		})
-	}
-}
-
-// Regression: a segmented Open used to consult only the first segment's
-// primary home — a refused primary failed the whole open even though a
-// live replica held (or could fill) every segment. With the failover
-// loop, a fully refused primary costs failovers, never fallbacks.
-func TestChaosSegmentedOpenFailsOver(t *testing.T) {
-	checkResources(t)
-	tc := chaosCase{
-		name: "seg-open-failover", servers: 3, files: 2, size: 40_000,
-		epochs: 2, replicas: 2, segSize: 8 << 10,
-	}
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, tc.files, tc.size)
-	// Refuse the primary home of file 0's first segment — exactly the
-	// server the pre-fix Open was hard-wired to.
-	seg0 := basenamePlacement{}.Replicas(segKey(paths[0], 0), tc.servers, tc.replicas)[0]
-	tc.sched = faultnet.Schedule{Seed: 22, Rules: []faultnet.Rule{
-		{Server: fmt.Sprintf("srv%d", seg0), Fault: faultnet.Refuse},
-	}}
-	inj := faultnet.New(tc.sched)
-	defer inj.Close()
-	_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
-
-	for e := 0; e < tc.epochs; e++ {
-		for _, p := range paths {
-			got, err := cli.ReadAll(p)
-			if err != nil {
-				t.Fatalf("epoch %d: segmented read with refused primary: %v", e, err)
-			}
-			want, rerr := os.ReadFile(p)
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("epoch %d: %s corrupted across segment failover", e, p)
-			}
-		}
-	}
-	st := cli.Stats()
-	if st.Fallbacks != 0 {
-		t.Fatalf("segmented open fell back to the PFS instead of failing over: %+v", st)
-	}
-	if st.Failovers == 0 {
-		t.Fatalf("refused segment primary produced no failovers: %+v", st)
-	}
-	if inj.Injected() == 0 {
-		t.Fatal("schedule injected no faults; the case is vacuous")
 	}
 }

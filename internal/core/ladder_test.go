@@ -25,7 +25,6 @@ type ladderRig struct {
 	srv   *Server
 	conn  *transport.Client
 	paths []string // paths[0] is the object under test
-	seg   int64    // segment size when the server caches in segments, else 0
 
 	mu    sync.Mutex
 	gates map[string]chan struct{} // held paths
@@ -38,19 +37,15 @@ type ladderRig struct {
 
 const ladderSize = 4096
 
-func newLadderRig(t *testing.T, segmented, zeroCopy bool) *ladderRig {
+func newLadderRig(t *testing.T, zeroCopy bool) *ladderRig {
 	t.Helper()
 	r := &ladderRig{t: t, gates: map[string]chan struct{}{}, opens: map[string]int{}, entered: make(chan string, 4)}
-	if segmented {
-		r.seg = ladderSize
-	}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	r.paths = writePFS(t, pfsDir, 4, ladderSize)
 	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
 		c.CacheCapacity = ladderSize + ladderSize/2
 		c.Movers = 1
 		c.demandQueue = 1
-		c.SegmentSize = r.seg
 		c.ZeroCopy = zeroCopy
 		c.OpenPFS = func(path string) (*os.File, error) {
 			r.mu.Lock()
@@ -75,11 +70,8 @@ func newLadderRig(t *testing.T, segmented, zeroCopy bool) *ladderRig {
 	return r
 }
 
-// task is the fill of path's cached object: the whole file, or segment 0.
+// task is the fill of path's cached object, the whole file.
 func (r *ladderRig) task(path string) fetchTask {
-	if r.seg > 0 {
-		return fetchTask{key: segKey(path, 0), path: path, len: r.seg}
-	}
 	return fetchTask{key: path, path: path}
 }
 
@@ -179,11 +171,10 @@ func (r *ladderRig) call(req *transport.Request) (*transport.Response, error) {
 }
 
 // ladderOp is one wire read op as a pair of phases: open is whatever the
-// op does before it moves bytes (OpOpen; a batch's pass 1; nothing for
-// OpReadAt), read is the framing wrapper over the resolver.
+// op does before it moves bytes (OpOpen; a batch's pass 1), read is the
+// framing wrapper over the resolver.
 type ladderOp struct {
-	name      string
-	segmented bool
+	name string
 	// warm: open must find the object resident (a handle opened warm);
 	// cold: it must not. The other ops' first phase runs wherever the
 	// state puts it.
@@ -226,18 +217,6 @@ func ladderOps() []ladderOp {
 		{name: "OpRead/opened-warm", warm: true, open: openHandle, read: readHandle},
 		{name: "OpRead/opened-cold", cold: true, open: openHandle, read: readHandle},
 		{
-			name: "OpReadAt", segmented: true,
-			open: func(*ladderRig) error { return nil },
-			read: func(r *ladderRig) ([]byte, error) {
-				resp, err := r.call(&transport.Request{Op: transport.OpReadAt, Path: r.paths[0], Len: ladderSize})
-				if err != nil {
-					return nil, err
-				}
-				defer resp.Release()
-				return bytes.Clone(resp.Data), nil
-			},
-		},
-		{
 			// The two passes of handleReadBatch over a one-entry batch, run
 			// apart so a state can change between them.
 			name: "OpReadBatch",
@@ -276,7 +255,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 		// hit is the sourcing verdict each op of ladderOps must count, in
 		// order: a handle's is settled at open, a batch entry registered as
 		// a miss in pass 1 stays a read-through whichever rung serves it.
-		hit [4]bool
+		hit [3]bool
 		// rejects: the demand queue must have refused this read's fetch.
 		rejects bool
 	}
@@ -301,7 +280,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 				r.srv.WaitIdle() // the cold open's own fill
 				return op.read(r)
 			},
-			hit: [4]bool{true, false, true, true},
+			hit: [3]bool{true, false, true},
 		},
 		{
 			name: "fill in flight",
@@ -322,7 +301,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 				r.release()
 				return join()
 			},
-			hit: [4]bool{true, false, false, false},
+			hit: [3]bool{true, false, false},
 		},
 		{
 			name: "fill committed before the reader attaches",
@@ -339,7 +318,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 				r.fill(r.paths[0])
 				return op.read(r)
 			},
-			hit: [4]bool{true, false, true, false},
+			hit: [3]bool{true, false, false},
 		},
 		{
 			name: "demand queue full",
@@ -360,7 +339,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 				r.release()
 				return got, err
 			},
-			hit:     [4]bool{true, false, false, false},
+			hit:     [3]bool{true, false, false},
 			rejects: true,
 		},
 		{
@@ -376,7 +355,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 				r.evict()
 				return op.read(r)
 			},
-			hit: [4]bool{true, false, false, false},
+			hit: [3]bool{true, false, false},
 		},
 	}
 
@@ -384,7 +363,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 		for _, st := range states {
 			for i, op := range ladderOps() {
 				t.Run(fmt.Sprintf("zerocopy=%v/%s/%s", zc, st.name, op.name), func(t *testing.T) {
-					r := newLadderRig(t, op.segmented, zc)
+					r := newLadderRig(t, zc)
 					want, err := os.ReadFile(r.paths[0])
 					if err != nil {
 						t.Fatal(err)
@@ -400,9 +379,6 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 
 					ss := r.srv.Stats()
 					served := ss.Opens + ss.BatchEntries
-					if op.segmented {
-						served += ss.Reads
-					}
 					if ss.Hits+ss.ReadThroughs != served || served != 1 {
 						t.Fatalf("hits(%d)+readthroughs(%d) != served(%d), want one serve; stats %+v", ss.Hits, ss.ReadThroughs, served, ss)
 					}
@@ -432,75 +408,67 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 
 // TestNegativeOffsetRefused: a read at a negative offset is refused where
 // it is first seen. File.ReadAt answers it locally, so the handle stays
-// remote and nothing degrades; the server refuses a raw OpRead or
-// OpReadAt before the resolver, so a warm key hands sendfile nothing and a
-// cold one costs no PFS open.
+// remote and nothing degrades; the server refuses a raw OpRead before the
+// resolver, so a warm key hands sendfile nothing and a cold one costs no
+// PFS open.
 func TestNegativeOffsetRefused(t *testing.T) {
 	const size = 2 * zeroCopyMin // a warm read of zeroCopyMin leaves by sendfile
-	for _, segmented := range []bool{false, true} {
-		t.Run(fmt.Sprintf("segmented=%v", segmented), func(t *testing.T) {
-			pfsDir := filepath.Join(t.TempDir(), "dataset")
-			p := writePFS(t, pfsDir, 1, size)[0]
-			var opens *sync.Map
-			seg := int64(0)
-			if segmented {
-				seg = size
-			}
-			servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
-				c.ZeroCopy = true
-				c.SegmentSize = seg
-				opens = countingOpens(c)
-			}, func(c *ClientConfig) { c.SegmentSize = seg })
-			srv := servers[0]
+	// The case name dates from when a segmented case ran beside this
+	// whole-file one; it is kept so the test's name does not change.
+	t.Run("segmented=false", func(t *testing.T) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		p := writePFS(t, pfsDir, 1, size)[0]
+		var opens *sync.Map
+		servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+			c.ZeroCopy = true
+			opens = countingOpens(c)
+		}, nil)
+		srv := servers[0]
 
-			f, err := cli.Open(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			buf := make([]byte, size)
-			if _, err := f.ReadAt(buf, 0); err != nil {
-				t.Fatal(err)
-			}
-			settle(servers)
-			pfsOpens, eligible := opensOf(opens, p), srv.Stats().ZeroCopyEligible
+		f, err := cli.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		buf := make([]byte, size)
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		settle(servers)
+		pfsOpens, eligible := opensOf(opens, p), srv.Stats().ZeroCopyEligible
 
-			if n, err := f.ReadAt(buf, -1); err == nil || n != 0 {
-				t.Fatalf("ReadAt(p, -1) = %d, %v; want 0 and an error", n, err)
-			}
-			if st := cli.Stats(); st.Degrades != 0 || !f.Remote() {
-				t.Fatalf("a refused offset degraded the handle: degrades=%d remote=%v", st.Degrades, f.Remote())
-			}
+		if n, err := f.ReadAt(buf, -1); err == nil || n != 0 {
+			t.Fatalf("ReadAt(p, -1) = %d, %v; want 0 and an error", n, err)
+		}
+		if st := cli.Stats(); st.Degrades != 0 || !f.Remote() {
+			t.Fatalf("a refused offset degraded the handle: degrades=%d remote=%v", st.Degrades, f.Remote())
+		}
 
-			conn := transport.Dial(srv.Addr())
-			defer conn.Close()
-			op, req := "OpReadAt", &transport.Request{Op: transport.OpReadAt, Path: p, Off: -1, Len: zeroCopyMin}
-			if !segmented {
-				open, err := conn.Call(&transport.Request{Op: transport.OpOpen, Path: p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				op, req = "OpRead", &transport.Request{Op: transport.OpRead, Handle: open.Handle, Off: -1, Len: zeroCopyMin}
-				open.Release()
-			}
-			resp, err := conn.Call(req)
-			if err != nil {
-				t.Fatalf("%s at offset -1: %v, want a StatusError response", op, err)
-			}
-			status := resp.Status
-			resp.Release()
-			if status != transport.StatusError {
-				t.Fatalf("%s at offset -1: status %d, want StatusError", op, status)
-			}
-			settle(servers)
-			if got := opensOf(opens, p); got != pfsOpens {
-				t.Fatalf("the refused read cost %d PFS opens", got-pfsOpens)
-			}
-			if got := srv.Stats().ZeroCopyEligible; got != eligible {
-				t.Fatalf("the refused read reached sendfile: eligible %d -> %d", eligible, got)
-			}
-		})
-	}
+		conn := transport.Dial(srv.Addr())
+		defer conn.Close()
+		open, err := conn.Call(&transport.Request{Op: transport.OpOpen, Path: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &transport.Request{Op: transport.OpRead, Handle: open.Handle, Off: -1, Len: zeroCopyMin}
+		open.Release()
+		resp, err := conn.Call(req)
+		if err != nil {
+			t.Fatalf("OpRead at offset -1: %v, want a StatusError response", err)
+		}
+		status := resp.Status
+		resp.Release()
+		if status != transport.StatusError {
+			t.Fatalf("OpRead at offset -1: status %d, want StatusError", status)
+		}
+		settle(servers)
+		if got := opensOf(opens, p); got != pfsOpens {
+			t.Fatalf("the refused read cost %d PFS opens", got-pfsOpens)
+		}
+		if got := srv.Stats().ZeroCopyEligible; got != eligible {
+			t.Fatalf("the refused read reached sendfile: eligible %d -> %d", eligible, got)
+		}
+	})
 }
 
 // TestReadRacingCloseLeavesNothingBehind closes a handle while a read on
@@ -511,7 +479,7 @@ func TestNegativeOffsetRefused(t *testing.T) {
 // cache file is left open. (With descriptors and index pins held by the
 // handle, this interleaving leaked both: ROADMAP, PR 13.)
 func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
-	r := newLadderRig(t, false, false)
+	r := newLadderRig(t, false)
 	want, err := os.ReadFile(r.paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -565,15 +533,15 @@ func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
 // TestServerCloseReleasesParkedReaders closes the server while a read is
 // parked on a fill whose PFS open does not return. The close ends the
 // read's wait: the read fails within 2 s, while the fill is still held, for
-// each op that can park on a fill — a whole-file read on a handle opened
-// cold, a segment read and a batch entry.
+// each op that can park on a fill — a read on a handle opened cold and a
+// batch entry.
 func TestServerCloseReleasesParkedReaders(t *testing.T) {
 	for _, op := range ladderOps() {
 		if op.warm {
 			continue
 		}
 		t.Run(op.name, func(t *testing.T) {
-			r := newLadderRig(t, op.segmented, false)
+			r := newLadderRig(t, false)
 			r.hold(r.paths[0])
 			if err := op.open(r); err != nil {
 				t.Fatal(err)

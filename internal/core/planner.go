@@ -16,8 +16,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"hvac/internal/place"
@@ -67,7 +65,7 @@ func (s *Server) handlePlan(req *transport.Request) *transport.Response {
 		return errResp(err)
 	}
 	for _, k := range keys {
-		if err := s.allowed(planKeyPath(k)); err != nil {
+		if err := s.allowed(k); err != nil {
 			return errResp(err)
 		}
 	}
@@ -158,8 +156,7 @@ func (s *Server) pumpPlan() {
 			pl.next++
 			continue
 		}
-		path, off, length := planKeySpan(key, s.cfg.SegmentSize)
-		fe, enqueued := s.scheduleFetch(fetchTask{key: key, path: path, off: off, len: length, planned: true}, false)
+		fe, enqueued := s.scheduleFetch(fetchTask{key: key, path: key, planned: true}, false)
 		if fe == nil {
 			return
 		}
@@ -177,36 +174,6 @@ func (s *Server) planSnapshot() (keys int, frontier int64) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	return len(pl.keys), int64(pl.frontier)
-}
-
-// planKeyPath strips a segment suffix ("path@idx") off a plan key so
-// the dataset-dir check applies to the underlying file.
-func planKeyPath(key string) string {
-	if i := strings.LastIndexByte(key, '@'); i >= 0 {
-		if _, err := strconv.ParseInt(key[i+1:], 10, 64); err == nil {
-			return key[:i]
-		}
-	}
-	return key
-}
-
-// planKeySpan resolves a plan key to the PFS byte range its fill must
-// copy: whole file normally, one segment when the key carries a segment
-// suffix and segment caching is on (plans in segment-striped mode name
-// segment keys, because that is the key space reads consult).
-func planKeySpan(key string, segSize int64) (path string, off, length int64) {
-	if segSize <= 0 {
-		return key, 0, 0
-	}
-	i := strings.LastIndexByte(key, '@')
-	if i < 0 {
-		return key, 0, 0
-	}
-	idx, err := strconv.ParseInt(key[i+1:], 10, 64)
-	if err != nil {
-		return key, 0, 0
-	}
-	return key[:i], idx * segSize, segSize
 }
 
 // PlanOrder enumerates an epoch's global access order: the path read at

@@ -612,108 +612,24 @@ func TestRealPrefetch(t *testing.T) {
 	}
 }
 
-func TestRealSegmentedReads(t *testing.T) {
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	os.MkdirAll(pfsDir, 0o755)
-	// One 100 KB file with distinctive content, 16 KB segments.
-	content := make([]byte, 100_000)
-	for i := range content {
-		content[i] = byte(i * 13)
-	}
-	big := filepath.Join(pfsDir, "big.bin")
-	os.WriteFile(big, content, 0o644)
-
-	const segSize = 16 << 10
-	servers, cli := startCluster(t, pfsDir, 3,
-		func(c *ServerConfig) { c.SegmentSize = segSize },
-		func(c *ClientConfig) { c.SegmentSize = segSize })
-
-	got, err := cli.ReadAll(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatalf("segmented read corrupted content (%d bytes)", len(got))
-	}
-	for _, s := range servers {
-		s.WaitIdle()
-	}
-	// Segments spread across multiple servers: 7 segments over 3 servers.
-	totalSegs, serversWithSegs := 0, 0
-	for _, s := range servers {
-		if n := s.CachedFiles(); n > 0 {
-			serversWithSegs++
-			totalSegs += n
-		}
-	}
-	if totalSegs != 7 {
-		t.Fatalf("cached segments = %d, want 7 (100KB / 16KB)", totalSegs)
-	}
-	if serversWithSegs < 2 {
-		t.Fatalf("segments all landed on one server; striping broken")
-	}
-	// Second read: all hits, byte-identical.
-	got2, err := cli.ReadAll(big)
-	if err != nil || !bytes.Equal(got2, content) {
-		t.Fatalf("warm segmented read: %v", err)
-	}
-	var hits int64
-	for _, s := range servers {
-		hits += s.Stats().Hits
-	}
-	if hits != 7 {
-		t.Fatalf("warm segment hits = %d, want 7", hits)
-	}
-	// Ranged read crossing segment boundaries.
-	f, err := cli.Open(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	window := make([]byte, 40_000)
-	if _, err := f.ReadAt(window, 30_000); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(window, content[30_000:70_000]) {
-		t.Fatal("cross-segment ranged read mismatch")
-	}
-}
-
-func TestRealSegmentedFallbackOnFailure(t *testing.T) {
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	os.MkdirAll(pfsDir, 0o755)
-	content := bytes.Repeat([]byte{7}, 50_000)
-	p := filepath.Join(pfsDir, "f.bin")
-	os.WriteFile(p, content, 0o644)
-	const segSize = 8 << 10
-	servers, cli := startCluster(t, pfsDir, 2,
-		func(c *ServerConfig) { c.SegmentSize = segSize },
-		func(c *ClientConfig) { c.SegmentSize = segSize })
-	servers[1].Close()
-	got, err := cli.ReadAll(p)
-	if err != nil {
-		t.Fatalf("segmented read with dead server: %v", err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("content mismatch after fallback")
-	}
-}
-
 // Protocol-level edge cases against a live server.
 func TestRealServerProtocolEdges(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, 1, 4096)
-	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.SegmentSize = 1024 }, nil)
+	servers, _ := startCluster(t, pfsDir, 1, nil, nil)
 	conn := transport.Dial(servers[0].Addr())
 	defer conn.Close()
 
-	// Unknown op.
-	resp := call(t, conn, &transport.Request{Op: transport.Op(99)})
-	if resp.OK() {
-		t.Fatalf("unknown op accepted: %v", resp)
+	// Unknown ops: 6 and 7 are the retired prefetch and segment read, so a
+	// client built before they went is refused rather than misread.
+	for _, op := range []transport.Op{6, 7, 99} {
+		resp := call(t, conn, &transport.Request{Op: op, Path: paths[0], Len: 100})
+		if resp.OK() || !strings.Contains(resp.Err, "unknown op") {
+			t.Fatalf("op %d: status %d, %q; want an unknown-op error", op, resp.Status, resp.Err)
+		}
 	}
 	// Bad handle read/close.
-	resp = call(t, conn, &transport.Request{Op: transport.OpRead, Handle: 12345, Len: 10})
+	resp := call(t, conn, &transport.Request{Op: transport.OpRead, Handle: 12345, Len: 10})
 	if resp.OK() {
 		t.Fatal("read on bad handle accepted")
 	}
@@ -735,14 +651,6 @@ func TestRealServerProtocolEdges(t *testing.T) {
 	if resp.OK() {
 		t.Fatal("negative read accepted")
 	}
-	// Segment read crossing a boundary is refused.
-	resp = call(t, conn, &transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: 1000, Len: 100})
-	if resp.OK() {
-		t.Fatal("cross-boundary segment read accepted")
-	}
-	if !strings.Contains(resp.Err, "segment boundary") {
-		t.Fatalf("err = %q", resp.Err)
-	}
 	// Stat on a missing file.
 	resp = call(t, conn, &transport.Request{Op: transport.OpStat, Path: filepath.Join(pfsDir, "gone")})
 	if resp.OK() {
@@ -752,18 +660,6 @@ func TestRealServerProtocolEdges(t *testing.T) {
 	resp = call(t, conn, &transport.Request{Op: transport.OpStat, Path: paths[0]})
 	if !resp.OK() || resp.Size != 4096 {
 		t.Fatalf("stat = %+v", resp)
-	}
-}
-
-// OpReadAt against a server without segment caching enabled is refused.
-func TestRealSegmentReadRequiresConfig(t *testing.T) {
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, 1, 4096)
-	servers, _ := startCluster(t, pfsDir, 1, nil, nil)
-	conn := transport.Dial(servers[0].Addr())
-	defer conn.Close()
-	if resp := call(t, conn, &transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: 0, Len: 100}); resp.OK() {
-		t.Fatal("segment read accepted without SegmentSize")
 	}
 }
 

@@ -27,8 +27,8 @@
 // ownership), and the only mutex left — Server.mu — guards just the
 // data-mover single-flight map, off the warm read path entirely.
 //
-// Every read op — OpRead on a handle, OpReadAt on a segment, each
-// OpReadBatch entry — is a framing wrapper over one resolver (resolve):
+// Every read op — OpRead on a handle, each OpReadBatch entry — is a
+// framing wrapper over one resolver (resolve):
 // lease on the resident entry → in-flight fill → just-committed entry →
 // PFS. The server holds no descriptor on a cached file between requests;
 // a handle is a path, a size and the fill its open registered. The state
@@ -41,7 +41,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,20 +87,15 @@ type ServerConfig struct {
 	// a pool keeps concurrent cold fills from serializing behind a single
 	// PFS copy.
 	Movers int
-	// SegmentSize > 0 enables segment-level caching (§III-E): files are
-	// cached and served in SegmentSize-byte segments, each homed
-	// independently, which balances load for datasets with highly skewed
-	// file sizes. Clients must use the same value.
-	SegmentSize int64
 	// WriteTimeout bounds each response write so a dead client cannot pin
 	// a connection goroutine; 0 means transport.DefaultWriteTimeout,
 	// negative disables the deadline.
 	WriteTimeout time.Duration
-	// ZeroCopy serves warm whole-file and segment reads from an fd lease
-	// on the cached file, letting the transport push the payload with
-	// sendfile(2) so the bytes never cross userspace (Linux; every other
-	// writer or platform transparently falls back to the pooled
-	// pread+writev path). See DESIGN.md §4.3.
+	// ZeroCopy serves warm reads from an fd lease on the cached file,
+	// letting the transport push the payload with sendfile(2) so the bytes
+	// never cross userspace (Linux; every other writer or platform
+	// transparently falls back to the pooled pread+writev path). See
+	// DESIGN.md §4.3.
 	ZeroCopy bool
 	// OpenPFS overrides how the server opens source files on the PFS;
 	// nil means os.Open. Tests use it to count PFS passes (the
@@ -124,23 +118,22 @@ type ServerConfig struct {
 }
 
 // ServerStats counts server-side activity. The counters satisfy an
-// accounting identity checked by the stress and chaos tests: every
-// whole-file open, every segment read and every batch entry is served
-// either from the cache (Hits) or sourced from the PFS (ReadThroughs),
-// so
+// accounting identity checked by the stress and chaos tests: every open
+// and every batch entry is served either from the cache (Hits) or sourced
+// from the PFS (ReadThroughs), so
 //
-//	Hits + ReadThroughs == Opens + segment Reads + BatchEntries
+//	Hits + ReadThroughs == Opens + BatchEntries
 //
 // Misses counts completed background fills, which lag ReadThroughs (the
 // data-mover single-flights concurrent first reads and may still be
 // streaming when the request is answered from the fill).
 //
 // Every serve event bumps one sourcing counter and one serve-kind counter
-// together. Whole-file handle reads are outside the identity: their
-// sourcing was accounted at open, so handleRead drops the resolver's
-// verdict. TestReadLadderThroughEveryWrapper asserts the identity for
-// every read op in every state the resolver distinguishes, and
-// runChaosCase after every chaos schedule.
+// together. Handle reads are outside the identity: their sourcing was
+// accounted at open, so handleRead drops the resolver's verdict.
+// TestReadLadderThroughEveryWrapper asserts the identity for every read
+// op in every state the resolver distinguishes, and runChaosCase after
+// every chaos schedule.
 type ServerStats struct {
 	Opens        int64
 	Reads        int64
@@ -253,15 +246,12 @@ func (fe *fillEntry) publish(f *cachestore.Fill) {
 	})
 }
 
-// fetchTask names one data-mover copy: a whole file (Len == 0) or one
-// segment of it.
+// fetchTask names one data-mover copy: a whole file.
 type fetchTask struct {
-	key     string // cache-store key ("path" or "path@segIdx")
+	key     string // cache-store key
 	path    string
-	off     int64
-	len     int64 // 0 = to EOF (whole file)
-	demand  bool  // a client is waiting; completed demand fills warm the replicas
-	planned bool  // scheduled by the plan pump; completion re-pumps the plan
+	demand  bool // a client is waiting; completed demand fills warm the replicas
+	planned bool // scheduled by the plan pump; completion re-pumps the plan
 	entry   *fillEntry
 }
 
@@ -565,8 +555,9 @@ func (s *Server) runFetch(task fetchTask) {
 // replica homes as prefetch hints — the §III-H replica-warming flow:
 // the primary serves the cold read, the secondaries fill through their
 // low-priority prefetch queue (their own counted backpressure applies),
-// and a later failover read finds a warm cache. Segment keys carry
-// their byte range so the peer fills exactly the segment it homes.
+// and a later failover read finds a warm cache. The hint is the one-path
+// batch Client.Prefetch sends; a dead peer accepts none and warms on its
+// own first read instead.
 func (s *Server) warmReplicas(task fetchTask) {
 	s.peerMu.Lock()
 	view, r := s.pview, s.cfg.Replicas
@@ -575,20 +566,9 @@ func (s *Server) warmReplicas(task fetchTask) {
 		return
 	}
 	for _, peer := range view.Replicas(task.key, r) {
-		conn := s.peerConn(peer) // nil for self
-		if conn == nil {
-			continue
+		if conn := s.peerConn(peer); conn != nil { // nil for self
+			s.stats.replicaWarms.Add(int64(prefetchHint(conn, []string{task.path})))
 		}
-		resp, err := conn.Call(&transport.Request{
-			Op: transport.OpPrefetch, Path: task.path, Off: task.off, Len: task.len,
-		})
-		if err != nil {
-			continue // a dead peer warms on its own first read instead
-		}
-		if resp.OK() {
-			s.stats.replicaWarms.Add(1)
-		}
-		resp.Release()
 	}
 }
 
@@ -631,13 +611,7 @@ func (s *Server) fillIn(task fetchTask) error {
 	if err != nil {
 		return fmt.Errorf("hvac server: pfs stat: %w", err)
 	}
-	size := fi.Size() - task.off
-	if size < 0 {
-		size = 0
-	}
-	if task.len > 0 && task.len < size {
-		size = task.len
-	}
+	size := fi.Size()
 	fill, err := s.store.PutWriter(task.key, size)
 	if err != nil {
 		return fmt.Errorf("hvac server: cache fill: %w", err)
@@ -646,7 +620,7 @@ func (s *Server) fillIn(task fetchTask) error {
 	// CopyFrom lets the kernel move the bytes (copy_file_range/sendfile)
 	// instead of bouncing them through a user-space buffer; attached
 	// readers are still served chunk by chunk as the prefix lands.
-	if _, err := fill.CopyFrom(src, task.off, size); err != nil {
+	if _, err := fill.CopyFrom(src, 0, size); err != nil {
 		fill.Abort(err)
 		return fmt.Errorf("hvac server: cache fill: %w", err)
 	}
@@ -703,20 +677,12 @@ func errResp(err error) *transport.Response {
 // or reaches the resolver: a negative offset or length is nonsense (an
 // offset below zero would grow the handle's clamp and reach pread and
 // sendfile as is) and anything above half a frame cannot be answered
-// (the response frame must also carry the header and tail). Both
-// handleRead and handleReadAt validate through this one helper.
+// (the response frame must also carry the header and tail).
 func checkRange(off, n int64) error {
 	if off < 0 || n < 0 || n > transport.MaxFrame/2 {
 		return fmt.Errorf("hvac server: read of %d bytes at offset %d out of range", n, off)
 	}
 	return nil
-}
-
-// segKey names one cached segment. strconv instead of fmt keeps it off
-// the Sprintf slow path — this runs per segment read on client and
-// server.
-func segKey(path string, seg int64) string {
-	return path + "@" + strconv.FormatInt(seg, 10)
 }
 
 // handle dispatches one RPC, recording per-operation service latency.
@@ -736,11 +702,6 @@ func (s *Server) handle(req *transport.Request) *transport.Response {
 		return s.handleClose(req)
 	case transport.OpStat:
 		return s.handleStat(req)
-	case transport.OpPrefetch:
-		return s.handlePrefetch(req)
-	case transport.OpReadAt:
-		defer func() { s.latRead.Observe(time.Since(start)) }()
-		return s.handleReadAt(req)
 	case transport.OpReadBatch:
 		defer func() { s.latRead.Observe(time.Since(start)) }()
 		return s.handleReadBatch(req)
@@ -819,8 +780,7 @@ const zeroCopyMin = 64 << 10
 // resolve is the server's one read ladder (§III-D; DESIGN.md §5.1):
 // every read op is a framing wrapper over it. It serves up to want bytes
 // at off within the cached object task names — task.key, which a fill
-// copies from task.len bytes (0: to EOF) of task.path at task.off — from
-// the first rung that has them:
+// copies from task.path — from the first rung that has them:
 //
 //  1. a lease on the resident entry, the one way to read a cached file
 //     and the index's one hit/recency bump per read;
@@ -894,7 +854,7 @@ func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *t
 	if err != nil {
 		return 0, false, fmt.Errorf("hvac server: pfs open: %w", err)
 	}
-	n, err = f.ReadAt(dst, task.off+off)
+	n, err = f.ReadAt(dst, off)
 	_ = f.Close() // read-only handle; the ReadAt result is what matters
 	if err != nil && err != io.EOF {
 		return 0, false, err
@@ -938,74 +898,6 @@ func (s *Server) handleClose(req *transport.Request) *transport.Response {
 	}
 	s.stats.closes.Add(1)
 	return &transport.Response{Status: transport.StatusOK}
-}
-
-// handlePrefetch enqueues a background fill of the file without opening
-// it — the pre-population path that erases the first-epoch overhead the
-// paper leaves to future work (§IV-C). Prefetch hints ride the
-// low-priority queue: demand misses preempt them, and a full queue drops
-// the hint rather than blocking the handler. A hint with Len > 0 names
-// one segment (replica warming forwards segment fills this way); it is
-// only honoured when this server caches at the same segment size.
-func (s *Server) handlePrefetch(req *transport.Request) *transport.Response {
-	if err := s.allowed(req.Path); err != nil {
-		return errResp(err)
-	}
-	if req.Len > 0 {
-		segSize := s.cfg.SegmentSize
-		if segSize <= 0 || req.Len != segSize || req.Off%segSize != 0 {
-			return errResp(fmt.Errorf("hvac server: segment hint [%d,%d) does not match segment size %d", req.Off, req.Off+req.Len, segSize))
-		}
-		segIdx := req.Off / segSize
-		key := segKey(req.Path, segIdx)
-		if !s.store.Contains(key) {
-			s.scheduleFetch(fetchTask{key: key, path: req.Path, off: req.Off, len: segSize}, false)
-		}
-		return &transport.Response{Status: transport.StatusOK}
-	}
-	if !s.store.Contains(req.Path) {
-		s.scheduleFetch(fetchTask{key: req.Path, path: req.Path}, false)
-	}
-	return &transport.Response{Status: transport.StatusOK}
-}
-
-// handleReadAt serves a stateless segment read: the requested byte range
-// must lie within one segment, which is the cached object the resolver
-// serves it from (a warm segment read costs one lease, not an
-// open/read/close triple).
-func (s *Server) handleReadAt(req *transport.Request) *transport.Response {
-	segSize := s.cfg.SegmentSize
-	if segSize <= 0 {
-		return errResp(errors.New("hvac server: segment-level caching not enabled"))
-	}
-	if err := s.allowed(req.Path); err != nil {
-		return errResp(err)
-	}
-	if err := checkRange(req.Off, req.Len); err != nil {
-		return errResp(err)
-	}
-	segIdx := req.Off / segSize
-	if (req.Off+req.Len-1)/segSize != segIdx && req.Len > 0 {
-		return errResp(fmt.Errorf("hvac server: range [%d,%d) crosses a segment boundary", req.Off, req.Off+req.Len))
-	}
-	seg := fetchTask{key: segKey(req.Path, segIdx), path: req.Path, off: segIdx * segSize, len: segSize}
-	s.planObserve(seg.key)
-	resp := transport.AcquireResponse()
-	n, hit, err := s.resolve(seg, nil, req.Off-seg.off, req.Len, resp, nil)
-	if err != nil {
-		resp.Release()
-		return errResp(err)
-	}
-	s.stats.reads.Add(1)
-	if hit {
-		s.stats.hits.Add(1)
-	} else {
-		s.stats.readThroughs.Add(1)
-	}
-	s.stats.bytesServed.Add(int64(n))
-	resp.Status = transport.StatusOK
-	resp.Size = int64(n)
-	return resp
 }
 
 // batchEntry is one batch path's pass-1 verdict.

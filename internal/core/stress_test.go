@@ -221,75 +221,3 @@ func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
 		t.Errorf("cache at %d of %d bytes, %d demand rejects", used, total/3, st.DemandRejects)
 	}
 }
-
-// TestStressSegmentedParallelClients repeats the stress run in
-// segment-level caching mode (§III-E), where the accounting identity
-// moves to the read path: every segment read is a Hit or a ReadThrough.
-func TestStressSegmentedParallelClients(t *testing.T) {
-	const (
-		files    = 12
-		fileSize = 8 << 10
-		segSize  = 1 << 10
-		clients  = 4
-		rounds   = 3
-	)
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, files, fileSize)
-
-	servers, cli := startCluster(t, pfsDir, 1,
-		func(cfg *ServerConfig) {
-			cfg.SegmentSize = segSize
-			cfg.CacheCapacity = files * fileSize / 3
-			cfg.Movers = 4
-		},
-		func(cfg *ClientConfig) {
-			cfg.SegmentSize = segSize
-			cfg.disableFallback = true
-		})
-	srv := servers[0]
-
-	var (
-		wg         sync.WaitGroup
-		totalBytes atomic.Int64
-	)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for k := 0; k < files; k++ {
-					i := (g*3 + k) % files
-					got, err := cli.ReadAll(paths[i])
-					if err != nil {
-						t.Errorf("client %d round %d: ReadAll(%s): %v", g, r, paths[i], err)
-						return
-					}
-					want := bytes.Repeat([]byte{byte(i)}, fileSize)
-					if !bytes.Equal(got, want) {
-						t.Errorf("client %d round %d: file %d content mismatch", g, r, i)
-						return
-					}
-					totalBytes.Add(int64(len(got)))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	srv.WaitIdle()
-
-	st := srv.Stats()
-	if st.Hits+st.ReadThroughs != st.Reads {
-		t.Errorf("Hits (%d) + ReadThroughs (%d) = %d, want Reads = %d",
-			st.Hits, st.ReadThroughs, st.Hits+st.ReadThroughs, st.Reads)
-	}
-	if st.BytesServed != totalBytes.Load() {
-		t.Errorf("BytesServed = %d, want %d", st.BytesServed, totalBytes.Load())
-	}
-	cs := cli.Stats()
-	if cs.Fallbacks != 0 {
-		t.Errorf("client stats = %+v, want zero fallbacks", cs)
-	}
-}

@@ -49,20 +49,19 @@ import (
 type Op uint8
 
 // Protocol operations: the three POSIX calls HVAC forwards (§III-D), Stat
-// for probes, Ping for liveness, and Prefetch — the paper's future-work
-// cache pre-population (§III-H / §IV-C) that hides the first-epoch copy.
+// for probes, Ping for liveness, a batched whole-file read (which, with
+// BatchFlagPrefetch, is also the cache pre-population hint of §III-H /
+// §IV-C) and the epoch plan install. An op's number is its identity on the
+// wire: a retired op leaves a blank in its place, so a peer built with the
+// old numbering gets "unknown op" back, never a different op.
 const (
 	OpOpen Op = iota + 1
 	OpRead
 	OpClose
 	OpStat
 	OpPing
-	OpPrefetch
-	// OpReadAt is a stateless ranged read used by segment-level caching
-	// (§III-E mentions HFetch-style segment caching as the fix for
-	// datasets with highly skewed file sizes): the byte range names the
-	// segment; no server-side handle exists.
-	OpReadAt
+	_ // 6: OpPrefetch, retired; a hint is a prefetch OpReadBatch
+	_ // 7: OpReadAt, retired with segment-level caching
 	// OpReadBatch is a scatter-gather whole-file read: N paths in, N
 	// payloads (or per-entry statuses) out, one RPC round trip for a
 	// whole loader batch of small samples. See batch.go for the entry

@@ -41,6 +41,35 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpNumbersArePinned holds every assigned op to the byte it puts on
+// the wire. 6 and 7 belonged to ops since retired (a prefetch hint and a
+// segment's ranged read) and stay blank: numbering the later ops down
+// into them would make a request from a client built before the
+// retirement a different op to a new server, instead of an unknown one.
+func TestOpNumbersArePinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   Op
+		wire byte
+	}{
+		{"OpOpen", OpOpen, 1},
+		{"OpRead", OpRead, 2},
+		{"OpClose", OpClose, 3},
+		{"OpStat", OpStat, 4},
+		{"OpPing", OpPing, 5},
+		{"OpReadBatch", OpReadBatch, 8},
+		{"OpPlan", OpPlan, 9},
+	} {
+		var buf bytes.Buffer
+		if err := WriteRequest(&buf, &Request{Op: c.op}); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes()[4]; got != c.wire { // after the u32 frame length
+			t.Errorf("%s goes on the wire as %d, want %d", c.name, got, c.wire)
+		}
+	}
+}
+
 func TestResponseRoundTrip(t *testing.T) {
 	f := func(status uint8, handle, size int64, data []byte, errStr string) bool {
 		if len(data) > 1<<20 {
