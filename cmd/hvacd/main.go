@@ -13,8 +13,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -27,26 +30,43 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole daemon behind its arguments and output streams, so a
+// test can drive it in process: it serves until ctx is done, then shuts
+// the server down and returns the exit code.
+func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hvacd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen   = flag.String("listen", "127.0.0.1:7070", "TCP listen address")
-		pfsDir   = flag.String("pfs", "", "dataset directory on the shared PFS (required)")
-		cacheDir = flag.String("cache", "", "node-local cache directory (required)")
-		capacity = flag.Int64("capacity", 1600e9, "cache capacity in bytes (default: Summit's 1.6 TB NVMe)")
-		movers   = flag.Int("movers", 0, "data-mover workers (0 = default pool, currently 4)")
-		evict    = flag.String("evict", "random", "eviction policy: random|lru|fifo|clairvoyant")
-		peers    = flag.String("peers", "", "comma-separated addresses of every server in the job (self included, same order everywhere); enables replica warming")
-		self     = flag.Int("self", 0, "this server's index in -peers")
-		replicas = flag.Int("replicas", 1, "replica homes per file; demand fills warm the other homes when -peers is set (must match the clients' -replicas)")
-		seed     = flag.Uint64("seed", 0, "seed for random eviction")
-		stats    = flag.Duration("stats", 0, "print stats every interval (0 = off)")
-		writeTO  = flag.Duration("write-timeout", 0, "per-response write deadline so dead clients cannot pin connections (0 = transport default, negative = disabled)")
-		zeroCopy = flag.Bool("zero-copy", runtime.GOOS == "linux", "serve warm cache reads with sendfile from the cache fd (Linux); off (or unsupported) falls back to pooled userspace copies")
+		listen   = fs.String("listen", "127.0.0.1:7070", "TCP listen address")
+		pfsDir   = fs.String("pfs", "", "dataset directory on the shared PFS (required)")
+		cacheDir = fs.String("cache", "", "node-local cache directory (required)")
+		capacity = fs.Int64("capacity", 1600e9, "cache capacity in bytes (default: Summit's 1.6 TB NVMe)")
+		movers   = fs.Int("movers", 0, "data-mover workers (0 = default pool, currently 4)")
+		evict    = fs.String("evict", "random", "eviction policy: random|lru|fifo|clairvoyant")
+		peers    = fs.String("peers", "", "comma-separated addresses of every server in the job (self included, same order everywhere); enables replica warming")
+		self     = fs.Int("self", 0, "this server's index in -peers")
+		replicas = fs.Int("replicas", 1, "replica homes per file; demand fills warm the other homes when -peers is set (must match the clients' -replicas)")
+		seed     = fs.Uint64("seed", 0, "seed for random eviction")
+		stats    = fs.Duration("stats", 0, "print stats every interval (0 = off)")
+		writeTO  = fs.Duration("write-timeout", 0, "per-response write deadline so dead clients cannot pin connections (0 = transport default, negative = disabled)")
+		zeroCopy = fs.Bool("zero-copy", runtime.GOOS == "linux", "serve warm cache reads with sendfile from the cache fd (Linux); off (or unsupported) falls back to pooled userspace copies")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *pfsDir == "" || *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "hvacd: -pfs and -cache are required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hvacd: -pfs and -cache are required")
+		fs.Usage()
+		return 2
 	}
 
 	var policy hvac.EvictionPolicy
@@ -60,8 +80,8 @@ func main() {
 	case "clairvoyant":
 		policy = hvac.ClairvoyantEviction()
 	default:
-		fmt.Fprintf(os.Stderr, "hvacd: unknown eviction policy %q\n", *evict)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "hvacd: unknown eviction policy %q\n", *evict)
+		return 2
 	}
 
 	srv, err := hvac.StartServer(hvac.ServerConfig{
@@ -76,52 +96,48 @@ func main() {
 		Replicas:      *replicas,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvacd: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hvacd: %v\n", err)
+		return 1
 	}
 	if *peers != "" {
 		set := strings.Split(*peers, ",")
 		if *self < 0 || *self >= len(set) {
-			fmt.Fprintf(os.Stderr, "hvacd: -self %d outside -peers (%d entries)\n", *self, len(set))
+			fmt.Fprintf(stderr, "hvacd: -self %d outside -peers (%d entries)\n", *self, len(set))
 			srv.Close()
-			os.Exit(2)
+			return 2
 		}
 		srv.SetPeers(set, *self)
-		fmt.Printf("hvacd: replica warming across %d peers (self=%d, replicas=%d)\n", len(set), *self, *replicas)
+		fmt.Fprintf(stdout, "hvacd: replica warming across %d peers (self=%d, replicas=%d)\n", len(set), *self, *replicas)
 	}
 	moverDesc := fmt.Sprintf("%d", *movers)
 	if *movers <= 0 {
 		moverDesc = "default"
 	}
-	fmt.Printf("hvacd: serving %s on %s (cache %s, %s movers, %s eviction, %d cache descriptors from RLIMIT_NOFILE)\n",
+	fmt.Fprintf(stdout, "hvacd: serving %s on %s (cache %s, %s movers, %s eviction, %d cache descriptors from RLIMIT_NOFILE)\n",
 		*pfsDir, srv.Addr(), *cacheDir, moverDesc, *evict, cachestore.DescriptorBudget())
 
-	stop := make(chan struct{})
+	// The stats ticker runs on run's own goroutine, so nothing outlives
+	// the shutdown; with -stats 0 its channel is nil and never fires.
+	var tick <-chan time.Time
 	if *stats > 0 {
-		go func() {
-			t := time.NewTicker(*stats)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					st := srv.Stats()
-					fmt.Printf("hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks)\n",
-						st.Opens, st.Closes, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
-						st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
-						st.PlanPrefetches, st.PlanKeys, st.PlanFrontier,
-						st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks)
-					fmt.Printf("hvacd latencies:\n%s\n", srv.LatencySummary())
-				case <-stop:
-					return
-				}
-			}
-		}()
+		t := time.NewTicker(*stats)
+		defer t.Stop()
+		tick = t.C
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	fmt.Println("hvacd: shutting down, purging cache (job-coupled life cycle)")
-	close(stop)
-	srv.Close()
+	for {
+		select {
+		case <-tick:
+			st := srv.Stats()
+			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks)\n",
+				st.Opens, st.Closes, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
+				st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
+				st.PlanPrefetches, st.PlanKeys, st.PlanFrontier,
+				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks)
+			fmt.Fprintf(stdout, "hvacd latencies:\n%s\n", srv.LatencySummary())
+		case <-ctx.Done():
+			fmt.Fprintln(stdout, "hvacd: shutting down, purging cache (job-coupled life cycle)")
+			srv.Close()
+			return 0
+		}
+	}
 }

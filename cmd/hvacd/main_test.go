@@ -1,0 +1,154 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"hvac"
+	"hvac/internal/testutil"
+	"hvac/internal/transport"
+)
+
+// syncBuffer is a bytes.Buffer the daemon can write to while the test
+// reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+var (
+	servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
+	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
+)
+
+// await polls out until find returns a match, failing the test after 5 s.
+func await(t *testing.T, out *syncBuffer, what string, find func(string) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !find(out.String()); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s within 5 s; stdout:\n%s", what, out)
+		}
+	}
+}
+
+// lastStats reports hits and misses from the last -stats line in s.
+func lastStats(s string) (hits, misses int, ok bool) {
+	m := statsRe.FindAllStringSubmatch(s, -1)
+	if len(m) == 0 {
+		return 0, 0, false
+	}
+	last := m[len(m)-1]
+	hits, _ = strconv.Atoi(last[1])
+	misses, _ = strconv.Atoi(last[2])
+	return hits, misses, true
+}
+
+// TestDaemon drives hvacd in process: usage errors exit 2 before or just
+// after the server starts, and a serving daemon caches what it serves,
+// prints its -stats line, and on cancellation shuts down with exit 0,
+// leaving no goroutine (the -stats ticker included), descriptor or pooled
+// response behind.
+func TestDaemon(t *testing.T) {
+	pfs := t.TempDir()
+	file := filepath.Join(pfs, "f0.rec")
+	want := bytes.Repeat([]byte("hvacd"), 4096)
+	if err := os.WriteFile(file, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Each daemon keeps its files in a store directory of its own inside
+	// the cache dir, so the rows can share it.
+	cache := filepath.Join(t.TempDir(), "nvme")
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		// serve, if set, runs against the daemon while it serves at addr;
+		// the context is cancelled when it returns.
+		serve func(t *testing.T, addr string, stdout *syncBuffer)
+	}{
+		{"missing -pfs", []string{"-cache", cache}, 2, nil},
+		{"unknown -evict", []string{"-pfs", pfs, "-cache", cache, "-evict", "mru"}, 2, nil},
+		{"-self outside -peers", []string{"-listen", "127.0.0.1:0", "-pfs", pfs, "-cache", cache,
+			"-peers", "127.0.0.1:1,127.0.0.1:2", "-self", "2"}, 2, nil},
+		{"serve", []string{"-listen", "127.0.0.1:0", "-pfs", pfs, "-cache", cache, "-stats", "10ms"}, 0,
+			func(t *testing.T, addr string, stdout *syncBuffer) {
+				cli, err := hvac.NewClient(hvac.ClientConfig{Servers: []string{addr}, DatasetDir: pfs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cli.Close()
+				for i, wantHits := range []int{0, 1} {
+					got, err := cli.ReadAll(file)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("read %d: got %d bytes, want the file's %d", i+1, len(got), len(want))
+					}
+					// The fill writes behind the first read; the second
+					// read must find it committed.
+					await(t, stdout, "-stats line with the fill done", func(s string) bool {
+						hits, misses, ok := lastStats(s)
+						return ok && hits == wantHits && misses == 1
+					})
+				}
+				if st := cli.Stats(); st.Redirected != 2 || st.Fallbacks != 0 {
+					t.Fatalf("client stats %+v, want 2 redirected opens and no fallback", st)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckBalance(t, "pooled responses outstanding", transport.OutstandingResponses)
+			testutil.CheckFDs(t)
+			testutil.CheckLeaks(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var stdout, stderr syncBuffer
+			done := make(chan int, 1)
+			go func() { done <- run(ctx, tc.args, &stdout, &stderr) }()
+
+			if tc.serve != nil {
+				var addr string
+				await(t, &stdout, `"serving … on ADDR" line`, func(s string) bool {
+					if m := servingRe.FindStringSubmatch(s); m != nil {
+						addr = m[1]
+					}
+					return addr != ""
+				})
+				tc.serve(t, addr, &stdout)
+				cancel()
+			}
+			select {
+			case code := <-done:
+				if code != tc.code {
+					t.Fatalf("exit code %d, want %d; stdout:\n%s\nstderr:\n%s", code, tc.code, &stdout, &stderr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("run did not return within 5 s; stdout:\n%s", &stdout)
+			}
+			if _, _, ok := lastStats(stdout.String()); tc.serve != nil && !ok {
+				t.Errorf("no hvacd: opens= line on stdout:\n%s", &stdout)
+			}
+		})
+	}
+}

@@ -6,10 +6,8 @@
 //	hvaclint [-list] [-rules a,b,...] [-format text|json] [-stats] [packages]
 //
 // With no arguments or the pattern "./...", every package of the module
-// is analysed — as one set, so the interprocedural analyzers (lockorder,
-// goroleak) see the whole call graph. Other
-// arguments name package directories relative to the working
-// directory. -rules restricts the run to a comma-separated
+// is analysed. Other arguments name package directories relative to the
+// working directory. -rules restricts the run to a comma-separated
 // subset of the suite (names as printed by -list). Findings print as
 //
 //	file:line:col: [rule] message
@@ -36,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"hvac/internal/analysis"
 )
@@ -107,8 +104,6 @@ func run(args []string, analyzers []*analysis.Analyzer, format string, stats boo
 	if err != nil {
 		return 0, err
 	}
-	// Load the selected packages and analyse them as one set: the
-	// interprocedural analyzers need the shared call graph.
 	var pkgs []*analysis.Package
 	for _, ip := range paths {
 		pkg, err := l.Load(ip)
@@ -164,13 +159,9 @@ func run(args []string, analyzers []*analysis.Analyzer, format string, stats boo
 	// stream (text) or a parseable document (json).
 	if stats {
 		fmt.Fprintf(stderr, "hvaclint: analyzer findings:\n")
-		for i, a := range analyzers {
-			elapsed := time.Duration(0)
-			if i < len(timings) {
-				elapsed = timings[i].Elapsed
-			}
-			fmt.Fprintf(stderr, "  %-16s %-6d %8.1fms\n", a.Name, perRule[a.Name],
-				float64(elapsed.Microseconds())/1000)
+		for _, tm := range timings {
+			fmt.Fprintf(stderr, "  %-16s %-6d %8.1fms\n", tm.Name, perRule[tm.Name],
+				float64(tm.Elapsed.Microseconds())/1000)
 		}
 		if perRule["suppress"] > 0 {
 			fmt.Fprintf(stderr, "  %-16s %d\n", "suppress", perRule["suppress"])

@@ -9,24 +9,23 @@ import (
 	"hvac/internal/analysis"
 )
 
-// TestSuiteHasSixAnalyzers pins the suite size: adding or removing
+// TestSuiteHasFourAnalyzers pins the suite size: adding or removing
 // an analyzer must be a conscious change here, in -list, and in the
 // docs (DESIGN.md §B's census).
-func TestSuiteHasSixAnalyzers(t *testing.T) {
-	if got := len(analysis.Analyzers()); got != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", got)
+func TestSuiteHasFourAnalyzers(t *testing.T) {
+	if got := len(analysis.Analyzers()); got != 4 {
+		t.Fatalf("suite has %d analyzers, want 4", got)
 	}
 }
 
 // TestRulesSubsetsNameNewAnalyzers exercises the -rules resolution
-// path for the call-graph analyzers, alone and combined with a
-// per-package one.
+// path for each rule alone and for subsets of the suite.
 func TestRulesSubsetsNameNewAnalyzers(t *testing.T) {
 	for _, names := range [][]string{
-		{"goroleak"},
-		{"lockorder"},
-		{"lockorder", "goroleak"},
-		{"lockorder", "errdrop", "goroleak"},
+		{"errdrop"},
+		{"locksafe"},
+		{"errdrop", "locksafe"},
+		{"simdeterminism", "pfsbypass", "locksafe", "errdrop"},
 	} {
 		got, err := analysis.ByName(names)
 		if err != nil {
@@ -38,7 +37,7 @@ func TestRulesSubsetsNameNewAnalyzers(t *testing.T) {
 	}
 	// A deleted rule is an unknown one: -rules naming it is a usage error
 	// (main exits 2), not a run of nothing.
-	for _, gone := range []string{"blockgard", "atomicmix", "chanlife", "statpair", "ownerpass", "blockguard", "untrustedlen"} {
+	for _, gone := range []string{"blockgard", "atomicmix", "chanlife", "statpair", "ownerpass", "blockguard", "untrustedlen", "lockorder", "goroleak"} {
 		if _, err := analysis.ByName([]string{gone}); err == nil {
 			t.Fatalf("ByName accepted the unknown rule name %q", gone)
 		}
@@ -50,7 +49,7 @@ func TestRulesSubsetsNameNewAnalyzers(t *testing.T) {
 // json.Unmarshal (stats never leak into it) and stats must land on
 // stderr.
 func TestJSONStatsRoundTrip(t *testing.T) {
-	analyzers, err := analysis.ByName([]string{"goroleak", "errdrop", "lockorder"})
+	analyzers, err := analysis.ByName([]string{"locksafe", "errdrop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestJSONStatsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &parsed); err != nil {
 		t.Fatalf("stdout does not round-trip through json.Unmarshal: %v\nstdout:\n%s", err, stdout.String())
 	}
-	for _, want := range []string{"hvaclint: analyzer findings:", "goroleak", "errdrop", "lockorder"} {
+	for _, want := range []string{"hvaclint: analyzer findings:", "locksafe", "errdrop"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr stats missing %q:\n%s", want, stderr.String())
 		}
@@ -90,7 +89,7 @@ func TestSarifIsUnknownFormat(t *testing.T) {
 // TestTextFindingsExitCount runs a subset over a package and checks
 // the zero-findings contract of the text path.
 func TestTextFindingsExitCount(t *testing.T) {
-	analyzers, err := analysis.ByName([]string{"lockorder"})
+	analyzers, err := analysis.ByName([]string{"locksafe"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestTextFindingsExitCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if findings != 0 {
-		t.Fatalf("lockorder reports %d findings on internal/core:\n%s", findings, stdout.String())
+		t.Fatalf("locksafe reports %d findings on internal/core:\n%s", findings, stdout.String())
 	}
 	if strings.Contains(stdout.String(), "finding(s)") {
 		t.Errorf("clean run printed a findings summary:\n%s", stdout.String())

@@ -26,8 +26,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"hvac/internal/analysis/callgraph"
 )
 
 // A Diagnostic is one finding of one analyzer.
@@ -48,10 +46,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
-// An Analyzer checks one invariant over one package (Run) or over the
-// whole analyzed package set at once (RunModule). Exactly one of the two
-// hooks is set: interprocedural analyzers use RunModule, which sees every
-// package plus the shared call graph.
+// An Analyzer checks one invariant over one package at a time.
 type Analyzer struct {
 	// Name is the rule name used in output and suppression comments.
 	Name string
@@ -60,32 +55,6 @@ type Analyzer struct {
 	// Run inspects the pass's package and reports findings via
 	// Pass.Report.
 	Run func(*Pass)
-	// RunModule, if set, runs once over every analyzed package with the
-	// shared call graph — the hook for interprocedural analyzers.
-	RunModule func(*ModulePass)
-}
-
-// A ModulePass carries the whole analyzed package set through one
-// interprocedural analyzer.
-type ModulePass struct {
-	// Pkgs are the analyzed packages, sorted by import path.
-	Pkgs []*Package
-	// Graph is the CHA call graph over Pkgs.
-	Graph *callgraph.Graph
-	// Fset positions every node of every package.
-	Fset *token.FileSet
-
-	analyzer *Analyzer
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:     p.Fset.Position(pos),
-		Rule:    p.analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
 }
 
 // A Pass carries one package through one analyzer.
@@ -116,8 +85,6 @@ func Analyzers() []*Analyzer {
 		PFSBypass,
 		LockSafe,
 		ErrDrop,
-		LockOrder,
-		GoroLeak,
 	}
 }
 
@@ -162,7 +129,7 @@ type Timing struct {
 
 // Run applies the analyzers to one package, resolves suppression
 // comments, and returns the surviving (unsuppressed) diagnostics sorted
-// by position. Interprocedural analyzers see a one-package module.
+// by position.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	all := RunPackages([]*Package{pkg}, analyzers)
 	out := all[:0]
@@ -174,38 +141,23 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// RunPackages applies the analyzers to the whole package set:
-// per-package analyzers run over each package, interprocedural ones run
-// once over the set with a shared call graph. Findings covered by a
-// reasoned //hvaclint:ignore comment are marked Suppressed rather than
-// dropped; the result is sorted by position.
+// RunPackages applies each analyzer to every package of the set.
+// Findings covered by a reasoned //hvaclint:ignore comment are marked
+// Suppressed rather than dropped; the result is sorted by position.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	diags, _ := RunPackagesTimed(pkgs, analyzers)
 	return diags
 }
 
 // RunPackagesTimed is RunPackages plus a per-analyzer wall-clock
-// breakdown in suite order; the first interprocedural analyzer's entry
-// includes the shared call-graph construction.
+// breakdown in suite order.
 func RunPackagesTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 	var diags []Diagnostic
-	var graph *callgraph.Graph
 	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
 		start := time.Now()
-		switch {
-		case a.RunModule != nil:
-			if graph == nil {
-				graph = BuildGraph(pkgs)
-			}
-			a.RunModule(&ModulePass{
-				Pkgs: pkgs, Graph: graph, Fset: pkgs[0].Fset,
-				analyzer: a, diags: &diags,
-			})
-		case a.Run != nil:
-			for _, pkg := range pkgs {
-				a.Run(&Pass{Package: pkg, analyzer: a, diags: &diags})
-			}
+		for _, pkg := range pkgs {
+			a.Run(&Pass{Package: pkg, analyzer: a, diags: &diags})
 		}
 		timings = append(timings, Timing{Name: a.Name, Elapsed: time.Since(start)})
 	}
@@ -224,20 +176,6 @@ func RunPackagesTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []T
 		return diags[i].Rule < diags[j].Rule
 	})
 	return diags, timings
-}
-
-// BuildGraph constructs the shared CHA call graph over the package set.
-func BuildGraph(pkgs []*Package) *callgraph.Graph {
-	cg := make([]*callgraph.Package, len(pkgs))
-	for i, pkg := range pkgs {
-		cg[i] = &callgraph.Package{
-			Path:  pkg.ImportPath,
-			Files: pkg.Files,
-			Info:  pkg.Info,
-			Types: pkg.Types,
-		}
-	}
-	return callgraph.Build(pkgs[0].Fset, cg)
 }
 
 // suppression is one parsed //hvaclint:ignore comment.

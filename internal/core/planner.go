@@ -42,7 +42,8 @@ const defaultPlanHorizon = 256
 // planner is one server's installed epoch plan and pump cursor.
 // Lock order: planner.mu is taken before Server.mu / Store.mu (the pump
 // schedules fetches while holding it); nothing takes planner.mu while
-// holding either of those.
+// holding either of those. TestChaosMatrixClairvoyantPlanner holds the
+// order: under -race it hangs on a path that takes them the other way.
 type planner struct {
 	mu       sync.Mutex
 	gen      int64          // plan generation (client-chosen, typically the epoch)

@@ -310,7 +310,7 @@ type Server struct {
 
 	// peerMu guards the replica-warming wiring: the peer address list,
 	// its membership view, and the lazily dialed peer links. Never held
-	// across a Call.
+	// across a Call (TestParkedHintHoldsNoServerLock).
 	peerMu    sync.Mutex
 	peers     []string
 	self      int
