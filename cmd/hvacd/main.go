@@ -55,7 +55,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 0, "seed for random eviction")
 		stats    = fs.Duration("stats", 0, "print stats every interval (0 = off)")
 		writeTO  = fs.Duration("write-timeout", 0, "per-response write deadline so dead clients cannot pin connections (0 = transport default, negative = disabled)")
-		zeroCopy = fs.Bool("zero-copy", runtime.GOOS == "linux", "serve warm cache reads with sendfile from the cache fd (Linux); off (or unsupported) falls back to pooled userspace copies")
+		zeroCopy = fs.Bool("zero-copy", runtime.GOOS == "linux", "serve warm cache reads with sendfile from the cache fd (Linux), and files under 64 KiB from their mappings; off (or unsupported) falls back to pooled userspace copies")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -128,11 +128,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		select {
 		case <-tick:
 			st := srv.Stats()
-			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks)\n",
+			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks) mapped=%d\n",
 				st.Opens, st.Closes, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
 				st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
 				st.PlanPrefetches, st.PlanKeys, st.PlanFrontier,
-				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks)
+				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.MappedSends)
 			fmt.Fprintf(stdout, "hvacd latencies:\n%s\n", srv.LatencySummary())
 		case <-ctx.Done():
 			fmt.Fprintln(stdout, "hvacd: shutting down, purging cache (job-coupled life cycle)")

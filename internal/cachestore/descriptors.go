@@ -22,26 +22,64 @@ import (
 // reads and the leases below. An entry committed while the budget is
 // spent has no slot, and a lease on it opens, uses and closes a
 // descriptor of its own.
-var fdBudget struct {
+//
+// A slot may also hold the file mapped read-only (entry.m): a store told
+// to (Store.MapSmallFiles) maps each small file it commits, and a lease hands
+// the mapping out for the transport to writev from (DESIGN.md §6.2). The
+// mapping lives and dies with the descriptor: the last reference off a
+// dead slot unmaps, then closes, and a victim handed to a fill is
+// unmapped before the fill writes to it. mapBudget caps the live
+// mappings at half of vm.max_map_count, process-wide like fdBudget: the
+// Go runtime maps its own memory under the same limit, and a mapping it
+// cannot get crashes the process. A file committed past the budget is
+// simply not mapped.
+var fdBudget, mapBudget struct {
 	limit atomic.Int64 // set once at start-up; tests lower it
 	held  atomic.Int64
 }
 
-func init() { fdBudget.limit.Store(nofileLimit() / 2) }
+func init() {
+	fdBudget.limit.Store(nofileLimit() / 2)
+	mapBudget.limit.Store(mapCountLimit() / 2)
+}
 
 // DescriptorBudget reports how many cache-file descriptors this process's
 // stores may keep open between them.
 func DescriptorBudget() int64 { return fdBudget.limit.Load() }
 
-// adopt gives e the open cache file f if the budget has room, holding one
-// reference for the caller. Store.mu must be held.
-func (e *entry) adopt(f *os.File) bool {
+// adopt gives e the open cache file f, and its mapping m (nil for
+// none), if the budget has room, holding one reference for the caller.
+// Store.mu must be held.
+func (e *entry) adopt(f *os.File, m []byte) bool {
 	if fdBudget.held.Add(1) > fdBudget.limit.Load() {
 		fdBudget.held.Add(-1)
 		return false
 	}
-	e.f, e.refs = f, 1
+	e.f, e.m, e.refs = f, m, 1
 	return true
+}
+
+// mapEntry maps the first size bytes of f for an entry's slot, or returns
+// nil when the budget is spent or the map fails.
+func mapEntry(f *os.File, size int64) []byte {
+	if mapBudget.held.Add(1) > mapBudget.limit.Load() {
+		mapBudget.held.Add(-1)
+		return nil
+	}
+	m, err := mapFile(f, size)
+	if err != nil {
+		mapBudget.held.Add(-1)
+		return nil // the entry is read through its descriptor
+	}
+	return m
+}
+
+// unmap undoes mapEntry; nil is no mapping.
+func unmap(m []byte) {
+	if m != nil {
+		unmapFile(m)
+		mapBudget.held.Add(-1)
+	}
 }
 
 // retire marks the slots of entries that just left the index dead and
@@ -58,8 +96,8 @@ func retire(gone []*entry) {
 }
 
 // unref drops one reference on e's slot; the last one off a dead slot
-// closes the descriptor and returns it to the budget. Dropping a
-// reference nobody holds panics.
+// unmaps the file, closes the descriptor and returns both to their
+// budgets. Dropping a reference nobody holds panics.
 func (s *Store) unref(e *entry) {
 	s.mu.Lock()
 	e.refs--
@@ -69,6 +107,7 @@ func (s *Store) unref(e *entry) {
 		panic("cachestore: entry slot released more often than referenced")
 	}
 	if last {
+		unmap(e.m)
 		_ = e.f.Close() // read side only, and nobody is left to tell
 		fdBudget.held.Add(-1)
 	}

@@ -24,7 +24,7 @@ func limitBudget(t *testing.T, n int64) {
 
 // slots reports how many of the store's resident entries hold a
 // descriptor, failing the test on a slot a finished test left referenced
-// or marked dead.
+// or marked dead, and on a mapping held without a slot.
 func slots(t *testing.T, s *Store) (n int) {
 	t.Helper()
 	s.mu.Lock()
@@ -32,6 +32,9 @@ func slots(t *testing.T, s *Store) (n int) {
 	for k, e := range s.ix.entries {
 		if e.refs != 0 || e.dead {
 			t.Errorf("resident entry %s at rest: refs=%d dead=%v", k, e.refs, e.dead)
+		}
+		if e.m != nil && e.f == nil {
+			t.Errorf("resident entry %s holds a mapping without a slot", k)
 		}
 		if e.f != nil {
 			n++
@@ -138,14 +141,14 @@ func TestWarmLeaseOpensNothing(t *testing.T) {
 func TestEvictionHandsOverOnlyAnUnreferencedDescriptor(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		touch   func(l *Lease) // what happens to the victim's lease before its eviction
+		touch   func(t *testing.T, l *Lease) // what happens to the victim's lease before its eviction
 		recycle bool
 	}{
-		{"idle", func(l *Lease) { l.Release() }, true},
-		{"read and released", func(l *Lease) { _, _ = l.ReadAt(make([]byte, 8), 0); l.Release() }, true},
-		{"leased", func(l *Lease) { t.Cleanup(l.Release) }, false},
-		{"sent and released", func(l *Lease) { _ = l.File(); l.Release() }, true},
-		{"sent, lease still held", func(l *Lease) { _ = l.File(); t.Cleanup(l.Release) }, false},
+		{"idle", func(t *testing.T, l *Lease) { l.Release() }, true},
+		{"read and released", func(t *testing.T, l *Lease) { _, _ = l.ReadAt(make([]byte, 8), 0); l.Release() }, true},
+		{"leased", func(t *testing.T, l *Lease) { t.Cleanup(l.Release) }, false},
+		{"sent and released", func(t *testing.T, l *Lease) { _ = l.File(); l.Release() }, true},
+		{"sent, lease still held", func(t *testing.T, l *Lease) { _ = l.File(); t.Cleanup(l.Release) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestStore(t, 64, NewFIFO()) // room for one
@@ -157,7 +160,7 @@ func TestEvictionHandsOverOnlyAnUnreferencedDescriptor(t *testing.T) {
 				t.Fatal(err)
 			}
 			old := l.f
-			tc.touch(l)
+			tc.touch(t, l)
 			if err := put(s, "new", 48, keyBytes(1)[:48]); err != nil { // smaller: a recycled file is cut
 				t.Fatal(err)
 			}
@@ -241,6 +244,92 @@ func TestLeaseBudgetDegrades(t *testing.T) {
 		t.Fatalf("%d cache descriptors open at rest, budget %d: %v", len(fds), budget, fds)
 	}
 	slots(t, s)
+}
+
+// limitMaps leaves room for n more mappings in the process-wide budget for
+// the rest of the test, whatever earlier tests' stores hold.
+func limitMaps(t *testing.T, n int64) {
+	t.Helper()
+	old := mapBudget.limit.Load()
+	mapBudget.limit.Store(mapBudget.held.Load() + n)
+	t.Cleanup(func() { mapBudget.limit.Store(old) })
+}
+
+// TestMapBudgetDegrades forces the mapping budget below the working set,
+// down to none: an entry committed past it is simply not mapped, and its
+// leases hand out no mapping and read the same bytes through the
+// descriptor, while each entry within it hands out a mapping of exactly
+// its file's bytes. A mapping leased across its key's eviction keeps those
+// bytes, the budget it frees goes to later commits, and once the store is
+// purged and the last lease released no mapping is left.
+func TestMapBudgetDegrades(t *testing.T) {
+	for _, budget := range []int64{0, 4} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			const keys = 12
+			maps := mapBudget.held.Load()
+			limitMaps(t, budget)
+			s := newTestStore(t, keys*64, NewFIFO())
+			for i := 0; i < keys; i++ {
+				if err := put(s, fmt.Sprintf("k%d", i), 64, keyBytes(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf := make([]byte, 64)
+			var mapped int64
+			var held *Lease // k0's: FIFO evicts it first
+			for i := 0; i < keys; i++ {
+				l, err := s.Lease(fmt.Sprintf("k%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := l.ReadAt(buf, 0); err != nil || string(buf) != keyBytes(i) {
+					t.Fatalf("k%d read %q, %v", i, buf, err)
+				}
+				if m := l.Mapped(); m != nil {
+					mapped++
+					if string(m) != keyBytes(i) {
+						t.Fatalf("k%d's mapping holds %q", i, m)
+					}
+				}
+				if i == 0 {
+					held = l
+				} else {
+					l.Release()
+				}
+			}
+			if got := mapBudget.held.Load() - maps; mapped != budget || got != budget {
+				t.Fatalf("%d leases got a mapping, %d mappings live; want the budget's %d", mapped, got, budget)
+			}
+
+			for i := 0; i < keys; i++ { // push every key out, k0 from under its lease
+				if err := put(s, fmt.Sprintf("n%d", i), 64, keyBytes(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.Resident("k0") {
+				t.Fatal("k0 survived a store's worth of fills")
+			}
+			if got := mapBudget.held.Load() - maps; got != budget {
+				t.Fatalf("%d mappings live after the refill, want the budget's %d", got, budget)
+			}
+			if m := held.Mapped(); (m != nil) != (budget > 0) || m != nil && string(m) != keyBytes(0) {
+				t.Fatalf("k0's mapping across its eviction: %q", m)
+			}
+			if err := s.Purge(); err != nil {
+				t.Fatal(err)
+			}
+			if got := mapBudget.held.Load() - maps; got != min(budget, 1) {
+				t.Fatalf("%d mappings live after Purge, want only the held lease's", got)
+			}
+			if _, err := held.ReadAt(buf, 0); err != nil || string(buf) != keyBytes(0) {
+				t.Fatalf("k0's lease across Purge read %q, %v", buf, err)
+			}
+			held.Release()
+			if got := mapBudget.held.Load() - maps; got != 0 {
+				t.Fatalf("%d mappings live after the last lease", got)
+			}
+		})
+	}
 }
 
 // TestPurgeReturnsDescriptors: Purge closes every entry's descriptor, a

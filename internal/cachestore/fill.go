@@ -89,7 +89,9 @@ func (f *Fill) Size() int64 { return f.size }
 // has read the pages) or has no slot is evicted as ever and the fill
 // creates a file. A reservation the policy cannot satisfy (every byte
 // belongs to fills in flight) is not an error: the fill goes on
-// unreserved and Commit makes the room, or reports the failure.
+// unreserved and Commit makes the room, or reports the failure. A mapped
+// victim is unmapped before the fill cuts or writes its file: with no
+// reference on the slot, nothing reads the mapping any more.
 func (f *Fill) open() error {
 	s := f.s
 	s.mu.Lock()
@@ -98,16 +100,19 @@ func (f *Fill) open() error {
 		f.reserved = f.size
 	}
 	var victim *entry
+	var mapped []byte
 	for i, e := range evicted {
 		if e.f != nil && e.refs == 0 {
 			victim, evicted = e, append(evicted[:i], evicted[i+1:]...)
 			f.file, f.path, e.f = e.f, e.path, nil
+			mapped, e.m = e.m, nil
 			fdBudget.held.Add(-1) // a fill's descriptor is not an entry's
 			break
 		}
 	}
 	retire(evicted)
 	s.mu.Unlock()
+	unmap(mapped)
 	_ = s.discard(evicted) // eviction is best-effort; the index entries are already gone
 	if victim == nil {
 		file, err := s.newFile()
@@ -338,21 +343,28 @@ func (f *Fill) Commit() error {
 // are one critical section, so a second fill of the key that lost the race
 // finds the winner and finish unlinks the loser's file. The reservation
 // goes back in the same section, so a fill that reserved evicts nothing
-// here; one that could not makes its room now.
+// here; one that could not makes its room now. A file below MapLimit, in
+// a store that maps, is mapped before the section, and unmapped after it when the
+// entry did not take it: no system call runs under Store.mu.
 func (f *Fill) insert() error {
 	s := f.s
+	var m []byte
+	if s.mapSmall && 0 < f.size && f.size < MapLimit {
+		m = mapEntry(f.file, f.size)
+	}
 	s.mu.Lock()
 	s.ix.reserved -= f.reserved
 	f.reserved = 0
 	e, evicted, err := s.ix.insert(f.key, f.size) // nil e: resident already, or err
 	if e != nil {
 		e.path, f.path = f.path, ""
-		if e.adopt(f.file) {
-			f.kept = e
+		if e.adopt(f.file, m) {
+			f.kept, m = e, nil
 		}
 	}
 	retire(evicted)
 	s.mu.Unlock()
+	unmap(m)
 	_ = s.discard(evicted) // eviction is best-effort; the index entries are already gone
 	return err
 }

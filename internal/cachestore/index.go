@@ -47,8 +47,9 @@ type entry struct {
 	// simulators that share the Index leave them zero.
 	path string   // the cache file's name, the entry's alone (Store)
 	f    *os.File // the cache file, open; nil when the entry has no slot
-	refs int      // leases (and the fill that committed it) using f
-	dead bool     // evicted or purged: the last reference closes f
+	m    []byte   // the cache file mapped read-only; nil when f is not mapped
+	refs int      // leases (and the fill that committed it) using f and m
+	dead bool     // evicted or purged: the last reference unmaps m, closes f
 }
 
 // Index tracks cached keys against a byte capacity.

@@ -20,6 +20,7 @@ type Lease struct {
 	s    *Store
 	e    *entry   // the entry whose slot f is borrowed from; nil when f is the lease's own
 	f    *os.File // nil once released
+	m    []byte   // the slot's mapping, if it has one
 	size int64
 }
 
@@ -47,7 +48,7 @@ func (s *Store) Lease(key string) (*Lease, error) {
 		s.mu.Unlock()
 		return nil, ErrNotCached
 	}
-	f, size, path := e.f, e.size, e.path
+	f, m, size, path := e.f, e.m, e.size, e.path
 	if f != nil {
 		e.refs++
 	}
@@ -63,7 +64,7 @@ func (s *Store) Lease(key string) (*Lease, error) {
 		e = nil
 	}
 	l := leasePool.Get().(*Lease)
-	l.s, l.e, l.f, l.size = s, e, f, size
+	l.s, l.e, l.f, l.m, l.size = s, e, f, m, size
 	return l, nil
 }
 
@@ -72,6 +73,12 @@ func (s *Store) Lease(key string) (*Lease, error) {
 // overwrite the file in place (Fill.open), so a caller that queued its
 // pages on a socket holds the lease until the peer has read them.
 func (l *Lease) File() *os.File { return l.f }
+
+// Mapped returns the cached file's bytes through the slot's read-only
+// mapping, or nil when it has none; valid only until Release. It is for
+// the kernel to read, in a writev: a Go read of a mapped file that
+// shrank under it faults, where the kernel's returns an error.
+func (l *Lease) Mapped() []byte { return l.m }
 
 // Size reports the cached file's size as indexed at lease time.
 func (l *Lease) Size() int64 { return l.size }

@@ -46,6 +46,8 @@ type model struct {
 	fills      int   // between PutWriter and the return of Commit/Abort
 	reservable int64 // bytes of the fills between CopyFrom and there
 	landed     int   // fills between CopyFrom and there: each holds a file
+
+	mappedLeases int // leases granted with a mapping: the run reached that plane
 }
 
 func (m *model) resident(k int) bool {
@@ -100,6 +102,9 @@ func (m *model) check(t *testing.T, s *Store) {
 		resident[k] = e.size
 		if e.dead || e.refs < 0 {
 			t.Errorf("resident %s: dead=%v refs=%d", k, e.dead, e.refs)
+		}
+		if e.m != nil && (e.f == nil || int64(len(e.m)) != e.size) {
+			t.Errorf("resident %s: a %d-byte mapping for a %d-byte file, slot %v", k, len(e.m), e.size, e.f != nil)
 		}
 	}
 	s.mu.Unlock()
@@ -256,6 +261,11 @@ func (a *actor) step(t *testing.T, s *Store, m *model) {
 		if err != nil {
 			break
 		}
+		if l.Mapped() != nil {
+			m.mu.Lock()
+			m.mappedLeases++
+			m.mu.Unlock()
+		}
 		f, sent := l.f, a.rng.Intn(4) == 0
 		if sent {
 			f = l.File() // as the server does for sendfile, which holds the lease until the peer asks again
@@ -295,6 +305,11 @@ func (a *actor) step(t *testing.T, s *Store, m *model) {
 	}
 	for _, h := range a.held {
 		a.readCheck(t, m, "held lease read", h.key, h.l.ReadAt)
+		// A mapping is never under a fill's writes: its file is handed to
+		// one only once no lease is left on it.
+		if mp := h.l.Mapped(); mp != nil && !bytes.Equal(mp, m.data[h.key]) {
+			t.Errorf("held lease of key%d: its mapping differs from the source", h.key)
+		}
 	}
 }
 
@@ -303,7 +318,7 @@ func (a *actor) step(t *testing.T, s *Store, m *model) {
 // the run took — references, reservations, descriptors, files — is back.
 func runModel(t *testing.T, seed int64, goroutines, actors, steps int, exact bool) {
 	testutil.CheckFDs(t) // registered first, so it looks after the store's own cleanup
-	held := fdBudget.held.Load()
+	held, maps := fdBudget.held.Load(), mapBudget.held.Load()
 	m := &model{exact: exact}
 	srcDir := t.TempDir()
 	var total int64
@@ -353,6 +368,9 @@ func runModel(t *testing.T, seed int64, goroutines, actors, steps int, exact boo
 	if m.fills != 0 || m.reservable != 0 {
 		t.Fatalf("the run itself is unbalanced: %d fills, %d reservable bytes", m.fills, m.reservable)
 	}
+	if m.mappedLeases == 0 {
+		t.Error("no lease was granted a mapping: the run never reached the mapped plane")
+	}
 	slots(t, s) // every resident slot's references are back to zero
 	s.mu.Lock()
 	reserved := s.ix.reserved
@@ -368,6 +386,9 @@ func runModel(t *testing.T, seed int64, goroutines, actors, steps int, exact boo
 	}
 	if got := fdBudget.held.Load(); got != held {
 		t.Errorf("descriptor budget holds %d after Purge, %d before the run", got, held)
+	}
+	if got := mapBudget.held.Load(); got != maps {
+		t.Errorf("%d mappings live after Purge, %d before the run", got, maps)
 	}
 }
 

@@ -11,15 +11,26 @@ import (
 	"testing"
 )
 
+// newTestStore makes a store that maps the files it commits below
+// MapLimit, as a server with ZeroCopy does: the tests' small objects are
+// mapped, their larger ones not.
 func newTestStore(t *testing.T, capacity int64, p Policy) *Store {
 	t.Helper()
 	s, err := NewStore(filepath.Join(t.TempDir(), "cache"), capacity, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.MapSmallFiles(true)
 	// Close the entries' descriptors with the test, so the process-wide
-	// budget reads the same at every test's start.
-	t.Cleanup(func() { _ = s.Purge() })
+	// budget reads the same at every test's start; and every mapping must
+	// be gone once nothing holds the store's entries any more.
+	maps := mapBudget.held.Load()
+	t.Cleanup(func() {
+		_ = s.Purge()
+		if got := mapBudget.held.Load(); got != maps && !t.Failed() {
+			t.Errorf("%d mappings live after Purge and the last lease, %d before the store", got, maps)
+		}
+	})
 	return s
 }
 
@@ -59,7 +70,9 @@ func readAll(s *Store, key string) ([]byte, error) {
 	}
 	defer l.Release()
 	b := make([]byte, l.Size())
-	_, err = l.ReadAt(b, 0)
+	if _, err = l.ReadAt(b, 0); err == nil && l.Mapped() != nil && !bytes.Equal(l.Mapped(), b) {
+		err = fmt.Errorf("the mapping of %s differs from its file", key)
+	}
 	return b, err
 }
 

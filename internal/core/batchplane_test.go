@@ -29,29 +29,48 @@ func batchRequest(t *testing.T, paths []string) *transport.Request {
 	return &transport.Request{Op: transport.OpReadBatch, Path: blob}
 }
 
+// byteCounter is a writer that keeps only the count of what it is given.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
 // warmBatchCost reports what one warm handleReadBatch over files files of
-// size bytes costs in heap allocations and allocated bytes.
-func warmBatchCost(t *testing.T, files, size int) (allocs, bytesPerRun float64) {
+// size bytes, and the encoding of its reply, cost in heap allocations and
+// allocated bytes. With zeroCopy the server splices a file below
+// zeroCopyMin into the reply from its mapping; without it every body is
+// read into the pooled frame.
+func warmBatchCost(t *testing.T, zeroCopy bool, files, size int) (allocs, bytesPerRun float64) {
 	t.Helper()
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, files, size)
-	servers, _ := startCluster(t, pfsDir, 1, nil, nil)
+	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = zeroCopy }, nil)
 	srv := servers[0]
 	req := batchRequest(t, paths)
+	var wire byteCounter
 	serve := func() {
 		resp := srv.handle(req)
-		if !resp.OK() || len(resp.Data) != files*(transport.BatchEntryOverhead+size) {
-			t.Fatalf("warm batch: status %d, %d data bytes: %s", resp.Status, len(resp.Data), resp.Err)
+		wire = 0
+		err := transport.WriteResponse(&wire, resp)
+		if !resp.OK() || err != nil || int(wire) < files*(transport.BatchEntryOverhead+size) {
+			t.Fatalf("warm batch: status %d, %d bytes on the wire, %v: %s", resp.Status, wire, err, resp.Err)
 		}
 		resp.Release()
 	}
 	serve() // cold: fills the cache
 	srv.WaitIdle()
+	cold := srv.Stats()
 	for i := 0; i < 8; i++ {
-		serve() // primes the frame, response and lease pools
+		serve() // primes the frame, response, lease and segment pools
 	}
-	if st := srv.Stats(); st.Hits != 8*int64(files) {
+	st := srv.Stats()
+	if st.Hits != 8*int64(files) {
 		t.Fatalf("priming batches were not all hits: %+v", st)
+	}
+	if mapped := st.MappedSends - cold.MappedSends; zeroCopy && mapped != st.Hits || !zeroCopy && mapped != 0 {
+		t.Fatalf("zerocopy=%v: %d of %d hits left from mappings", zeroCopy, mapped, st.Hits)
 	}
 	allocs = testing.AllocsPerRun(100, serve)
 
@@ -67,40 +86,48 @@ func warmBatchCost(t *testing.T, files, size int) (allocs, bytesPerRun float64) 
 }
 
 // TestHandleReadBatchWarmAllocBudget pins the warm batch plane's
-// allocation cost: a 16 x 32 KiB batch is assembled in one pooled frame,
-// so what it allocates is per-batch bookkeeping — the decoded path list
-// and the pass-1 plan — never payload, and nothing per entry. The count
-// must not move when the payload grows eightfold, must not grow with the
-// entry count, and a whole 512 KiB batch must allocate less than one of
-// its 32 KiB payloads.
+// allocation cost, on both payload planes: a 16 x 32 KiB batch is
+// assembled in one pooled frame (and, with ZeroCopy, a pooled list of
+// mapped segments), so what it allocates is per-batch bookkeeping — the
+// decoded path list and the pass-1 plan — never payload, and nothing per
+// entry. The count must not move when the payload grows eightfold, must
+// not grow with the entry count, and a whole 512 KiB batch must allocate
+// less than one of its 32 KiB payloads.
 func TestHandleReadBatchWarmAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race (sync.Pool drops Puts)")
 	}
-	const files, size = 16, 32 << 10
-	allocs, perRun := warmBatchCost(t, files, size)
-	smallAllocs, _ := warmBatchCost(t, files, size/8)
-	t.Logf("warm %d x %d B batch: %.1f allocs, %.0f B allocated per batch (%.1f allocs at %d B)",
-		files, size, allocs, perRun, smallAllocs, size/8)
-	if allocs > smallAllocs+1 {
-		t.Errorf("allocations scale with payload bytes: %.1f/batch at %d B files, %.1f at %d B", allocs, size, smallAllocs, size/8)
-	}
-	// Two per batch today; a per-entry allocation would add 16.
-	const budget = 4
-	if allocs > budget {
-		t.Errorf("warm handleReadBatch allocates %.1f/batch, want <= %d whatever the entry count", allocs, budget)
-	}
-	if perRun >= size {
-		t.Errorf("warm handleReadBatch allocates %.0f B per batch: a payload-sized allocation is back", perRun)
+	for _, zeroCopy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("zerocopy=%v", zeroCopy), func(t *testing.T) {
+			const files, size = 16, 32 << 10
+			allocs, perRun := warmBatchCost(t, zeroCopy, files, size)
+			smallAllocs, _ := warmBatchCost(t, zeroCopy, files, size/8)
+			t.Logf("warm %d x %d B batch: %.1f allocs, %.0f B allocated per batch (%.1f allocs at %d B)",
+				files, size, allocs, perRun, smallAllocs, size/8)
+			if allocs > smallAllocs+1 {
+				t.Errorf("allocations scale with payload bytes: %.1f/batch at %d B files, %.1f at %d B", allocs, size, smallAllocs, size/8)
+			}
+			// Two per batch today; a per-entry allocation would add 16.
+			const budget = 4
+			if allocs > budget {
+				t.Errorf("warm handleReadBatch allocates %.1f/batch, want <= %d whatever the entry count", allocs, budget)
+			}
+			if perRun >= size {
+				t.Errorf("warm handleReadBatch allocates %.0f B per batch: a payload-sized allocation is back", perRun)
+			}
+		})
 	}
 }
 
 // TestHandleReadBatchMixedFrameGolden serves one batch holding every kind
 // of entry — cache hits, misses served from their in-flight fills, an
 // entry over what the frame budget has left (StatusAgain) and a path
-// outside the dataset dir (StatusError) — and requires the response data
-// section to equal, byte for byte, the one AppendBatchEntry builds from
-// the PFS copies: what a client built before the two-pass server decodes.
+// outside the dataset dir (StatusError) — and requires the data section
+// the connection writes to equal, byte for byte, the one AppendBatchEntry
+// builds from the PFS copies: what a client built before the two-pass
+// server decodes. It runs on both payload planes: bodies read into the
+// pooled frame, and with ZeroCopy warm bodies spliced in from their
+// mappings.
 func TestHandleReadBatchMixedFrameGolden(t *testing.T) {
 	root := t.TempDir()
 	pfsDir := filepath.Join(root, "dataset")
@@ -121,56 +148,77 @@ func TestHandleReadBatchMixedFrameGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var opens *sync.Map
-	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { opens = countingOpens(c) }, nil)
-	srv := servers[0]
-	warm, cold := paths[:3], paths[3:]
-	srv.handle(batchRequest(t, warm)).Release()
-	srv.WaitIdle()
-	before := srv.Stats()
+	for _, zeroCopy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("zerocopy=%v", zeroCopy), func(t *testing.T) {
+			var opens *sync.Map
+			servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+				c.ZeroCopy = zeroCopy
+				opens = countingOpens(c)
+			}, nil)
+			srv := servers[0]
+			warm, cold := paths[:3], paths[3:]
+			srv.handle(batchRequest(t, warm)).Release()
+			srv.WaitIdle()
+			before := srv.Stats()
 
-	batch := []string{warm[0], cold[0], stray, warm[1], big, cold[1], warm[2], cold[2]}
-	var golden []byte
-	for _, p := range batch {
-		switch p {
-		case stray:
-			msg := fmt.Sprintf("hvac server: %s outside served dataset dir %s", stray, pfsDir)
-			golden = transport.AppendBatchEntry(golden, transport.StatusError, []byte(msg))
-		case big:
-			golden = transport.AppendBatchEntry(golden, transport.StatusAgain, nil)
-		default:
-			content, err := os.ReadFile(p)
+			batch := []string{warm[0], cold[0], stray, warm[1], big, cold[1], warm[2], cold[2]}
+			var golden []byte
+			for _, p := range batch {
+				switch p {
+				case stray:
+					msg := fmt.Sprintf("hvac server: %s outside served dataset dir %s", stray, pfsDir)
+					golden = transport.AppendBatchEntry(golden, transport.StatusError, []byte(msg))
+				case big:
+					golden = transport.AppendBatchEntry(golden, transport.StatusAgain, nil)
+				default:
+					content, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					golden = transport.AppendBatchEntry(golden, transport.StatusOK, content)
+				}
+			}
+
+			served := srv.handle(batchRequest(t, batch))
+			var wire bytes.Buffer
+			err := transport.WriteResponse(&wire, served)
+			served.Release()
 			if err != nil {
 				t.Fatal(err)
 			}
-			golden = transport.AppendBatchEntry(golden, transport.StatusOK, content)
-		}
-	}
+			resp, err := transport.ReadResponse(&wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Release()
+			if !resp.OK() || resp.Size != int64(len(batch)) {
+				t.Fatalf("batch response: status %d size %d err %q", resp.Status, resp.Size, resp.Err)
+			}
+			if !bytes.Equal(resp.Data, golden) {
+				t.Fatalf("data section differs from the AppendBatchEntry encoding: %d bytes, want %d", len(resp.Data), len(golden))
+			}
+			if _, err := transport.DecodeBatchResults(resp.Data, len(batch)); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
 
-	resp := srv.handle(batchRequest(t, batch))
-	defer resp.Release()
-	if !resp.OK() || resp.Size != int64(len(batch)) {
-		t.Fatalf("batch response: status %d size %d err %q", resp.Status, resp.Size, resp.Err)
-	}
-	if !bytes.Equal(resp.Data, golden) {
-		t.Fatalf("data section differs from the AppendBatchEntry encoding: %d bytes, want %d", len(resp.Data), len(golden))
-	}
-	if _, err := transport.DecodeBatchResults(resp.Data, len(batch)); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-
-	srv.WaitIdle()
-	st := srv.Stats()
-	if hits, rts, entries := st.Hits-before.Hits, st.ReadThroughs-before.ReadThroughs, st.BatchEntries-before.BatchEntries; hits != 3 || rts != 3 || entries != 6 {
-		t.Fatalf("accounting: hits=%d readthroughs=%d entries=%d, want 3/3/6", hits, rts, entries)
-	}
-	for _, p := range cold {
-		if n := opensOf(opens, p); n != 1 {
-			t.Fatalf("%s: %d PFS opens, want 1 (the mover's fill; the entry is served from it)", p, n)
-		}
-	}
-	if n := opensOf(opens, big); n != 0 {
-		t.Fatalf("the StatusAgain entry was opened %d times", n)
+			srv.WaitIdle()
+			st := srv.Stats()
+			if hits, rts, entries := st.Hits-before.Hits, st.ReadThroughs-before.ReadThroughs, st.BatchEntries-before.BatchEntries; hits != 3 || rts != 3 || entries != 6 {
+				t.Fatalf("accounting: hits=%d readthroughs=%d entries=%d, want 3/3/6", hits, rts, entries)
+			}
+			// A miss whose fill committed before pass 2 reached it is leased too.
+			if mapped := st.MappedSends - before.MappedSends; zeroCopy && mapped < 3 || !zeroCopy && mapped != 0 {
+				t.Fatalf("zerocopy=%v: %d entries left from their mappings, want at least the 3 hits with it and none without", zeroCopy, mapped)
+			}
+			for _, p := range cold {
+				if n := opensOf(opens, p); n != 1 {
+					t.Fatalf("%s: %d PFS opens, want 1 (the mover's fill; the entry is served from it)", p, n)
+				}
+			}
+			if n := opensOf(opens, big); n != 0 {
+				t.Fatalf("the StatusAgain entry was opened %d times", n)
+			}
+		})
 	}
 }
 

@@ -283,9 +283,9 @@ func maybeWriteCorpus(t *testing.T, cases []chaosCase) {
 // runChaosCase drives one matrix cell and asserts the resilience
 // invariants. preEpoch, when set, runs before each epoch's reads (the
 // planner variant installs the epoch plan there); it must not read data.
-// It returns the cell's summed ZeroCopyEligible so armed matrices can
-// assert the run actually exercised the sendfile plane.
-func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, paths []string)) int64 {
+// It returns the cell's summed ZeroCopyEligible and MappedSends so armed
+// matrices can assert the run actually exercised both zero-copy planes.
+func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, paths []string)) (eligible, mapped int64) {
 	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	write := writePFS
@@ -376,7 +376,6 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 	// one of a sendfile send or a userspace fallback. The zero-copy
 	// identity is asserted unconditionally: with ZeroCopy off it holds
 	// trivially at 0 == 0.
-	var eligible int64
 	for i, s := range servers {
 		ss := s.Stats()
 		served := ss.Opens + ss.BatchEntries
@@ -388,12 +387,13 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 			t.Fatalf("srv%d: zerocopy sends(%d)+fallbacks(%d) != eligible(%d); stats %+v",
 				i, ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible, ss)
 		}
-		if !tc.zeroCopy && ss.ZeroCopyEligible != 0 {
-			t.Fatalf("srv%d: %d zero-copy serves with ZeroCopy off", i, ss.ZeroCopyEligible)
+		if !tc.zeroCopy && ss.ZeroCopyEligible+ss.MappedSends != 0 {
+			t.Fatalf("srv%d: %d zero-copy serves, %d from mappings with ZeroCopy off", i, ss.ZeroCopyEligible, ss.MappedSends)
 		}
 		eligible += ss.ZeroCopyEligible
+		mapped += ss.MappedSends
 	}
-	return eligible
+	return eligible, mapped
 }
 
 func TestChaosMatrix(t *testing.T) {
@@ -441,17 +441,19 @@ func TestChaosMatrixClairvoyantPlanner(t *testing.T) {
 // byte identity proves the kernel path and its mid-transfer fallbacks
 // frame exactly the bytes the pooled path would — plus the per-server
 // zero-copy identity, and the armed matrix must produce eligible serves
-// somewhere (epoch-2 warm reads), else the arming was vacuous.
+// and serves from mappings somewhere (epoch-2 warm reads of files at or
+// above zeroCopyMin and below it), else the arming was vacuous.
 func TestChaosMatrixZeroCopy(t *testing.T) {
-	var eligible int64
+	var eligible, mapped int64
 	for _, tc := range chaosMatrix() {
 		tc.zeroCopy = true
 		t.Run(tc.name, func(t *testing.T) {
-			eligible += runChaosCase(t, tc, nil)
+			e, m := runChaosCase(t, tc, nil)
+			eligible, mapped = eligible+e, mapped+m
 		})
 	}
-	if eligible == 0 {
-		t.Fatal("no zero-copy-eligible serves across the armed matrix; the arming is vacuous")
+	if eligible == 0 || mapped == 0 {
+		t.Fatalf("%d zero-copy-eligible serves and %d from mappings across the armed matrix; the arming is vacuous", eligible, mapped)
 	}
 }
 

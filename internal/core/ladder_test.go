@@ -25,6 +25,7 @@ type ladderRig struct {
 	srv   *Server
 	conn  *transport.Client
 	paths []string // paths[0] is the object under test
+	size  int64    // every path's size
 
 	mu    sync.Mutex
 	gates map[string]chan struct{} // held paths
@@ -35,15 +36,16 @@ type ladderRig struct {
 	evicted int // times the object under test was pushed out of the cache
 }
 
+// ladderSize is the rig's usual object size, below zeroCopyMin.
 const ladderSize = 4096
 
-func newLadderRig(t *testing.T, zeroCopy bool) *ladderRig {
+func newLadderRig(t *testing.T, zeroCopy bool, size int) *ladderRig {
 	t.Helper()
-	r := &ladderRig{t: t, gates: map[string]chan struct{}{}, opens: map[string]int{}, entered: make(chan string, 4)}
+	r := &ladderRig{t: t, gates: map[string]chan struct{}{}, opens: map[string]int{}, entered: make(chan string, 4), size: int64(size)}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	r.paths = writePFS(t, pfsDir, 4, ladderSize)
+	r.paths = writePFS(t, pfsDir, 4, size)
 	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
-		c.CacheCapacity = ladderSize + ladderSize/2
+		c.CacheCapacity = r.size + r.size/2
 		c.Movers = 1
 		c.demandQueue = 1
 		c.ZeroCopy = zeroCopy
@@ -179,8 +181,11 @@ type ladderOp struct {
 	// cold: it must not. The other ops' first phase runs wherever the
 	// state puts it.
 	warm, cold bool
-	open       func(r *ladderRig) error
-	read       func(r *ladderRig) ([]byte, error)
+	// batch: the payload is a batch entry inside its frame, which never
+	// leaves by sendfile.
+	batch bool
+	open  func(r *ladderRig) error
+	read  func(r *ladderRig) ([]byte, error)
 }
 
 func ladderOps() []ladderOp {
@@ -191,15 +196,15 @@ func ladderOps() []ladderOp {
 			return err
 		}
 		defer resp.Release()
-		if resp.Size != ladderSize {
-			return fmt.Errorf("open reported %d bytes, want %d", resp.Size, ladderSize)
+		if resp.Size != r.size {
+			return fmt.Errorf("open reported %d bytes, want %d", resp.Size, r.size)
 		}
 		fd = resp.Handle
 		return nil
 	}
 	readHandle := func(r *ladderRig) ([]byte, error) {
 		// A buffer larger than the file: the read is bounded by the handle.
-		resp, err := r.call(&transport.Request{Op: transport.OpRead, Handle: fd, Len: 2 * ladderSize})
+		resp, err := r.call(&transport.Request{Op: transport.OpRead, Handle: fd, Len: 2 * r.size})
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +224,8 @@ func ladderOps() []ladderOp {
 		{
 			// The two passes of handleReadBatch over a one-entry batch, run
 			// apart so a state can change between them.
-			name: "OpReadBatch",
+			name:  "OpReadBatch",
+			batch: true,
 			open: func(r *ladderRig) error {
 				planned = r.srv.planBatchEntry(r.paths[0], false, transport.BatchResponseBudget)
 				if planned.status != transport.StatusOK {
@@ -228,15 +234,29 @@ func ladderOps() []ladderOp {
 				return nil
 			},
 			read: func(r *ladderRig) ([]byte, error) {
-				frame := r.srv.serveBatchEntry(nil, r.paths[0], &planned)
-				res, err := transport.DecodeBatchResults(frame, 1)
+				// The entry as the client receives it: encoded as the
+				// connection writes it, mapped bytes spliced in, and decoded.
+				resp := transport.AcquireResponse()
+				resp.Data = resp.Grab(transport.BatchEntryOverhead + planned.size)[:0]
+				r.srv.serveBatchEntry(resp, r.paths[0], &planned)
+				var wire bytes.Buffer
+				err := transport.WriteResponse(&wire, resp)
+				resp.Release()
+				if err != nil {
+					return nil, err
+				}
+				if resp, err = transport.ReadResponse(&wire); err != nil {
+					return nil, err
+				}
+				defer resp.Release()
+				res, err := transport.DecodeBatchResults(resp.Data, 1)
 				if err != nil {
 					return nil, err
 				}
 				if !res[0].OK() {
 					return nil, fmt.Errorf("entry status %d: %s", res[0].Status, res[0].Err)
 				}
-				return res[0].Data, nil
+				return bytes.Clone(res[0].Data), nil
 			},
 		},
 	}
@@ -245,7 +265,10 @@ func ladderOps() []ladderOp {
 // TestReadLadderThroughEveryWrapper drives each read op over the five
 // states the resolver distinguishes and checks what every caller of it is
 // owed: the PFS copy's bytes, one side of the served identity bumped per
-// serve, and no PFS pass beyond the one the state makes necessary.
+// serve, and no PFS pass beyond the one the state makes necessary. It also
+// checks which plane carried the payload: a lease (rung 1) under ZeroCopy
+// sends a file below zeroCopyMin from its mapping, and a whole read at or
+// above it by sendfile; every other serve is a pooled copy.
 func TestReadLadderThroughEveryWrapper(t *testing.T) {
 	type state struct {
 		name string
@@ -258,6 +281,8 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 		hit [3]bool
 		// rejects: the demand queue must have refused this read's fetch.
 		rejects bool
+		// leased: the read is served from a lease on the resident entry.
+		leased bool
 	}
 	// open runs op's first phase; a handle opened warm first gets its
 	// object cached.
@@ -280,7 +305,8 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 				r.srv.WaitIdle() // the cold open's own fill
 				return op.read(r)
 			},
-			hit: [3]bool{true, false, true},
+			hit:    [3]bool{true, false, true},
+			leased: true,
 		},
 		{
 			name: "fill in flight",
@@ -318,7 +344,8 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 				r.fill(r.paths[0])
 				return op.read(r)
 			},
-			hit: [3]bool{true, false, false},
+			hit:    [3]bool{true, false, false},
+			leased: true,
 		},
 		{
 			name: "demand queue full",
@@ -360,47 +387,64 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 	}
 
 	for _, zc := range []bool{false, true} {
-		for _, st := range states {
-			for i, op := range ladderOps() {
-				t.Run(fmt.Sprintf("zerocopy=%v/%s/%s", zc, st.name, op.name), func(t *testing.T) {
-					r := newLadderRig(t, zc)
-					want, err := os.ReadFile(r.paths[0])
-					if err != nil {
-						t.Fatal(err)
+		for _, size := range []int{ladderSize, zeroCopyMin} {
+			for _, st := range states {
+				for i, op := range ladderOps() {
+					name := fmt.Sprintf("zerocopy=%v/%s/%s", zc, st.name, op.name)
+					if size != ladderSize {
+						name += "/at-zeroCopyMin"
 					}
-					got, err := st.run(r, op)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("read %d bytes that differ from the PFS copy's %d", len(got), len(want))
-					}
-					r.srv.WaitIdle()
+					t.Run(name, func(t *testing.T) {
+						r := newLadderRig(t, zc, size)
+						want, err := os.ReadFile(r.paths[0])
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := st.run(r, op)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("read %d bytes that differ from the PFS copy's %d", len(got), len(want))
+						}
+						r.srv.WaitIdle()
 
-					ss := r.srv.Stats()
-					served := ss.Opens + ss.BatchEntries
-					if ss.Hits+ss.ReadThroughs != served || served != 1 {
-						t.Fatalf("hits(%d)+readthroughs(%d) != served(%d), want one serve; stats %+v", ss.Hits, ss.ReadThroughs, served, ss)
-					}
-					if (ss.Hits == 1) != st.hit[i] {
-						t.Fatalf("verdict: hits=%d readthroughs=%d, want hit=%v", ss.Hits, ss.ReadThroughs, st.hit[i])
-					}
-					if (ss.DemandRejects > 0) != st.rejects {
-						t.Fatalf("demand rejects = %d, want some: %v", ss.DemandRejects, st.rejects)
-					}
-					// One PFS pass caches the object; each time it was pushed
-					// out afterwards, exactly one more brings the bytes back —
-					// the refill's, or the handler's own when the queue is full.
-					r.mu.Lock()
-					opens := r.opens[r.paths[0]]
-					r.mu.Unlock()
-					if opens != 1+r.evicted {
-						t.Fatalf("%d PFS opens of the object, want %d", opens, 1+r.evicted)
-					}
-					if zc && ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
-						t.Fatalf("zerocopy sends(%d)+fallbacks(%d) != eligible(%d)", ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible)
-					}
-				})
+						ss := r.srv.Stats()
+						served := ss.Opens + ss.BatchEntries
+						if ss.Hits+ss.ReadThroughs != served || served != 1 {
+							t.Fatalf("hits(%d)+readthroughs(%d) != served(%d), want one serve; stats %+v", ss.Hits, ss.ReadThroughs, served, ss)
+						}
+						if (ss.Hits == 1) != st.hit[i] {
+							t.Fatalf("verdict: hits=%d readthroughs=%d, want hit=%v", ss.Hits, ss.ReadThroughs, st.hit[i])
+						}
+						if (ss.DemandRejects > 0) != st.rejects {
+							t.Fatalf("demand rejects = %d, want some: %v", ss.DemandRejects, st.rejects)
+						}
+						// One PFS pass caches the object; each time it was pushed
+						// out afterwards, exactly one more brings the bytes back —
+						// the refill's, or the handler's own when the queue is full.
+						r.mu.Lock()
+						opens := r.opens[r.paths[0]]
+						r.mu.Unlock()
+						if opens != 1+r.evicted {
+							t.Fatalf("%d PFS opens of the object, want %d", opens, 1+r.evicted)
+						}
+						if zc && ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
+							t.Fatalf("zerocopy sends(%d)+fallbacks(%d) != eligible(%d)", ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible)
+						}
+						var mapped, sent int64 // the plane this serve must take
+						switch {
+						case !zc || !st.leased:
+						case size < zeroCopyMin:
+							mapped = 1
+						case !op.batch:
+							sent = 1
+						}
+						if ss.MappedSends != mapped || ss.ZeroCopyEligible != sent {
+							t.Fatalf("planes: %d mapped, %d sendfile serves; want %d and %d", ss.MappedSends, ss.ZeroCopyEligible, mapped, sent)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -479,7 +523,7 @@ func TestNegativeOffsetRefused(t *testing.T) {
 // cache file is left open. (With descriptors and index pins held by the
 // handle, this interleaving leaked both: ROADMAP, PR 13.)
 func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
-	r := newLadderRig(t, false)
+	r := newLadderRig(t, false, ladderSize)
 	want, err := os.ReadFile(r.paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +537,7 @@ func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
 	open.Release()
 
 	join := r.attach(func() ([]byte, error) {
-		resp, err := r.call(&transport.Request{Op: transport.OpRead, Handle: fd, Len: ladderSize})
+		resp, err := r.call(&transport.Request{Op: transport.OpRead, Handle: fd, Len: r.size})
 		if err != nil {
 			return nil, err
 		}
@@ -513,7 +557,7 @@ func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("the read in flight when its handle closed differs from the PFS copy")
 	}
-	if _, err := r.call(&transport.Request{Op: transport.OpRead, Handle: fd, Len: ladderSize}); err == nil || !strings.Contains(err.Error(), "bad handle") {
+	if _, err := r.call(&transport.Request{Op: transport.OpRead, Handle: fd, Len: r.size}); err == nil || !strings.Contains(err.Error(), "bad handle") {
 		t.Fatalf("a read on the closed handle: %v, want a bad-handle error", err)
 	}
 
@@ -541,7 +585,7 @@ func TestServerCloseReleasesParkedReaders(t *testing.T) {
 			continue
 		}
 		t.Run(op.name, func(t *testing.T) {
-			r := newLadderRig(t, false)
+			r := newLadderRig(t, false, ladderSize)
 			r.hold(r.paths[0])
 			if err := op.open(r); err != nil {
 				t.Fatal(err)

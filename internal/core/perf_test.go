@@ -91,33 +91,46 @@ func TestWaitIdle(t *testing.T) {
 // TestHandleReadWarmAllocBudget pins the server's warm cached-read cost:
 // with the pools primed, serving a read allocates at most one object per
 // call (measurement noise headroom — the steady state is zero: pooled
-// Response, pooled payload or pooled lease, sharded lookup, atomic
-// stats), on both sides of zeroCopyMin — the 32 KiB read is a pread into
-// the response's buffer, the 64 KiB one hands its lease over.
+// Response, pooled payload, pooled lease or pooled segment list, sharded
+// lookup, atomic stats), on every payload plane — a 32 KiB read of a
+// 1 MiB file is a pread into the response's buffer, a 64 KiB one hands
+// its lease over, and a 32 KiB file's read splices in its mapping.
 func TestHandleReadWarmAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race (sync.Pool drops Puts)")
 	}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	p := filepath.Join(pfsDir, "f.bin")
 	os.MkdirAll(pfsDir, 0o755)
-	if err := os.WriteFile(p, make([]byte, 1<<20), 0o644); err != nil {
-		t.Fatal(err)
+	big, small := filepath.Join(pfsDir, "f.bin"), filepath.Join(pfsDir, "s.bin")
+	for p, n := range map[string]int{big: 1 << 20, small: 32 << 10} {
+		if err := os.WriteFile(p, make([]byte, n), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
 	srv := servers[0]
 
-	open := srv.handle(&transport.Request{Op: transport.OpOpen, Path: p})
-	if !open.OK() {
-		t.Fatal(open.Error())
-	}
-	srv.WaitIdle()
-	for _, size := range []int64{32 << 10, 64 << 10} {
-		req := &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: size}
+	for _, tc := range []struct {
+		path   string
+		size   int64
+		leased bool // the lease goes to sendfile
+		mapped bool // the mapping is spliced in
+	}{
+		{big, 32 << 10, false, false},
+		{big, zeroCopyMin, true, false},
+		{small, 32 << 10, false, true},
+	} {
+		open := srv.handle(&transport.Request{Op: transport.OpOpen, Path: tc.path})
+		if !open.OK() {
+			t.Fatal(open.Error())
+		}
+		srv.WaitIdle()
+		req := &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: tc.size}
 		for i := 0; i < 8; i++ {
 			srv.handle(req).Release()
 		}
 		var leased bool
+		before := srv.Stats().MappedSends
 		if n := testing.AllocsPerRun(200, func() {
 			resp := srv.handle(req)
 			if !resp.OK() {
@@ -126,10 +139,11 @@ func TestHandleReadWarmAllocBudget(t *testing.T) {
 			leased = resp.FilePayload()
 			resp.Release()
 		}); n > 1 {
-			t.Errorf("warm %d KiB handleRead allocates %.1f/op, want <= 1", size>>10, n)
+			t.Errorf("warm %d KiB handleRead of %s allocates %.1f/op, want <= 1", tc.size>>10, tc.path, n)
 		}
-		if leased != (size >= zeroCopyMin) {
-			t.Errorf("warm %d KiB handleRead: lease handed over = %v, zeroCopyMin is %d", size>>10, leased, zeroCopyMin)
+		if mapped := srv.Stats().MappedSends > before; leased != tc.leased || mapped != tc.mapped {
+			t.Errorf("warm %d KiB handleRead of %s: lease handed over = %v, mapping spliced = %v; want %v, %v",
+				tc.size>>10, tc.path, leased, mapped, tc.leased, tc.mapped)
 		}
 	}
 }

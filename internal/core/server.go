@@ -41,6 +41,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,8 +95,9 @@ type ServerConfig struct {
 	// ZeroCopy serves warm reads from an fd lease on the cached file,
 	// letting the transport push the payload with sendfile(2) so the bytes
 	// never cross userspace (Linux; every other writer or platform
-	// transparently falls back to the pooled pread+writev path). See
-	// DESIGN.md §4.3.
+	// transparently falls back to the pooled pread+writev path), and maps
+	// the cached files below that plane's knee, whose bytes the reply's
+	// writev then takes from the mapping. See DESIGN.md §4.3.
 	ZeroCopy bool
 	// OpenPFS overrides how the server opens source files on the PFS;
 	// nil means os.Open. Tests use it to count PFS passes (the
@@ -183,6 +185,11 @@ type ServerStats struct {
 	ZeroCopySends     int64
 	ZeroCopyBytes     int64
 	ZeroCopyFallbacks int64
+	// MappedSends counts payloads below zeroCopyMin that left from their
+	// cache file's mapping, spliced into the reply's writev with no copy
+	// in userspace (whole reads and batch entries alike). Like
+	// ZeroCopyBytes it is outside both identities.
+	MappedSends int64
 }
 
 // serverCounters is the live form of ServerStats: typed atomics, so the
@@ -200,6 +207,7 @@ type serverCounters struct {
 	replicaWarms         atomic.Int64
 	planInstalled        atomic.Int64
 	planPrefetches       atomic.Int64
+	mappedSends          atomic.Int64
 }
 
 func (c *serverCounters) snapshot() ServerStats {
@@ -218,6 +226,7 @@ func (c *serverCounters) snapshot() ServerStats {
 		ReplicaWarms:   c.replicaWarms.Load(),
 		PlanInstalled:  c.planInstalled.Load(),
 		PlanPrefetches: c.planPrefetches.Load(),
+		MappedSends:    c.mappedSends.Load(),
 	}
 }
 
@@ -349,6 +358,8 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Below the sendfile knee a resident file leaves from its mapping.
+	store.MapSmallFiles(cfg.ZeroCopy)
 	s := &Server{
 		cfg:       cfg,
 		pfsPrefix: cfg.PFSDir + string(filepath.Separator),
@@ -769,13 +780,16 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: h.size}
 }
 
-// zeroCopyMin is the shortest read a lease is handed to sendfile for. A
-// file payload leaves as three sends — header, sendfile, tail — where a
+// zeroCopyMin is the shortest read a lease is handed to sendfile for, and
+// under ZeroCopy the size below which a cached file is mapped. A file
+// payload leaves as three sends — header, sendfile, tail — where a
 // buffered one is a pread and a single writev, and the copy sendfile
 // saves only pays for the two extra sends from about 64 KiB up: the
 // loopback sweep in DESIGN.md §4.3 has the buffered path 3.7 µs ahead at
 // 32 KiB, the two tied at 64 KiB and sendfile 2.7 µs ahead at 128 KiB.
-const zeroCopyMin = 64 << 10
+// Below it a mapped file's writev saves the pread and costs no extra send,
+// so the knee is also where the store stops mapping: one constant.
+const zeroCopyMin = cachestore.MapLimit
 
 // resolve is the server's one read ladder (§III-D; DESIGN.md §5.1):
 // every read op is a framing wrapper over it. It serves up to want bytes
@@ -792,13 +806,15 @@ const zeroCopyMin = 64 << 10
 //  4. the PFS itself, only when the demand queue refused the fetch or
 //     the fill failed.
 //
-// The payload lands in dst when the caller has a place for it (a batch
-// entry inside its frame). With dst nil it goes on resp: rung 1 under
-// ZeroCopy hands over the lease itself for a read of zeroCopyMin bytes or
-// more, for sendfile, and the transport releases it once the peer has read
-// the frame (transport.PayloadReleaser);
-// every other serve fills a pooled buffer grabbed from resp only once a
-// rung needs one, sized to what the entry can still deliver, and leaves
+// The payload goes on resp, after the bytes its Data holds: a batch
+// passes the frame it is assembling there, a whole read an empty
+// response. Rung 1 under ZeroCopy hands over the lease itself, for a
+// whole read of zeroCopyMin bytes or more to sendfile, and the transport
+// releases it once the peer has read the frame (transport.PayloadReleaser);
+// for a mapped file it splices the mapping into the payload, and the
+// lease is released once the reply's writev has returned. Every other
+// serve reads into Data — a whole read's grabbed from resp only once a
+// rung needs one, sized to what the entry can still deliver — and leaves
 // in the response's one vectored write. A range past the end is a short,
 // possibly empty, read.
 //
@@ -806,20 +822,27 @@ const zeroCopyMin = 64 << 10
 // served identity: rung 1, unless the caller had already registered the
 // miss — that request pulled the bytes off the PFS whichever rung ends
 // up handing them over.
-func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *transport.Response, dst []byte) (n int, hit bool, err error) {
+func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *transport.Response) (n int, hit bool, err error) {
 	lz, lerr := s.store.Lease(task.key)
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
-		if dst == nil && s.cfg.ZeroCopy && want >= zeroCopyMin {
+		if resp.Data == nil && s.cfg.ZeroCopy && want >= zeroCopyMin {
 			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
 			return int(want), fe == nil, nil
 		}
+		if m := lz.Mapped(); m != nil && want > 0 {
+			resp.Splice(m[off:off+want], lz)
+			s.stats.mappedSends.Add(1)
+			return int(want), fe == nil, nil
+		}
 	}
-	if dst == nil {
-		dst = resp.Grab(int(want))
-		defer func() { resp.Data = dst[:n] }()
+	data := resp.Data
+	if data == nil {
+		data = resp.Grab(int(want))[:0]
 	}
-	dst = dst[:want]
+	data = slices.Grow(data, int(want))
+	dst := data[len(data) : len(data)+int(want)]
+	defer func() { resp.Data = data[:len(data)+n] }()
 	if lerr == nil {
 		n, err = lz.ReadAt(dst, off)
 		lz.Release()
@@ -880,7 +903,7 @@ func (s *Server) handleRead(req *transport.Request) *transport.Response {
 	// cold file does not pin a large frame for the call.
 	want := min(req.Len, max(h.size-req.Off, 0))
 	resp := transport.AcquireResponse()
-	n, _, err := s.resolve(fetchTask{key: h.path, path: h.path}, h.fe, req.Off, want, resp, nil)
+	n, _, err := s.resolve(fetchTask{key: h.path, path: h.path}, h.fe, req.Off, want, resp)
 	if err != nil {
 		resp.Release()
 		return errResp(err)
@@ -924,7 +947,8 @@ type batchEntry struct {
 // fills run on all movers while the handler is still copying hits. Pass 2
 // assembles the response in one pooled frame of the size pass 1 summed:
 // each payload is read straight into its place behind its entry header,
-// so a warm entry costs one lease and one pread.
+// or, for a mapped file, spliced in there from its mapping, so a warm
+// entry costs one lease and at most one pread.
 func (s *Server) handleReadBatch(req *transport.Request) *transport.Response {
 	paths, err := transport.DecodeBatchPaths(req.Path)
 	if err != nil {
@@ -938,17 +962,16 @@ func (s *Server) handleReadBatch(req *transport.Request) *transport.Response {
 		total += transport.BatchEntryOverhead + plan[i].size + len(plan[i].msg)
 	}
 	resp := transport.AcquireResponse()
-	frame := resp.Grab(total)[:0]
+	resp.Data = resp.Grab(total)[:0]
 	for i, p := range paths {
 		if e := &plan[i]; e.status != transport.StatusOK || prefetch {
-			frame = transport.AppendBatchEntry(frame, e.status, []byte(e.msg))
+			resp.Data = transport.AppendBatchEntry(resp.Data, e.status, []byte(e.msg))
 		} else {
-			frame = s.serveBatchEntry(frame, p, e)
+			s.serveBatchEntry(resp, p, e)
 		}
 	}
 	resp.Status = transport.StatusOK
 	resp.Size = int64(len(paths))
-	resp.Data = frame
 	return resp
 }
 
@@ -985,22 +1008,20 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 }
 
 // serveBatchEntry is pass 2 for one planned read: it appends the entry to
-// frame with the payload resolved in place (a key the index lost since
-// pass 1 takes the miss ladder, for this entry only). A read that fails
-// now (the fill and the PFS both gave out) degrades this entry alone to
-// StatusError.
-func (s *Server) serveBatchEntry(frame []byte, p string, e *batchEntry) []byte {
-	start := len(frame)
-	frame, body := transport.ReserveBatchEntry(frame, e.size)
-	n, hit, err := s.resolve(fetchTask{key: p, path: p}, e.fe, 0, int64(e.size), nil, body)
+// resp's frame with the payload resolved in place (a key the index lost
+// since pass 1 takes the miss ladder, for this entry only), and stamps the
+// header with what the read delivered — less than pass 1 recorded when the
+// file shrank. A read that fails now (the fill and the PFS both gave out)
+// degrades this entry alone to StatusError.
+func (s *Server) serveBatchEntry(resp *transport.Response, p string, e *batchEntry) {
+	start := len(resp.Data)
+	resp.Data = transport.AppendBatchEntry(resp.Data, transport.StatusOK, nil)
+	n, hit, err := s.resolve(fetchTask{key: p, path: p}, e.fe, 0, int64(e.size), resp)
 	if err != nil {
-		return transport.AppendBatchEntry(frame[:start], transport.StatusError, []byte(err.Error()))
+		resp.Data = transport.AppendBatchEntry(resp.Data[:start], transport.StatusError, []byte(err.Error()))
+		return
 	}
-	if n < len(body) {
-		// The file shrank under its recorded size: re-stamp the entry with
-		// what was read (the bytes are already in place).
-		frame = transport.AppendBatchEntry(frame[:start], transport.StatusOK, body[:n])
-	}
+	transport.PutBatchEntryHead(resp.Data[start:], transport.StatusOK, n)
 	s.stats.batchEntries.Add(1)
 	s.stats.bytesServed.Add(int64(n))
 	if hit {
@@ -1009,7 +1030,6 @@ func (s *Server) serveBatchEntry(frame []byte, p string, e *batchEntry) []byte {
 		s.stats.readThroughs.Add(1)
 	}
 	s.planObserve(p)
-	return frame
 }
 
 func (s *Server) handleStat(req *transport.Request) *transport.Response {

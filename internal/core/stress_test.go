@@ -114,11 +114,12 @@ func TestStressParallelClientsWithEviction(t *testing.T) {
 }
 
 // TestStressChurnRecyclesAroundSendfile churns a zero-copy server through
-// OpRead with the cache at a third of a 64 KiB + 96 KiB dataset: every
-// hit is a lease in sendfile's hands, every miss a staged fill that takes
-// its file from the entry it evicts — one the size it needs or not — and
-// an entry that is leased, or whose pages a socket may still hold, must be
-// evicted the old way instead. Every byte delivered is the PFS copy's,
+// OpRead with the cache at a third of a 24 + 48 + 64 + 96 KiB dataset:
+// every hit is a lease, in sendfile's hands at 64 KiB and up and spliced
+// from its file's mapping below, every miss a staged fill that takes its
+// file from the entry it evicts — one the size it needs or not, unmapped
+// first — and an entry that is leased, or whose pages a socket may still
+// hold, must be evicted the old way instead. Every byte delivered is the PFS copy's,
 // both served identities hold, and startCluster's leak checks find no
 // goroutine or descriptor left. PFS passes are counted twice: under four
 // clients a key can be evicted between its open and its read (an open
@@ -127,13 +128,15 @@ func TestStressParallelClientsWithEviction(t *testing.T) {
 // it, and there every pass is a completed fill's — one per cold file.
 func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
 	const perSize, rounds = 24, 3
-	sizes := make([]int, 0, 2*perSize)
+	sizes := make([]int, 0, 4*perSize)
 	total := 0
 	for i := 0; i < perSize; i++ {
 		// Distinct sizes name distinct files (writeSizedPFS); a few bytes
-		// apart, so a recycled file is almost never the size it is needed at.
-		sizes = append(sizes, 64<<10+i, 96<<10+i)
-		total += 64<<10 + 96<<10 + 2*i
+		// apart, so a recycled file is almost never the size it is needed
+		// at. Two classes below zeroCopyMin leave from their mappings, so
+		// victims are recycled out from under mappings as well as sendfile.
+		sizes = append(sizes, 24<<10+i, 48<<10+i, 64<<10+i, 96<<10+i)
+		total += 24<<10 + 48<<10 + 64<<10 + 96<<10 + 4*i
 	}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writeSizedPFS(t, pfsDir, sizes)
@@ -198,13 +201,18 @@ func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
 	if passes < st.Misses || passes > st.Misses+st.Misses/4 || st.Misses < int64(len(paths)) {
 		t.Errorf("four clients: %d PFS passes for %d completed fills of %d files", passes, st.Misses, len(paths))
 	}
-	if st.Hits == 0 || st.ZeroCopyEligible == 0 || st.Evictions < st.Misses-int64(len(paths)) {
-		t.Errorf("four clients: hits %d (through a lease: %d), evictions %d for %d fills: want a churn of leased hits and evicting fills",
-			st.Hits, st.ZeroCopyEligible, st.Evictions, st.Misses)
+	if st.Hits == 0 || st.ZeroCopyEligible == 0 || st.MappedSends == 0 || st.Evictions < st.Misses-int64(len(paths)) {
+		t.Errorf("four clients: hits %d (through a lease: %d sendfile, %d mapped), evictions %d for %d fills: want a churn of leased hits and evicting fills",
+			st.Hits, st.ZeroCopyEligible, st.MappedSends, st.Evictions, st.Misses)
 	}
 	alonePasses, st1 := churn(1)
 	if fills := st1.Misses - st.Misses; alonePasses-passes != fills || fills == 0 {
 		t.Errorf("one client: %d PFS passes for %d completed fills: want one pass per cold file", alonePasses-passes, fills)
+	}
+	// Nothing here fails a link, so a retry is a reply that did not go
+	// out whole: a payload whose memory went away under its write.
+	if r := cli.Stats().Retries; r != 0 {
+		t.Errorf("%d transport retries in a churn with no faults", r)
 	}
 	cli.Close() // sends the closes still deferred on the pooled connections
 	st = srv.Stats()

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 // OpReadBatch wire format (the FanStore observation: per-file RPC
@@ -128,23 +127,18 @@ func (r *BatchResult) OK() bool { return r.Status == StatusOK }
 // the extended slice. Servers build the response data section with it.
 func AppendBatchEntry(buf []byte, status uint8, body []byte) []byte {
 	var hdr [BatchEntryOverhead]byte
-	hdr[0] = status
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(body)))
+	PutBatchEntryHead(hdr[:], status, len(body))
 	buf = append(buf, hdr[:]...)
 	return append(buf, body...)
 }
 
-// ReserveBatchEntry appends a StatusOK entry whose n-byte body the caller
-// fills in place — a pread straight into the frame instead of a staged
-// copy through AppendBatchEntry. It returns the extended slice and the
-// body. A caller whose fill comes back short or failed truncates to the
-// previous length and appends the entry it ended up with.
-func ReserveBatchEntry(buf []byte, n int) (ext, body []byte) {
-	start := len(buf)
-	ext = slices.Grow(buf, BatchEntryOverhead+n)[:start+BatchEntryOverhead+n]
-	ext[start] = StatusOK
-	binary.LittleEndian.PutUint32(ext[start+1:], uint32(n))
-	return ext, ext[start+BatchEntryOverhead:]
+// PutBatchEntryHead stamps an entry header, status and n body bytes, on
+// b's first BatchEntryOverhead bytes: a server that lands a body behind
+// a header appended with no body (a read into the frame, a spliced
+// mapping) stamps its length once the read is done.
+func PutBatchEntryHead(b []byte, status uint8, n int) {
+	b[0] = status
+	binary.LittleEndian.PutUint32(b[1:BatchEntryOverhead], uint32(n))
 }
 
 // DecodeBatchResults unpacks a batch response's data section into want

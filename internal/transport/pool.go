@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -69,17 +70,38 @@ func putFrameBuf(p *[]byte) {
 	}
 }
 
-// respVec is the pooled vectored-write state for WriteResponse: the
-// net.Buffers slice is always rebuilt over the struct's own backing
-// array, because Buffers.WriteTo consumes the slice header (advancing it
-// past the backing) — pooling the bare header would re-allocate it on
-// every reuse.
+// respVec is the pooled vectored-write state for a response's payload:
+// the net.Buffers slice is always rebuilt over the struct's own backing,
+// because Buffers.WriteTo consumes the slice header (advancing it past
+// the backing) — pooling the bare header would re-allocate it on every
+// reuse. The backing grows to the most sections a reply has had.
 type respVec struct {
 	bufs net.Buffers
-	arr  [3][]byte
+	arr  [][]byte
 }
 
 var respVecPool = sync.Pool{New: func() any { return new(respVec) }}
+
+// writeVectored writes head, then data with sp's borrowed segments
+// spliced in at their offsets (sp nil: data alone), then tail, as one
+// vectored write — a single writev on a TCP connection.
+func writeVectored(w io.Writer, head, data []byte, sp *splices, tail []byte) error {
+	v := respVecPool.Get().(*respVec)
+	b := append(v.arr[:0], head)
+	prev := 0
+	if sp != nil {
+		for _, s := range sp.list {
+			b = append(b, data[prev:s.at], s.p)
+			prev = s.at
+		}
+	}
+	b = append(b, data[prev:], tail)
+	v.arr, v.bufs = b, b
+	_, err := v.bufs.WriteTo(w)
+	clear(b) // drop payload references before pooling
+	respVecPool.Put(v)
+	return err
+}
 
 // respPool recycles Response structs between AcquireResponse and Release;
 // outstanding counts the ones handed out and not yet released.

@@ -142,7 +142,8 @@ var errDeferDst = errors.New("transport: a deferred request cannot carry Dst")
 // second one panics. After Release the Response and its Data must not be
 // touched — except that a payload received into the caller's own
 // Request.Dst stays the caller's: Release recycles only what came from a
-// pool, so those bytes remain valid after it.
+// pool, so those bytes remain valid after it. Memory a handler borrowed
+// into the payload (Splice) goes back to its owner with Release too.
 type Response struct {
 	Status uint8
 	Handle int64
@@ -162,6 +163,8 @@ type Response struct {
 	srcLen   int64
 	srcRel   PayloadReleaser
 	srcStats *ZeroCopyStats
+
+	sp *splices // borrowed payload segments (splice.go); nil when none
 }
 
 // OK reports whether the response carries no error.
@@ -202,6 +205,9 @@ func (r *Response) Release() {
 	}
 	if r.srcRel != nil || r.srcFile != nil {
 		r.releaseSrc()
+	}
+	if r.sp != nil {
+		r.releaseSplices()
 	}
 	if r.fromPool {
 		*r = Response{released: true}
@@ -290,9 +296,10 @@ func ReadRequest(r io.Reader) (*Request, error) {
 }
 
 // WriteResponse encodes resp onto w. The header and tail are built in one
-// pooled scratch buffer; when a payload is present the three sections go
-// out as a vectored write (net.Buffers), which a TCP connection turns
-// into a single writev with no payload copy.
+// pooled scratch buffer; when a payload is present the three sections —
+// the payload as Data's runs and the borrowed segments between them
+// (Splice) — go out as a vectored write (net.Buffers), which a TCP
+// connection turns into a single writev with no payload copy.
 func WriteResponse(w io.Writer, resp *Response) error {
 	return writeResponse(w, resp, nil)
 }
@@ -310,25 +317,21 @@ func writeResponse(w io.Writer, resp *Response, pre []byte) error {
 	if len(resp.Err) > 1<<16-1 {
 		return fmt.Errorf("transport: error string too long")
 	}
-	if respFixedLen+len(resp.Data)+len(resp.Err) > MaxFrame {
+	dataLen := resp.payloadLen()
+	if respFixedLen+dataLen+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
 	p := getFrameBuf(len(pre) + respHeadLen + 2 + len(resp.Err))
-	ht := appendRespHead(append((*p)[:0], pre...), resp, len(resp.Data))
+	ht := appendRespHead(append((*p)[:0], pre...), resp, dataLen)
 	split := len(ht)
 	ht = appendRespTail(ht, resp.Err)
 
 	var err error
-	if len(resp.Data) == 0 {
+	if dataLen == 0 {
 		// Header and tail are contiguous in the scratch: one plain write.
 		_, err = w.Write(ht)
 	} else {
-		v := respVecPool.Get().(*respVec)
-		v.arr = [3][]byte{ht[:split], resp.Data, ht[split:]}
-		v.bufs = v.arr[:]
-		_, err = v.bufs.WriteTo(w)
-		v.arr = [3][]byte{} // drop payload references before pooling
-		respVecPool.Put(v)
+		err = writeVectored(w, ht[:split], resp.Data, resp.sp, ht[split:])
 	}
 	putFrameBuf(p)
 	return err

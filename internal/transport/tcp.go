@@ -147,7 +147,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if resp == nil {
 			resp = &Response{Status: StatusError, Err: "nil response from handler"}
 		}
-		if !resp.FilePayload() && len(resp.Data) == 0 && len(pend)+respHeadLen+2+len(resp.Err) <= holdCap && frameBuffered(br) {
+		if !resp.FilePayload() && resp.payloadLen() == 0 && len(pend)+respHeadLen+2+len(resp.Err) <= holdCap && frameBuffered(br) {
 			pend = appendRespTail(appendRespHead(pend, resp, 0), resp.Err)
 			resp.Release()
 			continue

@@ -192,13 +192,7 @@ func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 	if err := readPayloadAt(resp.srcFile, payload, resp.srcOff); err != nil {
 		return err
 	}
-	v := respVecPool.Get().(*respVec)
-	v.arr = [3][]byte{ht[:split], payload, ht[split:]}
-	v.bufs = v.arr[:]
-	_, err := v.bufs.WriteTo(w)
-	v.arr = [3][]byte{} // drop payload references before pooling
-	respVecPool.Put(v)
-	return err
+	return writeVectored(w, ht[:split], payload, nil, ht[split:])
 }
 
 // preadResume copies the unsent payload tail [srcOff+sent, srcOff+srcLen)

@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 echo '--- go build ./...'
 go build ./...
 
+# The platform stubs (descriptor limit, sendfile, file mapping) compile on
+# no Linux box: build for a unix without sendfile and for a non-unix.
+echo '--- GOOS=darwin, GOOS=windows go build ./...'
+GOOS=darwin go build ./...
+GOOS=windows go build ./...
+
 # hvacbench has no test of its own (make figures runs it, outside this
 # gate), and a flag set that panics at registration (a duplicate name, a
 # bad default) is otherwise found at deploy time: -h registers every flag,
