@@ -1,6 +1,7 @@
 // Command hvacd runs a real-mode HVAC server daemon: it caches files from
 // a PFS-visible dataset directory onto fast node-local storage and serves
-// them to HVAC clients over TCP (the paper's per-node server process,
+// them to HVAC clients over TCP, or over a local socket to a client on its
+// own node (the paper's per-node server process,
 // normally spawned by the job script's alloc_flags "hvac").
 //
 // Usage:
@@ -43,7 +44,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hvacd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listen   = fs.String("listen", "127.0.0.1:7070", "TCP listen address")
+		listen   = fs.String("listen", "127.0.0.1:7070", "TCP listen address; on Linux the daemon also claims the abstract unix socket @hvac/<address> (@hvac/*:<port> for a wildcard bind), which a client on this node dials first")
 		pfsDir   = fs.String("pfs", "", "dataset directory on the shared PFS (required)")
 		cacheDir = fs.String("cache", "", "node-local cache directory (required)")
 		capacity = fs.Int64("capacity", 1600e9, "cache capacity in bytes (default: Summit's 1.6 TB NVMe)")
@@ -128,11 +129,11 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		select {
 		case <-tick:
 			st := srv.Stats()
-			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks) mapped=%d\n",
+			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks) mapped=%d local=%d\n",
 				st.Opens, st.Closes, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
 				st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
 				st.PlanPrefetches, st.PlanKeys, st.PlanFrontier,
-				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.MappedSends)
+				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.MappedSends, st.LocalConns)
 			fmt.Fprintf(stdout, "hvacd latencies:\n%s\n", srv.LatencySummary())
 		case <-ctx.Done():
 			fmt.Fprintln(stdout, "hvacd: shutting down, purging cache (job-coupled life cycle)")

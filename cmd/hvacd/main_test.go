@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -38,6 +39,7 @@ func (b *syncBuffer) String() string {
 var (
 	servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
 	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
+	localRe   = regexp.MustCompile(` local=(\d+)\n`)
 )
 
 // await polls out until find returns a match, failing the test after 5 s.
@@ -114,6 +116,14 @@ func TestDaemon(t *testing.T) {
 				}
 				if st := cli.Stats(); st.Redirected != 2 || st.Fallbacks != 0 {
 					t.Fatalf("client stats %+v, want 2 redirected opens and no fallback", st)
+				}
+				if runtime.GOOS == "linux" {
+					// A client on the daemon's node reaches it through the
+					// local socket.
+					await(t, stdout, "-stats line with local= > 0", func(s string) bool {
+						m := localRe.FindAllStringSubmatch(s, -1)
+						return len(m) > 0 && m[len(m)-1][1] != "0"
+					})
 				}
 			}},
 	} {

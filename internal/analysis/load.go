@@ -82,9 +82,6 @@ func NewLoader(modRoot string) (*Loader, error) {
 // ModulePath returns the module's path (the go.mod "module" line).
 func (l *Loader) ModulePath() string { return l.modPath }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

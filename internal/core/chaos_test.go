@@ -47,6 +47,7 @@ type chaosCase struct {
 	capacity int64                    // cache capacity per server (0 = unconstrained)
 	policy   func() cachestore.Policy // per-server eviction policy (nil = default)
 	zeroCopy bool                     // arm the sendfile warm-serve plane (DESIGN.md §4.3)
+	network  string                   // the clients' socket: "local", "tcp", or "" for the default (dialOver)
 	sched    faultnet.Schedule
 }
 
@@ -239,7 +240,7 @@ func startChaosCluster(t *testing.T, pfsDir string, tc chaosCase, inj *faultnet.
 						name = fmt.Sprintf("srv%d", i)
 					}
 				}
-				return inj.Wrap(name, transport.DialWith(addr, opts))
+				return inj.Wrap(name, dialOver(tc.network, addr, opts))
 			}
 			if cliMut != nil {
 				cliMut(c)
@@ -393,6 +394,9 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 		eligible += ss.ZeroCopyEligible
 		mapped += ss.MappedSends
 	}
+	if tc.network != "" {
+		checkNetwork(t, tc.network, servers...)
+	}
 	return eligible, mapped
 }
 
@@ -443,10 +447,20 @@ func TestChaosMatrixClairvoyantPlanner(t *testing.T) {
 // zero-copy identity, and the armed matrix must produce eligible serves
 // and serves from mappings somewhere (epoch-2 warm reads of files at or
 // above zeroCopyMin and below it), else the arming was vacuous.
-func TestChaosMatrixZeroCopy(t *testing.T) {
+func TestChaosMatrixZeroCopy(t *testing.T) { testChaosMatrixZeroCopy(t, "tcp") }
+
+// TestChaosMatrixZeroCopyLocal is the armed matrix with every client on
+// the servers' local socket, so the faults hit sendfile and the mapped
+// writev into a unix socket.
+func TestChaosMatrixZeroCopyLocal(t *testing.T) {
+	skipOffLinux(t)
+	testChaosMatrixZeroCopy(t, "local")
+}
+
+func testChaosMatrixZeroCopy(t *testing.T, network string) {
 	var eligible, mapped int64
 	for _, tc := range chaosMatrix() {
-		tc.zeroCopy = true
+		tc.zeroCopy, tc.network = true, network
 		t.Run(tc.name, func(t *testing.T) {
 			e, m := runChaosCase(t, tc, nil)
 			eligible, mapped = eligible+e, mapped+m

@@ -39,7 +39,7 @@ type ladderRig struct {
 // ladderSize is the rig's usual object size, below zeroCopyMin.
 const ladderSize = 4096
 
-func newLadderRig(t *testing.T, zeroCopy bool, size int) *ladderRig {
+func newLadderRig(t *testing.T, network string, zeroCopy bool, size int) *ladderRig {
 	t.Helper()
 	r := &ladderRig{t: t, gates: map[string]chan struct{}{}, opens: map[string]int{}, entered: make(chan string, 4), size: int64(size)}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
@@ -62,7 +62,7 @@ func newLadderRig(t *testing.T, zeroCopy bool, size int) *ladderRig {
 		}
 	}, nil)
 	r.srv = servers[0]
-	r.conn = transport.Dial(r.srv.Addr())
+	r.conn = dialOver(network, r.srv.Addr(), transport.ClientOptions{})
 	// Registered after startCluster's own cleanups, so it runs before them:
 	// no mover is left parked in the seam when the server closes.
 	t.Cleanup(func() {
@@ -268,8 +268,19 @@ func ladderOps() []ladderOp {
 // serve, and no PFS pass beyond the one the state makes necessary. It also
 // checks which plane carried the payload: a lease (rung 1) under ZeroCopy
 // sends a file below zeroCopyMin from its mapping, and a whole read at or
-// above it by sendfile; every other serve is a pooled copy.
-func TestReadLadderThroughEveryWrapper(t *testing.T) {
+// above it by sendfile; every other serve is a pooled copy. The client
+// dials TCP here; TestReadLadderThroughEveryWrapperLocal runs the same
+// cases on the local socket.
+func TestReadLadderThroughEveryWrapper(t *testing.T) { testReadLadder(t, "tcp") }
+
+// TestReadLadderThroughEveryWrapperLocal is the ladder with the client on
+// the server's local socket, which every lease-holding plane also feeds.
+func TestReadLadderThroughEveryWrapperLocal(t *testing.T) {
+	skipOffLinux(t)
+	testReadLadder(t, "local")
+}
+
+func testReadLadder(t *testing.T, network string) {
 	type state struct {
 		name string
 		// run arranges the state around op's two phases and returns what
@@ -395,7 +406,7 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 						name += "/at-zeroCopyMin"
 					}
 					t.Run(name, func(t *testing.T) {
-						r := newLadderRig(t, zc, size)
+						r := newLadderRig(t, network, zc, size)
 						want, err := os.ReadFile(r.paths[0])
 						if err != nil {
 							t.Fatal(err)
@@ -442,6 +453,9 @@ func TestReadLadderThroughEveryWrapper(t *testing.T) {
 						}
 						if ss.MappedSends != mapped || ss.ZeroCopyEligible != sent {
 							t.Fatalf("planes: %d mapped, %d sendfile serves; want %d and %d", ss.MappedSends, ss.ZeroCopyEligible, mapped, sent)
+						}
+						if !op.batch { // the batch op runs the handler's passes in process
+							checkNetwork(t, network, r.srv)
 						}
 					})
 				}
@@ -523,7 +537,7 @@ func TestNegativeOffsetRefused(t *testing.T) {
 // cache file is left open. (With descriptors and index pins held by the
 // handle, this interleaving leaked both: ROADMAP, PR 13.)
 func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
-	r := newLadderRig(t, false, ladderSize)
+	r := newLadderRig(t, "", false, ladderSize)
 	want, err := os.ReadFile(r.paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +599,7 @@ func TestServerCloseReleasesParkedReaders(t *testing.T) {
 			continue
 		}
 		t.Run(op.name, func(t *testing.T) {
-			r := newLadderRig(t, false, ladderSize)
+			r := newLadderRig(t, "", false, ladderSize)
 			r.hold(r.paths[0])
 			if err := op.open(r); err != nil {
 				t.Fatal(err)

@@ -46,6 +46,53 @@ func checkResources(t *testing.T) {
 	testutil.CheckLeaks(t)
 }
 
+// forEachNetwork runs f as one subtest per socket a server answers on:
+// "local", the unix socket a client on the server's own node dials first,
+// and "tcp", which every other client dials. A test of what a connection
+// holds — a sendfile lease, a mapping under a writev — runs on each.
+func forEachNetwork(t *testing.T, f func(t *testing.T, network string)) {
+	for _, network := range []string{"local", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			if network == "local" {
+				skipOffLinux(t)
+			}
+			f(t, network)
+		})
+	}
+}
+
+// skipOffLinux skips t where there is no local socket. A test whose cases
+// were named before the local socket existed keeps those names for TCP and
+// runs the local socket as a sibling test (…Local) that calls this.
+func skipOffLinux(t *testing.T) {
+	t.Helper()
+	if runtime.GOOS != "linux" {
+		t.Skip("no local socket off Linux")
+	}
+}
+
+// dialOver returns a link to addr over network: "tcp" never tries the
+// local socket, anything else dials as a client does.
+func dialOver(network, addr string, opts transport.ClientOptions) *transport.Client {
+	if network == "tcp" {
+		return transport.DialTCP(addr, opts)
+	}
+	return transport.DialWith(addr, opts)
+}
+
+// checkNetwork fails the test unless the servers' connections came over
+// network: some on the local socket for "local", none for "tcp".
+func checkNetwork(t *testing.T, network string, servers ...*Server) {
+	t.Helper()
+	var n int64
+	for _, s := range servers {
+		n += s.Stats().LocalConns
+	}
+	if (n > 0) != (network == "local") {
+		t.Errorf("%d connections on the local socket over %s", n, network)
+	}
+}
+
 // startCluster launches n real HVAC servers over pfsDir and a client,
 // under checkResources.
 func startCluster(t *testing.T, pfsDir string, n int, cfgMut func(*ServerConfig), cliMut func(*ClientConfig)) ([]*Server, *Client) {

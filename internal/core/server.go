@@ -190,6 +190,9 @@ type ServerStats struct {
 	// in userspace (whole reads and batch entries alike). Like
 	// ZeroCopyBytes it is outside both identities.
 	MappedSends int64
+	// LocalConns counts connections accepted on the node-local socket
+	// (transport.Server.LocalConns); outside both identities.
+	LocalConns int64
 }
 
 // serverCounters is the live form of ServerStats: typed atomics, so the
@@ -449,6 +452,7 @@ func (s *Server) Stats() ServerStats {
 	st.ZeroCopySends = s.zc.Sends.Load()
 	st.ZeroCopyBytes = s.zc.Bytes.Load()
 	st.ZeroCopyFallbacks = s.zc.Fallbacks.Load()
+	st.LocalConns = s.rpc.LocalConns()
 	return st
 }
 

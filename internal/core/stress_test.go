@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"hvac/internal/transport"
 )
 
 // TestStressParallelClientsWithEviction hammers a single real-mode server
@@ -127,6 +129,10 @@ func TestStressParallelClientsWithEviction(t *testing.T) {
 // the passes only bound the fills; a lone client has nobody to evict under
 // it, and there every pass is a completed fill's — one per cold file.
 func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
+	forEachNetwork(t, testStressChurnRecyclesAroundSendfile)
+}
+
+func testStressChurnRecyclesAroundSendfile(t *testing.T, network string) {
 	const perSize, rounds = 24, 3
 	sizes := make([]int, 0, 4*perSize)
 	total := 0
@@ -156,7 +162,12 @@ func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
 			cfg.Movers = 4
 			pfsOpens = countingOpens(cfg)
 		},
-		func(cfg *ClientConfig) { cfg.disableFallback = true })
+		func(cfg *ClientConfig) {
+			cfg.disableFallback = true
+			cfg.DialTransport = func(addr string) transport.Transport {
+				return dialOver(network, addr, transport.ClientOptions{})
+			}
+		})
 	srv := servers[0]
 
 	var reads, delivered atomic.Int64
@@ -228,4 +239,5 @@ func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
 	if used := srv.CachedBytes(); used > int64(total/3) || st.DemandRejects != 0 {
 		t.Errorf("cache at %d of %d bytes, %d demand rejects", used, total/3, st.DemandRejects)
 	}
+	checkNetwork(t, network, srv)
 }

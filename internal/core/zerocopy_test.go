@@ -295,3 +295,126 @@ func TestLeaseBudgetEveryReadServed(t *testing.T) {
 		t.Fatalf("zero-copy accounting: %+v", ss)
 	}
 }
+
+// TestSendfileLeaseHeldUntilPeerAsks: a warm file that left by sendfile
+// keeps its lease until the peer's next request, on either socket. A raw
+// peer leaves the reply unread in its socket, which holds the file's own
+// pages; a second file's fill then evicts the first. Were the lease gone,
+// the fill would recycle the evicted file and overwrite those pages in
+// place, and the peer would read the second file's bytes.
+func TestSendfileLeaseHeldUntilPeerAsks(t *testing.T) {
+	forEachNetwork(t, func(t *testing.T, network string) {
+		const size = 2 * zeroCopyMin // sent by sendfile, and the socket's buffer holds it whole
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, 2, size)
+		want, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+			c.ZeroCopy = true
+			c.CacheCapacity = size + size/2 // room for one file
+			c.Movers = 1
+		}, func(c *ClientConfig) {
+			c.DialTransport = func(addr string) transport.Transport {
+				return dialOver(network, addr, transport.ClientOptions{})
+			}
+		})
+		srv := servers[0]
+		if _, err := cli.ReadAll(paths[0]); err != nil {
+			t.Fatal(err)
+		}
+		srv.WaitIdle()
+
+		rawNet, rawAddr := "tcp", srv.Addr()
+		if network == "local" {
+			rawNet, rawAddr = "unix", "@hvac/"+rawAddr // named after the TCP address (transport's local_linux.go)
+		}
+		raw, err := net.Dial(rawNet, rawAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		call := func(req *transport.Request) *transport.Response {
+			t.Helper()
+			if err := transport.WriteRequest(raw, req); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := transport.ReadResponse(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(resp.Release)
+			return resp
+		}
+		handle := call(&transport.Request{Op: transport.OpOpen, Path: paths[0]}).Handle
+		sends := srv.Stats().ZeroCopySends
+		if err := transport.WriteRequest(raw, &transport.Request{Op: transport.OpRead, Handle: handle, Len: size}); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); srv.Stats().ZeroCopySends == sends; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the read never left by sendfile")
+			}
+		}
+
+		if _, err := cli.ReadAll(paths[1]); err != nil { // its fill evicts the first file
+			t.Fatal(err)
+		}
+		srv.WaitIdle()
+		if st := srv.Stats(); st.Evictions == 0 {
+			t.Fatalf("the second fill evicted nothing: %+v", st)
+		}
+		resp, err := transport.ReadResponse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := bytes.Equal(resp.Data, want)
+		resp.Release()
+		if !ok {
+			t.Fatal("the unread reply changed under the peer: its lease was released before the peer asked again")
+		}
+		call(&transport.Request{Op: transport.OpClose, Handle: handle})
+		checkNetwork(t, network, srv)
+	})
+}
+
+// TestMappedLeaseHeldUntilWritten: a reply spliced from a mapping keeps
+// its lease until the reply is released after its write. An eviction
+// while the reply waits must leave the mapping, and so the reply, intact;
+// were the lease released with the handler's return, the eviction would
+// recycle the file, unmap it and overwrite it with the next file's bytes.
+func TestMappedLeaseHeldUntilWritten(t *testing.T) {
+	r := newLadderRig(t, "", true, ladderSize)
+	want, err := os.ReadFile(r.paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.fill(r.paths[0])
+	opened, err := r.call(&transport.Request{Op: transport.OpOpen, Path: r.paths[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handle := opened.Handle
+	opened.Release()
+	resp := r.srv.handle(&transport.Request{Op: transport.OpRead, Handle: handle, Len: r.size})
+	if st := r.srv.Stats(); st.MappedSends != 1 {
+		resp.Release()
+		t.Fatalf("the read was not spliced from a mapping: %+v", st)
+	}
+	r.evict()
+	var wire bytes.Buffer
+	err = transport.WriteResponse(&wire, resp)
+	resp.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := transport.ReadResponse(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Release()
+	if !bytes.Equal(got.Data, want) {
+		t.Fatal("the spliced reply changed under an eviction: its lease was released before the write")
+	}
+}

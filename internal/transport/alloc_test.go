@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,6 +43,10 @@ func warmPools(data []byte) {
 	}
 }
 
+// TestWriteResponseAllocFree: a warm buffered-payload response costs no
+// allocation in the process, written to a plain io.Writer (net.Buffers
+// writes each section through Write) and to a socket of either kind (one
+// writev) with its peer decoding it.
 func TestWriteResponseAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	data := make([]byte, 64<<10)
@@ -55,8 +58,26 @@ func TestWriteResponseAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n > 0 {
-		t.Errorf("WriteResponse allocates %.1f/op on the warm path, want 0", n)
+		t.Errorf("WriteResponse to an io.Writer allocates %.1f/op on the warm path, want 0", n)
 	}
+	forEachNetwork(t, func(t *testing.T, network string) {
+		checkResponses(t)
+		conn := drainedConn(t, network)
+		data := make([]byte, 64<<10)
+		resp := &Response{Status: StatusOK, Size: int64(len(data)), Data: data}
+		warmPools(data)
+		write := func() {
+			if err := WriteResponse(conn, resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			write() // warm: frame pools, peer decode pools
+		}
+		if n := testing.AllocsPerRun(200, write); n > 0 {
+			t.Errorf("WriteResponse allocates %.1f/op on the warm path, want 0", n)
+		}
+	})
 }
 
 func TestWriteResponseEmptyAllocFree(t *testing.T) {
@@ -138,28 +159,13 @@ func TestReadRequestIntoAllocsOnlyPath(t *testing.T) {
 // the process-wide counter AllocsPerRun reads stays flat.
 func TestZeroCopySendAllocFree(t *testing.T) {
 	skipUnderRace(t)
+	forEachNetwork(t, testZeroCopySendAllocFree)
+}
+
+func testZeroCopySendAllocFree(t *testing.T, network string) {
 	checkResponses(t)
 	const size = 1 << 20
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, aerr := ln.Accept()
-		if aerr == nil {
-			accepted <- c
-		}
-	}()
-	cconn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cconn.Close()
-	sconn := <-accepted
-	defer sconn.Close()
-
+	sconn := drainedConn(t, network)
 	path := filepath.Join(t.TempDir(), "payload")
 	if err := os.WriteFile(path, bytes.Repeat([]byte{0x5A}, size), 0o644); err != nil {
 		t.Fatal(err)
@@ -169,27 +175,6 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-
-	// Drain on the warm pooled decode path so the peer goroutine does not
-	// add allocations of its own to the process-wide counter.
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for {
-			resp, rerr := ReadResponse(cconn)
-			if rerr != nil {
-				return
-			}
-			resp.Release()
-		}
-	}()
-	// Join the drainer before returning: one still inside ReadResponse
-	// holds a pooled Response, which the next test would be charged with.
-	defer func() {
-		_ = cconn.Close()
-		_ = sconn.Close()
-		<-drained
-	}()
 
 	var st ZeroCopyStats
 	zw := newZCWriter(sconn)
@@ -206,18 +191,25 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, send); n > 0 {
 		t.Errorf("zero-copy send allocates %.1f/op on the warm path, want 0", n)
 	}
+	if runtime.GOOS == "linux" && !zw.canSendfile() {
+		t.Errorf("no sendfile into a %s socket", network)
+	}
 	if zw.canSendfile() && st.Fallbacks.Load() != 0 {
 		t.Errorf("sendfile-capable conn took %d fallbacks", st.Fallbacks.Load())
 	}
 }
 
-// TestCallAllocFree pins a warm Call over TCP at zero allocations in the
-// whole process, server included, and a deferred Call with it: the
-// deferred frame is encoded into its connection's own queue, rides the
-// next call's write, and its reply is read through the connection's
-// reader into a pooled Response and dropped.
+// TestCallAllocFree pins a warm Call at zero allocations in the whole
+// process, server included, on either socket, and a deferred Call with
+// it: the deferred frame is encoded into its connection's own queue,
+// rides the next call's write, and its reply is read through the
+// connection's reader into a pooled Response and dropped.
 func TestCallAllocFree(t *testing.T) {
 	skipUnderRace(t)
+	forEachNetwork(t, testCallAllocFree)
+}
+
+func testCallAllocFree(t *testing.T, network string) {
 	checkResponses(t)
 	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
 		resp := AcquireResponse()
@@ -228,7 +220,7 @@ func TestCallAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli := Dial(srv.Addr())
+	cli := dialNet(network, srv.Addr())
 	defer cli.Close()
 	ping := &Request{Op: OpPing, Handle: 1}
 	closeReq := &Request{Op: OpClose, Handle: 2, Defer: true}
@@ -251,6 +243,9 @@ func TestCallAllocFree(t *testing.T) {
 		call(ping)
 	}); n > 0 {
 		t.Errorf("a deferred Call and the call that carries it allocate %.1f/op, want 0", n)
+	}
+	if n, want := srv.LocalConns(), map[string]int64{"local": 1, "tcp": 0}[network]; n != want {
+		t.Errorf("%d connections on the local socket, want %d", n, want)
 	}
 }
 

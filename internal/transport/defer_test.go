@@ -61,14 +61,15 @@ func logHandler(l *opLog) Handler {
 // writev (no plain write) when the second does. Client.Close sends a
 // close still waiting, and a deferred request naming Dst is refused.
 func TestDeferredCallRidesWithNextCall(t *testing.T) {
+	forEachNetwork(t, testDeferredCallRidesWithNextCall)
+}
+
+func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 	checkResponses(t)
 	var log opLog
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln, addr := listenNet(t, network)
 	srv := &Server{handler: logHandler(&log), writeTimeout: DefaultWriteTimeout, conns: make(map[net.Conn]struct{})}
-	served := make(chan *countingConn, 1)
+	served := make(chan *sockCounts, 1)
 	srv.wg.Add(1)
 	go func() {
 		c, err := ln.Accept()
@@ -77,11 +78,11 @@ func TestDeferredCallRidesWithNextCall(t *testing.T) {
 			close(served)
 			return
 		}
-		cc := &countingConn{TCPConn: c.(*net.TCPConn)}
+		conn, cc := counting(c)
 		served <- cc
-		srv.serveConn(cc)
+		srv.serveConn(conn)
 	}()
-	cli := Dial(ln.Addr().String())
+	cli := dialNet(network, addr) // finds the local socket named after addr itself
 	defer func() {
 		cli.Close() // the peer's EOF ends serveConn
 		_ = ln.Close()

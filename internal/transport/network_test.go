@@ -1,0 +1,222 @@
+package transport
+
+import (
+	"fmt"
+	"net"
+	"runtime"
+	"sync/atomic"
+	"testing"
+)
+
+// forEachNetwork runs f as one subtest per socket a server answers on:
+// "local", the unix socket a client on the server's own host dials first,
+// and "tcp", what every other client dials. A test that pins what an
+// exchange costs runs once on each, with the same budgets and counts.
+// There is no local socket off Linux.
+func forEachNetwork(t *testing.T, f func(t *testing.T, network string)) {
+	for _, network := range []string{"local", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			if network == "local" && runtime.GOOS != "linux" {
+				t.Skip("no local socket off Linux")
+			}
+			f(t, network)
+		})
+	}
+}
+
+// dialNet returns a client that reaches the server at addr over network.
+func dialNet(network, addr string) *Client {
+	if network == "tcp" {
+		return DialTCP(addr, ClientOptions{})
+	}
+	return Dial(addr)
+}
+
+// rawDial connects to srv over network without a Client.
+func rawDial(t *testing.T, network string, srv *Server) net.Conn {
+	t.Helper()
+	ln := srv.ln
+	if network == "local" {
+		ln = srv.local
+	}
+	conn, err := net.Dial(ln.Addr().Network(), ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	return conn
+}
+
+// listenNet listens on a fresh loopback TCP port, or on the local socket
+// named after one, and returns the port's TCP address: the one a client
+// is given either way.
+func listenNet(t *testing.T, network string) (net.Listener, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if network == "local" {
+		local, err := listenLocal(ln.Addr())
+		_ = ln.Close() // only its port names the local socket
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln = local
+	}
+	return ln, addr
+}
+
+// connPair returns a connected (server, client) socket pair over network.
+func connPair(t *testing.T, network string) (net.Conn, net.Conn) {
+	t.Helper()
+	ln, _ := listenNet(t, network)
+	defer ln.Close()
+	type res struct {
+		c   net.Conn
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		c, err := ln.Accept()
+		ch <- res{c, err}
+	}()
+	client, err := net.Dial(ln.Addr().Network(), ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-ch
+	if r.err != nil {
+		_ = client.Close()
+		t.Fatal(r.err)
+	}
+	t.Cleanup(func() { _ = r.c.Close(); _ = client.Close() })
+	return r.c, client
+}
+
+// drainedConn returns the server end of a connPair whose client end reads
+// and releases every response on the warm pooled decode path, so the
+// peer adds no allocation of its own to the process-wide counter. The
+// drainer is joined at cleanup: one still inside ReadResponse holds a
+// pooled Response, which the next test would be charged with.
+func drainedConn(t *testing.T, network string) net.Conn {
+	t.Helper()
+	sconn, cconn := connPair(t, network)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			resp, err := ReadResponse(cconn)
+			if err != nil {
+				return
+			}
+			resp.Release()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = cconn.Close()
+		_ = sconn.Close()
+		<-drained
+	})
+	return sconn
+}
+
+// sockCounts counts the Read and Write calls serveConn makes on a
+// connection.
+type sockCounts struct{ reads, writes atomic.Int64 }
+
+func (c *sockCounts) read(n int) {
+	if n > 0 {
+		c.reads.Add(1)
+	}
+}
+
+// countingTCP and countingUnix count a connection's calls. They embed the
+// net-package conn rather than wrapping it so that the socket keeps what
+// serveConn relies on — net.Buffers' vectored write, which asks its
+// destination for an unexported method only a net-package conn (or a
+// struct embedding one) has, and SyscallConn for sendfile. A vectored
+// write therefore goes out below the Write counter: a response that left
+// in one writev shows as no Write at all, where one written section by
+// section — to a wrapper, or payload apart from header — would show as
+// three.
+type countingTCP struct {
+	*net.TCPConn
+	sockCounts
+}
+
+func (c *countingTCP) Read(p []byte) (int, error) {
+	n, err := c.TCPConn.Read(p)
+	c.read(n)
+	return n, err
+}
+
+func (c *countingTCP) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.TCPConn.Write(p)
+}
+
+type countingUnix struct {
+	*net.UnixConn
+	sockCounts
+}
+
+func (c *countingUnix) Read(p []byte) (int, error) {
+	n, err := c.UnixConn.Read(p)
+	c.read(n)
+	return n, err
+}
+
+func (c *countingUnix) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.UnixConn.Write(p)
+}
+
+// counting wraps an accepted connection in its counting form.
+func counting(conn net.Conn) (net.Conn, *sockCounts) {
+	if uc, ok := conn.(*net.UnixConn); ok {
+		cc := &countingUnix{UnixConn: uc}
+		return cc, &cc.sockCounts
+	}
+	cc := &countingTCP{TCPConn: conn.(*net.TCPConn)}
+	return cc, &cc.sockCounts
+}
+
+// BenchmarkCallRoundTrip times one warm Call and its answer on each
+// socket: the local socket a client on the server's host takes, and TCP,
+// which every other client takes. It keeps the TCP round trip measured
+// beside the local one, since the epoch benchmark's in-process servers
+// are all dialled locally.
+//
+//	go test -run '^$' -bench CallRoundTrip ./internal/transport
+func BenchmarkCallRoundTrip(b *testing.B) {
+	for _, network := range []string{"local", "tcp"} {
+		for _, size := range []int{0, 32 << 10} {
+			b.Run(fmt.Sprintf("%s/%dKiB", network, size>>10), func(b *testing.B) {
+				if network == "local" && runtime.GOOS != "linux" {
+					b.Skip("no local socket off Linux")
+				}
+				payload := make([]byte, size)
+				srv, err := Serve("127.0.0.1:0", func(*Request) *Response {
+					return &Response{Status: StatusOK, Data: payload}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				c := dialNet(network, srv.Addr())
+				defer c.Close()
+				b.SetBytes(int64(size))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					resp, err := c.Call(&Request{Op: OpPing})
+					if err != nil {
+						b.Fatal(err)
+					}
+					resp.Release()
+				}
+			})
+		}
+	}
+}

@@ -4,44 +4,21 @@ import (
 	"bytes"
 	"net"
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
-
-// countingConn counts the Read and Write calls serveConn makes on a
-// connection. It embeds the *net.TCPConn rather than wrapping it so that
-// the socket keeps what serveConn relies on — net.Buffers' vectored
-// write, which asks its destination for an unexported method only a
-// net-package conn (or a struct embedding one) has, and SyscallConn for
-// sendfile. A vectored write therefore goes out below the Write counter:
-// a response that left in one writev shows as no Write at all, where one
-// written section by section — to a wrapper, or payload apart from
-// header — would show as three.
-type countingConn struct {
-	*net.TCPConn
-	reads, writes atomic.Int64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.TCPConn.Read(p)
-	if n > 0 {
-		c.reads.Add(1)
-	}
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	c.writes.Add(1)
-	return c.TCPConn.Write(p)
-}
 
 // TestServeConnSendsPerExchange counts the socket calls one exchange
 // costs the server, which is the same on any machine: one read per
 // request, whatever its size class; one write for a response without a
 // payload; one vectored write and nothing else for a buffered payload —
 // the path every read under core's zeroCopyMin takes; and header write,
-// sendfile, tail write for a file payload.
+// sendfile, tail write for a file payload. The counts are the same on
+// either socket.
 func TestServeConnSendsPerExchange(t *testing.T) {
+	forEachNetwork(t, testServeConnSendsPerExchange)
+}
+
+func testServeConnSendsPerExchange(t *testing.T, network string) {
 	checkResponses(t)
 	data := make([]byte, 128<<10)
 	for i := range data {
@@ -70,11 +47,11 @@ func TestServeConnSendsPerExchange(t *testing.T) {
 		return resp
 	}
 
-	sc, client := tcpPair(t)
-	cc := &countingConn{TCPConn: sc.(*net.TCPConn)}
+	sc, client := connPair(t, network)
+	conn, cc := counting(sc)
 	srv := &Server{handler: handler, writeTimeout: DefaultWriteTimeout, conns: make(map[net.Conn]struct{})}
 	srv.wg.Add(1)
-	go srv.serveConn(cc)
+	go srv.serveConn(conn)
 	defer func() {
 		_ = client.Close() // the peer's EOF ends serveConn
 		srv.wg.Wait()

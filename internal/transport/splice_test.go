@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"net"
 	"sync/atomic"
 	"testing"
 )
@@ -107,47 +106,16 @@ func TestSplicedReplyOverTCP(t *testing.T) {
 
 // TestSplicedSendAllocFree pins the mapped plane's send at zero
 // allocations in the process: a pooled Response with a pooled segment
-// list, written to a TCP connection in one writev and released.
+// list, written to a connection of either kind in one writev and
+// released.
 func TestSplicedSendAllocFree(t *testing.T) {
 	skipUnderRace(t)
+	forEachNetwork(t, testSplicedSendAllocFree)
+}
+
+func testSplicedSendAllocFree(t *testing.T, network string) {
 	checkResponses(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, aerr := ln.Accept()
-		if aerr == nil {
-			accepted <- c
-		}
-	}()
-	cconn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cconn.Close()
-	sconn := <-accepted
-	defer sconn.Close()
-
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for {
-			resp, rerr := ReadResponse(cconn)
-			if rerr != nil {
-				return
-			}
-			resp.Release()
-		}
-	}()
-	defer func() {
-		_ = cconn.Close()
-		_ = sconn.Close()
-		<-drained
-	}()
-
+	sconn := drainedConn(t, network)
 	seg := bytes.Repeat([]byte{0x5A}, 32<<10)
 	var rel countRel
 	send := func() {

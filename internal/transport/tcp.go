@@ -24,11 +24,15 @@ type ServerOptions struct {
 	WriteTimeout time.Duration
 }
 
-// Server accepts HVAC protocol connections and dispatches requests.
+// Server accepts HVAC protocol connections and dispatches requests, on
+// its TCP listener and, on Linux, on the local socket named after it
+// (local_linux.go). Both feed the same connection loop.
 type Server struct {
 	ln           net.Listener
+	local        net.Listener // nil off Linux
 	handler      Handler
 	writeTimeout time.Duration
+	localConns   atomic.Int64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -51,21 +55,39 @@ func ServeWith(addr string, handler Handler, opts ServerOptions) (*Server, error
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	s := &Server{ln: ln, handler: handler, writeTimeout: opts.WriteTimeout, conns: make(map[net.Conn]struct{})}
+	// A taken local name fails the server as a taken port does: a client
+	// on this host would otherwise reach whoever holds it.
+	local, err := listenLocal(ln.Addr())
+	if err != nil {
+		_ = ln.Close() // the listen error is the one to report
+		return nil, fmt.Errorf("transport: listen: %w", err)
+	}
+	s := &Server{ln: ln, local: local, handler: handler, writeTimeout: opts.WriteTimeout, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
-	go s.acceptLoop()
+	go s.acceptLoop(ln)
+	if local != nil {
+		s.wg.Add(1)
+		go s.acceptLoop(local)
+	}
 	return s, nil
 }
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-func (s *Server) acceptLoop() {
+// LocalConns reports how many connections the server accepted on its
+// local socket.
+func (s *Server) LocalConns() int64 { return s.localConns.Load() }
+
+func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
+		}
+		if ln == s.local {
+			s.localConns.Add(1)
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -197,6 +219,9 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	_ = s.ln.Close() // shutting down: accept loop exits on the close either way
+	if s.local != nil {
+		_ = s.local.Close() // likewise
+	}
 	for _, c := range conns {
 		_ = c.Close() // severing peers; their next I/O reports the break
 	}
@@ -237,6 +262,12 @@ type Client struct {
 	retry       RetryPolicy
 	poolSize    int
 	sleep       func(time.Duration) // test seam for backoff pauses
+
+	// localNames are the local socket names dial tries before TCP,
+	// resolved once (local_linux.go); tcpOnly skips them (DialTCP).
+	localOnce  sync.Once
+	localNames []string
+	tcpOnly    bool
 
 	retries atomic.Int64
 	calls   atomic.Int64
@@ -312,6 +343,15 @@ func DialWith(addr string, opts ClientOptions) *Client {
 	}
 }
 
+// DialTCP is DialWith for a client that never tries the server's local
+// socket: every connection is TCP, as a remote client's is. Tests that
+// pin what crosses a TCP socket use it.
+func DialTCP(addr string, opts ClientOptions) *Client {
+	c := DialWith(addr, opts)
+	c.tcpOnly = true
+	return c
+}
+
 // Addr returns the target address.
 func (c *Client) Addr() string { return c.addr }
 
@@ -354,11 +394,15 @@ func (c *Client) putConn(pc *pconn) {
 	c.drop(pc)
 }
 
-// dial connects pc.
+// dial connects pc: to the server's local socket when it answers on this
+// host, else over TCP.
 func (c *Client) dial(pc *pconn) error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
-	if err != nil {
-		return err
+	conn := c.dialLocal()
+	if conn == nil {
+		var err error
+		if conn, err = net.DialTimeout("tcp", c.addr, c.dialTimeout); err != nil {
+			return err
+		}
 	}
 	pc.conn = conn
 	// The reader is only read in exchange and drop, each after setting the

@@ -7,7 +7,8 @@ import (
 
 // Transport is the client side of one server link: the surface the HVAC
 // client (and any decorator, such as the faultnet injector) programs
-// against. The TCP implementation is *Client (returned by Dial/DialWith);
+// against. The socket implementation is *Client (returned by Dial,
+// DialWith and DialTCP), over TCP or a same-node local socket;
 // *SimTransport is the in-memory implementation used by deterministic
 // tests.
 type Transport interface {

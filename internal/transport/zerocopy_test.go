@@ -30,36 +30,6 @@ func payloadFile(t *testing.T, data []byte) *os.File {
 	return f
 }
 
-// tcpPair returns a connected loopback (server, client) socket pair.
-func tcpPair(t *testing.T) (net.Conn, net.Conn) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type res struct {
-		c   net.Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := ln.Accept()
-		ch <- res{c, err}
-	}()
-	client, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := <-ch
-	if r.err != nil {
-		_ = client.Close()
-		t.Fatal(r.err)
-	}
-	t.Cleanup(func() { _ = r.c.Close(); _ = client.Close() })
-	return r.c, client
-}
-
 type countReleaser struct{ n atomic.Int64 }
 
 func (c *countReleaser) Release() { c.n.Add(1) }
@@ -109,7 +79,7 @@ func TestFileResponseOverTCP(t *testing.T) {
 		data[i] = byte(i * 7)
 	}
 	f := payloadFile(t, data)
-	sconn, cconn := tcpPair(t)
+	sconn, cconn := connPair(t, "tcp")
 
 	var st ZeroCopyStats
 	rel := &countReleaser{}
@@ -153,7 +123,7 @@ func TestFileResponseOverTCP(t *testing.T) {
 func TestFileResponseTruncatedSource(t *testing.T) {
 	data := bytes.Repeat([]byte{0xAB}, 32<<10)
 	f := payloadFile(t, data)
-	sconn, cconn := tcpPair(t)
+	sconn, cconn := connPair(t, "tcp")
 
 	// Drain whatever partial frame arrives so the writer never blocks.
 	go func() {
@@ -183,8 +153,14 @@ func TestFileResponseTruncatedSource(t *testing.T) {
 // while the socket may still hold the file's pages: not after the write,
 // but once the peer's next request on that connection has been read, or
 // once the connection ends with no further request. A payload copied out
-// by a writer that cannot sendfile is released with its response.
+// by a writer that cannot sendfile is released with its response. The
+// hold is the same on either socket: sendfile into a unix socket queues
+// the file's pages too.
 func TestFilePayloadReleasedOnNextRequest(t *testing.T) {
+	forEachNetwork(t, testFilePayloadReleasedOnNextRequest)
+}
+
+func testFilePayloadReleasedOnNextRequest(t *testing.T, network string) {
 	checkResponses(t)
 	data := bytes.Repeat([]byte{0x5A}, 64<<10)
 	f := payloadFile(t, data)
@@ -218,11 +194,7 @@ func TestFilePayloadReleasedOnNextRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := rawDial(t, network, srv)
 	call := func(op Op) {
 		t.Helper()
 		if err := WriteRequest(conn, &Request{Op: op}); err != nil {
@@ -230,7 +202,7 @@ func TestFilePayloadReleasedOnNextRequest(t *testing.T) {
 		}
 		resp, err := ReadResponse(conn)
 		if err != nil || op == OpRead && !bytes.Equal(resp.Data, data) {
-			t.Fatalf("op %d over TCP: %v", op, err)
+			t.Fatalf("op %d over %s: %v", op, network, err)
 		}
 		resp.Release()
 	}
