@@ -194,24 +194,6 @@ func now() int64 {
 	}
 }
 
-func TestSimDeterminismCoversCoreSimFiles(t *testing.T) {
-	const src = `package core
-
-import "time"
-
-func simTick() int64 { return time.Now().UnixNano() }
-`
-	diags := loadSource(t, "hvac/internal/core", "simclock.go", src)
-	if len(diags) != 1 || diags[0].Rule != "simdeterminism" {
-		t.Fatalf("want simdeterminism to cover core's sim*.go files, got %v", diags)
-	}
-	// The same code in a non-sim file of core is out of scope.
-	diags = loadSource(t, "hvac/internal/core", "realclock.go", src)
-	if len(diags) != 0 {
-		t.Fatalf("want no findings in a non-sim core file, got %v", diags)
-	}
-}
-
 func TestPFSBypassCoversLoaderPackage(t *testing.T) {
 	const src = `package loader
 

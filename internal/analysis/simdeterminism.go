@@ -3,18 +3,17 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // deterministicPkgs are the packages whose behaviour must be a pure
 // function of the seed: the discrete-event kernel and every simulated
-// component built on it. internal/core is mixed real/sim; only its
-// sim*.go files are covered (see simDeterministicFile).
+// component built on it, the model of the paper's HVAC among them.
 var deterministicPkgs = map[string]bool{
 	"hvac/internal/sim":    true,
 	"hvac/internal/simnet": true,
 	"hvac/internal/device": true,
 	"hvac/internal/pfs":    true,
+	"hvac/internal/summit": true,
 	"hvac/internal/train":  true,
 }
 
@@ -42,23 +41,11 @@ var SimDeterminism = &Analyzer{
 	Run:  runSimDeterminism,
 }
 
-// simDeterministicFile reports whether the file at pos in pkg is under
-// the determinism contract.
-func simDeterministicFile(p *Pass, file *ast.File) bool {
-	if deterministicPkgs[p.ImportPath] {
-		return true
-	}
-	if p.ImportPath == "hvac/internal/core" {
-		return strings.HasPrefix(p.Filename(file.Pos()), "sim")
-	}
-	return false
-}
-
 func runSimDeterminism(p *Pass) {
+	if !deterministicPkgs[p.ImportPath] {
+		return
+	}
 	for _, f := range p.Files {
-		if !simDeterministicFile(p, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:

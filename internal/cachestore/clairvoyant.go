@@ -231,20 +231,6 @@ func (c *Clairvoyant) Advance(f int) {
 	}
 }
 
-// PlanLen reports the installed plan's length (ablation/test hook).
-func (c *Clairvoyant) PlanLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.planLen
-}
-
-// Frontier reports the current consumption frontier (ablation/test hook).
-func (c *Clairvoyant) Frontier() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.frontier
-}
-
 // OnInsert implements Policy.
 func (c *Clairvoyant) OnInsert(key string) {
 	c.mu.Lock()

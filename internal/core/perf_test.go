@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hvac/internal/cachestore"
 	"hvac/internal/slab"
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
@@ -449,4 +450,139 @@ func TestFileReadDegradesOnServerDeath(t *testing.T) {
 	if st := cli.Stats(); st.Degrades == 0 {
 		t.Error("server death during a sequential read did not degrade the handle to the PFS")
 	}
+}
+
+// kernelCost is what one operation costs the kernel, as counted by
+// testutil.KernelCounts: read-class and write-class system calls, and the
+// bytes through them per payload byte. As a budget it is a ceiling.
+type kernelCost struct {
+	readCalls, writeCalls, bytesPerByte float64
+}
+
+// checkKernelBudget runs op ops times, then settle, and holds what the
+// kernel counted for the whole process over both, per op, under budget.
+// The counts are exact where wall time is not, but they are the
+// process's: the caller must not run in parallel with another test.
+func checkKernelBudget(t *testing.T, ops int, payload int64, op func(i int), settle func(), budget kernelCost) {
+	t.Helper()
+	before, ok := testutil.KernelCounts()
+	if !ok {
+		t.Skip("kernel counts unavailable")
+	}
+	for i := 0; i < ops; i++ {
+		op(i)
+	}
+	settle()
+	after, _ := testutil.KernelCounts()
+	d := after.Sub(before)
+	n := float64(ops)
+	got := kernelCost{
+		readCalls:    float64(d.ReadCalls) / n,
+		writeCalls:   float64(d.WriteCalls) / n,
+		bytesPerByte: float64(d.ReadBytes+d.WriteBytes) / (n * float64(payload)),
+	}
+	t.Logf("per op: %.2f read-class calls, %.2f write-class calls, %.3f kernel bytes per payload byte (%d read, %d written), %.2f voluntary switches",
+		got.readCalls, got.writeCalls, got.bytesPerByte, d.ReadBytes/int64(ops), d.WriteBytes/int64(ops), float64(d.VolSwitches)/n)
+	if got.readCalls > budget.readCalls {
+		t.Errorf("%.2f read-class calls per op, budget %.2f", got.readCalls, budget.readCalls)
+	}
+	if got.writeCalls > budget.writeCalls {
+		t.Errorf("%.2f write-class calls per op, budget %.2f", got.writeCalls, budget.writeCalls)
+	}
+	if got.bytesPerByte > budget.bytesPerByte {
+		t.Errorf("%.3f kernel bytes per payload byte, budget %.3f", got.bytesPerByte, budget.bytesPerByte)
+	}
+}
+
+// kernelCluster starts two servers over pfsDir with the bench's payload
+// planes, and a client that reaches them over network.
+func kernelCluster(t *testing.T, network, pfsDir string, cfgMut func(*ServerConfig)) ([]*Server, *Client) {
+	return startCluster(t, pfsDir, 2, func(c *ServerConfig) {
+		c.ZeroCopy = runtime.GOOS == "linux"
+		if cfgMut != nil {
+			cfgMut(c)
+		}
+	}, func(c *ClientConfig) {
+		c.DialTransport = func(addr string) transport.Transport {
+			return dialOver(network, addr, transport.ClientOptions{})
+		}
+	})
+}
+
+// readCycle returns an op that reads paths[i%len(paths)] whole, as the
+// loader does, and gives its buffer back.
+func readCycle(t *testing.T, cli *Client, paths []string, size int) func(i int) {
+	return func(i int) {
+		p := paths[i%len(paths)]
+		b, err := cli.ReadAll(p)
+		if err != nil || len(b) != size {
+			t.Fatalf("read %s: %d bytes, %v", p, len(b), err)
+		}
+		slab.Put(b)
+	}
+}
+
+// TestWarmReadKernelBudget: a warm 32 KiB ReadAll (open, read, and a close
+// deferred onto the next call) costs the kernel what it measured when the
+// budget was set: 9.4–10.0 read-class and 4.00 write-class calls (two
+// messages each way, one write apiece; a read that finds the socket empty
+// counts too), and 2.015 kernel bytes per payload byte (the payload once
+// out of the mapping, once into the client, plus framing), on both
+// sockets at -cpu 1, 2 and 4. The slack is for the runtime's own calls.
+func TestWarmReadKernelBudget(t *testing.T) {
+	const size, files, ops = 32 << 10, 64, 1000
+	budget := kernelCost{readCalls: 10.5, writeCalls: 4.5, bytesPerByte: 2.05}
+	forEachNetwork(t, func(t *testing.T, network string) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, files, size)
+		servers, cli := kernelCluster(t, network, pfsDir, nil)
+		read := readCycle(t, cli, paths, size)
+		for i := 0; i < 2*files; i++ {
+			read(i)
+		}
+		settle(servers)
+		checkKernelBudget(t, ops, size, read, func() {}, budget)
+		checkNetwork(t, network, servers...)
+	})
+}
+
+// TestColdMissKernelBudget: a 64 KiB read that misses a full cache — the
+// PFS open and read, a fill that recycles its victim's file, and the
+// reply — costs the kernel what it measured when the budget was set:
+// 11.4–12.0 read-class and 6.7–7.0 write-class calls, and 4.88–5.01
+// kernel bytes per payload byte (three 64 KiB passes through reads, two
+// through writes), on both sockets at -cpu 1, 2 and 4. LRU over a cycle
+// twice the capacity makes every read a miss with an eviction.
+func TestColdMissKernelBudget(t *testing.T) {
+	const size, files, ops = 64 << 10, 64, 1000
+	budget := kernelCost{readCalls: 12.5, writeCalls: 7.5, bytesPerByte: 5.1}
+	forEachNetwork(t, func(t *testing.T, network string) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, files, size)
+		servers, cli := kernelCluster(t, network, pfsDir, func(c *ServerConfig) {
+			c.CacheCapacity = files * size / 4 // each server holds a quarter: half in all
+			c.Policy = cachestore.NewLRU()
+		})
+		read := readCycle(t, cli, paths, size)
+		for i := 0; i < files; i++ {
+			read(i)
+		}
+		settle(servers)
+		var hits, evictions int64
+		for _, s := range servers {
+			st := s.Stats()
+			hits, evictions = hits-st.Hits, evictions-st.Evictions
+		}
+		checkKernelBudget(t, ops, size, read, func() { settle(servers) }, budget)
+		for _, s := range servers {
+			st := s.Stats()
+			hits, evictions = hits+st.Hits, evictions+st.Evictions
+		}
+		// At -cpu 2 and 4 a few reads in a thousand still hit (none at
+		// -cpu 1); the shape holds either way.
+		if hits > ops/50 || evictions < ops*95/100 {
+			t.Errorf("%d hits and %d evictions over %d reads, want (nearly) every read a miss with an eviction", hits, evictions, ops)
+		}
+		checkNetwork(t, network, servers...)
+	})
 }

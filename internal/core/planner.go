@@ -18,18 +18,16 @@ import (
 	"path/filepath"
 	"sync"
 
-	"hvac/internal/place"
 	"hvac/internal/transport"
 )
 
 // AccessOracle is the epoch access order a plan is derived from —
 // satisfied by *train.Oracle (core cannot import train: train's tests
 // import core). At maps a global step to the dataset index read at that
-// step; StepOf is its inverse.
+// step.
 type AccessOracle interface {
 	N() int
 	At(step int) int
-	StepOf(index int) int
 }
 
 // defaultPlanHorizon is how many plan entries the pump keeps ahead of
@@ -186,38 +184,6 @@ func PlanOrder(o AccessOracle, pathAt func(int) string) []string {
 		order[step] = pathAt(o.At(step))
 	}
 	return order
-}
-
-// ServerPlan enumerates, in access order, the keys server srv will be
-// asked for during the oracle's epoch under view — the per-server plan
-// a rank installs on its own server without any central coordination:
-// walk the key universe, keep what the placement view homes here
-// (OwnedBy over r replicas), sort by the step the oracle assigns.
-func ServerPlan(o AccessOracle, view *place.View, srv, r int, pathAt func(int) string) []string {
-	type entry struct {
-		step int
-		path string
-	}
-	var owned []entry
-	for idx := 0; idx < o.N(); idx++ {
-		p := pathAt(idx)
-		if view.OwnedBy(p, srv, r) {
-			owned = append(owned, entry{step: o.StepOf(idx), path: p})
-		}
-	}
-	// Insertion sort by step: owned is already nearly ordered only by
-	// accident, but n is per-server plan size and this runs once per
-	// epoch; keep it dependency-free and deterministic.
-	for i := 1; i < len(owned); i++ {
-		for j := i; j > 0 && owned[j].step < owned[j-1].step; j-- {
-			owned[j], owned[j-1] = owned[j-1], owned[j]
-		}
-	}
-	keys := make([]string, len(owned))
-	for i, e := range owned {
-		keys[i] = e.path
-	}
-	return keys
 }
 
 // InstallPlan distributes an epoch's access plan to the servers: order

@@ -16,10 +16,10 @@
 // §III-C) to the server that "homes" the file by hashing (§III-E),
 // falling back to the PFS when a server is unreachable.
 //
-// Both halves exist twice: the real mode below (goroutines, TCP, actual
-// files) and a simulated mode (sim*.go) used to reproduce the paper's
-// Summit-scale experiments; the placement, queueing and caching logic is
-// shared.
+// This package is the shipped system only: goroutines, sockets and real
+// files. The paper's figures run a calibrated model of the paper's HVAC on
+// Summit instead (internal/summit), which shares placement (internal/place)
+// and the eviction index (internal/cachestore) with it and nothing else.
 //
 // The request path is engineered to be allocation- and contention-free
 // when warm (DESIGN.md §5): stats are typed atomics, the handle table is
@@ -191,8 +191,11 @@ type ServerStats struct {
 	// ZeroCopyBytes it is outside both identities.
 	MappedSends int64
 	// LocalConns counts connections accepted on the node-local socket
-	// (transport.Server.LocalConns); outside both identities.
-	LocalConns int64
+	// (transport.Server.LocalConns); LocalRefused those closed unread
+	// because the peer ran as another user (transport.Server.LocalRefused).
+	// Neither is part of either identity.
+	LocalConns   int64
+	LocalRefused int64
 }
 
 // serverCounters is the live form of ServerStats: typed atomics, so the
@@ -453,6 +456,7 @@ func (s *Server) Stats() ServerStats {
 	st.ZeroCopyBytes = s.zc.Bytes.Load()
 	st.ZeroCopyFallbacks = s.zc.Fallbacks.Load()
 	st.LocalConns = s.rpc.LocalConns()
+	st.LocalRefused = s.rpc.LocalRefused()
 	return st
 }
 

@@ -50,19 +50,6 @@ func (v *View) NumActive() int {
 	return v.n - len(v.down)
 }
 
-// Active returns the active member indices in ascending order.
-func (v *View) Active() []int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]int, 0, v.n-len(v.down))
-	for i := 0; i < v.n; i++ {
-		if !v.down[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Alive reports whether member i is active.
 func (v *View) Alive(i int) bool {
 	v.mu.RLock()
@@ -104,19 +91,6 @@ func (v *View) Join(i int) bool {
 // first active server in the base policy's preference order.
 func (v *View) Place(path string) int {
 	return v.Replicas(path, 1)[0]
-}
-
-// OwnedBy reports whether srv is among path's first r replica homes in
-// this view. It is the per-server key-enumeration predicate: a planner
-// walks its key universe and keeps exactly the keys it owns, instead of
-// asking some central party who owns what.
-func (v *View) OwnedBy(path string, srv, r int) bool {
-	for _, s := range v.Replicas(path, r) {
-		if s == srv {
-			return true
-		}
-	}
-	return false
 }
 
 // Replicas returns up to r distinct active servers for path, primary

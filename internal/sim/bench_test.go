@@ -5,18 +5,18 @@ import (
 	"time"
 )
 
-// BenchmarkEventThroughput measures raw callback events per second.
+// BenchmarkEventThroughput measures events per second through a heap
+// kept 64 deep: 64 processes sleep staggered spans.
 func BenchmarkEventThroughput(b *testing.B) {
 	eng := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			eng.After(time.Microsecond, tick)
-		}
+	per := b.N/64 + 1
+	for w := 0; w < 64; w++ {
+		eng.Spawn("w", func(p *Proc) {
+			for i := 0; i < per; i++ {
+				p.Sleep(Duration(w+1) * time.Microsecond)
+			}
+		})
 	}
-	eng.After(time.Microsecond, tick)
 	b.ResetTimer()
 	if err := eng.RunAll(); err != nil {
 		b.Fatal(err)

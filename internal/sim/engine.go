@@ -35,18 +35,11 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration between t and u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-type eventKind uint8
-
-const (
-	evCallback eventKind = iota
-	evResume
-)
-
+// event resumes proc at virtual time at; seq breaks ties in scheduling
+// order.
 type event struct {
 	at   Time
 	seq  uint64
-	kind eventKind
-	fn   func()
 	proc *Proc
 }
 
@@ -85,19 +78,6 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule runs fn at virtual time at. Callbacks run inline on the engine's
-// event loop and must not block; use Spawn for blocking activities.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.events.pushEv(event{at: at, seq: e.seq, kind: evCallback, fn: fn})
-}
-
-// After runs fn a duration d after the current virtual time.
-func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now.Add(d), fn) }
-
 // Proc is a simulated process: a goroutine whose blocking operations
 // (Sleep, resource acquisition, channel waits) consume virtual time.
 type Proc struct {
@@ -116,7 +96,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (e *Engine) Spawn(name string, fn func(*Proc)) {
 	p := &Proc{eng: e, resume: make(chan struct{}), name: name}
 	e.seq++
-	e.events.pushEv(event{at: e.now, seq: e.seq, kind: evResume, proc: p})
+	e.events.pushEv(event{at: e.now, seq: e.seq, proc: p})
 	go func() {
 		<-p.resume // wait for the engine to run our start event
 		fn(p)
@@ -130,7 +110,7 @@ func (e *Engine) scheduleResume(p *Proc, at Time) {
 		at = e.now
 	}
 	e.seq++
-	e.events.pushEv(event{at: at, seq: e.seq, kind: evResume, proc: p})
+	e.events.pushEv(event{at: at, seq: e.seq, proc: p})
 }
 
 // park suspends the calling proc until the engine resumes it. The caller must
@@ -173,13 +153,8 @@ func (e *Engine) Run(until Time) error {
 		}
 		ev := e.events.popEv()
 		e.now = ev.at
-		switch ev.kind {
-		case evCallback:
-			ev.fn()
-		case evResume:
-			ev.proc.resume <- struct{}{}
-			<-e.yield
-		}
+		ev.proc.resume <- struct{}{}
+		<-e.yield
 	}
 	if e.parked > 0 {
 		return ErrDeadlock{At: e.now, Blocked: e.parked}

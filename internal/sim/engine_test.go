@@ -5,16 +5,20 @@ import (
 	"time"
 )
 
+// Resumes leave the heap in time order, whatever order they were pushed in.
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	for i, at := range []Duration{30, 10, 20} {
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(at)
+			got = append(got, i)
+		})
+	}
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
 		t.Fatalf("events out of order: %v", got)
 	}
 	if e.Now() != 30 {
@@ -22,15 +26,21 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
+// Resumes due at the same instant run in the order they were scheduled.
 func TestSameTimeFIFO(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	for i := 0; i < 100; i++ {
-		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(5)
+			got = append(got, i)
+		})
 	}
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 100 {
+		t.Fatalf("%d of 100 sleepers woke", len(got))
 	}
 	for i, v := range got {
 		if v != i {
@@ -42,8 +52,10 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestScheduleInPastClamps(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.Schedule(100, func() {
-		e.Schedule(50, func() { at = e.Now() }) // in the past
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100)
+		p.Sleep(-50) // a wake-up in the past
+		at = p.Now()
 	})
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
@@ -137,17 +149,27 @@ func TestDeadlockDetection(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		e.After(time.Second, tick)
-	}
-	e.After(time.Second, tick)
+	e.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 20; i++ {
+			p.Sleep(time.Second)
+			count++
+		}
+	})
 	if err := e.Run(Time(10*time.Second + time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if count != 10 {
 		t.Fatalf("ticked %d times in 10s, want 10", count)
+	}
+	if e.Now() != Time(10*time.Second+time.Millisecond) {
+		t.Fatalf("clock at %v after Run, want the limit", time.Duration(e.Now()))
+	}
+	// The rest of the run resumes where the limit stopped it.
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if count != 20 {
+		t.Fatalf("ticked %d times in all, want 20", count)
 	}
 }
 

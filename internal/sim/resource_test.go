@@ -50,12 +50,10 @@ func TestResourceFCFS(t *testing.T) {
 	r := NewResource(e, "cpu", 1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		e.After(Duration(i)*time.Millisecond, func() {
-			e.Spawn("user", func(p *Proc) {
-				r.Use(p, 100*time.Millisecond)
-				order = append(order, i)
-			})
+		e.Spawn("user", func(p *Proc) {
+			p.Sleep(Duration(i) * time.Millisecond)
+			r.Use(p, 100*time.Millisecond)
+			order = append(order, i)
 		})
 	}
 	if err := e.RunAll(); err != nil {

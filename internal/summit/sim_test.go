@@ -1,4 +1,4 @@
-package core
+package summit
 
 import (
 	"fmt"
@@ -10,7 +10,6 @@ import (
 	"hvac/internal/pfs"
 	"hvac/internal/sim"
 	"hvac/internal/simnet"
-	"hvac/internal/trace"
 	"hvac/internal/vfs"
 )
 
@@ -34,19 +33,19 @@ func newSimRig(nodes, instancesPerNode, files int, fileSize int64, capacityPerIn
 	}
 	g := pfs.New(eng, pfs.Alpine(), ns)
 	r := &simRig{eng: eng, fabric: fabric, gpfs: g, ns: ns}
-	costs := DefaultSimCosts()
+	costs := defaultSimCosts()
 	for n := 0; n < nodes; n++ {
 		dev := device.New(eng, fmt.Sprintf("nvme%d", n), device.SummitNVMe())
 		r.devs = append(r.devs, dev)
 		for k := 0; k < instancesPerNode; k++ {
 			seed := uint64(n*1000 + k)
-			srv := NewSimServer(eng, simnet.NodeID(n), fabric, g, dev,
+			srv := newSimServer(eng, simnet.NodeID(n), fabric, g, dev,
 				capacityPerInstance, cachestore.NewRandom(seed), costs)
 			r.servers = append(r.servers, srv)
 		}
 	}
 	for n := 0; n < nodes; n++ {
-		r.clients = append(r.clients, NewSimClient(eng, simnet.NodeID(n), fabric,
+		r.clients = append(r.clients, newSimClient(simnet.NodeID(n), fabric,
 			r.servers, 1, g, costs))
 	}
 	return r
@@ -86,7 +85,7 @@ func TestSimReadThrough(t *testing.T) {
 		st := s.Stats()
 		misses += st.Misses
 		hits += st.Hits
-		cached += s.CachedFiles()
+		cached += s.index.Len()
 	}
 	if misses != 32 {
 		t.Fatalf("misses = %d, want 32 (one per file)", misses)
@@ -198,8 +197,8 @@ func TestSimEvictionUnderPressure(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("no evictions under pressure")
 	}
-	if r.servers[0].CachedBytes() > 4<<20 {
-		t.Fatalf("cache over capacity: %d", r.servers[0].CachedBytes())
+	if r.servers[0].index.Used() > 4<<20 {
+		t.Fatalf("cache over capacity: %d", r.servers[0].index.Used())
 	}
 	if st.Misses <= 16 {
 		t.Fatalf("misses = %d; re-fetches expected after eviction", st.Misses)
@@ -237,13 +236,13 @@ func TestSimReplicaFailover(t *testing.T) {
 		ns.Add(fmt.Sprintf("/gpfs/d/f%03d", i), 32<<10)
 	}
 	g := pfs.New(eng, pfs.Alpine(), ns)
-	costs := DefaultSimCosts()
+	costs := defaultSimCosts()
 	var servers []*SimServer
 	for n := 0; n < 3; n++ {
 		dev := device.New(eng, fmt.Sprintf("nvme%d", n), device.SummitNVMe())
-		servers = append(servers, NewSimServer(eng, simnet.NodeID(n), fabric, g, dev, 1<<30, nil, costs))
+		servers = append(servers, newSimServer(eng, simnet.NodeID(n), fabric, g, dev, 1<<30, nil, costs))
 	}
-	client := NewSimClient(eng, 0, fabric, servers, 2, nil, costs) // replicas=2, NO fallback
+	client := newSimClient(0, fabric, servers, 2, nil, costs) // replicas=2, NO fallback
 	servers[1].Fail()
 	eng.Spawn("job", func(p *sim.Proc) {
 		for _, path := range ns.Paths() {
@@ -313,14 +312,14 @@ func TestSimPrefetchPopulatesCache(t *testing.T) {
 	r := newSimRig(2, 1, 16, 128<<10, 1<<30)
 	client := r.clients[0]
 	r.eng.Spawn("prefetcher", func(p *sim.Proc) {
-		client.Prefetch(p, r.paths())
+		client.prefetch(p, r.paths())
 	})
 	if err := r.eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	cached := 0
 	for _, s := range r.servers {
-		cached += s.CachedFiles()
+		cached += s.index.Len()
 	}
 	if cached != 16 {
 		t.Fatalf("cached = %d after prefetch, want 16", cached)
@@ -347,8 +346,8 @@ func TestSimPrefetchIdempotent(t *testing.T) {
 	r := newSimRig(2, 1, 8, 64<<10, 1<<30)
 	client := r.clients[0]
 	r.eng.Spawn("p", func(p *sim.Proc) {
-		client.Prefetch(p, r.paths())
-		client.Prefetch(p, r.paths()) // second pass must not re-copy
+		client.prefetch(p, r.paths())
+		client.prefetch(p, r.paths()) // second pass must not re-copy
 	})
 	if err := r.eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -367,12 +366,12 @@ func TestSimPrefetchSkipsFailedServer(t *testing.T) {
 	r.servers[1].Fail()
 	client := r.clients[0]
 	r.eng.Spawn("p", func(p *sim.Proc) {
-		client.Prefetch(p, r.paths()) // must not error or deadlock
+		client.prefetch(p, r.paths()) // must not error or deadlock
 	})
 	if err := r.eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if r.servers[1].CachedFiles() != 0 {
+	if r.servers[1].index.Len() != 0 {
 		t.Fatal("failed server cached files")
 	}
 }
@@ -380,7 +379,7 @@ func TestSimPrefetchSkipsFailedServer(t *testing.T) {
 func TestSimSegmentedReads(t *testing.T) {
 	r := newSimRig(4, 1, 4, 10<<20, 1<<30) // 10 MB files
 	client := r.clients[0]
-	client.SetSegmentSize(1 << 20) // 1 MB segments -> 10 per file
+	client.setSegmentSize(1 << 20) // 1 MB segments -> 10 per file
 	r.eng.Spawn("job", func(p *sim.Proc) {
 		for e := 0; e < 2; e++ {
 			for _, path := range r.paths() {
@@ -398,7 +397,7 @@ func TestSimSegmentedReads(t *testing.T) {
 	totalSegs, serversUsed := 0, 0
 	var hits int64
 	for _, s := range r.servers {
-		if n := s.CachedFiles(); n > 0 {
+		if n := s.index.Len(); n > 0 {
 			serversUsed++
 			totalSegs += n
 		}
@@ -422,7 +421,7 @@ func TestSimSegmentSpreadsHotFile(t *testing.T) {
 		rr := newSimRig(4, 1, 1, 64<<20, 1<<30)
 		cl := rr.clients[0]
 		if seg {
-			cl.SetSegmentSize(4 << 20)
+			cl.setSegmentSize(4 << 20)
 		}
 		rr.eng.Spawn("j", func(p *sim.Proc) {
 			vfs.ReadFile(p, cl, rr.paths()[0])
@@ -432,7 +431,7 @@ func TestSimSegmentSpreadsHotFile(t *testing.T) {
 		}
 		used := 0
 		for _, s := range rr.servers {
-			if s.CachedFiles() > 0 {
+			if s.index.Len() > 0 {
 				used++
 			}
 		}
@@ -443,45 +442,6 @@ func TestSimSegmentSpreadsHotFile(t *testing.T) {
 	}
 	if u := fileLevel(true); u < 3 {
 		t.Fatalf("segment-level homing used %d servers, want >= 3", u)
-	}
-}
-
-func TestSimTraceRecordsTiers(t *testing.T) {
-	r := newSimRig(2, 1, 8, 64<<10, 1<<30)
-	client := r.clients[0]
-	rec := trace.NewRecorder(0)
-	client.SetTracer(rec)
-	r.eng.Spawn("job", func(p *sim.Proc) {
-		for e := 0; e < 2; e++ {
-			for _, path := range r.paths() {
-				vfs.ReadFile(p, client, path)
-			}
-		}
-	})
-	if err := r.eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	sum := rec.Summarise()
-	// Epoch 1 reads are read-through (pfs tier); epoch 2 reads come from
-	// the cache, split local/remote.
-	pfsReads := int64(0)
-	if s := sum[trace.Read][trace.TierPFS]; s != nil {
-		pfsReads = s.Ops
-	}
-	if pfsReads != 8 {
-		t.Fatalf("pfs-tier reads = %d, want 8 (epoch 1)", pfsReads)
-	}
-	cacheReads := int64(0)
-	for _, tier := range []trace.Tier{trace.TierCacheLocal, trace.TierCacheRemote} {
-		if s := sum[trace.Read][tier]; s != nil {
-			cacheReads += s.Ops
-		}
-	}
-	if cacheReads != 8 {
-		t.Fatalf("cache-tier reads = %d, want 8 (epoch 2)", cacheReads)
-	}
-	if rec.Len() != 32 { // 16 opens + 16 reads
-		t.Fatalf("events = %d, want 32", rec.Len())
 	}
 }
 

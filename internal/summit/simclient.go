@@ -1,14 +1,12 @@
-package core
+package summit
 
 import (
 	"fmt"
-	"time"
 
 	"hvac/internal/pfs"
 	"hvac/internal/place"
 	"hvac/internal/sim"
 	"hvac/internal/simnet"
-	"hvac/internal/trace"
 	"hvac/internal/vfs"
 )
 
@@ -27,16 +25,14 @@ type SimClientStats struct {
 // so workloads swap between GPFS, XFS-on-NVMe and HVAC without change —
 // the portability property the paper claims.
 type SimClient struct {
-	eng      *sim.Engine
 	node     simnet.NodeID
 	fabric   *simnet.Fabric
 	servers  []*SimServer
 	placeFn  func(path string) int
 	replicas func(path string) []int
 	gpfsC    *pfs.Client // PFS fallback path
-	costs    SimCosts
+	costs    simCosts
 	segSize  int64
-	tracer   *trace.Recorder
 
 	handles *vfs.HandleTable
 	hServer map[vfs.Handle]*SimServer
@@ -46,17 +42,16 @@ type SimClient struct {
 	stats   SimClientStats
 }
 
-// NewSimClient builds a client on node addressing the given global server
+// newSimClient builds a client on node addressing the given global server
 // list, placing with the paper's ModHash; g may be nil to make server
 // failures fatal instead of falling back to the PFS.
-func NewSimClient(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
-	servers []*SimServer, replicaCount int, g *pfs.GPFS, costs SimCosts) *SimClient {
+func newSimClient(node simnet.NodeID, fabric *simnet.Fabric,
+	servers []*SimServer, replicaCount int, g *pfs.GPFS, costs simCosts) *SimClient {
 	if replicaCount < 1 {
 		replicaCount = 1
 	}
 	n := len(servers)
 	c := &SimClient{
-		eng:     eng,
 		node:    node,
 		fabric:  fabric,
 		servers: servers,
@@ -77,44 +72,9 @@ func NewSimClient(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
 	return c
 }
 
-// SetTracer attaches an I/O trace recorder; nil disables tracing.
-func (c *SimClient) SetTracer(r *trace.Recorder) { c.tracer = r }
-
-// record emits one trace event in virtual time.
-func (c *SimClient) record(p *sim.Proc, op trace.Op, tier trace.Tier, start sim.Time, bytes int64, path string) {
-	if c.tracer == nil {
-		return
-	}
-	c.tracer.Record(trace.Event{
-		Start:    time.Duration(start),
-		Duration: p.Now().Sub(start),
-		Op:       op,
-		Tier:     tier,
-		Bytes:    bytes,
-		Path:     path,
-	})
-}
-
-// tierOf classifies how a handle is being served.
-func (c *SimClient) tierOf(h vfs.Handle) trace.Tier {
-	if _, ok := c.hFall[h]; ok {
-		return trace.TierPFS
-	}
-	if srv, ok := c.hServer[h]; ok {
-		if !c.hCached[h] {
-			return trace.TierPFS // read-through
-		}
-		if srv.node == c.node {
-			return trace.TierCacheLocal
-		}
-		return trace.TierCacheRemote
-	}
-	return trace.TierUnknown
-}
-
-// SetSegmentSize enables segment-level caching (§III-E): reads are split
+// setSegmentSize enables segment-level caching (§III-E): reads are split
 // into segSize-byte segments, each homed independently.
-func (c *SimClient) SetSegmentSize(segSize int64) { c.segSize = segSize }
+func (c *SimClient) setSegmentSize(segSize int64) { c.segSize = segSize }
 
 // segmentServer returns the home server of segment seg of path.
 func (c *SimClient) segmentServer(path string, seg int64) *SimServer {
@@ -142,12 +102,12 @@ func (c *SimClient) rpc(p *sim.Proc, srv *SimServer) {
 	}
 }
 
-// Prefetch asks each of a file's R homes to pre-populate its cache
+// prefetch asks each of a file's R homes to pre-populate its cache
 // without reading the file — the §IV-C pre-population that hides the
 // epoch-1 copy, extended to warm every replica so a failover target is
 // already hot. The hints ride one batched RPC per server; failed servers
 // are skipped.
-func (c *SimClient) Prefetch(p *sim.Proc, paths []string) {
+func (c *SimClient) prefetch(p *sim.Proc, paths []string) {
 	groups := make([][]string, len(c.servers))
 	for _, path := range paths {
 		for _, si := range c.replicas(path) {
@@ -167,7 +127,6 @@ func (c *SimClient) Prefetch(p *sim.Proc, paths []string) {
 // Open implements vfs.FS: forward to the home server, fail over to
 // replicas, and finally fall back to the PFS (if configured).
 func (c *SimClient) Open(p *sim.Proc, path string) (vfs.Handle, int64, error) {
-	openStart := p.Now()
 	p.Sleep(c.costs.ClientOverhead)
 	if c.segSize > 0 {
 		srv := c.segmentServer(path, 0)
@@ -210,7 +169,6 @@ func (c *SimClient) Open(p *sim.Proc, path string) (vfs.Handle, int64, error) {
 			if i > 0 {
 				c.stats.Failovers++
 			}
-			c.record(p, trace.Open, c.tierOf(h), openStart, 0, path)
 			return h, size, nil
 		}
 		lastErr = err
@@ -251,11 +209,9 @@ func (c *SimClient) ReadAt(p *sim.Proc, h vfs.Handle, off, n int64) (int64, erro
 	p.Sleep(c.costs.ClientOverhead)
 	srv := c.hServer[h]
 	c.rpc(p, srv)
-	readStart := p.Now()
 	if err := srv.read(p, path, off, n, size, c.hCached[h], c.node); err != nil {
 		return 0, err
 	}
-	c.record(p, trace.Read, c.tierOf(h), readStart, n, path)
 	return n, nil
 }
 

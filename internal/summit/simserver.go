@@ -1,4 +1,4 @@
-package core
+package summit
 
 import (
 	"fmt"
@@ -12,11 +12,16 @@ import (
 	"hvac/internal/simnet"
 )
 
-// SimCosts are the software overheads of the HVAC implementation in the
-// simulated mode, calibrated so that the measured gap to XFS-on-NVMe
-// reproduces the paper's ~25%/14%/9% ladder for 1/2/4 instances (Fig. 9b):
-// the gap is queueing at the single data-mover thread plus fixed RPC cost.
-type SimCosts struct {
+// The twins in simserver.go and simclient.go model the paper's HVAC on
+// Summit, not this repository's server (internal/core): a single
+// data-mover thread per instance, tee-on-first-read fills and §III-E
+// segment caching, with costs calibrated to the paper's figures.
+
+// simCosts are the software overheads of the paper's HVAC implementation,
+// calibrated so that the measured gap to XFS-on-NVMe reproduces the
+// paper's ~25%/14%/9% ladder for 1/2/4 instances (Fig. 9b): the gap is
+// queueing at the single data-mover thread plus fixed RPC cost.
+type simCosts struct {
 	// OpenHandling is data-mover occupancy per forwarded open.
 	OpenHandling time.Duration
 	// ReadHandling is data-mover occupancy to initiate a cached read
@@ -35,9 +40,9 @@ type SimCosts struct {
 	RPCBytes int64
 }
 
-// DefaultSimCosts returns the calibrated costs.
-func DefaultSimCosts() SimCosts {
-	return SimCosts{
+// defaultSimCosts returns the calibrated costs.
+func defaultSimCosts() simCosts {
+	return simCosts{
 		OpenHandling:   22 * time.Microsecond,
 		ReadHandling:   16 * time.Microsecond,
 		CloseHandling:  7 * time.Microsecond,
@@ -62,13 +67,12 @@ type SimServer struct {
 	node   simnet.NodeID
 	fabric *simnet.Fabric
 	gpfs   *pfs.GPFS
-	gpfsC  *pfs.Client
 	dev    *device.Device
 	mover  *sim.Resource
 	index  *cachestore.Index
-	costs  SimCosts
+	costs  simCosts
 
-	// Replica-warming wiring (SetCluster); nil/0 disables warming.
+	// Replica-warming wiring (setCluster); nil/0 disables warming.
 	cluster      []*SimServer
 	self         int
 	replicaCount int
@@ -78,17 +82,16 @@ type SimServer struct {
 	stats    SimServerStats
 }
 
-// NewSimServer builds a server instance. capacity is this instance's share
+// newSimServer builds a server instance. capacity is this instance's share
 // of the node's NVMe; policy nil means the paper's random eviction.
-func NewSimServer(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
+func newSimServer(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
 	g *pfs.GPFS, dev *device.Device, capacity int64, policy cachestore.Policy,
-	costs SimCosts) *SimServer {
+	costs simCosts) *SimServer {
 	return &SimServer{
 		eng:      eng,
 		node:     node,
 		fabric:   fabric,
 		gpfs:     g,
-		gpfsC:    g.Client(fabric, node),
 		dev:      dev,
 		mover:    sim.NewResource(eng, fmt.Sprintf("hvacd@%d", node), 1),
 		index:    cachestore.NewIndex(capacity, policy),
@@ -97,27 +100,18 @@ func NewSimServer(eng *sim.Engine, node simnet.NodeID, fabric *simnet.Fabric,
 	}
 }
 
-// SetCluster wires this instance into the replicated cluster so its
+// setCluster wires this instance into the replicated cluster so its
 // demand fills warm the key's other homes — the sim mirror of
-// Server.SetPeers in real mode. Call once after constructing every
+// core.Server.SetPeers in real mode. Call once after constructing every
 // instance; replicas < 2 disables warming.
-func (s *SimServer) SetCluster(servers []*SimServer, self int, replicas int) {
+func (s *SimServer) setCluster(servers []*SimServer, self int, replicas int) {
 	s.cluster = servers
 	s.self = self
 	s.replicaCount = replicas
 }
 
-// Node returns the compute node hosting this instance.
-func (s *SimServer) Node() simnet.NodeID { return s.node }
-
 // Stats returns a snapshot of the server counters.
 func (s *SimServer) Stats() SimServerStats { return s.stats }
-
-// CachedFiles reports the resident file count (the Fig. 15 metric).
-func (s *SimServer) CachedFiles() int { return s.index.Len() }
-
-// CachedBytes reports resident bytes.
-func (s *SimServer) CachedBytes() int64 { return s.index.Used() }
 
 // Fail marks the server crashed: every subsequent request errors, which
 // exercises the client failover / PFS-fallback paths.
@@ -217,7 +211,7 @@ func (s *SimServer) scheduleCopy(path string, size int64, fromPFS bool) {
 		s.stats.Misses++
 		if !fromPFS {
 			// A demand fill warms the key's other homes so a failover
-			// target already holds the bytes (mirror of warmReplicas in
+			// target already holds the bytes (mirror of core's warmReplicas in
 			// real mode). Prefetch fills never cascade.
 			s.warmPeers(path, size)
 		}
@@ -268,7 +262,7 @@ func (s *SimServer) warm(key string, size int64) {
 
 // prefetchBatch accepts one batched pre-population hint: the data-mover
 // copies each path from the PFS in the background (§IV-C future work,
-// implemented), one RPC for the whole list. Like Server.planBatchEntry,
+// implemented), one RPC for the whole list. Like core.Server.planBatchEntry,
 // the hint is answered without the mover: a residency check and an
 // enqueue per path. Holding the mover per path would queue each client's
 // hint behind every copy already scheduled there, and since every client

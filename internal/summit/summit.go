@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"hvac/internal/cachestore"
-	"hvac/internal/core"
 	"hvac/internal/device"
 	"hvac/internal/localfs"
 	"hvac/internal/pfs"
@@ -137,8 +136,8 @@ type HVACOptions struct {
 // HVACJob is a running HVAC deployment: instances x nodes servers plus
 // one client per node.
 type HVACJob struct {
-	Servers []*core.SimServer
-	clients map[int]*core.SimClient
+	Servers []*SimServer
+	clients map[int]*SimClient
 	cluster *Cluster
 	opts    HVACOptions
 }
@@ -152,30 +151,30 @@ func (c *Cluster) StartHVAC(opts HVACOptions) *HVACJob {
 	if opts.Eviction == nil {
 		opts.Eviction = func(seed uint64) cachestore.Policy { return cachestore.NewRandom(seed) }
 	}
-	costs := core.DefaultSimCosts()
+	costs := defaultSimCosts()
 	capacity := opts.CapacityPerInstance
 	if capacity <= 0 {
 		capacity = c.Spec.NVMe.Capacity / int64(opts.InstancesPerNode)
 	}
-	job := &HVACJob{cluster: c, opts: opts, clients: make(map[int]*core.SimClient)}
+	job := &HVACJob{cluster: c, opts: opts, clients: make(map[int]*SimClient)}
 	for n := 0; n < c.nodes; n++ {
 		for k := 0; k < opts.InstancesPerNode; k++ {
 			seed := opts.EvictionSeed + uint64(n)*131 + uint64(k)
-			srv := core.NewSimServer(c.Eng, simnet.NodeID(n), c.Fabric, c.GPFS,
+			srv := newSimServer(c.Eng, simnet.NodeID(n), c.Fabric, c.GPFS,
 				c.Devices[n], capacity, opts.Eviction(seed), costs)
 			job.Servers = append(job.Servers, srv)
 		}
 	}
 	if opts.Replicas > 1 {
 		for i, srv := range job.Servers {
-			srv.SetCluster(job.Servers, i, opts.Replicas)
+			srv.setCluster(job.Servers, i, opts.Replicas)
 		}
 	}
 	return job
 }
 
 // Client returns (memoised) the HVAC client for a node.
-func (j *HVACJob) Client(node int) *core.SimClient {
+func (j *HVACJob) Client(node int) *SimClient {
 	if cl, ok := j.clients[node]; ok {
 		return cl
 	}
@@ -183,10 +182,10 @@ func (j *HVACJob) Client(node int) *core.SimClient {
 	if replicas < 1 {
 		replicas = 1
 	}
-	cl := core.NewSimClient(j.cluster.Eng, simnet.NodeID(node), j.cluster.Fabric,
-		j.Servers, replicas, j.cluster.GPFS, core.DefaultSimCosts())
+	cl := newSimClient(simnet.NodeID(node), j.cluster.Fabric,
+		j.Servers, replicas, j.cluster.GPFS, defaultSimCosts())
 	if j.opts.SegmentSize > 0 {
-		cl.SetSegmentSize(j.opts.SegmentSize)
+		cl.setSegmentSize(j.opts.SegmentSize)
 	}
 	j.clients[node] = cl
 	return cl
@@ -214,7 +213,7 @@ func (j *HVACJob) Prewarm() (sim.Duration, error) {
 			for i := n; i < len(paths); i += c.nodes {
 				shard = append(shard, paths[i])
 			}
-			client.Prefetch(p, shard)
+			client.prefetch(p, shard)
 		})
 	}
 	if err := c.Eng.RunAll(); err != nil {
@@ -224,8 +223,8 @@ func (j *HVACJob) Prewarm() (sim.Duration, error) {
 }
 
 // TotalStats aggregates server counters across the job.
-func (j *HVACJob) TotalStats() core.SimServerStats {
-	var t core.SimServerStats
+func (j *HVACJob) TotalStats() SimServerStats {
+	var t SimServerStats
 	for _, s := range j.Servers {
 		st := s.Stats()
 		t.Hits += st.Hits

@@ -20,7 +20,7 @@ func smallNS(files int, size int64) *vfs.Namespace {
 func cachedFiles(job *HVACJob) int {
 	total := 0
 	for _, s := range job.Servers {
-		total += s.CachedFiles()
+		total += s.index.Len()
 	}
 	return total
 }
@@ -100,7 +100,7 @@ func TestStartHVACInstanceLayout(t *testing.T) {
 	}
 	perNode := map[int]int{}
 	for _, s := range job.Servers {
-		perNode[int(s.Node())]++
+		perNode[int(s.node)]++
 	}
 	for n := 0; n < 3; n++ {
 		if perNode[n] != 4 {

@@ -3,7 +3,6 @@ package train
 import (
 	"testing"
 
-	"hvac/internal/core"
 	"hvac/internal/sim"
 	"hvac/internal/summit"
 )
@@ -13,7 +12,7 @@ import (
 // aggregate server stats, and the engine's event count (the replay
 // fingerprint — two runs are identical exactly when their event counts
 // and final outputs agree).
-func deterministicRun(t *testing.T) (*Result, core.SimServerStats, uint64) {
+func deterministicRun(t *testing.T) (*Result, summit.SimServerStats, uint64) {
 	t.Helper()
 	cfg := Config{
 		Model:        ResNet50(),

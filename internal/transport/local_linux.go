@@ -19,7 +19,8 @@ import (
 // would reach the same listener. Abstract names live in the network
 // namespace and die with their socket, so there is no file to clean up;
 // they carry no permissions either, so a client keeps a connection only
-// from a peer running as its own user or root.
+// to a peer running as its own user or root, and a server serves a local
+// connection only from such a peer.
 
 // listenLocal claims the local name of the TCP address a server bound:
 // its IP, or "*" for a wildcard bind, which TCP reaches from any of this
@@ -81,8 +82,9 @@ func resolveLocal(addr string, timeout time.Duration) []string {
 	return localCandidates(ips, port, hostIPs())
 }
 
-// peerUID reports the uid the connected peer listened as (SO_PEERCRED):
-// the seam TestForeignPeerRefused replaces.
+// peerUID reports the uid the connected peer listened or connected as
+// (SO_PEERCRED): the seam TestForeignPeerRefused and
+// TestForeignClientRefused replace.
 var peerUID = func(c *net.UnixConn) (uint32, error) {
 	rc, err := c.SyscallConn()
 	if err != nil {
@@ -105,6 +107,13 @@ var peerUID = func(c *net.UnixConn) (uint32, error) {
 // as this process's user or as root.
 func trustedPeer(uid uint32) bool { return uid == 0 || uid == uint32(os.Getuid()) }
 
+// trustedConn reports whether the peer of a local connection is a
+// trustedPeer; one whose credentials cannot be read is not.
+func trustedConn(c net.Conn) bool {
+	uid, err := peerUID(c.(*net.UnixConn))
+	return err == nil && trustedPeer(uid)
+}
+
 // dialLocal connects to the first local name that answers, or returns nil
 // for the caller to dial TCP: no name answers, or the first that does is
 // not a trustedPeer.
@@ -119,7 +128,7 @@ func (c *Client) dialLocal() net.Conn {
 		if err != nil {
 			continue // not claimed on this host
 		}
-		if uid, err := peerUID(conn.(*net.UnixConn)); err == nil && trustedPeer(uid) {
+		if trustedConn(conn) {
 			return conn
 		}
 		_ = conn.Close() // an untrusted peer gets no request

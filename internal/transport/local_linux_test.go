@@ -7,7 +7,9 @@ import (
 	"os"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hvac/internal/testutil"
 )
@@ -183,6 +185,63 @@ func TestForeignPeerRefused(t *testing.T) {
 	}
 	if n := <-got; n != 0 {
 		t.Fatalf("the foreign peer received %d bytes, want a connection closed before any", n)
+	}
+}
+
+// TestForeignClientRefused: a server serves a local connection only from
+// a peer running as its own user or root. Another user's connection is
+// closed before a frame is read from it, and counted; a trusted client
+// is still served on the local socket afterwards.
+func TestForeignClientRefused(t *testing.T) {
+	checkResponses(t)
+	testutil.CheckFDs(t)
+	own := uint32(os.Getuid())
+	var foreign atomic.Bool
+	orig := peerUID
+	peerUID = func(c *net.UnixConn) (uint32, error) {
+		if foreign.Load() {
+			return own + 1, nil
+		}
+		return orig(c)
+	}
+	defer func() { peerUID = orig }()
+	var served atomic.Int64
+	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
+		served.Add(1)
+		return echoHandler(req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	foreign.Store(true)
+	conn, err := net.Dial("unix", srv.local.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second)) // a served peer would idle on
+	_ = WriteRequest(conn, &Request{Op: OpPing})              // may already meet the close
+	n, _ := io.Copy(io.Discard, conn)                         // EOF or a reset: the frame was never read
+	_ = conn.Close()
+	foreign.Store(false)
+	if n != 0 {
+		t.Fatalf("the foreign client received %d bytes, want a connection closed before any", n)
+	}
+	if got := srv.LocalRefused(); got != 1 {
+		t.Fatalf("LocalRefused = %d, want 1", got)
+	}
+	if got := served.Load(); got != 0 {
+		t.Fatalf("the handler ran %d times for a refused peer", got)
+	}
+
+	cli := Dial(srv.Addr())
+	defer cli.Close()
+	if c, ok := pooledConn(t, cli).(*net.UnixConn); !ok {
+		t.Fatalf("the client's connection is a %T, want a *net.UnixConn", c)
+	}
+	if got, refused := srv.LocalConns(), srv.LocalRefused(); got != 1 || refused != 1 {
+		t.Fatalf("LocalConns = %d, LocalRefused = %d after a trusted client; want 1 and 1", got, refused)
 	}
 }
 

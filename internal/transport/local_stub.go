@@ -10,3 +10,5 @@ import "net"
 func listenLocal(net.Addr) (net.Listener, error) { return nil, nil }
 
 func (c *Client) dialLocal() net.Conn { return nil }
+
+func trustedConn(net.Conn) bool { return true } // never called: no local listener

@@ -33,6 +33,7 @@ type Server struct {
 	handler      Handler
 	writeTimeout time.Duration
 	localConns   atomic.Int64
+	localRefused atomic.Int64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -79,6 +80,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // local socket.
 func (s *Server) LocalConns() int64 { return s.localConns.Load() }
 
+// LocalRefused reports how many connections on the local socket the
+// server closed unread because the peer was not a trusted user.
+func (s *Server) LocalRefused() int64 { return s.localRefused.Load() }
+
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
@@ -87,6 +92,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return // listener closed
 		}
 		if ln == s.local {
+			if !trustedConn(conn) {
+				s.localRefused.Add(1)
+				_ = conn.Close() // an untrusted peer gets no reply
+				continue
+			}
 			s.localConns.Add(1)
 		}
 		s.mu.Lock()
