@@ -129,11 +129,12 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		select {
 		case <-tick:
 			st := srv.Stats()
-			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks) mapped=%d local=%d\n",
+			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks) passed=%d mapped=%d local=%d refused=%d\n",
 				st.Opens, st.Closes, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
 				st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
 				st.PlanPrefetches, st.PlanKeys, st.PlanFrontier,
-				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.MappedSends, st.LocalConns)
+				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.ZeroCopyPassed, st.MappedSends,
+				st.LocalConns, st.LocalRefused)
 			fmt.Fprintf(stdout, "hvacd latencies:\n%s\n", srv.LatencySummary())
 		case <-ctx.Done():
 			fmt.Fprintln(stdout, "hvacd: shutting down, purging cache (job-coupled life cycle)")

@@ -39,7 +39,7 @@ func (b *syncBuffer) String() string {
 var (
 	servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
 	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
-	localRe   = regexp.MustCompile(` local=(\d+)\n`)
+	localRe   = regexp.MustCompile(` passed=(\d+) mapped=\d+ local=(\d+) refused=(\d+)\n`)
 )
 
 // await polls out until find returns a match, failing the test after 5 s.
@@ -74,6 +74,11 @@ func TestDaemon(t *testing.T) {
 	file := filepath.Join(pfs, "f0.rec")
 	want := bytes.Repeat([]byte("hvacd"), 4096)
 	if err := os.WriteFile(file, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	big := filepath.Join(pfs, "f1.rec")
+	wantBig := bytes.Repeat([]byte("hvacd-large"), 48<<10) // 528 KiB: one warm read passes the descriptor
+	if err := os.WriteFile(big, wantBig, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Each daemon keeps its files in a store directory of its own inside
@@ -119,10 +124,22 @@ func TestDaemon(t *testing.T) {
 				}
 				if runtime.GOOS == "linux" {
 					// A client on the daemon's node reaches it through the
-					// local socket.
-					await(t, stdout, "-stats line with local= > 0", func(s string) bool {
+					// local socket, as its own user: nothing is refused, and
+					// a warm read of 256 KiB or more takes the cache file's
+					// descriptor (passed=).
+					for i := 0; i < 2; i++ {
+						got, err := cli.ReadAll(big)
+						if err != nil || !bytes.Equal(got, wantBig) {
+							t.Fatalf("read %d of %s: %d bytes, %v", i+1, big, len(got), err)
+						}
+						await(t, stdout, "-stats line with the large file's fill done", func(s string) bool {
+							_, misses, ok := lastStats(s)
+							return ok && misses == 2
+						})
+					}
+					await(t, stdout, "-stats line with passed= > 0, local= > 0 and refused=0", func(s string) bool {
 						m := localRe.FindAllStringSubmatch(s, -1)
-						return len(m) > 0 && m[len(m)-1][1] != "0"
+						return len(m) > 0 && m[len(m)-1][1] != "0" && m[len(m)-1][2] != "0" && m[len(m)-1][3] == "0"
 					})
 				}
 			}},

@@ -136,9 +136,12 @@ func chaosMatrix() []chaosCase {
 			}},
 		},
 		{
-			// The bulk pipeline under faults: files of 2.5 chunks, so every
+			// The bulk pipeline under faults: files of 2.25 chunks, so every
 			// ReadAll keeps two chunk RPCs in flight and ends on a partial
-			// one. Every 7th OpRead on a link fails, the fault kind rotating
+			// one. On the local socket the two whole chunks are passed as
+			// descriptors and the partial one, shorter than the descriptor
+			// plane's 256 KiB minimum, leaves by sendfile, so the row serves
+			// from both fd planes. Every 7th OpRead on a link fails, the fault kind rotating
 			// through disconnect, truncate, corrupt and hang. A file costs at
 			// most six OpReads (three pipelined, three re-read by the
 			// sequential loop), so no file sees two faults, and a file's
@@ -149,7 +152,7 @@ func chaosMatrix() []chaosCase {
 			// clean. That is what keeps this row's stats replayable
 			// (TestChaosStatsReplayBitIdentical) although its call indices
 			// are not.
-			name: "bulk-pipeline", servers: 2, files: 12, size: 2*bulkChunk + bulkChunk/2 + 7, epochs: 2,
+			name: "bulk-pipeline", servers: 2, files: 12, size: 2*bulkChunk + bulkChunk/4 + 7, epochs: 2,
 			sched: faultnet.Schedule{Seed: 18, HangTimeout: 10 * time.Millisecond, Rules: []faultnet.Rule{
 				{Op: transport.OpRead, Offset: 1, Every: 28, Fault: faultnet.Disconnect},
 				{Op: transport.OpRead, Offset: 8, Every: 28, Fault: faultnet.Truncate},
@@ -284,9 +287,9 @@ func maybeWriteCorpus(t *testing.T, cases []chaosCase) {
 // runChaosCase drives one matrix cell and asserts the resilience
 // invariants. preEpoch, when set, runs before each epoch's reads (the
 // planner variant installs the epoch plan there); it must not read data.
-// It returns the cell's summed ZeroCopyEligible and MappedSends so armed
-// matrices can assert the run actually exercised both zero-copy planes.
-func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, paths []string)) (eligible, mapped int64) {
+// It returns the cell's serves per payload plane so armed matrices can
+// assert the run actually exercised every zero-copy plane.
+func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, paths []string)) (planes planeCounts) {
 	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	write := writePFS
@@ -391,14 +394,23 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 		if !tc.zeroCopy && ss.ZeroCopyEligible+ss.MappedSends != 0 {
 			t.Fatalf("srv%d: %d zero-copy serves, %d from mappings with ZeroCopy off", i, ss.ZeroCopyEligible, ss.MappedSends)
 		}
-		eligible += ss.ZeroCopyEligible
-		mapped += ss.MappedSends
+		if tc.network != "local" && ss.ZeroCopyPassed != 0 {
+			t.Fatalf("srv%d: %d descriptors passed off the local socket", i, ss.ZeroCopyPassed)
+		}
+		planes.eligible += ss.ZeroCopyEligible
+		planes.mapped += ss.MappedSends
+		planes.passed += ss.ZeroCopyPassed
 	}
 	if tc.network != "" {
 		checkNetwork(t, tc.network, servers...)
 	}
-	return eligible, mapped
+	return planes
 }
+
+// planeCounts sums a run's serves by payload plane: fd payloads that
+// reached the writer (eligible), the part of them passed as descriptors,
+// and payloads spliced from mappings.
+type planeCounts struct{ eligible, passed, mapped int64 }
 
 func TestChaosMatrix(t *testing.T) {
 	maybeWriteCorpus(t, chaosMatrix())
@@ -444,30 +456,33 @@ func TestChaosMatrixClairvoyantPlanner(t *testing.T) {
 // directly. Every invariant of the base matrix must hold unchanged —
 // byte identity proves the kernel path and its mid-transfer fallbacks
 // frame exactly the bytes the pooled path would — plus the per-server
-// zero-copy identity, and the armed matrix must produce eligible serves
-// and serves from mappings somewhere (epoch-2 warm reads of files at or
+// zero-copy identity, and the armed matrix must produce serves by
+// sendfile and from mappings somewhere (epoch-2 warm reads of files at or
 // above zeroCopyMin and below it), else the arming was vacuous.
 func TestChaosMatrixZeroCopy(t *testing.T) { testChaosMatrixZeroCopy(t, "tcp") }
 
 // TestChaosMatrixZeroCopyLocal is the armed matrix with every client on
-// the servers' local socket, so the faults hit sendfile and the mapped
-// writev into a unix socket.
+// the servers' local socket, so the faults hit sendfile, the mapped writev
+// and the descriptor frames of a unix socket: the bulk-pipeline row's
+// 1.25 MiB files are read in chunks of descMin and more, and must be
+// passed as descriptors somewhere in the matrix.
 func TestChaosMatrixZeroCopyLocal(t *testing.T) {
 	skipOffLinux(t)
 	testChaosMatrixZeroCopy(t, "local")
 }
 
 func testChaosMatrixZeroCopy(t *testing.T, network string) {
-	var eligible, mapped int64
+	var sum planeCounts
 	for _, tc := range chaosMatrix() {
 		tc.zeroCopy, tc.network = true, network
 		t.Run(tc.name, func(t *testing.T) {
-			e, m := runChaosCase(t, tc, nil)
-			eligible, mapped = eligible+e, mapped+m
+			p := runChaosCase(t, tc, nil)
+			sum.eligible, sum.passed, sum.mapped = sum.eligible+p.eligible, sum.passed+p.passed, sum.mapped+p.mapped
 		})
 	}
-	if eligible == 0 || mapped == 0 {
-		t.Fatalf("%d zero-copy-eligible serves and %d from mappings across the armed matrix; the arming is vacuous", eligible, mapped)
+	if sum.eligible-sum.passed == 0 || sum.mapped == 0 || network == "local" && sum.passed == 0 {
+		t.Fatalf("%d serves by sendfile, %d from mappings and %d by descriptor across the armed matrix; the arming is vacuous",
+			sum.eligible-sum.passed, sum.mapped, sum.passed)
 	}
 }
 

@@ -462,12 +462,17 @@ func (f *File) Remote() bool { return f.fallback == nil }
 // ping-pong at twice the CPU per byte, and 512 KiB is the largest chunk
 // that stays under that cliff on loopback TCP; a second chunk in flight
 // hides the request round trip behind the first one's receive, a third
-// only adds scheduling. bulkChunk is also the longest range any one read
-// RPC carries: one cut size, one justification.
+// only adds scheduling. The cliff is the socket's: once a reply comes back
+// as a descriptor, which puts no payload in the socket, readBulk stops
+// cutting at bulkChunk (DESIGN.md §3.1).
 const (
 	bulkChunk = 512 << 10
 	bulkDepth = 2
 )
+
+// maxRead is the longest range a server answers in one read
+// (server.go:checkRange).
+const maxRead = transport.MaxFrame / 2
 
 // ReadAt implements io.ReaderAt. If the serving HVAC server dies
 // mid-file, the handle degrades to a direct PFS handle and the read
@@ -545,46 +550,57 @@ func (f *File) hedged() bool {
 // order and read each through the handle as it stood at entry, with no
 // failover of their own: the first failed or short chunk stops the
 // claiming, and everything from there on is the caller's sequential loop.
+//
+// Chunks are bulkChunk long until a reply comes back as a descriptor
+// (transport's descriptor plane, on the local socket): such a reply puts
+// no payload in the socket, so the socket-buffer cliff bulkChunk keeps
+// under is gone, and what is left unclaimed is split evenly over the
+// workers — no piece shorter than a chunk or longer than a read can be.
 func (f *File) readBulk(p []byte, off int64) int {
 	f.mu.Lock()
 	conn, handle := f.conn, f.handle
 	f.mu.Unlock()
-	chunks := (len(p) + bulkChunk - 1) / bulkChunk
 	var (
-		mu   sync.Mutex
-		next int      // next chunk to claim
-		bad  = chunks // lowest failed or short chunk
-		badN int      // payload bytes the chunk at bad did deliver
+		mu    sync.Mutex
+		next  int         // offset of the next byte to claim
+		chunk = bulkChunk // length of the next claim
+		bad   = len(p)    // start of the lowest failed or short chunk
+		badN  int         // payload bytes the chunk at bad did deliver
 	)
 	work := func() {
 		for {
 			mu.Lock()
-			i := next
-			if i >= bad {
+			lo := next
+			if lo >= bad {
 				mu.Unlock()
 				return
 			}
-			next++
+			hi := min(lo+chunk, len(p))
+			next = hi
 			mu.Unlock()
-			dst := p[i*bulkChunk : min((i+1)*bulkChunk, len(p))]
-			n := 0
+			dst := p[lo:hi]
+			n, passed := 0, false
 			resp, err := conn.Call(&transport.Request{
-				Op: transport.OpRead, Handle: handle, Off: off + int64(i)*bulkChunk, Len: int64(len(dst)), Dst: dst,
+				Op: transport.OpRead, Handle: handle, Off: off + int64(lo), Len: int64(len(dst)), Dst: dst,
 			})
 			if err == nil {
 				if resp.OK() {
-					n = landed(dst, resp)
+					n, passed = landed(dst, resp), resp.Passed()
 				}
 				resp.Release()
 			}
+			mu.Lock()
 			if n < len(dst) {
-				mu.Lock()
-				if i < bad {
-					bad, badN = i, n
+				if lo < bad {
+					bad, badN = lo, n
 				}
 				mu.Unlock()
 				return
 			}
+			if passed && chunk == bulkChunk {
+				chunk = min(max((len(p)-next+bulkDepth-1)/bulkDepth, bulkChunk), maxRead)
+			}
+			mu.Unlock()
 		}
 	}
 	var wg sync.WaitGroup
@@ -599,7 +615,7 @@ func (f *File) readBulk(p []byte, off int64) int {
 	wg.Wait()
 	// Chunks are claimed in order and every claimed chunk has finished, so
 	// all of [0, bad) arrived whole.
-	total := min(bad*bulkChunk+badN, len(p))
+	total := min(bad+badN, len(p))
 	f.c.bump(func(s *ClientStats) { s.BytesRead += int64(total) })
 	return total
 }

@@ -546,6 +546,83 @@ func TestWarmReadKernelBudget(t *testing.T) {
 	})
 }
 
+// TestWarmLargeReadKernelBudget: a warm 8 MiB ReadAll (open, the bulk
+// pipeline's chunk reads, and a deferred close) costs the kernel what it
+// measured when the budget was set, at -cpu 1, 2 and 4. Over TCP every
+// payload byte crosses the socket in sixteen 512 KiB chunks: sendfile
+// counts it out and the client's read(2)s in, beside the cache file's
+// read: 3.000 kernel bytes per payload byte, 116–125 read-class and
+// 66.0–66.1 write-class calls. On the local socket every chunk is a
+// descriptor frame (descMin and up), and after the first one the rest of
+// the file is one chunk per worker: four reads in all. The server's
+// sendmsg and the client's recvmsg are not counted in /proc/self/io, so
+// the descriptor frames are invisible and only the client's pread of each
+// range shows, once per payload byte: 15.5–16.1 read-class and 6.0–6.1
+// write-class calls, 1.000 bytes per payload byte. Before the descriptor
+// plane the local socket read 196.0 / 113.9 / 3.000.
+func TestWarmLargeReadKernelBudget(t *testing.T) {
+	const size, files, ops = 8 << 20, 4, 40
+	budgets := map[string]kernelCost{
+		"local": {readCalls: 17, writeCalls: 7, bytesPerByte: 1.05},
+		"tcp":   {readCalls: 130, writeCalls: 67, bytesPerByte: 3.05},
+	}
+	forEachNetwork(t, func(t *testing.T, network string) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, files, size)
+		servers, cli := kernelCluster(t, network, pfsDir, nil)
+		read := readCycle(t, cli, paths, size)
+		for i := 0; i < 2*files; i++ {
+			read(i)
+		}
+		settle(servers)
+		checkKernelBudget(t, ops, size, read, func() {}, budgets[network])
+		checkNetwork(t, network, servers...)
+	})
+}
+
+// TestWarmBatchKernelBudget: a warm ReadBatch of 32 files of 32 KiB — one
+// OpReadBatch per server, each reply's entries spliced from the cache
+// files' mappings — costs the kernel what it measured when the budget was
+// set, per batch, at -cpu 1, 2 and 4: 2.005 kernel bytes per payload byte
+// on either socket (the payload once out of the mappings, once into the
+// client); over TCP 11.6–12.9 read-class and 4.00–4.04 write-class calls,
+// on the local socket 17.2–20.0 and 10.0–12.0, because a 512 KiB reply
+// outgrows the unix socket's send buffer and its writev returns short. No
+// reply is a descriptor frame (a batch entry never is, and no batch
+// request asks for descMin bytes), so the client stays on read(2) and
+// sendmsg and recvmsg, which /proc/self/io does not count, play no part.
+func TestWarmBatchKernelBudget(t *testing.T) {
+	const size, files, batch, ops = 32 << 10, 64, 32, 200
+	budgets := map[string]kernelCost{
+		"local": {readCalls: 21, writeCalls: 12.5, bytesPerByte: 2.05},
+		"tcp":   {readCalls: 13.5, writeCalls: 4.5, bytesPerByte: 2.05},
+	}
+	forEachNetwork(t, func(t *testing.T, network string) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, files, size)
+		servers, cli := kernelCluster(t, network, pfsDir, nil)
+		read := func(i int) {
+			lo := (i * batch) % files
+			got, err := cli.ReadBatch(paths[lo : lo+batch])
+			if err != nil {
+				t.Fatalf("batch at %d: %v", lo, err)
+			}
+			for _, b := range got {
+				if len(b) != size {
+					t.Fatalf("batch at %d: an entry of %d bytes", lo, len(b))
+				}
+				slab.Put(b)
+			}
+		}
+		for i := 0; i < 2*files/batch; i++ {
+			read(i)
+		}
+		settle(servers)
+		checkKernelBudget(t, ops, batch*size, read, func() {}, budgets[network])
+		checkNetwork(t, network, servers...)
+	})
+}
+
 // TestColdMissKernelBudget: a 64 KiB read that misses a full cache — the
 // PFS open and read, a fill that recycles its victim's file, and the
 // reply — costs the kernel what it measured when the budget was set:
@@ -568,18 +645,59 @@ func TestColdMissKernelBudget(t *testing.T) {
 			read(i)
 		}
 		settle(servers)
-		var hits, evictions int64
-		for _, s := range servers {
-			st := s.Stats()
-			hits, evictions = hits-st.Hits, evictions-st.Evictions
+		// Each read is classified as it returns: a hit (resident at open)
+		// whose reply left by lease with no eviction under it was served by
+		// rung 1; a hit that found its entry evicted between open and read
+		// was served by a fill. Stats snapshots make no system call, so
+		// the counts stay the reads'.
+		var hits, evictions, misses int64
+		var hitLog []string
+		last := make(map[int]int, files)
+		before := make([]ServerStats, len(servers))
+		for i, s := range servers {
+			before[i] = s.Stats()
 		}
-		checkKernelBudget(t, ops, size, read, func() { settle(servers) }, budget)
-		for _, s := range servers {
+		classify := func(i int) {
+			pre := make([]ServerStats, len(servers))
+			for j, s := range servers {
+				pre[j] = s.Stats()
+			}
+			read(i)
+			for j, s := range servers {
+				st := s.Stats()
+				if st.Hits == pre[j].Hits {
+					continue
+				}
+				rung := "a fill (its entry was evicted under the open)"
+				if st.ZeroCopyEligible > pre[j].ZeroCopyEligible && st.Evictions == pre[j].Evictions {
+					rung = "rung 1 (a lease on the resident entry)"
+				}
+				since := "never"
+				if k, ok := last[i%files]; ok {
+					since = fmt.Sprintf("%d reads", i-k)
+				}
+				hitLog = append(hitLog, fmt.Sprintf("read %d of file %d on srv%d (last read %s before): served by %s", i, i%files, j, since, rung))
+			}
+			last[i%files] = i
+		}
+		checkKernelBudget(t, ops, size, classify, func() { settle(servers) }, budget)
+		for i, s := range servers {
 			st := s.Stats()
-			hits, evictions = hits+st.Hits, evictions+st.Evictions
+			hits += st.Hits - before[i].Hits
+			misses += st.Misses - before[i].Misses
+			evictions += st.Evictions - before[i].Evictions
 		}
 		// At -cpu 2 and 4 a few reads in a thousand still hit (none at
-		// -cpu 1); the shape holds either way.
+		// -cpu 1), each one a cycle after a fill whose write to its
+		// recycled cache file stalled for milliseconds: a fill evicts when
+		// it lands its bytes but enters LRU order only when it commits, so
+		// a late commit is younger than the reads that came after it, and
+		// outlives them. Every miss still evicts once. The shape holds
+		// either way.
+		t.Logf("%d hits, %d misses (completed fills), %d evictions over %d reads", hits, misses, evictions, ops)
+		for _, l := range hitLog {
+			t.Log(l)
+		}
 		if hits > ops/50 || evictions < ops*95/100 {
 			t.Errorf("%d hits and %d evictions over %d reads, want (nearly) every read a miss with an eviction", hits, evictions, ops)
 		}

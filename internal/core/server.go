@@ -180,11 +180,15 @@ type ServerStats struct {
 	// Every response that reached the wire with an fd-backed payload
 	// (eligible) either left entirely via sendfile (a send) or involved
 	// userspace bytes (a fallback). ZeroCopyBytes counts the bytes
-	// sendfile itself moved.
+	// sendfile itself moved. ZeroCopyPassed counts the sends that left as
+	// a descriptor frame on the local socket (the client read the bytes
+	// from the file itself); like ZeroCopyBytes it is outside both
+	// identities.
 	ZeroCopyEligible  int64
 	ZeroCopySends     int64
 	ZeroCopyBytes     int64
 	ZeroCopyFallbacks int64
+	ZeroCopyPassed    int64
 	// MappedSends counts payloads below zeroCopyMin that left from their
 	// cache file's mapping, spliced into the reply's writev with no copy
 	// in userspace (whole reads and batch entries alike). Like
@@ -455,6 +459,7 @@ func (s *Server) Stats() ServerStats {
 	st.ZeroCopySends = s.zc.Sends.Load()
 	st.ZeroCopyBytes = s.zc.Bytes.Load()
 	st.ZeroCopyFallbacks = s.zc.Fallbacks.Load()
+	st.ZeroCopyPassed = s.zc.Passed.Load()
 	st.LocalConns = s.rpc.LocalConns()
 	st.LocalRefused = s.rpc.LocalRefused()
 	return st
@@ -698,7 +703,7 @@ func errResp(err error) *transport.Response {
 // sendfile as is) and anything above half a frame cannot be answered
 // (the response frame must also carry the header and tail).
 func checkRange(off, n int64) error {
-	if off < 0 || n < 0 || n > transport.MaxFrame/2 {
+	if off < 0 || n < 0 || n > maxRead {
 		return fmt.Errorf("hvac server: read of %d bytes at offset %d out of range", n, off)
 	}
 	return nil

@@ -184,10 +184,19 @@ func TestZeroCopyMidSendConnectionDeath(t *testing.T) {
 // at the server so it reads the same on any machine: under zeroCopyMin
 // bytes the payload is copied into the response and no serve is even
 // eligible for sendfile, from zeroCopyMin up the lease is handed over
-// and — on Linux over TCP — sent, never fallen back from. The rule looks
-// at the read's length alone: a short read of a large file is buffered,
-// a whole small file is too.
+// and — on Linux — sent, never fallen back from: by sendfile, or on the
+// local socket from descMin bytes up by passing its descriptor. The rule
+// looks at the read's length alone: a short read of a large file is
+// buffered, a whole small file is too.
 func TestZeroCopySizeRule(t *testing.T) {
+	forEachNetwork(t, testZeroCopySizeRule)
+}
+
+// descMin is transport's descMin: the shortest payload passed as a
+// descriptor on the local socket.
+const descMin = 256 << 10
+
+func testZeroCopySizeRule(t *testing.T, network string) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writeSizedPFS(t, pfsDir, []int{32 << 10, zeroCopyMin - 1, zeroCopyMin, zeroCopyMin + 1, 1 << 20})
 	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
@@ -198,7 +207,7 @@ func TestZeroCopySizeRule(t *testing.T) {
 		}
 	}
 	srv.WaitIdle()
-	conn := transport.Dial(srv.Addr())
+	conn := dialOver(network, srv.Addr(), transport.ClientOptions{})
 	defer conn.Close()
 
 	reads := []struct {
@@ -212,6 +221,10 @@ func TestZeroCopySizeRule(t *testing.T) {
 		{paths[4], 32 << 10},    // a short read of a large file
 		{paths[4], zeroCopyMin}, // and one at the threshold
 		{paths[0], zeroCopyMin}, // a long buffer over a short file: 32 KiB to deliver
+		{paths[4], descMin - 1},
+		{paths[4], descMin},
+		{paths[4], 1 << 20},
+		{paths[3], descMin}, // a descMin request for zeroCopyMin+1 bytes: sendfile
 	}
 	for _, rd := range reads {
 		content, err := os.ReadFile(rd.path)
@@ -233,9 +246,12 @@ func TestZeroCopySizeRule(t *testing.T) {
 		}
 		resp.Release()
 		after := srv.Stats()
-		var wantEligible int64
+		var wantEligible, wantPassed int64
 		if len(want) >= zeroCopyMin {
 			wantEligible = 1
+		}
+		if network == "local" && len(want) >= descMin {
+			wantPassed = 1
 		}
 		if got := after.ZeroCopyEligible - before.ZeroCopyEligible; got != wantEligible {
 			t.Errorf("read %d of %s (%d bytes to deliver): %d sendfile-eligible serves, want %d", rd.len, rd.path, len(want), got, wantEligible)
@@ -244,7 +260,10 @@ func TestZeroCopySizeRule(t *testing.T) {
 			t.Errorf("read %d of %s: %d zero-copy fallbacks", rd.len, rd.path, got)
 		}
 		if got := after.ZeroCopySends - before.ZeroCopySends; runtime.GOOS == "linux" && got != wantEligible {
-			t.Errorf("read %d of %s: %d sendfile sends, want %d", rd.len, rd.path, got, wantEligible)
+			t.Errorf("read %d of %s: %d zero-copy sends, want %d", rd.len, rd.path, got, wantEligible)
+		}
+		if got := after.ZeroCopyPassed - before.ZeroCopyPassed; runtime.GOOS == "linux" && got != wantPassed {
+			t.Errorf("read %d of %s: %d descriptors passed, want %d", rd.len, rd.path, got, wantPassed)
 		}
 		cl, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: open.Handle})
 		if err != nil {

@@ -17,9 +17,8 @@ func EpochSeed(seed uint64, epoch int) uint64 {
 // Oracle is the clairvoyant view of one epoch's access order. Because
 // the shuffle is a seeded Feistel permutation (NoPFS makes the same
 // observation: the access sequence of every epoch is known the moment
-// the seed is fixed), both directions are computable in O(1) without
-// materialising the epoch: which dataset index is read at a global step,
-// and at which global step a given index will be read.
+// the seed is fixed), the dataset index read at any global step is
+// computable in O(1) without materialising the epoch.
 type Oracle struct {
 	perm *Perm
 }
@@ -34,8 +33,3 @@ func (o *Oracle) N() int { return o.perm.N() }
 
 // At returns the dataset index read at global step k.
 func (o *Oracle) At(step int) int { return o.perm.Index(step) }
-
-// StepOf returns the global step at which dataset index i is read — the
-// inverse enumeration: a server holding a subset of the keys scores each
-// of them directly instead of scanning the n-step epoch.
-func (o *Oracle) StepOf(index int) int { return o.perm.Invert(index) }

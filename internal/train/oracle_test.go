@@ -2,56 +2,9 @@ package train
 
 import (
 	"testing"
-	"testing/quick"
 
 	"hvac/internal/sim"
 )
-
-// The satellite property: Invert is the exact inverse of Index over
-// random domains and seeds, in both compositions.
-func TestPermInvertRoundTrip(t *testing.T) {
-	f := func(seed uint64, size uint16) bool {
-		n := int(size%5000) + 1
-		p := NewPerm(sim.NewRNG(seed), n)
-		for i := 0; i < n; i++ {
-			if p.Invert(p.Index(i)) != i {
-				return false
-			}
-			if p.Index(p.Invert(i)) != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermInvertTinyDomains(t *testing.T) {
-	for n := 1; n <= 5; n++ {
-		p := NewPerm(sim.NewRNG(uint64(n)), n)
-		for i := 0; i < n; i++ {
-			if got := p.Invert(p.Index(i)); got != i {
-				t.Fatalf("n=%d: Invert(Index(%d)) = %d", n, i, got)
-			}
-		}
-	}
-}
-
-func TestPermInvertOutOfRangePanics(t *testing.T) {
-	p := NewPerm(sim.NewRNG(1), 10)
-	for _, bad := range []int{-1, 10, 100} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Invert(%d) did not panic", bad)
-				}
-			}()
-			p.Invert(bad)
-		}()
-	}
-}
 
 // The oracle must reproduce the exact shuffle Run consumes: same seed
 // derivation (EpochSeed), same permutation, per epoch.
@@ -76,23 +29,5 @@ func TestOracleMatchesRunShuffle(t *testing.T) {
 	}
 	if same > n/20 {
 		t.Fatalf("epochs 0 and 1 agree on %d/%d steps", same, n)
-	}
-}
-
-// StepOf is the inverse enumeration: for every dataset index, the step
-// the oracle claims must map back through At.
-func TestOracleStepOf(t *testing.T) {
-	o := NewOracle(7, 2, 1234)
-	for i := 0; i < o.N(); i++ {
-		if got := o.At(o.StepOf(i)); got != i {
-			t.Fatalf("At(StepOf(%d)) = %d", i, got)
-		}
-	}
-}
-
-func BenchmarkPermInvert(b *testing.B) {
-	p := NewPerm(sim.NewRNG(1), 11_797_632)
-	for i := 0; i < b.N; i++ {
-		p.Invert(i % 11_797_632)
 	}
 }

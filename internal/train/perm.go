@@ -51,18 +51,6 @@ func (p *Perm) encrypt(v uint64) uint64 {
 	return l<<p.bits | r
 }
 
-// decrypt runs the Feistel rounds of encrypt backwards. One encrypt
-// round maps (l, r) to (r, l^F(r, k)); given the post-round halves the
-// pre-round halves are therefore l = r'^F(l', k), r = l'.
-func (p *Perm) decrypt(v uint64) uint64 {
-	l := v >> p.bits
-	r := v & p.mask
-	for i := len(p.keys) - 1; i >= 0; i-- {
-		l, r = r^(p.round(l, p.keys[i])&p.mask), l
-	}
-	return l<<p.bits | r
-}
-
 // Index returns the image of i under the permutation. It panics if i is
 // outside [0, n).
 func (p *Perm) Index(i int) int {
@@ -73,25 +61,6 @@ func (p *Perm) Index(i int) int {
 	for {
 		v = p.encrypt(v)
 		if v < uint64(p.n) { // cycle-walk back into the domain
-			return int(v)
-		}
-	}
-}
-
-// Invert returns the preimage of y: the unique i in [0, n) with
-// Index(i) == y. Index cycle-walks forward through out-of-domain points,
-// all of which are >= n, so walking decrypt backwards from y stops at
-// exactly the i the forward walk started from. This is what lets a
-// server score "when is my key read" in O(1) per key instead of scanning
-// the whole epoch. It panics if y is outside [0, n).
-func (p *Perm) Invert(y int) int {
-	if y < 0 || y >= p.n {
-		panic("train: permutation index out of range")
-	}
-	v := uint64(y)
-	for {
-		v = p.decrypt(v)
-		if v < uint64(p.n) {
 			return int(v)
 		}
 	}

@@ -156,7 +156,9 @@ func TestReadRequestIntoAllocsOnlyPath(t *testing.T) {
 // fd-backed 1 MiB payload through sendfile allocates nothing — the
 // payload never exists in userspace, so there is no buffer to allocate.
 // The draining peer runs the warm pooled decode path (also 0 allocs), so
-// the process-wide counter AllocsPerRun reads stays flat.
+// the process-wide counter AllocsPerRun reads stays flat. On the local
+// socket the same payload passed as a descriptor — sendmsg here, recvmsg
+// and a pread into a pooled buffer at the peer — allocates nothing either.
 func TestZeroCopySendAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	forEachNetwork(t, testZeroCopySendAllocFree)
@@ -165,7 +167,7 @@ func TestZeroCopySendAllocFree(t *testing.T) {
 func testZeroCopySendAllocFree(t *testing.T, network string) {
 	checkResponses(t)
 	const size = 1 << 20
-	sconn := drainedConn(t, network)
+	sconn := drainedConnRx(t, network, true)
 	path := filepath.Join(t.TempDir(), "payload")
 	if err := os.WriteFile(path, bytes.Repeat([]byte{0x5A}, size), 0o644); err != nil {
 		t.Fatal(err)
@@ -196,6 +198,22 @@ func testZeroCopySendAllocFree(t *testing.T, network string) {
 	}
 	if zw.canSendfile() && st.Fallbacks.Load() != 0 {
 		t.Errorf("sendfile-capable conn took %d fallbacks", st.Fallbacks.Load())
+	}
+	if st.Passed.Load() != 0 {
+		t.Fatalf("%d descriptors passed for a request that did not ask for one", st.Passed.Load())
+	}
+	if network != "local" {
+		return
+	}
+	zw.asked = true // as serveConn sets it for a request that mayPass
+	for i := 0; i < 8; i++ {
+		send() // warm: the sendmsg step, the peer's recvmsg step and payload class
+	}
+	if n := testing.AllocsPerRun(100, send); n > 0 {
+		t.Errorf("descriptor pass allocates %.1f/op on the warm path, want 0", n)
+	}
+	if st.Passed.Load() == 0 || st.Fallbacks.Load() != 0 {
+		t.Errorf("%d passes and %d fallbacks, want every send a pass", st.Passed.Load(), st.Fallbacks.Load())
 	}
 }
 

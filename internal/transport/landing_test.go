@@ -70,7 +70,7 @@ func TestLandingDecode(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := bytes.Repeat([]byte{sentinel}, tc.dstLen)
-			got, err := readResponse(bytes.NewReader(encodeResponse(t, &tc.resp)), dst)
+			got, err := readResponse(bytes.NewReader(encodeResponse(t, &tc.resp)), dst, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestLandingDecode(t *testing.T) {
 func TestLandingDecodeCutMidPayload(t *testing.T) {
 	frame := encodeResponse(t, &Response{Status: StatusOK, Size: 4096, Data: patterned(4096)})
 	for _, cut := range []int{respHeadLen, respHeadLen + 1, respHeadLen + 2048, len(frame) - 3, len(frame) - 1} {
-		resp, err := readResponse(bytes.NewReader(frame[:cut]), make([]byte, 4096))
+		resp, err := readResponse(bytes.NewReader(frame[:cut]), make([]byte, 4096), nil)
 		if err == nil {
 			resp.Release()
 			t.Fatalf("frame cut at %d of %d bytes decoded", cut, len(frame))

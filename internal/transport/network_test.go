@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -101,13 +102,30 @@ func connPair(t *testing.T, network string) (net.Conn, net.Conn) {
 // drainer is joined at cleanup: one still inside ReadResponse holds a
 // pooled Response, which the next test would be charged with.
 func drainedConn(t *testing.T, network string) net.Conn {
+	return drainedConnRx(t, network, false)
+}
+
+// drainedConnRx is drainedConn whose drainer, with armed set and on the
+// local socket, receives through an armed descriptor receiver, as a
+// client does for a read that may be passed a descriptor (pass.go).
+func drainedConnRx(t *testing.T, network string, armed bool) net.Conn {
 	t.Helper()
 	sconn, cconn := connPair(t, network)
+	var rx *passRx
+	if armed {
+		rx = newPassRx(cconn)
+		rx.arm(&Request{Len: descMin})
+	}
+	var src io.Reader = cconn
+	if rx != nil {
+		src = rx
+	}
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
+		defer rx.disarm()
 		for {
-			resp, err := ReadResponse(cconn)
+			resp, err := readResponse(src, nil, rx)
 			if err != nil {
 				return
 			}

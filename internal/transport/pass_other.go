@@ -1,0 +1,30 @@
+//go:build !linux
+
+package transport
+
+import (
+	"net"
+	"os"
+	"syscall"
+)
+
+// Non-Linux builds have no local socket, so no descriptor is ever passed:
+// the server never takes this plane and the client never arms a receiver.
+
+func local(net.Conn, syscall.RawConn) bool { return false }
+
+type passTx struct{}
+
+func (w *zcWriter) passPayload([]byte, *os.File) error { return errNoDescriptor }
+
+type passRx struct{}
+
+func newPassRx(net.Conn) *passRx { return nil }
+
+func (r *passRx) arm(*Request) {}
+
+func (r *passRx) disarm() {}
+
+func (r *passRx) Read([]byte) (int, error) { return 0, errNoDescriptor }
+
+func (r *passRx) readPassed([]byte, int64) error { return errNoDescriptor }

@@ -10,7 +10,14 @@
 //	response: u32 frame | u8 status | u64 handle | u64 size | u32 dataLen | data | u16 errLen | err
 //
 // The frame length counts everything after the length field. Bulk payloads
-// ride in the response's data section.
+// ride in the response's data section — except on the local socket, where
+// a file payload of 256 KiB or more leaves as a descriptor frame: bit 31
+// of dataLen set, a data section of u64 off | u64 len, and the cache
+// file's descriptor attached to the frame as SCM_RIGHTS. The client
+// preads that range into its destination and closes the descriptor
+// before Call returns, so the payload never crosses the socket (pass.go).
+// A frame with the bit and no descriptor is corrupt; a decoder that knows
+// nothing of the bit rejects the frame as a data length overrun.
 //
 // The codec is allocation-free on the warm path: frames are encoded into
 // pooled buffers (pool.go), a response's payload is written with a
@@ -42,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -154,6 +162,7 @@ type Response struct {
 	pooled   *[]byte // backing payload buffer owned by this response; nil when Data is caller memory
 	fromPool bool    // struct came from respPool (AcquireResponse/ReadResponse)
 	released bool    // a pooled struct back in respPool: Release panics
+	passed   bool    // the payload came as a descriptor (pass.go)
 
 	// fd-backed payload (zerocopy.go): when srcFile is set the payload is
 	// srcLen bytes of srcFile at srcOff, Data stays nil, and srcRel is
@@ -360,7 +369,7 @@ func appendRespTail(b []byte, msg string) []byte {
 // Release once the payload has been consumed (or keep the Response and
 // let the GC reclaim it — correct, but off the zero-allocation path).
 func ReadResponse(r io.Reader) (*Response, error) {
-	return readResponse(r, nil)
+	return readResponse(r, nil, nil)
 }
 
 // readResponse is the one response decoder: the fixed head into a small
@@ -369,8 +378,10 @@ func ReadResponse(r io.Reader) (*Response, error) {
 // power-of-two payload stays in its own size class — then the tail
 // (error length, error string) into the scratch again. The payload is
 // never staged in a whole-frame buffer, so a landed read costs one
-// userspace copy per byte: socket to dst.
-func readResponse(r io.Reader, dst []byte) (*Response, error) {
+// userspace copy per byte: socket to dst. A descriptor frame (pass.go)
+// is read from the descriptor rx received with it, into the same
+// destination; without rx it is a corrupt frame.
+func readResponse(r io.Reader, dst []byte, rx *passRx) (*Response, error) {
 	// Pooled scratch, not a stack array: an array passed through the
 	// io.Reader interface escapes, which would cost one heap allocation
 	// per decode.
@@ -395,6 +406,10 @@ func readResponse(r io.Reader, dst []byte) (*Response, error) {
 	// Checked in the wire's own width, so dataLen is at most MaxFrame
 	// before it sizes or slices anything.
 	dl := binary.LittleEndian.Uint32(head[21:])
+	passed := dl&passFlag != 0 && dl&^passFlag == passLen
+	if passed {
+		dl = passLen
+	}
 	if dl > frame-respFixedLen {
 		return nil, fmt.Errorf("transport: corrupt response: data length %d overruns frame", dl)
 	}
@@ -403,7 +418,12 @@ func readResponse(r io.Reader, dst []byte) (*Response, error) {
 	resp.Status = head[4]
 	resp.Handle = int64(binary.LittleEndian.Uint64(head[5:]))
 	resp.Size = int64(binary.LittleEndian.Uint64(head[13:]))
-	if dataLen > 0 {
+	if passed {
+		if err := readPassedPayload(r, (*sp)[:passLen], dst, rx, resp); err != nil {
+			resp.Release()
+			return nil, err
+		}
+	} else if dataLen > 0 {
 		data := dst
 		if dataLen > len(dst) {
 			resp.pooled = getFrameBuf(dataLen)
@@ -438,4 +458,32 @@ func readResponse(r io.Reader, dst []byte) (*Response, error) {
 		resp.Err = string(tail[2 : 2+errLen])
 	}
 	return resp, nil
+}
+
+// readPassedPayload reads a descriptor frame's range into sec, then the
+// range itself from the descriptor rx holds, into dst when it fits and a
+// pooled buffer otherwise, as a payload off the socket would land.
+func readPassedPayload(r io.Reader, sec, dst []byte, rx *passRx, resp *Response) error {
+	if _, err := io.ReadFull(r, sec); err != nil {
+		return err
+	}
+	off := binary.LittleEndian.Uint64(sec)
+	n := binary.LittleEndian.Uint64(sec[8:])
+	if off > math.MaxInt64-MaxFrame || n > MaxFrame {
+		return fmt.Errorf("transport: corrupt response: passed range %d+%d out of bounds", off, n)
+	}
+	data := dst
+	if int(n) > len(dst) {
+		resp.pooled = getFrameBuf(int(n))
+		data = *resp.pooled
+	}
+	data = data[:n:n]
+	if err := rx.readPassed(data, int64(off)); err != nil {
+		return err
+	}
+	if n > 0 {
+		resp.Data = data
+	}
+	resp.passed = true
+	return nil
 }

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -13,14 +15,17 @@ import (
 // payload; one vectored write and nothing else for a buffered payload —
 // the path every read under core's zeroCopyMin takes; and header write,
 // sendfile, tail write for a file payload. The counts are the same on
-// either socket.
+// either socket, except for a file payload of descMin bytes or more on
+// the local socket: that leaves as one sendmsg with the file's
+// descriptor (pass.go), below the Write counter, and counts as a send
+// and a pass.
 func TestServeConnSendsPerExchange(t *testing.T) {
 	forEachNetwork(t, testServeConnSendsPerExchange)
 }
 
 func testServeConnSendsPerExchange(t *testing.T, network string) {
 	checkResponses(t)
-	data := make([]byte, 128<<10)
+	data := make([]byte, 512<<10)
 	for i := range data {
 		data[i] = byte(i*131 + 5)
 	}
@@ -49,6 +54,14 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 
 	sc, client := connPair(t, network)
 	conn, cc := counting(sc)
+	// The client end receives as a pooled Client connection does: through
+	// a buffered reader over the descriptor receiver, armed per request.
+	rx := newPassRx(client)
+	var src io.Reader = client
+	if rx != nil {
+		src = rx
+	}
+	br := bufio.NewReader(src)
 	srv := &Server{handler: handler, writeTimeout: DefaultWriteTimeout, conns: make(map[net.Conn]struct{})}
 	srv.wg.Add(1)
 	go srv.serveConn(conn)
@@ -65,38 +78,56 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 		wantReads  int64 // 0: as many as the kernel hands the frame over in
 		wantWrites int64
 		wantSends  int64
+		passes     bool // on the local socket: no writes, and one pass
 	}{
-		{"no payload", Request{Op: OpPing, Handle: bare}, 1, 1, 0},
-		{"32 KiB buffered", Request{Op: OpRead, Handle: buffered, Len: 32 << 10}, 1, 0, 0},
-		{"32 KiB buffered, long path", Request{Op: OpRead, Handle: buffered, Len: 32 << 10, Path: longPath}, 1, 0, 0},
-		{"32 KiB buffered, request past the buffer", Request{Op: OpRead, Handle: buffered, Len: 32 << 10, Path: batchPath}, 0, 0, 0},
-		{"64 KiB file", Request{Op: OpRead, Handle: file, Len: 64 << 10}, 1, 2, 1},
-		{"128 KiB file", Request{Op: OpRead, Handle: file, Len: 128 << 10}, 1, 2, 1},
+		{"no payload", Request{Op: OpPing, Handle: bare}, 1, 1, 0, false},
+		{"32 KiB buffered", Request{Op: OpRead, Handle: buffered, Len: 32 << 10}, 1, 0, 0, false},
+		{"32 KiB buffered, long path", Request{Op: OpRead, Handle: buffered, Len: 32 << 10, Path: longPath}, 1, 0, 0, false},
+		{"32 KiB buffered, request past the buffer", Request{Op: OpRead, Handle: buffered, Len: 32 << 10, Path: batchPath}, 0, 0, 0, false},
+		{"64 KiB file", Request{Op: OpRead, Handle: file, Len: 64 << 10}, 1, 2, 1, false},
+		{"128 KiB file", Request{Op: OpRead, Handle: file, Len: 128 << 10}, 1, 2, 1, false},
+		{"descMin-1 file", Request{Op: OpRead, Handle: file, Len: descMin - 1}, 1, 2, 1, false},
+		{"descMin file", Request{Op: OpRead, Handle: file, Len: descMin}, 1, 2, 1, true},
+		{"512 KiB file", Request{Op: OpRead, Handle: file, Len: 512 << 10}, 1, 2, 1, true},
 	}
 	for _, c := range cases {
 		if c.req.Handle == file && runtime.GOOS != "linux" {
 			continue // no sendfile: the file payload falls back to pread + three writes
 		}
-		reads, writes, sends := cc.reads.Load(), cc.writes.Load(), zc.Sends.Load()
+		passes := c.passes && network == "local"
+		wantWrites, wantPassed := c.wantWrites, int64(0)
+		if passes {
+			wantWrites, wantPassed = 0, 1
+		}
+		reads, writes, sends, passed := cc.reads.Load(), cc.writes.Load(), zc.Sends.Load(), zc.Passed.Load()
 		if err := WriteRequest(client, &c.req); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ReadResponse(client)
+		rx.arm(&c.req)
+		resp, err := readResponse(br, nil, rx)
+		rx.disarm()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !resp.OK() || !bytes.Equal(resp.Data, data[:c.req.Len]) {
 			t.Fatalf("%s: status %d, %d payload bytes that differ from the source", c.name, resp.Status, len(resp.Data))
 		}
+		gotPassed := resp.Passed()
 		resp.Release()
 		if got := cc.reads.Load() - reads; c.wantReads != 0 && got != c.wantReads {
 			t.Errorf("%s: %d reads for one request, want %d", c.name, got, c.wantReads)
 		}
-		if got := cc.writes.Load() - writes; got != c.wantWrites {
-			t.Errorf("%s: %d plain writes for one response, want %d", c.name, got, c.wantWrites)
+		if got := cc.writes.Load() - writes; got != wantWrites {
+			t.Errorf("%s: %d plain writes for one response, want %d", c.name, got, wantWrites)
 		}
 		if got := zc.Sends.Load() - sends; got != c.wantSends {
-			t.Errorf("%s: %d sendfile sends, want %d", c.name, got, c.wantSends)
+			t.Errorf("%s: %d zero-copy sends, want %d", c.name, got, c.wantSends)
+		}
+		if got := zc.Passed.Load() - passed; got != wantPassed {
+			t.Errorf("%s: %d descriptors passed, want %d", c.name, got, wantPassed)
+		}
+		if gotPassed != passes {
+			t.Errorf("%s: Passed() = %v, want %v", c.name, gotPassed, passes)
 		}
 	}
 	if n := zc.Fallbacks.Load(); n != 0 {

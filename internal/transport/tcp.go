@@ -196,6 +196,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				zw = newZCWriter(conn)
 			}
 			dst = zw
+			zw.asked = mayPass(&req)
 			if zw.canSendfile() {
 				held, resp.srcRel = resp.srcRel, nil
 			}
@@ -315,11 +316,13 @@ func (q *deferred) moveTo(dst *deferred) {
 }
 
 // pconn is one pooled connection: the socket — nil until a call takes a
-// connection that a deferred request created — its buffered reader, and
-// the requests deferred onto it.
+// connection that a deferred request created — its buffered reader, the
+// descriptor receiver under that reader on a local socket (pass.go; nil
+// over TCP), and the requests deferred onto it.
 type pconn struct {
 	conn net.Conn
 	br   *bufio.Reader
+	rx   *passRx
 	q    deferred
 }
 
@@ -417,7 +420,11 @@ func (c *Client) dial(pc *pconn) error {
 	pc.conn = conn
 	// The reader is only read in exchange and drop, each after setting the
 	// call deadline on conn (TestCallTimeoutOnHungHandler hangs otherwise).
-	pc.br = bufio.NewReaderSize(conn, respReadBuf)
+	var src io.Reader = conn
+	if pc.rx = newPassRx(conn); pc.rx != nil {
+		src = pc.rx
+	}
+	pc.br = bufio.NewReaderSize(src, respReadBuf)
 	return nil
 }
 
@@ -440,7 +447,7 @@ func (c *Client) drop(pc *pconn) {
 // discardReplies reads and releases n responses from r.
 func discardReplies(r *bufio.Reader, n int) error {
 	for i := 0; i < n; i++ {
-		resp, err := readResponse(r, nil)
+		resp, err := readResponse(r, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -552,7 +559,10 @@ func (c *Client) callOnce(req *Request, carry *deferred) (*Response, error) {
 }
 
 // exchange writes pc's deferred requests and req in one write, reads and
-// discards the deferred replies, then reads req's.
+// discards the deferred replies, then reads req's. On a local socket an
+// exchange whose reply may be a descriptor frame receives with recvmsg,
+// and whatever descriptor it received is claimed or closed before it
+// returns.
 func (c *Client) exchange(pc *pconn, req *Request) (*Response, error) {
 	if c.callTimeout > 0 {
 		if err := pc.conn.SetDeadline(time.Now().Add(c.callTimeout)); err != nil {
@@ -562,11 +572,13 @@ func (c *Client) exchange(pc *pconn, req *Request) (*Response, error) {
 	if err := writeRequest(pc.conn, pc.q.frames, req); err != nil {
 		return nil, err
 	}
+	pc.rx.arm(req)
+	defer pc.rx.disarm()
 	if err := discardReplies(pc.br, pc.q.n); err != nil {
 		return nil, err
 	}
 	pc.q.frames, pc.q.n = pc.q.frames[:0], 0
-	return readResponse(pc.br, req.Dst)
+	return readResponse(pc.br, req.Dst, pc.rx)
 }
 
 // Ping round-trips an OpPing, reporting reachability.

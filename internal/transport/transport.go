@@ -92,7 +92,7 @@ func (s *SimTransport) Call(req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readResponse(&respBuf, req.Dst)
+	return readResponse(&respBuf, req.Dst, nil)
 }
 
 // Close marks the transport closed; later calls fail with ErrClientClosed.

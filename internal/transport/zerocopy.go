@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -15,9 +16,12 @@ import (
 // cache bytes travel cache-fd → socket entirely inside the kernel. The
 // wire framing is unchanged — header, payload bytes, tail are
 // bit-identical to the pooled pread+writev path — so the receiving codec
-// cannot tell the difference, and any failure mode (non-TCP writer,
-// non-Linux build, SimTransport, a short sendfile) falls back to
-// userspace copies of exactly the bytes the frame promised.
+// cannot tell the difference, and any failure mode (a writer without a
+// raw descriptor, non-Linux build, SimTransport, a short sendfile) falls
+// back to userspace copies of exactly the bytes the frame promised. On
+// the local socket a payload of descMin bytes or more to a request that
+// asked for as many leaves as a descriptor frame instead (pass.go): the
+// bytes stay in the file, and the client reads them from it.
 
 // PayloadReleaser is the release half of an fd-backed payload, and the
 // transport calls Release exactly once. sendfile(2) queues the file's own
@@ -35,9 +39,10 @@ type PayloadReleaser interface{ Release() }
 
 // ZeroCopyStats counts fd-backed payload serves. Every eligible serve —
 // a response carrying a file payload reaching WriteResponse — resolves
-// as exactly one of Sends (the payload left through sendfile alone) or
-// Fallbacks (any userspace bytes were involved: non-sendfile writer,
-// mid-transfer error resume, or header failure). core's
+// as exactly one of Sends (the payload left through sendfile alone, or
+// as a descriptor frame) or Fallbacks (any userspace bytes were
+// involved: non-sendfile writer, mid-transfer error resume, or a failed
+// header or descriptor frame). core's
 // TestReadLadderThroughEveryWrapper and runChaosCase assert that identity
 // end-to-end with ZeroCopy armed.
 type ZeroCopyStats struct {
@@ -47,6 +52,9 @@ type ZeroCopyStats struct {
 	// Bytes counts payload bytes moved by sendfile itself (partial
 	// transfers included); outside the identity.
 	Bytes atomic.Int64
+	// Passed counts the Sends that left as a descriptor frame on the
+	// local socket (pass.go), not through sendfile; outside the identity.
+	Passed atomic.Int64
 }
 
 // orphanZC absorbs counts from responses whose builder attached no stats
@@ -87,11 +95,15 @@ func (r *Response) releaseSrc() {
 
 // fileSender is a writer that may be able to move an fd range to its
 // destination without a userspace copy. canSendfile answers per
-// connection (TCP on Linux); sendPayload reports how many bytes the
-// kernel moved before any error.
+// connection (TCP or the local socket, on Linux); sendPayload reports how
+// many bytes the kernel moved before any error. passes answers per
+// payload whether it leaves as a descriptor frame instead, which
+// passPayload sends with the file's descriptor attached.
 type fileSender interface {
 	canSendfile() bool
 	sendPayload(f *os.File, off, n int64) (int64, error)
+	passes(n int64) bool
+	passPayload(frame []byte, f *os.File) error
 }
 
 // zcWriter wraps a server connection for file-payload responses only:
@@ -102,6 +114,12 @@ type fileSender interface {
 type zcWriter struct {
 	conn net.Conn
 	rc   syscall.RawConn // nil when the conn exposes no raw descriptor
+
+	// local is set for the local socket, the one a descriptor may be
+	// passed on; asked is set by serveConn per reply, when the request
+	// mayPass.
+	local, asked bool
+	tx           passTx
 
 	// sendfile loop state, kept on the struct (with step bound once) so
 	// a warm serve allocates nothing per call.
@@ -120,8 +138,14 @@ func newZCWriter(conn net.Conn) *zcWriter {
 			w.rc = rc
 		}
 	}
+	w.local = local(conn, w.rc)
 	return w
 }
+
+// passes reports whether a file payload of n bytes leaves as a descriptor
+// frame: on the local socket, for a payload and a request of descMin
+// bytes or more.
+func (w *zcWriter) passes(n int64) bool { return w.local && w.asked && n >= descMin }
 
 // Write blocks no longer than the per-response write deadline serveConn
 // sets on the conn before routing a response here; a negative WriteTimeout
@@ -142,19 +166,40 @@ func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 	if resp.srcLen < 0 || respFixedLen+int(resp.srcLen)+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	p := getFrameBuf(len(pre) + respHeadLen + 2 + len(resp.Err))
+	p := getFrameBuf(len(pre) + respHeadLen + passLen + 2 + len(resp.Err))
 	defer putFrameBuf(p)
-	ht := appendRespHead(append((*p)[:0], pre...), resp, int(resp.srcLen))
-	split := len(ht)
-	ht = appendRespTail(ht, resp.Err)
-
 	st := resp.srcStats
 	if st == nil {
 		st = &orphanZC
 	}
 	st.Eligible.Add(1)
 
-	if fs, ok := w.(fileSender); ok && fs.canSendfile() {
+	fs, ok := w.(fileSender)
+	if ok && fs.passes(resp.srcLen) {
+		// The descriptor plane (pass.go): one frame naming the range, the
+		// file's descriptor attached, and no payload on the socket. It is
+		// counted a send before it leaves, as a sendfile send is before
+		// its tail, so a peer that has read the frame finds it counted; a
+		// failed frame moves to Fallbacks.
+		ht := appendRespHead(append((*p)[:0], pre...), resp, passLen)
+		binary.LittleEndian.PutUint32(ht[len(ht)-4:], passLen|passFlag)
+		ht = binary.LittleEndian.AppendUint64(ht, uint64(resp.srcOff))
+		ht = binary.LittleEndian.AppendUint64(ht, uint64(resp.srcLen))
+		st.Sends.Add(1)
+		st.Passed.Add(1)
+		if err := fs.passPayload(appendRespTail(ht, resp.Err), resp.srcFile); err != nil {
+			st.Passed.Add(-1)
+			st.Sends.Add(-1)
+			st.Fallbacks.Add(1)
+			return err
+		}
+		return nil
+	}
+	ht := appendRespHead(append((*p)[:0], pre...), resp, int(resp.srcLen))
+	split := len(ht)
+	ht = appendRespTail(ht, resp.Err)
+
+	if ok && fs.canSendfile() {
 		// Header first: it must precede the payload on the wire, and a
 		// failure here means nothing of the frame went out.
 		if _, err := w.Write(ht[:split]); err != nil {
