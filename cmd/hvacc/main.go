@@ -50,8 +50,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		batchSize = fs.Int("batch-size", 256, "files per scatter-gather batch for batch")
 		callTO    = fs.Duration("call-timeout", 5*time.Second, "per-RPC deadline; a hung server fails the call instead of hanging hvacc (0 = transport default, negative = disabled)")
 		retries   = fs.Int("retries", 0, "per-RPC attempt budget, first try included (0 = transport default)")
-		planHzn   = fs.Int("plan-horizon", 0, "clairvoyant planning for read: shuffle each epoch with an access oracle, install the per-server plan, keep this many entries prefetched ahead of the read frontier (0 = off)")
-		planSeed  = fs.Uint64("plan-seed", 0, "seed for the epoch access oracle used by -plan-horizon")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, `hvacc: commands
@@ -160,7 +158,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		for e := 0; e < *epochs; e++ {
 			epochStart := time.Now()
 			if cmd == "read" {
-				fails += readEpoch(cli, paths, e, *workers, *planHzn, *planSeed, &bytes, stderr)
+				fails += readEpoch(cli, paths, *workers, &bytes, stderr)
 			} else {
 				fails += batchEpoch(cli, paths, *batchSize, &bytes, stderr)
 			}
@@ -227,18 +225,8 @@ func stat(addrs []string, opts transport.ClientOptions, cli *hvac.Client, p stri
 }
 
 // readEpoch reads every path once on the given number of workers and
-// returns how many reads failed. With horizon > 0 the epoch is planned:
-// shuffled deterministically, announced to every server, and read in
-// exactly that order so the plan pump stays ahead of the readers.
-func readEpoch(cli *hvac.Client, paths []string, e, workers, horizon int, seed uint64, bytes *atomic.Int64, stderr io.Writer) int {
-	order := paths
-	if horizon > 0 {
-		oracle := hvac.NewAccessOracle(seed, e, len(paths))
-		order = hvac.PlanOrder(oracle, func(i int) string { return paths[i] })
-		if n, err := cli.InstallPlan(int64(e), order, horizon); err != nil {
-			fmt.Fprintf(stderr, "hvacc: plan epoch %d: %d entries installed, %v\n", e, n, err)
-		}
-	}
+// returns how many reads failed.
+func readEpoch(cli *hvac.Client, paths []string, workers int, bytes *atomic.Int64, stderr io.Writer) int {
 	var fails atomic.Int64
 	var wg sync.WaitGroup
 	next := make(chan string)
@@ -260,7 +248,7 @@ func readEpoch(cli *hvac.Client, paths []string, e, workers, horizon int, seed u
 			}
 		}()
 	}
-	for _, p := range order {
+	for _, p := range paths {
 		next <- p
 	}
 	close(next)

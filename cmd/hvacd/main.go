@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hvacd -listen :7070 -pfs /gpfs/dataset -cache /nvme/hvac \
-//	      -capacity 1600000000000 -movers 1 -evict random
+//	      -capacity 1600000000000 -movers 1 -evict random|lru|fifo|keep
 //
 // Run i copies per node (distinct ports and cache dirs) for the paper's
 // HVAC(i×1) deployments, or a single daemon with -movers i.
@@ -49,7 +49,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		cacheDir = fs.String("cache", "", "node-local cache directory (required)")
 		capacity = fs.Int64("capacity", 1600e9, "cache capacity in bytes (default: Summit's 1.6 TB NVMe)")
 		movers   = fs.Int("movers", 0, "data-mover workers (0 = default pool, currently 4)")
-		evict    = fs.String("evict", "random", "eviction policy: random|lru|fifo|clairvoyant")
+		evict    = fs.String("evict", "random", "eviction policy: random|lru|fifo|keep (keep never evicts: a cache smaller than the dataset holds the files it admitted first and serves the rest from the PFS)")
 		peers    = fs.String("peers", "", "comma-separated addresses of every server in the job (self included, same order everywhere); enables replica warming")
 		self     = fs.Int("self", 0, "this server's index in -peers")
 		replicas = fs.Int("replicas", 1, "replica homes per file; demand fills warm the other homes when -peers is set (must match the clients' -replicas)")
@@ -78,8 +78,8 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		policy = hvac.LRUEviction()
 	case "fifo":
 		policy = hvac.FIFOEviction()
-	case "clairvoyant":
-		policy = hvac.ClairvoyantEviction()
+	case "keep":
+		policy = hvac.KeepEviction()
 	default:
 		fmt.Fprintf(stderr, "hvacd: unknown eviction policy %q\n", *evict)
 		return 2
@@ -129,10 +129,10 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		select {
 		case <-tick:
 			st := srv.Stats()
-			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks) passed=%d mapped=%d local=%d refused=%d\n",
+			fmt.Fprintf(stdout, "hvacd: opens=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d notadmitted=%d zerocopy=%d/%d (%dB, %d fallbacks) passed=%d mapped=%d local=%d refused=%d\n",
 				st.Opens, st.Closes, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
 				st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
-				st.PlanPrefetches, st.PlanKeys, st.PlanFrontier,
+				st.NotAdmitted,
 				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.ZeroCopyPassed, st.MappedSends,
 				st.LocalConns, st.LocalRefused)
 			fmt.Fprintf(stdout, "hvacd latencies:\n%s\n", srv.LatencySummary())

@@ -40,6 +40,7 @@ var (
 	servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
 	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
 	localRe   = regexp.MustCompile(` passed=(\d+) mapped=\d+ local=(\d+) refused=(\d+)\n`)
+	keepRe    = regexp.MustCompile(` evictions=(\d+) cached=(\d+) files/\d+B .* notadmitted=(\d+) `)
 )
 
 // await polls out until find returns a match, failing the test after 5 s.
@@ -65,7 +66,8 @@ func lastStats(s string) (hits, misses int, ok bool) {
 }
 
 // TestDaemon drives hvacd in process: usage errors exit 2 before or just
-// after the server starts, and a serving daemon caches what it serves,
+// after the server starts, and a serving daemon caches what it serves
+// (under -evict keep, until full, then refusing fills: notadmitted=),
 // prints its -stats line, and on cancellation shuts down with exit 0,
 // leaving no goroutine (the -stats ticker included), descriptor or pooled
 // response behind.
@@ -79,6 +81,11 @@ func TestDaemon(t *testing.T) {
 	big := filepath.Join(pfs, "f1.rec")
 	wantBig := bytes.Repeat([]byte("hvacd-large"), 48<<10) // 528 KiB: one warm read passes the descriptor
 	if err := os.WriteFile(big, wantBig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	small := filepath.Join(pfs, "f2.rec")
+	wantSmall := bytes.Repeat([]byte("hvacd-small"), 1024)
+	if err := os.WriteFile(small, wantSmall, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Each daemon keeps its files in a store directory of its own inside
@@ -95,6 +102,7 @@ func TestDaemon(t *testing.T) {
 	}{
 		{"missing -pfs", []string{"-cache", cache}, 2, nil},
 		{"unknown -evict", []string{"-pfs", pfs, "-cache", cache, "-evict", "mru"}, 2, nil},
+		{"retired -evict clairvoyant", []string{"-pfs", pfs, "-cache", cache, "-evict", "clairvoyant"}, 2, nil},
 		{"-self outside -peers", []string{"-listen", "127.0.0.1:0", "-pfs", pfs, "-cache", cache,
 			"-peers", "127.0.0.1:1,127.0.0.1:2", "-self", "2"}, 2, nil},
 		{"serve", []string{"-listen", "127.0.0.1:0", "-pfs", pfs, "-cache", cache, "-stats", "10ms"}, 0,
@@ -140,6 +148,35 @@ func TestDaemon(t *testing.T) {
 					await(t, stdout, "-stats line with passed= > 0, local= > 0 and refused=0", func(s string) bool {
 						m := localRe.FindAllStringSubmatch(s, -1)
 						return len(m) > 0 && m[len(m)-1][1] != "0" && m[len(m)-1][2] != "0" && m[len(m)-1][3] == "0"
+					})
+				}
+			}},
+		// Keep with room for f0 and not f2 beside it: f0 is kept, and
+		// each read of f2 is refused a fill instead of evicting f0.
+		{"serve keep below the dataset", []string{"-listen", "127.0.0.1:0", "-pfs", pfs, "-cache", cache,
+			"-evict", "keep", "-capacity", strconv.Itoa(len(want) + len(wantSmall) - 1), "-stats", "10ms"}, 0,
+			func(t *testing.T, addr string, stdout *syncBuffer) {
+				cli, err := hvac.NewClient(hvac.ClientConfig{Servers: []string{addr}, DatasetDir: pfs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cli.Close()
+				for i, wantHits := range []int{0, 1} {
+					if got, err := cli.ReadAll(file); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("read %d of %s: %d bytes, %v", i+1, file, len(got), err)
+					}
+					await(t, stdout, "-stats line with the fill done", func(s string) bool {
+						hits, misses, ok := lastStats(s)
+						return ok && hits == wantHits && misses == 1
+					})
+				}
+				for i := 1; i <= 2; i++ {
+					if got, err := cli.ReadAll(small); err != nil || !bytes.Equal(got, wantSmall) {
+						t.Fatalf("read %d of %s: %d bytes, %v", i, small, len(got), err)
+					}
+					await(t, stdout, "-stats line with evictions=0 cached=1 and the refusal counted", func(s string) bool {
+						m := keepRe.FindAllStringSubmatch(s, -1)
+						return len(m) > 0 && m[len(m)-1][1] == "0" && m[len(m)-1][2] == "1" && m[len(m)-1][3] == strconv.Itoa(i)
 					})
 				}
 			}},

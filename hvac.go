@@ -33,7 +33,6 @@ package hvac
 import (
 	"hvac/internal/cachestore"
 	"hvac/internal/core"
-	"hvac/internal/train"
 	"hvac/internal/transport"
 )
 
@@ -79,25 +78,7 @@ func LRUEviction() EvictionPolicy { return cachestore.NewLRU() }
 // FIFOEviction returns insertion-order eviction.
 func FIFOEviction() EvictionPolicy { return cachestore.NewFIFO() }
 
-// ClairvoyantEviction returns next-access-distance (Belady) eviction
-// scored from installed epoch plans (Client.InstallPlan / OpPlan), with
-// a segmented-LRU ghost-list fallback for keys no plan covers. Pass the
-// same value to ServerConfig.Policy so the server can feed it plans.
-func ClairvoyantEviction() *cachestore.Clairvoyant { return cachestore.NewClairvoyant() }
-
-// AccessOracle is the epoch access order the clairvoyant planner is
-// driven by; train.NewOracle values satisfy it.
-type AccessOracle = core.AccessOracle
-
-// NewAccessOracle derives epoch e's access oracle for a seeded training
-// run over n samples — the exact shuffle the train package's loop
-// consumes, computable by every rank without coordination.
-func NewAccessOracle(seed uint64, epoch, n int) AccessOracle {
-	return train.NewOracle(seed, epoch, n)
-}
-
-// PlanOrder enumerates an epoch's global access order from an oracle:
-// the path read at every step.
-func PlanOrder(o AccessOracle, pathAt func(int) string) []string {
-	return core.PlanOrder(o, pathAt)
-}
+// KeepEviction returns the never-evict policy: a cache smaller than the
+// dataset keeps the files it admitted first and serves the rest from the
+// PFS, the best hit rate a fresh shuffle every epoch allows.
+func KeepEviction() EvictionPolicy { return cachestore.NewKeep() }

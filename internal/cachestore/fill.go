@@ -22,9 +22,10 @@ import (
 // existing holders even if the cache entry is evicted immediately — the
 // open descriptor outlives the unlink.
 //
-// The fill takes its cache file when it first has bytes to land (open),
-// and an object of at most one fillChunk is answered from a staging buffer
-// before that (CopyFrom; DESIGN.md §6.1).
+// The fill takes its cache file when it is admitted (PutWriter recycles a
+// victim's) or when it first has bytes to land (open), and an object of at
+// most one fillChunk is answered from a staging buffer before that
+// (CopyFrom; DESIGN.md §6.1).
 type Fill struct {
 	s    *Store
 	key  string
@@ -39,8 +40,8 @@ type Fill struct {
 	file *os.File
 	// path names file while the fill alone owns it, and is empty once the
 	// committed entry has taken it (or before open): what finish unlinks.
-	// reserved is what open set aside in the index; it goes back when the
-	// fill finishes.
+	// reserved is what PutWriter set aside in the index; it goes back when
+	// the fill finishes.
 	path     string
 	reserved int64
 	// kept is the committed entry that adopted file as its descriptor;
@@ -61,15 +62,64 @@ type Fill struct {
 }
 
 // PutWriter starts a streaming insert of size bytes under key — the one
-// way into the cache. It touches neither the index nor the directory:
-// Contains stays false during the fill (callers attach through their own
-// fill registry, not the index), and the file is taken when bytes land.
+// way into the cache — and is where the store admits it: the fill's size
+// is reserved in the index, evicting as the policy chooses, so that a
+// concurrent fill cannot count the same freed bytes. A fill the store
+// cannot make room for is refused, before the caller has read a byte of
+// its source: with ErrTooLarge when it and the fills in flight exceed the
+// capacity, with ErrNoVictim when the policy offers no victim (Keep never
+// does). Contains stays false during the fill (callers attach through
+// their own fill registry, not the index).
+//
+// The first victim whose descriptor nobody else references hands it to
+// the fill, name and all: the fill overwrites that file's pages in place
+// instead of paying an unlink, a close and a create for the same blocks.
+// A victim that is leased (a sendfile serve holds its lease until the peer
+// has read the pages) or has no slot is evicted as ever, and the fill
+// creates its file when bytes land (open). A mapped victim is unmapped
+// before the fill cuts or writes its file: with no reference on the slot,
+// nothing reads the mapping any more.
 func (s *Store) PutWriter(key string, size int64) (*Fill, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("cachestore: negative fill size %d for %s", size, key)
 	}
 	f := &Fill{s: s, key: key, size: size, refs: 1}
 	f.cond = sync.NewCond(&f.mu)
+	s.mu.Lock()
+	evicted, err := s.ix.reserve(size)
+	var victim *entry
+	var mapped []byte
+	if err == nil {
+		f.reserved = size
+		for i, e := range evicted {
+			if e.f != nil && e.refs == 0 {
+				victim, evicted = e, append(evicted[:i], evicted[i+1:]...)
+				f.file, f.path, e.f = e.f, e.path, nil
+				mapped, e.m = e.m, nil
+				fdBudget.held.Add(-1) // a fill's descriptor is not an entry's
+				break
+			}
+		}
+	}
+	retire(evicted)
+	s.mu.Unlock()
+	unmap(mapped)
+	_ = s.discard(evicted) // eviction is best-effort; the index entries are already gone
+	if err != nil {
+		return nil, err
+	}
+	if victim != nil {
+		if victim.size != size {
+			err = f.file.Truncate(size)
+		}
+		if err == nil {
+			_, err = f.file.Seek(0, io.SeekStart) // CopyFrom streams through the descriptor's own offset
+		}
+		if err != nil {
+			f.Abort(err)
+			return nil, err
+		}
+	}
 	return f, nil
 }
 
@@ -79,56 +129,14 @@ func (f *Fill) Key() string { return f.key }
 // Size returns the declared total size of the fill.
 func (f *Fill) Size() int64 { return f.size }
 
-// open gives the fill its cache file and its room in the index. When the
-// index is full this is where the eviction happens, with the fill's size
-// reserved so that a concurrent fill cannot count the same freed bytes;
-// and the first victim whose descriptor nobody else references hands it
-// over, name and all — the fill overwrites that file's pages in place
-// instead of paying an unlink, a close and a create for the same blocks.
-// A victim that is leased (a sendfile serve holds its lease until the peer
-// has read the pages) or has no slot is evicted as ever and the fill
-// creates a file. A reservation the policy cannot satisfy (every byte
-// belongs to fills in flight) is not an error: the fill goes on
-// unreserved and Commit makes the room, or reports the failure. A mapped
-// victim is unmapped before the fill cuts or writes its file: with no
-// reference on the slot, nothing reads the mapping any more.
+// open gives a fill that recycled no victim its cache file.
 func (f *Fill) open() error {
-	s := f.s
-	s.mu.Lock()
-	evicted, err := s.ix.reserve(f.size)
-	if err == nil {
-		f.reserved = f.size
+	file, err := f.s.newFile()
+	if err != nil {
+		return err
 	}
-	var victim *entry
-	var mapped []byte
-	for i, e := range evicted {
-		if e.f != nil && e.refs == 0 {
-			victim, evicted = e, append(evicted[:i], evicted[i+1:]...)
-			f.file, f.path, e.f = e.f, e.path, nil
-			mapped, e.m = e.m, nil
-			fdBudget.held.Add(-1) // a fill's descriptor is not an entry's
-			break
-		}
-	}
-	retire(evicted)
-	s.mu.Unlock()
-	unmap(mapped)
-	_ = s.discard(evicted) // eviction is best-effort; the index entries are already gone
-	if victim == nil {
-		file, err := s.newFile()
-		if err != nil {
-			return err
-		}
-		f.file, f.path = file, file.Name()
-		return nil
-	}
-	if victim.size != f.size {
-		if err := f.file.Truncate(f.size); err != nil {
-			return err
-		}
-	}
-	_, err = f.file.Seek(0, io.SeekStart) // CopyFrom streams through the descriptor's own offset
-	return err
+	f.file, f.path = file, file.Name()
+	return nil
 }
 
 // land makes sure the fill has its file and a staged payload is in it.
@@ -342,10 +350,10 @@ func (f *Fill) Commit() error {
 // openable under its name since open: the residency check and the insert
 // are one critical section, so a second fill of the key that lost the race
 // finds the winner and finish unlinks the loser's file. The reservation
-// goes back in the same section, so a fill that reserved evicts nothing
-// here; one that could not makes its room now. A file below MapLimit, in
-// a store that maps, is mapped before the section, and unmapped after it when the
-// entry did not take it: no system call runs under Store.mu.
+// goes back in the same section, so the insert finds its room free and
+// evicts nothing. A file below MapLimit, in a store that maps, is mapped
+// before the section, and unmapped after it when the entry did not take
+// it: no system call runs under Store.mu.
 func (f *Fill) insert() error {
 	s := f.s
 	var m []byte

@@ -2,11 +2,12 @@
 // on its fast storage: capacity accounting and the eviction policies from
 // §III-G. The paper evicts randomly (datasets
 // rarely outgrow the aggregate NVMe of a 1,024-node allocation); LRU and
-// FIFO are included for the ablation benchmarks.
+// FIFO are included for the ablation benchmarks, and Keep, which never
+// evicts, for a cache smaller than the dataset.
 //
 // The Index is content-agnostic — it tracks keys, sizes and eviction state
 // — so the same logic drives both the real on-disk store (Store) and the
-// simulated device-backed store in internal/core.
+// simulated device-backed store in internal/summit.
 package cachestore
 
 import (
@@ -19,7 +20,7 @@ import (
 var ErrTooLarge = errors.New("cachestore: item larger than capacity")
 
 // ErrNoVictim is returned when eviction is needed but the policy offers
-// no victim.
+// no victim (always, under Keep).
 var ErrNoVictim = errors.New("cachestore: eviction policy offered no victim")
 
 // Policy chooses eviction victims. Implementations are not safe for

@@ -2,6 +2,7 @@ package cachestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -181,7 +182,10 @@ func TestLeaseEvictionChurnRace(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				k := (seed + i) % keys
 				key := fmt.Sprintf("k%d", k)
-				if err := put(s, key, 64, string(content(k))); err != nil {
+				// Four fills in flight can hold more than the capacity's
+				// three files, and PutWriter refuses the one that finds
+				// the room reserved: a miss like any other.
+				if err := put(s, key, 64, string(content(k))); err != nil && !errors.Is(err, ErrTooLarge) {
 					t.Errorf("put %s: %v", key, err)
 				}
 				l, err := s.Lease(key)

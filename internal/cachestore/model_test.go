@@ -44,8 +44,8 @@ type model struct {
 
 	// Any mode: upper bounds on what fills in flight may hold.
 	fills      int   // between PutWriter and the return of Commit/Abort
-	reservable int64 // bytes of the fills between CopyFrom and there
-	landed     int   // fills between CopyFrom and there: each holds a file
+	reservable int64 // bytes of those fills
+	landed     int   // those holding a file: a victim's, or their own since CopyFrom
 
 	mappedLeases int // leases granted with a mapping: the run reached that plane
 }
@@ -70,14 +70,14 @@ func (m *model) evictFor(need int64) {
 	}
 }
 
-// opened is Fill.open: room made and reserved when the fill first lands bytes.
-func (m *model) opened(k int) {
+// admitted is PutWriter: room made and reserved before the fill reads a byte.
+func (m *model) admitted(k int) {
 	m.evictFor(m.reserved + m.size(k))
 	m.reserved += m.size(k)
 }
 
-// finished is the end of a fill that had opened: the reservation goes
-// back, and a commit of a key no other fill won inserts it.
+// finished is the end of a fill: the reservation goes back, and a commit
+// of a key no other fill won inserts it.
 func (m *model) finished(k int, committed bool) {
 	m.reserved -= m.size(k)
 	if committed && !m.resident(k) {
@@ -155,6 +155,7 @@ type actor struct {
 	src    *os.File
 	key    int
 	copied bool
+	landed bool // the fill holds a file
 
 	held []heldLease
 }
@@ -193,15 +194,15 @@ func (a *actor) endFill(m *model, committed bool) {
 	_ = a.src.Close() // read-only
 	m.mu.Lock()
 	m.fills--
-	if a.copied {
+	m.reservable -= m.size(a.key)
+	if a.landed {
 		m.landed--
-		m.reservable -= m.size(a.key)
-		if m.exact {
-			m.finished(a.key, committed)
-		}
+	}
+	if m.exact {
+		m.finished(a.key, committed)
 	}
 	m.mu.Unlock()
-	a.fill, a.src, a.copied = nil, nil, false
+	a.fill, a.src, a.copied, a.landed = nil, nil, false, false
 }
 
 // step runs one operation, then re-reads every lease the actor holds: a
@@ -221,20 +222,28 @@ func (a *actor) step(t *testing.T, s *Store, m *model) {
 		}
 		m.mu.Lock()
 		m.fills++
+		m.reservable += m.size(k)
+		m.landed++ // until PutWriter says whether it recycled a victim's file
+		if m.exact {
+			m.admitted(k)
+		}
 		m.mu.Unlock()
 		if a.fill, err = s.PutWriter(modelKey(k), m.size(k)); err != nil {
-			t.Fatal(err) // never fails: it opens nothing
+			t.Fatal(err) // never refused: the fills in flight fit the capacity, and it opens nothing
 		}
-		a.src, a.key = src, k
+		a.src, a.key, a.landed = src, k, a.fill.file != nil
+		if !a.landed {
+			m.mu.Lock()
+			m.landed--
+			m.mu.Unlock()
+		}
 	case op < 7 && !a.copied && a.rng.Intn(8) > 0: // move its bytes
-		m.mu.Lock()
-		m.landed++
-		m.reservable += m.size(a.key)
-		if m.exact {
-			m.opened(a.key)
+		if !a.landed {
+			m.mu.Lock()
+			m.landed++
+			m.mu.Unlock()
 		}
-		m.mu.Unlock()
-		a.copied = true
+		a.copied, a.landed = true, true
 		if n, err := a.fill.CopyFrom(a.src, 0, m.size(a.key)); err != nil || n != m.size(a.key) {
 			t.Errorf("CopyFrom key%d: %d bytes, %v", a.key, n, err)
 		}
@@ -406,8 +415,8 @@ func TestStoreModel(t *testing.T) {
 		// the index must not be able to tell.
 		{"exact without slots", 1, 3, 600, true, 2},
 		// Four fills in flight at most: half the key space holds the four
-		// largest objects, so no reservation is refused and residents plus
-		// reservations stay within the capacity (Fill.open has the other case).
+		// largest objects, so PutWriter refuses no reservation and residents
+		// plus reservations stay within the capacity.
 		{"concurrent", 4, 1, 400, false, -1},
 		{"concurrent without slots", 4, 1, 400, false, 2},
 	} {

@@ -52,6 +52,23 @@ func (r *Random) Victim() string {
 	return r.keys[r.rng.Intn(len(r.keys))]
 }
 
+// Keep never evicts: the cache admits files until it is full and then
+// refuses the rest (ErrNoVictim), which the server serves from the PFS
+// without a fill. Under the loader's access pattern — every file once per
+// epoch, in a fresh permutation — a cache holding a fraction c of the
+// dataset hits c of the reads from epoch 2 on, the offline optimum, and
+// writes nothing after epoch 1 (DESIGN.md §6.3).
+type Keep struct{}
+
+// NewKeep returns the never-evict policy.
+func NewKeep() Policy { return Keep{} }
+
+func (Keep) Name() string    { return "keep" }
+func (Keep) OnInsert(string) {}
+func (Keep) OnAccess(string) {}
+func (Keep) OnRemove(string) {}
+func (Keep) Victim() string  { return "" }
+
 // listPolicy is the shared shape of LRU and FIFO: a recency/insertion list
 // evicting from the front.
 type listPolicy struct {

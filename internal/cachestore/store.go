@@ -84,8 +84,8 @@ func (s *Store) Contains(key string) bool {
 
 // Resident reports whether key is cached without touching the hit/miss
 // counters or the policy's recency state (Index.Peek under the store
-// lock). Probes by the plan pump go through this, so planning does not
-// distort the hit accounting the benchmarks report.
+// lock), so a probe does not distort the hit accounting the benchmarks
+// report.
 func (s *Store) Resident(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,7 @@ package cachestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -132,6 +133,72 @@ func TestEvictionRemovesFile(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("%d files on disk, want 1 (evicted file removed)", len(entries))
+	}
+}
+
+// A fill the store cannot make room for is refused at PutWriter, before
+// the caller reads a byte of its source: no file in the store's directory,
+// nothing reserved, the resident untouched.
+func TestPutWriterRefusalTakesNoFile(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy func() Policy
+		size   int64
+		want   error
+	}{
+		{"too-large", func() Policy { return NewRandom(1) }, 11, ErrTooLarge},
+		{"keep-full", NewKeep, 5, ErrNoVictim},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestStore(t, 10, tc.policy())
+			if err := put(s, "a", 6, "aaaaaa"); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := s.PutWriter("b", tc.size); !errors.Is(err, tc.want) || f != nil {
+				t.Fatalf("PutWriter = %v, %v; want %v", f, err, tc.want)
+			}
+			if ents, err := os.ReadDir(s.Dir()); err != nil || len(ents) != 1 {
+				t.Fatalf("%d files in the store for one resident, %v", len(ents), err)
+			}
+			if s.ix.reserved != 0 || s.Used() != 6 || !s.Contains("a") || s.Contains("b") {
+				t.Fatalf("reserved %d, used %d, keys %v; want 0, 6, [a]", s.ix.reserved, s.Used(), s.ix.Keys())
+			}
+		})
+	}
+}
+
+// A fill holds its room from PutWriter until it finishes, so two fills in
+// flight cannot both count the same free bytes: a second fill that does
+// not fit beside the first's reservation is refused (nothing is resident
+// to evict), the room comes back when the first aborts, and a committed
+// fill's room is its entry's, which the next fill may evict.
+func TestInFlightFillHoldsItsRoom(t *testing.T) {
+	s := newTestStore(t, 10, NewFIFO())
+	a, err := s.PutWriter("a", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutWriter("b", 6); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("a second fill beside 6 of 10 bytes reserved = %v, want ErrTooLarge", err)
+	}
+	a.Abort(nil)
+	if s.ix.reserved != 0 {
+		t.Fatalf("%d bytes reserved after the abort", s.ix.reserved)
+	}
+	if err := put(s, "b", 6, "bbbbbb"); err != nil {
+		t.Fatalf("fill after the abort: %v", err)
+	}
+	if err := put(s, "c", 6, "cccccc"); err != nil {
+		t.Fatalf("fill beside a committed resident: %v", err)
+	}
+	if got, err := readAll(s, "c"); err != nil || string(got) != "cccccc" {
+		t.Fatalf("c reads %q, %v", got, err)
+	}
+	if _, _, evictions := s.Stats(); evictions != 1 || s.Contains("b") || s.ix.reserved != 0 || s.Used() != 6 {
+		t.Fatalf("%d evictions, reserved %d, used %d, keys %v; want 1, 0, 6, [c]", evictions, s.ix.reserved, s.Used(), s.ix.Keys())
+	}
+	if ents, err := os.ReadDir(s.Dir()); err != nil || len(ents) != 1 {
+		t.Fatalf("%d files in the store for one resident, %v", len(ents), err)
 	}
 }
 

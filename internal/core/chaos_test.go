@@ -285,11 +285,10 @@ func maybeWriteCorpus(t *testing.T, cases []chaosCase) {
 }
 
 // runChaosCase drives one matrix cell and asserts the resilience
-// invariants. preEpoch, when set, runs before each epoch's reads (the
-// planner variant installs the epoch plan there); it must not read data.
-// It returns the cell's serves per payload plane so armed matrices can
-// assert the run actually exercised every zero-copy plane.
-func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, paths []string)) (planes planeCounts) {
+// invariants. It returns the cell's serves per payload plane, so armed
+// matrices can assert the run exercised every zero-copy plane, and the
+// fetches the caches refused.
+func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 	checkResources(t)
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	write := writePFS
@@ -312,9 +311,6 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 
 	opens, batchEntries := 0, 0
 	for e := 0; e < tc.epochs; e++ {
-		if preEpoch != nil {
-			preEpoch(e, cli, paths)
-		}
 		for _, p := range paths {
 			got, err := cli.ReadAll(p)
 			opens++
@@ -397,56 +393,46 @@ func runChaosCase(t *testing.T, tc chaosCase, preEpoch func(e int, cli *Client, 
 		if tc.network != "local" && ss.ZeroCopyPassed != 0 {
 			t.Fatalf("srv%d: %d descriptors passed off the local socket", i, ss.ZeroCopyPassed)
 		}
-		planes.eligible += ss.ZeroCopyEligible
-		planes.mapped += ss.MappedSends
-		planes.passed += ss.ZeroCopyPassed
+		if tc.capacity > 0 && s.CachedBytes() > tc.capacity {
+			t.Fatalf("srv%d: cached %d bytes over the %d-byte capacity", i, s.CachedBytes(), tc.capacity)
+		}
+		sum.eligible += ss.ZeroCopyEligible
+		sum.mapped += ss.MappedSends
+		sum.passed += ss.ZeroCopyPassed
+		sum.notAdmitted += ss.NotAdmitted
 	}
 	if tc.network != "" {
 		checkNetwork(t, tc.network, servers...)
 	}
-	return planes
+	return sum
 }
 
-// planeCounts sums a run's serves by payload plane: fd payloads that
+// chaosTotals sums a run's serves by payload plane — fd payloads that
 // reached the writer (eligible), the part of them passed as descriptors,
-// and payloads spliced from mappings.
-type planeCounts struct{ eligible, passed, mapped int64 }
+// and payloads spliced from mappings — and its fetches not admitted.
+type chaosTotals struct{ eligible, passed, mapped, notAdmitted int64 }
 
+// TestChaosMatrix runs every row twice: as written, and in the keep
+// column, where each server's cache holds half its share of the dataset
+// under keep eviction, so that every epoch serves hits beside misses the
+// cache refuses — read from the PFS by the server, once.
 func TestChaosMatrix(t *testing.T) {
 	maybeWriteCorpus(t, chaosMatrix())
 	for _, tc := range chaosMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
-			runChaosCase(t, tc, nil)
+			runChaosCase(t, tc)
+		})
+		keep := tc
+		keep.name += "-keep"
+		keep.policy = cachestore.NewKeep
+		keep.capacity = int64(tc.files * tc.size / (2 * tc.servers))
+		t.Run(keep.name, func(t *testing.T) {
+			if sum := runChaosCase(t, keep); sum.notAdmitted == 0 {
+				t.Fatal("no fetch was refused at half capacity; the keep column is vacuous")
+			}
 		})
 		// Invariant 3 (no goroutine leaks) asserted by CheckLeaks at
 		// subtest teardown, after servers and client close.
-	}
-}
-
-// installChaosPlan is the preEpoch hook for the planner matrix: install
-// the epoch's access plan (the epoch reads paths in order, so the path
-// list is the plan) on every server, tagged with the epoch as its
-// generation. The schedule may refuse or drop the OpPlan call itself —
-// plans are advisory, so install errors are deliberately discarded.
-func installChaosPlan(horizon int) func(e int, cli *Client, paths []string) {
-	return func(e int, cli *Client, paths []string) {
-		_, _ = cli.InstallPlan(int64(e), paths, horizon)
-	}
-}
-
-// The full fault matrix again, with the clairvoyant machinery live on
-// every server: Belady-scored eviction installed as the policy and an
-// epoch plan (re)installed before every epoch — under faults that can
-// refuse or corrupt the OpPlan install itself. Every invariant of the
-// base matrix (byte identity, both accounting identities, leak-free
-// teardown) must hold unchanged: plans are advisory and may never
-// affect correctness.
-func TestChaosMatrixClairvoyantPlanner(t *testing.T) {
-	for _, tc := range chaosMatrix() {
-		tc.policy = func() cachestore.Policy { return cachestore.NewClairvoyant() }
-		t.Run(tc.name, func(t *testing.T) {
-			runChaosCase(t, tc, installChaosPlan(8))
-		})
 	}
 }
 
@@ -472,11 +458,11 @@ func TestChaosMatrixZeroCopyLocal(t *testing.T) {
 }
 
 func testChaosMatrixZeroCopy(t *testing.T, network string) {
-	var sum planeCounts
+	var sum chaosTotals
 	for _, tc := range chaosMatrix() {
 		tc.zeroCopy, tc.network = true, network
 		t.Run(tc.name, func(t *testing.T) {
-			p := runChaosCase(t, tc, nil)
+			p := runChaosCase(t, tc)
 			sum.eligible, sum.passed, sum.mapped = sum.eligible+p.eligible, sum.passed+p.passed, sum.mapped+p.mapped
 		})
 	}
@@ -819,94 +805,5 @@ func TestChaosRetryBudgetSurfaced(t *testing.T) {
 	}
 	if st := cli.Stats(); st.Retries == 0 {
 		t.Fatal("dead-server calls burned no transport retries")
-	}
-}
-
-// Seeded replay must stay bit-for-bit with the planner in the call
-// stream: OpPlan installs shift the per-(server, op) fault indices, so
-// they must land identically across runs for the schedule to replay.
-func TestChaosReplayWithPlanner(t *testing.T) {
-	checkResources(t)
-	tc := chaosCase{
-		name: "replay-planner", servers: 2, files: 10, size: 512, epochs: 2,
-		policy: func() cachestore.Policy { return cachestore.NewClairvoyant() },
-		sched: faultnet.Schedule{Seed: 78, Rules: []faultnet.Rule{
-			{Prob: 0.2, Fault: faultnet.Refuse},
-			{Op: transport.OpPlan, Every: 3, Fault: faultnet.Refuse},
-			{Op: transport.OpRead, Prob: 0.2, Fault: faultnet.Truncate},
-		}},
-	}
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, tc.files, tc.size)
-	run := func() []faultnet.Event {
-		inj := faultnet.New(tc.sched)
-		defer inj.Close()
-		servers, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
-		for e := 0; e < tc.epochs; e++ {
-			_, _ = cli.InstallPlan(int64(e), paths, 4) // refusals are part of the schedule
-			for _, p := range paths {
-				if _, err := cli.ReadAll(p); err != nil {
-					t.Fatalf("read %s: %v", p, err)
-				}
-			}
-		}
-		stopCluster(servers, cli)
-		return inj.Trace()
-	}
-	t1, t2 := run(), run()
-	if !reflect.DeepEqual(t1, t2) {
-		t.Fatalf("same seed, different fault traces with planner installed:\nrun1: %d events\nrun2: %d events", len(t1), len(t2))
-	}
-}
-
-// Belady-scored eviction under genuine cache pressure, fault-free: the
-// cache holds a quarter of the dataset, the plan is reinstalled every
-// epoch, and eviction churns throughout. Bytes must stay identical to
-// the PFS copies, the server accounting identity must hold, and the
-// run must actually have evicted (otherwise the case is vacuous).
-func TestClairvoyantUnderEvictionPressure(t *testing.T) {
-	const (
-		files    = 24
-		size     = 4096
-		epochs   = 3
-		capacity = files * size / 4
-	)
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, files, size)
-	servers, cli := startCluster(t, pfsDir, 2, func(cfg *ServerConfig) {
-		cfg.CacheCapacity = capacity
-		cfg.Policy = cachestore.NewClairvoyant()
-	}, nil)
-
-	for e := 0; e < epochs; e++ {
-		if _, err := cli.InstallPlan(int64(e), paths, 8); err != nil {
-			t.Fatalf("epoch %d: install plan: %v", e, err)
-		}
-		for i, p := range paths {
-			got, err := cli.ReadAll(p)
-			if err != nil {
-				t.Fatalf("epoch %d: read %s: %v", e, p, err)
-			}
-			want := bytes.Repeat([]byte{byte(i)}, size)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("epoch %d: %s corrupted under eviction pressure", e, p)
-			}
-		}
-	}
-	var evictions int64
-	for i, s := range servers {
-		s.WaitIdle()
-		ss := s.Stats()
-		if ss.Hits+ss.ReadThroughs != ss.Opens {
-			t.Fatalf("srv%d: hits(%d)+readthroughs(%d) != opens(%d); stats %+v",
-				i, ss.Hits, ss.ReadThroughs, ss.Opens, ss)
-		}
-		if s.CachedBytes() > capacity {
-			t.Fatalf("srv%d: cached %d bytes over the %d-byte capacity", i, s.CachedBytes(), capacity)
-		}
-		evictions += ss.Evictions
-	}
-	if evictions == 0 {
-		t.Fatal("no evictions at quarter-capacity; the pressure case is vacuous")
 	}
 }

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"hvac/internal/cachestore"
 	"hvac/internal/faultnet"
 	"hvac/internal/transport"
 )
@@ -75,6 +78,85 @@ func TestColdFileSinglePFSOpen(t *testing.T) {
 	st := servers[0].Stats()
 	if st.ReadThroughs != int64(len(paths)) || st.Hits != int64(len(paths)) {
 		t.Fatalf("stats = %+v, want %d read-throughs and %d hits", st, len(paths), len(paths))
+	}
+}
+
+// TestNotAdmittedReadsPFSOnce: a miss the cache cannot admit — a file
+// over the capacity, or any miss once a keep store is full — costs one
+// PFS pass, the server's own read, and takes no cache file: the store
+// refuses the fill before the mover opens the source. Through ReadAll and
+// ReadBatch alike.
+func TestNotAdmittedReadsPFSOnce(t *testing.T) {
+	const size = 64 << 10
+	for _, tc := range []struct {
+		name     string
+		capacity int64
+		policy   func() cachestore.Policy
+		kept     int // of the 8 files, the ones the cache keeps
+	}{
+		{"over-capacity-random", 32 << 10, nil, 0},
+		{"full-keep", 4 * size, cachestore.NewKeep, 4},
+	} {
+		for _, via := range []string{"ReadAll", "ReadBatch"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				pfsDir := filepath.Join(t.TempDir(), "dataset")
+				paths := writePFS(t, pfsDir, 8, size)
+				var counts *sync.Map
+				servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+					counts = countingOpens(c)
+					c.CacheCapacity = tc.capacity
+					if tc.policy != nil {
+						c.Policy = tc.policy()
+					}
+				}, nil)
+				srv := servers[0]
+				// The files the cache keeps are read first, one at a time, so
+				// that the store is full when the rest arrive.
+				read := func(ps []string) {
+					got := make([][]byte, len(ps))
+					if via == "ReadAll" {
+						for i, p := range ps {
+							var err error
+							if got[i], err = cli.ReadAll(p); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else {
+						var err error
+						if got, err = cli.ReadBatch(ps); err != nil {
+							t.Fatal(err)
+						}
+					}
+					srv.WaitIdle()
+					for i, p := range ps {
+						if !bytes.Equal(got[i], bytes.Repeat([]byte{byte(slices.Index(paths, p))}, size)) {
+							t.Fatalf("%s returned wrong bytes", p)
+						}
+						if n := opensOf(counts, p); n != 1 {
+							t.Fatalf("%s cost %d PFS opens, want 1", p, n)
+						}
+					}
+				}
+				for _, p := range paths[:tc.kept] {
+					read([]string{p})
+				}
+				refused := paths[tc.kept:]
+				read(refused)
+				st := srv.Stats()
+				if st.NotAdmitted != int64(len(refused)) || st.Misses != int64(tc.kept) || srv.CachedFiles() != tc.kept {
+					t.Fatalf("%d not admitted, %d fills, %d cached; want %d, %d, %d",
+						st.NotAdmitted, st.Misses, srv.CachedFiles(), len(refused), tc.kept, tc.kept)
+				}
+				for _, p := range refused {
+					if srv.store.Resident(p) {
+						t.Fatalf("%s was refused, yet it is cached", p)
+					}
+				}
+				if ents, err := os.ReadDir(srv.store.Dir()); err != nil || len(ents) != tc.kept {
+					t.Fatalf("%d files in the store for %d cached, %v", len(ents), tc.kept, err)
+				}
+			})
+		}
 	}
 }
 
@@ -503,5 +585,40 @@ func TestPrefetchDropsUnderBackpressure(t *testing.T) {
 	dropped := srv.Stats().PrefetchDrops
 	if got := int64(srv.CachedFiles()); got != int64(len(paths))-dropped {
 		t.Fatalf("cached %d files, want %d (scheduled hints) after %d drops", got, int64(len(paths))-dropped, dropped)
+	}
+}
+
+// The default mover pool fills concurrently: two cold prefetches must
+// both reach the PFS before either is released. A single-mover pool
+// would serialize them and time this out.
+func TestMoverDefaultConcurrency(t *testing.T) {
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePFS(t, pfsDir, 2, 1024)
+	arrived := make(chan string, 2)
+	release := make(chan struct{})
+	servers, cli := startCluster(t, pfsDir, 1, func(cfg *ServerConfig) {
+		cfg.OpenPFS = func(path string) (*os.File, error) {
+			arrived <- path
+			<-release
+			return os.Open(path) //hvac:pfs-fallback test seam: rendezvous proving concurrent movers
+		}
+	}, nil)
+	srv := servers[0]
+
+	if n := cli.Prefetch(paths); n != 2 {
+		t.Fatalf("prefetch accepted %d files, want 2", n)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(10 * time.Second):
+			close(release) // unblock the stuck mover before failing
+			t.Fatalf("only %d concurrent PFS opens; the default mover pool must fill in parallel", i)
+		}
+	}
+	close(release)
+	srv.WaitIdle()
+	if got := srv.CachedFiles(); got != 2 {
+		t.Fatalf("cached %d files after release, want 2", got)
 	}
 }

@@ -80,7 +80,7 @@ func (r *ladderRig) task(path string) fetchTask {
 // fill caches path's object and waits for the commit.
 func (r *ladderRig) fill(path string) {
 	r.t.Helper()
-	if fe, _ := r.srv.scheduleFetch(r.task(path), false); fe == nil {
+	if fe := r.srv.scheduleFetch(r.task(path), false); fe == nil {
 		r.t.Fatalf("prefetch of %s was dropped", path)
 	}
 	r.srv.WaitIdle()
@@ -123,11 +123,11 @@ func (r *ladderRig) release() {
 func (r *ladderRig) saturate() {
 	r.t.Helper()
 	r.hold(r.paths[2], r.paths[3])
-	if fe, _ := r.srv.scheduleFetch(r.task(r.paths[2]), true); fe == nil {
+	if fe := r.srv.scheduleFetch(r.task(r.paths[2]), true); fe == nil {
 		r.t.Fatal("first spare fill refused")
 	}
 	<-r.entered // the mover took it off the queue
-	if fe, _ := r.srv.scheduleFetch(r.task(r.paths[3]), true); fe == nil {
+	if fe := r.srv.scheduleFetch(r.task(r.paths[3]), true); fe == nil {
 		r.t.Fatal("second spare fill refused")
 	}
 }

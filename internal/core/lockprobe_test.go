@@ -128,7 +128,7 @@ func probeLocks(t *testing.T, probes map[string]func()) (join func()) {
 // TestParkedHintHoldsNoServerLock parks replica warming's hint on a peer
 // that never answers. The demand read it follows must complete, and while
 // the hint is parked every server lock — the single-flight mutex, the
-// peer wiring, the planner and the cache store's index — must be free.
+// peer wiring and the cache store's index — must be free.
 func TestParkedHintHoldsNoServerLock(t *testing.T) {
 	pfs := t.TempDir()
 	paths := writePFS(t, pfs, 1, 32<<10)
@@ -149,7 +149,6 @@ func TestParkedHintHoldsNoServerLock(t *testing.T) {
 	join := probeLocks(t, map[string]func(){
 		"Server.mu":     func() { s.mu.Lock(); s.mu.Unlock() },
 		"Server.peerMu": func() { s.peerMu.Lock(); s.peerMu.Unlock() },
-		"planner.mu":    func() { s.plan.mu.Lock(); s.plan.mu.Unlock() },
 		"Store.mu":      func() { s.store.Len() },
 	})
 	hole.Close()

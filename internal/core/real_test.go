@@ -667,9 +667,10 @@ func TestRealServerProtocolEdges(t *testing.T) {
 	conn := transport.Dial(servers[0].Addr())
 	defer conn.Close()
 
-	// Unknown ops: 6 and 7 are the retired prefetch and segment read, so a
-	// client built before they went is refused rather than misread.
-	for _, op := range []transport.Op{6, 7, 99} {
+	// Unknown ops: 6, 7 and 9 are the retired prefetch, segment read and
+	// plan install, so a client built before they went is refused rather
+	// than misread.
+	for _, op := range []transport.Op{6, 7, 9, 99} {
 		resp := call(t, conn, &transport.Request{Op: op, Path: paths[0], Len: 100})
 		if resp.OK() || !strings.Contains(resp.Err, "unknown op") {
 			t.Fatalf("op %d: status %d, %q; want an unknown-op error", op, resp.Status, resp.Err)

@@ -160,17 +160,12 @@ type ServerStats struct {
 	// that were accepted (the peer may still drop the hint under its own
 	// prefetch backpressure, counted there as PrefetchDrops).
 	ReplicaWarms int64
-	// PlanInstalled counts plan entries accepted over OpPlan (across all
-	// generations); PlanPrefetches counts fills the plan pump enqueued.
-	// Both sit outside the served identity: a planned fill is a prefetch,
-	// counted as a Miss when it completes like any other fill.
-	PlanInstalled  int64
-	PlanPrefetches int64
-	// PlanKeys and PlanFrontier are gauges: the installed plan's length
-	// and the highest plan position observed as a demand read (-1 before
-	// the first).
-	PlanKeys     int64
-	PlanFrontier int64
+	// NotAdmitted counts fetches the cache refused room for (a file over
+	// the capacity, or a full store under keep eviction): the mover never
+	// opened the PFS, and the reads waiting on it were served from the PFS
+	// directly. It sits outside the served identity: each such read is a
+	// read-through.
+	NotAdmitted int64
 	// Zero-copy serve accounting (transport.ZeroCopyStats snapshots).
 	// Identity, asserted by TestReadLadderThroughEveryWrapper and by
 	// runChaosCase with ZeroCopy armed:
@@ -215,28 +210,26 @@ type serverCounters struct {
 	prefetchDrops        atomic.Int64
 	demandRejects        atomic.Int64
 	replicaWarms         atomic.Int64
-	planInstalled        atomic.Int64
-	planPrefetches       atomic.Int64
+	notAdmitted          atomic.Int64
 	mappedSends          atomic.Int64
 }
 
 func (c *serverCounters) snapshot() ServerStats {
 	return ServerStats{
-		Opens:          c.opens.Load(),
-		Reads:          c.reads.Load(),
-		Closes:         c.closes.Load(),
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		ReadThroughs:   c.readThroughs.Load(),
-		BatchEntries:   c.batchEntries.Load(),
-		BytesServed:    c.bytesServed.Load(),
-		BytesFetched:   c.bytesFetched.Load(),
-		PrefetchDrops:  c.prefetchDrops.Load(),
-		DemandRejects:  c.demandRejects.Load(),
-		ReplicaWarms:   c.replicaWarms.Load(),
-		PlanInstalled:  c.planInstalled.Load(),
-		PlanPrefetches: c.planPrefetches.Load(),
-		MappedSends:    c.mappedSends.Load(),
+		Opens:         c.opens.Load(),
+		Reads:         c.reads.Load(),
+		Closes:        c.closes.Load(),
+		Hits:          c.hits.Load(),
+		Misses:        c.misses.Load(),
+		ReadThroughs:  c.readThroughs.Load(),
+		BatchEntries:  c.batchEntries.Load(),
+		BytesServed:   c.bytesServed.Load(),
+		BytesFetched:  c.bytesFetched.Load(),
+		PrefetchDrops: c.prefetchDrops.Load(),
+		DemandRejects: c.demandRejects.Load(),
+		ReplicaWarms:  c.replicaWarms.Load(),
+		NotAdmitted:   c.notAdmitted.Load(),
+		MappedSends:   c.mappedSends.Load(),
 	}
 }
 
@@ -267,11 +260,11 @@ func (fe *fillEntry) publish(f *cachestore.Fill) {
 
 // fetchTask names one data-mover copy: a whole file.
 type fetchTask struct {
-	key     string // cache-store key
-	path    string
-	demand  bool // a client is waiting; completed demand fills warm the replicas
-	planned bool // scheduled by the plan pump; completion re-pumps the plan
-	entry   *fillEntry
+	key    string // cache-store key
+	path   string
+	size   int64 // as the handler stat'd it; 0 (a hint, or an empty file) has the mover stat it
+	demand bool  // a client is waiting; completed demand fills warm the replicas
+	entry  *fillEntry
 }
 
 // openHandle is what the wire protocol's handle names: the file, the size
@@ -285,6 +278,9 @@ type openHandle struct {
 	size int64
 	fe   *fillEntry
 }
+
+// task is the fetch that fills the handle's file.
+func (h *openHandle) task() fetchTask { return fetchTask{key: h.path, path: h.path, size: h.size} }
 
 // Server is a real-mode HVAC server instance.
 type Server struct {
@@ -307,16 +303,6 @@ type Server struct {
 	// zc is the zero-copy serve accounting, bumped by the transport's
 	// write path for every fd-backed response this server emits.
 	zc transport.ZeroCopyStats
-
-	// Clairvoyant planning state (planner.go). planArmed short-circuits
-	// planObserve on the warm read path until a plan is installed;
-	// planHorizon is the pump window (defaultPlanHorizon until an install
-	// RPC names its own); belady is cfg.Policy when it is the Clairvoyant
-	// eviction policy, so installed plans also score eviction.
-	plan        planner
-	planArmed   atomic.Bool
-	planHorizon atomic.Int64
-	belady      *cachestore.Clairvoyant
 
 	// mu guards only the data-mover single-flight state below — nothing
 	// on the warm read path takes it, and nothing is called into with it
@@ -383,10 +369,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if s.openPFS == nil {
 		s.openPFS = os.Open
 	}
-	s.planHorizon.Store(defaultPlanHorizon)
-	if cl, ok := cfg.Policy.(*cachestore.Clairvoyant); ok {
-		s.belady = cl
-	}
 	s.idle = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Movers; i++ {
 		s.moverWG.Add(1)
@@ -452,9 +434,6 @@ func (s *Server) Stats() ServerStats {
 	_, _, ev := s.store.Stats()
 	st.Evictions = ev
 	st.QueueDepth = int64(len(s.demandQ) + len(s.prefetchQ))
-	keys, frontier := s.planSnapshot()
-	st.PlanKeys = int64(keys)
-	st.PlanFrontier = frontier
 	st.ZeroCopyEligible = s.zc.Eligible.Load()
 	st.ZeroCopySends = s.zc.Sends.Load()
 	st.ZeroCopyBytes = s.zc.Bytes.Load()
@@ -568,11 +547,6 @@ func (s *Server) runFetch(task fetchTask) {
 		}
 	}
 	s.finishFetch(task, err)
-	if task.planned {
-		// A planned fill retired: the pump may have stopped on prefetch
-		// backpressure, so top the window back up.
-		s.pumpPlan()
-	}
 }
 
 // warmReplicas forwards a completed demand fill to the key's other
@@ -622,24 +596,32 @@ func (s *Server) WaitIdle() {
 	s.mu.Unlock()
 }
 
-// fillIn is the single PFS pass for one task: open the source once,
-// stream it into a cachestore fill (serving attached readers as bytes
-// land), and commit the fill into the cache.
+// fillIn is the single PFS pass for one task: have the store admit the
+// file, open the source once, stream it into a cachestore fill (serving
+// attached readers as bytes land), and commit the fill into the cache. A
+// file the store cannot admit costs no PFS open and takes no cache file:
+// its readers find no fill and read the PFS themselves (resolve's rung 4),
+// once.
 func (s *Server) fillIn(task fetchTask) error {
+	size := task.size
+	if size == 0 {
+		fi, err := os.Stat(task.path)
+		if err != nil {
+			return fmt.Errorf("hvac server: pfs stat: %w", err)
+		}
+		size = fi.Size()
+	}
+	fill, err := s.store.PutWriter(task.key, size)
+	if err != nil {
+		s.stats.notAdmitted.Add(1)
+		return fmt.Errorf("hvac server: not admitted: %w", err)
+	}
 	src, err := s.openPFS(task.path)
 	if err != nil {
+		fill.Abort(err)
 		return fmt.Errorf("hvac server: pfs open: %w", err)
 	}
 	defer src.Close()
-	fi, err := src.Stat()
-	if err != nil {
-		return fmt.Errorf("hvac server: pfs stat: %w", err)
-	}
-	size := fi.Size()
-	fill, err := s.store.PutWriter(task.key, size)
-	if err != nil {
-		return fmt.Errorf("hvac server: cache fill: %w", err)
-	}
 	task.entry.publish(fill)
 	// CopyFrom lets the kernel move the bytes (copy_file_range/sendfile)
 	// instead of bouncing them through a user-space buffer; attached
@@ -660,19 +642,18 @@ func (s *Server) fillIn(task fetchTask) error {
 // priority. It returns the fill entry to attach to, or nil when the
 // fetch could not be queued — a full demand queue (the handler serves
 // read-through itself), a dropped prefetch hint, or a closing server.
-// enqueued reports whether this call created the fill (false when the
-// caller attached to a fetch already in flight). The non-blocking send
-// happens under s.mu, so it cannot race Close's queue drain.
-func (s *Server) scheduleFetch(task fetchTask, demand bool) (fe *fillEntry, enqueued bool) {
+// The non-blocking send happens under s.mu, so it cannot race Close's
+// queue drain.
+func (s *Server) scheduleFetch(task fetchTask, demand bool) *fillEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false
+		return nil
 	}
 	if fe, ok := s.inflight[task.key]; ok {
-		return fe, false
+		return fe
 	}
-	fe = &fillEntry{ready: make(chan struct{}), done: make(chan struct{})}
+	fe := &fillEntry{ready: make(chan struct{}), done: make(chan struct{})}
 	task.entry = fe
 	task.demand = demand
 	q := s.prefetchQ
@@ -682,14 +663,14 @@ func (s *Server) scheduleFetch(task fetchTask, demand bool) (fe *fillEntry, enqu
 	select {
 	case q <- task:
 		s.inflight[task.key] = fe
-		return fe, true
+		return fe
 	default:
 		if demand {
 			s.stats.demandRejects.Add(1)
 		} else {
 			s.stats.prefetchDrops.Add(1)
 		}
-		return nil, false
+		return nil
 	}
 }
 
@@ -729,8 +710,6 @@ func (s *Server) handle(req *transport.Request) *transport.Response {
 	case transport.OpReadBatch:
 		defer func() { s.latRead.Observe(time.Since(start)) }()
 		return s.handleReadBatch(req)
-	case transport.OpPlan:
-		return s.handlePlan(req)
 	default:
 		return errResp(fmt.Errorf("hvac server: unknown op %d", req.Op))
 	}
@@ -779,7 +758,7 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 			return errResp(fmt.Errorf("hvac server: pfs stat: %w", err))
 		}
 		h.size = fi.Size()
-		h.fe, _ = s.scheduleFetch(fetchTask{key: req.Path, path: req.Path}, true)
+		h.fe = s.scheduleFetch(h.task(), true)
 	}
 	fd := s.nextFD.Add(1)
 	s.handles.put(fd, h)
@@ -789,7 +768,6 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 	} else {
 		s.stats.readThroughs.Add(1)
 	}
-	s.planObserve(req.Path)
 	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: h.size}
 }
 
@@ -866,7 +844,7 @@ func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *t
 		// serves the same bytes.
 	}
 	if fe == nil {
-		fe, _ = s.scheduleFetch(task, true)
+		fe = s.scheduleFetch(task, true)
 	}
 	if fe != nil {
 		select {
@@ -916,7 +894,7 @@ func (s *Server) handleRead(req *transport.Request) *transport.Response {
 	// cold file does not pin a large frame for the call.
 	want := min(req.Len, max(h.size-req.Off, 0))
 	resp := transport.AcquireResponse()
-	n, _, err := s.resolve(fetchTask{key: h.path, path: h.path}, h.fe, req.Off, want, resp)
+	n, _, err := s.resolve(h.task(), h.fe, req.Off, want, resp)
 	if err != nil {
 		resp.Release()
 		return errResp(err)
@@ -1015,7 +993,7 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 	}
 	e := batchEntry{size: int(size)}
 	if !resident {
-		e.fe, _ = s.scheduleFetch(fetchTask{key: p, path: p}, true)
+		e.fe = s.scheduleFetch(fetchTask{key: p, path: p, size: size}, true)
 	}
 	return e
 }
@@ -1029,7 +1007,7 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 func (s *Server) serveBatchEntry(resp *transport.Response, p string, e *batchEntry) {
 	start := len(resp.Data)
 	resp.Data = transport.AppendBatchEntry(resp.Data, transport.StatusOK, nil)
-	n, hit, err := s.resolve(fetchTask{key: p, path: p}, e.fe, 0, int64(e.size), resp)
+	n, hit, err := s.resolve(fetchTask{key: p, path: p, size: int64(e.size)}, e.fe, 0, int64(e.size), resp)
 	if err != nil {
 		resp.Data = transport.AppendBatchEntry(resp.Data[:start], transport.StatusError, []byte(err.Error()))
 		return
@@ -1042,7 +1020,6 @@ func (s *Server) serveBatchEntry(resp *transport.Response, p string, e *batchEnt
 	} else {
 		s.stats.readThroughs.Add(1)
 	}
-	s.planObserve(p)
 }
 
 func (s *Server) handleStat(req *transport.Request) *transport.Response {

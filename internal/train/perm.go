@@ -2,6 +2,16 @@ package train
 
 import "hvac/internal/sim"
 
+// epochSeedStep is the golden-ratio increment separating the per-epoch
+// shuffle streams derived from one run seed.
+const epochSeedStep = 0x9e3779b9
+
+// EpochSeed derives the RNG seed of epoch e's shuffle (a Perm) from the
+// run seed, as Run and loader.EpochOrder do.
+func EpochSeed(seed uint64, epoch int) uint64 {
+	return seed + uint64(epoch)*epochSeedStep
+}
+
 // Perm is a random-access pseudorandom permutation of [0, n): a 4-round
 // Feistel network over the smallest covering power-of-two domain with
 // cycle-walking. It lets every rank enumerate the epoch's global shuffle

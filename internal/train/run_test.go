@@ -110,6 +110,36 @@ func TestShuffleDiffersAcrossEpochs(t *testing.T) {
 	}
 }
 
+// Run shuffles epoch e with the Perm seeded by EpochSeed(cfg.Seed, e), the
+// derivation the loader's EpochOrder shares: one rank's recorded order is
+// that permutation, step for step, in every epoch.
+func TestRunShuffleFollowsEpochSeed(t *testing.T) {
+	cfg := tinyConfig(150)
+	cfg.Nodes, cfg.ProcsPerNode = 1, 1
+	cfg.Epochs = 3
+	cfg.RecordOrder = 150
+	eng := sim.NewEngine()
+	cl := summit.NewCluster(eng, 1, cfg.Data.Namespace())
+	res, err := Run(eng, cfg, cl.GPFSFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.OrderTrace) != cfg.Epochs {
+		t.Fatalf("order traces = %d, want %d", len(res.OrderTrace), cfg.Epochs)
+	}
+	for e, order := range res.OrderTrace {
+		if len(order) != 150 {
+			t.Fatalf("epoch %d recorded %d reads, want 150", e, len(order))
+		}
+		perm := NewPerm(sim.NewRNG(EpochSeed(cfg.Seed, e)), 150)
+		for k, p := range order {
+			if want := cfg.Data.TrainPath(perm.Index(k)); p != want {
+				t.Fatalf("epoch %d step %d: Run read %s, EpochSeed's shuffle %s", e, k, p, want)
+			}
+		}
+	}
+}
+
 // The Fig. 14 invariant: the read order depends only on the seed, never on
 // the file system — HVAC does not perturb SGD randomness.
 func TestOrderIdenticalAcrossBackends(t *testing.T) {

@@ -59,9 +59,9 @@ type Op uint8
 // Protocol operations: the three POSIX calls HVAC forwards (§III-D), Stat
 // for probes, Ping for liveness, a batched whole-file read (which, with
 // BatchFlagPrefetch, is also the cache pre-population hint of §III-H /
-// §IV-C) and the epoch plan install. An op's number is its identity on the
-// wire: a retired op leaves a blank in its place, so a peer built with the
-// old numbering gets "unknown op" back, never a different op.
+// §IV-C). An op's number is its identity on the wire: a retired op leaves
+// a blank in its place, so a peer built with the old numbering gets
+// "unknown op" back, never a different op.
 const (
 	OpOpen Op = iota + 1
 	OpRead
@@ -75,15 +75,7 @@ const (
 	// whole loader batch of small samples. See batch.go for the entry
 	// encodings and the frame-budget contract.
 	OpReadBatch
-	// OpPlan installs one chunk of a clairvoyant epoch plan on a server:
-	// Path carries a batch-encoded key list in access order (the same
-	// encoding as OpReadBatch requests), Handle is the plan generation,
-	// Off is the chunk's start index within the plan (0 replaces any
-	// previous plan, later chunks must append in order), and Len is the
-	// prefetch horizon in plan entries (0 = server default). The plan
-	// drives the server's plan pump and Belady eviction scoring; it is
-	// advisory — losing it only costs prefetch accuracy, never bytes.
-	OpPlan
+	_ // 9: OpPlan, retired with the epoch planner
 )
 
 // Status codes. StatusAgain is only meaningful per batch entry: the

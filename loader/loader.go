@@ -113,7 +113,7 @@ func New(src Source, cfg Config) (*Loader, error) {
 // rank, world).
 func (l *Loader) EpochOrder(e int) []string {
 	n := len(l.cfg.Paths)
-	perm := train.NewPerm(sim.NewRNG(l.cfg.Seed+uint64(e)*0x9e3779b9), n)
+	perm := train.NewPerm(sim.NewRNG(train.EpochSeed(l.cfg.Seed, e)), n)
 	var out []string
 	for k := l.cfg.Rank; k < n; k += l.cfg.World {
 		out = append(out, l.cfg.Paths[perm.Index(k)])

@@ -11,7 +11,9 @@ import (
 	"testing/quick"
 
 	"hvac"
+	"hvac/internal/sim"
 	"hvac/internal/slab"
+	"hvac/internal/train"
 )
 
 func memSource(t *testing.T, n int) (Source, []string) {
@@ -115,6 +117,32 @@ func TestDeterministicAndEpochVarying(t *testing.T) {
 	}
 	if same > 20 {
 		t.Fatalf("epochs 0 and 1 share %d/200 positions", same)
+	}
+}
+
+// The loader shuffles as the simulated training run does (train.Run):
+// rank r's epoch-e order is the strided shard r, r+w, ... of the Perm
+// seeded by train.EpochSeed(seed, e).
+func TestEpochOrderFollowsEpochSeed(t *testing.T) {
+	src, paths := memSource(t, 101)
+	const seed, world = 9, 3
+	for rank := 0; rank < world; rank++ {
+		l, err := New(src, Config{Paths: paths, Seed: seed, Rank: rank, World: world})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 3; e++ {
+			perm := train.NewPerm(sim.NewRNG(train.EpochSeed(seed, e)), len(paths))
+			got := l.EpochOrder(e)
+			if want := (len(paths) - rank + world - 1) / world; len(got) != want {
+				t.Fatalf("rank %d epoch %d: %d paths, want %d", rank, e, len(got), want)
+			}
+			for i, p := range got {
+				if want := paths[perm.Index(rank+i*world)]; p != want {
+					t.Fatalf("rank %d epoch %d position %d: %s, EpochSeed's shuffle %s", rank, e, i, p, want)
+				}
+			}
+		}
 	}
 }
 
