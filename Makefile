@@ -21,13 +21,12 @@ lint:
 check:
 	./scripts/check.sh
 
-# The chaos tier: seeded fault schedules over real TCP clusters, under the
-# race detector with shuffled test order (DESIGN.md §9.2). A local target:
-# CI gets the matrix from check.sh, which runs it shuffled as its last step.
+# The chaos tier: seeded fault schedules over real clusters, under the
+# race detector with shuffled test order (DESIGN.md §9.2). The list lives
+# in scripts/chaos.sh, which check.sh (what CI runs) also runs as its last
+# step, so this target and the gate cannot drift apart.
 chaos:
-	$(GO) test -race -shuffle=on -v -run Chaos ./internal/core
-	$(GO) test -race -shuffle=on -v ./internal/faultnet ./internal/testutil
-	$(GO) test -race -shuffle=on -v -run 'Retry|Call|TimedOut|Truncated' ./internal/transport
+	./scripts/chaos.sh -v
 
 # The epoch benchmark, as BENCHMARK.json declares it: four workloads end
 # to end, one JSON result line each (bench/README.md).

@@ -42,14 +42,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var (
 		servers   = fs.String("servers", "", "comma-separated hvacd addresses (required)")
 		dataset   = fs.String("dataset", "", "dataset dir whose reads are redirected (required by every command but ping)")
-		poolSize  = fs.Int("pool-size", 0, "idle TCP connections kept per server link; size to twice the loader worker count (0 = transport default, negative = no pooling)")
 		replicas  = fs.Int("replicas", 1, "replica homes per file; >1 arms live failover across the replica ladder (must match the servers' -replicas)")
-		hedge     = fs.Duration("hedge-after", 0, "fire the same read at the next replica when the current one has not answered within this duration (0 = off; needs -replicas > 1)")
 		epochs    = fs.Int("epochs", 1, "number of passes over the file list for read and batch (epoch 2+ should run at cache speed)")
 		workers   = fs.Int("workers", 4, "concurrent reader goroutines for read")
 		batchSize = fs.Int("batch-size", 256, "files per scatter-gather batch for batch")
 		callTO    = fs.Duration("call-timeout", 5*time.Second, "per-RPC deadline; a hung server fails the call instead of hanging hvacc (0 = transport default, negative = disabled)")
-		retries   = fs.Int("retries", 0, "per-RPC attempt budget, first try included (0 = transport default)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, `hvacc: commands
@@ -89,11 +86,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return usage("-batch-size must be positive")
 	}
 	addrs := strings.Split(*servers, ",")
-	opts := transport.ClientOptions{
-		CallTimeout: *callTO,
-		Retry:       transport.RetryPolicy{MaxAttempts: *retries},
-		PoolSize:    *poolSize,
-	}
+	opts := transport.ClientOptions{CallTimeout: *callTO}
 	if cmd == "ping" {
 		bad := 0
 		for _, addr := range addrs {
@@ -111,13 +104,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	cli, err := hvac.NewClient(hvac.ClientConfig{
-		Servers:       addrs,
-		DatasetDir:    *dataset,
-		Replicas:      *replicas,
-		HedgeAfter:    *hedge,
-		CallTimeout:   *callTO,
-		RetryAttempts: *retries,
-		PoolSize:      *poolSize,
+		Servers:     addrs,
+		DatasetDir:  *dataset,
+		Replicas:    *replicas,
+		CallTimeout: *callTO,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "hvacc: %v\n", err)
@@ -199,8 +189,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 func printStats(stderr io.Writer, cli *hvac.Client) {
 	st := cli.Stats()
 	fmt.Fprintf(stderr,
-		"client: redirected=%d passthrough=%d fallbacks=%d degrades=%d failovers=%d hedges=%d hedge-wins=%d retries=%d batch=%d batch-fallbacks=%d bytes=%d\n",
-		st.Redirected, st.Passthrough, st.Fallbacks, st.Degrades, st.Failovers, st.Hedges, st.HedgeWins, st.Retries, st.BatchReads, st.BatchFallbacks, st.BytesRead)
+		"client: redirected=%d passthrough=%d fallbacks=%d degrades=%d failovers=%d retries=%d batch=%d batch-fallbacks=%d bytes=%d\n",
+		st.Redirected, st.Passthrough, st.Fallbacks, st.Degrades, st.Failovers, st.Retries, st.BatchReads, st.BatchFallbacks, st.BytesRead)
 }
 
 // stat asks p's home server for its size with a raw OpStat: an open would

@@ -55,7 +55,7 @@ func TestCommands(t *testing.T) {
 		same []byte   // if set, stdout must equal it instead
 	}{
 		{"ping", []string{servers, "ping"}, 0, []string{srv.Addr() + " ok"}, nil},
-		{"ping a dead server", []string{servers + ",127.0.0.1:1", "-retries=1", "ping"}, 1,
+		{"ping a dead server", []string{servers + ",127.0.0.1:1", "ping"}, 1,
 			[]string{srv.Addr() + " ok", "127.0.0.1:1 DOWN ("}, nil},
 		{"stat", []string{servers, ds, "stat", f0, missing}, 0,
 			[]string{f0 + ": 100 bytes", missing + ": ERROR transport: remote error: stat "}, nil},

@@ -29,29 +29,14 @@ type ClientConfig struct {
 	// is unreachable the client tries the next replica before falling
 	// back to the PFS.
 	Replicas int
-	// HedgeAfter > 0 arms hedged reads (§III-H tail-latency failover):
-	// when a remote call has not answered within HedgeAfter, the same
-	// operation is issued to the next replica and the first success wins
-	// (losers are drained in the background: their pooled responses are
-	// released and a handle one opened gets a deferred close on its own
-	// link). 0 disables hedging; replica failover then stays strictly
-	// sequential. Only effective with Replicas > 1.
-	HedgeAfter time.Duration
 	// CallTimeout bounds each RPC attempt so a hung server cannot stall
 	// the training loop; 0 means transport.DefaultCallTimeout, negative
 	// disables the deadline.
 	CallTimeout time.Duration
-	// RetryAttempts is the per-call attempt budget on each server link
-	// (first try included); values below 1 mean the transport default.
-	RetryAttempts int
-	// PoolSize caps the idle TCP connections kept per server link; 0
-	// means transport.DefaultPoolSize, negative disables pooling. Size it
-	// to twice the loader's worker count: a large read keeps two chunk
-	// RPCs in flight on two connections.
-	PoolSize int
 	// DialTransport overrides how a server link is established — the seam
-	// the fault-injection harness decorates. Nil means TCP via
-	// transport.DialWith with the timeout/retry settings above.
+	// the fault-injection harness decorates. Nil means transport.DialWith
+	// with CallTimeout, the transport's default retry budget and
+	// transport.DefaultPoolSize.
 	DialTransport func(addr string) transport.Transport
 
 	// disableFallback makes server failures hard errors instead of
@@ -70,8 +55,6 @@ type ClientStats struct {
 	Fallbacks      int64 // opens that fell back to the PFS after server failure
 	Degrades       int64 // redirected handles demoted to PFS mid-read (§III-H)
 	Failovers      int64 // opens (or mid-read handle migrations) served by a non-primary replica
-	Hedges         int64 // hedge attempts fired after HedgeAfter elapsed unanswered
-	HedgeWins      int64 // operations completed by a hedged attempt (HedgeWins <= Hedges)
 	Retries        int64 // transport-level retry attempts spent across all server links
 	BatchReads     int64 // files served through a scatter-gather OpReadBatch entry
 	BatchFallbacks int64 // batch entries that degraded to per-file or PFS reads
@@ -88,14 +71,8 @@ type Client struct {
 	conns         []transport.Transport
 	view          *place.View
 
-	// hedgeWG joins every background goroutine the hedging machinery
-	// spawns (hedge attempts and loser drains); Close waits for them so
-	// no pooled Response outlives the client.
-	hedgeWG sync.WaitGroup
-
-	mu      sync.Mutex
-	stats   ClientStats
-	closing bool
+	mu    sync.Mutex
+	stats ClientStats
 }
 
 // NewClient builds a client for the given configuration.
@@ -116,11 +93,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	dial := cfg.DialTransport
 	if dial == nil {
-		opts := transport.ClientOptions{
-			CallTimeout: cfg.CallTimeout,
-			Retry:       transport.RetryPolicy{MaxAttempts: cfg.RetryAttempts},
-			PoolSize:    cfg.PoolSize,
-		}
+		opts := transport.ClientOptions{CallTimeout: cfg.CallTimeout}
 		dial = func(addr string) transport.Transport { return transport.DialWith(addr, opts) }
 	}
 	c := &Client{
@@ -154,14 +127,10 @@ func (c *Client) Stats() ClientStats {
 	return st
 }
 
-// Close joins the hedging machinery's background goroutines (bounded by
-// the per-call deadline) and releases all server connections, which
-// first sends the handle closes still deferred onto them.
+// Close releases all server connections, which first sends the handle
+// closes still deferred onto them. No call of the client's leaves work
+// running after it returns, so there is nothing else to join.
 func (c *Client) Close() {
-	c.mu.Lock()
-	c.closing = true
-	c.mu.Unlock()
-	c.hedgeWG.Wait()
 	for _, conn := range c.conns {
 		conn.Close()
 	}
@@ -228,13 +197,13 @@ func (c *Client) Open(path string) (*File, error) {
 	// server that answers.
 	req := &transport.Request{Op: transport.OpOpen, Path: abs}
 	replicas := c.view.Replicas(abs, c.cfg.Replicas)
-	attempts := make([]func() hedgeResult, len(replicas))
+	rungs := make([]func() rungResult, len(replicas))
 	for i, srv := range replicas {
 		// final: an application error (e.g. file absent on the PFS) is one
 		// every replica would give.
-		attempts[i] = c.rung(i, srv, req, true)
+		rungs[i] = c.rung(i, srv, req, true)
 	}
-	r := c.ladderCall(attempts)
+	r := ladderCall(rungs)
 	if r.resp != nil {
 		size := r.resp.Size
 		r.resp.Release()
@@ -263,168 +232,57 @@ func (c *Client) bump(f func(*ClientStats)) {
 	c.mu.Unlock()
 }
 
-// hedgeResult is one replica attempt's outcome. Attempts normalise
+// rungResult is one rung's outcome on a replica ladder. A rung normalises
 // failures before returning: a non-OK response is released inside the
-// attempt and surfaces as err (appErr marks server-side application
-// errors, which stop the ladder — the server is alive, the request is
-// just unserveable). On success resp is owned by the receiver; opened
-// marks a live server-side handle (conn, handle) the receiver must adopt
-// or retire.
-type hedgeResult struct {
+// rung and surfaces as err (appErr marks server-side application errors,
+// which stop the ladder — the server is alive, the request is just
+// unserveable). On success resp is owned by the receiver; opened marks a
+// live server-side handle (conn, handle) the receiver must adopt.
+type rungResult struct {
 	resp   *transport.Response
 	err    error
-	ladder int // index into the attempt ladder
-	srv    int // server index the attempt spoke to
+	ladder int // index into the ladder
+	srv    int // server index the rung spoke to
 	conn   transport.Transport
 	handle int64
 	opened bool
 	appErr bool
-	hedged bool // set by the engine: won by a timer-launched attempt
 }
 
-// rung builds one attempt of a replica ladder: req sent to server srv, a
+// rung builds one rung of a replica ladder: req sent to server srv, a
 // non-OK response released and surfaced as err. final says such an answer
 // is one every replica would give, so it stops the ladder (appErr). The
 // rungs of a ladder may share req: Call only reads it.
-func (c *Client) rung(i, srv int, req *transport.Request, final bool) func() hedgeResult {
+func (c *Client) rung(i, srv int, req *transport.Request, final bool) func() rungResult {
 	conn := c.conns[srv]
-	return func() hedgeResult {
+	return func() rungResult {
 		resp, err := conn.Call(req)
 		if err != nil {
-			return hedgeResult{err: err, ladder: i, srv: srv}
+			return rungResult{err: err, ladder: i, srv: srv}
 		}
 		if !resp.OK() {
 			err = resp.Error()
 			resp.Release()
-			return hedgeResult{err: err, ladder: i, srv: srv, appErr: final}
+			return rungResult{err: err, ladder: i, srv: srv, appErr: final}
 		}
-		return hedgeResult{resp: resp, ladder: i, srv: srv, conn: conn, handle: resp.Handle, opened: req.Op == transport.OpOpen}
+		return rungResult{resp: resp, ladder: i, srv: srv, conn: conn, handle: resp.Handle, opened: req.Op == transport.OpOpen}
 	}
 }
 
-// spawnHedge runs fn on a goroutine joined by Client.Close. Once Close
-// has begun waiting the WaitGroup must not grow, so a closing client
-// runs fn synchronously instead (every fn is bounded by the per-call
-// deadline).
-func (c *Client) spawnHedge(fn func()) {
-	c.mu.Lock()
-	if c.closing {
-		c.mu.Unlock()
-		fn()
-		return
-	}
-	c.hedgeWG.Add(1)
-	c.mu.Unlock()
-	go func() {
-		defer c.hedgeWG.Done()
-		fn()
-	}()
-}
-
-// discardHedge retires a losing attempt: its pooled response returns to
-// the pool and any server-side handle it opened is retired.
-func (c *Client) discardHedge(r hedgeResult) {
-	if r.resp != nil {
-		r.resp.Release()
-	}
-	if r.opened {
-		retire(r.conn, r.handle)
-	}
-}
-
-// drainHedges retires the attempts still in flight after a winner was
-// chosen, off the caller's critical path.
-func (c *Client) drainHedges(ch chan hedgeResult, outstanding int) {
-	if outstanding == 0 {
-		return
-	}
-	c.spawnHedge(func() {
-		for i := 0; i < outstanding; i++ {
-			// Every outstanding rung's worker sends exactly once into the
-			// ladder-sized buffer, bounded by the call timeout
-			// (TestChaosHedgedReadBeatsHungPrimary hangs otherwise).
-			c.discardHedge(<-ch)
-		}
-	})
-}
-
-// ladderCall runs an ordered replica-attempt ladder. With hedging
-// disabled the rungs run strictly sequentially: first success or
-// application error wins, a transport failure moves to the next rung —
-// the pre-hedging failover behaviour, byte for byte. With HedgeAfter
-// set the ladder races: see runHedged.
-func (c *Client) ladderCall(attempts []func() hedgeResult) hedgeResult {
-	if c.cfg.HedgeAfter <= 0 || len(attempts) == 1 {
-		var last hedgeResult
-		for i := range attempts {
-			last = attempts[i]()
-			if (last.err == nil && last.resp != nil) || last.appErr {
-				return last
-			}
-		}
-		return last
-	}
-	return c.runHedged(attempts)
-}
-
-// runHedged races the attempt ladder: rung 0 fires immediately; each
-// time HedgeAfter elapses without an answer the next rung fires too
-// (counted in Hedges), and a rung that fails on transport error is
-// replaced at once. The first success wins — counted in HedgeWins when
-// the winner was a timer-launched hedge — and the losers are drained in
-// the background. An application error wins negatively: the server
-// answered, so further replicas are pointless.
-func (c *Client) runHedged(attempts []func() hedgeResult) hedgeResult {
-	ch := make(chan hedgeResult, len(attempts)) // buffered to ladder size: attempt sends never block
-	timed := make([]bool, len(attempts))
-	launched, outstanding := 0, 0
-	launch := func(hedge bool) {
-		a := attempts[launched]
-		timed[launched] = hedge
-		launched++
-		outstanding++
-		c.spawnHedge(func() { ch <- a() })
-	}
-	launch(false)
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	rearm := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(c.cfg.HedgeAfter)
-	}
-	var last hedgeResult
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if (r.err == nil && r.resp != nil) || r.appErr {
-				r.hedged = timed[r.ladder]
-				if r.hedged && !r.appErr {
-					c.bump(func(s *ClientStats) { s.HedgeWins++ })
-				}
-				c.drainHedges(ch, outstanding)
-				return r
-			}
-			last = r
-			if launched < len(attempts) {
-				launch(false)
-				rearm()
-			} else if outstanding == 0 {
-				return last
-			}
-		case <-timer.C:
-			if launched < len(attempts) {
-				c.bump(func(s *ClientStats) { s.Hedges++ })
-				launch(true)
-				timer.Reset(c.cfg.HedgeAfter)
-			}
+// ladderCall runs a replica ladder (§III-H), one rung at a time: the
+// first success or application error ends it, a transport failure moves
+// on to the next rung, and when every rung failed the last failure is the
+// result. A rung has returned before the next one starts, so nothing of
+// a failed rung is still running when the ladder moves on or returns.
+func ladderCall(rungs []func() rungResult) rungResult {
+	var last rungResult
+	for _, rung := range rungs {
+		last = rung()
+		if last.resp != nil || last.appErr {
+			return last
 		}
 	}
+	return last
 }
 
 // retire closes a server-side handle nobody reads through any more,
@@ -490,11 +348,11 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return fb.ReadAt(p, off)
 	}
 	// Whatever the pipeline could not deliver — a failed chunk, a short
-	// one, or everything when the read is one chunk or hedged — goes
-	// through the sequential loop below, the only owner of the retry
-	// ladder, replica failover, degradeToPFS and EOF.
+	// one, or everything when the read is one chunk — goes through the
+	// sequential loop below, the only owner of the retry ladder, replica
+	// failover, degradeToPFS and EOF.
 	total := 0
-	if len(p) > bulkChunk && !f.hedged() {
+	if len(p) > bulkChunk {
 		total = f.readBulk(p, off)
 	}
 	for total < len(p) {
@@ -534,14 +392,6 @@ func landed(dst []byte, resp *transport.Response) int {
 		return len(data)
 	}
 	return copy(dst, data)
-}
-
-// hedged reports whether a read's replica rungs can overlap: the hedge
-// timer is armed and there is a replica to race. A losing rung may still
-// be receiving after the winner returned, so such reads never land in the
-// caller's buffer and never enter the pipeline.
-func (f *File) hedged() bool {
-	return f.c.cfg.HedgeAfter > 0 && f.c.cfg.Replicas > 1
 }
 
 // readBulk runs the chunk pipeline over p and returns the length of the
@@ -620,11 +470,12 @@ func (f *File) readBulk(p []byte, off int64) int {
 	return total
 }
 
-// fetch reads the len(dst) bytes at off down a replica ladder —
-// sequential failover normally, raced by the hedge timer when HedgeAfter
-// is armed. The payload is received straight into dst (the response's
-// Data aliases it) unless the rungs can overlap, when it comes back in a
-// pooled buffer for the caller to copy out; landed tells the two apart.
+// fetch reads the len(dst) bytes at off down the file's replica ladder.
+// The payload is received straight into dst (the response's Data aliases
+// it) when it fits, and comes back in a pooled buffer for the caller to
+// copy out when it does not; landed tells the two apart. A failed rung may
+// have landed bytes in dst too, but the rungs run one after another, so
+// the one that answered wrote last and nothing writes after fetch returns.
 //
 // The first rung goes through the current handle; with Replicas > 1 the
 // other replicas form failover rungs that open their own handle on path
@@ -636,17 +487,14 @@ func (f *File) fetch(dst []byte, off int64) (*transport.Response, error) {
 	f.mu.Lock()
 	handle, cur := f.handle, f.srv
 	f.mu.Unlock()
-	req := &transport.Request{Op: transport.OpRead, Handle: handle, Off: off, Len: int64(len(dst))}
-	if !f.hedged() {
-		req.Dst = dst
-	}
-	attempts := []func() hedgeResult{c.rung(0, cur, req, false)}
+	req := &transport.Request{Op: transport.OpRead, Handle: handle, Off: off, Len: int64(len(dst)), Dst: dst}
+	rungs := []func() rungResult{c.rung(0, cur, req, false)}
 	for _, srv := range f.replicas {
 		if srv == cur {
 			continue
 		}
-		i, rconn := len(attempts), c.conns[srv]
-		attempts = append(attempts, func() hedgeResult {
+		i, rconn := len(rungs), c.conns[srv]
+		rungs = append(rungs, func() rungResult {
 			o := c.rung(i, srv, &transport.Request{Op: transport.OpOpen, Path: f.path}, false)()
 			if o.resp == nil {
 				return o
@@ -664,12 +512,12 @@ func (f *File) fetch(dst []byte, off int64) (*transport.Response, error) {
 				// The replica opened but could not read: retire its handle
 				// before reporting the rung failed.
 				retire(rconn, h)
-				return hedgeResult{err: err, ladder: i, srv: srv}
+				return rungResult{err: err, ladder: i, srv: srv}
 			}
-			return hedgeResult{resp: resp, ladder: i, srv: srv, conn: rconn, handle: h, opened: true}
+			return rungResult{resp: resp, ladder: i, srv: srv, conn: rconn, handle: h, opened: true}
 		})
 	}
-	r := c.ladderCall(attempts)
+	r := ladderCall(rungs)
 	if r.resp == nil {
 		return nil, r.err
 	}

@@ -459,7 +459,9 @@ func TestReadBatchCallFailureDegrades(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "pfs", "dataset")
 	paths := writePFS(t, pfsDir, 5, 1<<10)
 	servers, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) {
-		c.RetryAttempts = 1
+		c.DialTransport = func(addr string) transport.Transport {
+			return transport.DialWith(addr, transport.ClientOptions{Retry: transport.RetryPolicy{MaxAttempts: 1}})
+		}
 	})
 	servers[0].Close()
 

@@ -17,8 +17,9 @@ import (
 // the middle of a training epoch, and the run must finish byte-identical
 // with the degradation the replica count predicts — at R=2 entirely from
 // the warmed replica caches, at R=1 by falling back to the PFS. Plus the
-// tail-latency half of the same machinery: hedged reads racing a hung
-// primary, and hedges racing Close under the race detector.
+// replica ladder walking slow and refused links while File.Close races
+// its reads, and landing multi-chunk reads in the caller's buffer over
+// dropped links, under the race detector.
 
 // victimHome picks the server that homes the most files (so the kill has
 // real blast radius) and returns its index and file count. Placement is
@@ -110,9 +111,6 @@ func TestChaosKillServerMidEpoch(t *testing.T) {
 			t.Fatalf("dead servers = %v, want exactly [srv%d]", dead, victim)
 		}
 		st := cli.Stats()
-		if st.HedgeWins > st.Hedges {
-			t.Fatalf("hedge wins(%d) exceed hedges(%d)", st.HedgeWins, st.Hedges)
-		}
 		if replicas > 1 {
 			// Served-from-cache fraction of the post-kill epoch: every
 			// epoch-2 read — before and after the kill — must be a cache
@@ -151,17 +149,15 @@ func TestChaosKillServerMidEpoch(t *testing.T) {
 	})
 }
 
-// A hung primary must not cost the reader the hang timeout: with
-// HedgeAfter armed, the replica answers while the primary is still
-// stuck, and the win is visible in HedgeWins.
-func TestChaosHedgedReadBeatsHungPrimary(t *testing.T) {
+// A hung primary costs the reader one hang and no more: the ladder waits
+// out the stuck rung, then the replica serves the read and the handle
+// migrates there — no PFS fallback, no degrade. The hang is the price of
+// a sequential ladder (DESIGN.md §3.3).
+func TestChaosHungPrimaryReadFailsOver(t *testing.T) {
 	checkResources(t)
-	const (
-		hangFor    = 400 * time.Millisecond
-		hedgeAfter = 25 * time.Millisecond
-	)
+	const hangFor = 50 * time.Millisecond
 	tc := chaosCase{
-		name: "hedge-hang", servers: 2, files: 4, size: 2048, epochs: 1, replicas: 2,
+		name: "hung-primary", servers: 2, files: 4, size: 2048, epochs: 1, replicas: 2,
 	}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, tc.files, tc.size)
@@ -171,53 +167,49 @@ func TestChaosHedgedReadBeatsHungPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary := basenamePlacement{}.Place(target, tc.servers)
-	// Every data read at the target's primary hangs for hangFor; opens
-	// and closes stay healthy so only the hedge can rescue the read.
+	// Every data read at the target's primary hangs; opens and closes stay
+	// healthy, so the open lands there and only the ladder can rescue the
+	// read.
 	tc.sched = faultnet.Schedule{Seed: 20, HangTimeout: hangFor, Rules: []faultnet.Rule{
 		{Server: fmt.Sprintf("srv%d", primary), Op: transport.OpRead, Fault: faultnet.Hang},
 	}}
 	inj := faultnet.New(tc.sched)
 	defer inj.Close()
-	_, cli := startChaosCluster(t, pfsDir, tc, inj, func(c *ClientConfig) {
-		c.HedgeAfter = hedgeAfter
-	})
+	_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
 
 	start := time.Now()
 	got, err := cli.ReadAll(target)
 	elapsed := time.Since(start)
 	if err != nil {
-		t.Fatalf("hedged read: %v", err)
+		t.Fatalf("read past a hung primary: %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("hedged read returned wrong bytes")
+		t.Fatal("read past a hung primary returned wrong bytes")
 	}
-	// The primary releases its hang only after hangFor; finishing well
-	// before that proves the hedge (HedgeAfter + one replica RTT + a PFS
-	// read-through) carried the result.
-	if elapsed >= hangFor*3/4 {
-		t.Fatalf("read took %v; the hedge should finish in ~%v, far below the %v hang", elapsed, hedgeAfter, hangFor)
+	if elapsed < hangFor {
+		t.Fatalf("read took %v, less than the %v hang: the stuck rung was not waited out", elapsed, hangFor)
 	}
-	st := cli.Stats()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hung primary produced no hedge win: %+v", st)
-	}
-	if st.Fallbacks != 0 {
-		t.Fatalf("hedge path fell back to the PFS: %+v", st)
+	if st := cli.Stats(); st.Failovers != 1 || st.Fallbacks != 0 || st.Degrades != 0 {
+		t.Fatalf("stats = %+v, want one failover and no PFS read", st)
 	}
 	if inj.Injected() == 0 {
 		t.Fatal("schedule injected no faults; the case is vacuous")
 	}
 }
 
-// Race-stress (run under -race by the check gate): aggressive hedging
-// racing File.Close and slow/refused calls must neither leak pooled
-// response frames nor double-release them. The invariants are the
-// HedgeWins<=Hedges identity, CheckLeaks at teardown, and the race
-// detector itself; individual read errors are tolerated.
-func TestChaosHedgeRaceWithClose(t *testing.T) {
+// Race-stress (run under -race by the check gate): the replica ladder
+// walking slow and refused links while File.Close races the reads must
+// neither leak pooled response frames, handles or goroutines nor
+// double-release a frame. Reads delayed past a concurrent Close, opens
+// refused on one replica and answered by the next, and handles adopted
+// by a File that closed meanwhile all meet here. The invariants are
+// checkResources at teardown, the race detector itself, and the PFS bytes
+// for every read that succeeds; a read that loses the race to its Close
+// may fail.
+func TestChaosLadderRaceWithClose(t *testing.T) {
 	checkResources(t)
 	tc := chaosCase{
-		name: "hedge-race", servers: 2, files: 8, size: 4096, epochs: 1, replicas: 2,
+		name: "ladder-race", servers: 2, files: 8, size: 4096, epochs: 1, replicas: 2,
 		sched: faultnet.Schedule{Seed: 21, Rules: []faultnet.Rule{
 			{Op: transport.OpRead, Prob: 0.4, Fault: faultnet.Delay, Delay: 2 * time.Millisecond},
 			{Op: transport.OpOpen, Prob: 0.2, Fault: faultnet.Refuse},
@@ -225,12 +217,17 @@ func TestChaosHedgeRaceWithClose(t *testing.T) {
 	}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, tc.files, tc.size)
+	want := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		content, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = content
+	}
 	inj := faultnet.New(tc.sched)
 	defer inj.Close()
-	_, cli := startChaosCluster(t, pfsDir, tc, inj, func(c *ClientConfig) {
-		// Far below the injected delays: most slowed reads fire a hedge.
-		c.HedgeAfter = 200 * time.Microsecond
-	})
+	_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
 
 	const workers, iters = 8, 12
 	var wg sync.WaitGroup
@@ -240,14 +237,18 @@ func TestChaosHedgeRaceWithClose(t *testing.T) {
 			defer wg.Done()
 			buf := make([]byte, tc.size)
 			for i := 0; i < iters; i++ {
-				f, err := cli.Open(paths[(g+i)%len(paths)])
+				p := paths[(g+i)%len(paths)]
+				f, err := cli.Open(p)
 				if err != nil {
 					continue
 				}
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					_, _ = f.ReadAt(buf, 0) // may race the Close below
+					// May race the Close below.
+					if n, err := f.ReadAt(buf, 0); err == nil && !bytes.Equal(buf[:n], want[p]) {
+						t.Errorf("read of %s under the ladder returned wrong bytes", p)
+					}
 				}()
 				if i%2 == 0 {
 					_ = f.Close()
@@ -259,26 +260,28 @@ func TestChaosHedgeRaceWithClose(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := cli.Stats()
-	if st.HedgeWins > st.Hedges {
-		t.Fatalf("hedge wins(%d) exceed hedges(%d)", st.HedgeWins, st.Hedges)
+	if st := cli.Stats(); st.Failovers == 0 {
+		t.Fatalf("no open or read walked past its first rung; the case is vacuous: %+v", st)
 	}
 	if inj.Injected() == 0 {
 		t.Fatal("schedule injected no faults; the case is vacuous")
 	}
 }
 
-// The same hedging storm over multi-chunk files. A hedged read's rungs can
-// overlap, so a loser may still be receiving after the winner returned:
-// such reads must come through pooled frames and a copy, never land in the
-// caller's buffer (DESIGN.md §3.1). Each worker overwrites its buffer the
-// moment ReadAt returns — a rung still writing caller memory is then a
-// data race the detector reports — and checks after Client.Close, which
-// joins every loser, that its own bytes are what the buffer still holds.
-func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
+// The replica ladder over multi-chunk files. Every pipeline chunk and
+// every rung receives into the caller's buffer (Request.Dst), a rung whose
+// link dropped after its bytes arrived included, so what keeps a recycled
+// buffer intact is that the pipeline joins its workers and the rungs run
+// one after another: nothing writes into it after ReadAt returns
+// (DESIGN.md §3.4). Each worker overwrites its buffer the moment ReadAt
+// returns — a chunk or rung still writing caller memory is then a data
+// race the detector reports — and checks after Client.Close that its own
+// bytes are what the buffer still holds.
+func TestChaosLadderBulkReadLeavesCallerMemoryAlone(t *testing.T) {
 	tc := chaosCase{
-		name: "hedge-bulk", servers: 2, files: 4, size: 2*bulkChunk + bulkChunk/2, epochs: 1, replicas: 2,
+		name: "ladder-bulk", servers: 2, files: 4, size: 2*bulkChunk + bulkChunk/2, epochs: 1, replicas: 2,
 		sched: faultnet.Schedule{Seed: 22, Rules: []faultnet.Rule{
+			{Op: transport.OpRead, Prob: 0.5, Fault: faultnet.Disconnect},
 			{Op: transport.OpRead, Prob: 0.4, Fault: faultnet.Delay, Delay: 2 * time.Millisecond},
 		}},
 	}
@@ -287,12 +290,9 @@ func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
 	paths := writePatternPFS(t, pfsDir, tc.files, tc.size)
 	inj := faultnet.New(tc.sched)
 	defer inj.Close()
-	_, cli := startChaosCluster(t, pfsDir, tc, inj, func(c *ClientConfig) {
-		// Far below the injected delays: most slowed chunks fire a hedge.
-		c.HedgeAfter = 200 * time.Microsecond
-	})
+	_, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
 
-	const workers, iters = 4, 3
+	const workers, iters = 4, 4
 	bufs := make([][]byte, workers)
 	var wg sync.WaitGroup
 	for g := range bufs {
@@ -314,7 +314,7 @@ func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
 				}
 				n, err := f.ReadAt(bufs[g], 0)
 				if err != nil || n != tc.size || !bytes.Equal(bufs[g], want) {
-					t.Errorf("hedged bulk read of %s = (%d, %v), bytes equal %v", p, n, err, bytes.Equal(bufs[g], want))
+					t.Errorf("bulk read of %s under the ladder = (%d, %v), bytes equal %v", p, n, err, bytes.Equal(bufs[g], want))
 				}
 				for j := range bufs[g] {
 					bufs[g][j] = byte(g) // the buffer is the caller's again
@@ -324,18 +324,77 @@ func TestChaosHedgedBulkReadLeavesCallerMemoryAlone(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	cli.Close() // joins the loser drains; idempotent with the cleanup's Close
+	cli.Close() // idempotent with the cleanup's Close
 	for g, buf := range bufs {
 		if !bytes.Equal(buf, bytes.Repeat([]byte{byte(g)}, len(buf))) {
 			t.Fatalf("worker %d: its buffer changed after ReadAt returned", g)
 		}
 	}
-	st := cli.Stats()
-	if st.Hedges == 0 {
-		t.Fatalf("no hedge fired; the case is vacuous: %+v", st)
+	if st := cli.Stats(); st.Failovers == 0 {
+		t.Fatalf("no read walked past its first rung; the case is vacuous: %+v", st)
 	}
-	if st.HedgeWins > st.Hedges {
-		t.Fatalf("hedge wins(%d) exceed hedges(%d)", st.HedgeWins, st.Hedges)
+	if inj.Injected() == 0 {
+		t.Fatal("schedule injected no faults; the case is vacuous")
+	}
+}
+
+// ladderCall is the client's one failover shape (§III-H): the rungs run
+// one at a time in order, the first answer — a response or an application
+// error — ends the ladder before a later rung starts, a transport failure
+// moves on, and when every rung fails the last failure is the result.
+func TestLadderCallRunsRungsInOrder(t *testing.T) {
+	const (
+		answer  = iota // the rung returns a response
+		down           // a transport failure
+		refused        // an application error
+	)
+	cases := []struct {
+		name       string
+		rungs      []int
+		wantRan    int
+		wantLadder int
+		wantResp   bool
+	}{
+		{"first answers", []int{answer, answer}, 1, 0, true},
+		{"failure moves on", []int{down, answer}, 2, 1, true},
+		{"application error stops", []int{refused, answer}, 1, 0, false},
+		{"failure then application error", []int{down, refused, answer}, 2, 1, false},
+		{"every rung fails", []int{down, down, down}, 3, 2, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ran, running := 0, 0
+			rungs := make([]func() rungResult, len(tc.rungs))
+			for i, kind := range tc.rungs {
+				rungs[i] = func() rungResult {
+					running++
+					defer func() { running-- }()
+					if running != 1 {
+						t.Errorf("rung %d started while %d rungs ran", i, running-1)
+					}
+					ran++
+					switch kind {
+					case answer:
+						return rungResult{resp: transport.AcquireResponse(), ladder: i, srv: i}
+					case refused:
+						return rungResult{err: fmt.Errorf("rung %d refused", i), ladder: i, srv: i, appErr: true}
+					default:
+						return rungResult{err: fmt.Errorf("rung %d down", i), ladder: i, srv: i}
+					}
+				}
+			}
+			r := ladderCall(rungs)
+			if r.resp != nil {
+				r.resp.Release()
+			}
+			if ran != tc.wantRan || r.ladder != tc.wantLadder || (r.resp != nil) != tc.wantResp {
+				t.Fatalf("ran %d rungs, result from rung %d (response %v), want %d, %d (%v)",
+					ran, r.ladder, r.resp != nil, tc.wantRan, tc.wantLadder, tc.wantResp)
+			}
+			if !tc.wantResp && r.err == nil {
+				t.Fatal("the ladder failed without an error")
+			}
+		})
 	}
 }
 

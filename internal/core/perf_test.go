@@ -421,8 +421,12 @@ func TestFileReadDegradesOnServerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) {
-		c.CallTimeout = 2 * time.Second
-		c.RetryAttempts = 1
+		c.DialTransport = func(addr string) transport.Transport {
+			return transport.DialWith(addr, transport.ClientOptions{
+				CallTimeout: 2 * time.Second,
+				Retry:       transport.RetryPolicy{MaxAttempts: 1},
+			})
+		}
 	})
 
 	f, err := cli.Open(p)

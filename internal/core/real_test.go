@@ -152,8 +152,8 @@ func settle(servers []*Server) {
 // stopCluster closes a cluster ahead of its cleanup. A test that goes on
 // to start a second one stops the first before it does, so that the
 // second's checkResources counts nothing of the first still in flight: a
-// fill writing behind its read, a client's hedge drain, a server response
-// not yet released after its write.
+// fill writing behind its read, a client's deferred closes, a server
+// response not yet released after its write.
 func stopCluster(servers []*Server, cli *Client) {
 	cli.Close()
 	for _, s := range servers {

@@ -117,8 +117,8 @@ type Request struct {
 	// payload is received straight into it (Response.Data then aliases
 	// Dst) instead of a pooled buffer. A payload longer than Dst takes the
 	// pooled path and leaves Dst untouched. The caller must not touch Dst
-	// until Call returns, and must not set it on a request whose attempts
-	// can outlive the call (a hedged rung that lost the race).
+	// until Call returns; the receive is part of the call, so nothing
+	// writes into Dst after it.
 	Dst []byte
 
 	// Defer is client-side only and never encoded: the caller needs no

@@ -78,8 +78,7 @@ echo '--- sendfile recycle churn and deferred closes, 20 runs'
 go test -count=20 -run 'TestStressChurnRecyclesAroundSendfile|TestDeferredClosesReachServerByClientClose' ./internal/core
 go test -count=20 -run TestDeferredCallRidesWithNextCall ./internal/transport
 
-echo '--- chaos tier (go test -race -shuffle=on)'
-go test -race -shuffle=on -run Chaos ./internal/core
-go test -race -shuffle=on ./internal/faultnet
+echo '--- chaos tier (scripts/chaos.sh: go test -race -shuffle=on)'
+./scripts/chaos.sh
 
 echo 'check: OK'
