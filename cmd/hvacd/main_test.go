@@ -40,6 +40,7 @@ var (
 	servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
 	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
 	localRe   = regexp.MustCompile(` passed=(\d+) mapped=\d+ local=(\d+) refused=(\d+)\n`)
+	batchRe   = regexp.MustCompile(` batch=(\d+) batch-passed=(\d+) `)
 	keepRe    = regexp.MustCompile(` evictions=(\d+) cached=(\d+) files/\d+B .* notadmitted=(\d+) `)
 )
 
@@ -148,6 +149,16 @@ func TestDaemon(t *testing.T) {
 					await(t, stdout, "-stats line with passed= > 0, local= > 0 and refused=0", func(s string) bool {
 						m := localRe.FindAllStringSubmatch(s, -1)
 						return len(m) > 0 && m[len(m)-1][1] != "0" && m[len(m)-1][2] != "0" && m[len(m)-1][3] == "0"
+					})
+					// A warm batch entry of 8 KiB or more leaves as its
+					// cache file's descriptor too (batch-passed=).
+					got, err := cli.ReadBatch([]string{file})
+					if err != nil || len(got) != 1 || !bytes.Equal(got[0], want) {
+						t.Fatalf("batch read of %s: %v", file, err)
+					}
+					await(t, stdout, "-stats line with batch=1 and batch-passed=1", func(s string) bool {
+						m := batchRe.FindAllStringSubmatch(s, -1)
+						return len(m) > 0 && m[len(m)-1][1] == "1" && m[len(m)-1][2] == "1"
 					})
 				}
 			}},

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hvac/internal/faultnet"
@@ -346,6 +347,67 @@ func TestReadBatchFanOutOneServerRefused(t *testing.T) {
 			if !strings.Contains(err.Error(), "srv1") {
 				t.Fatalf("run %d: error does not name the lowest failing server srv1: %v", i, err)
 			}
+		}
+	})
+}
+
+// TestReadBatchCorruptPassedEntryDegrades: a batch reply whose entry is
+// marked passed with no descriptor behind it is a corrupt frame, and the
+// batch degrades per entry: each path is read through the ordinary
+// transaction and comes back intact. A proxy in front of a real server
+// answers every OpReadBatch with such a reply and forwards the rest. On
+// the local socket the exchange fails the call; over TCP no descriptor can
+// come, and the reply fails to decode instead.
+func TestReadBatchCorruptPassedEntryDegrades(t *testing.T) {
+	forEachNetwork(t, func(t *testing.T, network string) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, 4, 16<<10)
+		var real atomic.Pointer[Server]
+		var proxy *transport.Server
+		startProxy := func(c *ServerConfig) {
+			c.ZeroCopy = true
+			var err error
+			proxy, err = transport.Serve("127.0.0.1:0", func(req *transport.Request) *transport.Response {
+				if req.Op != transport.OpReadBatch {
+					return real.Load().handle(req)
+				}
+				body := make([]byte, 16) // off 0, len 0: the range is moot without a descriptor
+				resp := transport.AcquireResponse()
+				for range paths {
+					resp.Data = transport.AppendBatchEntry(resp.Data, transport.StatusPassed, body)
+				}
+				resp.Size = int64(len(paths))
+				return resp
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(proxy.Close)
+		}
+		// The proxy starts inside the cluster's resource checks, beside
+		// its one server.
+		servers, cli := startCluster(t, pfsDir, 1, startProxy, func(c *ClientConfig) {
+			c.Servers = []string{proxy.Addr()}
+			c.DialTransport = func(addr string) transport.Transport {
+				return dialOver(network, addr, transport.ClientOptions{})
+			}
+		})
+		real.Store(servers[0])
+		got, err := cli.ReadBatch(paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range paths {
+			want, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[i], want) {
+				t.Fatalf("entry %d: %d bytes that differ from the PFS copy", i, len(got[i]))
+			}
+		}
+		if st := cli.Stats(); st.BatchReads != 0 || st.BatchFallbacks != int64(len(paths)) || st.Redirected != int64(len(paths)) {
+			t.Fatalf("stats %+v: want every entry degraded to an ordinary read of its server", st)
 		}
 	})
 }

@@ -115,6 +115,22 @@ func chaosMatrix() []chaosCase {
 			}},
 		},
 		{
+			// Batch replies whose entries, 24 KiB and resident after the
+			// epoch's reads, leave as their cache files' descriptors on
+			// the local socket with the planes armed (from the floor,
+			// 8 KiB). Every other batch call's link dies once the reply
+			// has arrived — descriptors received, entries landed — and
+			// others are truncated or corrupted: the server must release
+			// every passed lease (no cache file's descriptor outlives the
+			// run) and the client every landed buffer and response.
+			name: "batch-passed", servers: 2, files: 12, size: 24 << 10, epochs: 3,
+			sched: faultnet.Schedule{Seed: 19, Rules: []faultnet.Rule{
+				{Op: transport.OpReadBatch, Every: 2, Fault: faultnet.Disconnect},
+				{Op: transport.OpReadBatch, Prob: 0.2, Fault: faultnet.Truncate},
+				{Op: transport.OpReadBatch, Prob: 0.2, Fault: faultnet.Corrupt},
+			}},
+		},
+		{
 			// A server crashes for good mid-run: the 3rd open on srv0
 			// trips the Kill and every later call to it — any op — fails.
 			// With R=2 its files fail over to live replicas; nothing falls
@@ -387,8 +403,8 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 		if !tc.zeroCopy && ss.ZeroCopyEligible+ss.MappedSends != 0 {
 			t.Fatalf("srv%d: %d zero-copy serves, %d from mappings with ZeroCopy off", i, ss.ZeroCopyEligible, ss.MappedSends)
 		}
-		if tc.network != "local" && ss.ZeroCopyPassed != 0 {
-			t.Fatalf("srv%d: %d descriptors passed off the local socket", i, ss.ZeroCopyPassed)
+		if tc.network != "local" && ss.ZeroCopyPassed+ss.BatchPassed != 0 {
+			t.Fatalf("srv%d: %d descriptors and %d batch entries passed off the local socket", i, ss.ZeroCopyPassed, ss.BatchPassed)
 		}
 		if tc.capacity > 0 && s.CachedBytes() > tc.capacity {
 			t.Fatalf("srv%d: cached %d bytes over the %d-byte capacity", i, s.CachedBytes(), tc.capacity)
@@ -396,6 +412,7 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 		sum.eligible += ss.ZeroCopyEligible
 		sum.mapped += ss.MappedSends
 		sum.passed += ss.ZeroCopyPassed
+		sum.batchPassed += ss.BatchPassed
 		sum.notAdmitted += ss.NotAdmitted
 	}
 	if tc.network != "" {
@@ -406,8 +423,9 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 
 // chaosTotals sums a run's serves by payload plane — fd payloads that
 // reached the writer (eligible), the part of them passed as descriptors,
-// and payloads spliced from mappings — and its fetches not admitted.
-type chaosTotals struct{ eligible, passed, mapped, notAdmitted int64 }
+// payloads spliced from mappings, and batch entries passed as
+// descriptors — and its fetches not admitted.
+type chaosTotals struct{ eligible, passed, mapped, batchPassed, notAdmitted int64 }
 
 // TestChaosMatrix runs every row twice: as written, and in the keep
 // column, where each server's cache holds half its share of the dataset
@@ -448,7 +466,10 @@ func TestChaosMatrixZeroCopy(t *testing.T) { testChaosMatrixZeroCopy(t, "tcp") }
 // the servers' local socket, so the faults hit sendfile, the mapped writev
 // and the descriptor frames of a unix socket: the bulk-pipeline row's
 // 1.25 MiB files are read in chunks of descMin and more, and must be
-// passed as descriptors somewhere in the matrix.
+// passed as descriptors somewhere in the matrix. Every row whose files
+// reach the transport's batch floor (8 KiB) — bulk-pipeline and
+// batch-passed — must pass batch entries as descriptors too, with the
+// bytes runChaosCase holds identical to the PFS copy.
 func TestChaosMatrixZeroCopyLocal(t *testing.T) {
 	skipOffLinux(t)
 	testChaosMatrixZeroCopy(t, "local")
@@ -461,6 +482,9 @@ func testChaosMatrixZeroCopy(t *testing.T, network string) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := runChaosCase(t, tc)
 			sum.eligible, sum.passed, sum.mapped = sum.eligible+p.eligible, sum.passed+p.passed, sum.mapped+p.mapped
+			if network == "local" && tc.size >= 8<<10 && p.batchPassed == 0 {
+				t.Fatalf("no batch entry of %d bytes was passed as a descriptor; the row is vacuous", tc.size)
+			}
 		})
 	}
 	if sum.eligible-sum.passed == 0 || sum.mapped == 0 || network == "local" && sum.passed == 0 {

@@ -342,8 +342,14 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, &os.PathError{Op: "readat", Path: f.path, Err: errors.New("negative offset")}
 	}
 	f.mu.Lock()
-	fb := f.fallback
+	closed, fb := f.closed, f.fallback
 	f.mu.Unlock()
+	if closed {
+		// As os.File does, and before any RPC: a closed handle's read
+		// would fail, and the replica ladder would answer it from a fresh
+		// handle on the next rung.
+		return 0, &os.PathError{Op: "read", Path: f.path, Err: os.ErrClosed}
+	}
 	if fb != nil {
 		return fb.ReadAt(p, off)
 	}
@@ -805,15 +811,16 @@ func (c *Client) readBatchGroup(srv int, idxs []int, abspaths []string, out [][]
 		}
 		return c.readBatchDegraded(idxs, abspaths, out)
 	}
-	results, derr := transport.DecodeBatchResults(resp.Data, len(idxs))
+	results, derr := resp.BatchResults(len(idxs))
 	if derr != nil {
 		resp.Release()
 		return c.readBatchDegraded(idxs, abspaths, out)
 	}
-	// Copy the OK payloads out of the pooled frame, into recyclable
-	// buffers as ReadAll's are; remember the rest;
-	// their fallbacks run after Release so the frame is not pinned across
-	// further RPCs.
+	// Take the OK payloads: a landed one (a descriptor the transport read
+	// from, on the local socket) is already a recyclable buffer, as
+	// ReadAll's are, and the rest are copied out of the pooled frame into
+	// one. Remember the failed entries; their fallbacks run after Release
+	// so the frame is not pinned across further RPCs.
 	type retry struct {
 		ix  int
 		err error // nil for StatusAgain (frame budget), set for StatusError
@@ -824,7 +831,10 @@ func (c *Client) readBatchGroup(srv int, idxs []int, abspaths []string, out [][]
 		ix := idxs[i]
 		switch results[i].Status {
 		case transport.StatusOK:
-			out[ix] = slab.Clone(results[i].Data)
+			out[ix] = results[i].Data
+			if !results[i].Landed {
+				out[ix] = slab.Clone(results[i].Data)
+			}
 			served++
 			bytes += len(results[i].Data)
 		case transport.StatusAgain:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -238,7 +239,7 @@ func ladderOps() []ladderOp {
 				// connection writes it, mapped bytes spliced in, and decoded.
 				resp := transport.AcquireResponse()
 				resp.Data = resp.Grab(transport.BatchEntryOverhead + planned.size)[:0]
-				r.srv.serveBatchEntry(resp, r.paths[0], &planned)
+				r.srv.serveBatchEntry(&transport.Request{Op: transport.OpReadBatch}, resp, r.paths[0], &planned)
 				var wire bytes.Buffer
 				err := transport.WriteResponse(&wire, resp)
 				resp.Release()
@@ -527,6 +528,59 @@ func TestNegativeOffsetRefused(t *testing.T) {
 			t.Fatalf("the refused read reached sendfile: eligible %d -> %d", eligible, got)
 		}
 	})
+}
+
+// TestReadAtAfterCloseIsErrClosed: a read on a closed File returns
+// os.ErrClosed, as an os.File's does, and costs no RPC, at R = 1 and at
+// R = 2 on a two-server cluster. Without the check the closed handle's
+// read failed on the server, and the ladder answered it from a fresh
+// handle on the replica (R = 2) or failed with a PFS-fallback error
+// (R = 1).
+func TestReadAtAfterCloseIsErrClosed(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			pfsDir := filepath.Join(t.TempDir(), "dataset")
+			p := writePFS(t, pfsDir, 1, 4096)[0]
+			var links []*transport.Client
+			var mu sync.Mutex
+			_, cli := startCluster(t, pfsDir, 2, nil, func(c *ClientConfig) {
+				c.Replicas = replicas
+				c.DialTransport = func(addr string) transport.Transport {
+					l := transport.Dial(addr)
+					mu.Lock()
+					links = append(links, l)
+					mu.Unlock()
+					return l
+				}
+			})
+			calls := func() (n int64) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, l := range links {
+					n += l.Calls()
+				}
+				return n
+			}
+			f, err := cli.Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := calls()
+			n, err := f.ReadAt(make([]byte, 4096), 0)
+			if n != 0 || !errors.Is(err, os.ErrClosed) {
+				t.Errorf("ReadAt after Close = %d, %v; want 0 and os.ErrClosed", n, err)
+			}
+			if got := calls() - before; got != 0 {
+				t.Errorf("ReadAt after Close cost %d RPCs", got)
+			}
+			if st := cli.Stats(); st.Failovers != 0 || st.Degrades != 0 {
+				t.Errorf("ReadAt after Close: %d failovers, %d degrades", st.Failovers, st.Degrades)
+			}
+		})
+	}
 }
 
 // TestReadRacingCloseLeavesNothingBehind closes a handle while a read on

@@ -189,6 +189,11 @@ type ServerStats struct {
 	// in userspace (whole reads and batch entries alike). Like
 	// ZeroCopyBytes it is outside both identities.
 	MappedSends int64
+	// BatchPassed counts batch entries that left as their cache file's
+	// descriptor on the local socket (transport.Response.PassBatchEntry):
+	// the client read their bytes from the file, and neither socket nor
+	// /proc/self/io saw them. Outside both identities too.
+	BatchPassed int64
 	// LocalConns counts connections accepted on the node-local socket
 	// (transport.Server.LocalConns); LocalRefused those closed unread
 	// because the peer ran as another user (transport.Server.LocalRefused).
@@ -212,6 +217,7 @@ type serverCounters struct {
 	replicaWarms         atomic.Int64
 	notAdmitted          atomic.Int64
 	mappedSends          atomic.Int64
+	batchPassed          atomic.Int64
 }
 
 func (c *serverCounters) snapshot() ServerStats {
@@ -230,6 +236,7 @@ func (c *serverCounters) snapshot() ServerStats {
 		ReplicaWarms:  c.replicaWarms.Load(),
 		NotAdmitted:   c.notAdmitted.Load(),
 		MappedSends:   c.mappedSends.Load(),
+		BatchPassed:   c.batchPassed.Load(),
 	}
 }
 
@@ -799,11 +806,14 @@ const zeroCopyMin = cachestore.MapLimit
 //
 // The payload goes on resp, after the bytes its Data holds: a batch
 // passes the frame it is assembling there, a whole read an empty
-// response. Rung 1 under ZeroCopy hands over the lease itself, for a
-// whole read of zeroCopyMin bytes or more to sendfile, and the transport
-// releases it once the peer has read the frame (transport.PayloadReleaser);
-// for a mapped file it splices the mapping into the payload, and the
-// lease is released once the reply's writev has returned. Every other
+// response; req is the request resp answers. Rung 1 under ZeroCopy hands
+// over the lease itself, for a whole read of zeroCopyMin bytes or more to
+// sendfile, and for a batch entry the transport passes as a descriptor
+// on the local socket (transport.Response.PassBatchEntry), and the
+// transport releases it once the peer has read the frame
+// (transport.PayloadReleaser); for a mapped file it splices the mapping
+// into the payload, and the lease is released once the reply's writev has
+// returned. Every other
 // serve reads into Data — a whole read's grabbed from resp only once a
 // rung needs one, sized to what the entry can still deliver — and leaves
 // in the response's one vectored write. A range past the end is a short,
@@ -813,12 +823,15 @@ const zeroCopyMin = cachestore.MapLimit
 // served identity: rung 1, unless the caller had already registered the
 // miss — that request pulled the bytes off the PFS whichever rung ends
 // up handing them over.
-func (s *Server) resolve(task fetchTask, fe *fillEntry, off, want int64, resp *transport.Response) (n int, hit bool, err error) {
+func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, off, want int64, resp *transport.Response) (n int, hit bool, err error) {
 	lz, lerr := s.store.Lease(task.key)
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
 		if resp.Data == nil && s.cfg.ZeroCopy && want >= zeroCopyMin {
 			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
+			return int(want), fe == nil, nil
+		}
+		if s.cfg.ZeroCopy && resp.PassBatchEntry(req, lz.File(), off, want, lz) {
 			return int(want), fe == nil, nil
 		}
 		if m := lz.Mapped(); m != nil && want > 0 {
@@ -894,7 +907,7 @@ func (s *Server) handleRead(req *transport.Request) *transport.Response {
 	// cold file does not pin a large frame for the call.
 	want := min(req.Len, max(h.size-req.Off, 0))
 	resp := transport.AcquireResponse()
-	n, _, err := s.resolve(h.task(), h.fe, req.Off, want, resp)
+	n, _, err := s.resolve(req, h.task(), h.fe, req.Off, want, resp)
 	if err != nil {
 		resp.Release()
 		return errResp(err)
@@ -938,8 +951,10 @@ type batchEntry struct {
 // fills run on all movers while the handler is still copying hits. Pass 2
 // assembles the response in one pooled frame of the size pass 1 summed:
 // each payload is read straight into its place behind its entry header,
-// or, for a mapped file, spliced in there from its mapping, so a warm
-// entry costs one lease and at most one pread.
+// spliced in there from its mapping, or — a resident entry on the local
+// socket — named by its range, its cache file's descriptor riding the
+// frame (DESIGN.md §4.3), so a warm entry costs one lease and at most one
+// pread.
 func (s *Server) handleReadBatch(req *transport.Request) *transport.Response {
 	paths, err := transport.DecodeBatchPaths(req.Path)
 	if err != nil {
@@ -958,7 +973,7 @@ func (s *Server) handleReadBatch(req *transport.Request) *transport.Response {
 		if e := &plan[i]; e.status != transport.StatusOK || prefetch {
 			resp.Data = transport.AppendBatchEntry(resp.Data, e.status, []byte(e.msg))
 		} else {
-			s.serveBatchEntry(resp, p, e)
+			s.serveBatchEntry(req, resp, p, e)
 		}
 	}
 	resp.Status = transport.StatusOK
@@ -998,21 +1013,27 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 	return e
 }
 
-// serveBatchEntry is pass 2 for one planned read: it appends the entry to
-// resp's frame with the payload resolved in place (a key the index lost
-// since pass 1 takes the miss ladder, for this entry only), and stamps the
-// header with what the read delivered — less than pass 1 recorded when the
-// file shrank. A read that fails now (the fill and the PFS both gave out)
-// degrades this entry alone to StatusError.
-func (s *Server) serveBatchEntry(resp *transport.Response, p string, e *batchEntry) {
-	start := len(resp.Data)
+// serveBatchEntry is pass 2 for one planned read of req: it appends the
+// entry to resp's frame with the payload resolved in place (a key the
+// index lost since pass 1 takes the miss ladder, for this entry only), and
+// stamps the header with what the read delivered — less than pass 1
+// recorded when the file shrank. A resident entry the transport passes as
+// a descriptor is stamped by the transport, and counted in BatchPassed. A
+// read that fails now (the fill and the PFS both gave out) degrades this
+// entry alone to StatusError.
+func (s *Server) serveBatchEntry(req *transport.Request, resp *transport.Response, p string, e *batchEntry) {
+	start, passed := len(resp.Data), resp.PassedEntries()
 	resp.Data = transport.AppendBatchEntry(resp.Data, transport.StatusOK, nil)
-	n, hit, err := s.resolve(fetchTask{key: p, path: p, size: int64(e.size)}, e.fe, 0, int64(e.size), resp)
+	n, hit, err := s.resolve(req, fetchTask{key: p, path: p, size: int64(e.size)}, e.fe, 0, int64(e.size), resp)
 	if err != nil {
 		resp.Data = transport.AppendBatchEntry(resp.Data[:start], transport.StatusError, []byte(err.Error()))
 		return
 	}
-	transport.PutBatchEntryHead(resp.Data[start:], transport.StatusOK, n)
+	if resp.PassedEntries() > passed {
+		s.stats.batchPassed.Add(1)
+	} else {
+		transport.PutBatchEntryHead(resp.Data[start:], transport.StatusOK, n)
+	}
 	s.stats.batchEntries.Add(1)
 	s.stats.bytesServed.Add(int64(n))
 	if hit {

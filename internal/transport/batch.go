@@ -16,7 +16,9 @@ import (
 //	response: the Data section carries the encoded result list
 //	          count x (u8 status | u32 len | len bytes)
 //	          where the bytes are the payload for StatusOK, an error
-//	          message for StatusError, and empty for StatusAgain.
+//	          message for StatusError, empty for StatusAgain, and for
+//	          StatusPassed the range u64 off | u64 len of the file whose
+//	          descriptor rode the frame (local socket only, pass.go).
 //	          Response.Size echoes the entry count.
 //
 // StatusAgain marks an entry the server skipped because the response
@@ -113,9 +115,14 @@ func DecodeBatchPaths(blob string) ([]string, error) {
 type BatchResult struct {
 	// Status is StatusOK, StatusError, or StatusAgain.
 	Status uint8
-	// Data is the payload for StatusOK entries. It aliases the response
-	// frame: consume or copy it before Response.Release.
+	// Data is the payload for StatusOK entries. Unless Landed, it aliases
+	// the response frame: consume or copy it before Response.Release.
 	Data []byte
+	// Landed marks a payload that came as a descriptor (StatusPassed on
+	// the wire) and was read from the file into a buffer from
+	// internal/slab, which the caller owns: it outlives Release, and may
+	// be handed to slab.Put once its bytes are dead.
+	Landed bool
 	// Err carries the server's message for StatusError entries.
 	Err string
 }
@@ -143,8 +150,30 @@ func PutBatchEntryHead(b []byte, status uint8, n int) {
 
 // DecodeBatchResults unpacks a batch response's data section into want
 // entries. Entry lengths come off the wire and are bounds-checked against
-// the remaining data before any slice is taken.
+// the remaining data before any slice is taken. A StatusPassed entry
+// fails it: its bytes are in a descriptor, which only the exchange that
+// received the frame can land (Response.BatchResults).
 func DecodeBatchResults(data []byte, want int) ([]BatchResult, error) {
+	return decodeBatch(data, want, nil)
+}
+
+// BatchResults decodes r's batch entries, want of them: those the
+// exchange decoded when it landed the reply's passed entries, else r's
+// data section as DecodeBatchResults does.
+func (r *Response) BatchResults(want int) ([]BatchResult, error) {
+	if r.batch == nil {
+		return DecodeBatchResults(r.Data, want)
+	}
+	if len(r.batch) != want {
+		return nil, fmt.Errorf("transport: batch of %d results, want %d", len(r.batch), want)
+	}
+	return r.batch, nil
+}
+
+// decodeBatch is the one batch decoder: each StatusPassed entry's range is
+// landed from the next descriptor rx received (pass.go) as a StatusOK
+// result; without rx such an entry is a corrupt frame.
+func decodeBatch(data []byte, want int, rx *passRx) ([]BatchResult, error) {
 	if want <= 0 || want > MaxBatchEntries {
 		return nil, fmt.Errorf("transport: batch result count %d out of range", want)
 	}
@@ -168,6 +197,15 @@ func DecodeBatchResults(data []byte, want int) ([]BatchResult, error) {
 			r.Err = string(data[off : off+n])
 		case StatusAgain:
 			// No body: the client re-reads the path individually.
+		case StatusPassed:
+			if rx == nil {
+				return nil, errNoDescriptor
+			}
+			b, err := rx.land(data[off : off+n])
+			if err != nil {
+				return nil, fmt.Errorf("transport: batch result %d: %w", i, err)
+			}
+			r.Status, r.Data, r.Landed = StatusOK, b, true
 		default:
 			return nil, fmt.Errorf("transport: batch result %d has unknown status %d", i, status)
 		}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync/atomic"
+	"syscall"
 	"testing"
 )
 
@@ -141,8 +142,25 @@ func drainedConnRx(t *testing.T, network string, armed bool) net.Conn {
 }
 
 // sockCounts counts the Read and Write calls serveConn makes on a
-// connection.
-type sockCounts struct{ reads, writes atomic.Int64 }
+// connection, and the rounds of its raw sender (sends): one per call of
+// the sendfile or sendmsg step, which sends until the payload is out or
+// the socket is full, so a reply that leaves in one system call takes one
+// round and a short write takes a second, once the socket drains.
+type sockCounts struct{ reads, writes, sends atomic.Int64 }
+
+// countingRaw is a connection's RawConn that counts the rounds of its
+// writes' step functions.
+type countingRaw struct {
+	syscall.RawConn
+	c *sockCounts
+}
+
+func (r countingRaw) Write(f func(fd uintptr) bool) error {
+	return r.RawConn.Write(func(fd uintptr) bool {
+		r.c.sends.Add(1)
+		return f(fd)
+	})
+}
 
 func (c *sockCounts) read(n int) {
 	if n > 0 {
@@ -189,6 +207,14 @@ func (c *countingUnix) Read(p []byte) (int, error) {
 func (c *countingUnix) Write(p []byte) (int, error) {
 	c.writes.Add(1)
 	return c.UnixConn.Write(p)
+}
+
+func (c *countingUnix) SyscallConn() (syscall.RawConn, error) {
+	rc, err := c.UnixConn.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	return countingRaw{rc, &c.sockCounts}, nil
 }
 
 // counting wraps an accepted connection in its counting form.

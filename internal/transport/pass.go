@@ -1,50 +1,176 @@
 package transport
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"sync"
+)
 
-// The descriptor plane (DESIGN.md §4.3). On the local socket a file
-// payload of at least descMin bytes does not cross the socket at all: the
-// reply is one frame whose payload section is the range, u64 off | u64
-// len, and the cache file's descriptor rides that frame as SCM_RIGHTS
-// ancillary data. The client's decoder preads the range straight into its
-// destination and closes the descriptor before Call returns, so the bytes
-// are copied once, by the client, out of the page cache.
+// The descriptor plane (DESIGN.md §4.3). On the local socket a payload
+// that lives in a file can leave as the file's descriptor instead of its
+// bytes: the frame names the range, u64 off | u64 len, and the descriptor
+// rides the frame's first bytes as SCM_RIGHTS ancillary data. The client
+// preads the range straight into its destination and closes the
+// descriptor before Call returns, so the bytes are copied once, by the
+// client, out of the page cache. Two replies take it:
 //
-// The frame is marked by bit 31 of the u32 dataLen. A real dataLen is at
-// most MaxFrame (2^26), so the bit is otherwise never set, and a decoder
-// that knows nothing of descriptors fails the frame's "data length
-// overruns frame" check instead of misreading it. A marked frame without
-// a descriptor — a TCP connection, a reader that used read(2) (which
-// drops ancillary data), or a receiver out of descriptors (MSG_CTRUNC) —
-// is a corrupt frame: the connection closes and the retry ladder runs.
+//   - a whole read of descMin bytes or more: the frame is marked by bit
+//     31 of the u32 dataLen, and its payload section is the range. A real
+//     dataLen is at most MaxFrame (2^26), so the bit is otherwise never
+//     set, and a decoder that knows nothing of descriptors fails the
+//     frame's "data length overruns frame" check instead of misreading it;
+//   - a batch read's resident entries of batchPassMin bytes or more, up to
+//     passCap of them per reply: each is marked by StatusPassed and its
+//     body is the range, and every descriptor rides one control message,
+//     in entry order. Entries below the floor or past the cap, and misses
+//     served from fills, keep their bytes in the same frame.
 //
-// Only a request that asks for descMin bytes or more can be answered this
-// way (mayPass), and the client receives with recvmsg(2) only for such an
-// exchange, so every other exchange keeps its read(2)s. The server holds
-// the lease behind a passed descriptor as it holds a sendfile one, until
-// the peer's next request on the connection: the client preads inside the
-// exchange, before the connection can carry another request, so a cache
-// file recycled in place never changes under a pread.
+// A marked frame or entry without its descriptor — a TCP connection, a
+// reader that used read(2) (which drops ancillary data), or a receiver
+// out of descriptors (MSG_CTRUNC) — is a corrupt frame: the connection
+// closes and the retry ladder runs.
+//
+// Only a request mayPass names can be answered this way, and the client
+// receives with recvmsg(2) only for such an exchange, so every other
+// exchange keeps its read(2)s. The server holds the leases behind passed
+// descriptors as it holds a sendfile one, until the peer's next request
+// on the connection: the client preads inside the exchange, before the
+// connection can carry another request, so a cache file recycled in place
+// never changes under a pread.
 const (
-	// descMin is the shortest payload passed as a descriptor. From it
+	// descMin is the shortest whole read passed as a descriptor. From it
 	// up the reply outgrows the unix socket's default send buffer, and
 	// the descriptor won in every sweep; below it the plane would take
 	// the small-file workloads, and put their exchanges on recvmsg,
 	// which /proc/self/io does not count (DESIGN.md §4.3).
 	descMin = 256 << 10
 
+	// batchPassMin is the shortest batch entry passed as a descriptor.
+	// Through the codec, 16 entries per reply, descriptors and their
+	// preads beat the entries' bytes by 14–21 % at 8 KiB and by more
+	// above, and did not win at 4 KiB, where installing and closing a
+	// descriptor costs what the copy it saves does (DESIGN.md §4.3).
+	batchPassMin = 8 << 10
+
+	// passCap is the most descriptors one reply carries: the kernel's
+	// SCM_MAX_FD, the most one SCM_RIGHTS message may hold.
+	passCap = 253
+
 	passFlag = 1 << 31 // dataLen bit marking a descriptor frame
-	passLen  = 16      // the payload section of one: u64 off | u64 len
+	passLen  = 16      // the range a passed payload names: u64 off | u64 len
 )
 
-// errNoDescriptor fails a descriptor frame that arrived without one.
+// errNoDescriptor fails a descriptor frame or entry that arrived without
+// its descriptor.
 var errNoDescriptor = errors.New("transport: corrupt response: descriptor frame without a descriptor")
 
-// mayPass reports whether req's reply may come as a descriptor frame: the
-// one rule both ends apply, the server before it passes a descriptor and
-// the client before it receives with recvmsg.
-func mayPass(req *Request) bool { return req.Len >= descMin }
+// mayPass reports whether req's reply may carry descriptors: the one rule
+// both ends apply, the server before it passes one and the client before
+// it receives with recvmsg.
+func mayPass(req *Request) bool {
+	return req.Len >= descMin || req.Op == OpReadBatch && req.Handle&BatchFlagPrefetch == 0
+}
+
+// passEntry reports whether a batch entry of n bytes leaves as a
+// descriptor, when passed entries of req's reply have already done so: on
+// the local socket, from the floor, up to the cap.
+func passEntry(req *Request, n int64, passed int) bool {
+	return req.local && req.Op == OpReadBatch && mayPass(req) && n >= batchPassMin && passed < passCap
+}
 
 // Passed reports whether the response's payload came as a descriptor and
 // was read from the file by this process, not from the socket.
 func (r *Response) Passed() bool { return r.passed }
+
+// passFiles is a reply's passed batch entries: the files whose
+// descriptors ride its frame, in entry order, and the releasers the
+// server holds until the peer has read them. Pooled, as splices are.
+type passFiles struct {
+	files []*os.File
+	rels  []PayloadReleaser
+}
+
+var passFilesPool = sync.Pool{New: func() any { return new(passFiles) }}
+
+// PassBatchEntry marks the batch entry that ends r.Data — appended with
+// AppendBatchEntry(r.Data, StatusOK, nil) — as passed: its body becomes
+// the range, n bytes of f at off, and f's descriptor rides the reply. It
+// reports false and changes nothing when req's reply may not carry it
+// (passEntry): then the caller serves the entry's bytes. rel is released
+// once the peer has read the frame, or with r if it is never written; f
+// must stay open until then.
+func (r *Response) PassBatchEntry(req *Request, f *os.File, off, n int64, rel PayloadReleaser) bool {
+	if !passEntry(req, n, r.PassedEntries()) || len(r.Data) < BatchEntryOverhead {
+		return false
+	}
+	PutBatchEntryHead(r.Data[len(r.Data)-BatchEntryOverhead:], StatusPassed, passLen)
+	r.Data = binary.LittleEndian.AppendUint64(r.Data, uint64(off))
+	r.Data = binary.LittleEndian.AppendUint64(r.Data, uint64(n))
+	if r.pf == nil {
+		r.pf = passFilesPool.Get().(*passFiles)
+	}
+	r.pf.files = append(r.pf.files, f)
+	r.pf.rels = append(r.pf.rels, rel)
+	return true
+}
+
+// PassedEntries reports how many of the reply's batch entries leave as
+// descriptors.
+func (r *Response) PassedEntries() int {
+	if r.pf == nil {
+		return 0
+	}
+	return len(r.pf.files)
+}
+
+// holdPassed moves the passed entries' releasers onto held, for the
+// connection to release once the peer has read the frame.
+func (r *Response) holdPassed(held []PayloadReleaser) []PayloadReleaser {
+	if r.pf == nil {
+		return held
+	}
+	for i, rel := range r.pf.rels {
+		if rel != nil {
+			held = append(held, rel)
+		}
+		r.pf.rels[i] = nil
+	}
+	return held
+}
+
+// releasePassed runs the releasers the connection did not take and pools
+// the list.
+func (r *Response) releasePassed() {
+	pf := r.pf
+	r.pf = nil
+	for _, rel := range pf.rels {
+		if rel != nil {
+			rel.Release()
+		}
+	}
+	clear(pf.files)
+	clear(pf.rels)
+	pf.files, pf.rels = pf.files[:0], pf.rels[:0]
+	passFilesPool.Put(pf)
+}
+
+// writePassed writes a reply with passed batch entries — head, then Data
+// with its borrowed segments, then tail, the frame writeVectored would
+// write — as one message with every entry's descriptor attached to its
+// first byte. Only a connection that may carry them takes it: any other
+// writer fails the reply, as a frame promising descriptors it could not
+// carry would be corrupt.
+func writePassed(w io.Writer, head []byte, resp *Response, tail []byte) error {
+	fs, ok := w.(fileSender)
+	if !ok || !fs.canPass() {
+		return errNoDescriptor
+	}
+	v := respVecPool.Get().(*respVec)
+	v.arr = appendSections(v.arr[:0], head, resp.Data, resp.sp, tail)
+	err := fs.passFrame(v.arr, resp.pf.files)
+	clear(v.arr) // drop payload references before pooling
+	respVecPool.Put(v)
+	return err
+}

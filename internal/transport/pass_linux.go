@@ -3,24 +3,51 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"syscall"
 	"unsafe"
+
+	"hvac/internal/slab"
 )
 
-// cmsgFD is one SCM_RIGHTS control message carrying one descriptor, laid
-// out as CMSG_SPACE(4) bytes: the header, then the descriptor at
-// CMSG_DATA (TestCmsgFDLayout holds it to syscall.UnixRights). It is
-// built and parsed by hand because UnixRights and
-// ParseSocketControlMessage allocate.
-type cmsgFD struct {
+// cmsgFDs is one SCM_RIGHTS control message with room for passCap
+// descriptors, laid out as CMSG_SPACE(4·passCap) bytes: the header, then
+// the descriptors from CMSG_DATA on (TestCmsgFDLayout holds it to
+// syscall.UnixRights). One carrying n descriptors is its first
+// CMSG_SPACE(4n) bytes. It is built and parsed by hand because
+// UnixRights and ParseSocketControlMessage allocate.
+type cmsgFDs struct {
 	hdr syscall.Cmsghdr
-	fd  int32
+	fds [passCap]int32
 }
+
+// set fills the message with files' descriptors, at most passCap of
+// them, and returns its length on the wire: 0, no message, for none.
+func (cm *cmsgFDs) set(files []*os.File) int {
+	n := min(len(files), passCap)
+	if n == 0 {
+		return 0
+	}
+	cm.hdr.Level, cm.hdr.Type = syscall.SOL_SOCKET, syscall.SCM_RIGHTS
+	cm.hdr.SetLen(syscall.CmsgLen(4 * n))
+	for i, f := range files[:n] {
+		cm.fds[i] = int32(f.Fd())
+	}
+	return syscall.CmsgSpace(4 * n)
+}
+
+// setUint sets a kernel length field, whose width is the platform's.
+func setUint[T ~uint32 | ~uint64](p *T, n int) { *p = T(n) }
+
+// iovMax is the most sections one sendmsg takes (the kernel's UIO_MAXIOV);
+// a frame with more leaves in several.
+const iovMax = 1024
 
 // local reports whether conn is a unix socket with a raw descriptor: the
 // only kind of connection a descriptor is passed on. A server gets one
@@ -32,28 +59,35 @@ func local(conn net.Conn, rc syscall.RawConn) bool {
 // passTx is the server half: sendmsg state kept on the connection's
 // zcWriter, with its step bound once, so a pass allocates nothing.
 type passTx struct {
-	msg    syscall.Msghdr
-	iov    syscall.Iovec
-	cm     cmsgFD
-	frame  []byte // what is left to send
-	withFD bool   // the descriptor has not left yet
-	serr   error
-	step   func(fd uintptr) bool
+	msg   syscall.Msghdr
+	iov   []syscall.Iovec // the frame's sections, grown to the most a reply has had
+	next  int             // the first section not wholly sent
+	cm    cmsgFDs
+	cmLen int // the control message's length while the descriptors have not left; 0 after
+	serr  error
+	step  func(fd uintptr) bool
 }
 
-// passPayload sends frame with f's descriptor attached to its first byte,
-// through the netpoller as sendPayload does, so the write deadline holds.
-func (w *zcWriter) passPayload(frame []byte, f *os.File) error {
+// passFrame sends secs, one frame, with files' descriptors attached to its
+// first byte, through the netpoller as sendPayload does, so the write
+// deadline holds. A frame that fits the socket's send buffer leaves in one
+// sendmsg.
+func (w *zcWriter) passFrame(secs [][]byte, files []*os.File) error {
 	t := &w.tx
 	if t.step == nil {
 		t.step = w.sendmsgStep
 	}
-	t.cm.hdr.Level, t.cm.hdr.Type = syscall.SOL_SOCKET, syscall.SCM_RIGHTS
-	t.cm.hdr.SetLen(syscall.CmsgLen(4))
-	t.cm.fd = int32(f.Fd())
-	t.frame, t.withFD, t.serr = frame, true, nil
+	t.iov, t.next = t.iov[:0], 0
+	for _, s := range secs {
+		if len(s) > 0 {
+			v := syscall.Iovec{Base: &s[0]}
+			v.SetLen(len(s))
+			t.iov = append(t.iov, v)
+		}
+	}
+	t.cmLen, t.serr = t.cm.set(files), nil
 	err := w.rc.Write(t.step)
-	t.frame, t.iov.Base = nil, nil
+	clear(t.iov) // drop payload references
 	if err == nil {
 		err = t.serr
 	}
@@ -61,19 +95,17 @@ func (w *zcWriter) passPayload(frame []byte, f *os.File) error {
 }
 
 // sendmsgStep is the RawConn.Write callback: send until the frame is out
-// (the descriptor with the first bytes that leave), the socket would
+// (the descriptors with the first bytes that leave), the socket would
 // block (false: wait for writability), or a real error lands in serr.
 func (w *zcWriter) sendmsgStep(fd uintptr) bool {
 	t := &w.tx
-	for len(t.frame) > 0 {
-		t.iov.Base = &t.frame[0]
-		t.iov.SetLen(len(t.frame))
-		t.msg.Iov = &t.iov
-		t.msg.Iovlen = 1
+	for t.next < len(t.iov) {
+		t.msg.Iov = &t.iov[t.next]
+		setUint(&t.msg.Iovlen, min(len(t.iov)-t.next, iovMax))
 		t.msg.Control, t.msg.Controllen = nil, 0
-		if t.withFD {
+		if t.cmLen > 0 {
 			t.msg.Control = (*byte)(unsafe.Pointer(&t.cm))
-			t.msg.SetControllen(int(unsafe.Sizeof(t.cm)))
+			t.msg.SetControllen(t.cmLen)
 		}
 		n, _, e := syscall.Syscall(syscall.SYS_SENDMSG, fd, uintptr(unsafe.Pointer(&t.msg)), syscall.MSG_NOSIGNAL)
 		switch {
@@ -87,29 +119,48 @@ func (w *zcWriter) sendmsgStep(fd uintptr) bool {
 			t.serr = io.ErrShortWrite
 			return true
 		default:
-			t.frame, t.withFD = t.frame[n:], false
+			t.cmLen = 0
+			t.advance(int(n))
 		}
 	}
 	return true
 }
 
+// advance moves past n sent bytes: whole sections, then into the next.
+func (t *passTx) advance(n int) {
+	for n > 0 {
+		v := &t.iov[t.next]
+		if l := int(v.Len); n < l {
+			v.Base = (*byte)(unsafe.Add(unsafe.Pointer(v.Base), n))
+			v.SetLen(l - n)
+			return
+		}
+		n -= int(v.Len)
+		t.next++
+	}
+}
+
 // passRx is the client half: the reader under a local connection's
 // bufio.Reader. Unarmed it is the connection's own Read, read(2); armed,
 // for an exchange whose request mayPass, it receives with recvmsg(2) and
-// keeps the descriptor that arrives with the data until the decoder
-// claims it (readPassed). read(2) would drop the descriptor, and recvmsg
-// is not counted in /proc/self/io, so only such an exchange is armed.
+// queues the descriptors that arrive with the data until the decoder
+// claims them, in order (readPassed, land). read(2) would drop the
+// descriptors, and recvmsg is not counted in /proc/self/io, so only such
+// an exchange is armed.
 type passRx struct {
 	conn  net.Conn
 	rc    syscall.RawConn
 	armed bool
-	fd    int // a received descriptor no frame has claimed; -1 when none
+	fds   []int // received descriptors, claimed from head on
+	head  int
 
 	// recvmsg state, kept here with step bound once so that a receive
-	// allocates nothing.
+	// allocates nothing. ctrl is the control space offered: all of cm,
+	// except where a test offers less.
 	msg  syscall.Msghdr
 	iov  syscall.Iovec
-	cm   cmsgFD
+	cm   cmsgFDs
+	ctrl int
 	n    int
 	rerr error
 	step func(fd uintptr) bool
@@ -126,7 +177,7 @@ func newPassRx(conn net.Conn) *passRx {
 	if err != nil || !local(conn, rc) {
 		return nil
 	}
-	r := &passRx{conn: conn, rc: rc, fd: -1}
+	r := &passRx{conn: conn, rc: rc, fds: make([]int, 0, passCap), ctrl: int(unsafe.Sizeof(cmsgFDs{}))}
 	r.step = r.recvmsgStep
 	return r
 }
@@ -139,18 +190,23 @@ func (r *passRx) arm(req *Request) {
 	}
 }
 
-// disarm ends an exchange: back to read(2), and a descriptor no frame
+// disarm ends an exchange: back to read(2), and the descriptors no frame
 // claimed — the exchange failed before its frame was decoded, or a peer
-// sent one unasked — is closed.
+// sent them unasked — are closed.
 func (r *passRx) disarm() {
 	if r == nil {
 		return
 	}
 	r.armed = false
-	if r.fd >= 0 {
-		_ = syscall.Close(r.fd) // never read: nothing to report
-		r.fd = -1
+	r.closeQueued()
+}
+
+// closeQueued closes every received descriptor not yet claimed.
+func (r *passRx) closeQueued() {
+	for _, fd := range r.fds[r.head:] {
+		_ = syscall.Close(fd) // never read: nothing to report
 	}
+	r.fds, r.head = r.fds[:0], 0
 }
 
 // Read is read(2) unarmed and recvmsg(2) armed, under the connection's
@@ -182,7 +238,7 @@ func (r *passRx) recvmsgStep(fd uintptr) bool {
 		r.msg.Iov = &r.iov
 		r.msg.Iovlen = 1
 		r.msg.Control = (*byte)(unsafe.Pointer(&r.cm))
-		r.msg.SetControllen(int(unsafe.Sizeof(r.cm)))
+		r.msg.SetControllen(r.ctrl)
 		r.msg.Flags = 0
 		n, _, e := syscall.Syscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&r.msg)), syscall.MSG_CMSG_CLOEXEC)
 		switch e {
@@ -201,33 +257,57 @@ func (r *passRx) recvmsgStep(fd uintptr) bool {
 	}
 }
 
-var errSecondDescriptor = errors.New("transport: corrupt response: a second descriptor in one exchange")
+var (
+	errSecondDescriptor = errors.New("transport: corrupt response: a second descriptor message in one exchange")
+	errCtrunc           = errors.New("transport: corrupt response: descriptors lost to a truncated control message")
+)
 
-// keep takes the descriptor a recvmsg delivered, if any. The server sends
-// at most one per exchange, so a second before the first was claimed is a
-// corrupt stream.
+// keep queues the descriptors a recvmsg delivered, if any. The server
+// sends one control message per exchange, so a second before the first's
+// were claimed is a corrupt stream, and so is one the kernel truncated
+// (MSG_CTRUNC: the receiver ran out of descriptors, or of control space),
+// whose lost descriptors no entry could be landed from.
 func (r *passRx) keep() {
-	if int(r.msg.Controllen) < syscall.CmsgLen(4) || r.cm.hdr.Level != syscall.SOL_SOCKET || r.cm.hdr.Type != syscall.SCM_RIGHTS {
-		return
+	var got []int32
+	if int(r.msg.Controllen) >= syscall.CmsgLen(4) && r.cm.hdr.Level == syscall.SOL_SOCKET && r.cm.hdr.Type == syscall.SCM_RIGHTS {
+		n := (int(r.cm.hdr.Len) - syscall.CmsgLen(0)) / 4
+		got = r.cm.fds[:min(max(n, 0), passCap)]
 	}
-	fd := int(r.cm.fd)
-	if r.fd >= 0 {
-		_ = syscall.Close(fd) // unasked for: the stream is broken either way
+	switch {
+	case r.msg.Flags&syscall.MSG_CTRUNC != 0:
+		r.rerr = errCtrunc
+	case len(got) > 0 && len(r.fds) > r.head:
 		r.rerr = errSecondDescriptor
+	default:
+		for _, fd := range got {
+			r.fds = append(r.fds, int(fd))
+		}
 		return
 	}
-	r.fd = fd
+	for _, fd := range got {
+		_ = syscall.Close(int(fd)) // the stream is broken either way
+	}
+	r.closeQueued()
 }
 
-// readPassed claims the received descriptor and preads len(p) bytes of it
-// at off into p, then closes it. A missing descriptor or a short file is a
-// corrupt frame.
-func (r *passRx) readPassed(p []byte, off int64) error {
-	if r == nil || r.fd < 0 {
-		return errNoDescriptor
+// take claims the next received descriptor, or reports that none is left.
+func (r *passRx) take() (int, error) {
+	if r == nil || r.head == len(r.fds) {
+		return -1, errNoDescriptor
 	}
-	fd := r.fd
-	r.fd = -1
+	fd := r.fds[r.head]
+	r.head++
+	return fd, nil
+}
+
+// readPassed claims the next received descriptor and preads len(p) bytes
+// of it at off into p, then closes it. A missing descriptor or a short
+// file is a corrupt frame.
+func (r *passRx) readPassed(p []byte, off int64) error {
+	fd, err := r.take()
+	if err != nil {
+		return err
+	}
 	defer func() { _ = syscall.Close(fd) }() // read-only use: a close error changes nothing read
 	for len(p) > 0 {
 		n, err := syscall.Pread(fd, p, off)
@@ -242,4 +322,22 @@ func (r *passRx) readPassed(p []byte, off int64) error {
 		p, off = p[n:], off+int64(n)
 	}
 	return nil
+}
+
+// land reads a passed batch entry, whose body is its range, from the next
+// received descriptor into a buffer from internal/slab.
+func (r *passRx) land(body []byte) ([]byte, error) {
+	if len(body) != passLen {
+		return nil, fmt.Errorf("transport: corrupt response: passed entry of %d bytes", len(body))
+	}
+	off := binary.LittleEndian.Uint64(body)
+	n := binary.LittleEndian.Uint64(body[8:])
+	if off > math.MaxInt64-MaxFrame || n > MaxFrame {
+		return nil, fmt.Errorf("transport: corrupt response: passed range %d+%d out of bounds", off, n)
+	}
+	b := slab.Get(int(n))
+	if err := r.readPassed(b, int64(off)); err != nil {
+		return nil, err
+	}
+	return b, nil
 }

@@ -15,7 +15,7 @@ func local(net.Conn, syscall.RawConn) bool { return false }
 
 type passTx struct{}
 
-func (w *zcWriter) passPayload([]byte, *os.File) error { return errNoDescriptor }
+func (w *zcWriter) passFrame([][]byte, []*os.File) error { return errNoDescriptor }
 
 type passRx struct{}
 
@@ -28,3 +28,5 @@ func (r *passRx) disarm() {}
 func (r *passRx) Read([]byte) (int, error) { return 0, errNoDescriptor }
 
 func (r *passRx) readPassed([]byte, int64) error { return errNoDescriptor }
+
+func (r *passRx) land([]byte) ([]byte, error) { return nil, errNoDescriptor }

@@ -3,6 +3,7 @@ package transport
 import (
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -74,20 +75,21 @@ func putFrameBuf(p *[]byte) {
 // the net.Buffers slice is always rebuilt over the struct's own backing,
 // because Buffers.WriteTo consumes the slice header (advancing it past
 // the backing) — pooling the bare header would re-allocate it on every
-// reuse. The backing grows to the most sections a reply has had.
+// reuse. The backing grows to the most sections a reply has had. files
+// is a one-file reply's descriptor list for passFrame (pass.go).
 type respVec struct {
-	bufs net.Buffers
-	arr  [][]byte
+	bufs  net.Buffers
+	arr   [][]byte
+	files []*os.File
 }
 
 var respVecPool = sync.Pool{New: func() any { return new(respVec) }}
 
-// writeVectored writes head, then data with sp's borrowed segments
-// spliced in at their offsets (sp nil: data alone), then tail, as one
-// vectored write — a single writev on a TCP connection.
-func writeVectored(w io.Writer, head, data []byte, sp *splices, tail []byte) error {
-	v := respVecPool.Get().(*respVec)
-	b := append(v.arr[:0], head)
+// appendSections appends a reply's sections to b: head, then data with
+// sp's borrowed segments spliced in at their offsets (sp nil: data
+// alone), then tail.
+func appendSections(b [][]byte, head, data []byte, sp *splices, tail []byte) [][]byte {
+	b = append(b, head)
 	prev := 0
 	if sp != nil {
 		for _, s := range sp.list {
@@ -95,7 +97,14 @@ func writeVectored(w io.Writer, head, data []byte, sp *splices, tail []byte) err
 			prev = s.at
 		}
 	}
-	b = append(b, data[prev:], tail)
+	return append(b, data[prev:], tail)
+}
+
+// writeVectored writes appendSections' sections as one vectored write —
+// a single writev on a TCP connection.
+func writeVectored(w io.Writer, head, data []byte, sp *splices, tail []byte) error {
+	v := respVecPool.Get().(*respVec)
+	b := appendSections(v.arr[:0], head, data, sp, tail)
 	v.arr, v.bufs = b, b
 	_, err := v.bufs.WriteTo(w)
 	clear(b) // drop payload references before pooling

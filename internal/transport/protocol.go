@@ -17,7 +17,10 @@
 // preads that range into its destination and closes the descriptor
 // before Call returns, so the payload never crosses the socket (pass.go).
 // A frame with the bit and no descriptor is corrupt; a decoder that knows
-// nothing of the bit rejects the frame as a data length overrun.
+// nothing of the bit rejects the frame as a data length overrun. A batch
+// reply's warm entries leave the same way there, each a StatusPassed
+// entry naming its range, every descriptor in the frame's one control
+// message (batch.go).
 //
 // The codec is allocation-free on the warm path: frames are encoded into
 // pooled buffers (pool.go), a response's payload is written with a
@@ -78,13 +81,16 @@ const (
 	_ // 9: OpPlan, retired with the epoch planner
 )
 
-// Status codes. StatusAgain is only meaningful per batch entry: the
-// server ran out of response frame budget and the client should retry
-// that path individually.
+// Status codes. StatusAgain and StatusPassed are only meaningful per
+// batch entry: with StatusAgain the server ran out of response frame
+// budget and the client should retry that path individually; a
+// StatusPassed entry's bytes stay in the file whose descriptor rode the
+// frame (pass.go), and the client lands them before Call returns.
 const (
 	StatusOK uint8 = iota
 	StatusError
 	StatusAgain
+	StatusPassed
 )
 
 // MaxFrame bounds a frame to 64 MiB, comfortably above the 16 MiB reads
@@ -126,6 +132,10 @@ type Request struct {
 	// request is sent, and a link that dies first loses it (see the
 	// package doc). A deferred request may not set Dst.
 	Defer bool
+
+	// local is server-side only and never encoded: the request came over
+	// the local socket, so its reply may carry descriptors (pass.go).
+	local bool
 }
 
 // errDeferDst refuses a deferred request that names a destination: its
@@ -165,7 +175,12 @@ type Response struct {
 	srcRel   PayloadReleaser
 	srcStats *ZeroCopyStats
 
-	sp *splices // borrowed payload segments (splice.go); nil when none
+	sp *splices   // borrowed payload segments (splice.go); nil when none
+	pf *passFiles // passed batch entries' files (pass.go); nil when none
+
+	// batch is a batch reply's entries, decoded by the client's exchange
+	// with its passed entries landed (BatchResults); nil otherwise.
+	batch []BatchResult
 }
 
 // OK reports whether the response carries no error.
@@ -210,13 +225,16 @@ func (r *Response) Release() {
 	if r.sp != nil {
 		r.releaseSplices()
 	}
+	if r.pf != nil {
+		r.releasePassed()
+	}
 	if r.fromPool {
 		*r = Response{released: true}
 		outstanding.Add(-1)
 		respPool.Put(r)
 		return
 	}
-	r.Data = nil
+	r.Data, r.batch = nil, nil
 }
 
 // WriteRequest encodes req onto w using a pooled scratch frame.
@@ -328,10 +346,14 @@ func writeResponse(w io.Writer, resp *Response, pre []byte) error {
 	ht = appendRespTail(ht, resp.Err)
 
 	var err error
-	if dataLen == 0 {
+	switch {
+	case resp.pf != nil:
+		// Passed batch entries: the same frame, with their descriptors.
+		err = writePassed(w, ht[:split], resp, ht[split:])
+	case dataLen == 0:
 		// Header and tail are contiguous in the scratch: one plain write.
 		_, err = w.Write(ht)
-	} else {
+	default:
 		err = writeVectored(w, ht[:split], resp.Data, resp.sp, ht[split:])
 	}
 	putFrameBuf(p)

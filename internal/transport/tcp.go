@@ -150,15 +150,24 @@ func (s *Server) serveConn(conn net.Conn) {
 	// two; a batch request longer than the buffer is read straight into
 	// its frame. Responses are not buffered, beyond the held replies below.
 	br := bufio.NewReaderSize(conn, reqReadBuf)
-	// File-payload responses go through a lazily built per-conn zcWriter
-	// (sendfile on Linux). Slice-payload responses must keep writing to
-	// the raw conn: net.Buffers' writev fast path type-asserts the conn
-	// itself, and any wrapper would demote it to three separate writes.
+	// File-payload responses, and replies with passed batch entries, go
+	// through a per-conn zcWriter (sendfile and sendmsg on Linux), built
+	// up front on the local socket, whose requests it marks as able to
+	// carry descriptors (pass.go), and lazily otherwise. Slice-payload
+	// responses must keep writing to the raw conn: net.Buffers' writev
+	// fast path type-asserts the conn itself, and any wrapper would demote
+	// it to three separate writes.
 	var zw *zcWriter
-	// held is the releaser of the last payload sendfile queued on this
-	// connection: its pages are the socket's until the peer has read them,
-	// which it has once it sends its next request (PayloadReleaser).
-	var held PayloadReleaser
+	if conn.LocalAddr().Network() == "unix" {
+		zw = newZCWriter(conn)
+		req.local = zw.local
+	}
+	// held is the releasers of the last reply's payloads that sendfile
+	// queued or whose descriptors it passed on this connection: their
+	// pages are the socket's, or the peer's to read, until the peer has
+	// read the frame, which it has once it sends its next request
+	// (PayloadReleaser).
+	var held []PayloadReleaser
 	// pend holds encoded replies without a payload, kept back while the
 	// peer's next request was already whole in br: they leave in the same
 	// write as the next reply, so a client's deferred close and the
@@ -168,10 +177,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	var pend []byte
 	for {
 		err := ReadRequestInto(br, &req)
-		if held != nil {
-			held.Release()
-			held = nil
+		for i, h := range held {
+			h.Release()
+			held[i] = nil
 		}
+		held = held[:0]
 		if err != nil {
 			return // EOF or broken peer
 		}
@@ -191,15 +201,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		dst := io.Writer(conn)
-		if resp.FilePayload() {
+		if resp.FilePayload() || resp.PassedEntries() > 0 {
 			if zw == nil {
 				zw = newZCWriter(conn)
 			}
 			dst = zw
 			zw.asked = mayPass(&req)
-			if zw.canSendfile() {
-				held, resp.srcRel = resp.srcRel, nil
+			if resp.srcRel != nil && zw.canSendfile() {
+				held, resp.srcRel = append(held, resp.srcRel), nil
 			}
+			held = resp.holdPassed(held)
 		}
 		err = writeResponse(dst, resp, pend)
 		pend = pend[:0]
@@ -208,8 +219,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		// with their return.
 		resp.Release()
 		if err != nil {
-			if held != nil {
-				held.Release() // the frame is incomplete: nobody will read its pages
+			for _, h := range held {
+				h.Release() // the frame is incomplete: nobody will read its pages
 			}
 			return
 		}
@@ -560,9 +571,11 @@ func (c *Client) callOnce(req *Request, carry *deferred) (*Response, error) {
 
 // exchange writes pc's deferred requests and req in one write, reads and
 // discards the deferred replies, then reads req's. On a local socket an
-// exchange whose reply may be a descriptor frame receives with recvmsg,
-// and whatever descriptor it received is claimed or closed before it
-// returns.
+// exchange whose reply may carry descriptors receives with recvmsg, a
+// batch reply's entries are decoded here with its passed entries landed
+// (Response.BatchResults), and whatever descriptor it received is claimed
+// or closed before it returns: the server holds the leases behind them
+// only until this connection's next request.
 func (c *Client) exchange(pc *pconn, req *Request) (*Response, error) {
 	if c.callTimeout > 0 {
 		if err := pc.conn.SetDeadline(time.Now().Add(c.callTimeout)); err != nil {
@@ -578,7 +591,15 @@ func (c *Client) exchange(pc *pconn, req *Request) (*Response, error) {
 		return nil, err
 	}
 	pc.q.frames, pc.q.n = pc.q.frames[:0], 0
-	return readResponse(pc.br, req.Dst, pc.rx)
+	resp, err := readResponse(pc.br, req.Dst, pc.rx)
+	if err != nil || pc.rx == nil || req.Op != OpReadBatch || !mayPass(req) || !resp.OK() {
+		return resp, err
+	}
+	if resp.batch, err = decodeBatch(resp.Data, int(resp.Size), pc.rx); err != nil {
+		resp.Release()
+		return nil, err
+	}
+	return resp, nil
 }
 
 // Ping round-trips an OpPing, reporting reachability.

@@ -20,8 +20,9 @@ import (
 // raw descriptor, non-Linux build, SimTransport, a short sendfile) falls
 // back to userspace copies of exactly the bytes the frame promised. On
 // the local socket a payload of descMin bytes or more to a request that
-// asked for as many leaves as a descriptor frame instead (pass.go): the
-// bytes stay in the file, and the client reads them from it.
+// asked for as many leaves as a descriptor frame instead, as do a batch
+// reply's passed entries (pass.go): the bytes stay in the file, and the
+// client reads them from it.
 
 // PayloadReleaser is the release half of an fd-backed payload, and the
 // transport calls Release exactly once. sendfile(2) queues the file's own
@@ -96,28 +97,29 @@ func (r *Response) releaseSrc() {
 // fileSender is a writer that may be able to move an fd range to its
 // destination without a userspace copy. canSendfile answers per
 // connection (TCP or the local socket, on Linux); sendPayload reports how
-// many bytes the kernel moved before any error. passes answers per
-// payload whether it leaves as a descriptor frame instead, which
-// passPayload sends with the file's descriptor attached.
+// many bytes the kernel moved before any error. canPass answers per reply
+// whether it may carry descriptors instead, which passFrame sends
+// attached to the frame's first byte (pass.go).
 type fileSender interface {
 	canSendfile() bool
 	sendPayload(f *os.File, off, n int64) (int64, error)
-	passes(n int64) bool
-	passPayload(frame []byte, f *os.File) error
+	canPass() bool
+	passFrame(secs [][]byte, files []*os.File) error
 }
 
-// zcWriter wraps a server connection for file-payload responses only:
-// plain writes delegate to the conn, and the payload goes through
-// sendfile when the platform supports it. Normal (slice-payload)
-// responses must keep writing to the raw conn — net.Buffers' writev
-// fast path type-asserts the conn itself.
+// zcWriter wraps a server connection for file-payload responses and
+// replies with passed batch entries only: plain writes delegate to the
+// conn, the payload goes through sendfile when the platform supports it,
+// and descriptors through sendmsg. Normal (slice-payload) responses must
+// keep writing to the raw conn — net.Buffers' writev fast path
+// type-asserts the conn itself.
 type zcWriter struct {
 	conn net.Conn
 	rc   syscall.RawConn // nil when the conn exposes no raw descriptor
 
 	// local is set for the local socket, the one a descriptor may be
 	// passed on; asked is set by serveConn per reply, when the request
-	// mayPass.
+	// mayPass. tx is the sendmsg state for both kinds of descriptor reply.
 	local, asked bool
 	tx           passTx
 
@@ -142,10 +144,9 @@ func newZCWriter(conn net.Conn) *zcWriter {
 	return w
 }
 
-// passes reports whether a file payload of n bytes leaves as a descriptor
-// frame: on the local socket, for a payload and a request of descMin
-// bytes or more.
-func (w *zcWriter) passes(n int64) bool { return w.local && w.asked && n >= descMin }
+// canPass reports whether this reply may carry descriptors: on the local
+// socket, to a request that mayPass.
+func (w *zcWriter) canPass() bool { return w.local && w.asked }
 
 // Write blocks no longer than the per-response write deadline serveConn
 // sets on the conn before routing a response here; a negative WriteTimeout
@@ -175,7 +176,7 @@ func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 	st.Eligible.Add(1)
 
 	fs, ok := w.(fileSender)
-	if ok && fs.passes(resp.srcLen) {
+	if ok && fs.canPass() && resp.srcLen >= descMin {
 		// The descriptor plane (pass.go): one frame naming the range, the
 		// file's descriptor attached, and no payload on the socket. It is
 		// counted a send before it leaves, as a sendfile send is before
@@ -187,7 +188,14 @@ func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 		ht = binary.LittleEndian.AppendUint64(ht, uint64(resp.srcLen))
 		st.Sends.Add(1)
 		st.Passed.Add(1)
-		if err := fs.passPayload(appendRespTail(ht, resp.Err), resp.srcFile); err != nil {
+		v := respVecPool.Get().(*respVec)
+		v.arr = append(v.arr[:0], appendRespTail(ht, resp.Err))
+		v.files = append(v.files[:0], resp.srcFile)
+		err := fs.passFrame(v.arr, v.files)
+		clear(v.arr)
+		clear(v.files)
+		respVecPool.Put(v)
+		if err != nil {
 			st.Passed.Add(-1)
 			st.Sends.Add(-1)
 			st.Fallbacks.Add(1)
