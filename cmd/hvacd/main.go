@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -56,7 +55,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 0, "seed for random eviction")
 		stats    = fs.Duration("stats", 0, "print stats every interval (0 = off)")
 		writeTO  = fs.Duration("write-timeout", 0, "per-response write deadline so dead clients cannot pin connections (0 = transport default, negative = disabled)")
-		zeroCopy = fs.Bool("zero-copy", runtime.GOOS == "linux", "serve warm cache reads with sendfile from the cache fd (Linux), and files under 64 KiB from their mappings; off (or unsupported) falls back to pooled userspace copies")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -93,7 +91,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		Policy:        policy,
 		Movers:        *movers,
 		WriteTimeout:  *writeTO,
-		ZeroCopy:      *zeroCopy,
 		Replicas:      *replicas,
 	})
 	if err != nil {

@@ -23,16 +23,15 @@ import (
 // spent has no slot, and a lease on it opens, uses and closes a
 // descriptor of its own.
 //
-// A slot may also hold the file mapped read-only (entry.m): a store told
-// to (Store.MapSmallFiles) maps each small file it commits, and a lease hands
-// the mapping out for the transport to writev from (DESIGN.md §6.2). The
-// mapping lives and dies with the descriptor: the last reference off a
-// dead slot unmaps, then closes, and a victim handed to a fill is
-// unmapped before the fill writes to it. mapBudget caps the live
-// mappings at half of vm.max_map_count, process-wide like fdBudget: the
-// Go runtime maps its own memory under the same limit, and a mapping it
-// cannot get crashes the process. A file committed past the budget is
-// simply not mapped.
+// A slot may also hold the file mapped read-only (entry.m): the store
+// maps each file below MapLimit it commits, and a lease hands the mapping
+// out for the transport to writev from (DESIGN.md §6.2). The mapping lives
+// and dies with the descriptor: the last reference off a dead slot unmaps,
+// then closes, and a victim handed to a fill is unmapped before the fill
+// writes to it. mapBudget caps the live mappings at half of
+// vm.max_map_count, process-wide like fdBudget: the Go runtime maps its
+// own memory under the same limit, and a mapping it cannot get crashes the
+// process. A file committed past the budget is simply not mapped.
 var fdBudget, mapBudget struct {
 	limit atomic.Int64 // set once at start-up; tests lower it
 	held  atomic.Int64
@@ -46,6 +45,11 @@ func init() {
 // DescriptorBudget reports how many cache-file descriptors this process's
 // stores may keep open between them.
 func DescriptorBudget() int64 { return fdBudget.limit.Load() }
+
+// SetMapBudget caps the live mappings of this process's stores at n and
+// returns the cap it replaced. A file committed past the cap is not
+// mapped; tests spend the budget to reach the serve that reads it.
+func SetMapBudget(n int64) (old int64) { return mapBudget.limit.Swap(n) }
 
 // adopt gives e the open cache file f, and its mapping m (nil for
 // none), if the budget has room, holding one reference for the caller.

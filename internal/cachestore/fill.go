@@ -351,13 +351,13 @@ func (f *Fill) Commit() error {
 // are one critical section, so a second fill of the key that lost the race
 // finds the winner and finish unlinks the loser's file. The reservation
 // goes back in the same section, so the insert finds its room free and
-// evicts nothing. A file below MapLimit, in a store that maps, is mapped
-// before the section, and unmapped after it when the entry did not take
-// it: no system call runs under Store.mu.
+// evicts nothing. A file below MapLimit is mapped before the section, and
+// unmapped after it when the entry did not take it: no system call runs
+// under Store.mu.
 func (f *Fill) insert() error {
 	s := f.s
 	var m []byte
-	if s.mapSmall && 0 < f.size && f.size < MapLimit {
+	if 0 < f.size && f.size < MapLimit {
 		m = mapEntry(f.file, f.size)
 	}
 	s.mu.Lock()

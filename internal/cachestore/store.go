@@ -30,14 +30,13 @@ type Store struct {
 	ownOpens atomic.Int64
 	// files numbers the files the store creates (newFile).
 	files atomic.Int64
-	// mapSmall maps each committed file below MapLimit (MapSmallFiles).
-	mapSmall bool
 }
 
-// MapLimit is the size below which a store that maps (MapSmallFiles) maps
-// the files it commits: the sendfile knee, under which a server's reply
-// takes a cached file's bytes from its mapping, and from which sendfile
-// takes them from its descriptor (DESIGN.md §4.3).
+// MapLimit is the size below which the store maps the files it commits,
+// read-only for their leases (Lease.Mapped), while the mapping budget has
+// room: the sendfile knee, under which a server's reply takes a cached
+// file's bytes from its mapping, and from which sendfile takes them from
+// its descriptor (DESIGN.md §4.3).
 const MapLimit = 64 << 10
 
 // NewStore creates (if needed) dir and returns a store with the given
@@ -54,12 +53,6 @@ func NewStore(dir string, capacity int64, policy Policy) (*Store, error) {
 	}
 	return &Store{dir: own, ix: NewIndex(capacity, policy)}, nil
 }
-
-// MapSmallFiles has each later commit of a file shorter than MapLimit
-// map it read-only for its leases (Lease.Mapped), while the mapping
-// budget has room; off, the default, maps nothing. Call it before the
-// first fill.
-func (s *Store) MapSmallFiles(on bool) { s.mapSmall = on }
 
 // Dir returns the store's own directory, the one its files live in.
 func (s *Store) Dir() string { return s.dir }

@@ -12,16 +12,15 @@ import (
 	"testing"
 )
 
-// newTestStore makes a store that maps the files it commits below
-// MapLimit, as a server with ZeroCopy does: the tests' small objects are
-// mapped, their larger ones not.
+// newTestStore makes a store in a fresh directory. It maps the files it
+// commits below MapLimit: the tests' small objects are mapped, their
+// larger ones not.
 func newTestStore(t *testing.T, capacity int64, p Policy) *Store {
 	t.Helper()
 	s, err := NewStore(filepath.Join(t.TempDir(), "cache"), capacity, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.MapSmallFiles(true)
 	// Close the entries' descriptors with the test, so the process-wide
 	// budget reads the same at every test's start; and every mapping must
 	// be gone once nothing holds the store's entries any more.

@@ -40,14 +40,14 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 
 // warmBatchCost reports what one warm handleReadBatch over files files of
 // size bytes, and the encoding of its reply, cost in heap allocations and
-// allocated bytes. With zeroCopy the server splices a file below
-// zeroCopyMin into the reply from its mapping; without it every body is
-// read into the pooled frame.
-func warmBatchCost(t *testing.T, zeroCopy bool, files, size int) (allocs, bytesPerRun float64) {
+// allocated bytes. The server splices each file, below zeroCopyMin, into
+// the reply from its mapping if it has one (mapped), else preads it into
+// the pooled frame.
+func warmBatchCost(t *testing.T, mapped bool, files, size int) (allocs, bytesPerRun float64) {
 	t.Helper()
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, files, size)
-	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = zeroCopy }, nil)
+	servers, _ := startCluster(t, pfsDir, 1, nil, nil)
 	srv := servers[0]
 	req := batchRequest(t, paths)
 	var wire byteCounter
@@ -70,8 +70,8 @@ func warmBatchCost(t *testing.T, zeroCopy bool, files, size int) (allocs, bytesP
 	if st.Hits != 8*int64(files) {
 		t.Fatalf("priming batches were not all hits: %+v", st)
 	}
-	if mapped := st.MappedSends - cold.MappedSends; zeroCopy && mapped != st.Hits || !zeroCopy && mapped != 0 {
-		t.Fatalf("zerocopy=%v: %d of %d hits left from mappings", zeroCopy, mapped, st.Hits)
+	if n := st.MappedSends - cold.MappedSends; mapped && n != st.Hits || !mapped && n != 0 {
+		t.Fatalf("mapped=%v: %d of %d hits left from mappings", mapped, n, st.Hits)
 	}
 	allocs = testing.AllocsPerRun(100, serve)
 
@@ -87,37 +87,35 @@ func warmBatchCost(t *testing.T, zeroCopy bool, files, size int) (allocs, bytesP
 }
 
 // TestHandleReadBatchWarmAllocBudget pins the warm batch plane's
-// allocation cost, on both payload planes: a 16 x 32 KiB batch is
-// assembled in one pooled frame (and, with ZeroCopy, a pooled list of
-// mapped segments), so what it allocates is per-batch bookkeeping — the
-// decoded path list and the pass-1 plan — never payload, and nothing per
-// entry. The count must not move when the payload grows eightfold, must
+// allocation cost on both payload planes of a hit: a 16 x 32 KiB batch is
+// assembled in one pooled frame (and, with its files mapped, a pooled
+// list of mapped segments), so what it allocates is per-batch
+// bookkeeping — the decoded path list and the pass-1 plan — never
+// payload, and nothing per entry. The count must not move when the payload grows eightfold, must
 // not grow with the entry count, and a whole 512 KiB batch must allocate
 // less than one of its 32 KiB payloads.
 func TestHandleReadBatchWarmAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race (sync.Pool drops Puts)")
 	}
-	for _, zeroCopy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("zerocopy=%v", zeroCopy), func(t *testing.T) {
-			const files, size = 16, 32 << 10
-			allocs, perRun := warmBatchCost(t, zeroCopy, files, size)
-			smallAllocs, _ := warmBatchCost(t, zeroCopy, files, size/8)
-			t.Logf("warm %d x %d B batch: %.1f allocs, %.0f B allocated per batch (%.1f allocs at %d B)",
-				files, size, allocs, perRun, smallAllocs, size/8)
-			if allocs > smallAllocs+1 {
-				t.Errorf("allocations scale with payload bytes: %.1f/batch at %d B files, %.1f at %d B", allocs, size, smallAllocs, size/8)
-			}
-			// Two per batch today; a per-entry allocation would add 16.
-			const budget = 4
-			if allocs > budget {
-				t.Errorf("warm handleReadBatch allocates %.1f/batch, want <= %d whatever the entry count", allocs, budget)
-			}
-			if perRun >= size {
-				t.Errorf("warm handleReadBatch allocates %.0f B per batch: a payload-sized allocation is back", perRun)
-			}
-		})
-	}
+	forEachMapping(t, func(t *testing.T, mapped bool) {
+		const files, size = 16, 32 << 10
+		allocs, perRun := warmBatchCost(t, mapped, files, size)
+		smallAllocs, _ := warmBatchCost(t, mapped, files, size/8)
+		t.Logf("warm %d x %d B batch: %.1f allocs, %.0f B allocated per batch (%.1f allocs at %d B)",
+			files, size, allocs, perRun, smallAllocs, size/8)
+		if allocs > smallAllocs+1 {
+			t.Errorf("allocations scale with payload bytes: %.1f/batch at %d B files, %.1f at %d B", allocs, size, smallAllocs, size/8)
+		}
+		// Two per batch today; a per-entry allocation would add 16.
+		const budget = 4
+		if allocs > budget {
+			t.Errorf("warm handleReadBatch allocates %.1f/batch, want <= %d whatever the entry count", allocs, budget)
+		}
+		if perRun >= size {
+			t.Errorf("warm handleReadBatch allocates %.0f B per batch: a payload-sized allocation is back", perRun)
+		}
+	})
 }
 
 // TestHandleReadBatchMixedFrameGolden serves one batch holding every kind
@@ -126,9 +124,10 @@ func TestHandleReadBatchWarmAllocBudget(t *testing.T) {
 // outside the dataset dir (StatusError) — and requires the data section
 // the connection writes to equal, byte for byte, the one AppendBatchEntry
 // builds from the PFS copies: what a client built before the two-pass
-// server decodes. It runs on both payload planes: bodies read into the
-// pooled frame, and with ZeroCopy warm bodies spliced in from their
-// mappings.
+// server decodes. Both payload planes of a batch are in the frame: the
+// misses' bodies read into the pooled frame, the hits' spliced in from
+// their mappings — or, with the mapping budget spent, read in like the
+// misses'.
 func TestHandleReadBatchMixedFrameGolden(t *testing.T) {
 	root := t.TempDir()
 	pfsDir := filepath.Join(root, "dataset")
@@ -149,137 +148,136 @@ func TestHandleReadBatchMixedFrameGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, zeroCopy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("zerocopy=%v", zeroCopy), func(t *testing.T) {
-			var opens *sync.Map
-			servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
-				c.ZeroCopy = zeroCopy
-				opens = countingOpens(c)
-			}, nil)
-			srv := servers[0]
-			warm, cold := paths[:3], paths[3:]
-			srv.handle(batchRequest(t, warm)).Release()
-			srv.WaitIdle()
-			before := srv.Stats()
+	forEachMapping(t, func(t *testing.T, mapped bool) {
+		var opens *sync.Map
+		servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { opens = countingOpens(c) }, nil)
+		srv := servers[0]
+		warm, cold := paths[:3], paths[3:]
+		srv.handle(batchRequest(t, warm)).Release()
+		srv.WaitIdle()
+		before := srv.Stats()
 
-			batch := []string{warm[0], cold[0], stray, warm[1], big, cold[1], warm[2], cold[2]}
-			var golden []byte
-			for _, p := range batch {
-				switch p {
-				case stray:
-					msg := fmt.Sprintf("hvac server: %s outside served dataset dir %s", stray, pfsDir)
-					golden = transport.AppendBatchEntry(golden, transport.StatusError, []byte(msg))
-				case big:
-					golden = transport.AppendBatchEntry(golden, transport.StatusAgain, nil)
-				default:
-					content, err := os.ReadFile(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					golden = transport.AppendBatchEntry(golden, transport.StatusOK, content)
+		batch := []string{warm[0], cold[0], stray, warm[1], big, cold[1], warm[2], cold[2]}
+		var golden []byte
+		for _, p := range batch {
+			switch p {
+			case stray:
+				msg := fmt.Sprintf("hvac server: %s outside served dataset dir %s", stray, pfsDir)
+				golden = transport.AppendBatchEntry(golden, transport.StatusError, []byte(msg))
+			case big:
+				golden = transport.AppendBatchEntry(golden, transport.StatusAgain, nil)
+			default:
+				content, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
 				}
+				golden = transport.AppendBatchEntry(golden, transport.StatusOK, content)
 			}
+		}
 
-			served := srv.handle(batchRequest(t, batch))
-			var wire bytes.Buffer
-			err := transport.WriteResponse(&wire, served)
-			served.Release()
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := transport.ReadResponse(&wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Release()
-			if !resp.OK() || resp.Size != int64(len(batch)) {
-				t.Fatalf("batch response: status %d size %d err %q", resp.Status, resp.Size, resp.Err)
-			}
-			if !bytes.Equal(resp.Data, golden) {
-				t.Fatalf("data section differs from the AppendBatchEntry encoding: %d bytes, want %d", len(resp.Data), len(golden))
-			}
-			if _, err := transport.DecodeBatchResults(resp.Data, len(batch)); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
+		served := srv.handle(batchRequest(t, batch))
+		var wire bytes.Buffer
+		err := transport.WriteResponse(&wire, served)
+		served.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := transport.ReadResponse(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Release()
+		if !resp.OK() || resp.Size != int64(len(batch)) {
+			t.Fatalf("batch response: status %d size %d err %q", resp.Status, resp.Size, resp.Err)
+		}
+		if !bytes.Equal(resp.Data, golden) {
+			t.Fatalf("data section differs from the AppendBatchEntry encoding: %d bytes, want %d", len(resp.Data), len(golden))
+		}
+		if _, err := resp.BatchResults(len(batch)); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
 
-			srv.WaitIdle()
-			st := srv.Stats()
-			if hits, rts, entries := st.Hits-before.Hits, st.ReadThroughs-before.ReadThroughs, st.BatchEntries-before.BatchEntries; hits != 3 || rts != 3 || entries != 6 {
-				t.Fatalf("accounting: hits=%d readthroughs=%d entries=%d, want 3/3/6", hits, rts, entries)
+		srv.WaitIdle()
+		st := srv.Stats()
+		if hits, rts, entries := st.Hits-before.Hits, st.ReadThroughs-before.ReadThroughs, st.BatchEntries-before.BatchEntries; hits != 3 || rts != 3 || entries != 6 {
+			t.Fatalf("accounting: hits=%d readthroughs=%d entries=%d, want 3/3/6", hits, rts, entries)
+		}
+		// A miss whose fill committed before pass 2 reached it is leased too.
+		if n := st.MappedSends - before.MappedSends; mapped && n < 3 || !mapped && n != 0 {
+			t.Fatalf("mapped=%v: %d entries left from their mappings, want at least the 3 hits with mappings and none without", mapped, n)
+		}
+		for _, p := range cold {
+			if n := opensOf(opens, p); n != 1 {
+				t.Fatalf("%s: %d PFS opens, want 1 (the mover's fill; the entry is served from it)", p, n)
 			}
-			// A miss whose fill committed before pass 2 reached it is leased too.
-			if mapped := st.MappedSends - before.MappedSends; zeroCopy && mapped < 3 || !zeroCopy && mapped != 0 {
-				t.Fatalf("zerocopy=%v: %d entries left from their mappings, want at least the 3 hits with it and none without", zeroCopy, mapped)
-			}
-			for _, p := range cold {
-				if n := opensOf(opens, p); n != 1 {
-					t.Fatalf("%s: %d PFS opens, want 1 (the mover's fill; the entry is served from it)", p, n)
-				}
-			}
-			if n := opensOf(opens, big); n != 0 {
-				t.Fatalf("the StatusAgain entry was opened %d times", n)
-			}
-		})
-	}
+		}
+		if n := opensOf(opens, big); n != 0 {
+			t.Fatalf("the StatusAgain entry was opened %d times", n)
+		}
+	})
 }
 
 // TestReadBatchChurnRace runs concurrent ReadBatch callers against caches
 // a third the size of the working set (run under -race by make check):
 // entries resident in pass 1 are evicted before pass 2 reaches them,
 // fills commit under readers, and still every payload must equal the PFS
-// copy and every served entry must be exactly one hit or read-through.
+// copy and every served entry must be exactly one hit or read-through —
+// with the hits spliced from their mappings, and with them read into the
+// frame once the mapping budget is spent.
 func TestReadBatchChurnRace(t *testing.T) {
 	const files, size, callers, rounds = 36, 4 << 10, 4, 12
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, files, size)
-	servers, cli := startCluster(t, pfsDir, 2, func(c *ServerConfig) {
-		c.CacheCapacity = files * size / 2 / 3
-	}, nil)
+	forEachMapping(t, func(t *testing.T, _ bool) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, files, size)
+		servers, cli := startCluster(t, pfsDir, 2, func(c *ServerConfig) {
+			c.CacheCapacity = files * size / 2 / 3
+		}, nil)
 
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g) + 1))
-			for r := 0; r < rounds; r++ {
-				order := rng.Perm(files)[:files/2]
-				batch := make([]string, len(order))
-				for i, ix := range order {
-					batch[i] = paths[ix]
-				}
-				got, err := cli.ReadBatch(batch)
-				if err != nil {
-					t.Errorf("caller %d round %d: %v", g, r, err)
-					return
-				}
-				for i, ix := range order {
-					if !bytes.Equal(got[i], bytes.Repeat([]byte{byte(ix)}, size)) {
-						t.Errorf("caller %d round %d: %s differs from the PFS copy", g, r, batch[i])
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g) + 1))
+				for r := 0; r < rounds; r++ {
+					order := rng.Perm(files)[:files/2]
+					batch := make([]string, len(order))
+					for i, ix := range order {
+						batch[i] = paths[ix]
+					}
+					got, err := cli.ReadBatch(batch)
+					if err != nil {
+						t.Errorf("caller %d round %d: %v", g, r, err)
 						return
 					}
+					for i, ix := range order {
+						if !bytes.Equal(got[i], bytes.Repeat([]byte{byte(ix)}, size)) {
+							t.Errorf("caller %d round %d: %s differs from the PFS copy", g, r, batch[i])
+							return
+						}
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if st := cli.Stats(); st.BatchFallbacks != 0 || st.BatchReads != callers*rounds*files/2 {
-		t.Fatalf("client: batchreads=%d batchfallbacks=%d, want %d/0", st.BatchReads, st.BatchFallbacks, callers*rounds*files/2)
-	}
-	var evictions int64
-	for i, s := range servers {
-		s.WaitIdle()
-		ss := s.Stats()
-		if ss.Hits+ss.ReadThroughs != ss.Opens+ss.Reads+ss.BatchEntries {
-			t.Fatalf("srv%d: hits(%d)+readthroughs(%d) != opens(%d)+reads(%d)+batchentries(%d)",
-				i, ss.Hits, ss.ReadThroughs, ss.Opens, ss.Reads, ss.BatchEntries)
+			}(g)
 		}
-		evictions += ss.Evictions
-	}
-	if evictions == 0 {
-		t.Fatal("no evictions: the working set fit and the churn case is vacuous")
-	}
+		wg.Wait()
+
+		if st := cli.Stats(); st.BatchFallbacks != 0 || st.BatchReads != callers*rounds*files/2 {
+			t.Fatalf("client: batchreads=%d batchfallbacks=%d, want %d/0", st.BatchReads, st.BatchFallbacks, callers*rounds*files/2)
+		}
+		var evictions int64
+		for i, s := range servers {
+			s.WaitIdle()
+			ss := s.Stats()
+			if ss.Hits+ss.ReadThroughs != ss.Opens+ss.Reads+ss.BatchEntries {
+				t.Fatalf("srv%d: hits(%d)+readthroughs(%d) != opens(%d)+reads(%d)+batchentries(%d)",
+					i, ss.Hits, ss.ReadThroughs, ss.Opens, ss.Reads, ss.BatchEntries)
+			}
+			evictions += ss.Evictions
+		}
+		if evictions == 0 {
+			t.Fatal("no evictions: the working set fit and the churn case is vacuous")
+		}
+	})
 }
 
 // TestReadBatchFanOutOneServerRefused fans a batch out over three
@@ -365,7 +363,6 @@ func TestReadBatchCorruptPassedEntryDegrades(t *testing.T) {
 		var real atomic.Pointer[Server]
 		var proxy *transport.Server
 		startProxy := func(c *ServerConfig) {
-			c.ZeroCopy = true
 			var err error
 			proxy, err = transport.Serve("127.0.0.1:0", func(req *transport.Request) *transport.Response {
 				if req.Op != transport.OpReadBatch {

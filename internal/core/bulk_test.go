@@ -135,21 +135,12 @@ func TestBulkReadAllMatchesPFS(t *testing.T) {
 // buffer for the call. The buffer now follows what the handle can still
 // deliver; the bytes and the short-read-means-EOF contract do not move.
 func TestHandleReadSizesPoolFromHandle(t *testing.T) {
-	const size = 4096
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	path := writePatternPFS(t, pfsDir, 1, size)[0]
+	const size = ladderSize
+	r := newLadderRig(t, "", size)
+	path := r.paths[0]
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	servers, cli := startCluster(t, pfsDir, 1, nil, nil)
-	srv := servers[0]
-
-	// A cold open: the handle is attached to the in-flight fill and reads
-	// take the pooled path whether or not the fill has landed yet.
-	open := srv.handle(&transport.Request{Op: transport.OpOpen, Path: path})
-	if !open.OK() {
-		t.Fatal(open.Error())
 	}
 	for _, tc := range []struct {
 		off     int64
@@ -160,7 +151,23 @@ func TestHandleReadSizesPoolFromHandle(t *testing.T) {
 		{size, 512},       // at EOF: an empty payload
 		{size + 1<<20, 512},
 	} {
-		resp := srv.handle(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Off: tc.off, Len: transport.MaxFrame / 2})
+		// A cold open whose fill is held in the mover: the read passes the
+		// lease rung before the fill commits, so it lands in a pooled
+		// buffer — from the fill, or the entry it just committed — and
+		// not in the mapping a warm read splices.
+		r.hold(path)
+		open := r.srv.handle(&transport.Request{Op: transport.OpOpen, Path: path})
+		if !open.OK() {
+			t.Fatal(open.Error())
+		}
+		<-r.entered
+		var resp *transport.Response
+		join := r.attach(func() ([]byte, error) {
+			resp = r.srv.handle(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Off: tc.off, Len: transport.MaxFrame / 2})
+			return nil, nil
+		})
+		r.release()
+		join()
 		if !resp.OK() {
 			t.Fatalf("off %d: %v", tc.off, resp.Error())
 		}
@@ -173,17 +180,19 @@ func TestHandleReadSizesPoolFromHandle(t *testing.T) {
 				tc.off, size, cap(resp.Data), tc.wantCap)
 		}
 		resp.Release()
-	}
-	if resp := srv.handle(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: transport.MaxFrame/2 + 1}); resp.OK() {
-		t.Fatal("a read above half a frame was served: checkRange must still come first")
-	}
-	if resp := srv.handle(&transport.Request{Op: transport.OpClose, Handle: open.Handle}); !resp.OK() {
-		t.Fatal(resp.Error())
+		if resp := r.srv.handle(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: transport.MaxFrame/2 + 1}); resp.OK() {
+			t.Fatal("a read above half a frame was served: checkRange must still come first")
+		}
+		if resp := r.srv.handle(&transport.Request{Op: transport.OpClose, Handle: open.Handle}); !resp.OK() {
+			t.Fatal(resp.Error())
+		}
+		r.srv.WaitIdle()
+		r.evict() // the next case's open is cold again
 	}
 
 	// End to end, same shape: a reader with a 32 MiB buffer gets the
 	// file's bytes and io.EOF.
-	f, err := cli.Open(path)
+	f, err := r.cli.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ type chaosCase struct {
 	replicas int
 	capacity int64                    // cache capacity per server (0 = unconstrained)
 	policy   func() cachestore.Policy // per-server eviction policy (nil = default)
-	zeroCopy bool                     // arm the sendfile warm-serve plane (DESIGN.md §4.3)
 	network  string                   // the clients' socket: "local", "tcp", or "" for the default (dialOver)
 	sched    faultnet.Schedule
 }
@@ -117,12 +116,12 @@ func chaosMatrix() []chaosCase {
 		{
 			// Batch replies whose entries, 24 KiB and resident after the
 			// epoch's reads, leave as their cache files' descriptors on
-			// the local socket with the planes armed (from the floor,
-			// 8 KiB). Every other batch call's link dies once the reply
-			// has arrived — descriptors received, entries landed — and
-			// others are truncated or corrupted: the server must release
-			// every passed lease (no cache file's descriptor outlives the
-			// run) and the client every landed buffer and response.
+			// the local socket (from the floor, 8 KiB). Every other batch
+			// call's link dies once the reply has arrived — descriptors
+			// received, entries landed — and others are truncated or
+			// corrupted: the server must release every passed lease (no
+			// cache file's descriptor outlives the run) and the client
+			// every landed buffer and response.
 			name: "batch-passed", servers: 2, files: 12, size: 24 << 10, epochs: 3,
 			sched: faultnet.Schedule{Seed: 19, Rules: []faultnet.Rule{
 				{Op: transport.OpReadBatch, Every: 2, Fault: faultnet.Disconnect},
@@ -236,7 +235,6 @@ func startChaosCluster(t *testing.T, pfsDir string, tc chaosCase, inj *faultnet.
 	servers, cli := startCluster(t, pfsDir, tc.servers,
 		func(c *ServerConfig) {
 			c.CacheCapacity = tc.capacity
-			c.ZeroCopy = tc.zeroCopy
 			if tc.policy != nil {
 				c.Policy = tc.policy() // fresh instance per server: policies are stateful
 			}
@@ -301,7 +299,7 @@ func maybeWriteCorpus(t *testing.T, cases []chaosCase) {
 }
 
 // runChaosCase drives one matrix cell and asserts the resilience
-// invariants. It returns the cell's serves per payload plane, so armed
+// invariants. It returns the cell's serves per payload plane, so the
 // matrices can assert the run exercised every zero-copy plane, and the
 // fetches the caches refused.
 func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
@@ -384,11 +382,9 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 
 	// Invariant 2, server side: everything served — opens and batch
 	// entries — is exactly one of Hit or ReadThrough; and every
-	// zero-copy-eligible serve (a
-	// response that left carrying an fd payload) resolved as exactly
-	// one of a sendfile send or a userspace fallback. The zero-copy
-	// identity is asserted unconditionally: with ZeroCopy off it holds
-	// trivially at 0 == 0.
+	// zero-copy-eligible serve (a response that left carrying an fd
+	// payload) resolved as exactly one of a sendfile send or a userspace
+	// fallback.
 	for i, s := range servers {
 		ss := s.Stats()
 		served := ss.Opens + ss.BatchEntries
@@ -399,9 +395,6 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 		if ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
 			t.Fatalf("srv%d: zerocopy sends(%d)+fallbacks(%d) != eligible(%d); stats %+v",
 				i, ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible, ss)
-		}
-		if !tc.zeroCopy && ss.ZeroCopyEligible+ss.MappedSends != 0 {
-			t.Fatalf("srv%d: %d zero-copy serves, %d from mappings with ZeroCopy off", i, ss.ZeroCopyEligible, ss.MappedSends)
 		}
 		if tc.network != "local" && ss.ZeroCopyPassed+ss.BatchPassed != 0 {
 			t.Fatalf("srv%d: %d descriptors and %d batch entries passed off the local socket", i, ss.ZeroCopyPassed, ss.BatchPassed)
@@ -427,15 +420,29 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 // descriptors — and its fetches not admitted.
 type chaosTotals struct{ eligible, passed, mapped, batchPassed, notAdmitted int64 }
 
-// TestChaosMatrix runs every row twice: as written, and in the keep
-// column, where each server's cache holds half its share of the dataset
-// under keep eviction, so that every epoch serves hits beside misses the
-// cache refuses — read from the PFS by the server, once.
+// add sums the payload planes of p into t.
+func (t *chaosTotals) add(p chaosTotals) {
+	t.eligible, t.passed, t.mapped = t.eligible+p.eligible, t.passed+p.passed, t.mapped+p.mapped
+}
+
+// TestChaosMatrix runs every row over TCP, twice: as written, and in
+// the keep column, where each server's cache holds half its share of the
+// dataset under keep eviction, so that every epoch serves hits beside
+// misses the cache refuses — read from the PFS by the server, once. Warm
+// serves travel cache-fd → socket through sendfile or leave from their
+// mappings, and the injected faults (disconnects, hangs, kills
+// mid-payload) hit those planes directly: byte identity proves the kernel
+// path and its mid-transfer fallbacks frame exactly the bytes a pread
+// would, and the rows as written must produce serves by sendfile and
+// from mappings somewhere (epoch-2 warm reads of files at or above
+// zeroCopyMin and below it), else the planes went unexercised.
 func TestChaosMatrix(t *testing.T) {
 	maybeWriteCorpus(t, chaosMatrix())
+	var sum chaosTotals
 	for _, tc := range chaosMatrix() {
+		tc.network = "tcp"
 		t.Run(tc.name, func(t *testing.T) {
-			runChaosCase(t, tc)
+			sum.add(runChaosCase(t, tc))
 		})
 		keep := tc
 		keep.name += "-keep"
@@ -449,21 +456,13 @@ func TestChaosMatrix(t *testing.T) {
 		// Invariant 3 (no goroutine leaks) asserted by CheckLeaks at
 		// subtest teardown, after servers and client close.
 	}
+	if sum.eligible == 0 || sum.mapped == 0 {
+		t.Fatalf("%d serves by sendfile and %d from mappings across the matrix; the planes went unexercised", sum.eligible, sum.mapped)
+	}
 }
 
-// The full fault matrix with the zero-copy plane armed on every server:
-// warm serves now travel cache-fd → socket through sendfile, and the
-// injected faults (disconnects, hangs, kills mid-payload) hit that path
-// directly. Every invariant of the base matrix must hold unchanged —
-// byte identity proves the kernel path and its mid-transfer fallbacks
-// frame exactly the bytes the pooled path would — plus the per-server
-// zero-copy identity, and the armed matrix must produce serves by
-// sendfile and from mappings somewhere (epoch-2 warm reads of files at or
-// above zeroCopyMin and below it), else the arming was vacuous.
-func TestChaosMatrixZeroCopy(t *testing.T) { testChaosMatrixZeroCopy(t, "tcp") }
-
-// TestChaosMatrixZeroCopyLocal is the armed matrix with every client on
-// the servers' local socket, so the faults hit sendfile, the mapped writev
+// TestChaosMatrixZeroCopyLocal is the matrix with every client on the
+// servers' local socket, so the faults hit sendfile, the mapped writev
 // and the descriptor frames of a unix socket: the bulk-pipeline row's
 // 1.25 MiB files are read in chunks of descMin and more, and must be
 // passed as descriptors somewhere in the matrix. Every row whose files
@@ -472,23 +471,19 @@ func TestChaosMatrixZeroCopy(t *testing.T) { testChaosMatrixZeroCopy(t, "tcp") }
 // bytes runChaosCase holds identical to the PFS copy.
 func TestChaosMatrixZeroCopyLocal(t *testing.T) {
 	skipOffLinux(t)
-	testChaosMatrixZeroCopy(t, "local")
-}
-
-func testChaosMatrixZeroCopy(t *testing.T, network string) {
 	var sum chaosTotals
 	for _, tc := range chaosMatrix() {
-		tc.zeroCopy, tc.network = true, network
+		tc.network = "local"
 		t.Run(tc.name, func(t *testing.T) {
 			p := runChaosCase(t, tc)
-			sum.eligible, sum.passed, sum.mapped = sum.eligible+p.eligible, sum.passed+p.passed, sum.mapped+p.mapped
-			if network == "local" && tc.size >= 8<<10 && p.batchPassed == 0 {
+			sum.add(p)
+			if tc.size >= 8<<10 && p.batchPassed == 0 {
 				t.Fatalf("no batch entry of %d bytes was passed as a descriptor; the row is vacuous", tc.size)
 			}
 		})
 	}
-	if sum.eligible-sum.passed == 0 || sum.mapped == 0 || network == "local" && sum.passed == 0 {
-		t.Fatalf("%d serves by sendfile, %d from mappings and %d by descriptor across the armed matrix; the arming is vacuous",
+	if sum.eligible-sum.passed == 0 || sum.mapped == 0 || sum.passed == 0 {
+		t.Fatalf("%d serves by sendfile, %d from mappings and %d by descriptor across the matrix; the planes went unexercised",
 			sum.eligible-sum.passed, sum.mapped, sum.passed)
 	}
 }

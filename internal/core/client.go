@@ -674,7 +674,7 @@ func prefetchHint(conn transport.Transport, paths []string) int {
 	}
 	accepted := 0
 	if resp.OK() {
-		if results, derr := transport.DecodeBatchResults(resp.Data, len(paths)); derr == nil {
+		if results, derr := resp.BatchResults(len(paths)); derr == nil {
 			for i := range results {
 				if results[i].Status == transport.StatusOK {
 					accepted++

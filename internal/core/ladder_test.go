@@ -24,6 +24,7 @@ import (
 type ladderRig struct {
 	t     *testing.T
 	srv   *Server
+	cli   *Client
 	conn  *transport.Client
 	paths []string // paths[0] is the object under test
 	size  int64    // every path's size
@@ -40,16 +41,15 @@ type ladderRig struct {
 // ladderSize is the rig's usual object size, below zeroCopyMin.
 const ladderSize = 4096
 
-func newLadderRig(t *testing.T, network string, zeroCopy bool, size int) *ladderRig {
+func newLadderRig(t *testing.T, network string, size int) *ladderRig {
 	t.Helper()
 	r := &ladderRig{t: t, gates: map[string]chan struct{}{}, opens: map[string]int{}, entered: make(chan string, 4), size: int64(size)}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	r.paths = writePFS(t, pfsDir, 4, size)
-	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+	r.paths = writePatternPFS(t, pfsDir, 4, size)
+	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
 		c.CacheCapacity = r.size + r.size/2
 		c.Movers = 1
 		c.demandQueue = 1
-		c.ZeroCopy = zeroCopy
 		c.OpenPFS = func(path string) (*os.File, error) {
 			r.mu.Lock()
 			r.opens[path]++
@@ -62,7 +62,7 @@ func newLadderRig(t *testing.T, network string, zeroCopy bool, size int) *ladder
 			return os.Open(path)
 		}
 	}, nil)
-	r.srv = servers[0]
+	r.srv, r.cli = servers[0], cli
 	r.conn = dialOver(network, r.srv.Addr(), transport.ClientOptions{})
 	// Registered after startCluster's own cleanups, so it runs before them:
 	// no mover is left parked in the seam when the server closes.
@@ -250,7 +250,7 @@ func ladderOps() []ladderOp {
 					return nil, err
 				}
 				defer resp.Release()
-				res, err := transport.DecodeBatchResults(resp.Data, 1)
+				res, err := resp.BatchResults(1)
 				if err != nil {
 					return nil, err
 				}
@@ -267,11 +267,13 @@ func ladderOps() []ladderOp {
 // states the resolver distinguishes and checks what every caller of it is
 // owed: the PFS copy's bytes, one side of the served identity bumped per
 // serve, and no PFS pass beyond the one the state makes necessary. It also
-// checks which plane carried the payload: a lease (rung 1) under ZeroCopy
-// sends a file below zeroCopyMin from its mapping, and a whole read at or
-// above it by sendfile; every other serve is a pooled copy. The client
-// dials TCP here; TestReadLadderThroughEveryWrapperLocal runs the same
-// cases on the local socket.
+// checks which plane carried the payload: a lease (rung 1) sends a file
+// below zeroCopyMin from its mapping (or, with the mapping budget spent,
+// by pread into the frame), and a whole read at or above it by sendfile;
+// every other serve — a batch entry at zeroCopyMin among them — is a
+// pooled copy. The client dials TCP here;
+// TestReadLadderThroughEveryWrapperLocal runs the same cases on the local
+// socket.
 func TestReadLadderThroughEveryWrapper(t *testing.T) { testReadLadder(t, "tcp") }
 
 // TestReadLadderThroughEveryWrapperLocal is the ladder with the client on
@@ -398,16 +400,16 @@ func testReadLadder(t *testing.T, network string) {
 		},
 	}
 
-	for _, zc := range []bool{false, true} {
+	forEachMapping(t, func(t *testing.T, mapping bool) {
 		for _, size := range []int{ladderSize, zeroCopyMin} {
 			for _, st := range states {
 				for i, op := range ladderOps() {
-					name := fmt.Sprintf("zerocopy=%v/%s/%s", zc, st.name, op.name)
+					name := fmt.Sprintf("%s/%s", st.name, op.name)
 					if size != ladderSize {
 						name += "/at-zeroCopyMin"
 					}
 					t.Run(name, func(t *testing.T) {
-						r := newLadderRig(t, network, zc, size)
+						r := newLadderRig(t, network, size)
 						want, err := os.ReadFile(r.paths[0])
 						if err != nil {
 							t.Fatal(err)
@@ -441,14 +443,15 @@ func testReadLadder(t *testing.T, network string) {
 						if opens != 1+r.evicted {
 							t.Fatalf("%d PFS opens of the object, want %d", opens, 1+r.evicted)
 						}
-						if zc && ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
+						if ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
 							t.Fatalf("zerocopy sends(%d)+fallbacks(%d) != eligible(%d)", ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible)
 						}
 						var mapped, sent int64 // the plane this serve must take
 						switch {
-						case !zc || !st.leased:
-						case size < zeroCopyMin:
+						case !st.leased:
+						case size < zeroCopyMin && mapping:
 							mapped = 1
+						case size < zeroCopyMin:
 						case !op.batch:
 							sent = 1
 						}
@@ -462,7 +465,7 @@ func testReadLadder(t *testing.T, network string) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestNegativeOffsetRefused: a read at a negative offset is refused where
@@ -479,7 +482,6 @@ func TestNegativeOffsetRefused(t *testing.T) {
 		p := writePFS(t, pfsDir, 1, size)[0]
 		var opens *sync.Map
 		servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
-			c.ZeroCopy = true
 			opens = countingOpens(c)
 		}, nil)
 		srv := servers[0]
@@ -591,7 +593,7 @@ func TestReadAtAfterCloseIsErrClosed(t *testing.T) {
 // cache file is left open. (With descriptors and index pins held by the
 // handle, this interleaving leaked both: ROADMAP, PR 13.)
 func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
-	r := newLadderRig(t, "", false, ladderSize)
+	r := newLadderRig(t, "", ladderSize)
 	want, err := os.ReadFile(r.paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -653,7 +655,7 @@ func TestServerCloseReleasesParkedReaders(t *testing.T) {
 			continue
 		}
 		t.Run(op.name, func(t *testing.T) {
-			r := newLadderRig(t, "", false, ladderSize)
+			r := newLadderRig(t, "", ladderSize)
 			r.hold(r.paths[0])
 			if err := op.open(r); err != nil {
 				t.Fatal(err)

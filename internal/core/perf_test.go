@@ -95,7 +95,8 @@ func TestWaitIdle(t *testing.T) {
 // Response, pooled payload, pooled lease or pooled segment list, sharded
 // lookup, atomic stats), on every payload plane — a 32 KiB read of a
 // 1 MiB file is a pread into the response's buffer, a 64 KiB one hands
-// its lease over, and a 32 KiB file's read splices in its mapping.
+// its lease over, and a 32 KiB file's read splices in its mapping — or,
+// with the mapping budget spent, is a pread like the first.
 func TestHandleReadWarmAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race (sync.Pool drops Puts)")
@@ -108,45 +109,47 @@ func TestHandleReadWarmAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
-	srv := servers[0]
+	forEachMapping(t, func(t *testing.T, mapped bool) {
+		servers, _ := startCluster(t, pfsDir, 1, nil, nil)
+		srv := servers[0]
 
-	for _, tc := range []struct {
-		path   string
-		size   int64
-		leased bool // the lease goes to sendfile
-		mapped bool // the mapping is spliced in
-	}{
-		{big, 32 << 10, false, false},
-		{big, zeroCopyMin, true, false},
-		{small, 32 << 10, false, true},
-	} {
-		open := srv.handle(&transport.Request{Op: transport.OpOpen, Path: tc.path})
-		if !open.OK() {
-			t.Fatal(open.Error())
-		}
-		srv.WaitIdle()
-		req := &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: tc.size}
-		for i := 0; i < 8; i++ {
-			srv.handle(req).Release()
-		}
-		var leased bool
-		before := srv.Stats().MappedSends
-		if n := testing.AllocsPerRun(200, func() {
-			resp := srv.handle(req)
-			if !resp.OK() {
-				t.Fatal(resp.Error())
+		for _, tc := range []struct {
+			path   string
+			size   int64
+			leased bool // the lease goes to sendfile
+			mapped bool // the mapping is spliced in
+		}{
+			{big, 32 << 10, false, false},
+			{big, zeroCopyMin, true, false},
+			{small, 32 << 10, false, true},
+		} {
+			open := srv.handle(&transport.Request{Op: transport.OpOpen, Path: tc.path})
+			if !open.OK() {
+				t.Fatal(open.Error())
 			}
-			leased = resp.FilePayload()
-			resp.Release()
-		}); n > 1 {
-			t.Errorf("warm %d KiB handleRead of %s allocates %.1f/op, want <= 1", tc.size>>10, tc.path, n)
+			srv.WaitIdle()
+			req := &transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: tc.size}
+			for i := 0; i < 8; i++ {
+				srv.handle(req).Release()
+			}
+			var leased bool
+			before := srv.Stats().MappedSends
+			if n := testing.AllocsPerRun(200, func() {
+				resp := srv.handle(req)
+				if !resp.OK() {
+					t.Fatal(resp.Error())
+				}
+				leased = resp.FilePayload()
+				resp.Release()
+			}); n > 1 {
+				t.Errorf("warm %d KiB handleRead of %s allocates %.1f/op, want <= 1", tc.size>>10, tc.path, n)
+			}
+			if spliced := srv.Stats().MappedSends > before; leased != tc.leased || spliced != (tc.mapped && mapped) {
+				t.Errorf("warm %d KiB handleRead of %s: lease handed over = %v, mapping spliced = %v; want %v, %v",
+					tc.size>>10, tc.path, leased, spliced, tc.leased, tc.mapped && mapped)
+			}
 		}
-		if mapped := srv.Stats().MappedSends > before; leased != tc.leased || mapped != tc.mapped {
-			t.Errorf("warm %d KiB handleRead of %s: lease handed over = %v, mapping spliced = %v; want %v, %v",
-				tc.size>>10, tc.path, leased, mapped, tc.leased, tc.mapped)
-		}
-	}
+	})
 }
 
 // TestReadAllRecyclesBuffers pins the slab round trip a loader makes: a
@@ -498,15 +501,10 @@ func checkKernelBudget(t *testing.T, ops int, payload int64, op func(i int), set
 	}
 }
 
-// kernelCluster starts two servers over pfsDir with the bench's payload
-// planes, and a client that reaches them over network.
+// kernelCluster starts two servers over pfsDir, and a client that
+// reaches them over network.
 func kernelCluster(t *testing.T, network, pfsDir string, cfgMut func(*ServerConfig)) ([]*Server, *Client) {
-	return startCluster(t, pfsDir, 2, func(c *ServerConfig) {
-		c.ZeroCopy = runtime.GOOS == "linux"
-		if cfgMut != nil {
-			cfgMut(c)
-		}
-	}, func(c *ClientConfig) {
+	return startCluster(t, pfsDir, 2, cfgMut, func(c *ClientConfig) {
 		c.DialTransport = func(addr string) transport.Transport {
 			return dialOver(network, addr, transport.ClientOptions{})
 		}

@@ -61,6 +61,22 @@ func forEachNetwork(t *testing.T, f func(t *testing.T, network string)) {
 	}
 }
 
+// forEachMapping runs f as one subtest per way a warm file below
+// zeroCopyMin can leave: "mapped=true", spliced from the mapping the
+// store takes at commit, and "mapped=false", with the process's mapping
+// budget spent so that every commit is unmapped and a lease preads it.
+func forEachMapping(t *testing.T, f func(t *testing.T, mapped bool)) {
+	for _, mapped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mapped=%v", mapped), func(t *testing.T) {
+			if !mapped {
+				old := cachestore.SetMapBudget(0)
+				t.Cleanup(func() { cachestore.SetMapBudget(old) })
+			}
+			f(t, mapped)
+		})
+	}
+}
+
 // skipOffLinux skips t where there is no local socket. A test whose cases
 // were named before the local socket existed keeps those names for TCP and
 // runs the local socket as a sibling test (…Local) that calls this.

@@ -92,12 +92,8 @@ type ServerConfig struct {
 	// a connection goroutine; 0 means transport.DefaultWriteTimeout,
 	// negative disables the deadline.
 	WriteTimeout time.Duration
-	// ZeroCopy serves warm reads from an fd lease on the cached file,
-	// letting the transport push the payload with sendfile(2) so the bytes
-	// never cross userspace (Linux; every other writer or platform
-	// transparently falls back to the pooled pread+writev path), and maps
-	// the cached files below that plane's knee, whose bytes the reply's
-	// writev then takes from the mapping. See DESIGN.md §4.3.
+	// Deprecated: ZeroCopy is ignored. Every server serves warm reads
+	// through the zero-copy planes the platform has (DESIGN.md §4.3).
 	ZeroCopy bool
 	// OpenPFS overrides how the server opens source files on the PFS;
 	// nil means os.Open. Tests use it to count PFS passes (the
@@ -168,7 +164,7 @@ type ServerStats struct {
 	NotAdmitted int64
 	// Zero-copy serve accounting (transport.ZeroCopyStats snapshots).
 	// Identity, asserted by TestReadLadderThroughEveryWrapper and by
-	// runChaosCase with ZeroCopy armed:
+	// runChaosCase:
 	//
 	//	ZeroCopySends + ZeroCopyFallbacks == ZeroCopyEligible
 	//
@@ -361,8 +357,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Below the sendfile knee a resident file leaves from its mapping.
-	store.MapSmallFiles(cfg.ZeroCopy)
 	s := &Server{
 		cfg:       cfg,
 		pfsPrefix: cfg.PFSDir + string(filepath.Separator),
@@ -779,12 +773,12 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 }
 
 // zeroCopyMin is the shortest read a lease is handed to sendfile for, and
-// under ZeroCopy the size below which a cached file is mapped. A file
-// payload leaves as three sends — header, sendfile, tail — where a
-// buffered one is a pread and a single writev, and the copy sendfile
-// saves only pays for the two extra sends from about 64 KiB up: the
-// loopback sweep in DESIGN.md §4.3 has the buffered path 3.7 µs ahead at
-// 32 KiB, the two tied at 64 KiB and sendfile 2.7 µs ahead at 128 KiB.
+// the size below which the store maps a cached file. A file payload
+// leaves as three sends — header, sendfile, tail — where a buffered one
+// is a pread and a single writev, and the copy sendfile saves only pays
+// for the two extra sends from about 64 KiB up: the loopback sweep in
+// DESIGN.md §4.3 has the buffered path 3.7 µs ahead at 32 KiB, the two
+// tied at 64 KiB and sendfile 2.7 µs ahead at 128 KiB.
 // Below it a mapped file's writev saves the pread and costs no extra send,
 // so the knee is also where the store stops mapping: one constant.
 const zeroCopyMin = cachestore.MapLimit
@@ -806,17 +800,16 @@ const zeroCopyMin = cachestore.MapLimit
 //
 // The payload goes on resp, after the bytes its Data holds: a batch
 // passes the frame it is assembling there, a whole read an empty
-// response; req is the request resp answers. Rung 1 under ZeroCopy hands
-// over the lease itself, for a whole read of zeroCopyMin bytes or more to
-// sendfile, and for a batch entry the transport passes as a descriptor
-// on the local socket (transport.Response.PassBatchEntry), and the
-// transport releases it once the peer has read the frame
-// (transport.PayloadReleaser); for a mapped file it splices the mapping
-// into the payload, and the lease is released once the reply's writev has
-// returned. Every other
-// serve reads into Data — a whole read's grabbed from resp only once a
-// rung needs one, sized to what the entry can still deliver — and leaves
-// in the response's one vectored write. A range past the end is a short,
+// response; req is the request resp answers. Rung 1 hands over the lease
+// itself, for a whole read of zeroCopyMin bytes or more to sendfile, and
+// for a batch entry the transport passes as a descriptor on the local
+// socket (transport.Response.PassBatchEntry), and the transport releases
+// it once the peer has read the frame (transport.PayloadReleaser); for a
+// mapped file it splices the mapping into the payload, and the lease is
+// released once the reply's writev has returned. Every other serve reads
+// into Data — a whole read's grabbed from resp only once a rung needs
+// one, sized to what the entry can still deliver — and leaves in the
+// response's one vectored write. A range past the end is a short,
 // possibly empty, read.
 //
 // hit is the sourcing verdict the caller counts on its side of the
@@ -827,11 +820,11 @@ func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, 
 	lz, lerr := s.store.Lease(task.key)
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
-		if resp.Data == nil && s.cfg.ZeroCopy && want >= zeroCopyMin {
+		if resp.Data == nil && want >= zeroCopyMin {
 			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
 			return int(want), fe == nil, nil
 		}
-		if s.cfg.ZeroCopy && resp.PassBatchEntry(req, lz.File(), off, want, lz) {
+		if resp.PassBatchEntry(req, lz.File(), off, want, lz) {
 			return int(want), fe == nil, nil
 		}
 		if m := lz.Mapped(); m != nil && want > 0 {

@@ -115,25 +115,29 @@ func TestStressParallelClientsWithEviction(t *testing.T) {
 	}
 }
 
-// TestStressChurnRecyclesAroundSendfile churns a zero-copy server through
-// OpRead with the cache at a third of a 24 + 48 + 64 + 96 + 256 KiB
-// dataset: every hit is a lease, in sendfile's hands at 64 KiB and up (or,
-// on the local socket from 256 KiB, passed to the client as its
-// descriptor) and spliced from its file's mapping below, every miss a staged fill that takes its
-// file from the entry it evicts — one the size it needs or not, unmapped
-// first — and an entry that is leased, or whose pages a socket may still
-// hold, must be evicted the old way instead. Every byte delivered is the PFS copy's,
-// both served identities hold, and startCluster's leak checks find no
-// goroutine or descriptor left. PFS passes are counted twice: under four
-// clients a key can be evicted between its open and its read (an open
-// handle pins nothing), which costs that read a pass of its own, so there
-// the passes only bound the fills; a lone client has nobody to evict under
-// it, and there every pass is a completed fill's — one per cold file.
+// TestStressChurnRecyclesAroundSendfile churns a server through OpRead
+// with the cache at a third of a 24 + 48 + 64 + 96 + 256 KiB dataset:
+// every hit is a lease, in sendfile's hands at 64 KiB and up (or, on the
+// local socket from 256 KiB, passed to the client as its descriptor) and
+// spliced from its file's mapping below, every miss a staged fill that
+// takes its file from the entry it evicts — one the size it needs or not,
+// unmapped first — and an entry that is leased, or whose pages a socket
+// may still hold, must be evicted the old way instead. Every byte
+// delivered is the PFS copy's, both served identities hold, and
+// startCluster's leak checks find no goroutine or descriptor left. PFS
+// passes are counted twice: under four clients a key can be evicted
+// between its open and its read (an open handle pins nothing), which costs
+// that read a pass of its own, so there the passes only bound the fills; a
+// lone client has nobody to evict under it, and there every pass is a
+// completed fill's — one per cold file. Each socket's churn runs once with
+// the small files mapped and once with the mapping budget spent.
 func TestStressChurnRecyclesAroundSendfile(t *testing.T) {
-	forEachNetwork(t, testStressChurnRecyclesAroundSendfile)
+	forEachNetwork(t, func(t *testing.T, network string) {
+		forEachMapping(t, func(t *testing.T, mapped bool) { testStressChurnRecyclesAroundSendfile(t, network, mapped) })
+	})
 }
 
-func testStressChurnRecyclesAroundSendfile(t *testing.T, network string) {
+func testStressChurnRecyclesAroundSendfile(t *testing.T, network string, mapped bool) {
 	const perSize, rounds = 24, 3
 	sizes := make([]int, 0, 5*perSize)
 	total := 0
@@ -160,7 +164,6 @@ func testStressChurnRecyclesAroundSendfile(t *testing.T, network string) {
 	var pfsOpens *sync.Map
 	servers, cli := startCluster(t, pfsDir, 1,
 		func(cfg *ServerConfig) {
-			cfg.ZeroCopy = true
 			cfg.CacheCapacity = int64(total / 3)
 			cfg.Movers = 4
 			pfsOpens = countingOpens(cfg)
@@ -215,7 +218,7 @@ func testStressChurnRecyclesAroundSendfile(t *testing.T, network string) {
 	if passes < st.Misses || passes > st.Misses+st.Misses/4 || st.Misses < int64(len(paths)) {
 		t.Errorf("four clients: %d PFS passes for %d completed fills of %d files", passes, st.Misses, len(paths))
 	}
-	if st.Hits == 0 || st.ZeroCopyEligible == 0 || st.MappedSends == 0 || st.Evictions < st.Misses-int64(len(paths)) ||
+	if st.Hits == 0 || st.ZeroCopyEligible == 0 || (st.MappedSends > 0) != mapped || st.Evictions < st.Misses-int64(len(paths)) ||
 		(network == "local") != (st.ZeroCopyPassed > 0) {
 		t.Errorf("four clients: hits %d (through a lease: %d sendfile, %d of them passed, %d mapped), evictions %d for %d fills: want a churn of leased hits and evicting fills",
 			st.Hits, st.ZeroCopyEligible, st.ZeroCopyPassed, st.MappedSends, st.Evictions, st.Misses)

@@ -14,11 +14,10 @@ import (
 	"hvac/internal/transport"
 )
 
-// The zero-copy serve plane (DESIGN.md §4.3) end to end: real TCP
-// clusters with ServerConfig.ZeroCopy toggled, proving the sendfile
-// path is invisible to clients (byte identity), survives connections
-// dying mid-payload, and keeps the Sends+Fallbacks == Eligible
-// accounting identity.
+// The zero-copy serve plane (DESIGN.md §4.3) end to end: real clusters,
+// proving the sendfile path is invisible to clients (byte identity),
+// survives connections dying mid-payload, and keeps the
+// Sends+Fallbacks == Eligible accounting identity.
 
 // writeSizedPFS lays out one file per size so a single cluster run
 // covers empty, sub-segment, page-sized, and multi-chunk payloads.
@@ -42,69 +41,64 @@ func writeSizedPFS(t *testing.T, dir string, sizes []int) []string {
 	return paths
 }
 
-// TestZeroCopyByteIdentityOnOff reads the same dataset through two
-// clusters — zero-copy armed and disarmed — across two epochs (the
-// second is warm, so the armed cluster serves it through fd leases and
-// sendfile) and requires every read to match the PFS bytes. On Linux
-// the armed warm epoch must produce actual sendfile sends; disarmed, no
-// serve may even be eligible.
-func TestZeroCopyByteIdentityOnOff(t *testing.T) {
+// TestZeroCopyByteIdentity reads one dataset through a cluster across
+// two epochs (the second is warm, so it is served through fd leases,
+// mappings and sendfile) and requires every read to match the PFS bytes,
+// once with the small files mapped and once with the mapping budget spent.
+// The warm epoch must produce zero-copy-eligible serves, and on Linux
+// actual sendfile sends.
+func TestZeroCopyByteIdentity(t *testing.T) {
 	sizes := []int{1, 511, 4096, zeroCopyMin - 1, zeroCopyMin, zeroCopyMin + 1, (1 << 20) + 7}
-	for _, zc := range []bool{false, true} {
-		name := "off"
-		if zc {
-			name = "on"
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writeSizedPFS(t, pfsDir, sizes)
+	want := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		content, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			pfsDir := filepath.Join(t.TempDir(), "dataset")
-			paths := writeSizedPFS(t, pfsDir, sizes)
-			want := make(map[string][]byte, len(paths))
-			for _, p := range paths {
-				content, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[p] = content
-			}
-			servers, cli := startCluster(t, pfsDir, 2, func(c *ServerConfig) { c.ZeroCopy = zc }, nil)
-
-			for epoch := 0; epoch < 2; epoch++ {
-				for _, p := range paths {
-					got, err := cli.ReadAll(p)
-					if err != nil {
-						t.Fatalf("epoch %d: read %s: %v", epoch, p, err)
-					}
-					if !bytes.Equal(got, want[p]) {
-						t.Fatalf("epoch %d: %s differs from the PFS copy (%d bytes, want %d)",
-							epoch, p, len(got), len(want[p]))
-					}
-				}
-				for _, s := range servers {
-					s.WaitIdle() // warm every cache before the second epoch
-				}
-			}
-
-			var eligible, sends int64
-			for i, s := range servers {
-				ss := s.Stats()
-				if ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
-					t.Fatalf("srv%d: sends(%d)+fallbacks(%d) != eligible(%d)",
-						i, ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible)
-				}
-				eligible += ss.ZeroCopyEligible
-				sends += ss.ZeroCopySends
-			}
-			if !zc && eligible != 0 {
-				t.Fatalf("%d zero-copy serves with the plane disarmed", eligible)
-			}
-			if zc && eligible == 0 {
-				t.Fatal("warm epoch produced no zero-copy-eligible serves")
-			}
-			if zc && runtime.GOOS == "linux" && sends == 0 {
-				t.Fatal("warm epoch on linux produced no sendfile sends")
-			}
-		})
+		want[p] = content
 	}
+	forEachMapping(t, func(t *testing.T, mapped bool) {
+		servers, cli := startCluster(t, pfsDir, 2, nil, nil)
+
+		for epoch := 0; epoch < 2; epoch++ {
+			for _, p := range paths {
+				got, err := cli.ReadAll(p)
+				if err != nil {
+					t.Fatalf("epoch %d: read %s: %v", epoch, p, err)
+				}
+				if !bytes.Equal(got, want[p]) {
+					t.Fatalf("epoch %d: %s differs from the PFS copy (%d bytes, want %d)",
+						epoch, p, len(got), len(want[p]))
+				}
+			}
+			for _, s := range servers {
+				s.WaitIdle() // warm every cache before the second epoch
+			}
+		}
+
+		var eligible, sends, mappedSends int64
+		for i, s := range servers {
+			ss := s.Stats()
+			if ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
+				t.Fatalf("srv%d: sends(%d)+fallbacks(%d) != eligible(%d)",
+					i, ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible)
+			}
+			eligible += ss.ZeroCopyEligible
+			sends += ss.ZeroCopySends
+			mappedSends += ss.MappedSends
+		}
+		if (mappedSends > 0) != mapped {
+			t.Fatalf("warm epoch: %d serves from mappings with mapped=%v", mappedSends, mapped)
+		}
+		if eligible == 0 {
+			t.Fatal("warm epoch produced no zero-copy-eligible serves")
+		}
+		if runtime.GOOS == "linux" && sends == 0 {
+			t.Fatal("warm epoch on linux produced no sendfile sends")
+		}
+	})
 }
 
 // TestZeroCopyMidSendConnectionDeath kills a client connection while
@@ -119,7 +113,7 @@ func TestZeroCopyMidSendConnectionDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
+	servers, cli := startCluster(t, pfsDir, 1, nil, nil)
 	srv := servers[0]
 
 	// Warm the cache so the raw-connection read below is an fd-lease serve.
@@ -180,26 +174,30 @@ func TestZeroCopyMidSendConnectionDeath(t *testing.T) {
 	}
 }
 
-// TestZeroCopySizeRule pins which plane a warm read leaves by, counted
-// at the server so it reads the same on any machine: under zeroCopyMin
-// bytes the payload is copied into the response and no serve is even
-// eligible for sendfile, from zeroCopyMin up the lease is handed over
-// and — on Linux — sent, never fallen back from: by sendfile, or on the
-// local socket from descMin bytes up by passing its descriptor. The rule
-// looks at the read's length alone: a short read of a large file is
-// buffered, a whole small file is too.
+// TestZeroCopySizeRule pins which plane a warm read leaves by, on a
+// server whose config names none, counted at the server so it reads the
+// same on any machine. A file below zeroCopyMin leaves from its mapping,
+// or is copied into the response once the mapping budget is spent.
+// Any other read under zeroCopyMin bytes is copied into the response, and
+// no serve under zeroCopyMin is even eligible for sendfile. From
+// zeroCopyMin up the lease is handed over and, on Linux, sent, never
+// fallen back from: by sendfile, or on the local socket from descMin
+// bytes up by passing its descriptor. The lease rule looks at the read's
+// length alone, so a short read of a large file is buffered.
 func TestZeroCopySizeRule(t *testing.T) {
-	forEachNetwork(t, testZeroCopySizeRule)
+	forEachNetwork(t, func(t *testing.T, network string) {
+		forEachMapping(t, func(t *testing.T, mapped bool) { testZeroCopySizeRule(t, network, mapped) })
+	})
 }
 
 // descMin is transport's descMin: the shortest payload passed as a
 // descriptor on the local socket.
 const descMin = 256 << 10
 
-func testZeroCopySizeRule(t *testing.T, network string) {
+func testZeroCopySizeRule(t *testing.T, network string, mapped bool) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writeSizedPFS(t, pfsDir, []int{32 << 10, zeroCopyMin - 1, zeroCopyMin, zeroCopyMin + 1, 1 << 20})
-	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
+	servers, cli := startCluster(t, pfsDir, 1, nil, nil)
 	srv := servers[0]
 	for _, p := range paths { // warm the cache; these reads are not the ones counted
 		if _, err := cli.ReadAll(p); err != nil {
@@ -246,7 +244,10 @@ func testZeroCopySizeRule(t *testing.T, network string) {
 		}
 		resp.Release()
 		after := srv.Stats()
-		var wantEligible, wantPassed int64
+		var wantEligible, wantPassed, wantMapped int64
+		if mapped && len(content) < zeroCopyMin {
+			wantMapped = 1
+		}
 		if len(want) >= zeroCopyMin {
 			wantEligible = 1
 		}
@@ -255,6 +256,9 @@ func testZeroCopySizeRule(t *testing.T, network string) {
 		}
 		if got := after.ZeroCopyEligible - before.ZeroCopyEligible; got != wantEligible {
 			t.Errorf("read %d of %s (%d bytes to deliver): %d sendfile-eligible serves, want %d", rd.len, rd.path, len(want), got, wantEligible)
+		}
+		if got := after.MappedSends - before.MappedSends; got != wantMapped {
+			t.Errorf("read %d of %s (a %d-byte file): %d serves from its mapping, want %d", rd.len, rd.path, len(content), got, wantMapped)
 		}
 		if got := after.ZeroCopyFallbacks - before.ZeroCopyFallbacks; got != 0 {
 			t.Errorf("read %d of %s: %d zero-copy fallbacks", rd.len, rd.path, got)
@@ -280,39 +284,42 @@ func testZeroCopySizeRule(t *testing.T, network string) {
 // `ulimit -n` — on both sides of zeroCopyMin: entries past the budget are
 // served through descriptors their leases open and close, byte for byte
 // like the rest, and (startCluster's check) every descriptor is gone once
-// the server has closed.
+// the server has closed. It runs with the small files mapped and with the
+// mapping budget spent.
 func TestLeaseBudgetEveryReadServed(t *testing.T) {
 	files := int(min(cachestore.DescriptorBudget()+64, 512))
 	t.Logf("%d files against a descriptor budget of %d", files, cachestore.DescriptorBudget())
-	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	small := writePFS(t, filepath.Join(pfsDir, "small"), files/2, 4096)
-	large := writePFS(t, filepath.Join(pfsDir, "large"), files/2, zeroCopyMin)
-	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.ZeroCopy = true }, nil)
-	for epoch := 0; epoch < 3; epoch++ {
-		for i := range small {
-			for _, p := range []string{small[i], large[i]} {
-				got, err := cli.ReadAll(p)
-				if err != nil {
-					t.Fatalf("epoch %d: %s: %v", epoch, p, err)
-				}
-				want := 4096
-				if p == large[i] {
-					want = zeroCopyMin
-				}
-				if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, want)) {
-					t.Fatalf("epoch %d: %s differs from the PFS copy", epoch, p)
+	forEachMapping(t, func(t *testing.T, _ bool) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		small := writePFS(t, filepath.Join(pfsDir, "small"), files/2, 4096)
+		large := writePFS(t, filepath.Join(pfsDir, "large"), files/2, zeroCopyMin)
+		servers, cli := startCluster(t, pfsDir, 1, nil, nil)
+		for epoch := 0; epoch < 3; epoch++ {
+			for i := range small {
+				for _, p := range []string{small[i], large[i]} {
+					got, err := cli.ReadAll(p)
+					if err != nil {
+						t.Fatalf("epoch %d: %s: %v", epoch, p, err)
+					}
+					want := 4096
+					if p == large[i] {
+						want = zeroCopyMin
+					}
+					if !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, want)) {
+						t.Fatalf("epoch %d: %s differs from the PFS copy", epoch, p)
+					}
 				}
 			}
+			servers[0].WaitIdle()
 		}
-		servers[0].WaitIdle()
-	}
-	ss := servers[0].Stats()
-	if ss.Misses != int64(len(small)+len(large)) {
-		t.Fatalf("%d PFS passes for %d files", ss.Misses, len(small)+len(large))
-	}
-	if ss.ZeroCopyFallbacks != 0 || ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
-		t.Fatalf("zero-copy accounting: %+v", ss)
-	}
+		ss := servers[0].Stats()
+		if ss.Misses != int64(len(small)+len(large)) {
+			t.Fatalf("%d PFS passes for %d files", ss.Misses, len(small)+len(large))
+		}
+		if ss.ZeroCopyFallbacks != 0 || ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
+			t.Fatalf("zero-copy accounting: %+v", ss)
+		}
+	})
 }
 
 // TestSendfileLeaseHeldUntilPeerAsks: a warm file that left by sendfile
@@ -331,7 +338,6 @@ func TestSendfileLeaseHeldUntilPeerAsks(t *testing.T) {
 			t.Fatal(err)
 		}
 		servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
-			c.ZeroCopy = true
 			c.CacheCapacity = size + size/2 // room for one file
 			c.Movers = 1
 		}, func(c *ClientConfig) {
@@ -404,7 +410,7 @@ func TestSendfileLeaseHeldUntilPeerAsks(t *testing.T) {
 // were the lease released with the handler's return, the eviction would
 // recycle the file, unmap it and overwrite it with the next file's bytes.
 func TestMappedLeaseHeldUntilWritten(t *testing.T) {
-	r := newLadderRig(t, "", true, ladderSize)
+	r := newLadderRig(t, "", ladderSize)
 	want, err := os.ReadFile(r.paths[0])
 	if err != nil {
 		t.Fatal(err)

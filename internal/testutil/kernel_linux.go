@@ -35,6 +35,6 @@ func KernelCounts() (c Counts, ok bool) {
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		return Counts{}, false
 	}
-	c.VolSwitches = ru.Nvcsw
+	c.VolSwitches = int64(ru.Nvcsw) // an int32 on 386 and arm
 	return c, true
 }

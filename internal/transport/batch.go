@@ -148,21 +148,15 @@ func PutBatchEntryHead(b []byte, status uint8, n int) {
 	binary.LittleEndian.PutUint32(b[1:BatchEntryOverhead], uint32(n))
 }
 
-// DecodeBatchResults unpacks a batch response's data section into want
-// entries. Entry lengths come off the wire and are bounds-checked against
-// the remaining data before any slice is taken. A StatusPassed entry
-// fails it: its bytes are in a descriptor, which only the exchange that
-// received the frame can land (Response.BatchResults).
-func DecodeBatchResults(data []byte, want int) ([]BatchResult, error) {
-	return decodeBatch(data, want, nil)
-}
-
 // BatchResults decodes r's batch entries, want of them: those the
 // exchange decoded when it landed the reply's passed entries, else r's
-// data section as DecodeBatchResults does.
+// data section. Entry lengths come off the wire and are bounds-checked
+// against the remaining data before any slice is taken. A StatusPassed
+// entry in the data section fails it: its bytes are in a descriptor,
+// which only the exchange that received the frame can land.
 func (r *Response) BatchResults(want int) ([]BatchResult, error) {
 	if r.batch == nil {
-		return DecodeBatchResults(r.Data, want)
+		return decodeBatch(r.Data, want, nil)
 	}
 	if len(r.batch) != want {
 		return nil, fmt.Errorf("transport: batch of %d results, want %d", len(r.batch), want)
@@ -186,7 +180,7 @@ func decodeBatch(data []byte, want int, rx *passRx) ([]BatchResult, error) {
 		status := data[off]
 		n := int(binary.LittleEndian.Uint32(data[off+1 : off+BatchEntryOverhead]))
 		off += BatchEntryOverhead
-		if n < 0 || off+n > len(data) {
+		if n < 0 || n > len(data)-off { // not off+n, which wraps on 32-bit platforms
 			return nil, fmt.Errorf("transport: batch result %d length %d overruns the response", i, n)
 		}
 		r := BatchResult{Status: status}

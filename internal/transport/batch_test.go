@@ -70,7 +70,7 @@ func TestBatchResultsRoundTrip(t *testing.T) {
 	data = AppendBatchEntry(data, StatusError, []byte("no such file"))
 	data = AppendBatchEntry(data, StatusAgain, nil)
 
-	results, err := DecodeBatchResults(data, 3)
+	results, err := (&Response{Data: data}).BatchResults(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBatchResultsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeBatchResultsCorrupt(t *testing.T) {
+func TestBatchResultsCorrupt(t *testing.T) {
 	good := AppendBatchEntry(nil, StatusOK, []byte("abc"))
 	cases := map[string][]byte{
 		"truncated header": good[:3],
@@ -94,14 +94,14 @@ func TestDecodeBatchResultsCorrupt(t *testing.T) {
 		"trailing bytes":   append(append([]byte{}, good...), 0xde, 0xad),
 	}
 	for name, data := range cases {
-		if _, err := DecodeBatchResults(data, 1); err == nil {
+		if _, err := (&Response{Data: data}).BatchResults(1); err == nil {
 			t.Errorf("%s: corrupt results decoded without error", name)
 		}
 	}
-	if _, err := DecodeBatchResults(good, 2); err == nil {
+	if _, err := (&Response{Data: good}).BatchResults(2); err == nil {
 		t.Error("short result list decoded without error")
 	}
-	if _, err := DecodeBatchResults(good, 0); err == nil {
+	if _, err := (&Response{Data: good}).BatchResults(0); err == nil {
 		t.Error("zero want accepted")
 	}
 }

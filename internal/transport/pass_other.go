@@ -1,4 +1,4 @@
-//go:build !linux
+//go:build !linux || 386
 
 package transport
 
@@ -8,8 +8,10 @@ import (
 	"syscall"
 )
 
-// Non-Linux builds have no local socket, so no descriptor is ever passed:
-// the server never takes this plane and the client never arms a receiver.
+// Non-Linux builds have no local socket, and 32-bit x86 Linux reaches
+// sendmsg and recvmsg only through socketcall, which this plane does not
+// use: no descriptor is ever passed, the server never takes this plane
+// and the client never arms a receiver.
 
 func local(net.Conn, syscall.RawConn) bool { return false }
 

@@ -45,7 +45,7 @@ type PayloadReleaser interface{ Release() }
 // involved: non-sendfile writer, mid-transfer error resume, or a failed
 // header or descriptor frame). core's
 // TestReadLadderThroughEveryWrapper and runChaosCase assert that identity
-// end-to-end with ZeroCopy armed.
+// end-to-end.
 type ZeroCopyStats struct {
 	Eligible  atomic.Int64
 	Sends     atomic.Int64
