@@ -396,16 +396,15 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 			t.Fatalf("srv%d: zerocopy sends(%d)+fallbacks(%d) != eligible(%d); stats %+v",
 				i, ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible, ss)
 		}
-		if tc.network != "local" && ss.ZeroCopyPassed+ss.BatchPassed != 0 {
-			t.Fatalf("srv%d: %d descriptors and %d batch entries passed off the local socket", i, ss.ZeroCopyPassed, ss.BatchPassed)
+		if tc.network != "local" && ss.Passed != 0 {
+			t.Fatalf("srv%d: %d descriptors passed off the local socket", i, ss.Passed)
 		}
 		if tc.capacity > 0 && s.CachedBytes() > tc.capacity {
 			t.Fatalf("srv%d: cached %d bytes over the %d-byte capacity", i, s.CachedBytes(), tc.capacity)
 		}
 		sum.eligible += ss.ZeroCopyEligible
 		sum.mapped += ss.MappedSends
-		sum.passed += ss.ZeroCopyPassed
-		sum.batchPassed += ss.BatchPassed
+		sum.passed += ss.Passed
 		sum.notAdmitted += ss.NotAdmitted
 	}
 	if tc.network != "" {
@@ -415,10 +414,10 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 }
 
 // chaosTotals sums a run's serves by payload plane — fd payloads that
-// reached the writer (eligible), the part of them passed as descriptors,
-// payloads spliced from mappings, and batch entries passed as
-// descriptors — and its fetches not admitted.
-type chaosTotals struct{ eligible, passed, mapped, batchPassed, notAdmitted int64 }
+// reached the sendfile writer (eligible), payloads passed as descriptors
+// (whole reads and batch entries), and payloads spliced from mappings —
+// and its fetches not admitted.
+type chaosTotals struct{ eligible, passed, mapped, notAdmitted int64 }
 
 // add sums the payload planes of p into t.
 func (t *chaosTotals) add(p chaosTotals) {
@@ -462,29 +461,29 @@ func TestChaosMatrix(t *testing.T) {
 }
 
 // TestChaosMatrixZeroCopyLocal is the matrix with every client on the
-// servers' local socket, so the faults hit sendfile, the mapped writev
-// and the descriptor frames of a unix socket: the bulk-pipeline row's
-// 1.25 MiB files are read in chunks of descMin and more, and must be
-// passed as descriptors somewhere in the matrix. Every row whose files
-// reach the transport's batch floor (8 KiB) — bulk-pipeline and
-// batch-passed — must pass batch entries as descriptors too, with the
-// bytes runChaosCase holds identical to the PFS copy.
+// servers' local socket, so the faults hit the mapped writev and the
+// descriptor frames of a unix socket. Every row whose files reach the
+// transport's floor (passMin, 8 KiB) — bulk-pipeline, whose 1.25 MiB files
+// are read in chunks, and batch-passed — must pass its warm payloads as
+// descriptors, with the bytes runChaosCase holds identical to the PFS
+// copy; the rows below it leave from their mappings. No serve on the local
+// socket reaches sendfile, which is TestChaosMatrix's plane.
 func TestChaosMatrixZeroCopyLocal(t *testing.T) {
-	skipOffLinux(t)
+	skipNoLocal(t)
 	var sum chaosTotals
 	for _, tc := range chaosMatrix() {
 		tc.network = "local"
 		t.Run(tc.name, func(t *testing.T) {
 			p := runChaosCase(t, tc)
 			sum.add(p)
-			if tc.size >= 8<<10 && p.batchPassed == 0 {
-				t.Fatalf("no batch entry of %d bytes was passed as a descriptor; the row is vacuous", tc.size)
+			if tc.size >= passMin && p.passed == 0 {
+				t.Fatalf("no payload of %d bytes was passed as a descriptor; the row is vacuous", tc.size)
 			}
 		})
 	}
-	if sum.eligible-sum.passed == 0 || sum.mapped == 0 || sum.passed == 0 {
-		t.Fatalf("%d serves by sendfile, %d from mappings and %d by descriptor across the matrix; the planes went unexercised",
-			sum.eligible-sum.passed, sum.mapped, sum.passed)
+	if sum.eligible != 0 || sum.mapped == 0 || sum.passed == 0 {
+		t.Fatalf("%d serves by sendfile, %d from mappings and %d by descriptor across the matrix; want none by sendfile and some of each other",
+			sum.eligible, sum.mapped, sum.passed)
 	}
 }
 

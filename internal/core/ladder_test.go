@@ -277,9 +277,11 @@ func ladderOps() []ladderOp {
 func TestReadLadderThroughEveryWrapper(t *testing.T) { testReadLadder(t, "tcp") }
 
 // TestReadLadderThroughEveryWrapperLocal is the ladder with the client on
-// the server's local socket, which every lease-holding plane also feeds.
+// the server's local socket, where a lease's whole read of the
+// transport's floor (passMin) or more leaves as the cache file's
+// descriptor instead of by sendfile or from the mapping.
 func TestReadLadderThroughEveryWrapperLocal(t *testing.T) {
-	skipOffLinux(t)
+	skipNoLocal(t)
 	testReadLadder(t, "local")
 }
 
@@ -446,17 +448,20 @@ func testReadLadder(t *testing.T, network string) {
 						if ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
 							t.Fatalf("zerocopy sends(%d)+fallbacks(%d) != eligible(%d)", ss.ZeroCopySends, ss.ZeroCopyFallbacks, ss.ZeroCopyEligible)
 						}
-						var mapped, sent int64 // the plane this serve must take
+						var mapped, sent, passed int64 // the plane this serve must take
 						switch {
 						case !st.leased:
+						case network == "local" && !op.batch && size >= passMin:
+							passed = 1
 						case size < zeroCopyMin && mapping:
 							mapped = 1
 						case size < zeroCopyMin:
 						case !op.batch:
 							sent = 1
 						}
-						if ss.MappedSends != mapped || ss.ZeroCopyEligible != sent {
-							t.Fatalf("planes: %d mapped, %d sendfile serves; want %d and %d", ss.MappedSends, ss.ZeroCopyEligible, mapped, sent)
+						if ss.MappedSends != mapped || ss.ZeroCopyEligible != sent || ss.Passed != passed {
+							t.Fatalf("planes: %d mapped, %d sendfile, %d passed serves; want %d, %d and %d",
+								ss.MappedSends, ss.ZeroCopyEligible, ss.Passed, mapped, sent, passed)
 						}
 						if !op.batch { // the batch op runs the handler's passes in process
 							checkNetwork(t, network, r.srv)
@@ -471,10 +476,10 @@ func testReadLadder(t *testing.T, network string) {
 // TestNegativeOffsetRefused: a read at a negative offset is refused where
 // it is first seen. File.ReadAt answers it locally, so the handle stays
 // remote and nothing degrades; the server refuses a raw OpRead before the
-// resolver, so a warm key hands sendfile nothing and a cold one costs no
-// PFS open.
+// resolver, so a warm key hands its lease to neither sendfile nor the
+// descriptor plane, and a cold one costs no PFS open.
 func TestNegativeOffsetRefused(t *testing.T) {
-	const size = 2 * zeroCopyMin // a warm read of zeroCopyMin leaves by sendfile
+	const size = 2 * zeroCopyMin // a warm read of zeroCopyMin leaves by sendfile, or as a descriptor locally
 	// The case name dates from when a segmented case ran beside this
 	// whole-file one; it is kept so the test's name does not change.
 	t.Run("segmented=false", func(t *testing.T) {
@@ -496,7 +501,7 @@ func TestNegativeOffsetRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		settle(servers)
-		pfsOpens, eligible := opensOf(opens, p), srv.Stats().ZeroCopyEligible
+		pfsOpens, before := opensOf(opens, p), srv.Stats()
 
 		if n, err := f.ReadAt(buf, -1); err == nil || n != 0 {
 			t.Fatalf("ReadAt(p, -1) = %d, %v; want 0 and an error", n, err)
@@ -526,8 +531,9 @@ func TestNegativeOffsetRefused(t *testing.T) {
 		if got := opensOf(opens, p); got != pfsOpens {
 			t.Fatalf("the refused read cost %d PFS opens", got-pfsOpens)
 		}
-		if got := srv.Stats().ZeroCopyEligible; got != eligible {
-			t.Fatalf("the refused read reached sendfile: eligible %d -> %d", eligible, got)
+		if st := srv.Stats(); st.ZeroCopyEligible != before.ZeroCopyEligible || st.Passed != before.Passed {
+			t.Fatalf("the refused read handed its lease over: eligible %d -> %d, passed %d -> %d",
+				before.ZeroCopyEligible, st.ZeroCopyEligible, before.Passed, st.Passed)
 		}
 	})
 }

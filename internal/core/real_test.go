@@ -54,7 +54,7 @@ func forEachNetwork(t *testing.T, f func(t *testing.T, network string)) {
 	for _, network := range []string{"local", "tcp"} {
 		t.Run(network, func(t *testing.T) {
 			if network == "local" {
-				skipOffLinux(t)
+				skipNoLocal(t)
 			}
 			f(t, network)
 		})
@@ -77,15 +77,20 @@ func forEachMapping(t *testing.T, f func(t *testing.T, mapped bool)) {
 	}
 }
 
-// skipOffLinux skips t where there is no local socket. A test whose cases
-// were named before the local socket existed keeps those names for TCP and
-// runs the local socket as a sibling test (…Local) that calls this.
-func skipOffLinux(t *testing.T) {
+// skipNoLocal skips t where the build has no local socket
+// (transport.LocalSocket). A test whose cases were named before the local
+// socket existed keeps those names for TCP and runs the local socket as a
+// sibling test (…Local) that calls this.
+func skipNoLocal(t *testing.T) {
 	t.Helper()
-	if runtime.GOOS != "linux" {
-		t.Skip("no local socket off Linux")
+	if !transport.LocalSocket() {
+		t.Skip("no local socket in this build")
 	}
 }
+
+// passMin is the transport's floor for passing a payload as its cache
+// file's descriptor on the local socket (transport.Response.Pass).
+const passMin = 8 << 10
 
 // dialOver returns a link to addr over network: "tcp" never tries the
 // local socket, anything else dials as a client does.

@@ -169,27 +169,25 @@ type ServerStats struct {
 	//	ZeroCopySends + ZeroCopyFallbacks == ZeroCopyEligible
 	//
 	// Every response that reached the wire with an fd-backed payload
-	// (eligible) either left entirely via sendfile (a send) or involved
-	// userspace bytes (a fallback). ZeroCopyBytes counts the bytes
-	// sendfile itself moved. ZeroCopyPassed counts the sends that left as
-	// a descriptor frame on the local socket (the client read the bytes
-	// from the file itself); like ZeroCopyBytes it is outside both
-	// identities.
+	// (eligible: a lease handed to sendfile, over TCP) either left
+	// entirely via sendfile (a send) or involved userspace bytes (a
+	// fallback). ZeroCopyBytes counts the bytes sendfile itself moved;
+	// it is outside both identities.
 	ZeroCopyEligible  int64
 	ZeroCopySends     int64
 	ZeroCopyBytes     int64
 	ZeroCopyFallbacks int64
-	ZeroCopyPassed    int64
-	// MappedSends counts payloads below zeroCopyMin that left from their
-	// cache file's mapping, spliced into the reply's writev with no copy
-	// in userspace (whole reads and batch entries alike). Like
-	// ZeroCopyBytes it is outside both identities.
+	// MappedSends counts payloads that left from their cache file's
+	// mapping, spliced into the reply's writev with no copy in userspace
+	// (whole reads and batch entries alike). Like ZeroCopyBytes it is
+	// outside both identities.
 	MappedSends int64
-	// BatchPassed counts batch entries that left as their cache file's
-	// descriptor on the local socket (transport.Response.PassBatchEntry):
-	// the client read their bytes from the file, and neither socket nor
-	// /proc/self/io saw them. Outside both identities too.
-	BatchPassed int64
+	// Passed counts payloads, whole reads and batch entries alike, that
+	// left as their cache file's descriptor on the local socket
+	// (transport.Response.Pass): the client read their bytes from the
+	// file, and neither socket nor /proc/self/io saw them. Outside both
+	// identities too.
+	Passed int64
 	// LocalConns counts connections accepted on the node-local socket
 	// (transport.Server.LocalConns); LocalRefused those closed unread
 	// because the peer ran as another user (transport.Server.LocalRefused).
@@ -213,7 +211,7 @@ type serverCounters struct {
 	replicaWarms         atomic.Int64
 	notAdmitted          atomic.Int64
 	mappedSends          atomic.Int64
-	batchPassed          atomic.Int64
+	passed               atomic.Int64
 }
 
 func (c *serverCounters) snapshot() ServerStats {
@@ -232,7 +230,7 @@ func (c *serverCounters) snapshot() ServerStats {
 		ReplicaWarms:  c.replicaWarms.Load(),
 		NotAdmitted:   c.notAdmitted.Load(),
 		MappedSends:   c.mappedSends.Load(),
-		BatchPassed:   c.batchPassed.Load(),
+		Passed:        c.passed.Load(),
 	}
 }
 
@@ -439,7 +437,6 @@ func (s *Server) Stats() ServerStats {
 	st.ZeroCopySends = s.zc.Sends.Load()
 	st.ZeroCopyBytes = s.zc.Bytes.Load()
 	st.ZeroCopyFallbacks = s.zc.Fallbacks.Load()
-	st.ZeroCopyPassed = s.zc.Passed.Load()
 	st.LocalConns = s.rpc.LocalConns()
 	st.LocalRefused = s.rpc.LocalRefused()
 	return st
@@ -780,7 +777,10 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 // DESIGN.md §4.3 has the buffered path 3.7 µs ahead at 32 KiB, the two
 // tied at 64 KiB and sendfile 2.7 µs ahead at 128 KiB.
 // Below it a mapped file's writev saves the pread and costs no extra send,
-// so the knee is also where the store stops mapping: one constant.
+// so the knee is also where the store stops mapping: one constant. Both
+// planes are what a TCP peer gets: on the local socket a payload from the
+// transport's floor (8 KiB) up leaves as its descriptor before either is
+// tried.
 const zeroCopyMin = cachestore.MapLimit
 
 // resolve is the server's one read ladder (§III-D; DESIGN.md §5.1):
@@ -801,12 +801,13 @@ const zeroCopyMin = cachestore.MapLimit
 // The payload goes on resp, after the bytes its Data holds: a batch
 // passes the frame it is assembling there, a whole read an empty
 // response; req is the request resp answers. Rung 1 hands over the lease
-// itself, for a whole read of zeroCopyMin bytes or more to sendfile, and
-// for a batch entry the transport passes as a descriptor on the local
-// socket (transport.Response.PassBatchEntry), and the transport releases
-// it once the peer has read the frame (transport.PayloadReleaser); for a
-// mapped file it splices the mapping into the payload, and the lease is
-// released once the reply's writev has returned. Every other serve reads
+// itself, first for a payload — a whole read or a batch entry — the
+// transport passes as a descriptor on the local socket
+// (transport.Response.Pass), then for a whole read of zeroCopyMin bytes
+// or more to sendfile, and the transport releases it once the peer has
+// read the frame (transport.PayloadReleaser); for a mapped file it
+// splices the mapping into the payload, and the lease is released once
+// the reply's writev has returned. Every other serve reads
 // into Data — a whole read's grabbed from resp only once a rung needs
 // one, sized to what the entry can still deliver — and leaves in the
 // response's one vectored write. A range past the end is a short,
@@ -820,11 +821,12 @@ func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, 
 	lz, lerr := s.store.Lease(task.key)
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
-		if resp.Data == nil && want >= zeroCopyMin {
-			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
+		if resp.Pass(req, lz.File(), off, want, lz) {
+			s.stats.passed.Add(1)
 			return int(want), fe == nil, nil
 		}
-		if resp.PassBatchEntry(req, lz.File(), off, want, lz) {
+		if resp.Data == nil && want >= zeroCopyMin {
+			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
 			return int(want), fe == nil, nil
 		}
 		if m := lz.Mapped(); m != nil && want > 0 {
@@ -1011,20 +1013,18 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 // index lost since pass 1 takes the miss ladder, for this entry only), and
 // stamps the header with what the read delivered — less than pass 1
 // recorded when the file shrank. A resident entry the transport passes as
-// a descriptor is stamped by the transport, and counted in BatchPassed. A
-// read that fails now (the fill and the PFS both gave out) degrades this
-// entry alone to StatusError.
+// a descriptor is stamped StatusPassed by the transport. A read that fails
+// now (the fill and the PFS both gave out) degrades this entry alone to
+// StatusError.
 func (s *Server) serveBatchEntry(req *transport.Request, resp *transport.Response, p string, e *batchEntry) {
-	start, passed := len(resp.Data), resp.PassedEntries()
+	start := len(resp.Data)
 	resp.Data = transport.AppendBatchEntry(resp.Data, transport.StatusOK, nil)
 	n, hit, err := s.resolve(req, fetchTask{key: p, path: p, size: int64(e.size)}, e.fe, 0, int64(e.size), resp)
 	if err != nil {
 		resp.Data = transport.AppendBatchEntry(resp.Data[:start], transport.StatusError, []byte(err.Error()))
 		return
 	}
-	if resp.PassedEntries() > passed {
-		s.stats.batchPassed.Add(1)
-	} else {
+	if resp.Data[start] != transport.StatusPassed {
 		transport.PutBatchEntryHead(resp.Data[start:], transport.StatusOK, n)
 	}
 	s.stats.batchEntries.Add(1)

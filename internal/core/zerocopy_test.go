@@ -42,11 +42,13 @@ func writeSizedPFS(t *testing.T, dir string, sizes []int) []string {
 }
 
 // TestZeroCopyByteIdentity reads one dataset through a cluster across
-// two epochs (the second is warm, so it is served through fd leases,
-// mappings and sendfile) and requires every read to match the PFS bytes,
-// once with the small files mapped and once with the mapping budget spent.
-// The warm epoch must produce zero-copy-eligible serves, and on Linux
-// actual sendfile sends.
+// two epochs (the second is warm, so it is served through fd leases:
+// mappings, and sendfile or, where the client dials the local socket,
+// descriptors) and requires every read to match the PFS bytes, once with
+// the small files mapped and once with the mapping budget spent. The warm
+// epoch must hand leases over: on the local socket as passed descriptors
+// and never to sendfile; over TCP as zero-copy-eligible serves, and on
+// Linux actual sendfile sends.
 func TestZeroCopyByteIdentity(t *testing.T) {
 	sizes := []int{1, 511, 4096, zeroCopyMin - 1, zeroCopyMin, zeroCopyMin + 1, (1 << 20) + 7}
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
@@ -78,7 +80,7 @@ func TestZeroCopyByteIdentity(t *testing.T) {
 			}
 		}
 
-		var eligible, sends, mappedSends int64
+		var eligible, sends, mappedSends, passed int64
 		for i, s := range servers {
 			ss := s.Stats()
 			if ss.ZeroCopySends+ss.ZeroCopyFallbacks != ss.ZeroCopyEligible {
@@ -88,9 +90,16 @@ func TestZeroCopyByteIdentity(t *testing.T) {
 			eligible += ss.ZeroCopyEligible
 			sends += ss.ZeroCopySends
 			mappedSends += ss.MappedSends
+			passed += ss.Passed
 		}
 		if (mappedSends > 0) != mapped {
 			t.Fatalf("warm epoch: %d serves from mappings with mapped=%v", mappedSends, mapped)
+		}
+		if transport.LocalSocket() { // the client dials the local socket
+			if passed == 0 || eligible != 0 {
+				t.Fatalf("warm epoch on the local socket: %d descriptors passed and %d sendfile-eligible serves, want some and none", passed, eligible)
+			}
+			return
 		}
 		if eligible == 0 {
 			t.Fatal("warm epoch produced no zero-copy-eligible serves")
@@ -113,7 +122,12 @@ func TestZeroCopyMidSendConnectionDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers, cli := startCluster(t, pfsDir, 1, nil, nil)
+	// The healthy client dials TCP too, so its reads also leave by sendfile.
+	servers, cli := startCluster(t, pfsDir, 1, nil, func(c *ClientConfig) {
+		c.DialTransport = func(addr string) transport.Transport {
+			return dialOver("tcp", addr, transport.ClientOptions{})
+		}
+	})
 	srv := servers[0]
 
 	// Warm the cache so the raw-connection read below is an fd-lease serve.
@@ -176,23 +190,21 @@ func TestZeroCopyMidSendConnectionDeath(t *testing.T) {
 
 // TestZeroCopySizeRule pins which plane a warm read leaves by, on a
 // server whose config names none, counted at the server so it reads the
-// same on any machine. A file below zeroCopyMin leaves from its mapping,
-// or is copied into the response once the mapping budget is spent.
-// Any other read under zeroCopyMin bytes is copied into the response, and
-// no serve under zeroCopyMin is even eligible for sendfile. From
-// zeroCopyMin up the lease is handed over and, on Linux, sent, never
-// fallen back from: by sendfile, or on the local socket from descMin
-// bytes up by passing its descriptor. The lease rule looks at the read's
-// length alone, so a short read of a large file is buffered.
+// same on any machine. On the local socket a read that delivers passMin
+// bytes or more leaves as the cache file's descriptor, whatever the
+// file's size, and nothing there is sent by sendfile. Every other read
+// goes by size: a file below zeroCopyMin leaves from its mapping, or is
+// copied into the response once the mapping budget is spent; any other
+// read under zeroCopyMin bytes is copied into the response, and no serve
+// under zeroCopyMin is even eligible for sendfile. From zeroCopyMin up the
+// lease is handed to sendfile and, on Linux, sent, never fallen back from.
+// Both rules look at the bytes the read delivers alone, so a short read of
+// a large file is buffered.
 func TestZeroCopySizeRule(t *testing.T) {
 	forEachNetwork(t, func(t *testing.T, network string) {
 		forEachMapping(t, func(t *testing.T, mapped bool) { testZeroCopySizeRule(t, network, mapped) })
 	})
 }
-
-// descMin is transport's descMin: the shortest payload passed as a
-// descriptor on the local socket.
-const descMin = 256 << 10
 
 func testZeroCopySizeRule(t *testing.T, network string, mapped bool) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
@@ -219,10 +231,12 @@ func testZeroCopySizeRule(t *testing.T, network string, mapped bool) {
 		{paths[4], 32 << 10},    // a short read of a large file
 		{paths[4], zeroCopyMin}, // and one at the threshold
 		{paths[0], zeroCopyMin}, // a long buffer over a short file: 32 KiB to deliver
-		{paths[4], descMin - 1},
-		{paths[4], descMin},
+		{paths[0], passMin - 1}, // a short read of a mapped file, below the floor
+		{paths[0], passMin},     // and at it
+		{paths[4], passMin - 1},
+		{paths[4], passMin},
 		{paths[4], 1 << 20},
-		{paths[3], descMin}, // a descMin request for zeroCopyMin+1 bytes: sendfile
+		{paths[3], 1 << 20}, // a long request for zeroCopyMin+1 bytes
 	}
 	for _, rd := range reads {
 		content, err := os.ReadFile(rd.path)
@@ -245,14 +259,13 @@ func testZeroCopySizeRule(t *testing.T, network string, mapped bool) {
 		resp.Release()
 		after := srv.Stats()
 		var wantEligible, wantPassed, wantMapped int64
-		if mapped && len(content) < zeroCopyMin {
-			wantMapped = 1
-		}
-		if len(want) >= zeroCopyMin {
-			wantEligible = 1
-		}
-		if network == "local" && len(want) >= descMin {
+		switch {
+		case network == "local" && len(want) >= passMin:
 			wantPassed = 1
+		case mapped && len(content) < zeroCopyMin:
+			wantMapped = 1
+		case len(want) >= zeroCopyMin:
+			wantEligible = 1
 		}
 		if got := after.ZeroCopyEligible - before.ZeroCopyEligible; got != wantEligible {
 			t.Errorf("read %d of %s (%d bytes to deliver): %d sendfile-eligible serves, want %d", rd.len, rd.path, len(want), got, wantEligible)
@@ -266,7 +279,7 @@ func testZeroCopySizeRule(t *testing.T, network string, mapped bool) {
 		if got := after.ZeroCopySends - before.ZeroCopySends; runtime.GOOS == "linux" && got != wantEligible {
 			t.Errorf("read %d of %s: %d zero-copy sends, want %d", rd.len, rd.path, got, wantEligible)
 		}
-		if got := after.ZeroCopyPassed - before.ZeroCopyPassed; runtime.GOOS == "linux" && got != wantPassed {
+		if got := after.Passed - before.Passed; got != wantPassed {
 			t.Errorf("read %d of %s: %d descriptors passed, want %d", rd.len, rd.path, got, wantPassed)
 		}
 		cl, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: open.Handle})
@@ -322,15 +335,17 @@ func TestLeaseBudgetEveryReadServed(t *testing.T) {
 	})
 }
 
-// TestSendfileLeaseHeldUntilPeerAsks: a warm file that left by sendfile
-// keeps its lease until the peer's next request, on either socket. A raw
-// peer leaves the reply unread in its socket, which holds the file's own
-// pages; a second file's fill then evicts the first. Were the lease gone,
-// the fill would recycle the evicted file and overwrite those pages in
-// place, and the peer would read the second file's bytes.
+// TestSendfileLeaseHeldUntilPeerAsks: a warm file whose lease went to
+// the transport — by sendfile over TCP, as its passed descriptor on the
+// local socket — keeps its lease until the peer's next request. A raw peer
+// leaves the reply unread in its socket, which holds the file's own pages,
+// or the descriptor that names the file itself; a second file's fill then
+// evicts the first. Were the lease gone, the fill would recycle the
+// evicted file and overwrite it in place, and the peer would read the
+// second file's bytes.
 func TestSendfileLeaseHeldUntilPeerAsks(t *testing.T) {
 	forEachNetwork(t, func(t *testing.T, network string) {
-		const size = 2 * zeroCopyMin // sent by sendfile, and the socket's buffer holds it whole
+		const size = 2 * zeroCopyMin // handed over whole, and the socket's buffer holds it
 		pfsDir := filepath.Join(t.TempDir(), "dataset")
 		paths := writePFS(t, pfsDir, 2, size)
 		want, err := os.ReadFile(paths[0])
@@ -373,13 +388,14 @@ func TestSendfileLeaseHeldUntilPeerAsks(t *testing.T) {
 			return resp
 		}
 		handle := call(&transport.Request{Op: transport.OpOpen, Path: paths[0]}).Handle
-		sends := srv.Stats().ZeroCopySends
+		handedOver := func(st ServerStats) int64 { return st.ZeroCopySends + st.Passed }
+		before := handedOver(srv.Stats())
 		if err := transport.WriteRequest(raw, &transport.Request{Op: transport.OpRead, Handle: handle, Len: size}); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); srv.Stats().ZeroCopySends == sends; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); handedOver(srv.Stats()) == before; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatal("the read never left by sendfile")
+				t.Fatal("the read's lease never left by sendfile or as a descriptor")
 			}
 		}
 
@@ -390,13 +406,18 @@ func TestSendfileLeaseHeldUntilPeerAsks(t *testing.T) {
 		if st := srv.Stats(); st.Evictions == 0 {
 			t.Fatalf("the second fill evicted nothing: %+v", st)
 		}
-		resp, err := transport.ReadResponse(raw)
-		if err != nil {
-			t.Fatal(err)
+		var got []byte
+		if network == "local" {
+			got = readPassedReply(t, raw)
+		} else {
+			resp, err := transport.ReadResponse(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = bytes.Clone(resp.Data)
+			resp.Release()
 		}
-		ok := bytes.Equal(resp.Data, want)
-		resp.Release()
-		if !ok {
+		if !bytes.Equal(got, want) {
 			t.Fatal("the unread reply changed under the peer: its lease was released before the peer asked again")
 		}
 		call(&transport.Request{Op: transport.OpClose, Handle: handle})

@@ -1,4 +1,4 @@
-//go:build linux
+//go:build linux && !386
 
 package transport
 
@@ -20,7 +20,13 @@ import (
 // namespace and die with their socket, so there is no file to clean up;
 // they carry no permissions either, so a client keeps a connection only
 // to a peer running as its own user or root, and a server serves a local
-// connection only from such a peer.
+// connection only from such a peer. The socket exists only where the
+// descriptor plane does (pass_linux.go): a server there passes cached
+// payloads as descriptors, and a client that could not receive them would
+// fail every such read.
+
+// LocalSocket reports whether this build has the node-local socket.
+func LocalSocket() bool { return true }
 
 // listenLocal claims the local name of the TCP address a server bound:
 // its IP, or "*" for a wildcard bind, which TCP reaches from any of this

@@ -1,3 +1,5 @@
+//go:build linux && !386
+
 package transport
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -14,15 +13,46 @@ import (
 // "local", the unix socket a client on the server's own host dials first,
 // and "tcp", what every other client dials. A test that pins what an
 // exchange costs runs once on each, with the same budgets and counts.
-// There is no local socket off Linux.
+// There is no local socket where LocalSocket says so.
 func forEachNetwork(t *testing.T, f func(t *testing.T, network string)) {
 	for _, network := range []string{"local", "tcp"} {
 		t.Run(network, func(t *testing.T) {
-			if network == "local" && runtime.GOOS != "linux" {
-				t.Skip("no local socket off Linux")
+			if network == "local" && !LocalSocket() {
+				t.Skip("no local socket in this build")
 			}
 			f(t, network)
 		})
+	}
+}
+
+// TestLocalConnCarriesDescriptors: a client holds a connection to a
+// server's local socket only where it can receive descriptors on it, since
+// a server passes every cached payload of passMin bytes or more there.
+// Where the descriptor plane is stubbed — off Linux, and on 32-bit x86
+// Linux — the client reaches the same server over TCP, and the server
+// accepts no local connection.
+func TestLocalConnCarriesDescriptors(t *testing.T) {
+	checkResponses(t)
+	srv, err := Serve("127.0.0.1:0", func(*Request) *Response { return AcquireResponse() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := Dial(srv.Addr())
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	pc := c.idle[len(c.idle)-1]
+	c.mu.Unlock()
+	local := pc.conn.LocalAddr().Network() == "unix"
+	if local && pc.rx == nil {
+		t.Fatal("the client holds a local connection it cannot receive a descriptor on")
+	}
+	if local != LocalSocket() || (srv.LocalConns() > 0) != LocalSocket() {
+		t.Errorf("client on a %s connection, %d local connections at the server; this build has a local socket: %v",
+			pc.conn.LocalAddr().Network(), srv.LocalConns(), LocalSocket())
 	}
 }
 
@@ -115,7 +145,7 @@ func drainedConnRx(t *testing.T, network string, armed bool) net.Conn {
 	var rx *passRx
 	if armed {
 		rx = newPassRx(cconn)
-		rx.arm(&Request{Len: descMin})
+		rx.arm(&Request{Len: passMin})
 	}
 	var src io.Reader = cconn
 	if rx != nil {
@@ -141,15 +171,18 @@ func drainedConnRx(t *testing.T, network string, armed bool) net.Conn {
 	return sconn
 }
 
-// sockCounts counts the Read and Write calls serveConn makes on a
-// connection, and the rounds of its raw sender (sends): one per call of
-// the sendfile or sendmsg step, which sends until the payload is out or
-// the socket is full, so a reply that leaves in one system call takes one
-// round and a short write takes a second, once the socket drains.
-type sockCounts struct{ reads, writes, sends atomic.Int64 }
+// sockCounts counts the Read and Write calls made on a connection, the
+// rounds of its raw sender (sends): one per call of the sendfile or
+// sendmsg step, which sends until the payload is out or the socket is
+// full, so a reply that leaves in one system call takes one round and a
+// short write takes a second, once the socket drains — and the rounds of
+// its raw receiver that end its wait (recvs): one per recvmsg that
+// delivered, so a reply taken in one system call is one, however often
+// the receiver found the socket empty before it arrived.
+type sockCounts struct{ reads, writes, sends, recvs atomic.Int64 }
 
 // countingRaw is a connection's RawConn that counts the rounds of its
-// writes' step functions.
+// step functions.
 type countingRaw struct {
 	syscall.RawConn
 	c *sockCounts
@@ -159,6 +192,16 @@ func (r countingRaw) Write(f func(fd uintptr) bool) error {
 	return r.RawConn.Write(func(fd uintptr) bool {
 		r.c.sends.Add(1)
 		return f(fd)
+	})
+}
+
+func (r countingRaw) Read(f func(fd uintptr) bool) error {
+	return r.RawConn.Read(func(fd uintptr) bool {
+		done := f(fd)
+		if done {
+			r.c.recvs.Add(1)
+		}
+		return done
 	})
 }
 
@@ -238,8 +281,8 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 	for _, network := range []string{"local", "tcp"} {
 		for _, size := range []int{0, 32 << 10} {
 			b.Run(fmt.Sprintf("%s/%dKiB", network, size>>10), func(b *testing.B) {
-				if network == "local" && runtime.GOOS != "linux" {
-					b.Skip("no local socket off Linux")
+				if network == "local" && !LocalSocket() {
+					b.Skip("no local socket in this build")
 				}
 				payload := make([]byte, size)
 				srv, err := Serve("127.0.0.1:0", func(*Request) *Response {

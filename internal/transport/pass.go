@@ -14,17 +14,18 @@ import (
 // rides the frame's first bytes as SCM_RIGHTS ancillary data. The client
 // preads the range straight into its destination and closes the
 // descriptor before Call returns, so the bytes are copied once, by the
-// client, out of the page cache. Two replies take it:
+// client, out of the page cache. One rule decides it for every reply:
+// a resident payload of passMin bytes or more that the server offers to
+// Pass leaves this way, up to passCap per reply. Only the mark differs:
 //
-//   - a whole read of descMin bytes or more: the frame is marked by bit
-//     31 of the u32 dataLen, and its payload section is the range. A real
-//     dataLen is at most MaxFrame (2^26), so the bit is otherwise never
-//     set, and a decoder that knows nothing of descriptors fails the
-//     frame's "data length overruns frame" check instead of misreading it;
-//   - a batch read's resident entries of batchPassMin bytes or more, up to
-//     passCap of them per reply: each is marked by StatusPassed and its
-//     body is the range, and every descriptor rides one control message,
-//     in entry order. Entries below the floor or past the cap, and misses
+//   - a whole read's frame is marked by bit 31 of the u32 dataLen, and
+//     its payload section is the range. A real dataLen is at most
+//     MaxFrame (2^26), so the bit is otherwise never set, and a decoder
+//     that knows nothing of descriptors fails the frame's "data length
+//     overruns frame" check instead of misreading it;
+//   - a batch entry is marked by StatusPassed and its body is the range,
+//     and every descriptor rides the reply's one control message, in
+//     entry order. Entries below the floor or past the cap, and misses
 //     served from fills, keep their bytes in the same frame.
 //
 // A marked frame or entry without its descriptor — a TCP connection, a
@@ -40,25 +41,20 @@ import (
 // connection can carry another request, so a cache file recycled in place
 // never changes under a pread.
 const (
-	// descMin is the shortest whole read passed as a descriptor. From it
-	// up the reply outgrows the unix socket's default send buffer, and
-	// the descriptor won in every sweep; below it the plane would take
-	// the small-file workloads, and put their exchanges on recvmsg,
-	// which /proc/self/io does not count (DESIGN.md §4.3).
-	descMin = 256 << 10
-
-	// batchPassMin is the shortest batch entry passed as a descriptor.
-	// Through the codec, 16 entries per reply, descriptors and their
-	// preads beat the entries' bytes by 14–21 % at 8 KiB and by more
-	// above, and did not win at 4 KiB, where installing and closing a
-	// descriptor costs what the copy it saves does (DESIGN.md §4.3).
-	batchPassMin = 8 << 10
+	// passMin is the shortest payload passed as a descriptor, a whole
+	// read or a batch entry. Through the codec, 16-entry batch replies of
+	// descriptors and their preads beat the entries' bytes by 14–21 % at
+	// 8 KiB and did not win at 4 KiB, where installing and closing a
+	// descriptor costs what the copy it saves does; a single read by
+	// descriptor is level with a mapped writev at 8 KiB and ahead from
+	// 16 KiB, by 28–30 % at 64 KiB (DESIGN.md §4.3).
+	passMin = 8 << 10
 
 	// passCap is the most descriptors one reply carries: the kernel's
 	// SCM_MAX_FD, the most one SCM_RIGHTS message may hold.
 	passCap = 253
 
-	passFlag = 1 << 31 // dataLen bit marking a descriptor frame
+	passFlag = 1 << 31 // dataLen bit marking a whole read's descriptor frame
 	passLen  = 16      // the range a passed payload names: u64 off | u64 len
 )
 
@@ -70,42 +66,50 @@ var errNoDescriptor = errors.New("transport: corrupt response: descriptor frame 
 // both ends apply, the server before it passes one and the client before
 // it receives with recvmsg.
 func mayPass(req *Request) bool {
-	return req.Len >= descMin || req.Op == OpReadBatch && req.Handle&BatchFlagPrefetch == 0
+	return req.Len >= passMin || req.Op == OpReadBatch && req.Handle&BatchFlagPrefetch == 0
 }
 
-// passEntry reports whether a batch entry of n bytes leaves as a
-// descriptor, when passed entries of req's reply have already done so: on
-// the local socket, from the floor, up to the cap.
+// passEntry reports whether a payload of n bytes leaves as a descriptor,
+// when passed payloads of req's reply have already done so: on the local
+// socket, from the floor, up to the cap.
 func passEntry(req *Request, n int64, passed int) bool {
-	return req.local && req.Op == OpReadBatch && mayPass(req) && n >= batchPassMin && passed < passCap
+	return req.local && mayPass(req) && n >= passMin && passed < passCap
 }
 
 // Passed reports whether the response's payload came as a descriptor and
 // was read from the file by this process, not from the socket.
 func (r *Response) Passed() bool { return r.passed }
 
-// passFiles is a reply's passed batch entries: the files whose
-// descriptors ride its frame, in entry order, and the releasers the
-// server holds until the peer has read them. Pooled, as splices are.
+// passFiles is a reply's passed payloads: the files whose descriptors
+// ride its frame, in payload order, the releasers the server holds until
+// the peer has read them, and whether the one payload is a whole read's.
+// Pooled, as splices are.
 type passFiles struct {
 	files []*os.File
 	rels  []PayloadReleaser
+	whole bool
 }
 
 var passFilesPool = sync.Pool{New: func() any { return new(passFiles) }}
 
-// PassBatchEntry marks the batch entry that ends r.Data — appended with
-// AppendBatchEntry(r.Data, StatusOK, nil) — as passed: its body becomes
-// the range, n bytes of f at off, and f's descriptor rides the reply. It
-// reports false and changes nothing when req's reply may not carry it
-// (passEntry): then the caller serves the entry's bytes. rel is released
-// once the peer has read the frame, or with r if it is never written; f
-// must stay open until then.
-func (r *Response) PassBatchEntry(req *Request, f *os.File, off, n int64, rel PayloadReleaser) bool {
-	if !passEntry(req, n, r.PassedEntries()) || len(r.Data) < BatchEntryOverhead {
+// Pass offers n bytes of f at off as the payload that ends r: for a batch
+// read, the entry that ends r.Data, appended with AppendBatchEntry(r.Data,
+// StatusOK, nil); for a whole read, the response's payload, with Data
+// still nil. When req's reply may carry it (passEntry) the payload becomes
+// the range, f's descriptor rides the reply, and Pass reports true; else
+// it reports false and changes nothing, and the caller serves the bytes.
+// rel is released once the peer has read the frame, or with r if it is
+// never written; f must stay open until then.
+func (r *Response) Pass(req *Request, f *os.File, off, n int64, rel PayloadReleaser) bool {
+	whole := req.Op != OpReadBatch
+	if whole && r.Data != nil || !whole && len(r.Data) < BatchEntryOverhead || !passEntry(req, n, r.passedFiles()) {
 		return false
 	}
-	PutBatchEntryHead(r.Data[len(r.Data)-BatchEntryOverhead:], StatusPassed, passLen)
+	if whole {
+		r.Data = r.Grab(passLen)[:0]
+	} else {
+		PutBatchEntryHead(r.Data[len(r.Data)-BatchEntryOverhead:], StatusPassed, passLen)
+	}
 	r.Data = binary.LittleEndian.AppendUint64(r.Data, uint64(off))
 	r.Data = binary.LittleEndian.AppendUint64(r.Data, uint64(n))
 	if r.pf == nil {
@@ -113,19 +117,19 @@ func (r *Response) PassBatchEntry(req *Request, f *os.File, off, n int64, rel Pa
 	}
 	r.pf.files = append(r.pf.files, f)
 	r.pf.rels = append(r.pf.rels, rel)
+	r.pf.whole = whole
 	return true
 }
 
-// PassedEntries reports how many of the reply's batch entries leave as
-// descriptors.
-func (r *Response) PassedEntries() int {
+// passedFiles reports how many descriptors the reply carries.
+func (r *Response) passedFiles() int {
 	if r.pf == nil {
 		return 0
 	}
 	return len(r.pf.files)
 }
 
-// holdPassed moves the passed entries' releasers onto held, for the
+// holdPassed moves the passed payloads' releasers onto held, for the
 // connection to release once the peer has read the frame.
 func (r *Response) holdPassed(held []PayloadReleaser) []PayloadReleaser {
 	if r.pf == nil {
@@ -152,20 +156,24 @@ func (r *Response) releasePassed() {
 	}
 	clear(pf.files)
 	clear(pf.rels)
-	pf.files, pf.rels = pf.files[:0], pf.rels[:0]
+	pf.files, pf.rels, pf.whole = pf.files[:0], pf.rels[:0], false
 	passFilesPool.Put(pf)
 }
 
-// writePassed writes a reply with passed batch entries — head, then Data
-// with its borrowed segments, then tail, the frame writeVectored would
-// write — as one message with every entry's descriptor attached to its
-// first byte. Only a connection that may carry them takes it: any other
-// writer fails the reply, as a frame promising descriptors it could not
-// carry would be corrupt.
+// writePassed writes a reply with passed payloads — head, then Data with
+// its borrowed segments, then tail, the frame writeVectored would write,
+// with a whole read's dataLen, the last field of head, marked — as one
+// message with every payload's descriptor attached to its first byte.
+// Only a connection that may carry them takes it: any other writer fails
+// the reply, as a frame promising descriptors it could not carry would be
+// corrupt.
 func writePassed(w io.Writer, head []byte, resp *Response, tail []byte) error {
 	fs, ok := w.(fileSender)
 	if !ok || !fs.canPass() {
 		return errNoDescriptor
+	}
+	if resp.pf.whole {
+		binary.LittleEndian.PutUint32(head[len(head)-4:], passLen|passFlag)
 	}
 	v := respVecPool.Get().(*respVec)
 	v.arr = appendSections(v.arr[:0], head, resp.Data, resp.sp, tail)

@@ -46,7 +46,7 @@ func passFrame(sec []byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(respFixedLen+len(sec)))
 	b = append(b, StatusOK)
 	b = binary.LittleEndian.AppendUint64(b, 0)
-	b = binary.LittleEndian.AppendUint64(b, descMin)
+	b = binary.LittleEndian.AppendUint64(b, passMin)
 	b = binary.LittleEndian.AppendUint32(b, passLen|passFlag)
 	b = append(b, sec...)
 	return binary.LittleEndian.AppendUint16(b, 0)
@@ -59,7 +59,7 @@ func passFrame(sec []byte) []byte {
 // On the local socket the second frame arrives with a real descriptor
 // attached, which the client must close unread.
 func TestCorruptPassFrameDropsConn(t *testing.T) {
-	sec := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0), descMin)
+	sec := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0), passMin)
 	for _, tc := range []struct {
 		name  string
 		frame []byte
@@ -72,7 +72,7 @@ func TestCorruptPassFrameDropsConn(t *testing.T) {
 			forEachNetwork(t, func(t *testing.T, network string) {
 				checkResponses(t)
 				testutil.CheckFDs(t)
-				f := payloadFile(t, patterned(descMin))
+				f := payloadFile(t, patterned(passMin))
 				ln, addr := listenNet(t, network)
 				accepted := make(chan int, 1)
 				go func() {
@@ -94,7 +94,7 @@ func TestCorruptPassFrameDropsConn(t *testing.T) {
 				c := dialNet(network, addr)
 				c.retry.MaxAttempts = 2
 				c.sleep = func(d time.Duration) {}
-				resp, err := c.Call(&Request{Op: OpRead, Len: descMin, Dst: make([]byte, descMin)})
+				resp, err := c.Call(&Request{Op: OpRead, Len: passMin, Dst: make([]byte, passMin)})
 				if err == nil {
 					resp.Release()
 					t.Fatal("a corrupt descriptor frame was delivered")
@@ -139,7 +139,7 @@ func batchPassedFrame(body []byte) []byte {
 // come, the reply is not decoded in the exchange, and decoding it fails
 // instead. Either way the caller degrades the batch per entry.
 func TestCorruptBatchPassedEntry(t *testing.T) {
-	rng := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0), batchPassMin)
+	rng := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0), passMin)
 	for _, tc := range []struct {
 		name  string
 		frame []byte
@@ -152,7 +152,7 @@ func TestCorruptBatchPassedEntry(t *testing.T) {
 			forEachNetwork(t, func(t *testing.T, network string) {
 				checkResponses(t)
 				testutil.CheckFDs(t)
-				f := payloadFile(t, patterned(batchPassMin))
+				f := payloadFile(t, patterned(passMin))
 				ln, addr := listenNet(t, network)
 				done := make(chan struct{})
 				go func() {
@@ -208,7 +208,7 @@ func TestBatchCtruncFailsTheCall(t *testing.T) {
 		resp := AcquireResponse()
 		resp.Data = resp.Grab(4 * (BatchEntryOverhead + passLen))[:0]
 		for i := 0; i < 4; i++ {
-			serveBatchSpec(req, resp, f, data, batchEntrySpec{kind: "passed", off: i << 12, n: batchPassMin}, &rel)
+			serveBatchSpec(req, resp, f, data, batchEntrySpec{kind: "passed", off: i << 12, n: passMin}, &rel)
 		}
 		resp.Size = 4
 		return resp

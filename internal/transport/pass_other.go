@@ -10,8 +10,9 @@ import (
 
 // Non-Linux builds have no local socket, and 32-bit x86 Linux reaches
 // sendmsg and recvmsg only through socketcall, which this plane does not
-// use: no descriptor is ever passed, the server never takes this plane
-// and the client never arms a receiver.
+// use, so it has no local socket either (local_stub.go): no descriptor is
+// ever passed, the server never takes this plane and the client never
+// arms a receiver.
 
 func local(net.Conn, syscall.RawConn) bool { return false }
 

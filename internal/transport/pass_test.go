@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -12,13 +11,14 @@ import (
 )
 
 // The descriptor plane (pass.go) end to end: a real Server and Client,
-// with file payloads on either side of descMin.
+// with payloads on either side of passMin.
 
-// TestPassedReplyLandsInDst: on the local socket a file payload of descMin
-// bytes or more comes back as a descriptor and is read from the file
-// straight into Dst; a shorter one, or any over TCP, crosses the socket
-// as before. The bytes are the file's either way, no descriptor is left
-// open, and every pass is a send, never a fallback.
+// TestPassedReplyLandsInDst: on the local socket a whole read the handler
+// offers to Pass, of passMin bytes or more, comes back as a descriptor and
+// is read from the file straight into Dst; a shorter one, or any over
+// TCP, is refused and crosses the socket by sendfile as before. The bytes
+// are the file's either way, no descriptor is left open, and no sendfile
+// serve falls back.
 func TestPassedReplyLandsInDst(t *testing.T) {
 	forEachNetwork(t, func(t *testing.T, network string) {
 		checkResponses(t)
@@ -26,9 +26,14 @@ func TestPassedReplyLandsInDst(t *testing.T) {
 		data := patterned(1 << 20)
 		f := payloadFile(t, data)
 		var zc ZeroCopyStats
+		var passed atomic.Int64
 		srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
 			resp := AcquireResponse()
-			resp.SetPayloadFile(f, req.Off, req.Len, nil, &zc)
+			if resp.Pass(req, f, req.Off, req.Len, nil) {
+				passed.Add(1)
+			} else {
+				resp.SetPayloadFile(f, req.Off, req.Len, nil, &zc)
+			}
 			resp.Size = req.Len
 			return resp
 		})
@@ -39,11 +44,11 @@ func TestPassedReplyLandsInDst(t *testing.T) {
 		c := dialNet(network, srv.Addr())
 		defer c.Close()
 		for _, rd := range []struct{ off, n int64 }{
-			{0, descMin - 1}, {0, descMin}, {7, descMin + 1}, {0, 1 << 20},
+			{0, passMin - 1}, {3, passMin - 1}, {0, passMin}, {5, passMin + 1}, {0, 64 << 10}, {7, 256<<10 + 1}, {0, 1 << 20},
 		} {
-			passes := network == "local" && rd.n >= descMin && runtime.GOOS == "linux"
+			passes := network == "local" && rd.n >= passMin
 			dst := make([]byte, rd.n)
-			passed := zc.Passed.Load()
+			before := passed.Load()
 			resp, err := c.Call(&Request{Op: OpRead, Off: rd.off, Len: rd.n, Dst: dst})
 			if err != nil {
 				t.Fatalf("read %d at %d: %v", rd.n, rd.off, err)
@@ -58,8 +63,8 @@ func TestPassedReplyLandsInDst(t *testing.T) {
 			if !bytes.Equal(dst, data[rd.off:rd.off+rd.n]) {
 				t.Fatalf("read %d at %d: bytes differ from the file", rd.n, rd.off)
 			}
-			if got, want := zc.Passed.Load()-passed, map[bool]int64{false: 0, true: 1}[passes]; got != want {
-				t.Errorf("read %d at %d: %d passes counted, want %d", rd.n, rd.off, got, want)
+			if got, want := passed.Load()-before, map[bool]int64{false: 0, true: 1}[passes]; got != want {
+				t.Errorf("read %d at %d: %d passes, want %d", rd.n, rd.off, got, want)
 			}
 		}
 		if zc.Eligible.Load() != zc.Sends.Load() || zc.Fallbacks.Load() != 0 {
@@ -83,7 +88,7 @@ type batchEntrySpec struct {
 }
 
 // serveBatchSpec appends spec's entry to resp as a server handler does: a
-// "passed" entry is offered to PassBatchEntry and, refused, read into the
+// "passed" entry is offered to Pass and, refused, read into the
 // frame as "framed" is; "spliced" borrows the bytes from data.
 func serveBatchSpec(req *Request, resp *Response, f *os.File, data []byte, e batchEntrySpec, rel PayloadReleaser) {
 	switch e.kind {
@@ -97,7 +102,7 @@ func serveBatchSpec(req *Request, resp *Response, f *os.File, data []byte, e bat
 		resp.Splice(data[e.off:e.off+e.n], rel)
 	case "passed":
 		resp.Data = AppendBatchEntry(resp.Data, StatusOK, nil)
-		if resp.PassBatchEntry(req, f, int64(e.off), int64(e.n), rel) {
+		if resp.Pass(req, f, int64(e.off), int64(e.n), rel) {
 			return
 		}
 		resp.Data = append(resp.Data, data[e.off:e.off+e.n]...)
@@ -144,7 +149,7 @@ func checkBatchReply(t *testing.T, resp *Response, data []byte, specs []batchEnt
 // TestBatchReplyMixesPlanes: one batch reply carries entries passed as
 // descriptors, spliced from borrowed memory, read into the frame, failed
 // and skipped, in that order and mixed. On the local socket the passed
-// entries from batchPassMin up land from their descriptors, and one below
+// entries from passMin up land from their descriptors, and one below
 // it leaves as bytes; over TCP every entry is bytes. The bytes and the
 // order are the file's either way, no descriptor is left open, and the
 // server holds every passed entry's releaser until the peer's next
@@ -161,8 +166,8 @@ func TestBatchReplyMixesPlanes(t *testing.T) {
 			{kind: "framed", off: 200 << 10, n: 12 << 10},
 			{kind: "error", wantErr: "no such file"},
 			{kind: "again"},
-			{kind: "passed", off: 300<<10 + 5, n: batchPassMin, landed: true},
-			{kind: "passed", off: 400 << 10, n: batchPassMin - 1},
+			{kind: "passed", off: 300<<10 + 5, n: passMin, landed: true},
+			{kind: "passed", off: 400 << 10, n: passMin - 1},
 			{kind: "passed", off: 500 << 10, n: 64 << 10, landed: true},
 		}
 		var passedRel, otherRel releaseCounter
@@ -229,16 +234,16 @@ func TestBatchReplyOverPassCap(t *testing.T) {
 		f := payloadFile(t, data)
 		specs := make([]batchEntrySpec, passCap+3)
 		for i := range specs {
-			specs[i] = batchEntrySpec{kind: "passed", off: i * 3 << 10, n: batchPassMin, landed: i < passCap}
+			specs[i] = batchEntrySpec{kind: "passed", off: i * 3 << 10, n: passMin, landed: i < passCap}
 		}
 		var passed atomic.Int64
 		srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
 			resp := AcquireResponse()
-			resp.Data = resp.Grab(len(specs) * (BatchEntryOverhead + batchPassMin))[:0]
+			resp.Data = resp.Grab(len(specs) * (BatchEntryOverhead + passMin))[:0]
 			for _, e := range specs {
 				serveBatchSpec(req, resp, f, data, e, nil)
 			}
-			passed.Store(int64(resp.PassedEntries()))
+			passed.Store(int64(resp.passedFiles()))
 			resp.Size = int64(len(specs))
 			return resp
 		})

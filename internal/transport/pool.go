@@ -3,7 +3,6 @@ package transport
 import (
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -75,12 +74,10 @@ func putFrameBuf(p *[]byte) {
 // the net.Buffers slice is always rebuilt over the struct's own backing,
 // because Buffers.WriteTo consumes the slice header (advancing it past
 // the backing) — pooling the bare header would re-allocate it on every
-// reuse. The backing grows to the most sections a reply has had. files
-// is a one-file reply's descriptor list for passFrame (pass.go).
+// reuse. The backing grows to the most sections a reply has had.
 type respVec struct {
-	bufs  net.Buffers
-	arr   [][]byte
-	files []*os.File
+	bufs net.Buffers
+	arr  [][]byte
 }
 
 var respVecPool = sync.Pool{New: func() any { return new(respVec) }}

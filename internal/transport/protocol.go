@@ -11,16 +11,16 @@
 //
 // The frame length counts everything after the length field. Bulk payloads
 // ride in the response's data section — except on the local socket, where
-// a file payload of 256 KiB or more leaves as a descriptor frame: bit 31
-// of dataLen set, a data section of u64 off | u64 len, and the cache
-// file's descriptor attached to the frame as SCM_RIGHTS. The client
-// preads that range into its destination and closes the descriptor
-// before Call returns, so the payload never crosses the socket (pass.go).
-// A frame with the bit and no descriptor is corrupt; a decoder that knows
-// nothing of the bit rejects the frame as a data length overrun. A batch
-// reply's warm entries leave the same way there, each a StatusPassed
-// entry naming its range, every descriptor in the frame's one control
-// message (batch.go).
+// a cached payload of 8 KiB or more leaves as its cache file's descriptor
+// (pass.go). A whole read's frame then has bit 31 of dataLen set and a
+// data section of u64 off | u64 len, with the descriptor attached to the
+// frame as SCM_RIGHTS; the client preads that range into its destination
+// and closes the descriptor before Call returns, so the payload never
+// crosses the socket. A frame with the bit and no descriptor is corrupt; a
+// decoder that knows nothing of the bit rejects the frame as a data length
+// overrun. A batch reply's warm entries leave the same way there, each a
+// StatusPassed entry naming its range, every descriptor in the frame's one
+// control message (batch.go).
 //
 // The codec is allocation-free on the warm path: frames are encoded into
 // pooled buffers (pool.go), a response's payload is written with a
@@ -348,7 +348,7 @@ func writeResponse(w io.Writer, resp *Response, pre []byte) error {
 	var err error
 	switch {
 	case resp.pf != nil:
-		// Passed batch entries: the same frame, with their descriptors.
+		// Passed payloads: the same frame, with their descriptors.
 		err = writePassed(w, ht[:split], resp, ht[split:])
 	case dataLen == 0:
 		// Header and tail are contiguous in the scratch: one plain write.

@@ -15,10 +15,11 @@ import (
 // payload; one vectored write and nothing else for a buffered payload —
 // the path every read under core's zeroCopyMin takes; and header write,
 // sendfile, tail write for a file payload. The counts are the same on
-// either socket, except for a file payload of descMin bytes or more on
-// the local socket: that leaves as one sendmsg with the file's
-// descriptor (pass.go), below the Write counter, and counts as a send
-// and a pass.
+// either socket, except for a file payload of passMin bytes or more on
+// the local socket, which the handler offers to Pass first as core's
+// rung 1 does: that leaves as one sendmsg with the file's descriptor
+// (pass.go), below the Write counter and outside ZeroCopyStats, and the
+// client takes it in one recvmsg.
 func TestServeConnSendsPerExchange(t *testing.T) {
 	forEachNetwork(t, testServeConnSendsPerExchange)
 }
@@ -46,7 +47,9 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 			}
 			resp.Data = buf
 		case file:
-			resp.SetPayloadFile(f, 0, req.Len, nil, &zc)
+			if !resp.Pass(req, f, 0, req.Len, nil) {
+				resp.SetPayloadFile(f, 0, req.Len, nil, &zc)
+			}
 		}
 		resp.Size = req.Len
 		return resp
@@ -56,6 +59,8 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 	conn, cc := counting(sc)
 	// The client end receives as a pooled Client connection does: through
 	// a buffered reader over the descriptor receiver, armed per request.
+	// Its counting form counts the receiver's recvmsg rounds.
+	client, clientCounts := counting(client)
 	rx := newPassRx(client)
 	var src io.Reader = client
 	if rx != nil {
@@ -78,16 +83,16 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 		wantReads  int64 // 0: as many as the kernel hands the frame over in
 		wantWrites int64
 		wantSends  int64
-		passes     bool // on the local socket: no writes, and one pass
+		passes     bool // on the local socket: no writes or sendfile, one sendmsg and one recvmsg
 	}{
 		{"no payload", Request{Op: OpPing, Handle: bare}, 1, 1, 0, false},
 		{"32 KiB buffered", Request{Op: OpRead, Handle: buffered, Len: 32 << 10}, 1, 0, 0, false},
 		{"32 KiB buffered, long path", Request{Op: OpRead, Handle: buffered, Len: 32 << 10, Path: longPath}, 1, 0, 0, false},
 		{"32 KiB buffered, request past the buffer", Request{Op: OpRead, Handle: buffered, Len: 32 << 10, Path: batchPath}, 0, 0, 0, false},
-		{"64 KiB file", Request{Op: OpRead, Handle: file, Len: 64 << 10}, 1, 2, 1, false},
-		{"128 KiB file", Request{Op: OpRead, Handle: file, Len: 128 << 10}, 1, 2, 1, false},
-		{"descMin-1 file", Request{Op: OpRead, Handle: file, Len: descMin - 1}, 1, 2, 1, false},
-		{"descMin file", Request{Op: OpRead, Handle: file, Len: descMin}, 1, 2, 1, true},
+		{"passMin-1 file", Request{Op: OpRead, Handle: file, Len: passMin - 1}, 1, 2, 1, false},
+		{"passMin file", Request{Op: OpRead, Handle: file, Len: passMin}, 1, 2, 1, true},
+		{"64 KiB file", Request{Op: OpRead, Handle: file, Len: 64 << 10}, 1, 2, 1, true},
+		{"128 KiB file", Request{Op: OpRead, Handle: file, Len: 128 << 10}, 1, 2, 1, true},
 		{"512 KiB file", Request{Op: OpRead, Handle: file, Len: 512 << 10}, 1, 2, 1, true},
 	}
 	for _, c := range cases {
@@ -95,11 +100,12 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 			continue // no sendfile: the file payload falls back to pread + three writes
 		}
 		passes := c.passes && network == "local"
-		wantWrites, wantPassed := c.wantWrites, int64(0)
+		wantWrites, wantSends := c.wantWrites, c.wantSends
 		if passes {
-			wantWrites, wantPassed = 0, 1
+			wantWrites, wantSends = 0, 0
 		}
-		reads, writes, sends, passed := cc.reads.Load(), cc.writes.Load(), zc.Sends.Load(), zc.Passed.Load()
+		reads, writes, sends := cc.reads.Load(), cc.writes.Load(), zc.Sends.Load()
+		rounds, recvs := cc.sends.Load(), clientCounts.recvs.Load()
 		if err := WriteRequest(client, &c.req); err != nil {
 			t.Fatal(err)
 		}
@@ -120,14 +126,20 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 		if got := cc.writes.Load() - writes; got != wantWrites {
 			t.Errorf("%s: %d plain writes for one response, want %d", c.name, got, wantWrites)
 		}
-		if got := zc.Sends.Load() - sends; got != c.wantSends {
-			t.Errorf("%s: %d zero-copy sends, want %d", c.name, got, c.wantSends)
-		}
-		if got := zc.Passed.Load() - passed; got != wantPassed {
-			t.Errorf("%s: %d descriptors passed, want %d", c.name, got, wantPassed)
+		if got := zc.Sends.Load() - sends; got != wantSends {
+			t.Errorf("%s: %d zero-copy sends, want %d", c.name, got, wantSends)
 		}
 		if gotPassed != passes {
 			t.Errorf("%s: Passed() = %v, want %v", c.name, gotPassed, passes)
+		}
+		if !passes {
+			continue
+		}
+		if got := cc.sends.Load() - rounds; got != 1 {
+			t.Errorf("%s: %d sendmsg rounds for one passed reply, want 1", c.name, got)
+		}
+		if got := clientCounts.recvs.Load() - recvs; got != 1 {
+			t.Errorf("%s: %d recvmsg rounds for one passed reply, want 1", c.name, got)
 		}
 	}
 	if n := zc.Fallbacks.Load(); n != 0 {

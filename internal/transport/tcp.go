@@ -150,7 +150,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// two; a batch request longer than the buffer is read straight into
 	// its frame. Responses are not buffered, beyond the held replies below.
 	br := bufio.NewReaderSize(conn, reqReadBuf)
-	// File-payload responses, and replies with passed batch entries, go
+	// File-payload responses, and replies with passed payloads, go
 	// through a per-conn zcWriter (sendfile and sendmsg on Linux), built
 	// up front on the local socket, whose requests it marks as able to
 	// carry descriptors (pass.go), and lazily otherwise. Slice-payload
@@ -201,12 +201,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		dst := io.Writer(conn)
-		if resp.FilePayload() || resp.PassedEntries() > 0 {
+		if resp.FilePayload() || resp.pf != nil {
 			if zw == nil {
 				zw = newZCWriter(conn)
 			}
 			dst = zw
-			zw.asked = mayPass(&req)
 			if resp.srcRel != nil && zw.canSendfile() {
 				held, resp.srcRel = append(held, resp.srcRel), nil
 			}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -18,11 +17,10 @@ import (
 // bit-identical to the pooled pread+writev path — so the receiving codec
 // cannot tell the difference, and any failure mode (a writer without a
 // raw descriptor, non-Linux build, SimTransport, a short sendfile) falls
-// back to userspace copies of exactly the bytes the frame promised. On
-// the local socket a payload of descMin bytes or more to a request that
-// asked for as many leaves as a descriptor frame instead, as do a batch
-// reply's passed entries (pass.go): the bytes stay in the file, and the
-// client reads them from it.
+// back to userspace copies of exactly the bytes the frame promised. A
+// payload the server may pass as a descriptor on the local socket is
+// offered to Response.Pass instead (pass.go), and never reaches this
+// writer.
 
 // PayloadReleaser is the release half of an fd-backed payload, and the
 // transport calls Release exactly once. sendfile(2) queues the file's own
@@ -40,10 +38,9 @@ type PayloadReleaser interface{ Release() }
 
 // ZeroCopyStats counts fd-backed payload serves. Every eligible serve —
 // a response carrying a file payload reaching WriteResponse — resolves
-// as exactly one of Sends (the payload left through sendfile alone, or
-// as a descriptor frame) or Fallbacks (any userspace bytes were
-// involved: non-sendfile writer, mid-transfer error resume, or a failed
-// header or descriptor frame). core's
+// as exactly one of Sends (the payload left through sendfile alone) or
+// Fallbacks (any userspace bytes were involved: non-sendfile writer,
+// mid-transfer error resume, or a failed header). core's
 // TestReadLadderThroughEveryWrapper and runChaosCase assert that identity
 // end-to-end.
 type ZeroCopyStats struct {
@@ -53,9 +50,6 @@ type ZeroCopyStats struct {
 	// Bytes counts payload bytes moved by sendfile itself (partial
 	// transfers included); outside the identity.
 	Bytes atomic.Int64
-	// Passed counts the Sends that left as a descriptor frame on the
-	// local socket (pass.go), not through sendfile; outside the identity.
-	Passed atomic.Int64
 }
 
 // orphanZC absorbs counts from responses whose builder attached no stats
@@ -97,8 +91,8 @@ func (r *Response) releaseSrc() {
 // fileSender is a writer that may be able to move an fd range to its
 // destination without a userspace copy. canSendfile answers per
 // connection (TCP or the local socket, on Linux); sendPayload reports how
-// many bytes the kernel moved before any error. canPass answers per reply
-// whether it may carry descriptors instead, which passFrame sends
+// many bytes the kernel moved before any error. canPass answers whether
+// the connection may carry descriptors instead, which passFrame sends
 // attached to the frame's first byte (pass.go).
 type fileSender interface {
 	canSendfile() bool
@@ -108,7 +102,7 @@ type fileSender interface {
 }
 
 // zcWriter wraps a server connection for file-payload responses and
-// replies with passed batch entries only: plain writes delegate to the
+// replies with passed payloads only: plain writes delegate to the
 // conn, the payload goes through sendfile when the platform supports it,
 // and descriptors through sendmsg. Normal (slice-payload) responses must
 // keep writing to the raw conn — net.Buffers' writev fast path
@@ -118,10 +112,9 @@ type zcWriter struct {
 	rc   syscall.RawConn // nil when the conn exposes no raw descriptor
 
 	// local is set for the local socket, the one a descriptor may be
-	// passed on; asked is set by serveConn per reply, when the request
-	// mayPass. tx is the sendmsg state for both kinds of descriptor reply.
-	local, asked bool
-	tx           passTx
+	// passed on; tx is the sendmsg state for its descriptor replies.
+	local bool
+	tx    passTx
 
 	// sendfile loop state, kept on the struct (with step bound once) so
 	// a warm serve allocates nothing per call.
@@ -144,9 +137,9 @@ func newZCWriter(conn net.Conn) *zcWriter {
 	return w
 }
 
-// canPass reports whether this reply may carry descriptors: on the local
-// socket, to a request that mayPass.
-func (w *zcWriter) canPass() bool { return w.local && w.asked }
+// canPass reports whether the connection may carry descriptors: the local
+// socket.
+func (w *zcWriter) canPass() bool { return w.local }
 
 // Write blocks no longer than the per-response write deadline serveConn
 // sets on the conn before routing a response here; a negative WriteTimeout
@@ -167,7 +160,7 @@ func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 	if resp.srcLen < 0 || respFixedLen+int(resp.srcLen)+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	p := getFrameBuf(len(pre) + respHeadLen + passLen + 2 + len(resp.Err))
+	p := getFrameBuf(len(pre) + respHeadLen + 2 + len(resp.Err))
 	defer putFrameBuf(p)
 	st := resp.srcStats
 	if st == nil {
@@ -175,39 +168,11 @@ func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 	}
 	st.Eligible.Add(1)
 
-	fs, ok := w.(fileSender)
-	if ok && fs.canPass() && resp.srcLen >= descMin {
-		// The descriptor plane (pass.go): one frame naming the range, the
-		// file's descriptor attached, and no payload on the socket. It is
-		// counted a send before it leaves, as a sendfile send is before
-		// its tail, so a peer that has read the frame finds it counted; a
-		// failed frame moves to Fallbacks.
-		ht := appendRespHead(append((*p)[:0], pre...), resp, passLen)
-		binary.LittleEndian.PutUint32(ht[len(ht)-4:], passLen|passFlag)
-		ht = binary.LittleEndian.AppendUint64(ht, uint64(resp.srcOff))
-		ht = binary.LittleEndian.AppendUint64(ht, uint64(resp.srcLen))
-		st.Sends.Add(1)
-		st.Passed.Add(1)
-		v := respVecPool.Get().(*respVec)
-		v.arr = append(v.arr[:0], appendRespTail(ht, resp.Err))
-		v.files = append(v.files[:0], resp.srcFile)
-		err := fs.passFrame(v.arr, v.files)
-		clear(v.arr)
-		clear(v.files)
-		respVecPool.Put(v)
-		if err != nil {
-			st.Passed.Add(-1)
-			st.Sends.Add(-1)
-			st.Fallbacks.Add(1)
-			return err
-		}
-		return nil
-	}
 	ht := appendRespHead(append((*p)[:0], pre...), resp, int(resp.srcLen))
 	split := len(ht)
 	ht = appendRespTail(ht, resp.Err)
 
-	if ok && fs.canSendfile() {
+	if fs, ok := w.(fileSender); ok && fs.canSendfile() {
 		// Header first: it must precede the payload on the wire, and a
 		// failure here means nothing of the frame went out.
 		if _, err := w.Write(ht[:split]); err != nil {
