@@ -113,7 +113,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hvacc: %v\n", err)
 		return 1
 	}
-	// Every return below closes the client: the deferred close of the last
+	// Every return below closes the client: the queued close of the last
 	// file read leaves only with Close, so skipping it strands a handle in
 	// the server's table.
 	defer cli.Close()

@@ -14,7 +14,7 @@ import (
 
 // TestCommands drives every command against an in-process server over a
 // two-file dataset and checks what each prints and returns. After every
-// command the server must have closed every handle it opened: a deferred
+// command the server must have closed every handle it opened: a queued
 // close leaves only with Client.Close, so a command that returns without
 // it strands the last handle. Once the server has closed, no goroutine
 // and no pooled response may be left over: a command that drops a

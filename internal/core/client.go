@@ -128,7 +128,7 @@ func (c *Client) Stats() ClientStats {
 }
 
 // Close releases all server connections, which first sends the handle
-// closes still deferred onto them. No call of the client's leaves work
+// closes still queued on them. No call of the client's leaves work
 // running after it returns, so there is nothing else to join.
 func (c *Client) Close() {
 	for _, conn := range c.conns {
@@ -286,11 +286,11 @@ func ladderCall(rungs []func() rungResult) rungResult {
 }
 
 // retire closes a server-side handle nobody reads through any more,
-// best-effort. The close is deferred: it leaves with the link's next
+// best-effort. A close is one-way and leaves with the link's next
 // request, so retiring costs no round trip and no goroutine, even when
 // the server is the one that just failed.
 func retire(conn transport.Transport, handle int64) {
-	if resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle, Defer: true}); err == nil {
+	if resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle}); err == nil {
 		resp.Release()
 	}
 }
@@ -589,8 +589,8 @@ func (f *File) Read(p []byte) (int, error) {
 }
 
 // Close implements io.Closer, releasing the server-side handle. The
-// close is deferred (transport.Request.Defer): it costs no round trip of
-// its own, and leaves with the link's next request.
+// close is one-way (transport.OpClose): it costs no round trip of its
+// own, and leaves with the link's next request.
 func (f *File) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -607,7 +607,7 @@ func (f *File) Close() error {
 	if fb != nil {
 		return fb.Close()
 	}
-	resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle, Defer: true})
+	resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle})
 	if err != nil {
 		return err
 	}

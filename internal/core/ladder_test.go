@@ -625,6 +625,16 @@ func TestReadRacingCloseLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	closeResp.Release()
+	// A close is one-way and rides the link's next request: the ping
+	// carries it, so the server has run it before the fill is released.
+	ping, err := r.call(&transport.Request{Op: transport.OpPing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping.Release()
+	if ss := r.srv.Stats(); ss.Closes != 1 {
+		t.Fatalf("%d closes at the server with the read still parked, want 1", ss.Closes)
+	}
 	r.release()
 	got, err := join()
 	if err != nil {

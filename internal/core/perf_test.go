@@ -524,13 +524,13 @@ func readCycle(t *testing.T, cli *Client, paths []string, size int) func(i int) 
 	}
 }
 
-// TestWarmReadKernelBudget: a warm 32 KiB ReadAll (open, read, and a close
-// deferred onto the next call) costs the kernel what it measured when the
-// budget was set, at -cpu 1, 2 and 4. Over TCP the payload crosses the
-// socket: 9.4–10.0 read-class and 4.00 write-class calls (two messages
-// each way, one write apiece; a read that finds the socket empty counts
-// too), and 2.015 kernel bytes per payload byte (the payload once out of
-// the mapping, once into the client, plus framing). On the local socket
+// TestWarmReadKernelBudget: a warm 32 KiB ReadAll (open, read, and a
+// one-way close that rides the next call's write) costs the kernel what
+// it measured when the budget was set, at -cpu 1, 2 and 4. Over TCP the
+// payload crosses the socket: 9.4–10.0 read-class and 4.00 write-class
+// calls (two messages each way, one write apiece; a read that finds the
+// socket empty counts too), and 2.015 kernel bytes per payload byte (the
+// payload once out of the mapping, once into the client, plus framing). On the local socket
 // the read's reply is the cache file's descriptor (transport.Response.Pass,
 // exactly one per ReadAll): its sendmsg and the client's recvmsg are not
 // counted in /proc/self/io, so what shows is the open's exchange (a write
@@ -567,7 +567,7 @@ func TestWarmReadKernelBudget(t *testing.T) {
 }
 
 // TestWarmLargeReadKernelBudget: a warm 8 MiB ReadAll (open, the bulk
-// pipeline's chunk reads, and a deferred close) costs the kernel what it
+// pipeline's chunk reads, and a queued close) costs the kernel what it
 // measured when the budget was set, at -cpu 1, 2 and 4. Over TCP every
 // payload byte crosses the socket in sixteen 512 KiB chunks: sendfile
 // counts it out and the client's read(2)s in, beside the cache file's

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hvac/internal/cachestore"
 	"hvac/internal/testutil"
@@ -173,7 +175,7 @@ func settle(servers []*Server) {
 // stopCluster closes a cluster ahead of its cleanup. A test that goes on
 // to start a second one stops the first before it does, so that the
 // second's checkResources counts nothing of the first still in flight: a
-// fill writing behind its read, a client's deferred closes, a server
+// fill writing behind its read, a client's queued closes, a server
 // response not yet released after its write.
 func stopCluster(servers []*Server, cli *Client) {
 	cli.Close()
@@ -689,22 +691,27 @@ func TestRealServerProtocolEdges(t *testing.T) {
 	defer conn.Close()
 
 	// Unknown ops: 6, 7 and 9 are the retired prefetch, segment read and
-	// plan install, so a client built before they went is refused rather
-	// than misread.
-	for _, op := range []transport.Op{6, 7, 9, 99} {
+	// plan install, and 3 the close while it had a reply, so a client
+	// built before they went is refused rather than misread.
+	for _, op := range []transport.Op{3, 6, 7, 9, 99} {
 		resp := call(t, conn, &transport.Request{Op: op, Path: paths[0], Len: 100})
 		if resp.OK() || !strings.Contains(resp.Err, "unknown op") {
 			t.Fatalf("op %d: status %d, %q; want an unknown-op error", op, resp.Status, resp.Err)
 		}
 	}
-	// Bad handle read/close.
+	// Bad handle read/close. A close has no reply, so a bad one is
+	// answered with nothing, and the connection still serves the next
+	// request.
 	resp := call(t, conn, &transport.Request{Op: transport.OpRead, Handle: 12345, Len: 10})
 	if resp.OK() {
 		t.Fatal("read on bad handle accepted")
 	}
-	resp = call(t, conn, &transport.Request{Op: transport.OpClose, Handle: 12345})
-	if resp.OK() {
-		t.Fatal("close on bad handle accepted")
+	call(t, conn, &transport.Request{Op: transport.OpClose, Handle: 12345})
+	if err := conn.Ping(); err != nil {
+		t.Fatalf("ping after a bad close: %v", err)
+	}
+	if st := servers[0].Stats(); st.Closes != 0 {
+		t.Fatalf("a bad close counted: %d closes", st.Closes)
 	}
 	// Oversized read length.
 	open := call(t, conn, &transport.Request{Op: transport.OpOpen, Path: paths[0]})
@@ -780,10 +787,82 @@ func openHandles(s *Server) int {
 	return n
 }
 
-// TestDeferredClosesReachServerByClientClose: a File's close is deferred
-// onto its link and leaves with the link's next request, so once the
-// readers stop, the last closes are still waiting on the pooled
-// connections. Client.Close sends them: afterwards every server has
+// TestCloseIsOneWay writes a close and a ping to a live server in one
+// write, on a raw connection: exactly one reply frame comes back, the
+// ping's, and the close has run. A close of an unknown handle gets no
+// reply either, and the connection answers the next request as its own.
+// A stat of a marker file ends each write: its reply is the only one
+// that carries the marker's size.
+func TestCloseIsOneWay(t *testing.T) {
+	const markerSize = 777
+	forEachNetwork(t, func(t *testing.T, network string) {
+		pfsDir := filepath.Join(t.TempDir(), "dataset")
+		paths := writePFS(t, pfsDir, 1, 4096)
+		marker := filepath.Join(pfsDir, "marker")
+		if err := os.WriteFile(marker, make([]byte, markerSize), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		servers, _ := startCluster(t, pfsDir, 1, nil, nil)
+		rawNet, rawAddr := "tcp", servers[0].Addr()
+		if network == "local" {
+			rawNet, rawAddr = "unix", "@hvac/"+rawAddr // named after the TCP address (transport's local_linux.go)
+		}
+		raw, err := net.Dial(rawNet, rawAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if err := raw.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		// send writes reqs and the marker's stat in one write and returns
+		// the replies that came before the stat's.
+		send := func(reqs ...*transport.Request) []*transport.Response {
+			t.Helper()
+			var buf bytes.Buffer
+			for _, req := range append(reqs, &transport.Request{Op: transport.OpStat, Path: marker}) {
+				if err := transport.WriteRequest(&buf, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := raw.Write(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			var before []*transport.Response
+			for {
+				resp, err := transport.ReadResponse(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(resp.Release)
+				if resp.OK() && resp.Size == markerSize {
+					return before
+				}
+				before = append(before, resp)
+			}
+		}
+		open := send(&transport.Request{Op: transport.OpOpen, Path: paths[0]})
+		if len(open) != 1 || !open[0].OK() {
+			t.Fatalf("open: %d replies, want one OK", len(open))
+		}
+		got := send(&transport.Request{Op: transport.OpClose, Handle: open[0].Handle}, &transport.Request{Op: transport.OpPing})
+		if len(got) != 1 || !got[0].OK() {
+			t.Fatalf("close + ping: %d reply frames, want exactly one, the ping's", len(got))
+		}
+		if st := servers[0].Stats(); st.Closes != 1 || openHandles(servers[0]) != 0 {
+			t.Fatalf("after close + ping: %d closes, %d handles open; want 1 and 0", st.Closes, openHandles(servers[0]))
+		}
+		if got := send(&transport.Request{Op: transport.OpClose, Handle: 12345}); len(got) != 0 {
+			t.Fatalf("a close of an unknown handle got %d reply frames, want none", len(got))
+		}
+		checkNetwork(t, network, servers...)
+	})
+}
+
+// TestDeferredClosesReachServerByClientClose: a File's close is queued
+// on its link and leaves with the link's next request, so once the
+// readers stop, the last closes are still waiting in the links' queues.
+// Client.Close sends them: afterwards every server has
 // closed every handle it opened and its handle table is empty; the
 // response balance and the descriptor count come back (startCluster's
 // checkResources).
@@ -830,7 +909,7 @@ func TestDeferredClosesReachServerByClientClose(t *testing.T) {
 		opens, closes = opens+st.Opens, closes+st.Closes
 	}
 	if opens != workers*rounds*int64(len(paths)) || closes >= opens {
-		t.Fatalf("%d opens, %d closes before Client.Close: want %d opens and the last closes still deferred", opens, closes, workers*rounds*len(paths))
+		t.Fatalf("%d opens, %d closes before Client.Close: want %d opens and the last closes still queued", opens, closes, workers*rounds*len(paths))
 	}
 	cli.Close()
 	for i, s := range servers {

@@ -234,20 +234,18 @@ func (c *serverCounters) snapshot() ServerStats {
 	}
 }
 
-// errServerClosed fails fetch tasks drained during shutdown.
+// errServerClosed fails a read parked on a fill when the server closes.
 var errServerClosed = errors.New("hvac server: closed")
 
 // fillEntry is the single-flight record of one in-flight background
 // fill. Handlers that hit the same cold key attach to it: ready is
 // closed once the mover has opened the source and created the
-// cachestore.Fill (or failed trying — fill stays nil then), done is
-// closed when the fetch completes and the key leaves the inflight map.
+// cachestore.Fill, or once the fetch ended without one (fill stays nil
+// then).
 type fillEntry struct {
 	once  sync.Once
 	ready chan struct{}
 	fill  *cachestore.Fill // valid after <-ready; nil if fill creation failed
-	done  chan struct{}
-	err   error // valid after <-done
 }
 
 // publish records the fill (nil on failure) and unblocks attachers.
@@ -469,9 +467,9 @@ func (s *Server) Close() {
 	for drained := false; !drained; {
 		select {
 		case task := <-s.demandQ:
-			s.finishFetch(task, errServerClosed)
+			s.finishFetch(task)
 		case task := <-s.prefetchQ:
-			s.finishFetch(task, errServerClosed)
+			s.finishFetch(task)
 		default:
 			drained = true
 		}
@@ -532,10 +530,9 @@ func (s *Server) mover() {
 // probe here is exact; the task retires empty-handed and its attachers
 // read the committed entry.
 func (s *Server) runFetch(task fetchTask) {
-	var err error
 	if !s.store.Resident(task.key) {
 		start := time.Now()
-		err = s.fillIn(task)
+		err := s.fillIn(task)
 		s.latCopy.Observe(time.Since(start))
 		if err == nil {
 			s.stats.misses.Add(1) // a completed first-read fill
@@ -544,7 +541,7 @@ func (s *Server) runFetch(task fetchTask) {
 			}
 		}
 	}
-	s.finishFetch(task, err)
+	s.finishFetch(task)
 }
 
 // warmReplicas forwards a completed demand fill to the key's other
@@ -568,10 +565,11 @@ func (s *Server) warmReplicas(task fetchTask) {
 	}
 }
 
-// finishFetch publishes the task's outcome and retires its single-flight
-// entry.
-func (s *Server) finishFetch(task fetchTask, err error) {
-	task.entry.err = err
+// finishFetch unblocks the task's attachers if the fetch never published
+// a fill, and retires its single-flight entry. A failed fetch's error
+// reaches its readers through the fill (Abort) or, with no fill, as
+// resolve's read-through.
+func (s *Server) finishFetch(task fetchTask) {
 	task.entry.publish(nil) // no-op when the fill was published mid-fetch
 	s.mu.Lock()
 	delete(s.inflight, task.key)
@@ -579,7 +577,6 @@ func (s *Server) finishFetch(task fetchTask, err error) {
 		s.idle.Broadcast()
 	}
 	s.mu.Unlock()
-	close(task.entry.done)
 }
 
 // WaitIdle blocks until every in-flight background fill has completed.
@@ -651,7 +648,7 @@ func (s *Server) scheduleFetch(task fetchTask, demand bool) *fillEntry {
 	if fe, ok := s.inflight[task.key]; ok {
 		return fe
 	}
-	fe := &fillEntry{ready: make(chan struct{}), done: make(chan struct{})}
+	fe := &fillEntry{ready: make(chan struct{})}
 	task.entry = fe
 	task.demand = demand
 	q := s.prefetchQ

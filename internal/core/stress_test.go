@@ -237,7 +237,7 @@ func testStressChurnRecyclesAroundSendfile(t *testing.T, network string, mapped 
 	if r := cli.Stats().Retries; r != 0 {
 		t.Errorf("%d transport retries in a churn with no faults", r)
 	}
-	cli.Close() // sends the closes still deferred on the pooled connections
+	cli.Close() // sends the closes still queued on the links
 	st = srv.Stats()
 	if st.Opens != reads.Load() || st.Hits+st.ReadThroughs != st.Opens || st.Closes != st.Opens {
 		t.Errorf("opens %d (want %d) = hits %d + read-throughs %d, closes %d", st.Opens, reads.Load(), st.Hits, st.ReadThroughs, st.Closes)

@@ -420,7 +420,9 @@ func TestSendfileLeaseHeldUntilPeerAsks(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("the unread reply changed under the peer: its lease was released before the peer asked again")
 		}
-		call(&transport.Request{Op: transport.OpClose, Handle: handle})
+		if err := transport.WriteRequest(raw, &transport.Request{Op: transport.OpClose, Handle: handle}); err != nil { // one-way: no reply to read
+			t.Fatal(err)
+		}
 		checkNetwork(t, network, srv)
 	})
 }

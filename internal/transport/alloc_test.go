@@ -228,10 +228,9 @@ func testZeroCopySendAllocFree(t *testing.T, network string) {
 }
 
 // TestCallAllocFree pins a warm Call at zero allocations in the whole
-// process, server included, on either socket, and a deferred Call with
-// it: the deferred frame is encoded into its connection's own queue,
-// rides the next call's write, and its reply is read through the
-// connection's reader into a pooled Response and dropped.
+// process, server included, on either socket, and a queued close with
+// it: the close's frame is encoded into the client's queue and rides the
+// next call's write, and the server answers it with nothing.
 func TestCallAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	forEachNetwork(t, testCallAllocFree)
@@ -251,7 +250,7 @@ func testCallAllocFree(t *testing.T, network string) {
 	cli := dialNet(network, srv.Addr())
 	defer cli.Close()
 	ping := &Request{Op: OpPing, Handle: 1}
-	closeReq := &Request{Op: OpClose, Handle: 2, Defer: true}
+	closeReq := &Request{Op: OpClose, Handle: 2}
 	call := func(req *Request) {
 		resp, err := cli.Call(req)
 		if err != nil {
@@ -260,7 +259,7 @@ func testCallAllocFree(t *testing.T, network string) {
 		resp.Release()
 	}
 	for i := 0; i < 4; i++ {
-		call(closeReq) // warm: connection, its queue and reader, the pools
+		call(closeReq) // warm: connection and reader, the queue, the pools
 		call(ping)
 	}
 	if n := testing.AllocsPerRun(200, func() { call(ping) }); n > 0 {
@@ -270,7 +269,7 @@ func testCallAllocFree(t *testing.T, network string) {
 		call(closeReq)
 		call(ping)
 	}); n > 0 {
-		t.Errorf("a deferred Call and the call that carries it allocate %.1f/op, want 0", n)
+		t.Errorf("a queued close and the call that carries it allocate %.1f/op, want 0", n)
 	}
 	if n, want := srv.LocalConns(), map[string]int64{"local": 1, "tcp": 0}[network]; n != want {
 		t.Errorf("%d connections on the local socket, want %d", n, want)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"net"
 	"slices"
 	"sync"
@@ -53,13 +52,13 @@ func logHandler(l *opLog) Handler {
 	}
 }
 
-// TestDeferredCallRidesWithNextCall: a deferred close does no I/O — the
-// handler has not seen it when Call returns — and reaches the server in
-// the same write as the connection's next request, whose Call reads and
-// drops the close's reply before its own. The server answers the pair in
-// one write: one plain write when neither reply carries a payload, one
-// writev (no plain write) when the second does. Client.Close sends a
-// close still waiting, and a deferred request naming Dst is refused.
+// TestDeferredCallRidesWithNextCall: a close is queued and does no I/O —
+// the handler has not seen it when Call returns — and reaches the server
+// in the same write as the link's next request. The server answers the
+// close with nothing, so the pair costs it one read and one write: one
+// plain write when the request's reply carries no payload, one writev (no
+// plain write) when it does. Client.Close sends a close still queued, and
+// the server has run it when Close returns.
 func TestDeferredCallRidesWithNextCall(t *testing.T) {
 	forEachNetwork(t, testDeferredCallRidesWithNextCall)
 }
@@ -108,9 +107,9 @@ func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 	}
 
 	reads, writes := cc.reads.Load(), cc.writes.Load()
-	call(&Request{Op: OpClose, Handle: 10, Defer: true})
+	call(&Request{Op: OpClose, Handle: 10})
 	if got := log.handles(OpClose); len(got) != 0 || cc.reads.Load() != reads {
-		t.Fatalf("a deferred close reached the server on its own: closes %v", got)
+		t.Fatalf("a queued close reached the server on its own: closes %v", got)
 	}
 	if resp := call(&Request{Op: OpPing, Handle: 2}); resp.Handle != 2 {
 		t.Fatalf("the ping got reply %d, want its own (2)", resp.Handle)
@@ -123,7 +122,7 @@ func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 	}
 
 	writes = cc.writes.Load()
-	call(&Request{Op: OpClose, Handle: 11, Defer: true})
+	call(&Request{Op: OpClose, Handle: 11})
 	dst := make([]byte, 32<<10)
 	resp := call(&Request{Op: OpRead, Handle: 3, Len: int64(len(dst)), Dst: dst})
 	if resp.Handle != 3 || len(resp.Data) != len(dst) || &resp.Data[0] != &dst[0] || dst[len(dst)-1] != byte(len(dst)-1) {
@@ -133,25 +132,22 @@ func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 		t.Errorf("close + 32 KiB read cost the server %d plain writes, want one writev and none", w)
 	}
 
-	if _, err := cli.Call(&Request{Op: OpClose, Handle: 12, Defer: true, Dst: dst}); !errors.Is(err, errDeferDst) {
-		t.Fatalf("a deferred request with Dst: %v, want %v", err, errDeferDst)
-	}
-	call(&Request{Op: OpClose, Handle: 13, Defer: true})
+	call(&Request{Op: OpClose, Handle: 13})
 	cli.Close()
 	if got := log.handles(OpClose); !slices.Equal(got, []int64{10, 11, 13}) {
 		t.Fatalf("closes at the server after Client.Close: %v, want [10 11 13]", got)
 	}
 	if n := cli.Calls(); n != 6 {
-		t.Errorf("Calls = %d, want 6 (deferred calls count, a refused one does not)", n)
+		t.Errorf("Calls = %d, want 6 (closes count)", n)
 	}
 }
 
 // TestDeferredCloseSurvivesKilledLink kills the server's end of a pooled
-// connection with a close deferred onto it. The next Call fails on that
-// connection and retries on a fresh one, which carries the close: the
-// server sees it exactly once. When the server is gone for good the
-// retry fails too and the close is lost with its link; nothing panics
-// and every pooled response comes back.
+// connection with a close queued. The next Call fails on that connection,
+// puts the close back on the queue and retries on a fresh connection,
+// which carries it: the server sees it exactly once. When the server is
+// gone for good the retry fails too and the close is lost with its link;
+// nothing panics and every pooled response comes back.
 func TestDeferredCloseSurvivesKilledLink(t *testing.T) {
 	checkResponses(t)
 	testutil.CheckLeaks(t)
@@ -171,8 +167,8 @@ func TestDeferredCloseSurvivesKilledLink(t *testing.T) {
 		}
 		return err
 	}
-	deferClose := func(h int64) {
-		resp, err := cli.Call(&Request{Op: OpClose, Handle: h, Defer: true})
+	queueClose := func(h int64) {
+		resp, err := cli.Call(&Request{Op: OpClose, Handle: h})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,19 +183,19 @@ func TestDeferredCloseSurvivesKilledLink(t *testing.T) {
 		_ = c.Close() // the server's end only: the client's pooled socket is now dead
 	}
 	srv.mu.Unlock()
-	deferClose(9)
+	queueClose(9)
 	if err := ping(); err != nil {
 		t.Fatalf("ping after the link died: %v", err)
 	}
 	if got := log.handles(OpClose); !slices.Equal(got, []int64{9}) {
-		t.Fatalf("closes at the server: %v, want [9] (carried to the retry's connection)", got)
+		t.Fatalf("closes at the server: %v, want [9] (put back and carried by the retry)", got)
 	}
 	if n := cli.Retries(); n != 1 {
 		t.Fatalf("Retries = %d, want 1", n)
 	}
 
 	srv.Close()
-	deferClose(14)
+	queueClose(14)
 	if err := ping(); err == nil {
 		t.Fatal("ping succeeded against a closed server")
 	}
@@ -209,8 +205,10 @@ func TestDeferredCloseSurvivesKilledLink(t *testing.T) {
 	}
 }
 
-// TestDeferredCloseWithoutPool: with pooling off there is no connection
-// to defer onto, so a deferred request is an ordinary round trip.
+// TestDeferredCloseWithoutPool: with pooling off a close is queued all
+// the same, on the client rather than on a connection: the next call's
+// fresh connection carries it, and Client.Close dials one for what is
+// left.
 func TestDeferredCloseWithoutPool(t *testing.T) {
 	checkResponses(t)
 	var log opLog
@@ -221,18 +219,34 @@ func TestDeferredCloseWithoutPool(t *testing.T) {
 	defer srv.Close()
 	cli := DialWith(srv.Addr(), ClientOptions{PoolSize: -1})
 	defer cli.Close()
-	resp, err := cli.Call(&Request{Op: OpClose, Handle: 5, Defer: true})
-	if err != nil {
+	queueClose := func(h int64) {
+		resp, err := cli.Call(&Request{Op: OpClose, Handle: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Release()
+	}
+	queueClose(5)
+	if got := log.handles(OpClose); len(got) != 0 {
+		t.Fatalf("closes at the server right after the close: %v, want it queued", got)
+	}
+	if err := cli.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	resp.Release()
 	if got := log.handles(OpClose); !slices.Equal(got, []int64{5}) {
-		t.Fatalf("closes at the server: %v, want [5] before Call returned", got)
+		t.Fatalf("closes at the server after the ping: %v, want [5]", got)
+	}
+	queueClose(6)
+	cli.Close()
+	if got := log.handles(OpClose); !slices.Equal(got, []int64{5, 6}) {
+		t.Fatalf("closes at the server after Client.Close: %v, want [5 6]", got)
 	}
 }
 
-// TestDeferCapBoundsQueue: a connection carries at most deferCap bytes
-// of deferred frames; the call past it goes at once, with the queue.
+// TestDeferCapBoundsQueue: the queue holds at most deferCap bytes of
+// close frames; the close past it leaves at once, with the queue ahead of
+// it and no reply read, so the connection stays in step with the next
+// call.
 func TestDeferCapBoundsQueue(t *testing.T) {
 	checkResponses(t)
 	var log opLog
@@ -246,15 +260,32 @@ func TestDeferCapBoundsQueue(t *testing.T) {
 	if err := cli.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	fits := deferCap / (4 + reqFixedLen)
-	for h := 0; h <= fits; h++ {
-		resp, err := cli.Call(&Request{Op: OpClose, Handle: int64(h), Defer: true})
+	closeHandle := func(h int) {
+		resp, err := cli.Call(&Request{Op: OpClose, Handle: int64(h)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Release()
 	}
-	if got := len(log.handles(OpClose)); got != fits+1 {
-		t.Fatalf("%d closes at the server after %d deferred calls, want all of them: the last one past the cap flushes", got, fits+1)
+	fits := deferCap / (4 + reqFixedLen)
+	for h := 0; h < fits; h++ {
+		closeHandle(h)
+	}
+	if got := len(log.handles(OpClose)); got != 0 {
+		t.Fatalf("%d closes at the server with the queue not yet full, want 0", got)
+	}
+	closeHandle(fits)
+	for deadline := time.Now().Add(5 * time.Second); len(log.handles(OpClose)) != fits+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d closes at the server after %d closes, want all of them: the last one past the cap sends the queue", len(log.handles(OpClose)), fits+1)
+		}
+	}
+	resp, err := cli.Call(&Request{Op: OpPing, Handle: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Release()
+	if resp.Handle != 77 {
+		t.Fatalf("the ping after the cap got reply %d, want its own (77)", resp.Handle)
 	}
 }

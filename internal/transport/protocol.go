@@ -30,21 +30,18 @@
 // (Request.Dst), a pooled buffer of the payload's size otherwise — and
 // decoded Responses come from a pool, returned by Response.Release.
 //
-// Deferred requests and coalesced replies. A request marked Request.Defer
-// (the client's OpClose) costs its caller no round trip and changes
-// nothing on the wire: the TCP client encodes its frame onto an idle
-// pooled connection and answers the Call at once with an OK response. The
-// frame leaves in the same write as that connection's next request, and
-// that request's Call reads the deferred replies, discards them, then
-// reads its own; a small per-connection read buffer picks them all up in
-// one read. A failed attempt hands the frames on to its retry, and
-// Client.Close sends what is still queued, so only a link that dies loses
-// them. SimTransport runs a deferred request at once. The server, for its
-// part, may hold a reply that carries no payload, but only while the
-// peer's next request frame is already whole in its read buffer; the held
-// replies then go out in the same write as the next reply. So a close
-// rides between two requests that were going to cross the wire anyway: no
-// message of its own in either direction.
+// One-way closes. OpClose is the one op with no reply: the server runs its
+// handler and writes nothing back, so a close costs its caller no round
+// trip and no message of its own. The TCP client appends a close's frame
+// to its link's close queue and answers the Call at once with an OK
+// response; the queue leaves in the same write as the link's next request,
+// on whichever pooled connection that request takes, and a small
+// per-connection read buffer on the server picks the frames up with it in
+// one read. A failed attempt puts the frames back on the queue, a close
+// that would take the queue past its bound leaves at once in a write of
+// its own, and Client.Close sends what is still queued and waits for the
+// server to run it, so only a link that dies loses a close. SimTransport
+// runs a close at once.
 package transport
 
 import (
@@ -68,7 +65,7 @@ type Op uint8
 const (
 	OpOpen Op = iota + 1
 	OpRead
-	OpClose
+	_ // 3: the close when it still had a reply; OpClose is 10
 	OpStat
 	OpPing
 	_ // 6: OpPrefetch, retired; a hint is a prefetch OpReadBatch
@@ -79,6 +76,9 @@ const (
 	// encodings and the frame-budget contract.
 	OpReadBatch
 	_ // 9: OpPlan, retired with the epoch planner
+	// OpClose releases a handle. It is one-way: the server writes no
+	// reply (see the package doc).
+	OpClose
 )
 
 // Status codes. StatusAgain and StatusPassed are only meaningful per
@@ -124,23 +124,14 @@ type Request struct {
 	// Dst) instead of a pooled buffer. A payload longer than Dst takes the
 	// pooled path and leaves Dst untouched. The caller must not touch Dst
 	// until Call returns; the receive is part of the call, so nothing
-	// writes into Dst after it.
+	// writes into Dst after it. A close has no reply, so nothing lands in
+	// its Dst.
 	Dst []byte
-
-	// Defer is client-side only and never encoded: the caller needs no
-	// answer but success (an OpClose), so Call may answer OK before the
-	// request is sent, and a link that dies first loses it (see the
-	// package doc). A deferred request may not set Dst.
-	Defer bool
 
 	// local is server-side only and never encoded: the request came over
 	// the local socket, so its reply may carry descriptors (pass.go).
 	local bool
 }
-
-// errDeferDst refuses a deferred request that names a destination: its
-// reply is read by a later call, long after the caller has moved on.
-var errDeferDst = errors.New("transport: a deferred request cannot carry Dst")
 
 // Response is a server->client message.
 //
@@ -239,24 +230,25 @@ func (r *Response) Release() {
 
 // WriteRequest encodes req onto w using a pooled scratch frame.
 func WriteRequest(w io.Writer, req *Request) error {
-	return writeRequest(w, nil, req)
-}
-
-// writeRequest is WriteRequest behind pre, already-encoded request frames
-// that leave in the same write, ahead of req.
-func writeRequest(w io.Writer, pre []byte, req *Request) error {
-	if len(req.Path) > 1<<16-1 {
-		return fmt.Errorf("transport: path too long (%d bytes)", len(req.Path))
+	if err := checkPath(req); err != nil {
+		return err
 	}
-	p := getFrameBuf(len(pre) + 4 + reqFixedLen + len(req.Path))
-	buf := appendRequest(append((*p)[:0], pre...), req)
-	_, err := w.Write(buf)
+	p := getFrameBuf(4 + reqFixedLen + len(req.Path))
+	_, err := w.Write(appendRequest((*p)[:0], req))
 	putFrameBuf(p)
 	return err
 }
 
-// appendRequest appends req's frame to b. The caller has checked that
-// the path fits its u16 length field.
+// checkPath refuses a request whose path overflows its u16 length field.
+func checkPath(req *Request) error {
+	if len(req.Path) > 1<<16-1 {
+		return fmt.Errorf("transport: path too long (%d bytes)", len(req.Path))
+	}
+	return nil
+}
+
+// appendRequest appends req's frame to b. The caller has checked the path
+// (checkPath).
 func appendRequest(b []byte, req *Request) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(reqFixedLen+len(req.Path)))
 	b = append(b, byte(req.Op))
@@ -320,18 +312,10 @@ func ReadRequest(r io.Reader) (*Request, error) {
 // (Splice) — go out as a vectored write (net.Buffers), which a TCP
 // connection turns into a single writev with no payload copy.
 func WriteResponse(w io.Writer, resp *Response) error {
-	return writeResponse(w, resp, nil)
-}
-
-// writeResponse is WriteResponse behind pre, encoded replies the server
-// held back, which leave in the same write, ahead of resp: pre is copied
-// in front of the head, so the write is still one plain write or one
-// writev.
-func writeResponse(w io.Writer, resp *Response, pre []byte) error {
 	if resp.srcFile != nil {
 		// fd-backed payload: same frame on the wire, but the payload can
 		// leave via sendfile when w supports it (zerocopy.go).
-		return writeFileResponse(w, resp, pre)
+		return writeFileResponse(w, resp)
 	}
 	if len(resp.Err) > 1<<16-1 {
 		return fmt.Errorf("transport: error string too long")
@@ -340,8 +324,8 @@ func writeResponse(w io.Writer, resp *Response, pre []byte) error {
 	if respFixedLen+dataLen+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	p := getFrameBuf(len(pre) + respHeadLen + 2 + len(resp.Err))
-	ht := appendRespHead(append((*p)[:0], pre...), resp, dataLen)
+	p := getFrameBuf(respHeadLen + 2 + len(resp.Err))
+	ht := appendRespHead((*p)[:0], resp, dataLen)
 	split := len(ht)
 	ht = appendRespTail(ht, resp.Err)
 

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -115,24 +114,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// reqReadBuf sizes a connection's request buffer: every request but a
-// large batch or plan (a path list) fits, with its length prefix.
+// reqReadBuf sizes a connection's request buffer: one read picks up a
+// call's queued closes with the request behind them, and every request
+// but a large batch (a path list) fits, with its length prefix.
 const reqReadBuf = 4 << 10
-
-// holdCap bounds the replies serveConn holds back for the next write:
-// at least the replies to a client's deferCap of deferred closes.
-const holdCap = 4 << 10
-
-// frameBuffered reports whether br already holds the whole next request
-// frame, so that reading it costs no system call and cannot block.
-func frameBuffered(br *bufio.Reader) bool {
-	n := br.Buffered()
-	if n < 4 {
-		return false
-	}
-	lp, _ := br.Peek(4) // buffered: cannot fail
-	return uint64(n-4) >= uint64(binary.LittleEndian.Uint32(lp))
-}
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -148,7 +133,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Requests are read through a small buffer, so the length prefix and
 	// the body ReadRequestInto asks for separately cost one read(2), not
 	// two; a batch request longer than the buffer is read straight into
-	// its frame. Responses are not buffered, beyond the held replies below.
+	// its frame. Responses are not buffered.
 	br := bufio.NewReaderSize(conn, reqReadBuf)
 	// File-payload responses, and replies with passed payloads, go
 	// through a per-conn zcWriter (sendfile and sendmsg on Linux), built
@@ -168,13 +153,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	// read the frame, which it has once it sends its next request
 	// (PayloadReleaser).
 	var held []PayloadReleaser
-	// pend holds encoded replies without a payload, kept back while the
-	// peer's next request was already whole in br: they leave in the same
-	// write as the next reply, so a client's deferred close and the
-	// request it rode with cost one write here, not two. Only a reply
-	// whose successor is already in hand waits, so nothing waits on the
-	// peer.
-	var pend []byte
 	for {
 		err := ReadRequestInto(br, &req)
 		for i, h := range held {
@@ -186,13 +164,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // EOF or broken peer
 		}
 		resp := s.handler(&req)
+		if req.Op == OpClose {
+			if resp != nil {
+				resp.Release() // a close is one-way: its answer goes nowhere
+			}
+			continue
+		}
 		if resp == nil {
 			resp = &Response{Status: StatusError, Err: "nil response from handler"}
-		}
-		if !resp.FilePayload() && resp.payloadLen() == 0 && len(pend)+respHeadLen+2+len(resp.Err) <= holdCap && frameBuffered(br) {
-			pend = appendRespTail(appendRespHead(pend, resp, 0), resp.Err)
-			resp.Release()
-			continue
 		}
 		if s.writeTimeout > 0 {
 			if err := conn.SetWriteDeadline(time.Now().Add(s.writeTimeout)); err != nil {
@@ -211,8 +190,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			held = resp.holdPassed(held)
 		}
-		err = writeResponse(dst, resp, pend)
-		pend = pend[:0]
+		err = WriteResponse(dst, resp)
 		// The response is on the wire (or the link is dead): recycle its
 		// pooled payload either way. Handlers hand ownership to the server
 		// with their return.
@@ -295,45 +273,25 @@ type Client struct {
 
 	mu     sync.Mutex
 	idle   []*pconn
+	closes []byte // encoded close frames, for the next call's write (queueClose)
 	closed bool
 }
 
 // respReadBuf sizes a pooled connection's response buffer: one read picks
-// up the replies to a call's deferred requests together with the head of
-// its own, and a payload longer than the buffer is read straight into its
-// destination.
+// up a reply's head and its payload's start, and a payload longer than the
+// buffer is read straight into its destination.
 const respReadBuf = 4 << 10
 
-// deferCap bounds the deferred request bytes one connection carries; a
-// deferred call past it is an ordinary round trip.
+// deferCap bounds the close queue's bytes; a close past it leaves at once.
 const deferCap = 4 << 10
 
-// deferred is a run of encoded request frames whose replies nobody waits
-// for: they leave ahead of a connection's next request.
-type deferred struct {
-	frames []byte
-	n      int // frames in frames: replies to read and discard
-}
-
-// moveTo appends q's frames to dst and empties q.
-func (q *deferred) moveTo(dst *deferred) {
-	if q.n == 0 {
-		return
-	}
-	dst.frames = append(dst.frames, q.frames...)
-	dst.n += q.n
-	q.frames, q.n = q.frames[:0], 0
-}
-
-// pconn is one pooled connection: the socket — nil until a call takes a
-// connection that a deferred request created — its buffered reader, the
-// descriptor receiver under that reader on a local socket (pass.go; nil
-// over TCP), and the requests deferred onto it.
+// pconn is one pooled connection: the socket, its buffered reader, and
+// the descriptor receiver under that reader on a local socket (pass.go;
+// nil over TCP).
 type pconn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	rx   *passRx
-	q    deferred
 }
 
 // Dial returns a client for addr with default options. No connection is
@@ -387,24 +345,27 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // the per-file-RPC accounting the batch-read benchmarks compare.
 func (c *Client) Calls() int64 { return c.calls.Load() }
 
-// getConn takes the most recently pooled connection, or a new undialled
-// one when the pool is empty.
-func (c *Client) getConn() (*pconn, error) {
+// getConn takes the most recently pooled connection, or nil when none is
+// idle (the caller dials), and moves the queued close frames onto the end
+// of out, for the caller's write to carry.
+func (c *Client) getConn(out []byte) (*pconn, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClientClosed
+		return nil, out, ErrClientClosed
 	}
+	out = append(out, c.closes...)
+	c.closes = c.closes[:0]
 	n := len(c.idle)
 	if n == 0 {
-		return &pconn{}, nil
+		return nil, out, nil
 	}
 	pc := c.idle[n-1]
 	c.idle = c.idle[:n-1]
-	return pc, nil
+	return pc, out, nil
 }
 
-// putConn pools pc after a clean exchange, or drops it when the pool is
+// putConn pools pc after a clean exchange, or closes it when the pool is
 // full or the client closed.
 func (c *Client) putConn(pc *pconn) {
 	c.mu.Lock()
@@ -414,85 +375,53 @@ func (c *Client) putConn(pc *pconn) {
 		return
 	}
 	c.mu.Unlock()
-	c.drop(pc)
+	_ = pc.conn.Close() // the connection is surplus: its close error reaches nobody
 }
 
-// dial connects pc: to the server's local socket when it answers on this
-// host, else over TCP.
-func (c *Client) dial(pc *pconn) error {
+// queueClose appends req's frame to the close queue. It reports false when
+// the client is closed or the frame would take the queue past deferCap:
+// the close is then sent at once.
+func (c *Client) queueClose(req *Request) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || len(c.closes)+4+reqFixedLen+len(req.Path) > deferCap {
+		return false
+	}
+	c.closes = appendRequest(c.closes, req)
+	return true
+}
+
+// requeue puts back the close frames of a failed attempt, which may or
+// may not have reached the server. One that did is run again and finds
+// its handle gone; handle numbers are never reused.
+func (c *Client) requeue(frames []byte) {
+	c.mu.Lock()
+	if !c.closed {
+		c.closes = append(c.closes, frames...)
+	}
+	c.mu.Unlock()
+}
+
+// dial connects to the server's local socket when it answers on this host,
+// else over TCP.
+func (c *Client) dial() (*pconn, error) {
 	conn := c.dialLocal()
 	if conn == nil {
 		var err error
 		if conn, err = net.DialTimeout("tcp", c.addr, c.dialTimeout); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	pc.conn = conn
-	// The reader is only read in exchange and drop, each after setting the
-	// call deadline on conn (TestCallTimeoutOnHungHandler hangs otherwise).
+	// The reader is only read in exchange and flush, each after setting
+	// the call deadline on conn (TestCallTimeoutOnHungHandler hangs
+	// otherwise).
+	pc := &pconn{conn: conn}
 	var src io.Reader = conn
 	if pc.rx = newPassRx(conn); pc.rx != nil {
 		src = pc.rx
 	}
 	pc.br = bufio.NewReaderSize(src, respReadBuf)
-	return nil
-}
-
-// drop closes pc once its deferred requests are on their way: they are
-// written and their replies read under the call deadline, best-effort.
-func (c *Client) drop(pc *pconn) {
-	if pc.q.n > 0 && (pc.conn != nil || c.dial(pc) == nil) {
-		if c.callTimeout > 0 {
-			_ = pc.conn.SetDeadline(time.Now().Add(c.callTimeout)) // a failed deadline fails the write below
-		}
-		if _, err := pc.conn.Write(pc.q.frames); err == nil {
-			_ = discardReplies(pc.br, pc.q.n) // nobody reads a deferred reply
-		}
-	}
-	if pc.conn != nil {
-		_ = pc.conn.Close() // the connection is surplus: its close error reaches nobody
-	}
-}
-
-// discardReplies reads and releases n responses from r.
-func discardReplies(r *bufio.Reader, n int) error {
-	for i := 0; i < n; i++ {
-		resp, err := readResponse(r, nil, nil)
-		if err != nil {
-			return err
-		}
-		resp.Release()
-	}
-	return nil
-}
-
-// enqueue defers req onto the most recently pooled connection, or onto a
-// new, undialled one when none is idle. It reports false when req must be
-// an ordinary round trip instead: the client is closed, pooling is off,
-// or the connection's deferred bytes would pass deferCap.
-func (c *Client) enqueue(req *Request) bool {
-	size := 4 + reqFixedLen + len(req.Path)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || size > deferCap {
-		return false
-	}
-	var pc *pconn
-	switch n := len(c.idle); {
-	case n > 0:
-		pc = c.idle[n-1]
-	case c.poolSize > 0:
-		pc = &pconn{}
-		c.idle = append(c.idle, pc)
-	default:
-		return false
-	}
-	if len(pc.q.frames)+size > deferCap {
-		return false
-	}
-	pc.q.frames = appendRequest(pc.q.frames, req)
-	pc.q.n++
-	return true
+	return pc, nil
 }
 
 // Call sends req and waits for the response. Each attempt runs under the
@@ -501,28 +430,27 @@ func (c *Client) enqueue(req *Request) bool {
 // reset, deadline, corrupt frame) are retried on a fresh connection under
 // the retry policy's exponential backoff; once the attempt budget is
 // spent the last error is returned to the caller, which for an HVAC
-// client triggers PFS fallback. A failed attempt hands the requests that
-// were deferred onto its connection to the next one.
+// client triggers PFS fallback.
 //
-// A deferred request (Request.Defer) is queued without any I/O and
-// answered at once with a pooled OK response, unless it must go as an
-// ordinary round trip (see enqueue).
+// A close (OpClose) has no reply: it is queued without any I/O and
+// answered at once with a pooled OK response, and its frame leaves with
+// the next call's request. A close the queue cannot take (queueClose) is
+// written at once, with the queue, and still no reply is read.
 func (c *Client) Call(req *Request) (*Response, error) {
-	if req.Defer && req.Dst != nil {
-		return nil, errDeferDst
-	}
 	c.calls.Add(1)
-	if req.Defer && c.enqueue(req) {
+	if err := checkPath(req); err != nil {
+		return nil, err
+	}
+	if req.Op == OpClose && c.queueClose(req) {
 		return AcquireResponse(), nil
 	}
-	var carry deferred
 	var lastErr error
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			c.sleep(c.retry.Backoff(attempt))
 		}
-		resp, err := c.callOnce(req, &carry)
+		resp, err := c.callOnce(req)
 		if err == nil {
 			return resp, nil
 		}
@@ -534,27 +462,28 @@ func (c *Client) Call(req *Request) (*Response, error) {
 	return nil, fmt.Errorf("transport: call %s failed after %d attempts: %w", c.addr, c.retry.MaxAttempts, lastErr)
 }
 
-// callOnce runs one request/response exchange on one connection, with
-// the connection's deferred requests (and carry, those of earlier failed
-// attempts) ahead of it in the same write. Any failure closes the
-// connection (it may hold a half-written frame) and leaves in carry every
-// deferred request whose reply was not read; only a cleanly completed
-// exchange returns the socket to the pool.
-func (c *Client) callOnce(req *Request, carry *deferred) (*Response, error) {
-	pc, err := c.getConn()
+// callOnce runs one attempt on one connection, with the queued closes
+// ahead of req in the same write. Any failure closes the connection (it
+// may hold a half-written frame) and puts the closes back on the queue;
+// only a cleanly completed exchange returns the socket to the pool.
+func (c *Client) callOnce(req *Request) (*Response, error) {
+	p := getFrameBuf(deferCap + 4 + reqFixedLen + len(req.Path))
+	defer putFrameBuf(p)
+	pc, out, err := c.getConn((*p)[:0])
 	if err != nil {
 		return nil, err
 	}
-	carry.moveTo(&pc.q)
-	if pc.conn == nil {
-		if err := c.dial(pc); err != nil {
-			pc.q.moveTo(carry)
+	queued := len(out)
+	out = appendRequest(out, req)
+	if pc == nil {
+		if pc, err = c.dial(); err != nil {
+			c.requeue(out[:queued])
 			return nil, err
 		}
 	}
-	resp, err := c.exchange(pc, req)
+	resp, err := c.exchange(pc, req, out)
 	if err != nil {
-		pc.q.moveTo(carry)
+		c.requeue(out[:queued])
 		_ = pc.conn.Close() // the exchange's failure is the error that matters
 		return nil, err
 	}
@@ -568,28 +497,28 @@ func (c *Client) callOnce(req *Request, carry *deferred) (*Response, error) {
 	return resp, nil
 }
 
-// exchange writes pc's deferred requests and req in one write, reads and
-// discards the deferred replies, then reads req's. On a local socket an
-// exchange whose reply may carry descriptors receives with recvmsg, a
-// batch reply's entries are decoded here with its passed entries landed
-// (Response.BatchResults), and whatever descriptor it received is claimed
-// or closed before it returns: the server holds the leases behind them
-// only until this connection's next request.
-func (c *Client) exchange(pc *pconn, req *Request) (*Response, error) {
+// exchange writes out — the queued closes, then req's frame — in one
+// write and reads req's reply; a close has none and is answered with a
+// pooled OK. On a local socket an exchange whose reply may carry
+// descriptors receives with recvmsg, a batch reply's entries are decoded
+// here with its passed entries landed (Response.BatchResults), and
+// whatever descriptor it received is claimed or closed before it returns:
+// the server holds the leases behind them only until this connection's
+// next request.
+func (c *Client) exchange(pc *pconn, req *Request, out []byte) (*Response, error) {
 	if c.callTimeout > 0 {
 		if err := pc.conn.SetDeadline(time.Now().Add(c.callTimeout)); err != nil {
 			return nil, err
 		}
 	}
-	if err := writeRequest(pc.conn, pc.q.frames, req); err != nil {
+	if _, err := pc.conn.Write(out); err != nil {
 		return nil, err
+	}
+	if req.Op == OpClose {
+		return AcquireResponse(), nil
 	}
 	pc.rx.arm(req)
 	defer pc.rx.disarm()
-	if err := discardReplies(pc.br, pc.q.n); err != nil {
-		return nil, err
-	}
-	pc.q.frames, pc.q.n = pc.q.frames[:0], 0
 	resp, err := readResponse(pc.br, req.Dst, pc.rx)
 	if err != nil || pc.rx == nil || req.Op != OpReadBatch || !mayPass(req) || !resp.OK() {
 		return resp, err
@@ -612,16 +541,39 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Close releases pooled connections, sending the requests deferred onto
-// them first, each connection under the call deadline. In-flight calls
-// may fail; one that completes after Close drops its connection the same
-// way.
+// Close sends the queued closes on one connection and closes the pooled
+// ones. The server has run every queued close when Close returns, unless
+// the link failed or the call deadline passed first. In-flight calls may
+// fail; one that completes after Close closes its connection.
 func (c *Client) Close() {
 	c.mu.Lock()
-	idle := c.idle
-	c.closed, c.idle = true, nil
+	idle, q := c.idle, c.closes
+	c.closed, c.idle, c.closes = true, nil, nil
 	c.mu.Unlock()
-	for _, pc := range idle {
-		c.drop(pc)
+	if n := len(idle); n > 0 && len(q) > 0 {
+		c.flush(idle[n-1], q)
+		idle = idle[:n-1]
+	} else if len(q) > 0 {
+		if pc, err := c.dial(); err == nil {
+			c.flush(pc, q)
+		}
 	}
+	for _, pc := range idle {
+		_ = pc.conn.Close() // shutting down: nobody reads the close error
+	}
+}
+
+// flush writes q on pc, half-closes it and reads to EOF, all under the
+// call deadline and best-effort, then closes pc. The server answers none
+// of q's closes and reaches EOF only after it has run them all.
+func (c *Client) flush(pc *pconn, q []byte) {
+	if c.callTimeout > 0 {
+		_ = pc.conn.SetDeadline(time.Now().Add(c.callTimeout)) // a failed deadline fails the write below
+	}
+	if _, err := pc.conn.Write(q); err == nil {
+		if hc, ok := pc.conn.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+			_, _ = io.Copy(io.Discard, pc.br) // nothing comes back but EOF
+		}
+	}
+	_ = pc.conn.Close() // the closes are sent or lost: nobody reads the close error
 }

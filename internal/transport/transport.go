@@ -15,8 +15,9 @@ type Transport interface {
 	// Call sends one request and waits for its response. A non-nil error
 	// means the link failed (connection refused, deadline exceeded,
 	// corrupt frame, ...); application-level failures travel inside the
-	// Response with StatusError. A deferred request (Request.Defer) may
-	// be answered before it has been sent.
+	// Response with StatusError. A close (OpClose) is one-way: it is
+	// answered OK, possibly before it has been sent, and whatever the
+	// server makes of it reaches nobody.
 	Call(*Request) (*Response, error)
 	// Addr names the peer, for placement and error reporting.
 	Addr() string
@@ -59,11 +60,9 @@ func (s *SimTransport) Calls() int64 {
 }
 
 // Call encodes req, decodes it for the handler, and round-trips the
-// response the same way. A deferred request runs at once, like any other.
+// response the same way. A close runs at once and, as over a socket,
+// answers OK whatever the handler returned.
 func (s *SimTransport) Call(req *Request) (*Response, error) {
-	if req.Defer && req.Dst != nil {
-		return nil, errDeferDst
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -81,6 +80,12 @@ func (s *SimTransport) Call(req *Request) (*Response, error) {
 		return nil, err
 	}
 	resp := s.handler(decoded)
+	if req.Op == OpClose {
+		if resp != nil {
+			resp.Release()
+		}
+		return AcquireResponse(), nil
+	}
 	if resp == nil {
 		resp = &Response{Status: StatusError, Err: "nil response from handler"}
 	}

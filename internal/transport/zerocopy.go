@@ -151,16 +151,15 @@ func (w *zcWriter) Write(p []byte) (int, error) { return w.conn.Write(p) }
 // frame on the wire is identical to WriteResponse's pooled path; only
 // who copies the payload differs. Counter discipline: every path bumps
 // Eligible exactly once and exactly one of Sends or Fallbacks — the
-// identity the ladder and chaos tests assert. pre (held replies, see
-// writeResponse) goes out with the header.
-func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
+// identity the ladder and chaos tests assert.
+func writeFileResponse(w io.Writer, resp *Response) error {
 	if len(resp.Err) > 1<<16-1 {
 		return fmt.Errorf("transport: error string too long")
 	}
 	if resp.srcLen < 0 || respFixedLen+int(resp.srcLen)+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	p := getFrameBuf(len(pre) + respHeadLen + 2 + len(resp.Err))
+	p := getFrameBuf(respHeadLen + 2 + len(resp.Err))
 	defer putFrameBuf(p)
 	st := resp.srcStats
 	if st == nil {
@@ -168,7 +167,7 @@ func writeFileResponse(w io.Writer, resp *Response, pre []byte) error {
 	}
 	st.Eligible.Add(1)
 
-	ht := appendRespHead(append((*p)[:0], pre...), resp, int(resp.srcLen))
+	ht := appendRespHead((*p)[:0], resp, int(resp.srcLen))
 	split := len(ht)
 	ht = appendRespTail(ht, resp.Err)
 
