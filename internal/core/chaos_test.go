@@ -618,6 +618,45 @@ func TestChaosMidReadDegradation(t *testing.T) {
 	}
 }
 
+// The same mid-read degradation with the server still alive: closing the
+// degraded file closes the server-side handle it was opened on too, so a
+// degrade leaves no handle behind (DESIGN.md §3.3).
+func TestChaosDegradedCloseRetiresHandle(t *testing.T) {
+	checkResources(t)
+	tc := chaosCase{
+		name: "degraded-close", servers: 1, files: 1, size: 64 << 10, epochs: 1,
+		sched: faultnet.Schedule{Seed: 12, Rules: []faultnet.Rule{
+			{Op: transport.OpRead, Offset: 1, Fault: faultnet.Refuse},
+		}},
+	}
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePFS(t, pfsDir, tc.files, tc.size)
+	inj := faultnet.New(tc.sched)
+	defer inj.Close()
+	servers, cli := startChaosCluster(t, pfsDir, tc, inj, nil)
+
+	f, err := cli.Open(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4<<10)
+	for off := int64(0); off < 2*int64(len(buf)); off += int64(len(buf)) {
+		if _, err := f.ReadAt(buf, off); err != nil {
+			t.Fatalf("read at %d: %v", off, err)
+		}
+	}
+	if st := cli.Stats(); st.Degrades != 1 {
+		t.Fatalf("degrades = %d, want 1", st.Degrades)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	if st := servers[0].Stats(); st.Closes != st.Opens {
+		t.Fatalf("opens=%d closes=%d: the degraded file's server handle leaked", st.Opens, st.Closes)
+	}
+}
+
 // The same server loss in the middle of a bulk read: the first chunk RPC
 // to reach the server works, every later OpRead is refused. Whichever
 // chunks the two pipeline workers had claimed, the pipeline keeps only its

@@ -605,6 +605,9 @@ func (f *File) Close() error {
 	fb, conn, handle := f.fallback, f.conn, f.handle
 	f.mu.Unlock()
 	if fb != nil {
+		if conn != nil {
+			retire(conn, handle) // the server-side handle the file degraded from
+		}
 		return fb.Close()
 	}
 	resp, err := conn.Call(&transport.Request{Op: transport.OpClose, Handle: handle})

@@ -232,7 +232,7 @@ func TestScheduleFetchCloseRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i, p := range paths {
-					srv.scheduleFetch(fetchTask{key: p, path: p}, (i+g)%2 == 0)
+					srv.scheduleFetch(fetchTask{path: p}, (i+g)%2 == 0)
 				}
 			}(g)
 		}
@@ -575,7 +575,7 @@ func TestPrefetchDropsUnderBackpressure(t *testing.T) {
 	srv := servers[0]
 
 	for _, p := range paths {
-		srv.scheduleFetch(fetchTask{key: p, path: p}, false)
+		srv.scheduleFetch(fetchTask{path: p}, false)
 	}
 	// Capacity while wedged: one task in the mover (at most) plus two in
 	// the queue; at least five of the eight hints must have been dropped.

@@ -75,7 +75,7 @@ func newLadderRig(t *testing.T, network string, size int) *ladderRig {
 
 // task is the fill of path's cached object, the whole file.
 func (r *ladderRig) task(path string) fetchTask {
-	return fetchTask{key: path, path: path}
+	return fetchTask{path: path}
 }
 
 // fill caches path's object and waits for the commit.
@@ -85,7 +85,7 @@ func (r *ladderRig) fill(path string) {
 		r.t.Fatalf("prefetch of %s was dropped", path)
 	}
 	r.srv.WaitIdle()
-	if !r.srv.store.Resident(r.task(path).key) {
+	if !r.srv.store.Resident(path) {
 		r.t.Fatalf("%s not resident after its fill", path)
 	}
 }
@@ -95,7 +95,7 @@ func (r *ladderRig) fill(path string) {
 func (r *ladderRig) evict() {
 	r.t.Helper()
 	r.fill(r.paths[1])
-	if r.srv.store.Resident(r.task(r.paths[0]).key) {
+	if r.srv.store.Resident(r.paths[0]) {
 		r.t.Fatal("the object under test survived the eviction")
 	}
 	r.evicted++

@@ -259,10 +259,9 @@ func (fe *fillEntry) publish(f *cachestore.Fill) {
 
 // fetchTask names one data-mover copy: a whole file.
 type fetchTask struct {
-	key    string // cache-store key
-	path   string
-	size   int64 // as the handler stat'd it; 0 (a hint, or an empty file) has the mover stat it
-	demand bool  // a client is waiting; completed demand fills warm the replicas
+	path   string // the PFS file, and its cache-store key
+	size   int64  // as the handler stat'd it; 0 (a hint, or an empty file) has the mover stat it
+	demand bool   // a client is waiting; completed demand fills warm the replicas
 	entry  *fillEntry
 }
 
@@ -279,7 +278,7 @@ type openHandle struct {
 }
 
 // task is the fetch that fills the handle's file.
-func (h *openHandle) task() fetchTask { return fetchTask{key: h.path, path: h.path, size: h.size} }
+func (h *openHandle) task() fetchTask { return fetchTask{path: h.path, size: h.size} }
 
 // Server is a real-mode HVAC server instance.
 type Server struct {
@@ -530,7 +529,7 @@ func (s *Server) mover() {
 // probe here is exact; the task retires empty-handed and its attachers
 // read the committed entry.
 func (s *Server) runFetch(task fetchTask) {
-	if !s.store.Resident(task.key) {
+	if !s.store.Resident(task.path) {
 		start := time.Now()
 		err := s.fillIn(task)
 		s.latCopy.Observe(time.Since(start))
@@ -558,7 +557,7 @@ func (s *Server) warmReplicas(task fetchTask) {
 	if view == nil || r < 2 {
 		return
 	}
-	for _, peer := range view.Replicas(task.key, r) {
+	for _, peer := range view.Replicas(task.path, r) {
 		if conn := s.peerConn(peer); conn != nil { // nil for self
 			s.stats.replicaWarms.Add(int64(prefetchHint(conn, []string{task.path})))
 		}
@@ -572,7 +571,7 @@ func (s *Server) warmReplicas(task fetchTask) {
 func (s *Server) finishFetch(task fetchTask) {
 	task.entry.publish(nil) // no-op when the fill was published mid-fetch
 	s.mu.Lock()
-	delete(s.inflight, task.key)
+	delete(s.inflight, task.path)
 	if len(s.inflight) == 0 {
 		s.idle.Broadcast()
 	}
@@ -606,7 +605,7 @@ func (s *Server) fillIn(task fetchTask) error {
 		}
 		size = fi.Size()
 	}
-	fill, err := s.store.PutWriter(task.key, size)
+	fill, err := s.store.PutWriter(task.path, size)
 	if err != nil {
 		s.stats.notAdmitted.Add(1)
 		return fmt.Errorf("hvac server: not admitted: %w", err)
@@ -645,7 +644,7 @@ func (s *Server) scheduleFetch(task fetchTask, demand bool) *fillEntry {
 	if s.closed {
 		return nil
 	}
-	if fe, ok := s.inflight[task.key]; ok {
+	if fe, ok := s.inflight[task.path]; ok {
 		return fe
 	}
 	fe := &fillEntry{ready: make(chan struct{})}
@@ -657,7 +656,7 @@ func (s *Server) scheduleFetch(task fetchTask, demand bool) *fillEntry {
 	}
 	select {
 	case q <- task:
-		s.inflight[task.key] = fe
+		s.inflight[task.path] = fe
 		return fe
 	default:
 		if demand {
@@ -782,8 +781,8 @@ const zeroCopyMin = cachestore.MapLimit
 
 // resolve is the server's one read ladder (§III-D; DESIGN.md §5.1):
 // every read op is a framing wrapper over it. It serves up to want bytes
-// at off within the cached object task names — task.key, which a fill
-// copies from task.path — from the first rung that has them:
+// at off within the cached file task names — task.path, the PFS file a
+// fill copies and its cache-store key — from the first rung that has them:
 //
 //  1. a lease on the resident entry, the one way to read a cached file
 //     and the index's one hit/recency bump per read;
@@ -797,25 +796,23 @@ const zeroCopyMin = cachestore.MapLimit
 //
 // The payload goes on resp, after the bytes its Data holds: a batch
 // passes the frame it is assembling there, a whole read an empty
-// response; req is the request resp answers. Rung 1 hands over the lease
-// itself, first for a payload — a whole read or a batch entry — the
-// transport passes as a descriptor on the local socket
-// (transport.Response.Pass), then for a whole read of zeroCopyMin bytes
-// or more to sendfile, and the transport releases it once the peer has
-// read the frame (transport.PayloadReleaser); for a mapped file it
-// splices the mapping into the payload, and the lease is released once
-// the reply's writev has returned. Every other serve reads
-// into Data — a whole read's grabbed from resp only once a rung needs
-// one, sized to what the entry can still deliver — and leaves in the
-// response's one vectored write. A range past the end is a short,
-// possibly empty, read.
+// response; req is the request resp answers. Rung 1 lends resp the lease
+// itself, as a borrowed section the transport releases under its one
+// hold rule (transport.PayloadReleaser): first a payload — a whole read
+// or a batch entry — passed as a descriptor on the local socket
+// (transport.Response.Pass), then a whole read of zeroCopyMin bytes or
+// more as a range for sendfile, then a mapped file's bytes spliced into
+// the payload. Every other serve reads into Data — a whole read's grabbed
+// from resp only once a rung needs one, sized to what the entry can still
+// deliver — and leaves in the response's one vectored write. A range past
+// the end is a short, possibly empty, read.
 //
 // hit is the sourcing verdict the caller counts on its side of the
 // served identity: rung 1, unless the caller had already registered the
 // miss — that request pulled the bytes off the PFS whichever rung ends
 // up handing them over.
 func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, off, want int64, resp *transport.Response) (n int, hit bool, err error) {
-	lz, lerr := s.store.Lease(task.key)
+	lz, lerr := s.store.Lease(task.path)
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
 		if resp.Pass(req, lz.File(), off, want, lz) {
@@ -866,7 +863,7 @@ func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, 
 			// The fill aborted mid-stream.
 		}
 	}
-	if n, err = s.store.ReadAt(task.key, dst, off); err == nil || err == io.EOF {
+	if n, err = s.store.ReadAt(task.path, dst, off); err == nil || err == io.EOF {
 		return n, false, nil
 	}
 	f, err := s.openPFS(task.path)
@@ -983,7 +980,7 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 	}
 	if prefetch {
 		if !s.store.Contains(p) {
-			s.scheduleFetch(fetchTask{key: p, path: p}, false)
+			s.scheduleFetch(fetchTask{path: p}, false)
 		}
 		return batchEntry{}
 	}
@@ -1000,7 +997,7 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 	}
 	e := batchEntry{size: int(size)}
 	if !resident {
-		e.fe = s.scheduleFetch(fetchTask{key: p, path: p, size: size}, true)
+		e.fe = s.scheduleFetch(fetchTask{path: p, size: size}, true)
 	}
 	return e
 }
@@ -1016,7 +1013,7 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 func (s *Server) serveBatchEntry(req *transport.Request, resp *transport.Response, p string, e *batchEntry) {
 	start := len(resp.Data)
 	resp.Data = transport.AppendBatchEntry(resp.Data, transport.StatusOK, nil)
-	n, hit, err := s.resolve(req, fetchTask{key: p, path: p, size: int64(e.size)}, e.fe, 0, int64(e.size), resp)
+	n, hit, err := s.resolve(req, fetchTask{path: p, size: int64(e.size)}, e.fe, 0, int64(e.size), resp)
 	if err != nil {
 		resp.Data = transport.AppendBatchEntry(resp.Data[:start], transport.StatusError, []byte(err.Error()))
 		return

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"sync"
 )
 
 // The descriptor plane (DESIGN.md §4.3). On the local socket a payload
@@ -80,18 +79,6 @@ func passEntry(req *Request, n int64, passed int) bool {
 // was read from the file by this process, not from the socket.
 func (r *Response) Passed() bool { return r.passed }
 
-// passFiles is a reply's passed payloads: the files whose descriptors
-// ride its frame, in payload order, the releasers the server holds until
-// the peer has read them, and whether the one payload is a whole read's.
-// Pooled, as splices are.
-type passFiles struct {
-	files []*os.File
-	rels  []PayloadReleaser
-	whole bool
-}
-
-var passFilesPool = sync.Pool{New: func() any { return new(passFiles) }}
-
 // Pass offers n bytes of f at off as the payload that ends r: for a batch
 // read, the entry that ends r.Data, appended with AppendBatchEntry(r.Data,
 // StatusOK, nil); for a whole read, the response's payload, with Data
@@ -112,73 +99,46 @@ func (r *Response) Pass(req *Request, f *os.File, off, n int64, rel PayloadRelea
 	}
 	r.Data = binary.LittleEndian.AppendUint64(r.Data, uint64(off))
 	r.Data = binary.LittleEndian.AppendUint64(r.Data, uint64(n))
-	if r.pf == nil {
-		r.pf = passFilesPool.Get().(*passFiles)
-	}
-	r.pf.files = append(r.pf.files, f)
-	r.pf.rels = append(r.pf.rels, rel)
-	r.pf.whole = whole
+	b := r.borrow(section{f: f, rel: rel})
+	b.passed++
+	b.whole = whole
 	return true
 }
 
 // passedFiles reports how many descriptors the reply carries.
 func (r *Response) passedFiles() int {
-	if r.pf == nil {
+	if r.b == nil {
 		return 0
 	}
-	return len(r.pf.files)
-}
-
-// holdPassed moves the passed payloads' releasers onto held, for the
-// connection to release once the peer has read the frame.
-func (r *Response) holdPassed(held []PayloadReleaser) []PayloadReleaser {
-	if r.pf == nil {
-		return held
-	}
-	for i, rel := range r.pf.rels {
-		if rel != nil {
-			held = append(held, rel)
-		}
-		r.pf.rels[i] = nil
-	}
-	return held
-}
-
-// releasePassed runs the releasers the connection did not take and pools
-// the list.
-func (r *Response) releasePassed() {
-	pf := r.pf
-	r.pf = nil
-	for _, rel := range pf.rels {
-		if rel != nil {
-			rel.Release()
-		}
-	}
-	clear(pf.files)
-	clear(pf.rels)
-	pf.files, pf.rels, pf.whole = pf.files[:0], pf.rels[:0], false
-	passFilesPool.Put(pf)
+	return r.b.passed
 }
 
 // writePassed writes a reply with passed payloads — head, then Data with
-// its borrowed segments, then tail, the frame writeVectored would write,
+// its memory sections, then tail, the frame writeVectored would write,
 // with a whole read's dataLen, the last field of head, marked — as one
-// message with every payload's descriptor attached to its first byte.
+// message with every passed file's descriptor attached to its first byte.
 // Only a connection that may carry them takes it: any other writer fails
 // the reply, as a frame promising descriptors it could not carry would be
 // corrupt.
 func writePassed(w io.Writer, head []byte, resp *Response, tail []byte) error {
-	fs, ok := w.(fileSender)
-	if !ok || !fs.canPass() {
+	zw, ok := w.(*zcWriter)
+	if !ok || !zw.canPass() {
 		return errNoDescriptor
 	}
-	if resp.pf.whole {
+	if resp.b.whole {
 		binary.LittleEndian.PutUint32(head[len(head)-4:], passLen|passFlag)
 	}
 	v := respVecPool.Get().(*respVec)
-	v.arr = appendSections(v.arr[:0], head, resp.Data, resp.sp, tail)
-	err := fs.passFrame(v.arr, resp.pf.files)
-	clear(v.arr) // drop payload references before pooling
+	v.arr = appendSections(v.arr[:0], head, resp.Data, resp.b, tail)
+	for _, s := range resp.b.secs {
+		if s.f != nil {
+			v.files = append(v.files, s.f)
+		}
+	}
+	err := zw.passFrame(v.arr, v.files)
+	clear(v.arr) // drop payload and file references before pooling
+	clear(v.files)
+	v.files = v.files[:0]
 	respVecPool.Put(v)
 	return err
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -74,22 +75,24 @@ func putFrameBuf(p *[]byte) {
 // the net.Buffers slice is always rebuilt over the struct's own backing,
 // because Buffers.WriteTo consumes the slice header (advancing it past
 // the backing) — pooling the bare header would re-allocate it on every
-// reuse. The backing grows to the most sections a reply has had.
+// reuse. The backing grows to the most sections a reply has had; files
+// is the descriptors a passed reply carries (writePassed).
 type respVec struct {
-	bufs net.Buffers
-	arr  [][]byte
+	bufs  net.Buffers
+	arr   [][]byte
+	files []*os.File
 }
 
 var respVecPool = sync.Pool{New: func() any { return new(respVec) }}
 
 // appendSections appends a reply's sections to b: head, then data with
-// sp's borrowed segments spliced in at their offsets (sp nil: data
-// alone), then tail.
-func appendSections(b [][]byte, head, data []byte, sp *splices, tail []byte) [][]byte {
+// b's borrowed memory placed at its offsets (a file section adds none;
+// bw nil: data alone), then tail.
+func appendSections(b [][]byte, head, data []byte, bw *borrowed, tail []byte) [][]byte {
 	b = append(b, head)
 	prev := 0
-	if sp != nil {
-		for _, s := range sp.list {
+	if bw != nil {
+		for _, s := range bw.secs {
 			b = append(b, data[prev:s.at], s.p)
 			prev = s.at
 		}
@@ -99,9 +102,9 @@ func appendSections(b [][]byte, head, data []byte, sp *splices, tail []byte) [][
 
 // writeVectored writes appendSections' sections as one vectored write —
 // a single writev on a TCP connection.
-func writeVectored(w io.Writer, head, data []byte, sp *splices, tail []byte) error {
+func writeVectored(w io.Writer, head, data []byte, bw *borrowed, tail []byte) error {
 	v := respVecPool.Get().(*respVec)
-	b := appendSections(v.arr[:0], head, data, sp, tail)
+	b := appendSections(v.arr[:0], head, data, bw, tail)
 	v.arr, v.bufs = b, b
 	_, err := v.bufs.WriteTo(w)
 	clear(b) // drop payload references before pooling

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Op identifies an RPC operation.
@@ -143,8 +142,9 @@ type Request struct {
 // second one panics. After Release the Response and its Data must not be
 // touched — except that a payload received into the caller's own
 // Request.Dst stays the caller's: Release recycles only what came from a
-// pool, so those bytes remain valid after it. Memory a handler borrowed
-// into the payload (Splice) goes back to its owner with Release too.
+// pool, so those bytes remain valid after it. What a handler borrowed
+// into the payload (Splice, SetPayloadFile, Pass) goes back to its owner
+// with Release too, unless the server connection held it (splice.go).
 type Response struct {
 	Status uint8
 	Handle int64
@@ -157,17 +157,7 @@ type Response struct {
 	released bool    // a pooled struct back in respPool: Release panics
 	passed   bool    // the payload came as a descriptor (pass.go)
 
-	// fd-backed payload (zerocopy.go): when srcFile is set the payload is
-	// srcLen bytes of srcFile at srcOff, Data stays nil, and srcRel is
-	// released with the response. srcStats receives the serve accounting.
-	srcFile  *os.File
-	srcOff   int64
-	srcLen   int64
-	srcRel   PayloadReleaser
-	srcStats *ZeroCopyStats
-
-	sp *splices   // borrowed payload segments (splice.go); nil when none
-	pf *passFiles // passed batch entries' files (pass.go); nil when none
+	b *borrowed // payload sections the response does not own (splice.go); nil when none
 
 	// batch is a batch reply's entries, decoded by the client's exchange
 	// with its passed entries landed (BatchResults); nil otherwise.
@@ -210,14 +200,9 @@ func (r *Response) Release() {
 		putFrameBuf(r.pooled)
 		r.pooled = nil
 	}
-	if r.srcRel != nil || r.srcFile != nil {
-		r.releaseSrc()
-	}
-	if r.sp != nil {
-		r.releaseSplices()
-	}
-	if r.pf != nil {
-		r.releasePassed()
+	if r.b != nil {
+		r.b.release()
+		r.b = nil
 	}
 	if r.fromPool {
 		*r = Response{released: true}
@@ -308,20 +293,17 @@ func ReadRequest(r io.Reader) (*Request, error) {
 
 // WriteResponse encodes resp onto w. The header and tail are built in one
 // pooled scratch buffer; when a payload is present the three sections —
-// the payload as Data's runs and the borrowed segments between them
+// the payload as Data's runs and the borrowed memory between them
 // (Splice) — go out as a vectored write (net.Buffers), which a TCP
-// connection turns into a single writev with no payload copy.
+// connection turns into a single writev with no payload copy. A reply
+// with passed files (pass.go) or a file range (zerocopy.go) writes the
+// same frame through w's zcWriter.
 func WriteResponse(w io.Writer, resp *Response) error {
-	if resp.srcFile != nil {
-		// fd-backed payload: same frame on the wire, but the payload can
-		// leave via sendfile when w supports it (zerocopy.go).
-		return writeFileResponse(w, resp)
-	}
 	if len(resp.Err) > 1<<16-1 {
 		return fmt.Errorf("transport: error string too long")
 	}
 	dataLen := resp.payloadLen()
-	if respFixedLen+dataLen+len(resp.Err) > MaxFrame {
+	if dataLen < 0 || respFixedLen+dataLen+len(resp.Err) > MaxFrame {
 		return ErrFrameTooLarge
 	}
 	p := getFrameBuf(respHeadLen + 2 + len(resp.Err))
@@ -331,14 +313,15 @@ func WriteResponse(w io.Writer, resp *Response) error {
 
 	var err error
 	switch {
-	case resp.pf != nil:
-		// Passed payloads: the same frame, with their descriptors.
+	case resp.passedFiles() > 0:
 		err = writePassed(w, ht[:split], resp, ht[split:])
+	case resp.FilePayload():
+		err = writeFileResponse(w, ht[:split], resp, ht[split:])
 	case dataLen == 0:
 		// Header and tail are contiguous in the scratch: one plain write.
 		_, err = w.Write(ht)
 	default:
-		err = writeVectored(w, ht[:split], resp.Data, resp.sp, ht[split:])
+		err = writeVectored(w, ht[:split], resp.Data, resp.b, ht[split:])
 	}
 	putFrameBuf(p)
 	return err

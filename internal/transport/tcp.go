@@ -147,11 +147,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		zw = newZCWriter(conn)
 		req.local = zw.local
 	}
-	// held is the releasers of the last reply's payloads that sendfile
-	// queued or whose descriptors it passed on this connection: their
-	// pages are the socket's, or the peer's to read, until the peer has
-	// read the frame, which it has once it sends its next request
-	// (PayloadReleaser).
+	// held is the releasers of the last reply's file sections that are
+	// read after its write (Response.hold): their pages are the socket's,
+	// or the peer's to read, until the peer has read the frame, which it
+	// has once it sends its next request (PayloadReleaser).
 	var held []PayloadReleaser
 	for {
 		err := ReadRequestInto(br, &req)
@@ -180,15 +179,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		dst := io.Writer(conn)
-		if resp.FilePayload() || resp.pf != nil {
+		if resp.FilePayload() || resp.passedFiles() > 0 {
 			if zw == nil {
 				zw = newZCWriter(conn)
 			}
 			dst = zw
-			if resp.srcRel != nil && zw.canSendfile() {
-				held, resp.srcRel = append(held, resp.srcRel), nil
-			}
-			held = resp.holdPassed(held)
+			held = resp.hold(held, zw.canSendfile())
 		}
 		err = WriteResponse(dst, resp)
 		// The response is on the wire (or the link is dead): recycle its

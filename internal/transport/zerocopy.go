@@ -10,30 +10,31 @@ import (
 )
 
 // Zero-copy payload plane (DESIGN.md §4.3). A response's payload can be
-// an fd-backed range (SetPayloadFile) instead of an in-memory slice: the
-// server's connection loop then hands the range to sendfile(2), so warm
-// cache bytes travel cache-fd → socket entirely inside the kernel. The
-// wire framing is unchanged — header, payload bytes, tail are
-// bit-identical to the pooled pread+writev path — so the receiving codec
-// cannot tell the difference, and any failure mode (a writer without a
-// raw descriptor, non-Linux build, SimTransport, a short sendfile) falls
-// back to userspace copies of exactly the bytes the frame promised. A
-// payload the server may pass as a descriptor on the local socket is
-// offered to Response.Pass instead (pass.go), and never reaches this
-// writer.
+// an fd-backed range (SetPayloadFile), one of its borrowed sections
+// (splice.go), instead of an in-memory slice: the server's connection
+// loop then hands the range to sendfile(2), so warm cache bytes travel
+// cache-fd → socket entirely inside the kernel. The wire framing is
+// unchanged — header, payload bytes, tail are bit-identical to the pooled
+// pread+writev path — so the receiving codec cannot tell the difference,
+// and any failure mode (a writer without a raw descriptor, non-Linux
+// build, SimTransport, a short sendfile) falls back to userspace copies
+// of exactly the bytes the frame promised. A payload the server may pass
+// as a descriptor on the local socket is offered to Response.Pass instead
+// (pass.go), and never reaches this writer.
 
-// PayloadReleaser is the release half of an fd-backed payload, and the
-// transport calls Release exactly once. sendfile(2) queues the file's own
-// pages on the socket and returns, so a payload that went out through it
-// is released only once the server has read the peer's next request on
-// that connection — the peer has read the whole frame before it sends
-// one — or when the connection ends: on peer EOF the peer has stopped
-// reading, and after a failed write the frame is incomplete, so no bytes
-// the file's pages may still become are ever taken for the payload. Any
-// other payload was copied out by the time the write returned and is
-// released with its Response. Server.Close severs connections whose last
-// frame may still be in flight, so a caller stops whatever would
-// overwrite the files before it. cachestore.Lease satisfies it.
+// PayloadReleaser is the release half of a borrowed section, and the
+// transport calls Release exactly once. A file read after the write
+// returns — a range sendfile(2) queued on the socket as the file's own
+// pages, or a descriptor the peer preads — is released only once the
+// server has read the peer's next request on that connection — the peer
+// has read the whole frame before it sends one — or when the connection
+// ends: on peer EOF the peer has stopped reading, and after a failed
+// write the frame is incomplete, so no bytes the file's pages may still
+// become are ever taken for the payload. Any other section was copied
+// out by the time the write returned and is released with its Response.
+// Server.Close severs connections whose last frame may still be in
+// flight, so a caller stops whatever would overwrite the files before
+// it. cachestore.Lease satisfies it.
 type PayloadReleaser interface{ Release() }
 
 // ZeroCopyStats counts fd-backed payload serves. Every eligible serve —
@@ -57,56 +58,28 @@ type ZeroCopyStats struct {
 var orphanZC ZeroCopyStats
 
 // SetPayloadFile attaches an fd-backed payload to the response: n bytes
-// of f starting at off, released through rel when the Response is
-// released. It replaces any slice payload (Data must stay nil). st
-// receives the zero-copy accounting; nil means an internal sink.
+// of f starting at off, a borrowed section (splice.go) released through
+// rel. It is the whole payload: Data must stay nil. st receives the
+// zero-copy accounting; nil means an internal sink.
 func (r *Response) SetPayloadFile(f *os.File, off, n int64, rel PayloadReleaser, st *ZeroCopyStats) {
-	r.srcFile = f
-	r.srcOff = off
-	r.srcLen = n
-	r.srcRel = rel
 	if st == nil {
 		st = &orphanZC
 	}
-	r.srcStats = st
+	r.borrow(section{f: f, off: off, n: n, rel: rel}).st = st
 }
 
 // FilePayload reports whether the response's payload is fd-backed. The
 // server connection loop routes such responses through its
 // sendfile-capable writer.
-func (r *Response) FilePayload() bool { return r.srcFile != nil }
-
-// releaseSrc drops the fd-backed payload state, invoking the releaser.
-func (r *Response) releaseSrc() {
-	if r.srcRel != nil {
-		r.srcRel.Release()
-	}
-	r.srcFile = nil
-	r.srcOff = 0
-	r.srcLen = 0
-	r.srcRel = nil
-	r.srcStats = nil
-}
-
-// fileSender is a writer that may be able to move an fd range to its
-// destination without a userspace copy. canSendfile answers per
-// connection (TCP or the local socket, on Linux); sendPayload reports how
-// many bytes the kernel moved before any error. canPass answers whether
-// the connection may carry descriptors instead, which passFrame sends
-// attached to the frame's first byte (pass.go).
-type fileSender interface {
-	canSendfile() bool
-	sendPayload(f *os.File, off, n int64) (int64, error)
-	canPass() bool
-	passFrame(secs [][]byte, files []*os.File) error
-}
+func (r *Response) FilePayload() bool { return r.b != nil && r.b.st != nil }
 
 // zcWriter wraps a server connection for file-payload responses and
-// replies with passed payloads only: plain writes delegate to the
-// conn, the payload goes through sendfile when the platform supports it,
-// and descriptors through sendmsg. Normal (slice-payload) responses must
-// keep writing to the raw conn — net.Buffers' writev fast path
-// type-asserts the conn itself.
+// replies with passed payloads only: plain writes delegate to the conn,
+// the payload goes through sendfile when the platform supports it
+// (canSendfile: the conn exposes a raw descriptor), and descriptors
+// through sendmsg on the local socket (canPass). Normal (slice-payload)
+// responses must keep writing to the raw conn — net.Buffers' writev fast
+// path type-asserts the conn itself.
 type zcWriter struct {
 	conn net.Conn
 	rc   syscall.RawConn // nil when the conn exposes no raw descriptor
@@ -147,55 +120,40 @@ func (w *zcWriter) canPass() bool { return w.local }
 // otherwise).
 func (w *zcWriter) Write(p []byte) (int, error) { return w.conn.Write(p) }
 
-// writeFileResponse emits a response whose payload is an fd range. The
-// frame on the wire is identical to WriteResponse's pooled path; only
-// who copies the payload differs. Counter discipline: every path bumps
-// Eligible exactly once and exactly one of Sends or Fallbacks — the
-// identity the ladder and chaos tests assert.
-func writeFileResponse(w io.Writer, resp *Response) error {
-	if len(resp.Err) > 1<<16-1 {
-		return fmt.Errorf("transport: error string too long")
-	}
-	if resp.srcLen < 0 || respFixedLen+int(resp.srcLen)+len(resp.Err) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	p := getFrameBuf(respHeadLen + 2 + len(resp.Err))
-	defer putFrameBuf(p)
-	st := resp.srcStats
-	if st == nil {
-		st = &orphanZC
-	}
+// writeFileResponse writes a response whose payload is an fd range,
+// between head and tail as WriteResponse built them: the frame on the
+// wire is identical to WriteResponse's pooled path; only who copies the
+// payload differs. Counter discipline: every path bumps Eligible exactly
+// once and exactly one of Sends or Fallbacks — the identity the ladder
+// and chaos tests assert.
+func writeFileResponse(w io.Writer, head []byte, resp *Response, tail []byte) error {
+	s, st := &resp.b.secs[len(resp.b.secs)-1], resp.b.st
 	st.Eligible.Add(1)
-
-	ht := appendRespHead((*p)[:0], resp, int(resp.srcLen))
-	split := len(ht)
-	ht = appendRespTail(ht, resp.Err)
-
-	if fs, ok := w.(fileSender); ok && fs.canSendfile() {
+	if zw, ok := w.(*zcWriter); ok && zw.canSendfile() {
 		// Header first: it must precede the payload on the wire, and a
 		// failure here means nothing of the frame went out.
-		if _, err := w.Write(ht[:split]); err != nil {
+		if _, err := w.Write(head); err != nil {
 			st.Fallbacks.Add(1)
 			return err
 		}
-		sent, err := fs.sendPayload(resp.srcFile, resp.srcOff, resp.srcLen)
+		sent, err := zw.sendPayload(s.f, s.off, s.n)
 		st.Bytes.Add(sent)
-		if err == nil && sent == resp.srcLen {
+		if err == nil && sent == s.n {
 			st.Sends.Add(1)
-			_, werr := w.Write(ht[split:])
+			_, werr := w.Write(tail)
 			return werr
 		}
 		// Mid-transfer trouble (EPIPE, a shrunk source, a deadline):
-		// the header already promised srcLen payload bytes, so resume
-		// in userspace from wherever the kernel stopped. If the
-		// connection is truly dead the resume write fails and the
-		// server loop closes it — the client's retry ladder restores
-		// byte identity on a fresh connection.
+		// the header already promised n payload bytes, so resume in
+		// userspace from wherever the kernel stopped. If the connection
+		// is truly dead the resume write fails and the server loop
+		// closes it — the client's retry ladder restores byte identity
+		// on a fresh connection.
 		st.Fallbacks.Add(1)
-		if rerr := preadResume(w, resp, sent); rerr != nil {
+		if rerr := preadResume(w, s, sent); rerr != nil {
 			return rerr
 		}
-		_, werr := w.Write(ht[split:])
+		_, werr := w.Write(tail)
 		return werr
 	}
 
@@ -203,26 +161,26 @@ func writeFileResponse(w io.Writer, resp *Response) error {
 	// writers, non-Linux builds): pooled pread plus the same single
 	// vectored write the slice-payload path uses.
 	st.Fallbacks.Add(1)
-	pp := getFrameBuf(int(resp.srcLen))
+	pp := getFrameBuf(int(s.n))
 	defer putFrameBuf(pp)
-	payload := (*pp)[:resp.srcLen]
-	if err := readPayloadAt(resp.srcFile, payload, resp.srcOff); err != nil {
+	payload := (*pp)[:s.n]
+	if err := readPayloadAt(s.f, payload, s.off); err != nil {
 		return err
 	}
-	return writeVectored(w, ht[:split], payload, nil, ht[split:])
+	return writeVectored(w, head, payload, nil, tail)
 }
 
-// preadResume copies the unsent payload tail [srcOff+sent, srcOff+srcLen)
-// through userspace after a partial sendfile.
-func preadResume(w io.Writer, resp *Response, sent int64) error {
-	remain := resp.srcLen - sent
+// preadResume copies the unsent tail of s's range, from sent on, through
+// userspace after a partial sendfile.
+func preadResume(w io.Writer, s *section, sent int64) error {
+	remain := s.n - sent
 	if remain <= 0 {
 		return nil
 	}
 	pp := getFrameBuf(int(remain))
 	defer putFrameBuf(pp)
 	buf := (*pp)[:remain]
-	if err := readPayloadAt(resp.srcFile, buf, resp.srcOff+sent); err != nil {
+	if err := readPayloadAt(s.f, buf, s.off+sent); err != nil {
 		return err
 	}
 	_, err := w.Write(buf)

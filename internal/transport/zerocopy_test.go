@@ -282,23 +282,64 @@ func TestStalledReaderHitsWriteDeadline(t *testing.T) {
 	}
 }
 
-// TestFileResponseReleaseWithoutWrite covers the dead-connection case:
-// serveConn releases the response even when the write failed, and the
-// lease's release must run exactly once.
+// TestFileResponseReleaseWithoutWrite covers the dead-connection case for
+// every way a reply borrows its payload: serveConn releases the response
+// even when the write failed, and each section's releaser must run
+// exactly once, with the section list going back to its pool clean.
 func TestFileResponseReleaseWithoutWrite(t *testing.T) {
 	f := payloadFile(t, []byte("abc"))
-	rel := &countReleaser{}
-	resp := AcquireResponse()
-	resp.Status = StatusOK
-	resp.SetPayloadFile(f, 0, 3, rel, nil)
-	resp.Release()
-	if rel.n.Load() != 1 {
-		t.Fatalf("releaser ran %d times, want 1", rel.n.Load())
+	mem := make([]byte, passMin)
+	whole := &Request{Op: OpRead, Len: passMin, local: true}
+	batch := &Request{Op: OpReadBatch, local: true}
+	pass := func(resp *Response, req *Request, rel PayloadReleaser) {
+		if !resp.Pass(req, f, 0, passMin, rel) {
+			t.Fatal("payload not passed")
+		}
 	}
-	// A pooled Response recycled after a file payload must come back clean.
-	fresh := AcquireResponse()
-	if fresh.FilePayload() {
-		t.Fatal("recycled Response still carries a file payload")
+	cases := []struct {
+		name  string
+		rels  int
+		build func(resp *Response, rels []countReleaser)
+	}{
+		{"splice", 1, func(resp *Response, rels []countReleaser) { resp.Splice(mem, &rels[0]) }},
+		{"whole read passed", 1, func(resp *Response, rels []countReleaser) { pass(resp, whole, &rels[0]) }},
+		{"sendfile range", 1, func(resp *Response, rels []countReleaser) {
+			resp.SetPayloadFile(f, 0, 3, &rels[0], nil)
+		}},
+		{"batch of a splice and passed entries", 3, func(resp *Response, rels []countReleaser) {
+			resp.Data = AppendBatchEntry(resp.Data, StatusOK, nil)
+			PutBatchEntryHead(resp.Data[len(resp.Data)-BatchEntryOverhead:], StatusOK, len(mem))
+			resp.Splice(mem, &rels[0])
+			for i := 1; i < len(rels); i++ {
+				resp.Data = AppendBatchEntry(resp.Data, StatusOK, nil)
+				pass(resp, batch, &rels[i])
+			}
+		}},
 	}
-	fresh.Release()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rels := make([]countReleaser, c.rels)
+			resp := AcquireResponse()
+			resp.Status = StatusOK
+			c.build(resp, rels)
+			resp.Release()
+			for i := range rels {
+				if n := rels[i].n.Load(); n != 1 {
+					t.Fatalf("releaser %d ran %d times, want 1", i, n)
+				}
+			}
+			// A pooled Response recycled after a borrowed payload must come
+			// back clean, and so must the section list it pooled.
+			fresh := AcquireResponse()
+			defer fresh.Release()
+			if fresh.b != nil || fresh.FilePayload() || fresh.passedFiles() != 0 {
+				t.Fatal("recycled Response still carries a borrowed section")
+			}
+			b := borrowedPool.Get().(*borrowed)
+			defer borrowedPool.Put(b)
+			if len(b.secs) != 0 || b.n != 0 || b.passed != 0 || b.whole || b.st != nil {
+				t.Fatalf("pooled section list not clean: %d sections, %d bytes, %d passed, whole %v", len(b.secs), b.n, b.passed, b.whole)
+			}
+		})
+	}
 }

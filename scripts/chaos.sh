@@ -2,8 +2,9 @@
 # chaos.sh — the chaos tier: seeded fault schedules over real clusters
 # (the core matrix and its failover tests), the fault injector and the
 # test harness, and the transport's retry, deadline and truncation tests,
-# its descriptor-plane and batch tests and its close-queue tests, all under
-# the race detector in shuffled order (DESIGN.md §9.2). The
+# its descriptor-plane and batch tests, its close-queue tests and its
+# borrowed-payload (splice and file-payload) tests, all under the race
+# detector in shuffled order (DESIGN.md §9.2). The
 # check gate runs it as its last step and `make chaos` runs it alone.
 # Arguments are passed to every go test, e.g. `scripts/chaos.sh -v`.
 set -eu
@@ -12,4 +13,4 @@ cd "$(dirname "$0")/.."
 
 go test -race -shuffle=on "$@" -run Chaos ./internal/core
 go test -race -shuffle=on "$@" ./internal/faultnet ./internal/testutil
-go test -race -shuffle=on "$@" -run 'Retry|Call|TimedOut|Truncated|Pass|Batch|Close' ./internal/transport
+go test -race -shuffle=on "$@" -run 'Retry|Call|TimedOut|Truncated|Pass|Batch|Close|Splice|FileResponse|FilePayload' ./internal/transport

@@ -85,10 +85,11 @@ echo "--- descriptor budget, recycle and model tests under ulimit -n 256"
 # A recycled cache file is overwritten in place, so a file whose pages a
 # socket may still be sending must stay leased until the peer asks again.
 # The churn below is the one dynamic check of that rule, and a single run
-# can miss the interleaving that breaks it. A close is deferred to the
-# link's next request, which holds those leases longer, and whether the
-# server finds that next request already buffered, and answers the pair in
-# one write, is a matter of timing: the two deferral tests run as often.
+# can miss the interleaving that breaks it. A close is queued on its link
+# and has no reply: it leaves in the write of the link's next request, or
+# at Client.Close, and whether the server's buffered read takes the queued
+# closes with the request behind them in one read is a matter of timing:
+# the two deferral tests run as often.
 echo '--- sendfile recycle churn and deferred closes, 20 runs'
 go test -count=20 -run 'TestStressChurnRecyclesAroundSendfile|TestDeferredClosesReachServerByClientClose' ./internal/core
 go test -count=20 -run TestDeferredCallRidesWithNextCall ./internal/transport
