@@ -53,27 +53,28 @@ func TestCommands(t *testing.T) {
 		code int
 		want []string // lines of stdout, each a prefix of its line
 		same []byte   // if set, stdout must equal it instead
+		errs string   // if set, stderr must contain it
 	}{
-		{"ping", []string{servers, "ping"}, 0, []string{srv.Addr() + " ok"}, nil},
+		{"ping", []string{servers, "ping"}, 0, []string{srv.Addr() + " ok"}, nil, ""},
 		{"ping a dead server", []string{servers + ",127.0.0.1:1", "ping"}, 1,
-			[]string{srv.Addr() + " ok", "127.0.0.1:1 DOWN ("}, nil},
+			[]string{srv.Addr() + " ok", "127.0.0.1:1 DOWN ("}, nil, ""},
 		{"stat", []string{servers, ds, "stat", f0, missing}, 0,
-			[]string{f0 + ": 100 bytes", missing + ": ERROR transport: remote error: stat "}, nil},
-		{"home", []string{servers, ds, "home", f0}, 0, []string{f0 + " -> server 0 (" + srv.Addr() + ")"}, nil},
-		{"prefetch", []string{servers, ds, "prefetch", f0, f1}, 0, []string{"prefetch accepted for 2 of 2 files"}, nil},
+			[]string{f0 + ": 100 bytes", missing + ": ERROR transport: remote error: stat "}, nil, ""},
+		{"home", []string{servers, ds, "home", f0}, 0, []string{f0 + " -> server 0 (" + srv.Addr() + ")"}, nil, ""},
+		{"prefetch", []string{servers, ds, "prefetch", f0, f1}, 0, []string{"prefetch accepted for 2 of 2 files"}, nil, ""},
 		{"read", []string{servers, ds, "-epochs=2", "read", f0, f1}, 0,
-			[]string{"epoch 1: 2 files in ", "epoch 2: 2 files in ", "total: 0.0 MiB in "}, nil},
+			[]string{"epoch 1: 2 files in ", "epoch 2: 2 files in ", "total: 0.0 MiB in "}, nil, "client: redirected=4 "},
 		{"read a missing file", []string{servers, ds, "-workers=1", "read", missing, f0, f1}, 1,
-			[]string{"epoch 1: 3 files in ", "total: 0.0 MiB in "}, nil},
-		{"read on no workers", []string{servers, ds, "-workers=0", "read", f0}, 2, nil, nil},
+			[]string{"epoch 1: 3 files in ", "total: 0.0 MiB in "}, nil, ""},
+		{"read on no workers", []string{servers, ds, "-workers=0", "read", f0}, 2, nil, nil, ""},
 		{"batch", []string{servers, ds, "-batch-size=1", "batch", f0, f1}, 0,
-			[]string{"epoch 1: 2 files in ", "total: 0.0 MiB in "}, nil},
-		{"batch of size zero", []string{servers, ds, "-batch-size=0", "batch", f0}, 2, nil, nil},
-		{"cat", []string{servers, ds, "cat", f0}, 0, nil, f0Bytes},
-		{"no dataset", []string{servers, "read", f0}, 2, nil, nil},
-		{"missing command", []string{servers, ds}, 2, nil, nil},
-		{"unknown command", []string{servers, ds, "frob", f0}, 2, nil, nil},
-		{"help", []string{"-h"}, 0, nil, nil},
+			[]string{"epoch 1: 2 files in ", "total: 0.0 MiB in "}, nil, ""},
+		{"batch of size zero", []string{servers, ds, "-batch-size=0", "batch", f0}, 2, nil, nil, ""},
+		{"cat", []string{servers, ds, "cat", f0}, 0, nil, f0Bytes, ""},
+		{"no dataset", []string{servers, "read", f0}, 2, nil, nil, ""},
+		{"missing command", []string{servers, ds}, 2, nil, nil, ""},
+		{"unknown command", []string{servers, ds, "frob", f0}, 2, nil, nil, ""},
+		{"help", []string{"-h"}, 0, nil, nil, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -82,6 +83,9 @@ func TestCommands(t *testing.T) {
 			}
 			if st := srv.Stats(); st.Opens != st.Closes {
 				t.Errorf("server opened %d handles and closed %d: the command left handles open", st.Opens, st.Closes)
+			}
+			if !strings.Contains(stderr.String(), tc.errs) {
+				t.Errorf("stderr %q does not contain %q", &stderr, tc.errs)
 			}
 			if tc.same != nil {
 				if !bytes.Equal(stdout.Bytes(), tc.same) {

@@ -37,7 +37,7 @@ func (b *syncBuffer) String() string {
 
 var (
 	servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
-	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
+	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ reads=(\d+) closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
 	localRe   = regexp.MustCompile(` passed=(\d+) mapped=\d+ local=(\d+) refused=(\d+)\n`)
 	batchRe   = regexp.MustCompile(` batch=(\d+) served=`)
 	keepRe    = regexp.MustCompile(` evictions=(\d+) cached=(\d+) files/\d+B .* notadmitted=(\d+) `)
@@ -72,16 +72,17 @@ func passedAfter(t *testing.T, out *syncBuffer) int {
 	return n
 }
 
-// lastStats reports hits and misses from the last -stats line in s.
-func lastStats(s string) (hits, misses int, ok bool) {
+// lastStats reports reads, hits and misses from the last -stats line in s.
+func lastStats(s string) (reads, hits, misses int, ok bool) {
 	m := statsRe.FindAllStringSubmatch(s, -1)
 	if len(m) == 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	last := m[len(m)-1]
-	hits, _ = strconv.Atoi(last[1])
-	misses, _ = strconv.Atoi(last[2])
-	return hits, misses, true
+	reads, _ = strconv.Atoi(last[1])
+	hits, _ = strconv.Atoi(last[2])
+	misses, _ = strconv.Atoi(last[3])
+	return reads, hits, misses, true
 }
 
 // TestDaemon drives hvacd in process: usage errors exit 2 before or just
@@ -140,10 +141,10 @@ func TestDaemon(t *testing.T) {
 						t.Fatalf("read %d: got %d bytes, want the file's %d", i+1, len(got), len(want))
 					}
 					// The fill writes behind the first read; the second
-					// read must find it committed.
+					// read must find it committed. Each read is one read=.
 					await(t, stdout, "-stats line with the fill done", func(s string) bool {
-						hits, misses, ok := lastStats(s)
-						return ok && hits == wantHits && misses == 1
+						reads, hits, misses, ok := lastStats(s)
+						return ok && reads == i+1 && hits == wantHits && misses == 1
 					})
 				}
 				if st := cli.Stats(); st.Redirected != 2 || st.Fallbacks != 0 {
@@ -164,7 +165,7 @@ func TestDaemon(t *testing.T) {
 							t.Fatalf("read %d of %s: %d bytes, %v", i+1, big, len(got), err)
 						}
 						await(t, stdout, "-stats line with the large file's fill done", func(s string) bool {
-							_, misses, ok := lastStats(s)
+							_, _, misses, ok := lastStats(s)
 							return ok && misses == 2
 						})
 					}
@@ -202,7 +203,7 @@ func TestDaemon(t *testing.T) {
 						t.Fatalf("read %d of %s: %d bytes, %v", i+1, file, len(got), err)
 					}
 					await(t, stdout, "-stats line with the fill done", func(s string) bool {
-						hits, misses, ok := lastStats(s)
+						_, hits, misses, ok := lastStats(s)
 						return ok && hits == wantHits && misses == 1
 					})
 				}
@@ -246,7 +247,7 @@ func TestDaemon(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("run did not return within 5 s; stdout:\n%s", &stdout)
 			}
-			if _, _, ok := lastStats(stdout.String()); tc.serve != nil && !ok {
+			if _, _, _, ok := lastStats(stdout.String()); tc.serve != nil && !ok {
 				t.Errorf("no hvacd: opens= line on stdout:\n%s", &stdout)
 			}
 		})

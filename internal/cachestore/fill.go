@@ -68,7 +68,7 @@ type Fill struct {
 // cannot make room for is refused, before the caller has read a byte of
 // its source: with ErrTooLarge when it and the fills in flight exceed the
 // capacity, with ErrNoVictim when the policy offers no victim (Keep never
-// does). Contains stays false during the fill (callers attach through
+// does). Resident stays false during the fill (callers attach through
 // their own fill registry, not the index).
 //
 // The first victim whose descriptor nobody else references hands it to

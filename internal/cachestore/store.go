@@ -68,13 +68,6 @@ func (s *Store) newFile() (*os.File, error) {
 	return f, nil
 }
 
-// Contains reports whether key is cached (and counts the hit/miss).
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ix.Contains(key)
-}
-
 // Resident reports whether key is cached without touching the hit/miss
 // counters or the policy's recency state (Index.Peek under the store
 // lock), so a probe does not distort the hit accounting the benchmarks
@@ -87,7 +80,7 @@ func (s *Store) Resident(key string) bool {
 
 // ReadAt reads from the cached file for key at offset off through a
 // short-lived fd lease. A miss (not cached, or evicted since the caller's
-// Contains check) returns an error; callers read through from the PFS
+// Resident check) returns an error; callers read through from the PFS
 // instead.
 func (s *Store) ReadAt(key string, p []byte, off int64) (int, error) {
 	l, err := s.Lease(key)

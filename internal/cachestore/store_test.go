@@ -82,7 +82,7 @@ func TestPutLeaseRoundTrip(t *testing.T) {
 	if err := put(s, "/pfs/data/a.bin", int64(len(content)), string(content)); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Contains("/pfs/data/a.bin") {
+	if !s.Resident("/pfs/data/a.bin") {
 		t.Fatal("not cached after Put")
 	}
 	got, err := readAll(s, "/pfs/data/a.bin")
@@ -108,7 +108,7 @@ func TestShortSourceFails(t *testing.T) {
 	if err == nil {
 		t.Fatal("short copy should fail")
 	}
-	if s.Contains("k") {
+	if s.Resident("k") {
 		t.Fatal("failed Put left index entry")
 	}
 	if s.Used() != 0 {
@@ -120,7 +120,7 @@ func TestEvictionRemovesFile(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
 	put(s, "a", 6, "aaaaaa")
 	put(s, "b", 6, "bbbbbb") // evicts a
-	if s.Contains("a") {
+	if s.Resident("a") {
 		t.Fatal("a should be evicted")
 	}
 	if _, err := readAll(s, "a"); err == nil {
@@ -159,7 +159,7 @@ func TestPutWriterRefusalTakesNoFile(t *testing.T) {
 			if ents, err := os.ReadDir(s.Dir()); err != nil || len(ents) != 1 {
 				t.Fatalf("%d files in the store for one resident, %v", len(ents), err)
 			}
-			if s.ix.reserved != 0 || s.Used() != 6 || !s.Contains("a") || s.Contains("b") {
+			if s.ix.reserved != 0 || s.Used() != 6 || !s.Resident("a") || s.Resident("b") {
 				t.Fatalf("reserved %d, used %d, keys %v; want 0, 6, [a]", s.ix.reserved, s.Used(), s.ix.Keys())
 			}
 		})
@@ -193,7 +193,7 @@ func TestInFlightFillHoldsItsRoom(t *testing.T) {
 	if got, err := readAll(s, "c"); err != nil || string(got) != "cccccc" {
 		t.Fatalf("c reads %q, %v", got, err)
 	}
-	if _, _, evictions := s.Stats(); evictions != 1 || s.Contains("b") || s.ix.reserved != 0 || s.Used() != 6 {
+	if _, _, evictions := s.Stats(); evictions != 1 || s.Resident("b") || s.ix.reserved != 0 || s.Used() != 6 {
 		t.Fatalf("%d evictions, reserved %d, used %d, keys %v; want 1, 0, 6, [c]", evictions, s.ix.reserved, s.Used(), s.ix.Keys())
 	}
 	if ents, err := os.ReadDir(s.Dir()); err != nil || len(ents) != 1 {

@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hvac/internal/cachestore"
+	"hvac/internal/dataset"
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
@@ -268,39 +270,47 @@ func TestRealReadThroughCache(t *testing.T) {
 	}
 }
 
+// TestRealSecondReadIsCacheHit is the paper's epoch shape (Figs. 10–11)
+// counted in real mode, at 1, 2 and 4 servers: epoch 1 opens every file
+// on the PFS once and fills it, and every later epoch is served from the
+// cache with no PFS open. The sizes straddle zeroCopyMin, so warm reads
+// leave on both planes. The timed half (epoch 2 at a quarter of epoch 1)
+// waits for a PFS that costs something (ROADMAP item 21).
 func TestRealSecondReadIsCacheHit(t *testing.T) {
+	const files = 64
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
-	paths := writePFS(t, pfsDir, 4, 256)
-	servers, cli := startCluster(t, pfsDir, 2, nil, nil)
-
-	for _, p := range paths {
-		cli.ReadAll(p)
+	paths, err := dataset.Spec{TrainFiles: files, MeanFileSize: 64 << 10, SizeSigma: 0.4}.Materialize(pfsDir, 0)
+	if err != nil || len(paths) != files {
+		t.Fatalf("materialized %d files, %v", len(paths), err)
 	}
-	for _, s := range servers {
-		s.WaitIdle() // let the background data-movers finish the copies
-	}
-	var miss1 int64
-	for _, s := range servers {
-		st := s.Stats()
-		miss1 += st.Misses
-	}
-	for _, p := range paths { // epoch 2
-		cli.ReadAll(p)
-	}
-	var miss2, hits int64
-	for _, s := range servers {
-		st := s.Stats()
-		miss2 += st.Misses
-		hits += st.Hits
-	}
-	if miss1 != 4 {
-		t.Fatalf("first epoch misses = %d, want 4", miss1)
-	}
-	if miss2 != miss1 {
-		t.Fatalf("second epoch added misses: %d -> %d", miss1, miss2)
-	}
-	if hits != 4 {
-		t.Fatalf("hits = %d, want 4 (every epoch-2 open served from cache)", hits)
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("servers=%d", n), func(t *testing.T) {
+			var opens atomic.Int64
+			servers, cli := startCluster(t, pfsDir, n, func(c *ServerConfig) {
+				c.OpenPFS = func(path string) (*os.File, error) {
+					opens.Add(1)
+					return os.Open(path)
+				}
+			}, nil)
+			for epoch := 1; epoch <= 3; epoch++ {
+				for _, p := range paths {
+					if _, err := cli.ReadAll(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var misses, hits int64
+				for _, s := range servers {
+					s.WaitIdle() // the data-movers' fills commit behind the reads
+					st := s.Stats()
+					misses += st.Misses
+					hits += st.Hits
+				}
+				got, want := [3]int64{opens.Load(), misses, hits}, [3]int64{files, files, files * int64(epoch-1)}
+				if got != want {
+					t.Fatalf("after epoch %d: PFS opens, misses, hits = %v, want %v", epoch, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -679,6 +689,41 @@ func TestRealPrefetch(t *testing.T) {
 	// Prefetch outside the dataset dir is refused client-side.
 	if accepted := cli.Prefetch([]string{"/etc/hosts"}); accepted != 0 {
 		t.Fatalf("prefetch outside dataset accepted: %d", accepted)
+	}
+}
+
+// TestRealPrefetchHintIsNoAccess: a hint for a file the cache holds is
+// not a read of it. It counts no index hit and leaves the file's recency
+// alone, so under LRU the file read longest ago is still evicted first:
+// A, read before B and hinted after it, makes room for C.
+func TestRealPrefetchHintIsNoAccess(t *testing.T) {
+	pfsDir := filepath.Join(t.TempDir(), "dataset")
+	paths := writePFS(t, pfsDir, 3, 1<<10)
+	servers, cli := startCluster(t, pfsDir, 1, func(c *ServerConfig) {
+		c.CacheCapacity = 2 << 10
+		c.Policy = cachestore.NewLRU()
+	}, nil)
+	srv := servers[0]
+	read := func(p string) {
+		t.Helper()
+		if _, err := cli.ReadAll(p); err != nil {
+			t.Fatal(err)
+		}
+		srv.WaitIdle()
+	}
+	read(paths[0])
+	read(paths[1])
+	before, _, _ := srv.store.Stats()
+	if accepted := cli.Prefetch(paths[:1]); accepted != 1 {
+		t.Fatalf("accepted = %d, want 1", accepted)
+	}
+	srv.WaitIdle()
+	if after, _, _ := srv.store.Stats(); after != before {
+		t.Errorf("the index's hits went %d -> %d across a hint for a resident file", before, after)
+	}
+	read(paths[2])
+	if a, b := srv.store.Resident(paths[0]), srv.store.Resident(paths[1]); a || !b {
+		t.Fatalf("after C: A resident %v, B resident %v; want A evicted and B kept", a, b)
 	}
 }
 

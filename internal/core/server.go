@@ -979,7 +979,7 @@ func (s *Server) planBatchEntry(p string, prefetch bool, room int) batchEntry {
 		return batchEntry{status: transport.StatusError, msg: err.Error()}
 	}
 	if prefetch {
-		if !s.store.Contains(p) {
+		if !s.store.Resident(p) {
 			s.scheduleFetch(fetchTask{path: p}, false)
 		}
 		return batchEntry{}
