@@ -3,16 +3,16 @@ package cachestore
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"sync"
 )
 
-// Fill is an in-progress streaming insert: the writer (a data-mover)
-// appends bytes as they arrive from the PFS while readers are served the
-// prefix that has already landed. This is the serve-from-fill primitive:
-// a cold read no longer needs its own PFS pass — it attaches to the fill
-// and blocks only until the segment it wants is down.
+// Fill is an in-progress streaming insert: the writer (a data mover, or
+// the handler whose read missed a one-chunk file) appends bytes as they
+// arrive from the PFS while readers are served the prefix that has already
+// landed. This is the serve-from-fill primitive: a cold read no longer
+// needs its own PFS pass — it attaches to the fill and blocks only until
+// the segment it wants is down.
 //
 // Life cycle: PutWriter creates the fill holding one reference for the
 // writer; Commit (or Abort) finishes the write side and drops that
@@ -20,12 +20,8 @@ import (
 // once the last reference is released after the fill has finished, the
 // backing read handle closes. A committed fill's bytes stay readable by
 // existing holders even if the cache entry is evicted immediately — the
-// open descriptor outlives the unlink.
-//
-// The fill takes its cache file when it is admitted (PutWriter recycles a
-// victim's) or when it first has bytes to land (open), and an object of at
-// most one fillChunk is answered from a staging buffer before that
-// (CopyFrom; DESIGN.md §6.1).
+// open descriptor outlives the unlink. The fill's cache file is a victim's
+// (PutWriter) or made at its first bytes (open); readers pread it.
 type Fill struct {
 	s    *Store
 	key  string
@@ -54,11 +50,8 @@ type Fill struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	written int64 // advanced by the creator only, which reads it unlocked
-	// stage holds the first written bytes of a staged fill until they are
-	// in file; while it is set, readers copy out of it under mu.
-	stage *[]byte
-	err   error // terminal error after Abort
-	refs  int
+	err     error // terminal error after Abort
+	refs    int
 }
 
 // PutWriter starts a streaming insert of size bytes under key — the one
@@ -123,14 +116,11 @@ func (s *Store) PutWriter(key string, size int64) (*Fill, error) {
 	return f, nil
 }
 
-// Key returns the cache key being filled.
-func (f *Fill) Key() string { return f.key }
-
-// Size returns the declared total size of the fill.
-func (f *Fill) Size() int64 { return f.size }
-
-// open gives a fill that recycled no victim its cache file.
+// open gives a fill that recycled no victim its cache file, once.
 func (f *Fill) open() error {
+	if f.file != nil {
+		return nil
+	}
 	file, err := f.s.newFile()
 	if err != nil {
 		return err
@@ -139,92 +129,27 @@ func (f *Fill) open() error {
 	return nil
 }
 
-// land makes sure the fill has its file and a staged payload is in it.
-func (f *Fill) land() error {
-	if f.file == nil {
-		if err := f.open(); err != nil {
-			return err
-		}
-	}
-	if f.stage != nil {
-		if _, err := f.file.WriteAt((*f.stage)[:f.written], 0); err != nil {
-			return err
-		}
-		f.unstage()
-	}
-	return nil
-}
+// FillChunk bounds one CopyFrom pass, and with it how long an attached
+// reader waits for freshly landed bytes; a file of at most one chunk
+// lands in one pass, with nothing for a reader to overlap (DESIGN.md §5.2).
+const FillChunk = 1 << 20
 
-// unstage returns the staging buffer, if the fill still has one.
-func (f *Fill) unstage() {
-	f.mu.Lock()
-	buf := f.stage
-	f.stage = nil
-	f.mu.Unlock()
-	if buf != nil {
-		stagePools[bits.Len64(uint64(len(*buf)-1))-minStageClass].Put(buf)
-	}
-}
-
-// stagePools hold staging buffers by power-of-two size class, 4 KiB to
-// fillChunk, so that a small object's fill does not pin a chunk-sized one.
-const minStageClass = 12
-
-var stagePools [21 - minStageClass]sync.Pool
-
-func getStage(n int64) *[]byte {
-	c := max(bits.Len64(uint64(n-1)), minStageClass)
-	if p, ok := stagePools[c-minStageClass].Get().(*[]byte); ok {
-		return p
-	}
-	b := make([]byte, 1<<c)
-	return &b
-}
-
-// fillChunk bounds one streaming CopyFrom pass, and with it how long an
-// attached reader can wait before freshly landed bytes become visible to
-// it; an object that fits one chunk is staged in memory instead.
-const fillChunk = 1 << 20
-
-// CopyFrom moves size bytes from src at off into the fill. A whole object
-// of at most one fillChunk is staged: one pread into a pooled buffer, the
-// watermark published at once — attached readers are answered from memory
-// — and then the write to the cache file, off the readers' path. Anything
-// else streams through os.File.ReadFrom, which moves a regular source —
-// the PFS file, the one production source — inside the kernel
-// (copy_file_range) and falls back to a read/write loop for anything
-// else; readers wake after every fillChunk, not after the whole file.
-//
-// Only the creator may call it: the streaming path advances the file
-// handle's own offset, which tracks written only while every byte
-// arrives through here.
+// CopyFrom moves size bytes from src at off into the fill, whatever
+// offset src's descriptor is at, through os.File.ReadFrom: inside the
+// kernel for a regular source (copy_file_range), else a read/write loop.
+// Readers wake after every FillChunk. Only the creator may call it: the
+// copy advances the fill file's own offset, which tracks written only
+// while every byte arrives through here.
 func (f *Fill) CopyFrom(src *os.File, off, size int64) (int64, error) {
-	if f.written == 0 && size == f.size && 0 < size && size <= fillChunk {
-		buf := getStage(size)
-		n, err := src.ReadAt((*buf)[:size], off)
-		if err == io.EOF {
-			err = nil // src shrank under us: Commit flags the short fill
-		}
-		f.mu.Lock()
-		f.stage, f.written = buf, int64(n)
-		f.cond.Broadcast()
-		f.mu.Unlock()
-		if err == nil {
-			err = f.land()
-		}
-		return int64(n), err
-	}
-	if err := f.land(); err != nil {
+	if err := f.open(); err != nil {
 		return 0, err
 	}
-	if off > 0 {
-		if _, err := src.Seek(off, io.SeekStart); err != nil {
-			return 0, err
-		}
+	if _, err := src.Seek(off, io.SeekStart); err != nil && off > 0 {
+		return 0, err // at 0 an unseekable source (a pipe) is read where it stands
 	}
 	var total int64
 	for total < size {
-		n := min(size-total, fillChunk)
+		n := min(size-total, FillChunk)
 		f.mu.Lock()
 		at := f.written
 		f.mu.Unlock()
@@ -308,19 +233,12 @@ func (f *Fill) ReadAt(p []byte, off int64) (int, error) {
 	for f.written < off+want && f.err == nil {
 		f.cond.Wait()
 	}
-	err, staged := f.err, f.stage != nil
-	if err == nil && staged {
-		// Under mu, so the buffer cannot go back to its pool mid-copy.
-		copy(p[:want], (*f.stage)[off:])
-	}
+	err := f.err
 	f.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	n := int(want)
-	if !staged {
-		n, err = f.file.ReadAt(p[:want], off)
-	}
+	n, err := f.file.ReadAt(p[:want], off)
 	if err == nil && want < int64(len(p)) {
 		err = io.EOF
 	}
@@ -339,7 +257,7 @@ func (f *Fill) Commit() error {
 	var err error
 	if f.written != f.size {
 		err = fmt.Errorf("cachestore: short fill for %s: %d of %d bytes", f.key, f.written, f.size)
-	} else if err = f.land(); err == nil { // an empty fill takes its file here
+	} else if err = f.open(); err == nil { // an empty fill takes its file here
 		err = f.insert()
 	}
 	f.finish(err)
@@ -389,15 +307,14 @@ func (f *Fill) Abort(err error) {
 }
 
 // finish ends the write side, committed (err nil) or not: readers wake,
-// to err if there is one, and what the fill still holds — staging buffer,
-// uncommitted file, reservation, the writer's reference — goes back.
+// to err if there is one, and what the fill still holds — uncommitted
+// file, reservation, the writer's reference — goes back.
 func (f *Fill) finish(err error) {
 	f.finished = true
 	f.mu.Lock()
 	f.err = err
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	f.unstage()
 	if f.path != "" {
 		// The unlink does not invalidate the shared descriptor: readers past
 		// the error check finish their pread, and the last Release closes it.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,67 +30,11 @@ func srcFile(t *testing.T, s *Store, data []byte) *os.File {
 	return src
 }
 
-// TestStagedFillServesMemoryThenFile: a one-chunk object is readable the
-// moment its pread returns — before the fill has a file at all — and once
-// the fill has written it out, readers go to the file and the staging
-// buffer is gone. The test keeps the fill from its file by taking the
-// store's directory away while it copies, and gives it back for Commit
-// to land the staged bytes.
-func TestStagedFillServesMemoryThenFile(t *testing.T) {
-	s := newTestStore(t, 1<<20, NewLRU())
-	data := bytes.Repeat([]byte("staged! "), 8<<10) // 64 KiB
-	src := srcFile(t, s, data)
-	f, err := s.PutWriter("k", int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Acquire() {
-		t.Fatal("acquire on a live fill failed")
-	}
-	defer f.Release()
-
-	if err := os.Remove(s.Dir()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.CopyFrom(src, 0, int64(len(data))); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("CopyFrom with nowhere to put the file: %v, want ENOENT", err)
-	}
-	got := make([]byte, len(data))
-	if n, err := f.ReadAt(got, 0); err != nil || n != len(data) || !bytes.Equal(got, data) {
-		t.Fatalf("read of the staged fill: %d bytes, %v", n, err)
-	}
-	f.mu.Lock()
-	staged, file := f.stage != nil, f.file
-	f.mu.Unlock()
-	if !staged || file != nil {
-		t.Fatalf("served before the flush, yet staged=%v file=%v", staged, file)
-	}
-	if err := os.Mkdir(s.Dir(), 0o700); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Commit(); err != nil { // lands the staged bytes in a file, then inserts the key
-		t.Fatal(err)
-	}
-
-	f.mu.Lock()
-	staged = f.stage != nil
-	f.mu.Unlock()
-	if staged {
-		t.Fatal("the staging buffer outlived the write to the file")
-	}
-	tail := make([]byte, 100) // clipped by the declared size: a short read and io.EOF, as before
-	if n, err := f.ReadAt(tail, int64(len(data))-10); n != 10 || err != io.EOF || !bytes.Equal(tail[:10], data[len(data)-10:]) {
-		t.Fatalf("read of the landed fill's tail: %d bytes, %v", n, err)
-	}
-	if got, err := readAll(s, "k"); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("committed entry: %d bytes, %v", len(got), err)
-	}
-}
-
-// TestAbortMidStageWakesReaders: a staged fill that cannot get its file
-// still answers the bytes it has from memory; Abort then wakes the reader
-// waiting for bytes that never came, with the fill's error, and the
-// staging buffer goes back.
+// TestAbortMidStageWakesReaders: a fill whose source ran short answers
+// the prefix that landed in its file; Abort then wakes the reader waiting
+// for bytes that never came, with the abort's error, and takes the file
+// away. (The name dates from the in-memory staging of one-chunk fills,
+// which is gone: every fill streams into its file.)
 func TestAbortMidStageWakesReaders(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	data := bytes.Repeat([]byte{7}, 32<<10)
@@ -110,16 +53,12 @@ func TestAbortMidStageWakesReaders(t *testing.T) {
 		blocked <- err
 	}()
 
-	if err := os.RemoveAll(s.Dir()); err != nil { // no directory: Fill.open must fail
-		t.Fatal(err)
-	}
-	n, copyErr := f.CopyFrom(src, 0, 2*int64(len(data)))
-	if copyErr == nil || n != int64(len(data)) {
-		t.Fatalf("CopyFrom into a vanished cache dir: %d bytes, %v", n, copyErr)
+	if n, err := f.CopyFrom(src, 0, 2*int64(len(data))); err != nil || n != int64(len(data)) {
+		t.Fatalf("CopyFrom from a source half the declared size: %d bytes, %v", n, err)
 	}
 	got := make([]byte, len(data))
 	if n, err := f.ReadAt(got, 0); err != nil || n != len(data) || !bytes.Equal(got, data) {
-		t.Fatalf("read of the staged prefix: %d bytes, %v", n, err)
+		t.Fatalf("read of the landed prefix: %d bytes, %v", n, err)
 	}
 	select {
 	case err := <-blocked:
@@ -127,32 +66,33 @@ func TestAbortMidStageWakesReaders(t *testing.T) {
 	default:
 	}
 
-	f.Abort(copyErr)
+	abortErr := errors.New("source ran short")
+	f.Abort(abortErr)
 	select {
 	case err := <-blocked:
-		if !errors.Is(err, copyErr) {
-			t.Fatalf("the woken reader saw %v, want the abort's %v", err, copyErr)
+		if !errors.Is(err, abortErr) {
+			t.Fatalf("the woken reader saw %v, want the abort's %v", err, abortErr)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Abort left a reader waiting")
 	}
-	f.mu.Lock()
-	staged := f.stage != nil
-	f.mu.Unlock()
-	if staged {
-		t.Fatal("the staging buffer outlived the abort")
-	}
-	if _, err := f.ReadAt(got, 0); !errors.Is(err, copyErr) {
+	if _, err := f.ReadAt(got, 0); !errors.Is(err, abortErr) {
 		t.Fatalf("read after the abort: %v", err)
 	}
 	if s.Resident("k") || s.Used() != 0 {
 		t.Fatal("the aborted fill reached the index")
 	}
+	if ents, err := os.ReadDir(s.Dir()); err != nil || len(ents) != 0 {
+		t.Fatalf("%d files left in the cache dir after the abort, %v", len(ents), err)
+	}
 }
 
 // TestEvictingFillAllocatesNoPayload: at capacity, a 64 KiB fill takes its
-// staging buffer from the pool and its file from its victim — nothing of
-// the payload's size is allocated per fill.
+// file from its victim and the kernel moves its bytes — nothing of the
+// payload's size is allocated per fill. Every fill reads the one source,
+// which the previous fill left at EOF: CopyFrom must read it at the
+// offset it is given, not where its descriptor stands (a short fill
+// otherwise).
 func TestEvictingFillAllocatesNoPayload(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts")
@@ -214,7 +154,7 @@ func TestEvictingFillAllocatesNoPayload(t *testing.T) {
 // committed bytes are checked verbatim.
 func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 	s := newTestStore(t, 8<<20, NewLRU())
-	const size = fillChunk + 4096 // final chunk is partial
+	const size = FillChunk + 4096 // final chunk is partial
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(i*13 + 7)
@@ -230,10 +170,10 @@ func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 
 	// Block on the tail range before a single byte has landed: only the
 	// final partial chunk's broadcast can satisfy this read.
-	tail := make([]byte, size-fillChunk)
+	tail := make([]byte, size-FillChunk)
 	readDone := make(chan error, 1)
 	go func() {
-		_, rerr := f.ReadAt(tail, fillChunk)
+		_, rerr := f.ReadAt(tail, FillChunk)
 		readDone <- rerr
 	}()
 
@@ -260,7 +200,7 @@ func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("reader still blocked after the final partial chunk landed (lost wakeup)")
 	}
-	if !bytes.Equal(tail, data[fillChunk:]) {
+	if !bytes.Equal(tail, data[FillChunk:]) {
 		t.Fatal("tail bytes differ from the source")
 	}
 
@@ -284,7 +224,7 @@ func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 // byte-identically and with correct chunked watermarks.
 func TestCopyFromRegularFileSource(t *testing.T) {
 	s := newTestStore(t, 8<<20, NewLRU())
-	const size = 2*fillChunk + 123
+	const size = 2*FillChunk + 123
 	data := make([]byte, size)
 	for i := range data {
 		data[i] = byte(i * 31)

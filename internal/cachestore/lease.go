@@ -68,6 +68,23 @@ func (s *Store) Lease(key string) (*Lease, error) {
 	return l, nil
 }
 
+// Lease leases the entry the fill committed whether or not the index
+// still holds it: the committer calls it after Commit while it holds a
+// reference on the fill (Acquire), which keeps that entry's slot open.
+// ErrNotCached when the fill did not commit into a slot.
+func (f *Fill) Lease() (*Lease, error) {
+	e := f.kept
+	if e == nil {
+		return nil, ErrNotCached
+	}
+	l := leasePool.Get().(*Lease)
+	f.s.mu.Lock()
+	e.refs++
+	l.s, l.e, l.f, l.m, l.size = f.s, e, e.f, e.m, e.size
+	f.s.mu.Unlock()
+	return l, nil
+}
+
 // File exposes the leased descriptor, for sendfile; valid only until
 // Release. Once the lease is released and the entry evicted, a fill may
 // overwrite the file in place (Fill.open), so a caller that queued its

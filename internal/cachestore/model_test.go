@@ -23,10 +23,10 @@ import (
 // is reserved, how many evictions). Several goroutines make it concurrent,
 // and there the model holds what must be true in any order.
 
-// modelSizes puts one object below, one at and one above fillChunk, so
-// fills stage and stream, and recycle files larger and smaller than they
-// need.
-var modelSizes = [...]int64{40 << 10, fillChunk, fillChunk + 4<<10}
+// modelSizes puts one object below, one at and one above FillChunk, so
+// fills land in one pass and in two, and recycle files larger and smaller
+// than they need.
+var modelSizes = [...]int64{40 << 10, FillChunk, FillChunk + 4<<10}
 
 const modelKeys = 12
 

@@ -151,22 +151,23 @@ func TestHandleReadSizesPoolFromHandle(t *testing.T) {
 		{size, 512},       // at EOF: an empty payload
 		{size + 1<<20, 512},
 	} {
-		// A cold open whose fill is held in the mover: the read passes the
-		// lease rung before the fill commits, so it lands in a pooled
-		// buffer — from the fill, or the entry it just committed — and
-		// not in the mapping a warm read splices.
-		r.hold(path)
+		// A cold open whose file another reader's fill holds in its PFS
+		// open: the read passes the lease rung before the fill commits and
+		// attaches to it, so it lands in a pooled buffer — from the fill,
+		// or the entry it just committed — and not in the mapping a warm
+		// read splices.
+		wait := r.fillInline(path)
 		open := r.srv.handle(&transport.Request{Op: transport.OpOpen, Path: path})
 		if !open.OK() {
 			t.Fatal(open.Error())
 		}
-		<-r.entered
 		var resp *transport.Response
 		join := r.attach(func() ([]byte, error) {
 			resp = r.srv.handle(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Off: tc.off, Len: transport.MaxFrame / 2})
 			return nil, nil
 		})
 		r.release()
+		wait()
 		join()
 		if !resp.OK() {
 			t.Fatalf("off %d: %v", tc.off, resp.Error())

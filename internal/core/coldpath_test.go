@@ -624,3 +624,54 @@ func TestMoverDefaultConcurrency(t *testing.T) {
 		t.Fatalf("cached %d files after release, want 2", got)
 	}
 }
+
+// TestInlineFillsShareTheMoversSlots: a whole read that copies its own
+// one-chunk miss takes one of the ServerConfig.Movers copy slots, as a
+// mover's fill does, so Movers still bounds the PFS copies in flight. With
+// one mover, a second such read, of another file, opens the PFS only once
+// the first read's fill, held in its PFS open, has ended. The rig's cache
+// has room for one object: a second fill admitted beside the first would
+// also be refused room (NotAdmitted), and read through from the PFS.
+func TestInlineFillsShareTheMoversSlots(t *testing.T) {
+	r := newLadderRig(t, "", ladderSize)
+	read := func(p string) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			b, err := r.cli.ReadAll(p)
+			return bytes.Clone(b), err
+		}
+	}
+	r.hold(r.paths[0])
+	first := r.attach(read(r.paths[0]))
+	<-r.entered // the first fill holds the one slot, parked in its PFS open
+	second := r.attach(read(r.paths[1]))
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		opened := r.opens[r.paths[1]]
+		r.mu.Unlock()
+		if opened != 0 {
+			r.release()
+			t.Fatal("the second fill opened the PFS while the first held the one copy slot")
+		}
+	}
+	r.release()
+	for i, join := range []func() ([]byte, error){first, second} {
+		want, err := os.ReadFile(r.paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := join(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read of %s: %d bytes, %v; equal to the PFS copy: %v", r.paths[i], len(got), err, bytes.Equal(got, want))
+		}
+	}
+	r.srv.WaitIdle()
+	if st := r.srv.Stats(); st.NotAdmitted != 0 || st.Misses != 2 {
+		t.Fatalf("%d fills refused room and %d completed, want 0 and 2", st.NotAdmitted, st.Misses)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, p := range r.paths[:2] {
+		if n := r.opens[p]; n != 1 {
+			t.Fatalf("%d PFS opens of %s, want 1", n, p)
+		}
+	}
+}

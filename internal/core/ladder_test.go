@@ -12,15 +12,16 @@ import (
 	"testing"
 	"time"
 
+	"hvac/internal/cachestore"
 	"hvac/internal/testutil"
 	"hvac/internal/transport"
 )
 
 // ladderRig is one single-mover, single-demand-slot server whose cache
 // holds exactly one object, behind an OpenPFS seam that counts every PFS
-// pass and can hold chosen paths inside the mover: enough to put the
-// server in each state the read ladder distinguishes and to see which
-// rung paid for the bytes.
+// pass and can hold chosen paths inside their fill, a mover's or a
+// handler's own: enough to put the server in each state the read ladder
+// distinguishes and to see which rung paid for the bytes.
 type ladderRig struct {
 	t     *testing.T
 	srv   *Server
@@ -40,6 +41,10 @@ type ladderRig struct {
 
 // ladderSize is the rig's usual object size, below zeroCopyMin.
 const ladderSize = 4096
+
+// multiChunkSize is an object larger than one fill chunk: a whole read's
+// miss of it goes to the mover, as a batch entry's of any size does.
+const multiChunkSize = cachestore.FillChunk + ladderSize
 
 func newLadderRig(t *testing.T, network string, size int) *ladderRig {
 	t.Helper()
@@ -101,7 +106,33 @@ func (r *ladderRig) evict() {
 	r.evicted++
 }
 
-// hold parks the mover's next PFS open of each path until release.
+// fillInline starts path's fill as a whole read's miss of a one-chunk
+// object does — on its own goroutine, by fetchInline — held in its PFS
+// open, and returns once it is parked there: it stands in for a first
+// reader, and serves and counts nothing. wait returns once it has run.
+func (r *ladderRig) fillInline(path string) (wait func()) {
+	r.hold(path)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fe, ran := r.srv.fetchInline(fetchTask{path: path, size: r.size})
+		if !ran {
+			r.t.Errorf("the inline fill of %s found another in flight", path)
+		} else if fe.fill != nil {
+			fe.fill.Release() // the reference the fill lends its runner
+		}
+	}()
+	<-r.entered
+	return func() { <-done }
+}
+
+// inline reports whether op's read copies a miss of the rig's object
+// itself: a whole read, of at most one fill chunk.
+func (r *ladderRig) inline(op ladderOp) bool {
+	return !op.batch && r.size <= cachestore.FillChunk
+}
+
+// hold parks the next PFS open of each path until release.
 func (r *ladderRig) hold(paths ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -120,7 +151,8 @@ func (r *ladderRig) release() {
 }
 
 // saturate leaves the demand queue full: the one mover parked inside the
-// fill of one spare file, a second spare's fill occupying the one slot.
+// fill of one spare file, holding the one copy slot, and a second spare's
+// fill occupying the one queue slot.
 func (r *ladderRig) saturate() {
 	r.t.Helper()
 	r.hold(r.paths[2], r.paths[3])
@@ -133,11 +165,11 @@ func (r *ladderRig) saturate() {
 	}
 }
 
-// attach starts read while the object's fill is held in the mover and
-// returns once the reader is past the lease rung (the index counted its
-// miss), so that after release the read is served from the fill as it
-// lands — or, if the fill wins the race to commit, from the committed
-// entry: both are the mover's one PFS pass. join returns what read did.
+// attach starts read while the object's fill is held and returns once
+// the reader is past the lease rung (the index counted its miss), so that
+// after release the read is served from the fill as it lands — or, if the
+// fill wins the race to commit, from the committed entry: both are the
+// fill's one PFS pass. join returns what read did.
 func (r *ladderRig) attach(read func() ([]byte, error)) (join func() ([]byte, error)) {
 	_, missed, _ := r.srv.store.Stats()
 	type result struct {
@@ -271,7 +303,11 @@ func ladderOps() []ladderOp {
 // below zeroCopyMin from its mapping (or, with the mapping budget spent,
 // by pread into the frame), and a whole read at or above it by sendfile;
 // every other serve — a batch entry at zeroCopyMin among them — is a
-// pooled copy. The client dials TCP here;
+// pooled copy. It does so at three sizes: below zeroCopyMin, at it, and
+// past one fill chunk, where a whole read's miss goes to the mover (as a
+// batch entry's does at every size) instead of to the reader's own fill,
+// so that the mover's states are reached for every wrapper. The client
+// dials TCP here;
 // TestReadLadderThroughEveryWrapperLocal runs the same cases on the local
 // socket.
 func TestReadLadderThroughEveryWrapper(t *testing.T) { testReadLadder(t, "tcp") }
@@ -296,9 +332,14 @@ func testReadLadder(t *testing.T, network string) {
 		// a miss in pass 1 stays a read-through whichever rung serves it.
 		hit [3]bool
 		// rejects: the demand queue must have refused this read's fetch.
+		// A read that copies its miss itself (ladderRig.inline) offers
+		// nothing to the queue.
 		rejects bool
-		// leased: the read is served from a lease on the resident entry.
-		leased bool
+		// leased: the read is served from a lease on the resident entry,
+		// as is every read that copies its miss itself outside the state
+		// that holds the object's fill in flight (inFlight): it serves the
+		// entry its own fill committed.
+		leased, inFlight bool
 	}
 	// open runs op's first phase; a handle opened warm first gets its
 	// object cached.
@@ -325,25 +366,37 @@ func testReadLadder(t *testing.T, network string) {
 			leased: true,
 		},
 		{
+			// A one-chunk object's fill is a first reader's own, held in
+			// its PFS open, and every op attaches to it: a handle read at
+			// its lease miss, a batch at pass 1. A larger object's is the
+			// mover's, registered by the cold open or pass 1, or by the
+			// warm handle's read.
 			name: "fill in flight",
 			run: func(r *ladderRig, op ladderOp) ([]byte, error) {
+				wait := func() {}
 				if op.warm {
 					if err := open(r, op); err != nil {
 						return nil, err
 					}
 					r.evict()
-					r.hold(r.paths[0]) // the read registers the fetch itself
+				}
+				if r.size <= cachestore.FillChunk {
+					wait = r.fillInline(r.paths[0])
 				} else {
 					r.hold(r.paths[0])
+				}
+				if !op.warm {
 					if err := open(r, op); err != nil {
 						return nil, err
 					}
 				}
 				join := r.attach(func() ([]byte, error) { return op.read(r) })
 				r.release()
+				wait()
 				return join()
 			},
-			hit: [3]bool{true, false, false},
+			hit:      [3]bool{true, false, false},
+			inFlight: true,
 		},
 		{
 			name: "fill committed before the reader attaches",
@@ -378,6 +431,13 @@ func testReadLadder(t *testing.T, network string) {
 						return nil, err
 					}
 				}
+				if r.inline(op) {
+					// The read's own fill waits for the copy slot the
+					// parked mover holds.
+					join := r.attach(func() ([]byte, error) { return op.read(r) })
+					r.release()
+					return join()
+				}
 				got, err := op.read(r)
 				r.release()
 				return got, err
@@ -395,6 +455,9 @@ func testReadLadder(t *testing.T, network string) {
 					return nil, err
 				}
 				r.srv.WaitIdle()
+				if op.cold && r.inline(op) {
+					r.fill(r.paths[0]) // the cold open registered no fill
+				}
 				r.evict()
 				return op.read(r)
 			},
@@ -403,12 +466,15 @@ func testReadLadder(t *testing.T, network string) {
 	}
 
 	forEachMapping(t, func(t *testing.T, mapping bool) {
-		for _, size := range []int{ladderSize, zeroCopyMin} {
+		for _, size := range []int{ladderSize, zeroCopyMin, multiChunkSize} {
 			for _, st := range states {
 				for i, op := range ladderOps() {
 					name := fmt.Sprintf("%s/%s", st.name, op.name)
-					if size != ladderSize {
+					switch size {
+					case zeroCopyMin:
 						name += "/at-zeroCopyMin"
+					case multiChunkSize:
+						name += "/multi-chunk"
 					}
 					t.Run(name, func(t *testing.T) {
 						r := newLadderRig(t, network, size)
@@ -433,12 +499,15 @@ func testReadLadder(t *testing.T, network string) {
 						if (ss.Hits == 1) != st.hit[i] {
 							t.Fatalf("verdict: hits=%d readthroughs=%d, want hit=%v", ss.Hits, ss.ReadThroughs, st.hit[i])
 						}
-						if (ss.DemandRejects > 0) != st.rejects {
-							t.Fatalf("demand rejects = %d, want some: %v", ss.DemandRejects, st.rejects)
+						rejects := st.rejects && !r.inline(op)
+						leased := st.leased || r.inline(op) && !st.inFlight
+						if (ss.DemandRejects > 0) != rejects {
+							t.Fatalf("demand rejects = %d, want some: %v", ss.DemandRejects, rejects)
 						}
 						// One PFS pass caches the object; each time it was pushed
 						// out afterwards, exactly one more brings the bytes back —
-						// the refill's, or the handler's own when the queue is full.
+						// the refill's, or the handler's own read-through when the
+						// queue is full.
 						r.mu.Lock()
 						opens := r.opens[r.paths[0]]
 						r.mu.Unlock()
@@ -450,7 +519,7 @@ func testReadLadder(t *testing.T, network string) {
 						}
 						var mapped, sent, passed int64 // the plane this serve must take
 						switch {
-						case !st.leased:
+						case !leased:
 						case network == "local" && !op.batch && size >= passMin:
 							passed = 1
 						case size < zeroCopyMin && mapping:

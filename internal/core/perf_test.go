@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -466,30 +467,79 @@ type kernelCost struct {
 	readCalls, writeCalls, bytesPerByte float64
 }
 
+// clientConns is a kernelCluster client's counting dial: it keeps the
+// counts of every connection the client makes (testutil.CountConn).
+type clientConns struct {
+	network string
+	mu      sync.Mutex
+	counts  []*testutil.SockCounts
+}
+
+func (c *clientConns) wrap(conn net.Conn) net.Conn {
+	cc, n := testutil.CountConn(conn)
+	c.mu.Lock()
+	c.counts = append(c.counts, n)
+	c.mu.Unlock()
+	return cc
+}
+
+// totals sums the client's requests — one write each, the closes queued
+// on the link riding in the same write, and each answered by one reply —
+// and, over TCP, the read(2)s its replies took.
+func (c *clientConns) totals() (requests, sockReads int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, n := range c.counts {
+		requests += n.Writes.Load()
+		sockReads += n.ReadCalls.Load()
+	}
+	return requests, sockReads
+}
+
 // checkKernelBudget runs op ops times, then settle, and holds what the
 // kernel counted for the whole process over both, per op, under budget.
 // The counts are exact where wall time is not, but they are the
 // process's: the caller must not run in parallel with another test.
-func checkKernelBudget(t *testing.T, ops int, payload int64, op func(i int), settle func(), budget kernelCost) {
+//
+// Over TCP a reply reaches the client in as many pieces as the scheduler
+// lets the sender and the receiver interleave, and each piece is a read;
+// so there the client's read(2)s, which its counting dial counts, are
+// taken out of the read-class count, and each reply counts one read — the
+// message, not its pieces. (The local socket's replies leave by sendmsg
+// and arrive by recvmsg, which /proc/self/io does not count at all.) The
+// bytes stay /proc/self/io's, which are exact either way. Requests per op
+// are pinned exactly, unless requests is 0.
+func checkKernelBudget(t *testing.T, ops int, payload int64, conns *clientConns, requests int64, op func(i int), settle func(), budget kernelCost) {
 	t.Helper()
 	before, ok := testutil.KernelCounts()
 	if !ok {
 		t.Skip("kernel counts unavailable")
 	}
+	reqs0, sock0 := conns.totals()
 	for i := 0; i < ops; i++ {
 		op(i)
 	}
 	settle()
 	after, _ := testutil.KernelCounts()
+	reqs1, sock1 := conns.totals()
 	d := after.Sub(before)
+	reqs, sockReads := reqs1-reqs0, sock1-sock0
+	reads := d.ReadCalls
+	if conns.network == "tcp" {
+		reads += reqs - sockReads
+	}
 	n := float64(ops)
 	got := kernelCost{
-		readCalls:    float64(d.ReadCalls) / n,
+		readCalls:    float64(reads) / n,
 		writeCalls:   float64(d.WriteCalls) / n,
 		bytesPerByte: float64(d.ReadBytes+d.WriteBytes) / (n * float64(payload)),
 	}
-	t.Logf("per op: %.2f read-class calls, %.2f write-class calls, %.3f kernel bytes per payload byte (%d read, %d written), %.2f voluntary switches",
-		got.readCalls, got.writeCalls, got.bytesPerByte, d.ReadBytes/int64(ops), d.WriteBytes/int64(ops), float64(d.VolSwitches)/n)
+	t.Logf("per op: %.2f read-class calls, %.2f write-class calls, %.3f kernel bytes per payload byte (%d read, %d written), %.2f voluntary switches; %.2f requests, and %.2f read(2)s of their replies over TCP",
+		got.readCalls, got.writeCalls, got.bytesPerByte, d.ReadBytes/int64(ops), d.WriteBytes/int64(ops), float64(d.VolSwitches)/n,
+		float64(reqs)/n, float64(sockReads)/n)
+	if requests != 0 && reqs != requests*int64(ops) {
+		t.Errorf("%d requests over %d ops, want exactly %d each", reqs, ops, requests)
+	}
 	if got.readCalls > budget.readCalls {
 		t.Errorf("%.2f read-class calls per op, budget %.2f", got.readCalls, budget.readCalls)
 	}
@@ -502,13 +552,15 @@ func checkKernelBudget(t *testing.T, ops int, payload int64, op func(i int), set
 }
 
 // kernelCluster starts two servers over pfsDir, and a client that
-// reaches them over network.
-func kernelCluster(t *testing.T, network, pfsDir string, cfgMut func(*ServerConfig)) ([]*Server, *Client) {
-	return startCluster(t, pfsDir, 2, cfgMut, func(c *ClientConfig) {
+// reaches them over network through a counting dial.
+func kernelCluster(t *testing.T, network, pfsDir string, cfgMut func(*ServerConfig)) ([]*Server, *Client, *clientConns) {
+	conns := &clientConns{network: network}
+	servers, cli := startCluster(t, pfsDir, 2, cfgMut, func(c *ClientConfig) {
 		c.DialTransport = func(addr string) transport.Transport {
-			return dialOver(network, addr, transport.ClientOptions{})
+			return dialOver(network, addr, transport.ClientOptions{}).WrapConns(conns.wrap)
 		}
 	})
+	return servers, cli, conns
 }
 
 // readCycle returns an op that reads paths[i%len(paths)] whole, as the
@@ -525,12 +577,14 @@ func readCycle(t *testing.T, cli *Client, paths []string, size int) func(i int) 
 }
 
 // TestWarmReadKernelBudget: a warm 32 KiB ReadAll (open, read, and a
-// one-way close that rides the next call's write) costs the kernel what
-// it measured when the budget was set, at -cpu 1, 2 and 4. Over TCP the
-// payload crosses the socket: 9.4–10.0 read-class and 4.00 write-class
-// calls (two messages each way, one write apiece; a read that finds the
-// socket empty counts too), and 2.015 kernel bytes per payload byte (the
-// payload once out of the mapping, once into the client, plus framing). On the local socket
+// one-way close that rides the next call's write: two requests) costs the
+// kernel what it measured when the budget was set, at -cpu 1, 2 and 4.
+// Over TCP the payload crosses the socket: 6.00 read-class calls with each
+// reply counted as one (checkKernelBudget; the raw count, whose reads of
+// reply pieces and of an empty socket the scheduler decides, read
+// 9.4–10.0), 4.00 write-class calls (two messages each way, one write
+// apiece), and 2.013 kernel bytes per payload byte (the payload once out
+// of the mapping, once into the client, plus framing). On the local socket
 // the read's reply is the cache file's descriptor (transport.Response.Pass,
 // exactly one per ReadAll): its sendmsg and the client's recvmsg are not
 // counted in /proc/self/io, so what shows is the open's exchange (a write
@@ -545,19 +599,19 @@ func TestWarmReadKernelBudget(t *testing.T) {
 	budgets := map[string]kernelCost{
 		// 4 message reads + 1 pread + 3 empty reads; 3 message writes.
 		"local": {readCalls: 7.5, writeCalls: 3.5, bytesPerByte: 1.05},
-		"tcp":   {readCalls: 10.5, writeCalls: 4.5, bytesPerByte: 2.05},
+		"tcp":   {readCalls: 6.5, writeCalls: 4.5, bytesPerByte: 2.05},
 	}
 	forEachNetwork(t, func(t *testing.T, network string) {
 		pfsDir := filepath.Join(t.TempDir(), "dataset")
 		paths := writePFS(t, pfsDir, files, size)
-		servers, cli := kernelCluster(t, network, pfsDir, nil)
+		servers, cli, conns := kernelCluster(t, network, pfsDir, nil)
 		read := readCycle(t, cli, paths, size)
 		for i := 0; i < 2*files; i++ {
 			read(i)
 		}
 		settle(servers)
 		before := passed(servers)
-		checkKernelBudget(t, ops, size, read, func() {}, budgets[network])
+		checkKernelBudget(t, ops, size, conns, 2, read, func() {}, budgets[network])
 		wantPassed := map[string]int64{"local": 1, "tcp": 0}[network]
 		if got := passed(servers) - before; got != wantPassed*ops {
 			t.Errorf("%d reads passed as descriptors over %d ReadAlls, want exactly %d each", got, ops, wantPassed)
@@ -569,12 +623,18 @@ func TestWarmReadKernelBudget(t *testing.T) {
 // TestWarmLargeReadKernelBudget: a warm 8 MiB ReadAll (open, the bulk
 // pipeline's chunk reads, and a queued close) costs the kernel what it
 // measured when the budget was set, at -cpu 1, 2 and 4. Over TCP every
-// payload byte crosses the socket in sixteen 512 KiB chunks: sendfile
-// counts it out and the client's read(2)s in, beside the cache file's
-// read: 3.000 kernel bytes per payload byte, 116–125 read-class and
-// 66.0–66.1 write-class calls. On the local socket every chunk is a
-// descriptor frame (passMin and up), and after the first one the rest of
-// the file is one chunk per worker: four reads in all. The server's
+// payload byte crosses the socket in sixteen 512 KiB chunks, seventeen
+// requests with the open: sendfile counts it out and the client's
+// read(2)s in, beside the cache file's read: 3.000 kernel bytes per
+// payload byte, 66.0–66.1 write-class calls, and 66.8–67.1 read-class
+// calls with each reply counted as one. Counted raw, the client's reads
+// of a reply's pieces made that 116–135, as the scheduler interleaved
+// sender and receiver — under load from another process past the old
+// budget of 130 (checkKernelBudget takes them out). On the local socket
+// every chunk is a descriptor frame (passMin and up), and after the first
+// one the rest of the file is one chunk per worker: four reads at most,
+// fewer when the scheduler lets a worker take two shares (4.8–5.0 requests
+// per op under -race), so that row's requests are not pinned. The server's
 // sendmsg and the client's recvmsg are not counted in /proc/self/io, so
 // the descriptor frames are invisible and only the client's pread of each
 // range shows, once per payload byte: 15.5–16.1 read-class and 6.0–6.1
@@ -584,18 +644,18 @@ func TestWarmLargeReadKernelBudget(t *testing.T) {
 	const size, files, ops = 8 << 20, 4, 40
 	budgets := map[string]kernelCost{
 		"local": {readCalls: 17, writeCalls: 7, bytesPerByte: 1.05},
-		"tcp":   {readCalls: 130, writeCalls: 67, bytesPerByte: 3.05},
+		"tcp":   {readCalls: 70, writeCalls: 67, bytesPerByte: 3.05},
 	}
 	forEachNetwork(t, func(t *testing.T, network string) {
 		pfsDir := filepath.Join(t.TempDir(), "dataset")
 		paths := writePFS(t, pfsDir, files, size)
-		servers, cli := kernelCluster(t, network, pfsDir, nil)
+		servers, cli, conns := kernelCluster(t, network, pfsDir, nil)
 		read := readCycle(t, cli, paths, size)
 		for i := 0; i < 2*files; i++ {
 			read(i)
 		}
 		settle(servers)
-		checkKernelBudget(t, ops, size, read, func() {}, budgets[network])
+		checkKernelBudget(t, ops, size, conns, map[string]int64{"local": 0, "tcp": 17}[network], read, func() {}, budgets[network])
 		checkNetwork(t, network, servers...)
 	})
 }
@@ -603,10 +663,10 @@ func TestWarmLargeReadKernelBudget(t *testing.T) {
 // TestWarmBatchKernelBudget: a warm ReadBatch of 32 files of 32 KiB — one
 // OpReadBatch per server — costs the kernel what it measured when the
 // budget was set, per batch, at -cpu 1, 2 and 4. Over TCP each reply's
-// entries are spliced from the cache files' mappings: 11.6–12.9
-// read-class and 4.00–4.04 write-class calls, and 2.005 kernel bytes per
-// payload byte (the payload once out of the mappings, once into the
-// client). On the local socket every entry leaves as its cache file's
+// entries are spliced from the cache files' mappings: 5.7–6.0
+// read-class calls with each reply counted as one (11.6–12.9 counted
+// raw), 4.00–4.04 write-class calls, and 2.005 kernel bytes per payload
+// byte (the payload once out of the mappings, once into the client). On the local socket every entry leaves as its cache file's
 // descriptor (transport.Response.Pass), exactly 32 per batch:
 // each reply is one sendmsg and its receive one recvmsg, which
 // /proc/self/io does not count, so what shows is the two requests'
@@ -625,12 +685,12 @@ func TestWarmBatchKernelBudget(t *testing.T) {
 		// batch preads of the entries, plus the servers' request reads
 		// and the slack the runtime's own calls need.
 		"local": {readCalls: batch + 5, writeCalls: 2.5, bytesPerByte: 1.05},
-		"tcp":   {readCalls: 13.5, writeCalls: 4.5, bytesPerByte: 2.05},
+		"tcp":   {readCalls: 6.5, writeCalls: 4.5, bytesPerByte: 2.05},
 	}
 	forEachNetwork(t, func(t *testing.T, network string) {
 		pfsDir := filepath.Join(t.TempDir(), "dataset")
 		paths := writePFS(t, pfsDir, files, size)
-		servers, cli := kernelCluster(t, network, pfsDir, nil)
+		servers, cli, conns := kernelCluster(t, network, pfsDir, nil)
 		read := func(i int) {
 			lo := (i * batch) % files
 			got, err := cli.ReadBatch(paths[lo : lo+batch])
@@ -649,7 +709,7 @@ func TestWarmBatchKernelBudget(t *testing.T) {
 		}
 		settle(servers)
 		before := passed(servers)
-		checkKernelBudget(t, ops, batch*size, read, func() {}, budgets[network])
+		checkKernelBudget(t, ops, batch*size, conns, 2, read, func() {}, budgets[network])
 		wantPassed := map[string]int64{"local": batch, "tcp": 0}[network]
 		if got := passed(servers) - before; got != wantPassed*ops {
 			t.Errorf("%d batch entries passed as descriptors over %d batches, want exactly %d per batch", got, ops, wantPassed)
@@ -668,24 +728,36 @@ func passed(servers []*Server) int64 {
 }
 
 // TestColdMissKernelBudget: a 64 KiB read that misses a full cache — the
-// PFS open and read, a fill that recycles its victim's file, and the
-// reply — costs the kernel what it measured when the budget was set:
-// 11.4–12.0 read-class and 6.7–7.0 write-class calls, and 4.88–5.01
-// kernel bytes per payload byte (three 64 KiB passes through reads, two
-// through writes), on both sockets at -cpu 1, 2 and 4. The local socket
-// now reads less, 7.8–8.0 / 4.0–4.2 / 3.01–3.09: a read that finds its
-// fill committed takes the cache file's descriptor, so the reply's pass
-// through the socket is gone, and only the reads that race the fill
-// still cross it. The budget stays the one both sockets were set by,
-// since how many reads race their fill is the scheduler's. LRU over a cycle
-// twice the capacity makes every read a miss with an eviction.
+// PFS open, a fill that recycles its victim's file, and the reply — costs
+// the kernel what it measured when the budget was set, at -cpu 1, 2 and 4.
+// The read's handler runs the fill itself: one copy_file_range moves the
+// payload from the PFS file into the cache file (a read-class and a
+// write-class call, two passes of the payload), and the reply serves the
+// committed entry as any hit is served. On the local socket that reply is
+// the cache file's descriptor, for every read (Passed counts each), so
+// what shows is the warm read's count plus the copy: 8.00 read-class
+// calls (7.8 in a few runs, where a read that would have found a socket
+// empty was spared), 4.00 write-class calls and 3.006 kernel bytes per
+// payload byte; the row allows only the runtime's own stray calls. Over
+// TCP the reply leaves by sendfile, once more through the socket: 8.00 /
+// 7.00 / 5.006 with each reply counted as one read (12.00 read-class
+// calls counted raw). With the fill on a mover, how many reads raced it
+// was the scheduler's, and both sockets shared a budget of 12.5 / 7.5 /
+// 5.1 (TCP 11.1–12.0 / 6.7–7.0 / 4.88–5.01 counted raw, local 7.6–8.0 /
+// 4.0–4.2 / 3.00–3.09). Voluntary context switches per read, logged, were
+// 1.2–1.5 (local) and 1.3–2.2 (TCP) at -cpu 2 and 4 with the hand-off to
+// the mover, and are 0.01–0.15 without it. LRU over a cycle twice the
+// capacity makes every read a miss with an eviction.
 func TestColdMissKernelBudget(t *testing.T) {
 	const size, files, ops = 64 << 10, 64, 1000
-	budget := kernelCost{readCalls: 12.5, writeCalls: 7.5, bytesPerByte: 5.1}
+	budgets := map[string]kernelCost{
+		"local": {readCalls: 8.05, writeCalls: 4.05, bytesPerByte: 3.01},
+		"tcp":   {readCalls: 8.5, writeCalls: 7.5, bytesPerByte: 5.1},
+	}
 	forEachNetwork(t, func(t *testing.T, network string) {
 		pfsDir := filepath.Join(t.TempDir(), "dataset")
 		paths := writePFS(t, pfsDir, files, size)
-		servers, cli := kernelCluster(t, network, pfsDir, func(c *ServerConfig) {
+		servers, cli, conns := kernelCluster(t, network, pfsDir, func(c *ServerConfig) {
 			c.CacheCapacity = files * size / 4 // each server holds a quarter: half in all
 			c.Policy = cachestore.NewLRU()
 		})
@@ -730,26 +802,33 @@ func TestColdMissKernelBudget(t *testing.T) {
 			}
 			last[i%files] = i
 		}
-		checkKernelBudget(t, ops, size, classify, func() { settle(servers) }, budget)
+		checkKernelBudget(t, ops, size, conns, 2, classify, func() { settle(servers) }, budgets[network])
+		wantPassed := map[string]int64{"local": ops, "tcp": 0}[network]
+		var passedNow int64
+		for i, s := range servers {
+			passedNow += s.Stats().Passed - before[i].Passed
+		}
+		if passedNow != wantPassed {
+			t.Errorf("%d of %d cold reads passed as descriptors, want %d", passedNow, ops, wantPassed)
+		}
 		for i, s := range servers {
 			st := s.Stats()
 			hits += st.Hits - before[i].Hits
 			misses += st.Misses - before[i].Misses
 			evictions += st.Evictions - before[i].Evictions
 		}
-		// At -cpu 2 and 4 a few reads in a thousand still hit (none at
-		// -cpu 1), each one a cycle after a fill whose write to its
-		// recycled cache file stalled for milliseconds: a fill evicts when
-		// it lands its bytes but enters LRU order only when it commits, so
-		// a late commit is younger than the reads that came after it, and
-		// outlives them. Every miss still evicts once. The shape holds
-		// either way.
+		// Each fill commits before its read replies, so LRU order is the
+		// reads' order and every read misses and evicts once, at every
+		// -cpu. (With the fill on a mover a few reads in a thousand hit at
+		// -cpu 2 and 4: a fill evicted when it landed its bytes but entered
+		// LRU order only when it committed, so a late commit outlived the
+		// reads after it.)
 		t.Logf("%d hits, %d misses (completed fills), %d evictions over %d reads", hits, misses, evictions, ops)
 		for _, l := range hitLog {
 			t.Log(l)
 		}
-		if hits > ops/50 || evictions < ops*95/100 {
-			t.Errorf("%d hits and %d evictions over %d reads, want (nearly) every read a miss with an eviction", hits, evictions, ops)
+		if hits != 0 || evictions != ops {
+			t.Errorf("%d hits and %d evictions over %d reads, want every read a miss with an eviction", hits, evictions, ops)
 		}
 		checkNetwork(t, network, servers...)
 	})

@@ -1,15 +1,14 @@
 // Package core implements HVAC itself — the paper's contribution: a
 // client/server read-only cache (§III).
 //
-// Server side: RPC handlers forward file I/O to a pool of data-mover
-// workers (§III-D) through a two-level queue: demand misses (a client is
-// waiting on the bytes) preempt prefetch hints (§IV-C pre-population).
-// On the first read of a file the assigned mover copies it from the PFS
-// into the node-local store in a single pass; the requesting handlers
-// are served directly from that in-flight fill as the bytes land
-// (serve-from-fill), so a cold file costs exactly one PFS read. A file
-// is copied at most once even under concurrent requests (the fills are
-// single-flighted per cache key).
+// Server side: a cold file is copied from the PFS into the node-local
+// store once (fills are single-flighted per key): a file of at most one
+// fill chunk by the handler whose read missed it, which then serves the
+// committed entry; anything else by a pool of data-mover workers (§III-D)
+// fed by a two-level queue, demand misses before prefetch hints (§IV-C).
+// Readers that arrive while a fill runs are served from it as the bytes
+// land (serve-from-fill), so a cold file costs exactly one PFS read, and
+// ServerConfig.Movers bounds the copies in flight, whoever runs them.
 //
 // Client side: an interception layer redirects <open, read, close> for
 // paths under the dataset directory (the HVAC_DATASET_DIR contract of
@@ -82,11 +81,11 @@ type ServerConfig struct {
 	CacheCapacity int64
 	// Policy is the eviction policy; nil means the paper's random policy.
 	Policy cachestore.Policy
-	// Movers is the number of data-mover workers; 0 means defaultMovers.
-	// The paper dedicates one thread per server instance; multi-instance
-	// deployments i×1 can equivalently run one server with i movers, and
-	// a pool keeps concurrent cold fills from serializing behind a single
-	// PFS copy.
+	// Movers is the number of data-mover workers, and of PFS copies in
+	// flight, handlers' one-chunk fills included; 0 means defaultMovers.
+	// The paper dedicates one thread per server instance; deployments i×1
+	// can equivalently run one server with i movers, and a pool keeps cold
+	// fills from serializing behind a single PFS copy.
 	Movers int
 	// WriteTimeout bounds each response write so a dead client cannot pin
 	// a connection goroutine; 0 means transport.DefaultWriteTimeout,
@@ -122,9 +121,9 @@ type ServerConfig struct {
 //
 //	Hits + ReadThroughs == Opens + BatchEntries
 //
-// Misses counts completed background fills, which lag ReadThroughs (the
-// data-mover single-flights concurrent first reads and may still be
-// streaming when the request is answered from the fill).
+// Misses counts completed fills, which lag ReadThroughs (the fills are
+// single-flighted per key, and a mover's may still be streaming when the
+// request is answered from it).
 //
 // Every serve event bumps one sourcing counter and one serve-kind counter
 // together. Handle reads are outside the identity: their sourcing was
@@ -150,7 +149,8 @@ type ServerStats struct {
 	// backpressure instead of unbounded blocking sends.
 	PrefetchDrops int64
 	// DemandRejects counts demand fetches refused on a full queue; the
-	// refused request is served read-through by its handler instead.
+	// refused request (a batch entry, or a file past one fill chunk: what
+	// goes to the movers) is served read-through by its handler instead.
 	DemandRejects int64
 	// ReplicaWarms counts warm hints this server sent to peer replicas
 	// that were accepted (the peer may still drop the hint under its own
@@ -262,6 +262,7 @@ type fetchTask struct {
 	path   string // the PFS file, and its cache-store key
 	size   int64  // as the handler stat'd it; 0 (a hint, or an empty file) has the mover stat it
 	demand bool   // a client is waiting; completed demand fills warm the replicas
+	lend   bool   // the runner is the reader: fillIn lends it a reference on the fill
 	entry  *fillEntry
 }
 
@@ -294,6 +295,11 @@ type Server struct {
 	prefetchQ chan fetchTask
 	stop      chan struct{}
 	moverWG   sync.WaitGroup
+	// copies holds a token per PFS copy in flight. Fills are admitted under
+	// admit's read lock, which Close takes once stop is closed, so none
+	// recycles a cache file a severed connection's lease let go of.
+	copies chan struct{}
+	admit  sync.RWMutex
 
 	handles handleTable
 	nextFD  atomic.Int64
@@ -360,6 +366,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		demandQ:   make(chan fetchTask, cfg.demandQueue),
 		prefetchQ: make(chan fetchTask, cfg.prefetchQueue),
 		stop:      make(chan struct{}),
+		copies:    make(chan struct{}, cfg.Movers),
 		inflight:  make(map[string]*fillEntry),
 	}
 	if s.openPFS == nil {
@@ -460,8 +467,10 @@ func (s *Server) Close() {
 	// can arrive: scheduleFetch checks closed under mu before its
 	// non-blocking send, so there is no send racing this drain (the old
 	// close-the-channel teardown had exactly that panic window). Handlers
-	// parked on a fill return on stop.
+	// parked on a fill return on stop, and no fill is admitted after it.
 	close(s.stop)
+	s.admit.Lock() // waits out the fill admissions in progress
+	s.admit.Unlock()
 	s.moverWG.Wait()
 	for drained := false; !drained; {
 		select {
@@ -475,7 +484,7 @@ func (s *Server) Close() {
 	}
 	// Only now sever the connections: each releases the lease of the last
 	// frame it sent, which the kernel may still be sending, and with no
-	// mover left no fill can overwrite that file in place.
+	// fill admitted any more none can overwrite that file in place.
 	s.rpc.Close()
 	s.peerMu.Lock()
 	peerConns := s.peerConns
@@ -529,9 +538,10 @@ func (s *Server) mover() {
 // probe here is exact; the task retires empty-handed and its attachers
 // read the committed entry.
 func (s *Server) runFetch(task fetchTask) {
-	if !s.store.Resident(task.path) {
+	if !s.store.Resident(task.path) && s.copySlot() {
 		start := time.Now()
 		err := s.fillIn(task)
+		<-s.copies
 		s.latCopy.Observe(time.Since(start))
 		if err == nil {
 			s.stats.misses.Add(1) // a completed first-read fill
@@ -541,6 +551,17 @@ func (s *Server) runFetch(task fetchTask) {
 		}
 	}
 	s.finishFetch(task)
+}
+
+// copySlot takes one of the cfg.Movers slots every PFS copy holds, or
+// returns false when the server closes first.
+func (s *Server) copySlot() bool {
+	select {
+	case s.copies <- struct{}{}:
+		return true
+	case <-s.stop:
+		return false
+	}
 }
 
 // warmReplicas forwards a completed demand fill to the key's other
@@ -605,7 +626,15 @@ func (s *Server) fillIn(task fetchTask) error {
 		}
 		size = fi.Size()
 	}
+	s.admit.RLock()
+	select {
+	case <-s.stop:
+		s.admit.RUnlock()
+		return errServerClosed
+	default:
+	}
 	fill, err := s.store.PutWriter(task.path, size)
+	s.admit.RUnlock()
 	if err != nil {
 		s.stats.notAdmitted.Add(1)
 		return fmt.Errorf("hvac server: not admitted: %w", err)
@@ -616,10 +645,13 @@ func (s *Server) fillIn(task fetchTask) error {
 		return fmt.Errorf("hvac server: pfs open: %w", err)
 	}
 	defer src.Close()
+	if task.lend {
+		fill.Acquire() // released by resolve once it has leased what the fill committed
+	}
 	task.entry.publish(fill)
-	// CopyFrom lets the kernel move the bytes (copy_file_range/sendfile)
-	// instead of bouncing them through a user-space buffer; attached
-	// readers are still served chunk by chunk as the prefix lands.
+	// CopyFrom lets the kernel move the bytes (copy_file_range) instead of
+	// bouncing them through a user-space buffer; attached readers are
+	// still served chunk by chunk as the prefix lands.
 	if _, err := fill.CopyFrom(src, 0, size); err != nil {
 		fill.Abort(err)
 		return fmt.Errorf("hvac server: cache fill: %w", err)
@@ -629,6 +661,26 @@ func (s *Server) fillIn(task fetchTask) error {
 	}
 	s.stats.bytesFetched.Add(size)
 	return nil
+}
+
+// fetchInline runs task's demand fill on this handler, registered in
+// inflight for later readers to attach to. It returns the entry and
+// whether this call ran the fill (not if one was in flight; nil: closing),
+// and then the caller holds a reference on the entry's fill, if it has one.
+func (s *Server) fetchInline(task fetchTask) (*fillEntry, bool) {
+	s.mu.Lock()
+	fe, running := s.inflight[task.path]
+	if !running && !s.closed {
+		fe = &fillEntry{ready: make(chan struct{})}
+		s.inflight[task.path] = fe
+	}
+	s.mu.Unlock()
+	if running || fe == nil {
+		return fe, false
+	}
+	task.entry, task.demand, task.lend = fe, true, true
+	s.runFetch(task)
+	return fe, true
 }
 
 // scheduleFetch registers a background fill for task once per cache key
@@ -736,10 +788,11 @@ func (s *Server) allowed(path string) error {
 // handleOpen serves a forwarded open. It moves no bytes and opens no
 // file: size and residency come from the index (a peek — the hit and
 // recency bump belong to the read's lease), and a miss costs one PFS
-// metadata stat and registers the file with the data-mover, so the fill
-// is under way before the read arrives. The sourcing verdict of the
-// whole open+read+close is counted here; a full demand queue leaves the
-// handle without a fill and its reads resolve like any other miss.
+// metadata stat; a miss past one fill chunk is registered with the
+// data-mover, so the fill is under way before the read arrives (a smaller
+// one is copied by its read). The sourcing verdict of the whole
+// open+read+close is counted here; a full demand queue leaves the handle
+// without a fill and its reads resolve like any other miss.
 func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 	if err := s.allowed(req.Path); err != nil {
 		return errResp(err)
@@ -752,7 +805,9 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 			return errResp(fmt.Errorf("hvac server: pfs stat: %w", err))
 		}
 		h.size = fi.Size()
-		h.fe = s.scheduleFetch(h.task(), true)
+		if h.size > cachestore.FillChunk {
+			h.fe = s.scheduleFetch(h.task(), true)
+		}
 	}
 	fd := s.nextFD.Add(1)
 	s.handles.put(fd, h)
@@ -787,8 +842,10 @@ const zeroCopyMin = cachestore.MapLimit
 //  1. a lease on the resident entry, the one way to read a cached file
 //     and the index's one hit/recency bump per read;
 //  2. the in-flight fill: fe when the caller registered the miss already
-//     (a handle opened cold, a batch's pass 1), else the demand fetch
-//     registered here, which attaches to a fill already running;
+//     (a cold open past one fill chunk, a batch's pass 1), else the demand
+//     fetch registered here, which attaches to a fill already running. A
+//     whole read's one-chunk miss runs that fill itself (fetchInline), and
+//     serves the entry it committed from rung 1;
 //  3. the entry that fill just committed — small fills retire before
 //     their reader attaches, and a handle outlives the fill it opened;
 //  4. the PFS itself, only when the demand queue refused the fetch or
@@ -808,25 +865,33 @@ const zeroCopyMin = cachestore.MapLimit
 // the end is a short, possibly empty, read.
 //
 // hit is the sourcing verdict the caller counts on its side of the
-// served identity: rung 1, unless the caller had already registered the
-// miss — that request pulled the bytes off the PFS whichever rung ends
-// up handing them over.
+// served identity: rung 1, unless the miss was registered — by the caller
+// or by the read's own fill — since that request pulled the bytes off the
+// PFS whichever rung ends up handing them over.
 func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, off, want int64, resp *transport.Response) (n int, hit bool, err error) {
 	lz, lerr := s.store.Lease(task.path)
+	if lerr != nil && fe == nil && req.Op == transport.OpRead && task.size <= cachestore.FillChunk {
+		var ran bool // its lent reference keeps the commit leasable if evicted
+		if fe, ran = s.fetchInline(task); ran && fe.fill != nil {
+			lz, lerr = fe.fill.Lease()
+			fe.fill.Release()
+		}
+	}
+	hit = fe == nil
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
 		if resp.Pass(req, lz.File(), off, want, lz) {
 			s.stats.passed.Add(1)
-			return int(want), fe == nil, nil
+			return int(want), hit, nil
 		}
 		if resp.Data == nil && want >= zeroCopyMin {
 			resp.SetPayloadFile(lz.File(), off, want, lz, &s.zc)
-			return int(want), fe == nil, nil
+			return int(want), hit, nil
 		}
 		if m := lz.Mapped(); m != nil && want > 0 {
 			resp.Splice(m[off:off+want], lz)
 			s.stats.mappedSends.Add(1)
-			return int(want), fe == nil, nil
+			return int(want), hit, nil
 		}
 	}
 	data := resp.Data
@@ -840,7 +905,7 @@ func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, 
 		n, err = lz.ReadAt(dst, off)
 		lz.Release()
 		if err == nil || err == io.EOF {
-			return n, fe == nil, nil
+			return n, hit, nil
 		}
 		// The cached copy went bad under its lease: the miss ladder
 		// serves the same bytes.

@@ -68,7 +68,7 @@ func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 	var log opLog
 	ln, addr := listenNet(t, network)
 	srv := &Server{handler: logHandler(&log), writeTimeout: DefaultWriteTimeout, conns: make(map[net.Conn]struct{})}
-	served := make(chan *sockCounts, 1)
+	served := make(chan *testutil.SockCounts, 1)
 	srv.wg.Add(1)
 	go func() {
 		c, err := ln.Accept()
@@ -77,7 +77,7 @@ func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 			close(served)
 			return
 		}
-		conn, cc := counting(c)
+		conn, cc := testutil.CountConn(c)
 		served <- cc
 		srv.serveConn(conn)
 	}()
@@ -106,9 +106,9 @@ func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 		t.Fatal("accept failed")
 	}
 
-	reads, writes := cc.reads.Load(), cc.writes.Load()
+	reads, writes := cc.Reads.Load(), cc.Writes.Load()
 	call(&Request{Op: OpClose, Handle: 10})
-	if got := log.handles(OpClose); len(got) != 0 || cc.reads.Load() != reads {
+	if got := log.handles(OpClose); len(got) != 0 || cc.Reads.Load() != reads {
 		t.Fatalf("a queued close reached the server on its own: closes %v", got)
 	}
 	if resp := call(&Request{Op: OpPing, Handle: 2}); resp.Handle != 2 {
@@ -117,18 +117,18 @@ func testDeferredCallRidesWithNextCall(t *testing.T, network string) {
 	if got := log.handles(OpClose); !slices.Equal(got, []int64{10}) {
 		t.Fatalf("closes at the server after the next call: %v, want [10]", got)
 	}
-	if r, w := cc.reads.Load()-reads, cc.writes.Load()-writes; r != 1 || w != 1 {
+	if r, w := cc.Reads.Load()-reads, cc.Writes.Load()-writes; r != 1 || w != 1 {
 		t.Errorf("close + ping cost the server %d reads and %d writes, want 1 and 1", r, w)
 	}
 
-	writes = cc.writes.Load()
+	writes = cc.Writes.Load()
 	call(&Request{Op: OpClose, Handle: 11})
 	dst := make([]byte, 32<<10)
 	resp := call(&Request{Op: OpRead, Handle: 3, Len: int64(len(dst)), Dst: dst})
 	if resp.Handle != 3 || len(resp.Data) != len(dst) || &resp.Data[0] != &dst[0] || dst[len(dst)-1] != byte(len(dst)-1) {
 		t.Fatalf("the read got handle %d and %d bytes (landed: %v), want its own 32 KiB in Dst", resp.Handle, len(resp.Data), len(resp.Data) > 0 && &resp.Data[0] == &dst[0])
 	}
-	if w := cc.writes.Load() - writes; w != 0 {
+	if w := cc.Writes.Load() - writes; w != 0 {
 		t.Errorf("close + 32 KiB read cost the server %d plain writes, want one writev and none", w)
 	}
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
-	"syscall"
 	"testing"
 )
 
@@ -169,105 +167,6 @@ func drainedConnRx(t *testing.T, network string, armed bool) net.Conn {
 		<-drained
 	})
 	return sconn
-}
-
-// sockCounts counts the Read and Write calls made on a connection, the
-// rounds of its raw sender (sends): one per call of the sendfile or
-// sendmsg step, which sends until the payload is out or the socket is
-// full, so a reply that leaves in one system call takes one round and a
-// short write takes a second, once the socket drains — and the rounds of
-// its raw receiver that end its wait (recvs): one per recvmsg that
-// delivered, so a reply taken in one system call is one, however often
-// the receiver found the socket empty before it arrived.
-type sockCounts struct{ reads, writes, sends, recvs atomic.Int64 }
-
-// countingRaw is a connection's RawConn that counts the rounds of its
-// step functions.
-type countingRaw struct {
-	syscall.RawConn
-	c *sockCounts
-}
-
-func (r countingRaw) Write(f func(fd uintptr) bool) error {
-	return r.RawConn.Write(func(fd uintptr) bool {
-		r.c.sends.Add(1)
-		return f(fd)
-	})
-}
-
-func (r countingRaw) Read(f func(fd uintptr) bool) error {
-	return r.RawConn.Read(func(fd uintptr) bool {
-		done := f(fd)
-		if done {
-			r.c.recvs.Add(1)
-		}
-		return done
-	})
-}
-
-func (c *sockCounts) read(n int) {
-	if n > 0 {
-		c.reads.Add(1)
-	}
-}
-
-// countingTCP and countingUnix count a connection's calls. They embed the
-// net-package conn rather than wrapping it so that the socket keeps what
-// serveConn relies on — net.Buffers' vectored write, which asks its
-// destination for an unexported method only a net-package conn (or a
-// struct embedding one) has, and SyscallConn for sendfile. A vectored
-// write therefore goes out below the Write counter: a response that left
-// in one writev shows as no Write at all, where one written section by
-// section — to a wrapper, or payload apart from header — would show as
-// three.
-type countingTCP struct {
-	*net.TCPConn
-	sockCounts
-}
-
-func (c *countingTCP) Read(p []byte) (int, error) {
-	n, err := c.TCPConn.Read(p)
-	c.read(n)
-	return n, err
-}
-
-func (c *countingTCP) Write(p []byte) (int, error) {
-	c.writes.Add(1)
-	return c.TCPConn.Write(p)
-}
-
-type countingUnix struct {
-	*net.UnixConn
-	sockCounts
-}
-
-func (c *countingUnix) Read(p []byte) (int, error) {
-	n, err := c.UnixConn.Read(p)
-	c.read(n)
-	return n, err
-}
-
-func (c *countingUnix) Write(p []byte) (int, error) {
-	c.writes.Add(1)
-	return c.UnixConn.Write(p)
-}
-
-func (c *countingUnix) SyscallConn() (syscall.RawConn, error) {
-	rc, err := c.UnixConn.SyscallConn()
-	if err != nil {
-		return nil, err
-	}
-	return countingRaw{rc, &c.sockCounts}, nil
-}
-
-// counting wraps an accepted connection in its counting form.
-func counting(conn net.Conn) (net.Conn, *sockCounts) {
-	if uc, ok := conn.(*net.UnixConn); ok {
-		cc := &countingUnix{UnixConn: uc}
-		return cc, &cc.sockCounts
-	}
-	cc := &countingTCP{TCPConn: conn.(*net.TCPConn)}
-	return cc, &cc.sockCounts
 }
 
 // BenchmarkCallRoundTrip times one warm Call and its answer on each

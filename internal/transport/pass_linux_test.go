@@ -262,7 +262,7 @@ func TestServeConnBatchReplyOneSendmsg(t *testing.T) {
 		return resp
 	}
 	sc, client := connPair(t, "local")
-	conn, cc := counting(sc)
+	conn, cc := testutil.CountConn(sc)
 	rx := newPassRx(client)
 	br := bufio.NewReader(rx)
 	srv := &Server{handler: handler, writeTimeout: DefaultWriteTimeout, conns: make(map[net.Conn]struct{})}
@@ -289,10 +289,10 @@ func TestServeConnBatchReplyOneSendmsg(t *testing.T) {
 		checkBatchReply(t, resp, data, specs, true)
 		resp.Release()
 	}
-	if got := cc.writes.Load(); got != 0 {
+	if got := cc.Writes.Load(); got != 0 {
 		t.Errorf("%d plain writes for %d batch replies, want none", got, replies)
 	}
-	if got := cc.sends.Load(); got != replies {
+	if got := cc.Sends.Load(); got != replies {
 		t.Errorf("%d sendmsg rounds for %d batch replies, want one each", got, replies)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"runtime"
 	"testing"
+
+	"hvac/internal/testutil"
 )
 
 // TestServeConnSendsPerExchange counts the socket calls one exchange
@@ -56,11 +58,11 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 	}
 
 	sc, client := connPair(t, network)
-	conn, cc := counting(sc)
+	conn, cc := testutil.CountConn(sc)
 	// The client end receives as a pooled Client connection does: through
 	// a buffered reader over the descriptor receiver, armed per request.
 	// Its counting form counts the receiver's recvmsg rounds.
-	client, clientCounts := counting(client)
+	client, clientCounts := testutil.CountConn(client)
 	rx := newPassRx(client)
 	var src io.Reader = client
 	if rx != nil {
@@ -104,8 +106,8 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 		if passes {
 			wantWrites, wantSends = 0, 0
 		}
-		reads, writes, sends := cc.reads.Load(), cc.writes.Load(), zc.Sends.Load()
-		rounds, recvs := cc.sends.Load(), clientCounts.recvs.Load()
+		reads, writes, sends := cc.Reads.Load(), cc.Writes.Load(), zc.Sends.Load()
+		rounds, recvs := cc.Sends.Load(), clientCounts.Recvs.Load()
 		if err := WriteRequest(client, &c.req); err != nil {
 			t.Fatal(err)
 		}
@@ -120,10 +122,10 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 		}
 		gotPassed := resp.Passed()
 		resp.Release()
-		if got := cc.reads.Load() - reads; c.wantReads != 0 && got != c.wantReads {
+		if got := cc.Reads.Load() - reads; c.wantReads != 0 && got != c.wantReads {
 			t.Errorf("%s: %d reads for one request, want %d", c.name, got, c.wantReads)
 		}
-		if got := cc.writes.Load() - writes; got != wantWrites {
+		if got := cc.Writes.Load() - writes; got != wantWrites {
 			t.Errorf("%s: %d plain writes for one response, want %d", c.name, got, wantWrites)
 		}
 		if got := zc.Sends.Load() - sends; got != wantSends {
@@ -135,10 +137,10 @@ func testServeConnSendsPerExchange(t *testing.T, network string) {
 		if !passes {
 			continue
 		}
-		if got := cc.sends.Load() - rounds; got != 1 {
+		if got := cc.Sends.Load() - rounds; got != 1 {
 			t.Errorf("%s: %d sendmsg rounds for one passed reply, want 1", c.name, got)
 		}
-		if got := clientCounts.recvs.Load() - recvs; got != 1 {
+		if got := clientCounts.Recvs.Load() - recvs; got != 1 {
 			t.Errorf("%s: %d recvmsg rounds for one passed reply, want 1", c.name, got)
 		}
 	}

@@ -267,6 +267,8 @@ type Client struct {
 	retries atomic.Int64
 	calls   atomic.Int64
 
+	wrap func(net.Conn) net.Conn // WrapConns; nil: connections as dialled
+
 	mu     sync.Mutex
 	idle   []*pconn
 	closes []byte // encoded close frames, for the next call's write (queueClose)
@@ -326,6 +328,17 @@ func DialWith(addr string, opts ClientOptions) *Client {
 func DialTCP(addr string, opts ClientOptions) *Client {
 	c := DialWith(addr, opts)
 	c.tcpOnly = true
+	return c
+}
+
+// WrapConns passes every connection the client dials, local or TCP,
+// through wrap before its first byte: the seam tests count what crosses
+// each connection by. It must be called before the first Call, and wrap
+// must keep what the client relies on — SyscallConn and the net-package
+// conn's vectored write — which a struct embedding the conn it is given
+// does.
+func (c *Client) WrapConns(wrap func(net.Conn) net.Conn) *Client {
+	c.wrap = wrap
 	return c
 }
 
@@ -407,6 +420,9 @@ func (c *Client) dial() (*pconn, error) {
 		if conn, err = net.DialTimeout("tcp", c.addr, c.dialTimeout); err != nil {
 			return nil, err
 		}
+	}
+	if c.wrap != nil {
+		conn = c.wrap(conn)
 	}
 	// The reader is only read in exchange and flush, each after setting
 	// the call deadline on conn (TestCallTimeoutOnHungHandler hangs
