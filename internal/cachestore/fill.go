@@ -7,12 +7,10 @@ import (
 	"sync"
 )
 
-// Fill is an in-progress streaming insert: the writer (a data mover, or
-// the handler whose read missed a one-chunk file) appends bytes as they
-// arrive from the PFS while readers are served the prefix that has already
-// landed. This is the serve-from-fill primitive: a cold read no longer
-// needs its own PFS pass — it attaches to the fill and blocks only until
-// the segment it wants is down.
+// Fill is an in-progress streaming insert, the serve-from-fill primitive:
+// its writer (a data mover, or the handler whose read missed a one-chunk
+// file) appends bytes from the PFS while a reader that attaches is served
+// the prefix that has landed, blocking only until its segment is down.
 //
 // Life cycle: PutWriter creates the fill holding one reference for the
 // writer; Commit (or Abort) finishes the write side and drops that

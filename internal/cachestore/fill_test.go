@@ -33,8 +33,7 @@ func srcFile(t *testing.T, s *Store, data []byte) *os.File {
 // TestAbortMidStageWakesReaders: a fill whose source ran short answers
 // the prefix that landed in its file; Abort then wakes the reader waiting
 // for bytes that never came, with the abort's error, and takes the file
-// away. (The name dates from the in-memory staging of one-chunk fills,
-// which is gone: every fill streams into its file.)
+// away.
 func TestAbortMidStageWakesReaders(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	data := bytes.Repeat([]byte{7}, 32<<10)

@@ -126,9 +126,11 @@ func probeLocks(t *testing.T, probes map[string]func()) (join func()) {
 }
 
 // TestParkedHintHoldsNoServerLock parks replica warming's hint on a peer
-// that never answers. The demand read it follows must complete, and while
-// the hint is parked every server lock — the single-flight mutex, the
-// peer wiring and the cache store's index — must be free.
+// that never answers. The demand read it follows, which ran its one-chunk
+// fill on its own handler, must return well inside the peer call's
+// timeout: the hint goes behind the reply. While the hint is parked every
+// server lock — the single-flight mutex, the peer wiring and the cache
+// store's index — must be free.
 func TestParkedHintHoldsNoServerLock(t *testing.T) {
 	pfs := t.TempDir()
 	paths := writePFS(t, pfs, 1, 32<<10)
@@ -138,9 +140,13 @@ func TestParkedHintHoldsNoServerLock(t *testing.T) {
 	// Two peers and two replicas: every key's other home is the hole.
 	s.SetPeers([]string{s.Addr(), hole.Addr()}, 0)
 
+	start := time.Now()
 	got, err := cli.ReadAll(paths[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("the cold read took %v: it waited on the hint to a peer that never answers", d)
 	}
 	if want := bytes.Repeat([]byte{0}, 32<<10); !bytes.Equal(got, want) {
 		t.Fatalf("read %d bytes that differ from the file's %d", len(got), len(want))

@@ -496,6 +496,13 @@ func (c *clientConns) totals() (requests, sockReads int64) {
 	return requests, sockReads
 }
 
+// maxReadsPerReply bounds the client's read(2)s per reply over TCP. Its
+// replies took 3.0 each for a 32 KiB read, and up to 4.6 for a batch and
+// 5.2 for a 512 KiB chunk, at -cpu 1, 2 and 4 and under -race; a client that
+// read each reply in more pieces would pass the read-class budgets, which
+// count one per reply, but not this.
+const maxReadsPerReply = 8
+
 // checkKernelBudget runs op ops times, then settle, and holds what the
 // kernel counted for the whole process over both, per op, under budget.
 // The counts are exact where wall time is not, but they are the
@@ -505,10 +512,11 @@ func (c *clientConns) totals() (requests, sockReads int64) {
 // lets the sender and the receiver interleave, and each piece is a read;
 // so there the client's read(2)s, which its counting dial counts, are
 // taken out of the read-class count, and each reply counts one read — the
-// message, not its pieces. (The local socket's replies leave by sendmsg
-// and arrive by recvmsg, which /proc/self/io does not count at all.) The
-// bytes stay /proc/self/io's, which are exact either way. Requests per op
-// are pinned exactly, unless requests is 0.
+// message, not its pieces. Those read(2)s are held apart, under
+// maxReadsPerReply per request. (The local socket's replies leave by
+// sendmsg and arrive by recvmsg, which /proc/self/io does not count at
+// all.) The bytes stay /proc/self/io's, which are exact either way.
+// Requests per op are pinned exactly, unless requests is 0.
 func checkKernelBudget(t *testing.T, ops int, payload int64, conns *clientConns, requests int64, op func(i int), settle func(), budget kernelCost) {
 	t.Helper()
 	before, ok := testutil.KernelCounts()
@@ -537,6 +545,9 @@ func checkKernelBudget(t *testing.T, ops int, payload int64, conns *clientConns,
 	t.Logf("per op: %.2f read-class calls, %.2f write-class calls, %.3f kernel bytes per payload byte (%d read, %d written), %.2f voluntary switches; %.2f requests, and %.2f read(2)s of their replies over TCP",
 		got.readCalls, got.writeCalls, got.bytesPerByte, d.ReadBytes/int64(ops), d.WriteBytes/int64(ops), float64(d.VolSwitches)/n,
 		float64(reqs)/n, float64(sockReads)/n)
+	if conns.network == "tcp" && sockReads > maxReadsPerReply*reqs {
+		t.Errorf("%d read(2)s of %d replies, want at most %d each", sockReads, reqs, maxReadsPerReply)
+	}
 	if requests != 0 && reqs != requests*int64(ops) {
 		t.Errorf("%d requests over %d ops, want exactly %d each", reqs, ops, requests)
 	}
@@ -580,9 +591,7 @@ func readCycle(t *testing.T, cli *Client, paths []string, size int) func(i int) 
 // one-way close that rides the next call's write: two requests) costs the
 // kernel what it measured when the budget was set, at -cpu 1, 2 and 4.
 // Over TCP the payload crosses the socket: 6.00 read-class calls with each
-// reply counted as one (checkKernelBudget; the raw count, whose reads of
-// reply pieces and of an empty socket the scheduler decides, read
-// 9.4–10.0), 4.00 write-class calls (two messages each way, one write
+// reply counted as one (checkKernelBudget), 4.00 write-class calls (two messages each way, one write
 // apiece), and 2.013 kernel bytes per payload byte (the payload once out
 // of the mapping, once into the client, plus framing). On the local socket
 // the read's reply is the cache file's descriptor (transport.Response.Pass,
@@ -627,10 +636,7 @@ func TestWarmReadKernelBudget(t *testing.T) {
 // requests with the open: sendfile counts it out and the client's
 // read(2)s in, beside the cache file's read: 3.000 kernel bytes per
 // payload byte, 66.0–66.1 write-class calls, and 66.8–67.1 read-class
-// calls with each reply counted as one. Counted raw, the client's reads
-// of a reply's pieces made that 116–135, as the scheduler interleaved
-// sender and receiver — under load from another process past the old
-// budget of 130 (checkKernelBudget takes them out). On the local socket
+// calls with each reply counted as one. On the local socket
 // every chunk is a descriptor frame (passMin and up), and after the first
 // one the rest of the file is one chunk per worker: four reads at most,
 // fewer when the scheduler lets a worker take two shares (4.8–5.0 requests
@@ -664,8 +670,8 @@ func TestWarmLargeReadKernelBudget(t *testing.T) {
 // OpReadBatch per server — costs the kernel what it measured when the
 // budget was set, per batch, at -cpu 1, 2 and 4. Over TCP each reply's
 // entries are spliced from the cache files' mappings: 5.7–6.0
-// read-class calls with each reply counted as one (11.6–12.9 counted
-// raw), 4.00–4.04 write-class calls, and 2.005 kernel bytes per payload
+// read-class calls with each reply counted as one, 4.00–4.04 write-class
+// calls, and 2.005 kernel bytes per payload
 // byte (the payload once out of the mappings, once into the client). On the local socket every entry leaves as its cache file's
 // descriptor (transport.Response.Pass), exactly 32 per batch:
 // each reply is one sendmsg and its receive one recvmsg, which
@@ -740,14 +746,10 @@ func passed(servers []*Server) int64 {
 // empty was spared), 4.00 write-class calls and 3.006 kernel bytes per
 // payload byte; the row allows only the runtime's own stray calls. Over
 // TCP the reply leaves by sendfile, once more through the socket: 8.00 /
-// 7.00 / 5.006 with each reply counted as one read (12.00 read-class
-// calls counted raw). With the fill on a mover, how many reads raced it
-// was the scheduler's, and both sockets shared a budget of 12.5 / 7.5 /
-// 5.1 (TCP 11.1–12.0 / 6.7–7.0 / 4.88–5.01 counted raw, local 7.6–8.0 /
-// 4.0–4.2 / 3.00–3.09). Voluntary context switches per read, logged, were
-// 1.2–1.5 (local) and 1.3–2.2 (TCP) at -cpu 2 and 4 with the hand-off to
-// the mover, and are 0.01–0.15 without it. LRU over a cycle twice the
-// capacity makes every read a miss with an eviction.
+// 7.00 / 5.006 with each reply counted as one read. Voluntary context
+// switches, logged, are 0.01–0.15 per read: no goroutine hands the fill
+// on. LRU over a cycle twice the capacity makes every read a miss with an
+// eviction.
 func TestColdMissKernelBudget(t *testing.T) {
 	const size, files, ops = 64 << 10, 64, 1000
 	budgets := map[string]kernelCost{
@@ -819,10 +821,7 @@ func TestColdMissKernelBudget(t *testing.T) {
 		}
 		// Each fill commits before its read replies, so LRU order is the
 		// reads' order and every read misses and evicts once, at every
-		// -cpu. (With the fill on a mover a few reads in a thousand hit at
-		// -cpu 2 and 4: a fill evicted when it landed its bytes but entered
-		// LRU order only when it committed, so a late commit outlived the
-		// reads after it.)
+		// -cpu.
 		t.Logf("%d hits, %d misses (completed fills), %d evictions over %d reads", hits, misses, evictions, ops)
 		for _, l := range hitLog {
 			t.Log(l)

@@ -465,9 +465,8 @@ func (s *Server) Close() {
 
 	// Stop the movers, then fail whatever they left queued. No new tasks
 	// can arrive: scheduleFetch checks closed under mu before its
-	// non-blocking send, so there is no send racing this drain (the old
-	// close-the-channel teardown had exactly that panic window). Handlers
-	// parked on a fill return on stop, and no fill is admitted after it.
+	// non-blocking send, so no send races this drain. Handlers parked on
+	// a fill return on stop, and no fill is admitted after it.
 	close(s.stop)
 	s.admit.Lock() // waits out the fill admissions in progress
 	s.admit.Unlock()
@@ -545,6 +544,11 @@ func (s *Server) runFetch(task fetchTask) {
 		s.latCopy.Observe(time.Since(start))
 		if err == nil {
 			s.stats.misses.Add(1) // a completed first-read fill
+			if task.lend && s.cfg.Replicas >= 2 {
+				// Behind the reply, which a hung peer would hold up to its timeout.
+				go func() { s.warmReplicas(task); s.finishFetch(task) }()
+				return
+			}
 			if task.demand {
 				s.warmReplicas(task)
 			}
@@ -664,9 +668,8 @@ func (s *Server) fillIn(task fetchTask) error {
 }
 
 // fetchInline runs task's demand fill on this handler, registered in
-// inflight for later readers to attach to. It returns the entry and
-// whether this call ran the fill (not if one was in flight; nil: closing),
-// and then the caller holds a reference on the entry's fill, if it has one.
+// inflight for later readers to attach to. It returns the entry (nil:
+// closing) and whether it ran the fill, lending the caller its reference.
 func (s *Server) fetchInline(task fetchTask) (*fillEntry, bool) {
 	s.mu.Lock()
 	fe, running := s.inflight[task.path]

@@ -35,7 +35,7 @@ func wirePeers(t *testing.T, servers []*Server) {
 
 // drainFills retires every background fill and the warm fills those
 // fills triggered: a demand fill registers its warm hints on the peers
-// before it retires (runFetch warms before finishFetch), so pass 1
+// before it retires (finishFetch comes after warmReplicas), so pass 1
 // drains the demand fills and pass 2 the warm fills — which never
 // cascade, so two passes always suffice.
 func drainFills(servers []*Server) {
