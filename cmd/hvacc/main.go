@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"hvac"
+	"hvac/internal/metrics"
 	"hvac/internal/slab"
 	"hvac/internal/transport"
 )
@@ -187,10 +188,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 }
 
 func printStats(stderr io.Writer, cli *hvac.Client) {
-	st := cli.Stats()
-	fmt.Fprintf(stderr,
-		"client: redirected=%d passthrough=%d fallbacks=%d degrades=%d failovers=%d retries=%d batch=%d batch-fallbacks=%d bytes=%d\n",
-		st.Redirected, st.Passthrough, st.Fallbacks, st.Degrades, st.Failovers, st.Retries, st.BatchReads, st.BatchFallbacks, st.BytesRead)
+	fmt.Fprintf(stderr, "client: %s\n", metrics.Line(cli.Stats()))
 }
 
 // stat asks p's home server for its size with a raw OpStat: an open would

@@ -63,7 +63,7 @@ func TestCommands(t *testing.T) {
 		{"home", []string{servers, ds, "home", f0}, 0, []string{f0 + " -> server 0 (" + srv.Addr() + ")"}, nil, ""},
 		{"prefetch", []string{servers, ds, "prefetch", f0, f1}, 0, []string{"prefetch accepted for 2 of 2 files"}, nil, ""},
 		{"read", []string{servers, ds, "-epochs=2", "read", f0, f1}, 0,
-			[]string{"epoch 1: 2 files in ", "epoch 2: 2 files in ", "total: 0.0 MiB in "}, nil, "client: redirected=4 "},
+			[]string{"epoch 1: 2 files in ", "epoch 2: 2 files in ", "total: 0.0 MiB in "}, nil, "client: Redirected=4 "},
 		{"read a missing file", []string{servers, ds, "-workers=1", "read", missing, f0, f1}, 1,
 			[]string{"epoch 1: 3 files in ", "total: 0.0 MiB in "}, nil, ""},
 		{"read on no workers", []string{servers, ds, "-workers=0", "read", f0}, 2, nil, nil, ""},
@@ -108,7 +108,7 @@ func TestCommands(t *testing.T) {
 		})
 	}
 	srv.WaitIdle()
-	if n := srv.CachedFiles(); n != 2 {
+	if n := srv.Stats().CachedFiles; n != 2 {
 		t.Fatalf("after prefetch the server caches %d files, want 2", n)
 	}
 }

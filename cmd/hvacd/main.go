@@ -27,6 +27,7 @@ import (
 
 	"hvac"
 	"hvac/internal/cachestore"
+	"hvac/internal/metrics"
 )
 
 func main() {
@@ -125,14 +126,7 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	for {
 		select {
 		case <-tick:
-			st := srv.Stats()
-			fmt.Fprintf(stdout, "hvacd: opens=%d reads=%d closes=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d notadmitted=%d zerocopy=%d/%d (%dB, %d fallbacks) passed=%d mapped=%d local=%d refused=%d\n",
-				st.Opens, st.Reads, st.Closes, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
-				st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
-				st.NotAdmitted,
-				st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.Passed, st.MappedSends,
-				st.LocalConns, st.LocalRefused)
-			fmt.Fprintf(stdout, "hvacd latencies:\n%s\n", srv.LatencySummary())
+			fmt.Fprintf(stdout, "hvacd: %s\n", metrics.Line(srv.Stats()))
 		case <-ctx.Done():
 			fmt.Fprintln(stdout, "hvacd: shutting down, purging cache (job-coupled life cycle)")
 			srv.Close()

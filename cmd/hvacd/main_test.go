@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,13 +36,7 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-var (
-	servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
-	statsRe   = regexp.MustCompile(`hvacd: opens=\d+ reads=(\d+) closes=\d+ hits=(\d+) readthrough=\d+ misses=(\d+) `)
-	localRe   = regexp.MustCompile(` passed=(\d+) mapped=\d+ local=(\d+) refused=(\d+)\n`)
-	batchRe   = regexp.MustCompile(` batch=(\d+) served=`)
-	keepRe    = regexp.MustCompile(` evictions=(\d+) cached=(\d+) files/\d+B .* notadmitted=(\d+) `)
-)
+var servingRe = regexp.MustCompile(`hvacd: serving \S+ on (\S+) `)
 
 // await polls out until find returns a match, failing the test after 5 s.
 func await(t *testing.T, out *syncBuffer, what string, find func(string) bool) {
@@ -53,41 +48,56 @@ func await(t *testing.T, out *syncBuffer, what string, find func(string) bool) {
 	}
 }
 
-// passedAfter awaits the second -stats line written after the call — the
-// first may have been formatted before it — and returns its passed=
-// count, failing the test unless that line shows a local connection and
-// none refused.
-func passedAfter(t *testing.T, out *syncBuffer) int {
-	t.Helper()
-	from := len(out.String())
-	var m [][]string
-	await(t, out, "two -stats lines", func(s string) bool {
-		m = localRe.FindAllStringSubmatch(s[from:], -1)
-		return len(m) >= 2
-	})
-	if m[1][2] == "0" || m[1][3] != "0" {
-		t.Fatalf("-stats line with local=%s refused=%s, want local= > 0 and refused=0", m[1][2], m[1][3])
+// lastStats parses the last -stats line in s — "hvacd: " and then nothing
+// but Name=value fields — into its integer fields by name (a duration is
+// left out), and reports how many such lines s holds.
+func lastStats(s string) (last map[string]int64, lines int) {
+	all := strings.Split(s, "\n")
+	for _, line := range all[:len(all)-1] { // the last is partial or empty
+		rest, ok := strings.CutPrefix(line, "hvacd: ")
+		if !ok {
+			continue
+		}
+		fields := map[string]int64{}
+		for _, kv := range strings.Fields(rest) {
+			name, value, ok := strings.Cut(kv, "=")
+			if !ok {
+				fields = nil
+				break
+			}
+			if n, err := strconv.ParseInt(value, 10, 64); err == nil {
+				fields[name] = n
+			}
+		}
+		if len(fields) > 0 {
+			last, lines = fields, lines+1
+		}
 	}
-	n, _ := strconv.Atoi(m[1][1])
-	return n
+	return last, lines
 }
 
-// lastStats reports reads, hits and misses from the last -stats line in s.
-func lastStats(s string) (reads, hits, misses int, ok bool) {
-	m := statsRe.FindAllStringSubmatch(s, -1)
-	if len(m) == 0 {
-		return 0, 0, 0, false
+// passedAfter awaits two -stats lines written after the call — the first
+// may have been formatted before it — and returns the last one's Passed,
+// failing the test unless that line shows a local connection and none
+// refused.
+func passedAfter(t *testing.T, out *syncBuffer) int64 {
+	t.Helper()
+	from := len(out.String())
+	var st map[string]int64
+	await(t, out, "two -stats lines", func(s string) bool {
+		var n int
+		st, n = lastStats(s[from:])
+		return n >= 2
+	})
+	if st["LocalConns"] == 0 || st["LocalRefused"] != 0 {
+		t.Fatalf("-stats line with LocalConns=%d LocalRefused=%d, want LocalConns > 0 and LocalRefused=0", st["LocalConns"], st["LocalRefused"])
 	}
-	last := m[len(m)-1]
-	reads, _ = strconv.Atoi(last[1])
-	hits, _ = strconv.Atoi(last[2])
-	misses, _ = strconv.Atoi(last[3])
-	return reads, hits, misses, true
+	return st["Passed"]
 }
 
 // TestDaemon drives hvacd in process: usage errors exit 2 before or just
 // after the server starts, and a serving daemon caches what it serves
-// (under -evict keep, until full, then refusing fills: notadmitted=),
+// (under -evict keep, until full, then refusing fills: NotAdmitted=),
 // prints its -stats line, and on cancellation shuts down with exit 0,
 // leaving no goroutine (the -stats ticker included), descriptor or pooled
 // response behind.
@@ -132,7 +142,7 @@ func TestDaemon(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer cli.Close()
-				for i, wantHits := range []int{0, 1} {
+				for i, wantHits := range []int64{0, 1} {
 					got, err := cli.ReadAll(file)
 					if err != nil {
 						t.Fatal(err)
@@ -141,10 +151,10 @@ func TestDaemon(t *testing.T) {
 						t.Fatalf("read %d: got %d bytes, want the file's %d", i+1, len(got), len(want))
 					}
 					// The fill writes behind the first read; the second
-					// read must find it committed. Each read is one read=.
+					// read must find it committed. Each read counts one in Reads.
 					await(t, stdout, "-stats line with the fill done", func(s string) bool {
-						reads, hits, misses, ok := lastStats(s)
-						return ok && reads == i+1 && hits == wantHits && misses == 1
+						st, _ := lastStats(s)
+						return st["Reads"] == int64(i+1) && st["Hits"] == wantHits && st["Misses"] == 1
 					})
 				}
 				if st := cli.Stats(); st.Redirected != 2 || st.Fallbacks != 0 {
@@ -154,7 +164,7 @@ func TestDaemon(t *testing.T) {
 					// A client on the daemon's node reaches it through the
 					// local socket, as its own user: nothing is refused, and
 					// every warm payload of 8 KiB or more takes the cache
-					// file's descriptor (passed=) — the second read of f0
+					// file's descriptor (Passed=) — the second read of f0
 					// above, and the two chunks of the large file's second
 					// read (its cold read may pass chunks too, once its
 					// fill has committed).
@@ -165,26 +175,26 @@ func TestDaemon(t *testing.T) {
 							t.Fatalf("read %d of %s: %d bytes, %v", i+1, big, len(got), err)
 						}
 						await(t, stdout, "-stats line with the large file's fill done", func(s string) bool {
-							_, _, misses, ok := lastStats(s)
-							return ok && misses == 2
+							st, _ := lastStats(s)
+							return st["Misses"] == 2
 						})
 					}
 					p1 := passedAfter(t, stdout)
 					if p0 < 1 || p1 < p0+2 {
-						t.Fatalf("passed=%d after the small file's warm read and %d after the large file's, want at least 1 and 2 more", p0, p1)
+						t.Fatalf("Passed=%d after the small file's warm read and %d after the large file's, want at least 1 and 2 more", p0, p1)
 					}
 					// A warm batch entry leaves the same way, counted in the
-					// same passed=.
+					// same Passed.
 					got, err := cli.ReadBatch([]string{file})
 					if err != nil || len(got) != 1 || !bytes.Equal(got[0], want) {
 						t.Fatalf("batch read of %s: %v", file, err)
 					}
-					await(t, stdout, "-stats line with batch=1", func(s string) bool {
-						m := batchRe.FindAllStringSubmatch(s, -1)
-						return len(m) > 0 && m[len(m)-1][1] == "1"
+					await(t, stdout, "-stats line with BatchEntries=1", func(s string) bool {
+						st, _ := lastStats(s)
+						return st["BatchEntries"] == 1
 					})
 					if p2 := passedAfter(t, stdout); p2 != p1+1 {
-						t.Fatalf("passed=%d after a one-entry warm batch, want %d", p2, p1+1)
+						t.Fatalf("Passed=%d after a one-entry warm batch, want %d", p2, p1+1)
 					}
 				}
 			}},
@@ -198,22 +208,22 @@ func TestDaemon(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer cli.Close()
-				for i, wantHits := range []int{0, 1} {
+				for i, wantHits := range []int64{0, 1} {
 					if got, err := cli.ReadAll(file); err != nil || !bytes.Equal(got, want) {
 						t.Fatalf("read %d of %s: %d bytes, %v", i+1, file, len(got), err)
 					}
 					await(t, stdout, "-stats line with the fill done", func(s string) bool {
-						_, hits, misses, ok := lastStats(s)
-						return ok && hits == wantHits && misses == 1
+						st, _ := lastStats(s)
+						return st["Hits"] == wantHits && st["Misses"] == 1
 					})
 				}
-				for i := 1; i <= 2; i++ {
+				for i := int64(1); i <= 2; i++ {
 					if got, err := cli.ReadAll(small); err != nil || !bytes.Equal(got, wantSmall) {
 						t.Fatalf("read %d of %s: %d bytes, %v", i, small, len(got), err)
 					}
-					await(t, stdout, "-stats line with evictions=0 cached=1 and the refusal counted", func(s string) bool {
-						m := keepRe.FindAllStringSubmatch(s, -1)
-						return len(m) > 0 && m[len(m)-1][1] == "0" && m[len(m)-1][2] == "1" && m[len(m)-1][3] == strconv.Itoa(i)
+					await(t, stdout, "-stats line with Evictions=0 CachedFiles=1 and the refusal counted", func(s string) bool {
+						st, n := lastStats(s)
+						return n > 0 && st["Evictions"] == 0 && st["CachedFiles"] == 1 && st["NotAdmitted"] == i
 					})
 				}
 			}},
@@ -247,8 +257,8 @@ func TestDaemon(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("run did not return within 5 s; stdout:\n%s", &stdout)
 			}
-			if _, _, _, ok := lastStats(stdout.String()); tc.serve != nil && !ok {
-				t.Errorf("no hvacd: opens= line on stdout:\n%s", &stdout)
+			if _, n := lastStats(stdout.String()); tc.serve != nil && n == 0 {
+				t.Errorf("no -stats line on stdout:\n%s", &stdout)
 			}
 		})
 	}

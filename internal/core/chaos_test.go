@@ -399,8 +399,8 @@ func runChaosCase(t *testing.T, tc chaosCase) (sum chaosTotals) {
 		if tc.network != "local" && ss.Passed != 0 {
 			t.Fatalf("srv%d: %d descriptors passed off the local socket", i, ss.Passed)
 		}
-		if tc.capacity > 0 && s.CachedBytes() > tc.capacity {
-			t.Fatalf("srv%d: cached %d bytes over the %d-byte capacity", i, s.CachedBytes(), tc.capacity)
+		if tc.capacity > 0 && ss.CachedBytes > tc.capacity {
+			t.Fatalf("srv%d: cached %d bytes over the %d-byte capacity", i, ss.CachedBytes, tc.capacity)
 		}
 		sum.eligible += ss.ZeroCopyEligible
 		sum.mapped += ss.MappedSends

@@ -35,8 +35,7 @@ type ClientConfig struct {
 	CallTimeout time.Duration
 	// DialTransport overrides how a server link is established — the seam
 	// the fault-injection harness decorates. Nil means transport.DialWith
-	// with CallTimeout, the transport's default retry budget and
-	// transport.DefaultPoolSize.
+	// with CallTimeout and the transport's default retry budget.
 	DialTransport func(addr string) transport.Transport
 
 	// disableFallback makes server failures hard errors instead of

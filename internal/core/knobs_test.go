@@ -6,14 +6,16 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"hvac/internal/transport"
 )
 
 // TestKnobLedger keeps the configuration surface judged: every exported
-// field of ServerConfig and ClientConfig and every hvacd/hvacc flag has a
-// row in DESIGN.md §A, every row names a knob that still exists, and
-// every verdict is "keep" (with its reason) or "open" (naming what will
-// judge it). A new field or flag fails here until it has faced the rule
-// the ledger states.
+// field of ServerConfig, ClientConfig and the transport's ClientOptions
+// and ServerOptions, and every hvacd/hvacc flag, has a row in DESIGN.md
+// §A, every row names a knob that still exists, and every verdict is
+// "keep" (with its reason) or "open" (naming what will judge it). A new
+// field or flag fails here until it has faced the rule the ledger states.
 func TestKnobLedger(t *testing.T) {
 	read := func(path string) string {
 		t.Helper()
@@ -26,8 +28,10 @@ func TestKnobLedger(t *testing.T) {
 
 	want := map[string]bool{}
 	for name, typ := range map[string]reflect.Type{
-		"ServerConfig": reflect.TypeOf(ServerConfig{}),
-		"ClientConfig": reflect.TypeOf(ClientConfig{}),
+		"ServerConfig":            reflect.TypeOf(ServerConfig{}),
+		"ClientConfig":            reflect.TypeOf(ClientConfig{}),
+		"transport.ClientOptions": reflect.TypeOf(transport.ClientOptions{}),
+		"transport.ServerOptions": reflect.TypeOf(transport.ServerOptions{}),
 	} {
 		for i := 0; i < typ.NumField(); i++ {
 			if f := typ.Field(i); f.IsExported() {

@@ -647,9 +647,18 @@ func TestRealLatencyHistograms(t *testing.T) {
 	if srv.CopyLatency().Count() != 5 {
 		t.Fatalf("copy observations = %d", srv.CopyLatency().Count())
 	}
-	sum := srv.LatencySummary()
-	if !strings.Contains(sum, "open:") || !strings.Contains(sum, "copy:") {
-		t.Fatalf("summary missing sections: %q", sum)
+	st := srv.Stats()
+	for _, q := range []struct {
+		name     string
+		p50, p99 time.Duration
+	}{
+		{"open", st.OpenP50, st.OpenP99},
+		{"read", st.ReadP50, st.ReadP99},
+		{"copy", st.CopyP50, st.CopyP99},
+	} {
+		if q.p50 <= 0 || q.p50 > q.p99 {
+			t.Errorf("%s latency p50 = %v, p99 = %v; want 0 < p50 <= p99", q.name, q.p50, q.p99)
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -142,6 +143,10 @@ type ServerStats struct {
 	BytesServed  int64
 	BytesFetched int64
 	Evictions    int64
+	// CachedFiles and CachedBytes are gauges: the store's residency at
+	// snapshot time.
+	CachedFiles int64
+	CachedBytes int64
 	// QueueDepth is a gauge: tasks sitting in the two mover queues at
 	// snapshot time (demand + prefetch).
 	QueueDepth int64
@@ -194,44 +199,42 @@ type ServerStats struct {
 	// Neither is part of either identity.
 	LocalConns   int64
 	LocalRefused int64
+	// The p50 and p99 of the open and read handlers' service times (a
+	// batch is one read) and of the fills' copies, as power-of-two upper
+	// bounds (metrics.Histogram.Quantile); 0 before the first observation.
+	OpenP50, OpenP99 time.Duration
+	ReadP50, ReadP99 time.Duration
+	CopyP50, CopyP99 time.Duration
 }
 
-// serverCounters is the live form of ServerStats: typed atomics, so the
-// read path bumps them without any lock (and plain access to these
-// fields is unrepresentable).
+// serverCounters is the live form of ServerStats' event counters: typed
+// atomics, so the read path bumps them without any lock (and plain access
+// to these fields is unrepresentable). Each field carries its ServerStats
+// name, which is all snapshot needs to copy it.
 type serverCounters struct {
-	opens, reads, closes atomic.Int64
-	hits, misses         atomic.Int64
-	readThroughs         atomic.Int64
-	batchEntries         atomic.Int64
-	bytesServed          atomic.Int64
-	bytesFetched         atomic.Int64
-	prefetchDrops        atomic.Int64
-	demandRejects        atomic.Int64
-	replicaWarms         atomic.Int64
-	notAdmitted          atomic.Int64
-	mappedSends          atomic.Int64
-	passed               atomic.Int64
+	Opens, Reads, Closes atomic.Int64
+	Hits, Misses         atomic.Int64
+	ReadThroughs         atomic.Int64
+	BatchEntries         atomic.Int64
+	BytesServed          atomic.Int64
+	BytesFetched         atomic.Int64
+	PrefetchDrops        atomic.Int64
+	DemandRejects        atomic.Int64
+	ReplicaWarms         atomic.Int64
+	NotAdmitted          atomic.Int64
+	MappedSends          atomic.Int64
+	Passed               atomic.Int64
 }
 
+// snapshot copies every counter into the ServerStats field of its name.
 func (c *serverCounters) snapshot() ServerStats {
-	return ServerStats{
-		Opens:         c.opens.Load(),
-		Reads:         c.reads.Load(),
-		Closes:        c.closes.Load(),
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		ReadThroughs:  c.readThroughs.Load(),
-		BatchEntries:  c.batchEntries.Load(),
-		BytesServed:   c.bytesServed.Load(),
-		BytesFetched:  c.bytesFetched.Load(),
-		PrefetchDrops: c.prefetchDrops.Load(),
-		DemandRejects: c.demandRejects.Load(),
-		ReplicaWarms:  c.replicaWarms.Load(),
-		NotAdmitted:   c.notAdmitted.Load(),
-		MappedSends:   c.mappedSends.Load(),
-		Passed:        c.passed.Load(),
+	var st ServerStats
+	src, dst := reflect.ValueOf(c).Elem(), reflect.ValueOf(&st).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		n := src.Field(i).Addr().Interface().(*atomic.Int64).Load()
+		dst.FieldByName(src.Type().Field(i).Name).SetInt(n)
 	}
+	return st
 }
 
 // errServerClosed fails a read parked on a fill when the server closes.
@@ -326,10 +329,9 @@ type Server struct {
 	pview     *place.View
 	peerConns []transport.Transport
 
-	latOpen  metrics.Histogram
-	latRead  metrics.Histogram
-	latClose metrics.Histogram
-	latCopy  metrics.Histogram
+	latOpen metrics.Histogram
+	latRead metrics.Histogram
+	latCopy metrics.Histogram
 }
 
 // StartServer launches an HVAC server. Stop it with Close.
@@ -434,8 +436,8 @@ func (s *Server) peerConn(i int) transport.Transport {
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() ServerStats {
 	st := s.stats.snapshot()
-	_, _, ev := s.store.Stats()
-	st.Evictions = ev
+	_, _, st.Evictions = s.store.Stats()
+	st.CachedFiles, st.CachedBytes = int64(s.store.Len()), s.store.Used()
 	st.QueueDepth = int64(len(s.demandQ) + len(s.prefetchQ))
 	st.ZeroCopyEligible = s.zc.Eligible.Load()
 	st.ZeroCopySends = s.zc.Sends.Load()
@@ -443,6 +445,9 @@ func (s *Server) Stats() ServerStats {
 	st.ZeroCopyFallbacks = s.zc.Fallbacks.Load()
 	st.LocalConns = s.rpc.LocalConns()
 	st.LocalRefused = s.rpc.LocalRefused()
+	st.OpenP50, st.OpenP99 = s.latOpen.Quantile(0.5), s.latOpen.Quantile(0.99)
+	st.ReadP50, st.ReadP99 = s.latRead.Quantile(0.5), s.latRead.Quantile(0.99)
+	st.CopyP50, st.CopyP99 = s.latCopy.Quantile(0.5), s.latCopy.Quantile(0.99)
 	return st
 }
 
@@ -543,7 +548,7 @@ func (s *Server) runFetch(task fetchTask) {
 		<-s.copies
 		s.latCopy.Observe(time.Since(start))
 		if err == nil {
-			s.stats.misses.Add(1) // a completed first-read fill
+			s.stats.Misses.Add(1) // a completed first-read fill
 			if task.lend && s.cfg.Replicas >= 2 {
 				// Behind the reply, which a hung peer would hold up to its timeout.
 				go func() { s.warmReplicas(task); s.finishFetch(task) }()
@@ -584,7 +589,7 @@ func (s *Server) warmReplicas(task fetchTask) {
 	}
 	for _, peer := range view.Replicas(task.path, r) {
 		if conn := s.peerConn(peer); conn != nil { // nil for self
-			s.stats.replicaWarms.Add(int64(prefetchHint(conn, []string{task.path})))
+			s.stats.ReplicaWarms.Add(int64(prefetchHint(conn, []string{task.path})))
 		}
 	}
 }
@@ -640,7 +645,7 @@ func (s *Server) fillIn(task fetchTask) error {
 	fill, err := s.store.PutWriter(task.path, size)
 	s.admit.RUnlock()
 	if err != nil {
-		s.stats.notAdmitted.Add(1)
+		s.stats.NotAdmitted.Add(1)
 		return fmt.Errorf("hvac server: not admitted: %w", err)
 	}
 	src, err := s.openPFS(task.path)
@@ -663,7 +668,7 @@ func (s *Server) fillIn(task fetchTask) error {
 	if err := fill.Commit(); err != nil {
 		return fmt.Errorf("hvac server: cache fill: %w", err)
 	}
-	s.stats.bytesFetched.Add(size)
+	s.stats.BytesFetched.Add(size)
 	return nil
 }
 
@@ -715,9 +720,9 @@ func (s *Server) scheduleFetch(task fetchTask, demand bool) *fillEntry {
 		return fe
 	default:
 		if demand {
-			s.stats.demandRejects.Add(1)
+			s.stats.DemandRejects.Add(1)
 		} else {
-			s.stats.prefetchDrops.Add(1)
+			s.stats.PrefetchDrops.Add(1)
 		}
 		return nil
 	}
@@ -752,7 +757,6 @@ func (s *Server) handle(req *transport.Request) *transport.Response {
 		defer func() { s.latRead.Observe(time.Since(start)) }()
 		return s.handleRead(req)
 	case transport.OpClose:
-		defer func() { s.latClose.Observe(time.Since(start)) }()
 		return s.handleClose(req)
 	case transport.OpStat:
 		return s.handleStat(req)
@@ -762,13 +766,6 @@ func (s *Server) handle(req *transport.Request) *transport.Response {
 	default:
 		return errResp(fmt.Errorf("hvac server: unknown op %d", req.Op))
 	}
-}
-
-// LatencySummary renders the server's per-operation service-time
-// histograms (open/read/close handling plus data-mover copies).
-func (s *Server) LatencySummary() string {
-	return fmt.Sprintf("open: %s\nread: %s\nclose: %s\ncopy: %s",
-		s.latOpen.String(), s.latRead.String(), s.latClose.String(), s.latCopy.String())
 }
 
 // OpenLatency exposes the open-operation histogram.
@@ -814,11 +811,11 @@ func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 	}
 	fd := s.nextFD.Add(1)
 	s.handles.put(fd, h)
-	s.stats.opens.Add(1)
+	s.stats.Opens.Add(1)
 	if resident {
-		s.stats.hits.Add(1)
+		s.stats.Hits.Add(1)
 	} else {
-		s.stats.readThroughs.Add(1)
+		s.stats.ReadThroughs.Add(1)
 	}
 	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: h.size}
 }
@@ -884,7 +881,7 @@ func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, 
 	if lerr == nil {
 		want = min(want, max(lz.Size()-off, 0))
 		if resp.Pass(req, lz.File(), off, want, lz) {
-			s.stats.passed.Add(1)
+			s.stats.Passed.Add(1)
 			return int(want), hit, nil
 		}
 		if resp.Data == nil && want >= zeroCopyMin {
@@ -893,7 +890,7 @@ func (s *Server) resolve(req *transport.Request, task fetchTask, fe *fillEntry, 
 		}
 		if m := lz.Mapped(); m != nil && want > 0 {
 			resp.Splice(m[off:off+want], lz)
-			s.stats.mappedSends.Add(1)
+			s.stats.MappedSends.Add(1)
 			return int(want), hit, nil
 		}
 	}
@@ -969,8 +966,8 @@ func (s *Server) handleRead(req *transport.Request) *transport.Response {
 		resp.Release()
 		return errResp(err)
 	}
-	s.stats.reads.Add(1)
-	s.stats.bytesServed.Add(int64(n))
+	s.stats.Reads.Add(1)
+	s.stats.BytesServed.Add(int64(n))
 	resp.Status = transport.StatusOK
 	resp.Size = int64(n)
 	return resp
@@ -980,7 +977,7 @@ func (s *Server) handleClose(req *transport.Request) *transport.Response {
 	if _, ok := s.handles.take(req.Handle); !ok {
 		return errResp(fmt.Errorf("hvac server: bad handle %d", req.Handle))
 	}
-	s.stats.closes.Add(1)
+	s.stats.Closes.Add(1)
 	return &transport.Response{Status: transport.StatusOK}
 }
 
@@ -1089,12 +1086,12 @@ func (s *Server) serveBatchEntry(req *transport.Request, resp *transport.Respons
 	if resp.Data[start] != transport.StatusPassed {
 		transport.PutBatchEntryHead(resp.Data[start:], transport.StatusOK, n)
 	}
-	s.stats.batchEntries.Add(1)
-	s.stats.bytesServed.Add(int64(n))
+	s.stats.BatchEntries.Add(1)
+	s.stats.BytesServed.Add(int64(n))
 	if hit {
-		s.stats.hits.Add(1)
+		s.stats.Hits.Add(1)
 	} else {
-		s.stats.readThroughs.Add(1)
+		s.stats.ReadThroughs.Add(1)
 	}
 }
 

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 	"sync"
 	"time"
 )
@@ -15,7 +13,6 @@ type Histogram struct {
 	counts [64]int64
 	total  int64
 	sumNS  int64
-	maxNS  int64
 }
 
 func bucketOf(d time.Duration) int {
@@ -33,9 +30,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketOf(d)]++
 	h.total++
 	h.sumNS += d.Nanoseconds()
-	if ns := d.Nanoseconds(); ns > h.maxNS {
-		h.maxNS = ns
-	}
 }
 
 // Count reports the number of observations.
@@ -53,13 +47,6 @@ func (h *Histogram) Mean() time.Duration {
 		return 0
 	}
 	return time.Duration(h.sumNS / h.total)
-}
-
-// Max reports the largest observed duration.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.maxNS)
 }
 
 // Quantile estimates the q-quantile (0..1) from bucket boundaries; the
@@ -90,17 +77,5 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 			return time.Duration(uint64(1) << uint(b)) // bucket upper bound
 		}
 	}
-	return time.Duration(h.maxNS)
-}
-
-// String renders a compact summary: count, mean, p50/p90/p99, max.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%v p50=%v p90=%v p99=%v max=%v",
-		h.Count(), h.Mean().Round(time.Microsecond),
-		h.Quantile(0.50).Round(time.Microsecond),
-		h.Quantile(0.90).Round(time.Microsecond),
-		h.Quantile(0.99).Round(time.Microsecond),
-		h.Max().Round(time.Microsecond))
-	return b.String()
+	panic("metrics: histogram buckets sum short of its count") // target < total = Σ counts
 }

@@ -1,7 +1,7 @@
 // Package metrics provides the statistics and table formatting of the
-// experiment harness (cmd/hvacbench) and the server's latency histograms:
-// sample summaries (mean, spread, CV, quantiles), CDFs, and fixed-width
-// table rendering.
+// experiment harness (cmd/hvacbench), the server's latency histograms and
+// the Name=value stats line hvacd and hvacc print: sample summaries (mean,
+// spread, CV, quantiles), CDFs, and fixed-width table rendering.
 package metrics
 
 import (

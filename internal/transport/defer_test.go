@@ -217,7 +217,8 @@ func TestDeferredCloseWithoutPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli := DialWith(srv.Addr(), ClientOptions{PoolSize: -1})
+	cli := Dial(srv.Addr())
+	cli.poolSize = 0 // every call dials
 	defer cli.Close()
 	queueClose := func(h int64) {
 		resp, err := cli.Call(&Request{Op: OpClose, Handle: h})

@@ -53,7 +53,8 @@ func TestCallHonoursAttemptBudget(t *testing.T) {
 			Seed:        seed,
 		}
 		// 127.0.0.1:1 is reserved (discard) and refuses immediately.
-		cli := DialWith("127.0.0.1:1", ClientOptions{DialTimeout: time.Second, Retry: policy})
+		cli := DialWith("127.0.0.1:1", ClientOptions{Retry: policy})
+		cli.dialTimeout = time.Second
 		defer cli.Close()
 		var sleeps []time.Duration
 		cli.sleep = func(d time.Duration) { sleeps = append(sleeps, d) }

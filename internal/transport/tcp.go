@@ -226,36 +226,32 @@ func (s *Server) Close() {
 // ErrClientClosed is returned by Call after Close.
 var ErrClientClosed = errors.New("transport: client closed")
 
-// DefaultPoolSize is the idle-connection cap of a TCP client when
-// ClientOptions.PoolSize is zero.
+// DefaultPoolSize caps the idle connections a client keeps for reuse:
+// two per loader worker for eight workers on one server link, as a large
+// read keeps two chunk RPCs in flight per worker.
 const DefaultPoolSize = 16
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // ClientOptions tune a TCP client's deadlines and retry behaviour.
 type ClientOptions struct {
-	// DialTimeout bounds connection establishment. 0 means 5 s.
-	DialTimeout time.Duration
 	// CallTimeout bounds one Call attempt: request write plus response
 	// read. 0 means DefaultCallTimeout; negative disables the deadline.
 	CallTimeout time.Duration
 	// Retry is the per-call retry schedule; zero fields take the package
 	// defaults (2 attempts, 2 ms base, 250 ms cap).
 	Retry RetryPolicy
-	// PoolSize caps the idle connections kept for reuse. 0 means
-	// DefaultPoolSize; negative disables pooling (every call dials).
-	// Size it to the caller's concurrency: an i×1 deployment driven by w
-	// loader workers wants at least 2w idle slots per server link — a
-	// large read keeps two chunk RPCs in flight per worker.
-	PoolSize int
 }
 
 // Client is a connection-pooling RPC client for one server address. Calls
 // are synchronous; the pool bounds concurrent sockets.
 type Client struct {
 	addr        string
-	dialTimeout time.Duration
+	dialTimeout time.Duration // the constant, which a test shortens
 	callTimeout time.Duration
 	retry       RetryPolicy
-	poolSize    int
+	poolSize    int                 // DefaultPoolSize; 0 in a test keeps no idle connection
 	sleep       func(time.Duration) // test seam for backoff pauses
 
 	// localNames are the local socket names dial tries before TCP,
@@ -300,24 +296,15 @@ func Dial(addr string) *Client {
 
 // DialWith is Dial with explicit options.
 func DialWith(addr string, opts ClientOptions) *Client {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	if opts.CallTimeout == 0 {
 		opts.CallTimeout = DefaultCallTimeout
 	}
-	switch {
-	case opts.PoolSize == 0:
-		opts.PoolSize = DefaultPoolSize
-	case opts.PoolSize < 0:
-		opts.PoolSize = 0
-	}
 	return &Client{
 		addr:        addr,
-		dialTimeout: opts.DialTimeout,
+		dialTimeout: dialTimeout,
 		callTimeout: opts.CallTimeout,
 		retry:       opts.Retry.withDefaults(),
-		poolSize:    opts.PoolSize,
+		poolSize:    DefaultPoolSize,
 		sleep:       time.Sleep,
 	}
 }
